@@ -128,11 +128,20 @@ class AholForm:
         }
 
     @staticmethod
-    def from_json(obj) -> "AholForm":
-        rep = Rep.from_json(obj["type"]) if isinstance(obj["type"], dict) else None
-        if rep is None:
-            raise ValueError("inline type required for graded form JSON")
-        graded = [[QExp.from_json(q) for q in layer] for layer in obj["graded"]]
+    def from_json(obj, registry=None) -> "AholForm":
+        """Read the `graded` layout or the holomorphic `components` layout.
+
+        The type is inline JSON or a label looked up in the registry.
+        """
+        t = obj["type"]
+        if isinstance(t, str):
+            if registry is None:
+                raise ValueError(f"type label {t!r} requires a registry")
+            rep = registry.get(t)
+        else:
+            rep = Rep.from_json(t)
+        layers = obj["graded"] if "graded" in obj else [obj["components"]]
+        graded = [[QExp.from_json(q) for q in layer] for layer in layers]
         return AholForm(int(obj["weight"]), rep, graded)
 
 

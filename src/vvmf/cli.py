@@ -1,8 +1,9 @@
 """Command-line interface and the verification harness.
 
-Exit codes: 0 all expectations hold, 1 an expectation failed, 2 usage or
-input error.  Reports are deterministic up to one timestamp header line
-in text format; JSON output carries no timestamp at all.
+Exit codes: 0 all expectations hold, 1 an expectation failed, 2 usage,
+input or precision error, reported in one line on stderr.  Reports are
+deterministic up to one timestamp header line in text format; JSON output
+carries no timestamp at all.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from importlib import resources
 
 from .ahol import AholForm, ahol_decompose, apply_intertwiner, lower_op, raise_op, tinf_closure
 from .exactnum import CycNum
-from .forms import VVForm, delta_form, eisenstein, vv_eisenstein
+from .forms import delta_form, eisenstein, sigma, vv_eisenstein
 from .hecke import delta_cosets, hecke_form, hecke_rep
 from .hyperalg import FormSpan, hyper_tensor, span_contains, span_sum, sturm_bound
-from .linalg import Matrix
-from .qexp import QExp
+from .linalg import Matrix, invert_rational
+from .qexp import InsufficientPrecision
 from .reps import (
     Rep,
     RepRegistry,
@@ -230,10 +231,6 @@ def verify_example32(registry: RepRegistry | None = None, prec: int | None = Non
     return report
 
 
-def _sigma1(M: int) -> int:
-    return sum(d for d in range(1, M + 1) if M % d == 0)
-
-
 def _exhaustive_genus2_count(M: int) -> int:
     """Brute-force oracle: admissible entry ranges, similitude filter."""
     from .hecke import _assemble, _is_similitude
@@ -282,30 +279,13 @@ def _is_integral_symplectic(mat, genus: int) -> bool:
     return _is_similitude(imat, genus, 1)
 
 
-def _rational_inverse_mat(mat, n: int):
-    aug = [
-        [Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    for c in range(n):
-        pr = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[pr] = aug[pr], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
-
-
 def verify_counts() -> Report:
     report = Report("counts")
     for M in range(1, 13):
         got = len(delta_cosets(1, M))
         report.add(
-            HarnessCase("coset-count-genus1", {"M": M}, _sigma1(M), provenance="derived")
-        ).check(got == _sigma1(M), got)
+            HarnessCase("coset-count-genus1", {"M": M}, sigma(1, M), provenance="derived")
+        ).check(got == sigma(1, M), got)
     for p in (2, 3):
         expect = (1 + p) * (1 + p * p)
         got = len(delta_cosets(2, p))
@@ -326,7 +306,7 @@ def verify_counts() -> Report:
             bad = 0
             for i, m1 in enumerate(cosets):
                 for m2 in cosets[i + 1 :]:
-                    inv = _rational_inverse_mat(m2.mat, n)
+                    inv = invert_rational(m2.mat)
                     prod = [
                         [
                             sum(Fraction(m1.mat[r][k]) * inv[k][c] for k in range(n))
@@ -470,15 +450,9 @@ def _parse_atom(text: str, registry: RepRegistry):
 # ---------------------------------------------------------------------------
 # file helpers
 
-def load_form(path: str, registry: RepRegistry):
+def load_form(path: str, registry: RepRegistry) -> AholForm:
     with open(path) as f:
-        obj = json.load(f)
-    if "graded" in obj:
-        t = obj["type"]
-        rep = registry.get(t) if isinstance(t, str) else Rep.from_json(t)
-        graded = [[QExp.from_json(q) for q in layer] for layer in obj["graded"]]
-        return AholForm(int(obj["weight"]), rep, graded)
-    return VVForm.from_json(obj, registry).as_ahol()
+        return AholForm.from_json(json.load(f), registry)
 
 
 def emit(payload: str, out: str | None):
@@ -518,12 +492,8 @@ def _span_from_json(obj, registry: RepRegistry) -> FormSpan:
     span = FormSpan()
     for grade in obj["grades"]:
         for gen in grade["generators"]:
-            gobj = gen["form"]
-            t = gobj["type"]
-            rep = registry.get(t) if isinstance(t, str) else Rep.from_json(t)
-            graded = [[QExp.from_json(q) for q in layer] for layer in gobj["graded"]]
             span.add(
-                AholForm(int(gobj["weight"]), rep, graded),
+                AholForm.from_json(gen["form"], registry),
                 provenance=gen.get("provenance", ""),
             )
     return span
@@ -766,7 +736,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return run(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, ArithmeticError, InsufficientPrecision) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -362,42 +362,17 @@ def _sorted_divisors(n: int) -> list:
 
 def _lower_to_conductor(x: CycNum, m: int):
     """Coordinates of x in conductor m | n, or None if not representable."""
-    n = x.n
-    phi_m = euler_phi(m)
+    from .linalg import _rref_inplace
+
+    k = euler_phi(m)
     # columns: lifts of the conductor-m power basis, in conductor-n coords
-    cols = [CycNum.zeta(m, j).lift(n).c for j in range(phi_m)]
-    return _solve_rational_columns(cols, x.c)
-
-
-def _solve_rational_columns(cols, target):
-    """Solve sum_j y_j * cols[j] = target over Fraction, or None."""
-    rows = len(target)
-    k = len(cols)
-    aug = [[cols[j][i] for j in range(k)] + [target[i]] for i in range(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for i, c in enumerate(piv_cols):
-        sol[c] = aug[i][k]
-    return sol
+    cols = [CycNum.zeta(m, j).lift(x.n).c for j in range(k)]
+    aug = [[col[i] for col in cols] + [t] for i, t in enumerate(x.c)]
+    # the lifted power basis is independent, so the pivots are 0..k-1
+    _rref_inplace(aug, k + 1, stop_col=k)
+    if any(row[k] for row in aug[k:]):
+        return None
+    return [row[k] for row in aug[:k]]
 
 
 def _poly_divmod(num, den):

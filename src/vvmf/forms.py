@@ -8,6 +8,7 @@ M^(k/2) rational).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .ahol import AholForm, apply_intertwiner
@@ -83,15 +84,7 @@ class VVForm:
 
     @staticmethod
     def from_json(obj, registry: RepRegistry | None = None) -> "VVForm":
-        t = obj["type"]
-        if isinstance(t, str):
-            if registry is None:
-                raise ValueError(f"type label {t!r} requires a registry")
-            rep = registry.get(t)
-        else:
-            rep = Rep.from_json(t)
-        comps = [QExp.from_json(q) for q in obj["components"]]
-        return VVForm(int(obj["weight"]), rep, comps)
+        return VVForm.from_ahol(AholForm.from_json(obj, registry))
 
 
 def sigma(k: int, n: int) -> int:
@@ -149,7 +142,7 @@ def check_T_consistency(f) -> bool:
         prec = min(q.prec for q in layer)
         h = 1
         for q in layer:
-            h = _lcm(h, q.h)
+            h = math.lcm(h, q.h)
         comps = [q.rescale_lattice(h) for q in layer]
         bound = prec * h
         keys = set()
@@ -169,16 +162,6 @@ def check_T_consistency(f) -> bool:
                 if lhs != rhs:
                     return False
     return True
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm(a, b):
-    return a * b // _gcd(a, b)
 
 
 def vv_eisenstein(k: int, target: Rep, M: int, prec) -> FormSpan:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .ahol import AholForm
 from .exactnum import CycNum
-from .linalg import Matrix
+from .linalg import Matrix, invert_rational
 from .qexp import slash_expand
 from .reps import Rep, S_MAT, T_MAT
 
@@ -161,26 +161,11 @@ def _product(ranges):
 def _scaled_inverse_transpose(d, M: int):
     """Integer matrix a with t(a) d = M I, or None."""
     g = len(d)
-    inv = _rational_inverse(d)
-    a = [[Fraction(M) * inv[j][i] for j in range(g)] for i in range(g)]
+    inv = invert_rational(d)
+    a = [[M * inv[j][i] for j in range(g)] for i in range(g)]
     if any(x.denominator != 1 for row in a for x in row):
         return None
     return [[int(x) for x in row] for row in a]
-
-
-def _rational_inverse(m):
-    g = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(g)] + [Fraction(i == j) for j in range(g)] for i in range(g)]
-    for c in range(g):
-        pr = next(i for i in range(c, g) if aug[i][c] != 0)
-        aug[c], aug[pr] = aug[pr], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(g):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[g:] for row in aug]
 
 
 def _assemble(a, b, d, g):

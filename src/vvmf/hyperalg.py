@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .ahol import AholForm, apply_intertwiner
 from .exactnum import CycNum
+from .linalg import Subspace
 from .qexp import InsufficientPrecision
 from .reps import RepRegistry, hom_space
 
@@ -51,7 +52,7 @@ class FormSpan:
         prec = min(f.prec for f in forms)
         layout = _row_layout(forms)
         rows = [_coefficient_row(f, prec, *layout) for f in forms]
-        if _rank(rows) == len(rows):
+        if Subspace.from_rows(len(rows[0]), rows).dim == len(rows):
             gens.append((form, provenance or form.name))
             return True
         return False
@@ -62,23 +63,11 @@ class FormSpan:
     def generators(self, key) -> list:
         return list(self.grading.get(key, []))
 
-    def all_forms(self) -> list:
-        out = []
-        for key in self.grades():
-            out.extend(f for f, _ in self.grading[key])
-        return out
-
     def grade_dimension(self, key) -> int:
         return len(self.grading.get(key, []))
 
     def dimension_signature(self) -> dict:
         return {key: len(gens) for key, gens in self.grading.items()}
-
-    def grade_prec(self, key):
-        gens = self.grading.get(key)
-        if not gens:
-            return None
-        return min(f.prec for f, _ in gens)
 
     def grade_rows(self, key, prec=None) -> tuple:
         """Canonical echelon rows of a graded piece at a sound precision."""
@@ -90,7 +79,7 @@ class FormSpan:
             prec = min(f.prec for f in forms)
         h, dim, depth = _row_layout(forms)
         rows = [_coefficient_row(f, prec, h, dim, depth) for f in forms]
-        return _echelon(rows)
+        return Subspace.from_rows(len(rows[0]), rows).basis
 
     def __repr__(self):
         parts = [f"({w},{lbl}):{len(g)}" for (w, lbl), g in sorted(self.grading.items())]
@@ -139,20 +128,6 @@ def _coefficient_row(f: AholForm, prec, h: int, dim: int, depth: int) -> list:
             q = layer[i].rescale_lattice(h)
             row.extend(q.terms.get(n, zero) for n in range(bound))
     return row
-
-
-def _echelon(rows) -> tuple:
-    from .linalg import _rref_inplace
-
-    work = [list(r) for r in rows]
-    if not work:
-        return ()
-    _rref_inplace(work, len(work[0]))
-    return tuple(tuple(r) for r in work if any(not x.is_zero() for x in r))
-
-
-def _rank(rows) -> int:
-    return len(_echelon(rows))
 
 
 def span_sum(spans) -> "FormSpan":
@@ -261,11 +236,4 @@ def span_contains(span: FormSpan, f: AholForm, prec_used) -> bool:
     h, dim, depth = _row_layout(forms)
     rows = [_coefficient_row(g, prec_used, h, dim, depth) for g, _ in gens]
     target = _coefficient_row(f, prec_used, h, dim, depth)
-    ech = _echelon(rows)
-    work = list(target)
-    for row in ech:
-        pc = next(i for i, x in enumerate(row) if not x.is_zero())
-        fac = work[pc]
-        if not fac.is_zero():
-            work = [x - fac * y for x, y in zip(work, row)]
-    return all(x.is_zero() for x in work)
+    return Subspace.from_rows(len(target), rows).member(target)

@@ -1,14 +1,15 @@
 """Dense exact linear algebra over cyclotomic fields.
 
-Everything is deterministic: pivots are the first nonzero entry in column
-order (arithmetic is exact, no magnitude heuristics), elimination is
-fraction-free with pivot normalization at the end, and subspaces are kept
-in reduced row-echelon form so equal subspaces have equal bases.
+Everything is deterministic and goes through one elimination kernel,
+`_rref_inplace`: Gauss-Jordan with first-nonzero pivots in column order
+(arithmetic is exact, no magnitude heuristics); its output is the unique
+RREF, so equal subspaces have equal bases.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .exactnum import CycNum, as_cyc
 
@@ -215,37 +216,45 @@ class Matrix:
 def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
     """Reduce rows in place to RREF; returns pivot columns.
 
-    Fraction-free forward elimination (cross-multiplication, no division),
-    pivots normalized afterwards so the result is canonical.
+    Gauss-Jordan with first-nonzero pivots; output is the unique RREF.
+    Each pivot row is normalized, then its column is cleared in every
+    other row.  Entries are tested for zero by truthiness and divided
+    with `/`, so rows of Fraction and rows of CycNum both work.  Only
+    columns before stop_col are pivot candidates.
     """
     if stop_col is None:
         stop_col = ncols
     pivots = []
-    r = 0
     nrows = len(rows)
     for c in range(stop_col):
-        pr = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            f = rows[i][c]
-            if not f.is_zero():
-                rows[i] = [piv * x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == nrows:
             break
-    for ri in range(len(pivots) - 1, -1, -1):
-        c = pivots[ri]
-        piv = rows[ri][c]
-        rows[ri] = [x / piv for x in rows[ri]]
-        for i in range(ri):
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        inv = 1 / rows[pr][c]
+        prow = [x * inv for x in rows[pr]]
+        rows[pr] = rows[r]
+        rows[r] = prow
+        for i in range(nrows):
             f = rows[i][c]
-            if not f.is_zero():
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[ri])]
+            if i != r and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
+        pivots.append(c)
     return pivots
+
+
+def invert_rational(mat) -> list:
+    """Inverse of a square rational matrix as Fraction rows; ValueError if singular."""
+    n = len(mat)
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+        for i, row in enumerate(mat)
+    ]
+    if len(_rref_inplace(aug, 2 * n, stop_col=n)) < n:
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in aug]
 
 
 class Subspace:
@@ -266,9 +275,8 @@ class Subspace:
         for r in work:
             if len(r) != ambient_dim:
                 raise ValueError("row length does not match ambient dimension")
-        _rref_inplace(work, ambient_dim)
-        work = [r for r in work if any(not x.is_zero() for x in r)]
-        return Subspace(ambient_dim, work)
+        pivots = _rref_inplace(work, ambient_dim)
+        return Subspace(ambient_dim, work[: len(pivots)])
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -289,7 +297,6 @@ class Subspace:
         v = [as_cyc(x) for x in v]
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        v = list(v)
         for row in self.basis:
             pc = next(i for i, x in enumerate(row) if not x.is_zero())
             f = v[pc]

@@ -95,21 +95,10 @@ class Rep:
         out = Matrix.identity(self.dim)
         for kind, e in sl2_word(*key):
             if kind == "S":
-                for _ in range(e % 4):
-                    out = out * self.S
+                out = out * _mat_pow(self.S, e % 4)
             else:
-                out = out * self._t_power(e % self.level)
+                out = out * _mat_pow(self.T, e % self.level)
         self._word_cache[key] = out
-        return out
-
-    def _t_power(self, e: int) -> Matrix:
-        out = Matrix.identity(self.dim)
-        base = self.T
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
         return out
 
     def __repr__(self):
@@ -168,13 +157,14 @@ def sl2_word(a: int, b: int, c: int, d: int) -> list:
 
 
 def _mat_pow(m: Matrix, e: int) -> Matrix:
+    """m^e for e >= 0 by square-and-multiply."""
     out = Matrix.identity(m.rows)
-    base = m
     while e:
         if e & 1:
-            out = out * base
-        base = base * base
+            out = out * m
         e >>= 1
+        if e:
+            m = m * m
     return out
 
 

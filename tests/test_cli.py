@@ -76,6 +76,22 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("homspace", "--source", "nosuch", "--target", "triv"),
+        ("eis", "--weight", "12", "--prec", "0"),
+        ("verify", "thm11", "--prec", "1"),
+    ],
+    ids=["unknown-type", "eis-zero-precision", "thm11-below-sturm"],
+)
+def test_bad_input_is_one_line_exit_2(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_reports_are_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "counts", "--format", "json")
     code2, out2, _ = run_cli(capsys, "verify", "counts", "--format", "json")

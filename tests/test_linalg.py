@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from vvmf.exactnum import CycNum
-from vvmf.linalg import Matrix, Subspace
+from vvmf.linalg import Matrix, Subspace, _rref_inplace
 
 
 def e(i, n):
@@ -147,3 +147,40 @@ def test_rref_is_canonical():
     assert pivots == [0, 1]
     assert r.row(0) == tuple([CycNum.one(), CycNum.zero(), CycNum.one()])
     assert r.row(1) == tuple([CycNum.zero(), CycNum.one(), CycNum.one()])
+    rng = random.Random(3)
+    rows = m.to_rows() + [[1, 3, 4], [5, 10, 15]]
+    want = Matrix.from_rows(rows).rref()
+    for _ in range(5):
+        rng.shuffle(rows)
+        assert Matrix.from_rows(rows).rref() == want
+
+
+def test_rref_kernel_agrees_on_fraction_and_cyclotomic_rows():
+    rng = random.Random(11)
+    for _ in range(10):
+        vals = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)] for _ in range(3)]
+        vals.append([x + 2 * y for x, y in zip(vals[0], vals[1])])
+        frac = [list(r) for r in vals]
+        cyc = [[CycNum.from_rational(x) for x in r] for r in vals]
+        assert _rref_inplace(frac, 5) == _rref_inplace(cyc, 5)
+        assert cyc == [[CycNum.from_rational(x) for x in r] for r in frac]
+
+
+def test_rref_and_rank_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    for trial in range(25):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        # over half the entries are zero, so rank deficiency is common
+        vals = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * rng.randint(0, 1) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        ref = sympy.Matrix(rows, cols, [sympy.Rational(str(x)) for r in vals for x in r])
+        ref_rref, ref_pivots = ref.rref()
+        m = Matrix.from_rows(vals)
+        r, pivots = m.rref()
+        assert pivots == list(ref_pivots), trial
+        assert m.rank() == ref.rank(), trial
+        got = [[str(r[i, j]) for j in range(cols)] for i in range(rows)]
+        assert got == [[str(ref_rref[i, j]) for j in range(cols)] for i in range(rows)], trial
