@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .linalg import Matrix
 from .qexp import QExp
-from .reps import Rep, hom_space, is_intertwiner
+from .reps import Rep, hom_space, is_intertwiner, require_same_content
 
 
 class AholForm:
@@ -80,6 +80,7 @@ class AholForm:
     def __add__(self, other: "AholForm") -> "AholForm":
         if self.weight != other.weight or self.rep.label != other.rep.label:
             raise ValueError("can only add forms of equal weight and type")
+        require_same_content(self.rep, other.rep)
         depth = max(self.depth, other.depth)
         layers = []
         for r in range(depth + 1):

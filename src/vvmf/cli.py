@@ -409,8 +409,12 @@ def verify_thm11(
     return report
 
 
-def verify_all(prec: int | None = None) -> list:
-    return [verify_example32(prec=prec), verify_counts(), verify_thm11(prec=prec)]
+def verify_all(registry: RepRegistry | None = None, prec: int | None = None) -> list:
+    return [
+        verify_example32(registry=registry, prec=prec),
+        verify_counts(),
+        verify_thm11(prec=prec, registry=registry),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +724,7 @@ def run(args) -> int:
                 )
             ]
         else:
-            reports = verify_all(prec=args.prec)
+            reports = verify_all(registry=registry, prec=args.prec)
         if args.format == "json":
             body = reports[0].to_json() if len(reports) == 1 else [r.to_json() for r in reports]
             emit(_json_dump(body), args.out)

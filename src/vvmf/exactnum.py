@@ -1,11 +1,23 @@
 """Exact rational and cyclotomic arithmetic.
 
 Rationals are `fractions.Fraction` (arbitrary precision, always reduced).
-A cyclotomic number is stored by a conductor n and its coordinates in the
-power basis 1, z, ..., z^(phi(n)-1) of Q(zeta_n), reduced modulo the n-th
-cyclotomic polynomial.  Elements keep the conductor they were built with;
-`reduce_conductor` is explicit and never applied behind the caller's back,
-so equality and hashing go through a canonical reduced form instead.
+A cyclotomic number of conductor n is stored as integer numerators over
+one common denominator: `num` holds phi(n) Python ints and `den` a
+positive int, and the element is sum_j num[j] * z^j / den in the power
+basis 1, z, ..., z^(phi(n)-1) of Q(zeta_n), reduced modulo the n-th
+cyclotomic polynomial.  The form is canonical, gcd(den, *num) == 1 and
+zero is (0, ...)/1, so equality at one conductor compares int tuples.
+
+The public constructor coerces its coefficients (ints, Fractions, or
+strings such as "1/2") once.  Ring operations work on ints only: integer
+convolution, integer reduction modulo the monic Phi_n, one gcd, and they
+build their results through the trusted constructor `_make`.  Conductor 1
+(the rationals) takes a scalar path.  The `Fraction` view `.c` serves
+rendering, JSON and conductor lowering only.
+
+Elements keep the conductor they were built with; `reduce_conductor` is
+explicit and never applied behind the caller's back, so equality and
+hashing go through a canonical reduced form instead.
 """
 
 from __future__ import annotations
@@ -86,71 +98,96 @@ def _poly_divexact(num: list, den: list) -> list:
     return out
 
 
-def _reduce_mod_cyclotomic(n: int, coeffs: list) -> list:
-    """Reduce a Fraction-coefficient polynomial mod Phi_n; length phi(n)."""
-    phi = euler_phi(n)
+@lru_cache(maxsize=None)
+def _phi_tail(n: int) -> tuple:
+    """(phi(n), pairs (j, -Phi_n[j]) for the nonzero j < phi(n)).
+
+    Phi_n is monic, so x^phi(n) == sum of -Phi_n[j] * x^j modulo Phi_n.
+    """
     mod = cyclotomic_poly(n)
-    deg = len(mod) - 1  # == phi
-    work = list(coeffs)
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
+    return len(mod) - 1, tuple((j, -c) for j, c in enumerate(mod[:-1]) if c)
+
+
+def _reduce(n: int, coeffs: list) -> tuple:
+    """Integer polynomial (low degree first) mod Phi_n, as phi(n) ints.
+
+    Consumes coeffs as scratch space.
+    """
+    deg, tail = _phi_tail(n)
+    for i in range(len(coeffs) - 1, deg - 1, -1):
+        c = coeffs[i]
         if c:
-            # mod is monic, subtract c * x^(i-deg) * Phi_n
-            for j in range(deg + 1):
-                work[i - deg + j] -= c * mod[j]
-        work.pop()
-    if len(work) < phi:
-        work.extend([Fraction(0)] * (phi - len(work)))
-    return work
+            base = i - deg
+            for j, t in tail:
+                coeffs[base + j] += c * t
+    if len(coeffs) < deg:
+        coeffs.extend([0] * (deg - len(coeffs)))
+    return tuple(coeffs[:deg])
+
+
+def _mul_num(n: int, x: tuple, y: tuple) -> tuple:
+    """Product of two integer coordinate tuples of conductor n."""
+    prod = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+    return _reduce(n, prod)
+
+
+def _galois_num(n: int, x: tuple, k: int) -> tuple:
+    """Image of integer coordinates under zeta_n -> zeta_n^k."""
+    out = [0] * n
+    for j, a in enumerate(x):
+        out[j * k % n] += a
+    return _reduce(n, out)
 
 
 class CycNum:
-    """Element of Q(zeta_n) in the power basis modulo Phi_n.
+    """Element of Q(zeta_n): integer power-basis numerators over one denominator.
 
     Arithmetic on mismatched conductors lifts both operands to the lcm
     via zeta_m -> zeta_n^(n/m).  All results are reduced modulo the
     cyclotomic polynomial of their conductor.
     """
 
-    __slots__ = ("n", "c", "_reduced")
+    # `_reduced` caches reduce_conductor and stays unset until first asked
+    __slots__ = ("n", "num", "den", "_reduced")
 
-    def __init__(self, n: int, coeffs):
+    def __new__(cls, n: int, coeffs):
         if n < 1:
             raise ValueError(f"conductor must be positive, got {n}")
-        phi = euler_phi(n)
         c = [Fraction(x) for x in coeffs]
-        if len(c) > phi:
-            c = _reduce_mod_cyclotomic(n, c)
-        elif len(c) < phi:
-            c.extend([Fraction(0)] * (phi - len(c)))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "c", tuple(c))
-        object.__setattr__(self, "_reduced", None)
+        den = math.lcm(*[x.denominator for x in c])
+        return _make(n, _reduce(n, [x.numerator * (den // x.denominator) for x in c]), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNum is immutable")
+
+    @property
+    def c(self) -> tuple:
+        """Power-basis coordinates as Fractions (rendering and JSON)."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def from_rational(q) -> "CycNum":
-        return CycNum(1, [Fraction(q)])
+        return as_cyc(Fraction(q))
 
     @staticmethod
     def zero() -> "CycNum":
-        return CycNum(1, [0])
+        return _make(1, (0,), 1)
 
     @staticmethod
     def one() -> "CycNum":
-        return CycNum(1, [1])
+        return _make(1, (1,), 1)
 
     @staticmethod
     def zeta(n: int, power: int = 1) -> "CycNum":
         """zeta_n^power as an element of conductor n."""
         e = power % n
-        coeffs = [Fraction(0)] * (e + 1)
-        coeffs[e] = Fraction(1)
-        return CycNum(n, coeffs)
+        return _make(n, _reduce(n, [0] * e + [1]), 1)
 
     # -- conductor handling -------------------------------------------
 
@@ -160,41 +197,44 @@ class CycNum:
             raise ValueError(f"cannot lift conductor {self.n} into {m}")
         if m == self.n:
             return self
+        if self.n == 1:
+            return _make(m, self.num + (0,) * (euler_phi(m) - 1), self.den)
         step = m // self.n
-        out = [Fraction(0)] * (euler_phi(self.n) * step + 1)
-        for j, cj in enumerate(self.c):
-            if cj:
-                out[j * step] += cj
-        return CycNum(m, out)
+        out = [0] * ((len(self.num) - 1) * step + 1)
+        for j, a in enumerate(self.num):
+            out[j * step] = a
+        return _make(m, _reduce(m, out), self.den)
 
     def reduce_conductor(self) -> "CycNum":
         """Smallest divisor conductor representing the same element."""
-        if self._reduced is not None:
+        try:
             return self._reduced
+        except AttributeError:
+            pass
         result = self
-        if all(x == 0 for x in self.c[1:]):
-            result = CycNum(1, [self.c[0]])
-        elif self.n > 1:
+        if self.is_rational():
+            result = _make(1, self.num[:1], self.den)
+        else:
             for m in _sorted_divisors(self.n)[:-1]:
                 coords = _lower_to_conductor(self, m)
                 if coords is not None:
                     result = CycNum(m, coords)
                     break
-        object.__setattr__(self, "_reduced", result)
+        _set_reduced(self, result)
         return result
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.c)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(x == 0 for x in self.c[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.c[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -205,55 +245,62 @@ class CycNum:
         m = self.n * other.n // math.gcd(self.n, other.n)
         return self.lift(m), other.lift(m)
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> "CycNum":
+        """self + sign * other over the least common denominator."""
         a, b = self._pair(other)
-        return CycNum(a.n, [x + y for x, y in zip(a.c, b.c)])
+        g = math.gcd(a.den, b.den)
+        fa, fb = b.den // g, sign * (a.den // g)
+        if a.n == 1:
+            return _make(1, (a.num[0] * fa + b.num[0] * fb,), a.den * fa)
+        return _make(a.n, tuple(x * fa + y * fb for x, y in zip(a.num, b.num)), a.den * fa)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        return CycNum(a.n, [x - y for x, y in zip(a.c, b.c)])
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return as_cyc(other).__sub__(self)
 
     def __neg__(self):
-        return CycNum(self.n, [-x for x in self.c])
+        return _make(self.n, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
-        a, b = self._pair(other)
+        a, b = self, as_cyc(other)
         if a.n == 1:
-            return CycNum(1, [a.c[0] * b.c[0]])
-        prod = [Fraction(0)] * (len(a.c) + len(b.c) - 1)
-        for i, x in enumerate(a.c):
-            if x:
-                for j, y in enumerate(b.c):
-                    if y:
-                        prod[i + j] += x * y
-        return CycNum(a.n, prod)
+            a, b = b, a
+        if b.n == 1:
+            # scalar times anything keeps the other operand's conductor
+            s = b.num[0]
+            if a.n == 1:
+                return _make(1, (a.num[0] * s,), a.den * b.den)
+            return _make(a.n, tuple(x * s for x in a.num), a.den * b.den)
+        if a.n != b.n:
+            a, b = a._pair(b)
+        return _make(a.n, _mul_num(a.n, a.num, b.num), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if self.n == 1:
-            return CycNum(1, [1 / self.c[0]])
-        # extended Euclid against Phi_n in Q[x]; Phi_n is irreducible, so
-        # the gcd with any nonzero lower-degree polynomial is a unit.
-        mod = [Fraction(x) for x in cyclotomic_poly(self.n)]
-        r0, r1 = mod, list(self.c)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                inv = [x / r1[0] for x in s1]
-                return CycNum(self.n, inv)
-            q, rem = _poly_divmod(r0, r1)
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1 = r1, rem
+        n, num, den = self.n, self.num, self.den
+        if n == 1:
+            p = num[0]
+            return _make(1, (den if p > 0 else -den,), abs(p))
+        # x * (product of the other Galois conjugates of x) is the norm N(x),
+        # a rational integer for integer coordinates, so 1/x = conj / N(x).
+        conj = (1,) + (0,) * (len(num) - 1)
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                conj = _mul_num(n, conj, _galois_num(n, num, k))
+        norm = _mul_num(n, num, conj)[0]
+        if norm < 0:
+            norm, den = -norm, -den
+        return _make(n, tuple(den * x for x in conj), norm)
 
     def __truediv__(self, other):
         other = as_cyc(other)
@@ -280,11 +327,7 @@ class CycNum:
         """Complex conjugation zeta -> zeta^(-1)."""
         if self.n == 1:
             return self
-        out = [Fraction(0)] * self.n
-        for j, cj in enumerate(self.c):
-            if cj:
-                out[(-j) % self.n] += cj
-        return CycNum(self.n, out)
+        return _make(self.n, _galois_num(self.n, self.num, self.n - 1), self.den)
 
     # -- comparisons -----------------------------------------------------
 
@@ -293,25 +336,23 @@ class CycNum:
             other = as_cyc(other)
         if not isinstance(other, CycNum):
             return NotImplemented
-        if self.n == other.n:
-            return self.c == other.c
-        a, b = self._pair(other)
-        return a.c == b.c
+        a, b = (self, other) if self.n == other.n else self._pair(other)
+        return a.den == b.den and a.num == b.num
 
     def __hash__(self):
         r = self.reduce_conductor()
         if r.n == 1:
-            return hash(r.c[0])
-        return hash((r.n, r.c))
+            return hash(Fraction(r.num[0], r.den))
+        return hash((r.n, r.num, r.den))
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     # -- rendering ---------------------------------------------------------
 
     def __str__(self):
         if self.is_rational():
-            return format_rational(self.c[0])
+            return format_rational(self.rational_value())
         parts = []
         for j, cj in enumerate(self.c):
             if cj == 0:
@@ -343,12 +384,37 @@ class CycNum:
         return CycNum(int(obj["n"]), [parse_rational(s) for s in obj["c"]])
 
 
+def _make(n: int, num: tuple, den: int) -> CycNum:
+    """Trusted constructor: num is a tuple of phi(n) ints and den > 0.
+
+    Only divides out gcd(den, *num); the caller guarantees the rest.
+    """
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = tuple(a // g for a in num)
+        den //= g
+    x = _new_object(CycNum)
+    _set_n(x, n)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+# the slot setters bypass CycNum.__setattr__, which refuses every write
+_new_object = object.__new__
+_set_n, _set_num, _set_den, _set_reduced = (
+    getattr(CycNum, name).__set__ for name in CycNum.__slots__
+)
+
+
 def as_cyc(x) -> CycNum:
     """Coerce int/Fraction/CycNum to CycNum."""
     if isinstance(x, CycNum):
         return x
-    if isinstance(x, (int, Fraction)):
-        return CycNum(1, [Fraction(x)])
+    if isinstance(x, int):
+        return _make(1, (int(x),), 1)
+    if isinstance(x, Fraction):
+        return _make(1, (x.numerator,), x.denominator)
     raise TypeError(f"cannot coerce {type(x).__name__} to CycNum")
 
 
@@ -373,40 +439,6 @@ def _lower_to_conductor(x: CycNum, m: int):
     if any(row[k] for row in aug[k:]):
         return None
     return [row[k] for row in aug[:k]]
-
-
-def _poly_divmod(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    while den and den[-1] == 0:
-        den = den[:-1]
-        dd -= 1
-    q = [Fraction(0)] * max(len(num) - dd, 1)
-    for i in range(len(num) - dd - 1, -1, -1):
-        c = num[i + dd] / den[-1]
-        q[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    return q, num[:dd]
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
 
 
 _BERNOULLI_CACHE = [Fraction(1), Fraction(-1, 2)]

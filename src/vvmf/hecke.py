@@ -262,7 +262,10 @@ class HeckeRep:
         return f"HeckeRep(T_{self.index} {self.base.label}, dim {self.rep.dim})"
 
 
+# hecke_rep results, least recently used first; the label is in the key
+# because the induced type's label is built from it
 _HECKE_CACHE: dict = {}
+_HECKE_CACHE_SIZE = 64
 
 
 def hecke_rep(M: int, r: Rep) -> HeckeRep:
@@ -272,9 +275,10 @@ def hecke_rep(M: int, r: Rep) -> HeckeRep:
     e_m, cosets in delta_cosets order.  Block (target, source) of the image
     of gamma is rho([I_m(gamma^-1)]^-1) for m the source coset.
     """
-    key = (M, id(r))
-    hit = _HECKE_CACHE.get(key)
+    key = (M, r.label, r.content)
+    hit = _HECKE_CACHE.pop(key, None)
     if hit is not None:
+        _HECKE_CACHE[key] = hit
         return hit
     cosets = delta_cosets(1, M)
     index_of = {c: i for i, c in enumerate(cosets)}
@@ -295,6 +299,8 @@ def hecke_rep(M: int, r: Rep) -> HeckeRep:
         raise AssertionError(f"constructed Hecke type fails relations: {report}")
     out = HeckeRep(r, M, cosets, rep)
     _HECKE_CACHE[key] = out
+    if len(_HECKE_CACHE) > _HECKE_CACHE_SIZE:
+        del _HECKE_CACHE[next(iter(_HECKE_CACHE))]
     return out
 
 

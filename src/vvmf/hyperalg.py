@@ -20,7 +20,7 @@ from .ahol import AholForm, apply_intertwiner
 from .exactnum import CycNum
 from .linalg import Subspace
 from .qexp import InsufficientPrecision
-from .reps import RepRegistry, hom_space
+from .reps import RepRegistry, hom_space, require_same_content
 
 
 class FormSpan:
@@ -48,6 +48,8 @@ class FormSpan:
             return False
         key = (form.weight, form.rep.label)
         gens = self.grading.setdefault(key, [])
+        if gens:
+            require_same_content(gens[0][0].rep, form.rep)
         forms = [f for f, _ in gens] + [form]
         prec = min(f.prec for f in forms)
         layout = _row_layout(forms)
@@ -223,6 +225,8 @@ def span_contains(span: FormSpan, f: AholForm, prec_used) -> bool:
         )
     key = (f.weight, f.rep.label)
     gens = span.grading.get(key, [])
+    if gens:
+        require_same_content(gens[0][0].rep, f.rep)
     if f.is_zero():
         return True
     if not gens:

@@ -28,6 +28,8 @@ class QExp:
         prec = Fraction(prec)
         if prec <= 0:
             raise InsufficientPrecision(f"precision must be positive, got {prec}")
+        # n/h >= prec exactly when the integer n >= ceil(prec * h)
+        bound = math.ceil(prec * h)
         clean = {}
         for n, c in terms.items():
             c = as_cyc(c)
@@ -35,7 +37,7 @@ class QExp:
                 continue
             if n < 0:
                 raise ValueError(f"negative exponent {n}/{h} is not representable")
-            if Fraction(n, h) >= prec:
+            if n >= bound:
                 continue
             clean[int(n)] = c
         object.__setattr__(self, "h", h)
@@ -106,7 +108,7 @@ class QExp:
         if isinstance(other, QExp):
             a, b = self._common(other)
             prec = min(a.prec, b.prec)
-            bound = prec * a.h
+            bound = math.ceil(prec * a.h)
             terms: dict = {}
             for n1, c1 in a.terms.items():
                 for n2, c2 in b.terms.items():

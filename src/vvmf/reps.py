@@ -44,6 +44,11 @@ class Rep:
         raise AttributeError("Rep is immutable")
 
     @property
+    def content(self) -> tuple:
+        """(level, S, T), which identifies the type; the label only names it."""
+        return (self.level, self.S, self.T)
+
+    @property
     def conductor(self) -> int:
         return self.S.n * self.T.n // math.gcd(self.S.n, self.T.n)
 
@@ -136,6 +141,12 @@ class RepValidation:
     def __str__(self):
         lines = [f"{'pass' if p else 'FAIL'}  {name}" for name, p in self.checks]
         return f"[{self.label}] " + "; ".join(lines)
+
+
+def require_same_content(r: Rep, r2: Rep) -> None:
+    """ValueError unless two types that share a label have equal (level, S, T)."""
+    if r is not r2 and r.content != r2.content:
+        raise ValueError(f"two different types share the label {r.label!r}")
 
 
 def sl2_word(a: int, b: int, c: int, d: int) -> list:

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -90,6 +91,19 @@ def test_bad_input_is_one_line_exit_2(capsys, argv):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["example32", "all"])
+def test_verify_honours_registry(capsys, tmp_path, target):
+    # a registry without rho3 cannot run example32, alone or inside "all"
+    entries = json.loads(
+        resources.files("vvmf.data").joinpath("registry.json").read_text()
+    )["entries"]
+    path = tmp_path / "triv_only.json"
+    path.write_text(json.dumps({"entries": [e for e in entries if e["label"] == "triv"]}))
+    code, _, err = run_cli(capsys, "verify", target, "--registry", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_reports_are_deterministic(capsys):

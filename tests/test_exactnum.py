@@ -132,3 +132,195 @@ def test_bernoulli_trivial_and_derived():
     assert bernoulli(12) == Fraction(-691, 2730)
     for n in range(0, 15):
         assert bernoulli(n) == bernoulli_oracle(n), n
+
+
+# -- differential tests against a Fraction-coordinate reference -------------
+#
+# The reference keeps an element as a list of Fraction coordinates in the
+# power basis of Q(zeta_n) and does every operation the schoolbook way.
+
+CONDUCTORS = (1, 3, 4, 5, 12)
+
+
+def ref_reduce(n, coeffs):
+    mod = cyclotomic_poly(n)
+    deg = len(mod) - 1
+    work = [Fraction(x) for x in coeffs]
+    for i in range(len(work) - 1, deg - 1, -1):
+        c = work[i]
+        for j in range(deg + 1):
+            work[i - deg + j] -= c * mod[j]
+    work = work[:deg]
+    return work + [Fraction(0)] * (deg - len(work))
+
+
+def ref_mul(n, a, b):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return ref_reduce(n, prod)
+
+
+def ref_lift(a, n, m):
+    step = m // n
+    out = [Fraction(0)] * (len(a) * step)
+    for j, x in enumerate(a):
+        out[j * step] += x
+    return ref_reduce(m, out)
+
+
+def ref_inverse(n, a):
+    # solve a * x = 1 through the matrix of multiplication by a
+    k = euler_phi(n)
+    unit = [[Fraction(int(i == j)) for i in range(k)] for j in range(k)]
+    cols = [ref_mul(n, a, e) for e in unit]
+    aug = [[cols[j][i] for j in range(k)] + [Fraction(int(i == 0))] for i in range(k)]
+    for c in range(k):
+        p = next(r for r in range(c, k) if aug[r][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(k):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
+    return [row[k] for row in aug]
+
+
+def ref_conjugate(n, a):
+    out = [Fraction(0)] * n
+    for j, x in enumerate(a):
+        out[(-j) % n] += x
+    return ref_reduce(n, out)
+
+
+def coords(x, m=None):
+    """Fraction coordinates of x, lifted by the reference to conductor m."""
+    c = [Fraction(a, x.den) for a in x.num]
+    return c if m is None or m == x.n else ref_lift(c, x.n, m)
+
+
+def assert_canonical(x):
+    assert len(x.num) == euler_phi(x.n)
+    assert all(type(a) is int for a in x.num) and type(x.den) is int
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+    # one common denominator: the lcm of the coordinates' denominators
+    assert x.den == math.lcm(*(Fraction(a, x.den).denominator for a in x.num))
+
+
+def random_elements(rng, n, count):
+    """Zero, one, then random elements: some coordinates zero, some huge."""
+    out = [CycNum.zero().lift(n), CycNum.one().lift(n)]
+    while len(out) < count:
+        top = 10**12 if rng.random() < 0.2 else 6
+        c = [Fraction(rng.randint(-top, top), rng.randint(1, 30)) for _ in range(euler_phi(n))]
+        out.append(CycNum(n, [q if rng.random() < 0.8 else 0 for q in c]))
+    return out
+
+
+@pytest.mark.parametrize("n1", CONDUCTORS)
+@pytest.mark.parametrize("n2", CONDUCTORS)
+def test_ring_ops_match_fraction_reference(n1, n2):
+    rng = random.Random(f"ring/{n1}/{n2}")
+    m = math.lcm(n1, n2)
+    for a, b in zip(random_elements(rng, n1, 8), random_elements(rng, n2, 8)):
+        ca, cb = coords(a, m), coords(b, m)
+        for got, want in (
+            (a + b, [x + y for x, y in zip(ca, cb)]),
+            (a - b, [x - y for x, y in zip(ca, cb)]),
+            (a * b, ref_mul(m, ca, cb)),
+            (-a, [-x for x in ca]),
+        ):
+            assert_canonical(got)
+            assert coords(got, m) == want
+        assert (a + b).n == (a - b).n == (a * b).n == m
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_inverse_conjugate_lift_match_fraction_reference(n):
+    rng = random.Random(f"unary/{n}")
+    for a in random_elements(rng, n, 10):
+        ca = coords(a)
+        conj = a.conjugate()
+        assert_canonical(conj)
+        assert coords(conj) == ref_conjugate(n, ca)
+        for m in (n, 2 * n, 3 * n):
+            up = a.lift(m)
+            assert_canonical(up)
+            assert up.n == m and coords(up) == ref_lift(ca, n, m)
+        if a.is_zero():
+            continue
+        inv = a.inverse()
+        assert_canonical(inv)
+        assert coords(inv) == ref_inverse(n, ca)
+        assert coords(a / a) == coords(CycNum.one(), n)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_reduce_conductor_matches_fraction_reference(n):
+    rng = random.Random(f"reduce/{n}")
+    for a in random_elements(rng, n, 6):
+        low = a.reduce_conductor()
+        assert_canonical(low)
+        assert n % low.n == 0 and coords(low, n) == coords(a)
+        for m in (2 * n, 3 * n):
+            # the same element built from reference coordinates at conductor m
+            up = CycNum(m, ref_lift(coords(a), n, m))
+            red = up.reduce_conductor()
+            assert (red.n, coords(red)) == (low.n, coords(low))
+            assert up == a and hash(up) == hash(a)
+
+
+def test_hash_agrees_with_int_and_fraction():
+    for q in (Fraction(0), Fraction(5), Fraction(-7, 3), Fraction(10**20 + 1, 6)):
+        assert hash(CycNum(1, [q])) == hash(q)
+        assert hash(CycNum(12, [q])) == hash(q)
+        assert CycNum(4, [q]) == q
+    assert hash(CycNum(1, [9])) == hash(9)
+    z = CycNum.zeta(3, 2) - 1
+    assert hash(z) == hash(z.lift(12)) == hash(z.lift(15))
+
+
+def test_constructor_coerces_strings_once():
+    x = CycNum(3, ["1/2", "-2/3"])
+    assert (x.num, x.den) == ((3, -4), 6)
+    assert x.c == (Fraction(1, 2), Fraction(-2, 3))
+    # longer input is reduced modulo Phi_3 = 1 + z + z^2
+    assert CycNum(3, ["0", "0", "3/4"]) == CycNum(3, [Fraction(-3, 4), Fraction(-3, 4)])
+    assert CycNum(12, []).is_zero() and CycNum(12, []).den == 1
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_json_round_trip_is_byte_identical(n):
+    rng = random.Random(f"json/{n}")
+    for a in random_elements(rng, n, 8):
+        text = json.dumps(a.to_json())
+        back = CycNum.from_json(json.loads(text))
+        assert json.dumps(back.to_json()) == text
+        assert (back.n, back.num, back.den) == (a.n, a.num, a.den)
+
+
+def test_ring_ops_match_fraction_reference_hypothesis():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    fractions = st.fractions(max_denominator=50).filter(lambda q: abs(q.numerator) < 10**6)
+
+    @st.composite
+    def elements(draw):
+        n = draw(st.sampled_from(CONDUCTORS))
+        k = euler_phi(n)
+        return CycNum(n, draw(st.lists(fractions, min_size=k, max_size=k)))
+
+    @hyp.settings(max_examples=60, deadline=None, database=None)
+    @hyp.given(elements(), elements())
+    def check(a, b):
+        m = math.lcm(a.n, b.n)
+        prod = a * b
+        assert_canonical(prod)
+        assert coords(prod, m) == ref_mul(m, coords(a, m), coords(b, m))
+        assert coords(a - b, m) == [x - y for x, y in zip(coords(a, m), coords(b, m))]
+        if not b.is_zero():
+            assert (a / b) * b == a
+
+    check()

@@ -7,6 +7,8 @@ from vvmf.ahol import apply_intertwiner, lower_op, raise_op
 from vvmf.exactnum import CycNum
 from vvmf.forms import delta_form, eisenstein
 from vvmf.hecke import (
+    _HECKE_CACHE,
+    _HECKE_CACHE_SIZE,
     DeltaCoset,
     cocycle,
     delta_cosets,
@@ -19,7 +21,7 @@ from vvmf.hecke import (
     unit_embedding,
 )
 from vvmf.linalg import Matrix
-from vvmf.reps import builtin_registry, is_intertwiner
+from vvmf.reps import Rep, builtin_registry, is_intertwiner
 
 S = ((0, -1), (1, 0))
 T = ((1, 1), (0, 1))
@@ -197,6 +199,25 @@ def test_hecke_rep_index_one_keeps_matrices(reg):
     for entry in reg.entries:
         hr = hecke_rep(1, entry)
         assert hr.rep.S == entry.S and hr.rep.T == entry.T
+
+
+def test_hecke_cache_is_keyed_by_content():
+    # two registries hold distinct but equal rho_zeta objects: one entry
+    a, b = builtin_registry().get("rho_zeta"), builtin_registry().get("rho_zeta")
+    assert a is not b
+    hr = hecke_rep(2, a)
+    assert hecke_rep(2, b) is hr
+    # same label, different T: a different entry
+    impostor = Rep("rho_zeta", 3, Matrix.identity(1), Matrix(1, 1, [CycNum.zeta(3, 2)]))
+    other = hecke_rep(2, impostor)
+    assert other is not hr and other.rep.T != hr.rep.T
+
+
+def test_hecke_cache_is_bounded():
+    triv = builtin_registry().get("triv")
+    for i in range(_HECKE_CACHE_SIZE + 5):
+        hecke_rep(1, Rep(f"triv{i}", 1, triv.S, triv.T))
+    assert len(_HECKE_CACHE) == _HECKE_CACHE_SIZE
 
 
 def test_hecke_rep_of_trivial_type(reg):

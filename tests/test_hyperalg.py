@@ -16,8 +16,8 @@ from vvmf.hyperalg import (
     tensor_form,
 )
 from vvmf.linalg import Matrix
-from vvmf.qexp import InsufficientPrecision
-from vvmf.reps import RepRegistry, builtin_registry, trivial_rep
+from vvmf.qexp import InsufficientPrecision, QExp
+from vvmf.reps import Rep, RepRegistry, builtin_registry, trivial_rep
 
 
 @pytest.fixture(scope="module")
@@ -208,3 +208,26 @@ def test_hyper_tensor_rejects_odd_weights(triv_only):
     f = AholForm.holomorphic(3, trivial_rep(), [eisenstein(4, 4).components[0]])
     with pytest.raises(ValueError):
         hyper_tensor(f, f, triv_only)
+
+
+def test_types_are_identified_by_content_not_label(reg):
+    # an impostor labelled rho_zeta whose T is zeta3^2, the T of rho_zeta2
+    real = reg.get("rho_zeta")
+    impostor = Rep("rho_zeta", 3, Matrix.identity(1), Matrix(1, 1, [CycNum.zeta(3, 2)]))
+    assert impostor.is_valid() and impostor.content != real.content
+    q = QExp(3, 6, {1: CycNum.one(), 4: CycNum.zeta(3)})
+    f = AholForm.holomorphic(2, real, [q])
+    fake = AholForm.holomorphic(2, impostor, [q])
+    # a content-equal copy of the real type still mixes with it
+    twin = Rep("rho_zeta", 3, Matrix.identity(1), Matrix(1, 1, [CycNum.zeta(3)]))
+    assert (f + AholForm.holomorphic(2, twin, [q])).rep is real
+    with pytest.raises(ValueError, match="share the label"):
+        f + fake
+    span = FormSpan.of(f)
+    with pytest.raises(ValueError, match="share the label"):
+        span.add(fake)
+    with pytest.raises(ValueError, match="share the label"):
+        span_contains(span, fake, 6)
+    # the grade key and the stored generators are untouched
+    assert span.dimension_signature() == {(2, "rho_zeta"): 1}
+    assert span_contains(span, f, 6)
