@@ -381,6 +381,8 @@ class CycNum:
 
     @staticmethod
     def from_json(obj) -> "CycNum":
+        if not isinstance(obj, dict):
+            raise ValueError(f'a cyclotomic number is {{"n": ..., "c": [...]}}, got {obj!r}')
         return CycNum(int(obj["n"]), [parse_rational(s) for s in obj["c"]])
 
 

@@ -1,9 +1,11 @@
-"""Dense exact linear algebra over cyclotomic fields.
+"""Exact linear algebra over cyclotomic fields; arithmetic skips zeros.
 
 Everything is deterministic and goes through one elimination kernel,
 `_rref_inplace`: Gauss-Jordan with first-nonzero pivots in column order
 (arithmetic is exact, no magnitude heuristics); its output is the unique
-RREF, so equal subspaces have equal bases.
+RREF, so equal subspaces have equal bases.  Row updates touch only the
+nonzero columns of the pivot (or basis) row and change rows in place;
+products multiply nonzero entries only.
 """
 
 from __future__ import annotations
@@ -103,18 +105,19 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-            out = []
+            # row-by-row sparse product over the nonzeros of each row of other;
+            # a product with any nonzero factor lives at the joint conductor
             ocols = other.cols
+            onz = [[(j, b) for j, b in enumerate(other.row(k)) if b] for k in range(other.rows)]
+            zero = CycNum.zero().lift(math.lcm(self.n, other.n) if any(self.entries) else 1)
+            out = []
             for i in range(self.rows):
-                rowi = self.row(i)
-                for j in range(ocols):
-                    acc = None
-                    for k, a in enumerate(rowi):
-                        if a.is_zero():
-                            continue
-                        term = a * other.entries[k * ocols + j]
-                        acc = term if acc is None else acc + term
-                    out.append(acc if acc is not None else CycNum.zero())
+                acc = {}
+                for k, a in enumerate(self.row(i)):
+                    if a:
+                        for j, b in onz[k]:
+                            acc[j] = acc[j] + a * b if j in acc else a * b
+                out.extend(acc.get(j, zero) for j in range(ocols))
             return Matrix(self.rows, ocols, out)
         return self.scaled(other)
 
@@ -128,13 +131,12 @@ class Matrix:
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; block (i, j) is self[i, j] * other."""
+        zero = CycNum.zero().lift(math.lcm(self.n, other.n))
         out = []
         for i in range(self.rows):
             for p in range(other.rows):
-                for j in range(self.cols):
-                    sij = self[i, j]
-                    for q in range(other.cols):
-                        out.append(sij * other[p, q])
+                for sij in self.row(i):
+                    out.extend(sij * y if sij and y else zero for y in other.row(p))
         return Matrix(self.rows * other.rows, self.cols * other.cols, out)
 
     def is_identity(self) -> bool:
@@ -158,19 +160,7 @@ class Matrix:
 
     def kernel(self) -> "Subspace":
         """Right kernel {v : self * v = 0} as an echelonized subspace."""
-        work = self.to_rows()
-        pivots = _rref_inplace(work, self.cols)
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            v = [CycNum.zero()] * self.cols
-            v[free] = CycNum.one()
-            for r, pc in enumerate(pivots):
-                v[pc] = -work[r][free]
-            basis.append(v)
-        return Subspace.from_rows(self.cols, basis)
+        return kernel_of_rows(self.to_rows(), self.cols)
 
     def solve_right(self, b: "Matrix") -> "Matrix":
         """x with self * x = b; free variables set to zero.
@@ -218,9 +208,11 @@ def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
 
     Gauss-Jordan with first-nonzero pivots; output is the unique RREF.
     Each pivot row is normalized, then its column is cleared in every
-    other row.  Entries are tested for zero by truthiness and divided
-    with `/`, so rows of Fraction and rows of CycNum both work.  Only
-    columns before stop_col are pivot candidates.
+    other row.  A pivot row has no nonzero entry left of its pivot, so
+    both steps touch only the pivot row's nonzero columns, and every row
+    list is updated in place.  Entries are tested for zero by truthiness
+    and divided with `/`, so rows of Fraction and rows of CycNum both
+    work.  Only columns before stop_col are pivot candidates.
     """
     if stop_col is None:
         stop_col = ncols
@@ -233,16 +225,37 @@ def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
         pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
-        inv = 1 / rows[pr][c]
-        prow = [x * inv for x in rows[pr]]
+        prow = rows[pr]
+        inv = 1 / prow[c]
+        nz = [j for j in range(c, ncols) if prow[j]]
+        for j in nz:
+            prow[j] = prow[j] * inv
         rows[pr] = rows[r]
         rows[r] = prow
         for i in range(nrows):
-            f = rows[i][c]
+            row = rows[i]
+            f = row[c]
             if i != r and f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
+                for j in nz:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
     return pivots
+
+
+def kernel_of_rows(rows: list, ncols: int) -> "Subspace":
+    """Right kernel of the matrix with these rows; reduces the rows in place."""
+    pivots = _rref_inplace(rows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [CycNum.zero()] * ncols
+        v[free] = CycNum.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][free]
+        basis.append(v)
+    return Subspace.from_rows(ncols, basis)
 
 
 def invert_rational(mat) -> list:
@@ -298,11 +311,12 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
         for row in self.basis:
-            pc = next(i for i, x in enumerate(row) if not x.is_zero())
-            f = v[pc]
-            if not f.is_zero():
-                v = [x - f * y for x, y in zip(v, row)]
-        return all(x.is_zero() for x in v)
+            nz = [j for j, y in enumerate(row) if y]
+            f = v[nz[0]]
+            if f:
+                for j in nz:
+                    v[j] = v[j] - f * row[j]
+        return not any(v)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -323,8 +337,10 @@ class Subspace:
         for kv in ker.basis:
             vec = [CycNum.zero()] * self.ambient_dim
             for j in range(r):
-                if not kv[j].is_zero():
-                    vec = [a + kv[j] * b for a, b in zip(vec, self.basis[j])]
+                if kv[j]:
+                    for t, b in enumerate(self.basis[j]):
+                        if b:
+                            vec[t] = vec[t] + kv[j] * b
             vecs.append(vec)
         return Subspace.from_rows(self.ambient_dim, vecs)
 

@@ -4,11 +4,14 @@ A type is a representation whose kernel is a congruence subgroup containing
 -I, so the generator images must satisfy S^4 = I, (ST)^3 = S^2, S^2 = I and
 T^level = I.  The declared level is trusted beyond the T-order check.
 
-Hom spaces are computed as fixed vectors of dual(r) tensor r2.  The
-flattening between fixed vectors v and intertwiner matrices Phi is private:
-index pairs (i, j) with i < dim_r, j < dim_r2 flatten to i*dim_r2 + j and
-Phi[j, i] = v[i*dim_r2 + j].  Public contracts only use the intertwining
-property Phi r(g) = r2(g) Phi, which does not depend on the convention.
+Hom spaces are the fixed vectors of dual(r) tensor r2, found without
+inverses or Kronecker products: the intertwining equations for S and T
+are stacked into one sparse linear system whose kernel is taken once.
+The flattening between fixed vectors v and intertwiner matrices Phi is
+private: index pairs (i, j) with i < dim_r, j < dim_r2 flatten to
+i*dim_r2 + j and Phi[j, i] = v[i*dim_r2 + j].  Public contracts only use
+the intertwining property Phi r(g) = r2(g) Phi, which does not depend on
+the convention.
 """
 
 from __future__ import annotations
@@ -17,10 +20,14 @@ import math
 from dataclasses import dataclass, field
 
 from .exactnum import CycNum
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, kernel_of_rows
 
 S_MAT = ((0, -1), (1, 0))
 T_MAT = ((1, 1), (0, 1))
+
+# Rep.evaluate keeps at most this many word images per type, least
+# recently used first
+_WORD_CACHE_SIZE = 256
 
 
 class Rep:
@@ -92,8 +99,9 @@ class Rep:
         word by the Euclidean algorithm on the left column.
         """
         key = (g[0][0], g[0][1], g[1][0], g[1][1])
-        cached = self._word_cache.get(key)
+        cached = self._word_cache.pop(key, None)
         if cached is not None:
+            self._word_cache[key] = cached
             return cached
         if key[0] * key[3] - key[1] * key[2] != 1:
             raise ValueError(f"{g} is not in the modular group")
@@ -104,6 +112,8 @@ class Rep:
             else:
                 out = out * _mat_pow(self.T, e % self.level)
         self._word_cache[key] = out
+        if len(self._word_cache) > _WORD_CACHE_SIZE:
+            del self._word_cache[next(iter(self._word_cache))]
         return out
 
     def __repr__(self):
@@ -121,6 +131,8 @@ class Rep:
 
     @staticmethod
     def from_json(obj) -> "Rep":
+        if not isinstance(obj, dict):
+            raise ValueError(f"a type is an object with label, level, S and T, got {obj!r}")
         return Rep(
             obj["label"],
             int(obj["level"]),
@@ -180,11 +192,32 @@ def _mat_pow(m: Matrix, e: int) -> Matrix:
 
 
 def hom_fixed_subspace(r: Rep, r2: Rep) -> Subspace:
-    """Fixed vectors of dual(r) tensor r2, the unshaped hom space."""
-    amb = r.dim * r2.dim
-    ds = r.S.transpose().inverse().kron(r2.S) - Matrix.identity(amb)
-    dt = r.T.transpose().inverse().kron(r2.T) - Matrix.identity(amb)
-    return ds.kernel().intersect(dt.kernel())
+    """Fixed vectors of dual(r) tensor r2, the unshaped hom space.
+
+    One kernel of the stacked system Phi r(g) - r2(g) Phi = 0, g = S and T:
+    its row (i', j) has +r(g)[i, i'] at column i*dim_r2 + j and
+    -r2(g)[j, j'] at column i'*dim_r2 + j'.  A block that is identically
+    zero is dropped; the basis is written at the joint conductor of the rest.
+    """
+    d, d2 = r.dim, r2.dim
+    rows, n = [], 1
+    for a, b in ((r.S, r2.S), (r.T, r2.T)):
+        block = []
+        for ip in range(d):
+            for j in range(d2):
+                row = [CycNum.zero()] * (d * d2)
+                for i in range(d):
+                    if a[i, ip]:
+                        row[i * d2 + j] = a[i, ip]
+                for jp, x in enumerate(b.row(j)):
+                    if x:
+                        row[ip * d2 + jp] = row[ip * d2 + jp] - x
+                block.append(row)
+        if any(map(any, block)):
+            n = math.lcm(n, a.n, b.n)
+            rows += block
+    basis = kernel_of_rows(rows, d * d2).basis
+    return Subspace(d * d2, [[x.lift(n) for x in v] for v in basis])
 
 
 def fixed_vector_to_matrix(v, dim_r: int, dim_r2: int) -> Matrix:

@@ -77,16 +77,44 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+_ONE = {"n": 1, "c": ["1"]}
+# a registry or form file whose matrix cell is a bare string, and a registry
+# whose entry is not an object
+_BARE_CELL_TYPE = {"label": "triv", "level": 1, "S": [["1"]], "T": [[_ONE]]}
+_BAD_FILES = {
+    "bare-cell.json": {"entries": [_BARE_CELL_TYPE]},
+    "label-entry.json": {"entries": ["triv"]},
+    "bare-cell-form.json": {
+        "type": _BARE_CELL_TYPE,
+        "weight": 4,
+        "components": [{"h": 1, "prec": "2", "terms": [[0, _ONE]]}],
+    },
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("homspace", "--source", "nosuch", "--target", "triv"),
         ("eis", "--weight", "12", "--prec", "0"),
         ("verify", "thm11", "--prec", "1"),
+        ("homspace", "--registry", "bare-cell.json", "--source", "triv", "--target", "triv"),
+        ("homspace", "--registry", "label-entry.json", "--source", "triv", "--target", "triv"),
+        ("hecke", "apply", "--index", "2", "--form", "bare-cell-form.json"),
     ],
-    ids=["unknown-type", "eis-zero-precision", "thm11-below-sturm"],
+    ids=[
+        "unknown-type",
+        "eis-zero-precision",
+        "thm11-below-sturm",
+        "registry-bare-string-cell",
+        "registry-entry-not-object",
+        "form-bare-string-cell",
+    ],
 )
-def test_bad_input_is_one_line_exit_2(capsys, argv):
+def test_bad_input_is_one_line_exit_2(capsys, tmp_path, argv):
+    for name, obj in _BAD_FILES.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    argv = [str(tmp_path / a) if a in _BAD_FILES else a for a in argv]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1

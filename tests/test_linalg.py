@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from vvmf.exactnum import CycNum
+from vvmf.exactnum import CycNum, as_cyc
 from vvmf.linalg import Matrix, Subspace, _rref_inplace
 
 
@@ -184,3 +184,111 @@ def test_rref_and_rank_match_sympy():
         assert m.rank() == ref.rank(), trial
         got = [[str(r[i, j]) for j in range(cols)] for i in range(rows)]
         assert got == [[str(ref_rref[i, j]) for j in range(cols)] for i in range(rows)], trial
+
+
+# Dense references for the zero-skipping kernels: every update runs over
+# all columns, and no entry is tested for zero before it is multiplied.
+
+
+def dense_rref(rows, ncols):
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def dense_kernel_basis(red, pivots, ncols):
+    """Echelonized kernel basis, read off a dense RREF."""
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [CycNum.zero()] * ncols
+        v[free] = CycNum.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][free]
+        basis.append(v)
+    return dense_rref(basis, ncols)[0][: len(basis)]
+
+
+def dense_member(basis, v):
+    for row in basis:
+        pc = next(j for j, y in enumerate(row) if y != 0)
+        f = v[pc]
+        v = [x - f * y for x, y in zip(v, row)]
+    return all(x == 0 for x in v)
+
+
+def dense_product(a, b):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), CycNum.zero()) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+# (zero, nonzero draw): Fraction rows over Q, CycNum rows over Q(zeta3)
+SPARSE_FIELDS = {
+    "Q": (Fraction(0), lambda rng: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))),
+    "Q(zeta3)": (
+        CycNum.zero(),
+        lambda rng: CycNum(3, [rng.randint(-2, 2), rng.choice([-2, -1, 1, 2])]),
+    ),
+}
+
+
+def sparse_rows(rng, field, rows, cols, density=0.04):
+    zero, draw = SPARSE_FIELDS[field]
+    return [[draw(rng) if rng.random() < density else zero for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("field", sorted(SPARSE_FIELDS))
+def test_sparse_elimination_matches_dense_reference(field):
+    rng = random.Random(95)
+    zeros = cells = 0
+    answers = set()
+    for nrows, ncols in [(60, 60), (30, 45), (40, 20)]:
+        vals = sparse_rows(rng, field, nrows, ncols)
+        # a few dependent rows, so the rank falls short of full
+        for _ in range(3):
+            i, j = rng.randrange(nrows), rng.randrange(nrows)
+            vals.append([x + 2 * y for x, y in zip(vals[i], vals[j])])
+        zeros += sum(not x for r in vals for x in r)
+        cells += len(vals) * ncols
+        red, pivots = dense_rref(vals, ncols)
+        work = [list(r) for r in vals]
+        assert _rref_inplace(work, ncols) == pivots
+        assert work == red
+
+        m = Matrix.from_rows(vals)
+        assert [list(r) for r in m.kernel().basis] == dense_kernel_basis(red, pivots, ncols)
+
+        image = Subspace.from_rows(ncols, vals)
+        probes = vals[:4] + sparse_rows(rng, field, 4, ncols, 0.2)
+        for v in probes:
+            answers.add(image.member(v))
+            assert image.member(v) == dense_member(image.basis, [as_cyc(x) for x in v])
+
+        other = Matrix.from_rows(sparse_rows(rng, field, ncols, 6, 0.1))
+        assert (m * other).to_rows() == dense_product(m.to_rows(), other.to_rows())
+    assert zeros >= 0.95 * cells
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("field", sorted(SPARSE_FIELDS))
+def test_sparse_kron_matches_dense_reference(field):
+    rng = random.Random(7)
+    for shape_a, shape_b in [((6, 5), (7, 8)), ((1, 9), (8, 1)), ((8, 8), (6, 6))]:
+        a = Matrix.from_rows(sparse_rows(rng, field, *shape_a, 0.1))
+        b = Matrix.from_rows(sparse_rows(rng, field, *shape_b, 0.1))
+        assert a.kron(b) == kron_oracle(a, b)
+        assert a.kron(b).n == kron_oracle(a, b).n

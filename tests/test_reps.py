@@ -1,15 +1,19 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from vvmf.exactnum import CycNum
+from vvmf.hecke import hecke_rep
 from vvmf.linalg import Matrix
 from vvmf.reps import (
     Rep,
     RepRegistry,
     builtin_registry,
     decompose,
+    fixed_vector_to_matrix,
     hom_fixed_subspace,
     hom_space,
     is_intertwiner,
@@ -99,6 +103,47 @@ def test_intertwining_property_on_words(reg):
                     lhs = lhs * (rr.S if w == "S" else rr.T)
                     rhs = rhs * (target.S if w == "S" else target.T)
                 assert phi * lhs == rhs * phi
+
+
+def hom_fixed_subspace_reference(r, r2):
+    """Fixed vectors of dual(r) (x) r2 by the Kronecker formulation.
+
+    The kernels of dual(r)(g) (x) r2(g) - I for g = S and g = T, with the
+    dual built from transposed inverses, intersected.
+    """
+    amb = r.dim * r2.dim
+    ds = r.S.transpose().inverse().kron(r2.S) - Matrix.identity(amb)
+    dt = r.T.transpose().inverse().kron(r2.T) - Matrix.identity(amb)
+    return ds.kernel().intersect(dt.kernel())
+
+
+def test_stacked_hom_solve_matches_kronecker_reference(reg):
+    t3 = hecke_rep(3, reg.get("triv")).rep
+    sources = list(reg) + [
+        hecke_rep(3, reg.get("rho3")).rep,
+        hecke_rep(4, reg.get("rho3")).rep,
+        t3.tensor(t3),
+        hecke_rep(2, reg.get("rho3")).rep.tensor(reg.get("rho3")),
+    ]
+    for r in sources:
+        for r2 in reg:
+            got = hom_fixed_subspace(r, r2)
+            want = hom_fixed_subspace_reference(r, r2)
+            assert got == want, (r.label, r2.label)
+            assert [fixed_vector_to_matrix(v, r.dim, r2.dim).to_json() for v in got.basis] == [
+                fixed_vector_to_matrix(v, r.dim, r2.dim).to_json() for v in want.basis
+            ], (r.label, r2.label)
+
+
+def test_hom_of_induced_tensor_square_into_threefold_type(reg):
+    t3 = hecke_rep(3, reg.get("rho3")).rep
+    src, r3 = t3.tensor(t3), reg.get("rho3")
+    basis = hom_space(src, r3)
+    assert len(basis) == 6
+    assert all(is_intertwiner(phi, src, r3) for phi in basis)
+    text = json.dumps([phi.to_json() for phi in basis], sort_keys=True)
+    digest = "d39d51d5291f820de31134881b0176065547340609ec205b69d5fd77a690aa6b"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_decompose_tensor_square_fully(reg):
@@ -237,6 +282,30 @@ def test_evaluate_agrees_with_generator_products(reg):
                 g = mul(g, T)
                 img = img * r3.T
         assert r3.evaluate(g) == img
+
+
+def test_word_cache_is_bounded():
+    from vvmf import reps
+
+    r = rho3()
+    bound = reps._WORD_CACHE_SIZE
+
+    def word(k):  # T^k S, distinct for every k
+        return ((k, -1), (1, 0))
+
+    def image(k):
+        return reps._mat_pow(r.T, k % r.level) * r.S
+
+    for k in range(bound + 10):
+        assert r.evaluate(word(k)) == image(k)
+    assert len(r._word_cache) == bound
+    # words 10 .. bound + 9 are held; using the oldest again keeps it, and
+    # the evicted word 0 comes back correct, pushing out word 11 instead
+    assert r.evaluate(word(10)) == image(10)
+    assert r.evaluate(word(0)) == image(0)
+    assert len(r._word_cache) == bound
+    assert (10, -1, 1, 0) in r._word_cache
+    assert (11, -1, 1, 0) not in r._word_cache
 
 
 def test_json_round_trip(reg):
