@@ -31,6 +31,8 @@ Rational = Fraction
 
 def parse_rational(s: str) -> Fraction:
     """Parse "a/b" or "a" into a Fraction."""
+    if not isinstance(s, str):
+        raise ValueError(f'a rational is a string "a/b" or "a", got {s!r}')
     return Fraction(s.strip())
 
 

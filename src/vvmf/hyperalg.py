@@ -2,8 +2,10 @@
 
 A FormSpan stores generators per grade (weight, type label), with
 provenance strings so harnesses can report which products certify a
-membership.  Stored generators are linearly independent within a grade;
-echelonization happens on demand at the grade's common sound precision.
+membership.  Stored generators are linearly independent within a grade
+at its common sound precision.  Each grade keeps a pivot state (one
+pivot column per generator and the inverse of that block of their rows),
+so a new form or a membership candidate is one reduced row.
 
 Membership refuses to answer below the Sturm bound: callers pass a
 working precision and get a hard error, never a silent false.  The
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 from .ahol import AholForm, apply_intertwiner
 from .exactnum import CycNum
-from .linalg import Subspace
+from .linalg import Subspace, invert_rows
 from .qexp import InsufficientPrecision
 from .reps import RepRegistry, hom_space, require_same_content
 
@@ -26,6 +28,7 @@ from .reps import RepRegistry, hom_space, require_same_content
 class FormSpan:
     def __init__(self):
         self.grading: dict = {}
+        self._pivots: dict = {}
 
     @staticmethod
     def empty() -> "FormSpan":
@@ -42,7 +45,9 @@ class FormSpan:
         """Add a generator; dependent or zero forms are dropped.
 
         Independence is decided at the grade's common sound precision
-        after insertion.  Returns True when the span grew.
+        after insertion, by reducing one row against the grade's pivot
+        state; a form that lowers that precision or changes the row layout
+        rebuilds the state first.  Returns True when the span grew.
         """
         if form.is_zero():
             return False
@@ -50,14 +55,16 @@ class FormSpan:
         gens = self.grading.setdefault(key, [])
         if gens:
             require_same_content(gens[0][0].rep, form.rep)
-        forms = [f for f, _ in gens] + [form]
-        prec = min(f.prec for f in forms)
-        layout = _row_layout(forms)
-        rows = [_coefficient_row(f, prec, *layout) for f in forms]
-        if Subspace.from_rows(len(rows[0]), rows).dim == len(rows):
-            gens.append((form, provenance or form.name))
-            return True
-        return False
+        forms = [f for f, _ in gens]
+        layout = _row_layout(forms + [form])
+        state = self._pivots.get(key)
+        if state is None or state.layout != layout:
+            state = _Pivots(layout, forms)
+        if len(state.forms) < len(forms) or not state.push(form):
+            return False
+        self._pivots[key] = state
+        gens.append((form, provenance or form.name))
+        return True
 
     def grades(self) -> list:
         return sorted(self.grading)
@@ -77,10 +84,8 @@ class FormSpan:
         if not gens:
             return ()
         forms = [f for f, _ in gens]
-        if prec is None:
-            prec = min(f.prec for f in forms)
-        h, dim, depth = _row_layout(forms)
-        rows = [_coefficient_row(f, prec, h, dim, depth) for f in forms]
+        layout = _row_layout(forms, prec)
+        rows = [_coefficient_row(f, *layout) for f in forms]
         return Subspace.from_rows(len(rows[0]), rows).basis
 
     def __repr__(self):
@@ -104,36 +109,81 @@ class FormSpan:
         return {"grades": grades}
 
 
-def _row_layout(forms):
-    """Common lattice, type dimension and depth for coefficient rows."""
-    h = 1
-    depth = 0
-    dim = forms[0].rep.dim
-    for f in forms:
-        depth = max(depth, f.depth)
-        for layer in f.graded:
-            for q in layer:
-                h = h * q.h // math.gcd(h, q.h)
-    return h, dim, depth
+class _Pivots:
+    """Incremental rank state of the span of forms at one row layout.
+
+    forms are independent generators with coefficient rows G (rebuilt
+    when needed, sharing the forms' coefficients), pivots one column per
+    row, and inv the inverse of the block G|P, or None until the next
+    reduction needs it.  v - (v|P . inv) . G is zero iff v is in the span.
+    """
+
+    __slots__ = ("layout", "forms", "pivots", "inv")
+
+    def __init__(self, layout, forms=()):
+        self.layout, self.forms, self.pivots, self.inv = layout, [], [], []
+        for f in forms:
+            self.push(f)
+
+    def row(self, f: AholForm) -> list:
+        return _coefficient_row(f, *self.layout)
+
+    def residue(self, v):
+        """Nonzero (column, value) of v - (v|P . inv) . G, one column at a
+        time, so a caller that needs only the first one stops there."""
+        if self.inv is None:
+            block = [[row[q] for q in self.pivots] for row in map(self.row, self.forms)]
+            self.inv = invert_rows(block, CycNum.zero(), CycNum.one())
+        a = [(i, v[p]) for i, p in enumerate(self.pivots) if v[p]]
+        terms = []
+        for j, g in enumerate(self.forms):
+            c = sum((x * self.inv[i][j] for i, x in a if self.inv[i][j]), CycNum.zero())
+            if c:
+                terms.append((c, self.row(g)))
+        for t, x in enumerate(v):
+            for c, row in terms:
+                if row[t]:
+                    x = x - c * row[t]
+            if x:
+                yield t, x
+
+    def push(self, f: AholForm) -> bool:
+        """Add f's row when it is independent; True when the state grew."""
+        p, _ = next(self.residue(self.row(f)), (None, None))
+        if p is None:
+            return False
+        # det of the enlarged block is det(G|P) times the residue at p; its
+        # inverse is computed when the next row is reduced
+        self.forms.append(f)
+        self.pivots.append(p)
+        self.inv = None
+        return True
+
+
+def _row_layout(forms, prec=None):
+    """(prec, lattice, type dimension, depth) of rows; prec defaults to the lowest."""
+    h = math.lcm(*(q.h for f in forms for layer in f.graded for q in layer))
+    depth = max(f.depth for f in forms)
+    if prec is None:
+        prec = min(f.prec for f in forms)
+    return prec, h, forms[0].rep.dim, depth
 
 
 def _coefficient_row(f: AholForm, prec, h: int, dim: int, depth: int) -> list:
+    """Coefficients below prec of every layer and component, at lattice 1/h."""
     bound = math.ceil(Fraction(prec) * h)
-    row = []
-    zero = CycNum.zero()
-    for r in range(depth + 1):
-        layer = f.graded[r] if r <= f.depth else None
-        for i in range(dim):
-            if layer is None:
-                row.extend([zero] * bound)
-                continue
-            q = layer[i].rescale_lattice(h)
-            row.extend(q.terms.get(n, zero) for n in range(bound))
+    row = [CycNum.zero()] * ((depth + 1) * dim * bound)
+    for r, layer in enumerate(f.graded):
+        for i, q in enumerate(layer):
+            start, step = (r * dim + i) * bound, h // q.h
+            for n, c in q.terms.items():
+                if n * step < bound:
+                    row[start + n * step] = c
     return row
 
 
 def span_sum(spans) -> "FormSpan":
-    """Graded union, re-echelonized; dimensions never exceed the sum."""
+    """Graded union by incremental adds; dimensions never exceed the sum."""
     out = FormSpan()
     for s in spans:
         for key in s.grades():
@@ -236,8 +286,9 @@ def span_contains(span: FormSpan, f: AholForm, prec_used) -> bool:
             raise InsufficientPrecision(
                 f"generator stores precision {g.prec}, below requested {prec_used}"
             )
-    forms = [g for g, _ in gens] + [f]
-    h, dim, depth = _row_layout(forms)
-    rows = [_coefficient_row(g, prec_used, h, dim, depth) for g, _ in gens]
-    target = _coefficient_row(f, prec_used, h, dim, depth)
-    return Subspace.from_rows(len(target), rows).member(target)
+    forms = [g for g, _ in gens]
+    layout = _row_layout(forms + [f], prec_used)
+    state = span._pivots.get(key)
+    if state is None or state.layout != layout:
+        state = _Pivots(layout, forms)
+    return next(state.residue(state.row(f)), None) is None

@@ -199,6 +199,8 @@ class Matrix:
 
     @staticmethod
     def from_json(obj) -> "Matrix":
+        if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
+            raise ValueError(f"a matrix is a list of rows, got {obj!r}")
         rows = [[CycNum.from_json(x) for x in r] for r in obj]
         return Matrix.from_rows(rows)
 
@@ -258,16 +260,18 @@ def kernel_of_rows(rows: list, ncols: int) -> "Subspace":
     return Subspace.from_rows(ncols, basis)
 
 
-def invert_rational(mat) -> list:
-    """Inverse of a square rational matrix as Fraction rows; ValueError if singular."""
+def invert_rows(mat, zero, one) -> list:
+    """Inverse of a square matrix with entries like zero and one; ValueError if singular."""
     n = len(mat)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
-        for i, row in enumerate(mat)
-    ]
+    aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(mat)]
     if len(_rref_inplace(aug, 2 * n, stop_col=n)) < n:
         raise ValueError("matrix is singular")
     return [row[n:] for row in aug]
+
+
+def invert_rational(mat) -> list:
+    """Inverse of a square rational matrix as Fraction rows; ValueError if singular."""
+    return invert_rows([[Fraction(x) for x in row] for row in mat], Fraction(0), Fraction(1))
 
 
 class Subspace:

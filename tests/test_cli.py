@@ -78,12 +78,17 @@ def test_cli_exit_codes(capsys, tmp_path):
 
 
 _ONE = {"n": 1, "c": ["1"]}
-# a registry or form file whose matrix cell is a bare string, and a registry
-# whose entry is not an object
+# a registry or form file whose matrix cell is a bare string, a registry
+# whose entry is not an object, and registries with a coefficient or a whole
+# matrix given as a JSON number
 _BARE_CELL_TYPE = {"label": "triv", "level": 1, "S": [["1"]], "T": [[_ONE]]}
 _BAD_FILES = {
     "bare-cell.json": {"entries": [_BARE_CELL_TYPE]},
     "label-entry.json": {"entries": ["triv"]},
+    "number-coefficient.json": {
+        "entries": [{"label": "triv", "level": 1, "S": [[{"n": 1, "c": [1]}]], "T": [[_ONE]]}]
+    },
+    "number-matrix.json": {"entries": [{"label": "triv", "level": 1, "S": 5, "T": [[_ONE]]}]},
     "bare-cell-form.json": {
         "type": _BARE_CELL_TYPE,
         "weight": 4,
@@ -101,6 +106,9 @@ _BAD_FILES = {
         ("homspace", "--registry", "bare-cell.json", "--source", "triv", "--target", "triv"),
         ("homspace", "--registry", "label-entry.json", "--source", "triv", "--target", "triv"),
         ("hecke", "apply", "--index", "2", "--form", "bare-cell-form.json"),
+        ("homspace", "--registry", "number-coefficient.json", "--source", "triv",
+         "--target", "triv"),
+        ("homspace", "--registry", "number-matrix.json", "--source", "triv", "--target", "triv"),
     ],
     ids=[
         "unknown-type",
@@ -109,6 +117,8 @@ _BAD_FILES = {
         "registry-bare-string-cell",
         "registry-entry-not-object",
         "form-bare-string-cell",
+        "registry-number-coefficient",
+        "registry-number-matrix",
     ],
 )
 def test_bad_input_is_one_line_exit_2(capsys, tmp_path, argv):

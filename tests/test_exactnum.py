@@ -134,6 +134,18 @@ def test_bernoulli_trivial_and_derived():
         assert bernoulli(n) == bernoulli_oracle(n), n
 
 
+def test_cyclotomic_poly_and_bernoulli_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 61):
+        ref = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert cyclotomic_poly(n) == tuple(int(c) for c in ref), n
+    # sympy takes B_1 = +1/2; this package uses B_1 = -1/2
+    assert bernoulli(1) == -Fraction(str(sympy.bernoulli(1)))
+    for k in [0] + list(range(2, 61)):
+        assert bernoulli(k) == Fraction(str(sympy.bernoulli(k))), k
+
+
 # -- differential tests against a Fraction-coordinate reference -------------
 #
 # The reference keeps an element as a list of Fraction coordinates in the

@@ -11,6 +11,7 @@ from vvmf.forms import (
     delta_form,
     eisenstein,
     one_form,
+    sigma,
     vv_eisenstein,
 )
 from vvmf.hecke import hecke_form
@@ -54,6 +55,13 @@ def test_eisenstein_coefficients_match_divisor_sums():
         factor = Fraction(-2 * k) / bernoulli(k)
         for n in range(1, 7):
             assert f.coeff(n) == CycNum.from_rational(factor * sigma_oracle(k - 1, n))
+
+
+def test_sigma_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for k in range(0, 12):
+        for n in range(1, 121):
+            assert sigma(k, n) == sympy.divisor_sigma(n, k), (k, n)
 
 
 def test_eisenstein_rejects_bad_weights():

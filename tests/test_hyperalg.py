@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,7 @@ from vvmf.hyperalg import (
     sturm_bound,
     tensor_form,
 )
-from vvmf.linalg import Matrix
+from vvmf.linalg import Matrix, Subspace
 from vvmf.qexp import InsufficientPrecision, QExp
 from vvmf.reps import Rep, RepRegistry, builtin_registry, trivial_rep
 
@@ -231,3 +233,152 @@ def test_types_are_identified_by_content_not_label(reg):
     # the grade key and the stored generators are untouched
     assert span.dimension_signature() == {(2, "rho_zeta"): 1}
     assert span_contains(span, f, 6)
+
+
+# -- oracle for the incremental spans -----------------------------------------
+# The span as it was before each grade kept a pivot state: every add and every
+# membership query rebuilds all coefficient rows of the grade (through rescaled
+# QExps) and decides by a full RREF.
+
+
+def _reference_rows(forms, prec=None):
+    h = math.lcm(*(q.h for f in forms for layer in f.graded for q in layer))
+    depth = max(f.depth for f in forms)
+    dim = forms[0].rep.dim
+    if prec is None:
+        prec = min(f.prec for f in forms)
+    bound = math.ceil(Fraction(prec) * h)
+    zero = CycNum.zero()
+    rows = []
+    for f in forms:
+        row = []
+        for r in range(depth + 1):
+            for i in range(dim):
+                if r > f.depth:
+                    row.extend([zero] * bound)
+                    continue
+                q = f.graded[r][i].rescale_lattice(h)
+                row.extend(q.terms.get(n, zero) for n in range(bound))
+        rows.append(row)
+    return rows
+
+
+class ReferenceSpan:
+    def __init__(self):
+        self.grading = {}
+
+    def add(self, form, provenance=""):
+        if form.is_zero():
+            return False
+        gens = self.grading.setdefault((form.weight, form.rep.label), [])
+        rows = _reference_rows([f for f, _ in gens] + [form])
+        if Subspace.from_rows(len(rows[0]), rows).dim == len(rows):
+            gens.append((form, provenance or form.name))
+            return True
+        return False
+
+    def grade_rows(self, key):
+        if not self.grading.get(key):
+            return ()
+        rows = _reference_rows([f for f, _ in self.grading[key]])
+        return Subspace.from_rows(len(rows[0]), rows).basis
+
+    def contains(self, f, prec_used):
+        prec_used = Fraction(prec_used)
+        if prec_used < sturm_bound(f.weight, congruence_index(f.rep.level)):
+            raise InsufficientPrecision("below the Sturm bound")
+        if f.prec < prec_used:
+            raise InsufficientPrecision("candidate precision")
+        gens = [g for g, _ in self.grading.get((f.weight, f.rep.label), [])]
+        if f.is_zero():
+            return True
+        if not gens:
+            return False
+        if any(g.prec < prec_used for g in gens):
+            raise InsufficientPrecision("generator precision")
+        rows = _reference_rows(gens + [f], prec_used)
+        return Subspace.from_rows(len(rows[0]), rows[:-1]).member(rows[-1])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InsufficientPrecision:
+        return InsufficientPrecision
+
+
+def _random_qexp(rng, n, h, prec):
+    bound = math.ceil(prec * h)
+    return QExp(h, prec, {e: CycNum(n, [rng.randint(-3, 3) for _ in range(max(n - 1, 1))])
+                          for e in range(bound) if rng.random() < 0.7})
+
+
+def _random_form(rng, weight, rep, n, lattices, prec, depth):
+    layers = [[_random_qexp(rng, n, rng.choice(lattices), prec) for _ in range(rep.dim)]
+              for _ in range(depth + 1)]
+    return AholForm(weight, rep, layers)
+
+
+def _combination(rng, pool, n):
+    out = None
+    for f in rng.sample(pool, rng.randint(1, len(pool))):
+        c = CycNum(n, [rng.randint(-2, 2) for _ in range(max(n - 1, 1))])
+        out = f.scaled(c) if out is None else out + f.scaled(c)
+    return out
+
+
+# (weight, type, conductor, lattices, precision, lower precisions, query precisions);
+# conductor 3 gives coefficients in Q(zeta3), and a lattice choice of 1 and 3
+# mixes h = 1 and h = 3 components in one grade
+_ORACLE_GRADES = [
+    (12, "triv", 1, (1,), 6, (1, 3, 4), (2, 3, 4, 6, 7)),
+    (2, "rho3", 3, (1, 3), 6, (5,), (4, 5, 6)),
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_incremental_span_matches_full_rref_reference(reg, seed):
+    rng = random.Random(seed)
+    span, ref = FormSpan(), ReferenceSpan()
+    for weight, label, n, lattices, prec, lower, query_precs in _ORACLE_GRADES:
+        rep = reg.get(label)
+        key = (weight, label)
+        # a pool of depth-0 and depth-1 forms; the lattice is mixed per component
+        pool = [_random_form(rng, weight, rep, n, lattices[:1], prec, 0) for _ in range(2)]
+        pool += [_random_form(rng, weight, rep, n, lattices, prec, rng.randint(0, 1))
+                 for _ in range(2)]
+        arrivals = []
+        for step in range(14):
+            form = _combination(rng, pool[: 2 + step // 5], n)
+            if rng.random() < 0.25:
+                form = form.truncate(rng.choice(lower))
+            arrivals.append(form)
+        for step, form in enumerate(arrivals):
+            prov = f"{label}#{step}"
+            assert span.add(form, prov) == ref.add(form, prov), (seed, key, step)
+            assert span.generators(key) == ref.grading.get(key, [])
+            assert span.grade_rows(key) == ref.grade_rows(key)
+        assert span.grading.keys() == ref.grading.keys()
+        queries = [_combination(rng, pool, n) for _ in range(6)]
+        queries += [_random_form(rng, weight, rep, n, lattices, prec, 1), queries[0].scaled(0)]
+        for f in queries:
+            for p in query_precs:
+                assert _outcome(span_contains, span, f, p) == _outcome(ref.contains, f, p), (
+                    seed, key, p)
+
+
+def test_lower_precision_form_is_refused_when_stored_generators_collapse():
+    # 1 + q^2 and 1 + 2q^2 are independent at precision 6 but not below q^2,
+    # so q at precision 2 is refused although it is independent of 1 + q^2
+    triv = trivial_rep()
+    f1, f2 = (AholForm.holomorphic(4, triv, [QExp(1, 6, {0: 1, 2: c})]) for c in (1, 2))
+    low = AholForm.holomorphic(4, triv, [QExp(1, 2, {1: 1})])
+    span, ref = FormSpan.of(f1, f2), ReferenceSpan()
+    assert ref.add(f1) and ref.add(f2)
+    assert span.add(low) is ref.add(low) is False
+    assert span.dimension_signature() == {(4, "triv"): 2}
+    # the grade keeps its precision-6 state: q^2 is in the span, q^3 is not
+    q2 = AholForm.holomorphic(4, triv, [QExp(1, 6, {2: 1})])
+    q3 = AholForm.holomorphic(4, triv, [QExp(1, 6, {3: 1})])
+    assert span_contains(span, q2, 6) and not span_contains(span, q3, 6)
+    assert span.add(q3) is ref.add(q3) is True
