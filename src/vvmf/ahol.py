@@ -134,6 +134,8 @@ class AholForm:
 
         The type is inline JSON or a label looked up in the registry.
         """
+        if not isinstance(obj, dict):
+            raise ValueError(f"a form is a JSON object, got {type(obj).__name__}")
         t = obj["type"]
         if isinstance(t, str):
             if registry is None:
@@ -142,6 +144,8 @@ class AholForm:
         else:
             rep = Rep.from_json(t)
         layers = obj["graded"] if "graded" in obj else [obj["components"]]
+        if not isinstance(layers, list) or not all(isinstance(x, list) for x in layers):
+            raise ValueError("form components are a list of series, graded layers a list of them")
         graded = [[QExp.from_json(q) for q in layer] for layer in layers]
         return AholForm(int(obj["weight"]), rep, graded)
 

@@ -94,7 +94,18 @@ _BAD_FILES = {
         "weight": 4,
         "components": [{"h": 1, "prec": "2", "terms": [[0, _ONE]]}],
     },
+    # form files with a malformed series or a malformed top level
+    "terms-number.json": {"type": "triv", "weight": 4, "components": [
+        {"h": 1, "prec": "2", "terms": 5}]},
+    "series-number.json": {"type": "triv", "weight": 4, "components": [5]},
+    "form-list.json": [{"type": "triv", "weight": 4, "components": []}],
+    "fractional-exponent.json": {"type": "triv", "weight": 4, "components": [
+        {"h": 1, "prec": "2", "terms": [[1.5, _ONE]]}]},
+    "repeated-exponent.json": {"type": "triv", "weight": 4, "components": [
+        {"h": 1, "prec": "2", "terms": [[1, _ONE], [1, _ONE]]}]},
 }
+_GOOD_FORM = {"type": "triv", "weight": 4, "components": [
+    {"h": 1, "prec": "2", "terms": [[0, _ONE]]}]}
 
 
 @pytest.mark.parametrize(
@@ -109,6 +120,11 @@ _BAD_FILES = {
         ("homspace", "--registry", "number-coefficient.json", "--source", "triv",
          "--target", "triv"),
         ("homspace", "--registry", "number-matrix.json", "--source", "triv", "--target", "triv"),
+        ("hyperprod", "--left", "terms-number.json", "--right", "good-form.json"),
+        ("hyperprod", "--left", "series-number.json", "--right", "good-form.json"),
+        ("hyperprod", "--left", "form-list.json", "--right", "good-form.json"),
+        ("hyperprod", "--left", "fractional-exponent.json", "--right", "good-form.json"),
+        ("hyperprod", "--left", "repeated-exponent.json", "--right", "good-form.json"),
     ],
     ids=[
         "unknown-type",
@@ -119,16 +135,56 @@ _BAD_FILES = {
         "form-bare-string-cell",
         "registry-number-coefficient",
         "registry-number-matrix",
+        "form-terms-number",
+        "form-series-number",
+        "form-top-level-list",
+        "form-fractional-exponent",
+        "form-repeated-exponent",
     ],
 )
 def test_bad_input_is_one_line_exit_2(capsys, tmp_path, argv):
-    for name, obj in _BAD_FILES.items():
+    files = dict(_BAD_FILES, **{"good-form.json": _GOOD_FORM})
+    for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
-    argv = [str(tmp_path / a) if a in _BAD_FILES else a for a in argv]
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_good_form_file_is_accepted(capsys, tmp_path):
+    # the well-formed partner of the malformed form files above
+    path = tmp_path / "good-form.json"
+    path.write_text(json.dumps(_GOOD_FORM))
+    code, out, _ = run_cli(capsys, "hyperprod", "--left", str(path), "--right", str(path))
+    assert code == 0 and out
+
+
+# l == l2 with odd t = (k - l - l2) / 2: the weight-k triv grade is empty and
+# the cusp form is an expected non-member; the other rows are controls
+@pytest.mark.parametrize(
+    "k, l, l2, indices, degenerate",
+    [
+        (18, 8, 8, "1,2", True),
+        (18, 8, 8, "1,3", True),
+        (18, 8, 8, "1,2,3", True),
+        (22, 8, 8, "1,2", True),
+        (18, 6, 6, "1,2", True),
+        (20, 8, 8, "1,2", False),
+        (20, 6, 6, "1,2", False),
+        (18, 4, 10, "1,2", False),
+    ],
+)
+def test_thm11_odd_bracket_of_equal_weights(capsys, k, l, l2, indices, degenerate):
+    argv = ["verify", "thm11", "--k", str(k), "--l", str(l), "--l2", str(l2)]
+    code, out, _ = run_cli(capsys, *argv, "--indices", indices, "--format", "json")
+    assert code == 0
+    (case,) = [c for c in json.loads(out)["cases"] if c["name"] == "cusp-membership"]
+    assert case["status"] == "pass"
+    assert case["expected"] is case["observed"] is (not degenerate)
+    # the report lists every generator of the weight-k triv grade
+    assert case["diagnostics"].endswith("generators: ") is degenerate
 
 
 @pytest.mark.parametrize("target", ["example32", "all"])

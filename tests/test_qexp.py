@@ -1,9 +1,11 @@
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from vvmf.exactnum import CycNum, bernoulli
+from vvmf.exactnum import CycNum, bernoulli, euler_phi
 from vvmf.qexp import InsufficientPrecision, QExp, slash_expand
 
 
@@ -149,3 +151,115 @@ def test_theta_multiplies_by_exponent():
     t = f.theta()
     assert t.coeff(Fraction(1, 3)) == CycNum.from_rational(Fraction(1, 3))
     assert t.coeff(1) == CycNum.from_rational(5)
+
+
+# -- the packed product against the termwise product ----------------------
+
+
+def reference_mul(x: QExp, y: QExp) -> QExp:
+    """The termwise product: one CycNum product and one sum per pair of terms."""
+    a, b = x._common(y)
+    prec = min(a.prec, b.prec)
+    bound = math.ceil(prec * a.h)
+    terms: dict = {}
+    for n1, c1 in a.terms.items():
+        for n2, c2 in b.terms.items():
+            n = n1 + n2
+            if n >= bound:
+                continue
+            prod = c1 * c2
+            terms[n] = terms[n] + prod if n in terms else prod
+    return QExp(a.h, prec, terms)
+
+
+def json_bytes(q: QExp) -> str:
+    return json.dumps(q.to_json())
+
+
+MIXED_CONDUCTORS = (1, 3, 4, 5, 12)
+
+
+def random_coefficient(rng, n, size):
+    nums = [rng.randint(-size, size) for _ in range(euler_phi(n))]
+    return CycNum(n, [Fraction(x, rng.choice([1, 1, 2, 3, 9, 10, 49])) for x in nums])
+
+
+def random_series(rng, size=9, max_terms=14):
+    h = rng.choice([1, 2, 3, 6])
+    prec = Fraction(rng.randint(1, 30), rng.choice([1, 2, 3, 5]))
+    bound = math.ceil(prec * h)
+    terms = {
+        rng.randrange(bound + 4): random_coefficient(rng, rng.choice(MIXED_CONDUCTORS), size)
+        for _ in range(rng.randint(0, max_terms))
+    }
+    return QExp(h, prec, terms)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_packed_product_matches_reference_bytes(seed):
+    rng = random.Random(f"packed/{seed}")
+    # near 10**40 the products of slots need more than 256 bits
+    size = 10**40 if seed % 3 == 2 else 9
+    for _ in range(60):
+        x, y = random_series(rng, size), random_series(rng, size)
+        assert json_bytes(x * y) == json_bytes(reference_mul(x, y))
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{}, {0: CycNum.one()}, {5: CycNum.zeta(12, 7)}, {2: CycNum(5, [0, "-3/7", 0, 1])}],
+)
+def test_packed_product_of_empty_and_one_term_series(terms):
+    rng = random.Random(f"short/{sorted(terms)}")
+    x = QExp(2, Fraction(9, 2), terms)
+    for _ in range(20):
+        y = random_series(rng)
+        assert json_bytes(x * y) == json_bytes(reference_mul(x, y))
+        assert json_bytes(y * x) == json_bytes(reference_mul(y, x))
+    assert json_bytes(x * x) == json_bytes(reference_mul(x, x))
+
+
+def test_cancelled_pair_still_sets_the_conductor():
+    z = CycNum.zeta(3)
+    # at q^3 the conductor-3 pairs give z*(-z) + z*z = 0 and the rational
+    # pair gives 5: the coefficient is 5 stored at conductor 3
+    a = QExp(1, 6, {0: CycNum.one(), 1: z, 2: z})
+    b = QExp(1, 6, {0: CycNum.one(), 1: z, 2: -z, 3: CycNum.from_rational(5)})
+    prod = a * b
+    assert prod.terms[3] == 5 and prod.terms[3].n == 3
+    assert json_bytes(prod) == json_bytes(reference_mul(a, b))
+    # with no conductor-3 pair at q^3 the same value stays rational
+    c = QExp(1, 6, {0: CycNum.one(), 3: CycNum.from_rational(5)})
+    assert (a * c).terms[3].n == 1
+
+
+def test_sum_drops_a_cancelled_term():
+    z = CycNum.zeta(3)
+    s = QExp(1, 3, {1: z}) + QExp(1, 3, {1: -z, 2: CycNum.one()})
+    assert s.terms == {2: CycNum.one()}
+    assert (QExp(2, 2, {1: z}) - QExp(2, 2, {1: z})).terms == {}
+
+
+def test_packed_product_matches_reference_hypothesis():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def series(draw):
+        h = draw(st.sampled_from([1, 2, 3, 6]))
+        prec = draw(st.fractions(min_value=Fraction(1, 5), max_value=12, max_denominator=5))
+        bound = math.ceil(prec * h)
+        coefficients = st.builds(
+            lambda n, xs, d: CycNum(n, [Fraction(x, d) for x in xs[: euler_phi(n)]]),
+            st.sampled_from(MIXED_CONDUCTORS),
+            st.lists(st.integers(-(10**42), 10**42), min_size=4, max_size=4),
+            st.integers(1, 60),
+        )
+        return QExp(h, prec, draw(st.dictionaries(st.integers(0, bound), coefficients, max_size=10)))
+
+    @hyp.settings(max_examples=80, deadline=None, database=None)
+    @hyp.given(series(), series())
+    def check(x, y):
+        assert json_bytes(x * y) == json_bytes(reference_mul(x, y))
+
+    check()
