@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .linalg import Matrix
 from .qexp import QExp
-from .reps import Rep, hom_space, is_intertwiner, require_same_content
+from .reps import Rep, is_intertwiner, require_same_content
 
 
 class AholForm:
@@ -248,19 +248,14 @@ def tinf(f: AholForm, targets) -> "FormSpan":
     Graded by (weight -/+ 2, target label), components projected against
     the registry entries.
     """
-    from .hyperalg import FormSpan
+    from .hyperalg import FormSpan, projections
 
     span = FormSpan.empty()
     src = f.name or "form"
     for g, op in ((lower_op(f), "lower"), (raise_op(f), "raise")):
-        if g.is_zero():
-            continue
-        for target in targets:
-            for idx, phi in enumerate(hom_space(g.rep, target)):
-                image = apply_intertwiner(phi, g, target)
-                if image.is_zero():
-                    continue
-                span.add(image, provenance=f"{op}({src})->{target.label}#{idx}")
+        if not g.is_zero():
+            for tag, image in projections(g, targets):
+                span.add(image, provenance=f"{op}({src})->{tag}")
     return span
 
 

@@ -18,9 +18,9 @@ from importlib import resources
 
 from .ahol import AholForm, ahol_decompose, apply_intertwiner, lower_op, raise_op, tinf_closure
 from .exactnum import CycNum
-from .forms import delta_form, eisenstein, sigma, vv_eisenstein
+from .forms import delta_form, eisenstein, rankin_cohen, sigma, vv_eisenstein
 from .hecke import delta_cosets, hecke_form, hecke_rep
-from .hyperalg import FormSpan, hyper_tensor, span_contains, span_sum, sturm_bound
+from .hyperalg import FormSpan, hyper_tensor, projections, span_contains, span_sum, sturm_bound
 from .linalg import Matrix, invert_rational
 from .qexp import InsufficientPrecision
 from .reps import (
@@ -338,6 +338,30 @@ def _desk_cusp_form(k: int, prec) -> AholForm | None:
     return None
 
 
+def thm11_span(k: int, l: int, l2: int, hecke_indices, prec, registry: RepRegistry) -> FormSpan:
+    """The weight-k triv grade spanned by products of Hecke images of E_l and E_l2.
+
+    For F = T_M(E_l), G = T_M(E_l2), t = (k - l - l2)/2 and a + b = t, the
+    weight-k holomorphic layer h0 of R^a F (x) R^b G is a nonzero rational
+    multiple of the bracket [F, G]_t, and projections commute with it.  So
+    the projected brackets span that grade, and each one that survives is
+    named after the product F (x) R^t G, the first of its t + 1 products.
+    """
+    t = (k - l - l2) // 2
+    triv = [registry.get("triv")] if "triv" in registry else []
+    span = FormSpan()
+    for M in sorted(hecke_indices):
+        fl = eisenstein(l, prec * M).as_ahol()
+        fr = eisenstein(l2, prec * M).as_ahol()
+        tl = hecke_form(M, fl) if M > 1 else fl
+        tr = hecke_form(M, fr) if M > 1 else fr
+        name = f"({tl.name} (x) {'R(' * t}{tr.name}{')' * t})"
+        for tag, image in projections(rankin_cohen(tl, tr, t), triv):
+            prov = f"phi[{tag}] . {name}"
+            span.add(image, provenance=f"h0[{prov}]" if t else prov)
+    return span
+
+
 def verify_thm11(
     k: int = 12,
     l: int = 4,
@@ -351,39 +375,16 @@ def verify_thm11(
         raise ValueError("Eisenstein weights must be even and >= 4")
     if k < l + l2 or k % 2:
         raise ValueError("target weight must be even and >= l + l2")
+    hecke_indices = list(hecke_indices)
+    if not hecke_indices or min(hecke_indices) < 1 or len(set(hecke_indices)) < len(hecke_indices):
+        raise ValueError(f"Hecke indices must be distinct and positive, got {hecke_indices}")
     reg = registry or load_bundled_registry()
     report = Report("thm11")
     t = (k - l - l2) // 2
     if prec is None:
         prec = max(sturm_bound(k, 1), 6)
-    params = {"k": k, "l": l, "l2": l2, "indices": list(hecke_indices), "prec": prec}
-
-    spans = []
-    for M in sorted(hecke_indices):
-        fl = eisenstein(l, prec * M).as_ahol()
-        fr = eisenstein(l2, prec * M).as_ahol()
-        tl = hecke_form(M, fl) if M > 1 else fl
-        tr = hecke_form(M, fr) if M > 1 else fr
-        for t1 in range(t + 1):
-            t2 = t - t1
-            a = tl
-            for _ in range(t1):
-                a = raise_op(a)
-            b = tr
-            for _ in range(t2):
-                b = raise_op(b)
-            spans.append(hyper_tensor(a, b, reg))
-    raw = span_sum(spans)
-    del spans  # merged into raw; freed before the decomposition below
-    # decompose depth-graded generators into holomorphic layers
-    final = FormSpan()
-    for key in raw.grades():
-        for form, prov in raw.generators(key):
-            if form.depth == 0:
-                final.add(form, provenance=prov)
-            else:
-                for j, layer in enumerate(ahol_decompose(form)):
-                    final.add(layer, provenance=f"h{j}[{prov}]")
+    params = {"k": k, "l": l, "l2": l2, "indices": hecke_indices, "prec": prec}
+    final = thm11_span(k, l, l2, hecke_indices, prec, reg)
 
     cusp = _desk_cusp_form(k, prec)
     if cusp is None:

@@ -4,6 +4,10 @@ Eisenstein series are normalized to constant term 1:
 E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n.  Weights are even integers
 throughout (odd weights have no types here and the coset action needs
 M^(k/2) rational).
+
+The Rankin-Cohen bracket [f, g]_t, built from theta = q d/dq alone, is up
+to a nonzero rational factor the weight k_f + k_g + 2t holomorphic layer
+of every R^a f (x) R^b g with a + b = t.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from .ahol import AholForm, apply_intertwiner
 from .exactnum import CycNum, bernoulli
 from .linalg import Matrix
 from .qexp import QExp
-from .reps import Rep, RepRegistry, hom_space, trivial_rep
+from .reps import Rep, RepRegistry, trivial_rep
 from . import hecke as _hecke
-from .hyperalg import FormSpan
+from .hyperalg import FormSpan, projections
 
 
 class VVForm:
@@ -118,6 +122,31 @@ def delta_form(prec) -> VVForm:
     return VVForm(12, trivial_rep(), (q,), name="Delta")
 
 
+def rankin_cohen(f: AholForm, g: AholForm, t: int) -> AholForm:
+    """The t-th Rankin-Cohen bracket of two holomorphic forms.
+
+    [f, g]_t = sum_r (-1)^r C(t+k_f-1, t-r) C(t+k_g-1, r) theta^r f . theta^(t-r) g
+    on the type type(f) (x) type(g), components flattened as i*dim_g + j as
+    in `tensor_form` (H. Cohen, Math. Ann. 217 (1975); D. Zagier, Modular
+    forms and differential operators (1994)).
+    """
+    kf, kg = f.weight, g.weight
+    if t < 0 or t + min(kf, kg) < 1:
+        raise ValueError(f"bracket needs t >= 0 and t + k >= 1 for both weights, got t = {t}")
+    df, dg = [f.components], [g.components]
+    for _ in range(t):
+        df.append([q.theta() for q in df[-1]])
+        dg.append([q.theta() for q in dg[-1]])
+    # the binomial factors scale the theta^r f side, before the products
+    for r in range(t + 1):
+        c = (-1) ** r * math.comb(t + kf - 1, t - r) * math.comb(t + kg - 1, r)
+        df[r] = [q.scaled(c) for q in df[r]]
+    comps = [sum((fi[r] * gj[t - r] for r in range(1, t + 1)), fi[0] * gj[t])
+             for fi in zip(*df) for gj in zip(*dg)]
+    name = f"[{f.name}, {g.name}]_{t}" if f.name and g.name else ""
+    return AholForm.holomorphic(kf + kg + 2 * t, f.rep.tensor(g.rep), comps, name=name)
+
+
 def apply_hom(phi: Matrix, f, target: Rep):
     """Componentwise application of an intertwiner; weight unchanged.
 
@@ -177,7 +206,6 @@ def vv_eisenstein(k: int, target: Rep, M: int, prec) -> FormSpan:
     base = eisenstein(k, prec * M).as_ahol()
     te = _hecke.hecke_form(M, base)
     span = FormSpan()
-    for idx, phi in enumerate(hom_space(te.rep, target)):
-        image = apply_intertwiner(phi, te, target)
-        span.add(image, provenance=f"phi[{target.label}#{idx}] . T{M}(E{k})")
+    for tag, image in projections(te, [target]):
+        span.add(image, provenance=f"phi[{tag}] . T{M}(E{k})")
     return span

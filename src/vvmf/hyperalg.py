@@ -202,18 +202,22 @@ def hyper_tensor(f: AholForm, g: AholForm, targets: RepRegistry) -> FormSpan:
     """
     if f.weight % 2 != 0 or g.weight % 2 != 0:
         raise ValueError("weights must be even")
-    tensor = tensor_form(f, g)
     span = FormSpan()
-    fname = f.name or "f"
-    gname = g.name or "g"
-    for target in targets:
-        for idx, phi in enumerate(hom_space(tensor.rep, target)):
-            image = apply_intertwiner(phi, tensor, target)
-            span.add(
-                image,
-                provenance=f"phi[{target.label}#{idx}] . ({fname} (x) {gname})",
-            )
+    name = f"({f.name or 'f'} (x) {g.name or 'g'})"
+    for tag, image in projections(tensor_form(f, g), targets):
+        span.add(image, provenance=f"phi[{tag}] . {name}")
     return span
+
+
+def projections(f: AholForm, targets):
+    """Yield (tag, phi(f)) for every basis map phi of hom(type(f), target).
+
+    tag is "label#idx", idx the position of phi in the target's hom basis;
+    targets are visited in order, so the tags come out in a fixed order.
+    """
+    for target in targets:
+        for idx, phi in enumerate(hom_space(f.rep, target)):
+            yield f"{target.label}#{idx}", apply_intertwiner(phi, f, target)
 
 
 def tensor_form(f: AholForm, g: AholForm) -> AholForm:

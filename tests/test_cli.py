@@ -3,14 +3,19 @@ from importlib import resources
 
 import pytest
 
+from vvmf.ahol import ahol_decompose, raise_op
 from vvmf.cli import (
     load_bundled_registry,
     main,
     parse_rep_expr,
+    thm11_span,
     verify_counts,
     verify_example32,
     verify_thm11,
 )
+from vvmf.forms import eisenstein
+from vvmf.hecke import hecke_form
+from vvmf.hyperalg import FormSpan, hyper_tensor, sturm_bound
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +130,10 @@ _GOOD_FORM = {"type": "triv", "weight": 4, "components": [
         ("hyperprod", "--left", "form-list.json", "--right", "good-form.json"),
         ("hyperprod", "--left", "fractional-exponent.json", "--right", "good-form.json"),
         ("hyperprod", "--left", "repeated-exponent.json", "--right", "good-form.json"),
+        ("verify", "thm11", "--indices", ","),
+        ("verify", "thm11", "--indices", "0,1"),
+        ("verify", "thm11", "--indices", "-1"),
+        ("verify", "thm11", "--indices", "1,2,1"),
     ],
     ids=[
         "unknown-type",
@@ -140,6 +149,10 @@ _GOOD_FORM = {"type": "triv", "weight": 4, "components": [
         "form-top-level-list",
         "form-fractional-exponent",
         "form-repeated-exponent",
+        "thm11-no-index",
+        "thm11-zero-index",
+        "thm11-negative-index",
+        "thm11-repeated-index",
     ],
 )
 def test_bad_input_is_one_line_exit_2(capsys, tmp_path, argv):
@@ -163,19 +176,19 @@ def test_good_form_file_is_accepted(capsys, tmp_path):
 
 # l == l2 with odd t = (k - l - l2) / 2: the weight-k triv grade is empty and
 # the cusp form is an expected non-member; the other rows are controls
-@pytest.mark.parametrize(
-    "k, l, l2, indices, degenerate",
-    [
-        (18, 8, 8, "1,2", True),
-        (18, 8, 8, "1,3", True),
-        (18, 8, 8, "1,2,3", True),
-        (22, 8, 8, "1,2", True),
-        (18, 6, 6, "1,2", True),
-        (20, 8, 8, "1,2", False),
-        (20, 6, 6, "1,2", False),
-        (18, 4, 10, "1,2", False),
-    ],
-)
+EQUAL_WEIGHT_SWEEP = [
+    (18, 8, 8, "1,2", True),
+    (18, 8, 8, "1,3", True),
+    (18, 8, 8, "1,2,3", True),
+    (22, 8, 8, "1,2", True),
+    (18, 6, 6, "1,2", True),
+    (20, 8, 8, "1,2", False),
+    (20, 6, 6, "1,2", False),
+    (18, 4, 10, "1,2", False),
+]
+
+
+@pytest.mark.parametrize("k, l, l2, indices, degenerate", EQUAL_WEIGHT_SWEEP)
 def test_thm11_odd_bracket_of_equal_weights(capsys, k, l, l2, indices, degenerate):
     argv = ["verify", "thm11", "--k", str(k), "--l", str(l), "--l2", str(l2)]
     code, out, _ = run_cli(capsys, *argv, "--indices", indices, "--format", "json")
@@ -185,6 +198,82 @@ def test_thm11_odd_bracket_of_equal_weights(capsys, k, l, l2, indices, degenerat
     assert case["expected"] is case["observed"] is (not degenerate)
     # the report lists every generator of the weight-k triv grade
     assert case["diagnostics"].endswith("generators: ") is degenerate
+
+
+def reference_thm11_span(k, l, l2, indices, prec, registry) -> FormSpan:
+    """The raise-then-decompose span of verify thm11, at its weight-k triv grade.
+
+    Each Hecke image is raised t1 and t2 times (t1 + t2 = t), every product
+    is projected, the depth-graded products are kept greedily over
+    (M, t1, phi), and each kept one gives its holomorphic layers.  Only the
+    triv projections and the weight-k layers h0 land in the (k, triv) grade,
+    so the other targets and the lower layers are left out.
+    """
+    t = (k - l - l2) // 2
+    triv = [registry.get("triv")]
+    raw = FormSpan()
+    for M in sorted(indices):
+        tl, tr = (eisenstein(w, prec * M).as_ahol() for w in (l, l2))
+        if M > 1:
+            tl, tr = hecke_form(M, tl), hecke_form(M, tr)
+        for t1 in range(t + 1):
+            a, b = tl, tr
+            for _ in range(t1):
+                a = raise_op(a)
+            for _ in range(t - t1):
+                b = raise_op(b)
+            for form, prov in hyper_tensor(a, b, triv).generators((k, "triv")):
+                raw.add(form, provenance=prov)
+    final = FormSpan()
+    for form, prov in raw.generators((k, "triv")):
+        if form.depth == 0:
+            final.add(form, provenance=prov)
+        else:
+            final.add(ahol_decompose(form)[0], provenance=f"h0[{prov}]")
+    return final
+
+
+# the perfbench thm11 jobs, the baseline ladder, the equal-weight sweep and
+# grades of dimension 2
+THM11_ORACLE_SWEEP = sorted(
+    {
+        (22, 4, 8, "1,2"),
+        (18, 6, 10, "1,3"),
+        (12, 4, 8, "1,3"),
+        (14, 4, 6, "1,2,3"),
+        (16, 4, 8, "1,3"),
+        (20, 4, 6, "1,2,3"),
+        (24, 4, 8, "1,2"),
+        (16, 4, 12, "1,2,3"),
+    }
+    | {row[:4] for row in EQUAL_WEIGHT_SWEEP}
+)
+
+
+@pytest.mark.parametrize("k, l, l2, indices", THM11_ORACLE_SWEEP)
+def test_thm11_bracket_span_matches_raise_then_decompose(reg, k, l, l2, indices):
+    indices = [int(x) for x in indices.split(",")]
+    prec = max(sturm_bound(k, 1), 6)
+    got = thm11_span(k, l, l2, indices, prec, reg)
+    want = reference_thm11_span(k, l, l2, indices, prec, reg)
+    key = (k, "triv")
+    assert set(got.grades()) <= {key}
+    assert got.grade_rows(key) == want.grade_rows(key)
+    assert [p for _, p in got.generators(key)] == [p for _, p in want.generators(key)]
+
+
+def test_thm11_without_triv_in_the_registry(capsys, tmp_path):
+    # no triv target, so no weight-k triv grade: the cusp form is not found
+    entries = json.loads(
+        resources.files("vvmf.data").joinpath("registry.json").read_text()
+    )["entries"]
+    path = tmp_path / "no_triv.json"
+    path.write_text(json.dumps({"entries": [e for e in entries if e["label"] != "triv"]}))
+    code, out, _ = run_cli(capsys, "verify", "thm11", "--registry", str(path), "--format", "json")
+    assert code == 1
+    member, complement = json.loads(out)["cases"]
+    assert member["observed"] is False and member["diagnostics"] == "generators: "
+    assert complement["observed"] == 1
 
 
 @pytest.mark.parametrize("target", ["example32", "all"])

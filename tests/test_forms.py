@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from vvmf.ahol import ahol_decompose, apply_intertwiner, raise_op
 from vvmf.exactnum import CycNum, bernoulli
 from vvmf.forms import (
     VVForm,
@@ -11,13 +12,15 @@ from vvmf.forms import (
     delta_form,
     eisenstein,
     one_form,
+    rankin_cohen,
     sigma,
     vv_eisenstein,
 )
 from vvmf.hecke import hecke_form
+from vvmf.hyperalg import tensor_form
 from vvmf.linalg import Matrix
 from vvmf.qexp import QExp
-from vvmf.reps import builtin_registry
+from vvmf.reps import builtin_registry, hom_space
 
 
 @pytest.fixture(scope="module")
@@ -213,3 +216,114 @@ def test_vvform_json_round_trip(reg):
 
     back2 = AholForm.from_json(json.loads(blob))
     assert back2.agrees_with(t3)
+
+
+# -- Rankin-Cohen brackets ----------------------------------------------------
+
+
+def delta_oracle(n):
+    """Coefficients below q^n of q * prod (1 - q^m)^24, in plain integers."""
+    p = [1] + [0] * (n - 1)
+    for m in range(1, n):
+        for _ in range(24):
+            for e in range(n - 1, m - 1, -1):
+                p[e] -= p[e - m]
+    return [0] + p[: n - 1]
+
+
+def hecke_pair(M, prec):
+    """T_M E_4 and T_M E_6, sound to prec."""
+    return tuple(hecke_form(M, eisenstein(k, prec * M).as_ahol()) for k in (4, 6))
+
+
+def multiple_of(x, y):
+    """The rational c with x = c * y for holomorphic forms; None if there is none.
+
+    For a zero y every c works when x is zero too, and 0 is returned.
+    """
+    if y.is_zero():
+        return 0 if x.is_zero() else None
+    i, q = next((i, q) for i, q in enumerate(y.components) if not q.is_zero())
+    e = q.exponents()[0]
+    c = x.components[i].coeff(e) / q.coeff(e)
+    return c.rational_value() if c.is_rational() and x.agrees_with(y.scaled(c)) else None
+
+
+def test_bracket_of_e4_and_e6_is_a_multiple_of_delta():
+    # 4 E4 theta(E6) - 6 theta(E4) E6 = -3456 Delta, Delta from its product formula
+    prec = 12
+    bracket = rankin_cohen(eisenstein(4, prec).as_ahol(), eisenstein(6, prec).as_ahol(), 1)
+    assert bracket.weight == 12 and bracket.rep.dim == 1
+    got = [bracket.components[0].coeff(n) for n in range(prec)]
+    assert got == [CycNum.from_rational(-3456 * c) for c in delta_oracle(prec)]
+    assert delta_oracle(6) == [0, 1, -24, 252, -1472, 4830]
+
+
+@pytest.mark.parametrize("k", [4, 6, 10])
+def test_odd_bracket_of_a_scalar_form_with_itself_vanishes(k):
+    f = eisenstein(k, 8).as_ahol()
+    for t in (1, 3):
+        assert rankin_cohen(f, f, t).is_zero()
+    assert not rankin_cohen(f, f, 2).is_zero()
+
+
+def test_odd_bracket_vanishes_under_the_symmetric_pairing(reg):
+    # [F, F]_t of a vector-valued F is antisymmetric in the tensor factors,
+    # so its image under the symmetric pairing into triv is zero for odd t
+    f, _ = hecke_pair(2, 5)
+    d, triv = f.rep.dim, reg.get("triv")
+    basis = hom_space(f.rep.tensor(f.rep), triv)
+    assert len(basis) == 2
+    for phi in basis:
+        assert all(phi[0, i * d + j] == phi[0, j * d + i] for i in range(d) for j in range(d))
+        for t in range(4):
+            image = apply_intertwiner(phi, rankin_cohen(f, f, t), triv)
+            assert image.is_zero() is (t % 2 == 1)
+
+
+def test_bracket_flips_with_sign_under_the_swap_of_factors():
+    f, _ = hecke_pair(2, 5)
+    g = hecke_form(3, eisenstein(6, 15).as_ahol())
+    for t in range(4):
+        fg, gf = rankin_cohen(f, g, t), rankin_cohen(g, f, t)
+        assert fg.rep.dim == gf.rep.dim == 12 and fg.weight == 10 + 2 * t
+        for i in range(f.rep.dim):
+            for j in range(g.rep.dim):
+                want = fg.components[i * g.rep.dim + j].scaled((-1) ** t)
+                assert gf.components[j * f.rep.dim + i] == want
+
+
+def test_bracket_rejects_binomials_with_a_negative_top():
+    e4, one = eisenstein(4, 3).as_ahol(), one_form(3).as_ahol()
+    with pytest.raises(ValueError):
+        rankin_cohen(e4, e4, -1)
+    with pytest.raises(ValueError):
+        rankin_cohen(one, e4, 0)
+    # weight 0 is fine once t >= 1: [1, E4]_1 = C(0, 1) theta(E4) - C(4, 1) theta(1) E4 = 0
+    assert rankin_cohen(one, e4, 1).is_zero()
+
+
+@pytest.mark.parametrize("t", range(5))
+def test_top_layer_of_raised_products_is_a_multiple_of_the_bracket(t):
+    # the claim the bracket path of verify thm11 rests on: for a + b = t the
+    # weight-k holomorphic layer of R^a F (x) R^b G is c_ab [F, G]_t, c_ab != 0
+    # a rational depending on the weights alone, checked by ahol_decompose.
+    # [E4, E6]_2 lies in the zero space S_14, so there only h0 = 0 is checked.
+    scalar = tuple(eisenstein(k, 6).as_ahol() for k in (4, 6))
+    vector = hecke_pair(2, 4)
+    for a in range(t + 1):
+        factors = []
+        for f, g in (vector, scalar):
+            x = f
+            for _ in range(a):
+                x = raise_op(x)
+            y = g
+            for _ in range(t - a):
+                y = raise_op(y)
+            bracket = rankin_cohen(f, g, t)
+            c = multiple_of(ahol_decompose(tensor_form(x, y))[0], bracket)
+            assert c is not None
+            if not bracket.is_zero():
+                factors.append(c)
+        assert factors[0] != 0 and len(set(factors)) == 1
+        assert len(factors) == (1 if t == 2 else 2)
