@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -459,6 +460,9 @@ def _parse_atom(text: str, registry: RepRegistry):
         label = text[:n]
         if label in registry:
             return registry.get(label), text[n:]
+    label = re.match(r"[^*()]*", text).group()
+    if label:
+        raise ValueError(f"no registry entry labelled {label!r}")
     raise ValueError(f"cannot parse type expression {text!r}")
 
 

@@ -344,7 +344,8 @@ class CycNum:
     def __hash__(self):
         r = self.reduce_conductor()
         if r.n == 1:
-            return hash(Fraction(r.num[0], r.den))
+            # hash(Fraction(p, 1)) == hash(p)
+            return hash(r.num[0] if r.den == 1 else Fraction(r.num[0], r.den))
         return hash((r.n, r.num, r.den))
 
     def __bool__(self):
@@ -432,17 +433,18 @@ def _sorted_divisors(n: int) -> list:
 
 def _lower_to_conductor(x: CycNum, m: int):
     """Coordinates of x in conductor m | n, or None if not representable."""
-    from .linalg import _rref_inplace
+    from .linalg import _rref_inplace, sparse_row
 
     k = euler_phi(m)
     # columns: lifts of the conductor-m power basis, in conductor-n coords
     cols = [CycNum.zeta(m, j).lift(x.n).c for j in range(k)]
-    aug = [[col[i] for col in cols] + [t] for i, t in enumerate(x.c)]
-    # the lifted power basis is independent, so the pivots are 0..k-1
+    aug = [sparse_row([col[i] for col in cols] + [t]) for i, t in enumerate(x.c)]
+    # the lifted power basis is independent, so the pivots are 0..k-1 and
+    # the other rows hold at most the right-hand side
     _rref_inplace(aug, k + 1, stop_col=k)
-    if any(row[k] for row in aug[k:]):
+    if any(aug[k:]):
         return None
-    return [row[k] for row in aug[:k]]
+    return [row.get(k, Fraction(0)) for row in aug[:k]]
 
 
 _BERNOULLI_CACHE = [Fraction(1), Fraction(-1, 2)]

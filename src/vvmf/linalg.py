@@ -1,11 +1,13 @@
 """Exact linear algebra over cyclotomic fields; arithmetic skips zeros.
 
 Everything is deterministic and goes through one elimination kernel,
-`_rref_inplace`: Gauss-Jordan with first-nonzero pivots in column order
-(arithmetic is exact, no magnitude heuristics); its output is the unique
-RREF, so equal subspaces have equal bases.  Row updates touch only the
-nonzero columns of the pivot (or basis) row and change rows in place;
-products multiply nonzero entries only.
+`_rref_inplace`: sparse Gauss-Jordan on {column: nonzero} rows with a
+per-column index of the rows that are nonzero there.  In each column the
+pivot is the unused row with the fewest nonzeros (lowest position on
+ties); arithmetic is exact, so there are no magnitude heuristics, and
+the output is the unique RREF, pivot rows first in pivot order, so equal
+subspaces have equal bases.  Dense callers convert with `sparse_row` and
+`dense_row`.  Products and member tests multiply nonzero entries only.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from .exactnum import CycNum, as_cyc
 class Matrix:
     """Row-major dense matrix with all entries at one shared conductor."""
 
-    __slots__ = ("rows", "cols", "n", "entries")
+    # `_hash` caches __hash__ and stays unset until first asked
+    __slots__ = ("rows", "cols", "n", "entries", "_hash")
 
     def __init__(self, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
@@ -76,7 +79,13 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        h = hash((self.rows, self.cols, self.entries))
+        object.__setattr__(self, "_hash", h)
+        return h
 
     def __add__(self, other):
         self._shape_check(other)
@@ -151,16 +160,21 @@ class Matrix:
 
     def rref(self):
         """(reduced row-echelon form, pivot column list)."""
-        work = self.to_rows()
+        work = self._sparse_rows()
         pivots = _rref_inplace(work, self.cols)
-        return Matrix.from_rows(work) if work else Matrix.zeros(0, self.cols), pivots
+        zero = CycNum.zero().lift(self.n)
+        rows = [dense_row(r, self.cols, zero) for r in work]
+        return Matrix.from_rows(rows) if rows else Matrix.zeros(0, self.cols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def kernel(self) -> "Subspace":
         """Right kernel {v : self * v = 0} as an echelonized subspace."""
-        return kernel_of_rows(self.to_rows(), self.cols)
+        return kernel_of_rows(self._sparse_rows(), self.cols)
+
+    def _sparse_rows(self) -> list:
+        return [sparse_row(self.row(i)) for i in range(self.rows)]
 
     def solve_right(self, b: "Matrix") -> "Matrix":
         """x with self * x = b; free variables set to zero.
@@ -169,15 +183,16 @@ class Matrix:
         """
         if b.rows != self.rows:
             raise ValueError(f"rhs has {b.rows} rows, expected {self.rows}")
-        aug = [list(self.row(i)) + list(b.row(i)) for i in range(self.rows)]
-        pivots = _rref_inplace(aug, self.cols + b.cols, stop_col=self.cols)
-        for r in range(len(pivots), len(aug)):
-            if any(not x.is_zero() for x in aug[r][self.cols :]):
-                raise ValueError("inconsistent linear system")
-        out = [[CycNum.zero()] * b.cols for _ in range(self.cols)]
-        for r, pc in enumerate(pivots):
-            for j in range(b.cols):
-                out[pc][j] = aug[r][self.cols + j]
+        width = self.cols + b.cols
+        aug = [sparse_row(self.row(i)) | sparse_row(b.row(i), self.cols) for i in range(self.rows)]
+        pivots = _rref_inplace(aug, width, stop_col=self.cols)
+        # the rows after the pivot rows are empty before stop_col
+        if any(aug[len(pivots) :]):
+            raise ValueError("inconsistent linear system")
+        zero = CycNum.zero()
+        out = [[zero] * b.cols for _ in range(self.cols)]
+        for row, pc in zip(aug, pivots):
+            out[pc] = dense_row(row, width, zero, self.cols)
         return Matrix.from_rows(out) if out else Matrix.zeros(self.cols, b.cols)
 
     def inverse(self) -> "Matrix":
@@ -205,68 +220,111 @@ class Matrix:
         return Matrix.from_rows(rows)
 
 
-def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
-    """Reduce rows in place to RREF; returns pivot columns.
+def sparse_row(values, start: int = 0) -> dict:
+    """{column: entry} of the nonzero entries, columns counted from start."""
+    return {j: x for j, x in enumerate(values, start) if x}
 
-    Gauss-Jordan with first-nonzero pivots; output is the unique RREF.
-    Each pivot row is normalized, then its column is cleared in every
-    other row.  A pivot row has no nonzero entry left of its pivot, so
-    both steps touch only the pivot row's nonzero columns, and every row
-    list is updated in place.  Entries are tested for zero by truthiness
-    and divided with `/`, so rows of Fraction and rows of CycNum both
-    work.  Only columns before stop_col are pivot candidates.
+
+def dense_row(row: dict, stop: int, zero, start: int = 0) -> list:
+    """Entries start..stop-1 of a sparse row, zero where it has none."""
+    return [row.get(j, zero) for j in range(start, stop)]
+
+
+def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
+    """Reduce sparse rows in place to RREF; returns the pivot columns.
+
+    Each row is a dict {column: nonzero entry}.  Entries are tested for
+    zero by truthiness and divided with `/`, so Fraction and CycNum rows
+    both work.  Only columns before stop_col are pivot candidates.
+
+    Gauss-Jordan over a column index, the set of rows that are nonzero in
+    each column.  In each column in turn the pivot is the unused row with
+    the fewest nonzeros (lowest input position on ties), which limits the
+    fill-in (H. M. Markowitz, Management Sci. 3, 1957).  It is normalized
+    by one inverse and its column is cleared in the rows the index lists,
+    pivot rows included; an entry that cancels leaves its row and the index.
+
+    On return rows holds the pivot rows first, in pivot order, then the
+    other rows in input order; those are empty before stop_col.  When they
+    are empty altogether (always so for stop_col == ncols) the pivot rows
+    are the unique RREF whatever the pivot choice; otherwise their columns
+    from stop_col on are fixed only modulo the other rows, and callers
+    treat that case as inconsistent.
     """
     if stop_col is None:
         stop_col = ncols
-    pivots = []
     nrows = len(rows)
+    where = [set() for _ in range(stop_col)]
+    for i, row in enumerate(rows):
+        for j in row:
+            if j < stop_col:
+                where[j].add(i)
+    used = [False] * nrows
+    order, pivots = [], []
     for c in range(stop_col):
-        r = len(pivots)
-        if r == nrows:
+        if len(order) == nrows:
             break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
+        hits = where[c]
+        p = min(
+            (i for i in hits if not used[i]), key=lambda i: (len(rows[i]), i), default=None
+        )
+        if p is None:
             continue
-        prow = rows[pr]
+        prow = rows[p]
         inv = 1 / prow[c]
-        nz = [j for j in range(c, ncols) if prow[j]]
-        for j in nz:
-            prow[j] = prow[j] * inv
-        rows[pr] = rows[r]
-        rows[r] = prow
-        for i in range(nrows):
+        for j, x in prow.items():
+            prow[j] = x * inv
+        rest = [(j, y) for j, y in prow.items() if j != c]
+        for i in hits:
+            if i == p:
+                continue
             row = rows[i]
-            f = row[c]
-            if i != r and f:
-                for j in nz:
-                    row[j] = row[j] - f * prow[j]
+            f = -row.pop(c)
+            for j, y in rest:
+                x = row.get(j)
+                if x is None:
+                    row[j] = f * y
+                    if j < stop_col:
+                        where[j].add(i)
+                else:
+                    x = x + f * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        if j < stop_col:
+                            where[j].discard(i)
+        used[p] = True
+        order.append(p)
         pivots.append(c)
+    rows[:] = [rows[i] for i in order] + [row for i, row in enumerate(rows) if not used[i]]
     return pivots
 
 
 def kernel_of_rows(rows: list, ncols: int) -> "Subspace":
-    """Right kernel of the matrix with these rows; reduces the rows in place."""
+    """Right kernel of the matrix with these sparse rows; reduces the rows in place.
+
+    The kernel vector of a free column f is e_f minus, at each pivot column,
+    the pivot row's entry in column f.
+    """
     pivots = _rref_inplace(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [CycNum.zero()] * ncols
-        v[free] = CycNum.one()
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][free]
-        basis.append(v)
-    return Subspace.from_rows(ncols, basis)
+    one = CycNum.one()
+    basis = {j: {j: one} for j in range(ncols)}
+    for row, pc in zip(rows, pivots):
+        del basis[pc]
+        for j, x in row.items():
+            if j != pc:
+                basis[j][pc] = -x
+    return Subspace._from_sparse(ncols, list(basis.values()))
 
 
 def invert_rows(mat, zero, one) -> list:
     """Inverse of a square matrix with entries like zero and one; ValueError if singular."""
     n = len(mat)
-    aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(mat)]
+    aug = [sparse_row(row) | {n + i: one} for i, row in enumerate(mat)]
     if len(_rref_inplace(aug, 2 * n, stop_col=n)) < n:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in aug]
+    return [dense_row(row, 2 * n, zero, n) for row in aug]
 
 
 def invert_rational(mat) -> list:
@@ -288,12 +346,19 @@ class Subspace:
 
     @staticmethod
     def from_rows(ambient_dim: int, rows) -> "Subspace":
-        work = [[as_cyc(x) for x in r] for r in rows]
-        for r in work:
+        work = []
+        for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("row length does not match ambient dimension")
-        pivots = _rref_inplace(work, ambient_dim)
-        return Subspace(ambient_dim, work[: len(pivots)])
+            work.append(sparse_row(map(as_cyc, r)))
+        return Subspace._from_sparse(ambient_dim, work)
+
+    @staticmethod
+    def _from_sparse(ambient_dim: int, rows: list) -> "Subspace":
+        """Span of sparse rows, which are reduced in place."""
+        pivots = _rref_inplace(rows, ambient_dim)
+        zero = CycNum.zero()
+        return Subspace(ambient_dim, [dense_row(r, ambient_dim, zero) for r in rows[: len(pivots)]])
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":

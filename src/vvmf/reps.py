@@ -7,6 +7,8 @@ T^level = I.  The declared level is trusted beyond the T-order check.
 Hom spaces are the fixed vectors of dual(r) tensor r2, found without
 inverses or Kronecker products: the intertwining equations for S and T
 are stacked into one sparse linear system whose kernel is taken once.
+`hom_space` memoizes its bases by the content of both types, in a bounded
+least-recently-used table, so relabelled copies of a type share them.
 The flattening between fixed vectors v and intertwiner matrices Phi is
 private: index pairs (i, j) with i < dim_r, j < dim_r2 flatten to
 i*dim_r2 + j and Phi[j, i] = v[i*dim_r2 + j].  Public contracts only use
@@ -28,6 +30,10 @@ T_MAT = ((1, 1), (0, 1))
 # Rep.evaluate keeps at most this many word images per type, least
 # recently used first
 _WORD_CACHE_SIZE = 256
+
+# hom_space results, least recently used first
+_HOM_CACHE: dict = {}
+_HOM_CACHE_SIZE = 64
 
 
 class Rep:
@@ -194,26 +200,32 @@ def _mat_pow(m: Matrix, e: int) -> Matrix:
 def hom_fixed_subspace(r: Rep, r2: Rep) -> Subspace:
     """Fixed vectors of dual(r) tensor r2, the unshaped hom space.
 
-    One kernel of the stacked system Phi r(g) - r2(g) Phi = 0, g = S and T:
-    its row (i', j) has +r(g)[i, i'] at column i*dim_r2 + j and
-    -r2(g)[j, j'] at column i'*dim_r2 + j'.  A block that is identically
-    zero is dropped; the basis is written at the joint conductor of the rest.
+    One kernel of the stacked system Phi r(g) - r2(g) Phi = 0, g = S and T,
+    given to the kernel as sparse rows: row (i', j) has +r(g)[i, i'] at
+    column i*dim_r2 + j and -r2(g)[j, j'] at column i'*dim_r2 + j'.  Zero
+    rows are dropped, and so is a block that is identically zero; the basis
+    is written at the joint conductor of the rest.
     """
     d, d2 = r.dim, r2.dim
     rows, n = [], 1
     for a, b in ((r.S, r2.S), (r.T, r2.T)):
+        # the nonzeros of column i' of a and of row j of -b
+        acols = [[(i * d2, x) for i, x in enumerate(a.entries[ip::d]) if x] for ip in range(d)]
+        brows = [[(jp, -x) for jp, x in enumerate(b.row(j)) if x] for j in range(d2)]
         block = []
         for ip in range(d):
             for j in range(d2):
-                row = [CycNum.zero()] * (d * d2)
-                for i in range(d):
-                    if a[i, ip]:
-                        row[i * d2 + j] = a[i, ip]
-                for jp, x in enumerate(b.row(j)):
-                    if x:
-                        row[ip * d2 + jp] = row[ip * d2 + jp] - x
-                block.append(row)
-        if any(map(any, block)):
+                row = {col + j: x for col, x in acols[ip]}
+                for jp, x in brows[j]:
+                    col = ip * d2 + jp
+                    y = row[col] + x if col in row else x
+                    if y:
+                        row[col] = y
+                    else:
+                        del row[col]
+                if row:
+                    block.append(row)
+        if block:
             n = math.lcm(n, a.n, b.n)
             rows += block
     basis = kernel_of_rows(rows, d * d2).basis
@@ -232,9 +244,21 @@ def matrix_to_fixed_vector(phi: Matrix) -> list:
 
 
 def hom_space(r: Rep, r2: Rep) -> list:
-    """Basis of intertwiners Phi with Phi r(g) = r2(g) Phi."""
-    sub = hom_fixed_subspace(r, r2)
-    return [fixed_vector_to_matrix(v, r.dim, r2.dim) for v in sub.basis]
+    """Basis of intertwiners Phi with Phi r(g) = r2(g) Phi, as a fresh list.
+
+    Memoized by the content of both types, not their labels, and by the
+    conductors their matrices are written at, which fix the conductor the
+    basis is written at.
+    """
+    key = (r.content, r2.content, r.S.n, r.T.n, r2.S.n, r2.T.n)
+    basis = _HOM_CACHE.pop(key, None)
+    if basis is None:
+        sub = hom_fixed_subspace(r, r2)
+        basis = tuple(fixed_vector_to_matrix(v, r.dim, r2.dim) for v in sub.basis)
+    _HOM_CACHE[key] = basis
+    if len(_HOM_CACHE) > _HOM_CACHE_SIZE:
+        del _HOM_CACHE[next(iter(_HOM_CACHE))]
+    return list(basis)
 
 
 def is_intertwiner(phi: Matrix, r: Rep, r2: Rep) -> bool:

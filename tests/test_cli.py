@@ -463,6 +463,13 @@ def test_type_expression_parser(reg):
         parse_rep_expr("unknown", reg)
 
 
+@pytest.mark.parametrize("expr", ["T3(nope)", "rho3*nope", "T2(rho3*nope)", "nope*rho3"])
+def test_unknown_label_in_type_expression_is_named(capsys, expr):
+    code, _, err = run_cli(capsys, "homspace", "--source", expr, "--target", "triv")
+    assert code == 2
+    assert err == "error: no registry entry labelled 'nope'\n"
+
+
 def test_verify_all_text_report(capsys):
     code, out, _ = run_cli(capsys, "verify", "all")
     assert code == 0

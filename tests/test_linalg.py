@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from vvmf.exactnum import CycNum, as_cyc
-from vvmf.linalg import Matrix, Subspace, _rref_inplace
+from vvmf.linalg import Matrix, Subspace, _rref_inplace, dense_row, sparse_row
 
 
 def e(i, n):
@@ -160,10 +160,10 @@ def test_rref_kernel_agrees_on_fraction_and_cyclotomic_rows():
     for _ in range(10):
         vals = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)] for _ in range(3)]
         vals.append([x + 2 * y for x, y in zip(vals[0], vals[1])])
-        frac = [list(r) for r in vals]
-        cyc = [[CycNum.from_rational(x) for x in r] for r in vals]
+        frac = [sparse_row(r) for r in vals]
+        cyc = [sparse_row(map(CycNum.from_rational, r)) for r in vals]
         assert _rref_inplace(frac, 5) == _rref_inplace(cyc, 5)
-        assert cyc == [[CycNum.from_rational(x) for x in r] for r in frac]
+        assert cyc == [{j: CycNum.from_rational(x) for j, x in r.items()} for r in frac]
 
 
 def test_rref_and_rank_match_sympy():
@@ -265,9 +265,9 @@ def test_sparse_elimination_matches_dense_reference(field):
         zeros += sum(not x for r in vals for x in r)
         cells += len(vals) * ncols
         red, pivots = dense_rref(vals, ncols)
-        work = [list(r) for r in vals]
+        work = [sparse_row(r) for r in vals]
         assert _rref_inplace(work, ncols) == pivots
-        assert work == red
+        assert [dense_row(r, ncols, SPARSE_FIELDS[field][0]) for r in work] == red
 
         m = Matrix.from_rows(vals)
         assert [list(r) for r in m.kernel().basis] == dense_kernel_basis(red, pivots, ncols)
@@ -292,3 +292,123 @@ def test_sparse_kron_matches_dense_reference(field):
         b = Matrix.from_rows(sparse_rows(rng, field, *shape_b, 0.1))
         assert a.kron(b) == kron_oracle(a, b)
         assert a.kron(b).n == kron_oracle(a, b).n
+
+
+# The elimination kernel before it kept sparse rows: dense row lists and the
+# first nonzero row below the pivot rows as pivot.  Any pivot choice gives the
+# same RREF, so it is an oracle for the sparsest-row kernel.
+
+
+def reference_rref(rows: list, ncols: int, stop_col: int | None = None) -> list:
+    """Reduce rows in place to RREF; returns pivot columns.
+
+    Gauss-Jordan with first-nonzero pivots; output is the unique RREF.
+    Each pivot row is normalized, then its column is cleared in every
+    other row.  A pivot row has no nonzero entry left of its pivot, so
+    both steps touch only the pivot row's nonzero columns, and every row
+    list is updated in place.  Entries are tested for zero by truthiness
+    and divided with `/`, so rows of Fraction and rows of CycNum both
+    work.  Only columns before stop_col are pivot candidates.
+    """
+    if stop_col is None:
+        stop_col = ncols
+    pivots = []
+    nrows = len(rows)
+    for c in range(stop_col):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        prow = rows[pr]
+        inv = 1 / prow[c]
+        nz = [j for j in range(c, ncols) if prow[j]]
+        for j in nz:
+            prow[j] = prow[j] * inv
+        rows[pr] = rows[r]
+        rows[r] = prow
+        for i in range(nrows):
+            row = rows[i]
+            f = row[c]
+            if i != r and f:
+                for j in nz:
+                    row[j] = row[j] - f * prow[j]
+        pivots.append(c)
+    return pivots
+
+
+ORACLE_FIELDS = dict(
+    SPARSE_FIELDS,
+    **{
+        # conductor-12 entries mixed with rational ones
+        "Q(zeta12)": (
+            CycNum.zero(),
+            lambda rng: rng.choice(
+                [
+                    CycNum(12, [rng.randint(-2, 2) for _ in range(3)] + [rng.choice([-1, 1, 2])]),
+                    CycNum.from_rational(rng.choice([-2, -1, 1, 3])),
+                ]
+            ),
+        )
+    },
+)
+
+
+def reduce_mod(v: list, basis: list) -> list:
+    """v reduced against rows in RREF, pivot at each row's first nonzero."""
+    v = list(v)
+    for row in basis:
+        pc = next(j for j, y in enumerate(row) if y)
+        f = v[pc]
+        if f:
+            v = [x - f * y for x, y in zip(v, row)]
+    return v
+
+
+@pytest.mark.parametrize("field", sorted(ORACLE_FIELDS))
+def test_sparsest_row_kernel_matches_first_nonzero_reference(field):
+    zero, draw = ORACLE_FIELDS[field]
+    rng = random.Random(404)
+    seen = set()
+    for trial in range(60):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.choice([0.15, 0.3, 0.6])
+        vals = [[draw(rng) if rng.random() < density else zero for _ in range(ncols)]
+                for _ in range(nrows)]
+        vals.insert(rng.randint(0, nrows), [zero] * ncols)
+        vals.insert(rng.randint(0, nrows), list(rng.choice(vals)))
+        i, j = rng.randrange(len(vals)), rng.randrange(len(vals))
+        vals.append([x + 2 * y for x, y in zip(vals[i], vals[j])])
+        stop = ncols if trial % 3 == 0 else rng.randint(0, ncols)
+
+        ref = [list(r) for r in vals]
+        want = reference_rref(ref, ncols, stop)
+        work = [sparse_row(r) for r in vals]
+        pivots = _rref_inplace(work, ncols, stop)
+        assert pivots == want, trial
+        k = len(pivots)
+        got = [dense_row(r, ncols, zero) for r in work]
+        assert all(x == 0 for r in got[k:] for x in r[:stop]), trial
+        assert all(x != 0 for r, pc in zip(got, pivots) for x in [r[pc]]), trial
+
+        # whether every remaining row has a zero tail: all that solve_right
+        # and _lower_to_conductor read of them
+        consistent = all(x == 0 for r in got[k:] for x in r[stop:])
+        assert consistent == all(x == 0 for r in ref[k:] for x in r[stop:]), trial
+        seen.add((stop == ncols, consistent))
+        if consistent:
+            assert got[:k] == ref[:k], trial
+        else:
+            # the tails span the same space, and the pivot rows agree
+            # modulo that span
+            tails = [[r[stop:] for r in rows[k:]] for rows in (got, ref)]
+            for t in tails:
+                reference_rref(t, ncols - stop)
+            tails = [[r for r in t if any(r)] for t in tails]
+            assert tails[0] == tails[1], trial
+            assert [r[:stop] for r in got[:k]] == [r[:stop] for r in ref[:k]], trial
+            assert [reduce_mod(r[stop:], tails[0]) for r in got[:k]] == [
+                reduce_mod(r[stop:], tails[1]) for r in ref[:k]
+            ], trial
+    assert seen == {(True, True), (False, True), (False, False)}

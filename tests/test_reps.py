@@ -314,3 +314,78 @@ def test_json_round_trip(reg):
     for entry in reg.entries:
         back = Rep.from_json(json.loads(json.dumps(entry.to_json())))
         assert back.S == entry.S and back.T == entry.T and back.level == entry.level
+
+
+@pytest.fixture
+def fresh_hom_cache(monkeypatch):
+    """An empty hom_space memo and a count of the solves behind it."""
+    from vvmf import reps
+
+    solves = []
+
+    def counted(r, r2):
+        solves.append((r.label, r2.label))
+        return hom_fixed_subspace(r, r2)
+
+    monkeypatch.setattr(reps, "_HOM_CACHE", {})
+    monkeypatch.setattr(reps, "hom_fixed_subspace", counted)
+    return solves
+
+
+def test_hom_space_memo_is_keyed_by_content(reg, fresh_hom_cache):
+    r3 = reg.get("rho3")
+    first = hom_space(r3, r3)
+    assert fresh_hom_cache == [("rho3", "rho3")]
+    # a relabelled copy has the same content and hits the memo
+    renamed = Rep("renamed", r3.level, r3.S, r3.T)
+    again = hom_space(renamed, renamed)
+    assert fresh_hom_cache == [("rho3", "rho3")]
+    assert again == first and again is not first
+    # the caller owns the list it gets
+    again.clear()
+    assert len(hom_space(r3, r3)) == 1
+
+    # a type labelled rho_zeta whose T is zeta3^2 has other content: it is
+    # solved afresh and is not isomorphic to the registry's rho_zeta
+    rz = reg.get("rho_zeta")
+    assert len(hom_space(rz, rz)) == 1
+    impostor = Rep("rho_zeta", 3, Matrix.identity(1), Matrix(1, 1, [CycNum.zeta(3, 2)]))
+    assert hom_space(impostor, rz) == []
+    assert hom_space(rz, impostor) == []
+    assert fresh_hom_cache[-2:] == [("rho_zeta", "rho_zeta")] * 2
+    assert len(fresh_hom_cache) == 4
+
+
+def test_hom_space_memo_keeps_the_conductor_of_the_basis(reg, fresh_hom_cache):
+    r3 = reg.get("rho3")
+    # the same type with T written at conductor 3: equal content, but the
+    # basis is written at the conductor of the matrices
+    wide = Rep("rho3", 3, r3.S, Matrix(3, 3, [x.lift(3) for x in r3.T.entries]))
+    assert wide.content == r3.content
+    assert hom_space(r3, r3)[0].n == 1
+    assert hom_space(wide, wide)[0].n == 3
+    assert len(fresh_hom_cache) == 2
+
+
+def test_hom_space_memo_is_bounded(fresh_hom_cache):
+    from vvmf import reps
+
+    bound = reps._HOM_CACHE_SIZE
+    level = bound + 10
+    one = Matrix.identity(1)
+    types = [
+        Rep(f"chi{k}", level, one, Matrix(1, 1, [CycNum.zeta(level, k)])) for k in range(level)
+    ]
+    for t in types:
+        assert len(hom_space(t, t)) == 1
+    assert len(reps._HOM_CACHE) == bound
+    # the oldest held entry stays after a hit; the evicted first one is
+    # solved again and pushes out the next oldest
+    hom_space(types[10], types[10])
+    hom_space(types[0], types[0])
+    assert len(fresh_hom_cache) == level + 1
+    assert len(reps._HOM_CACHE) == bound
+    hom_space(types[10], types[10])
+    assert len(fresh_hom_cache) == level + 1
+    hom_space(types[11], types[11])
+    assert len(fresh_hom_cache) == level + 2
