@@ -118,15 +118,25 @@ class AholForm:
         tag = self.name or "form"
         return f"AholForm({tag}: weight {self.weight}, type {self.rep.label}, depth {self.depth})"
 
-    def to_json(self):
-        return {
+    def to_json(self, registry=None):
+        """The `graded` layout with the type inline.
+
+        With a registry, the type is its label when the registry holds it,
+        and a holomorphic form takes the `components` layout.
+        """
+        held = registry is not None and self.rep.label in registry
+        obj = {
             "weight": self.weight,
-            "type": self.rep.to_json(),
+            "type": self.rep.label if held else self.rep.to_json(),
             "h": max(q.h for layer in self.graded for q in layer),
             "prec": str(self.prec),
-            "depth": self.depth,
-            "graded": [[q.to_json() for q in layer] for layer in self.graded],
         }
+        if registry is not None and self.depth == 0:
+            obj["components"] = [q.to_json() for q in self.components]
+        else:
+            obj["depth"] = self.depth
+            obj["graded"] = [[q.to_json() for q in layer] for layer in self.graded]
+        return obj
 
     @staticmethod
     def from_json(obj, registry=None) -> "AholForm":
@@ -250,7 +260,7 @@ def tinf(f: AholForm, targets) -> "FormSpan":
     """
     from .hyperalg import FormSpan, projections
 
-    span = FormSpan.empty()
+    span = FormSpan()
     src = f.name or "form"
     for g, op in ((lower_op(f), "lower"), (raise_op(f), "raise")):
         if not g.is_zero():
@@ -272,7 +282,7 @@ def tinf_closure(span, weight_window, max_rounds: int, targets):
         raise ValueError(f"empty weight window [{kmin}, {kmax}]")
 
     def window_filter(s: FormSpan) -> FormSpan:
-        out = FormSpan.empty()
+        out = FormSpan()
         for (w, lbl), gens in sorted(s.grading.items()):
             if kmin <= w <= kmax:
                 for form, prov in gens:

@@ -204,7 +204,7 @@ def verify_example32(registry: RepRegistry | None = None, prec: int | None = Non
             )
 
     qprec = prec if prec is not None else max(sturm_bound(24, 1), 6)
-    base = eisenstein(12, 9 * max(1, (qprec + 2) // 3)).as_ahol()
+    base = eisenstein(12, 9 * max(1, (qprec + 2) // 3))
     t3 = hecke_form(3, base)
     e12rho3 = apply_intertwiner(_example_projection_matrix(), t3, reg.get("rho3"))
     from .hyperalg import tensor_form
@@ -331,11 +331,11 @@ def verify_counts() -> Report:
 def _desk_cusp_form(k: int, prec) -> AholForm | None:
     """Generator of the one-dimensional cusp spaces at desk scale."""
     if k == 12:
-        return delta_form(prec).as_ahol()
+        return delta_form(prec)
     if k in (16, 18, 20, 22):
         d = delta_form(prec)
         e = eisenstein(k - 12, prec)
-        return (d * e).as_ahol()
+        return AholForm.holomorphic(k, d.rep, [d.components[0] * e.components[0]])
     return None
 
 
@@ -352,8 +352,8 @@ def thm11_span(k: int, l: int, l2: int, hecke_indices, prec, registry: RepRegist
     triv = [registry.get("triv")] if "triv" in registry else []
     span = FormSpan()
     for M in sorted(hecke_indices):
-        fl = eisenstein(l, prec * M).as_ahol()
-        fr = eisenstein(l2, prec * M).as_ahol()
+        fl = eisenstein(l, prec * M)
+        fr = eisenstein(l2, prec * M)
         tl = hecke_form(M, fl) if M > 1 else fl
         tr = hecke_form(M, fr) if M > 1 else fr
         name = f"({tl.name} (x) {'R(' * t}{tr.name}{')' * t})"
@@ -410,10 +410,10 @@ def verify_thm11(
         ).check(member != degenerate, member, why + "generators: " + "; ".join(certifying))
     if t == 0 and cusp is not None:
         # with the Eisenstein series restored, the graded piece is all of M(k)
-        with_eis = span_sum([final, FormSpan.of(eisenstein(k, prec).as_ahol())])
+        with_eis = span_sum([final, FormSpan.of(eisenstein(k, prec))])
         dim = with_eis.grade_dimension((k, "triv"))
         both = span_contains(with_eis, cusp, prec) and span_contains(
-            with_eis, eisenstein(k, prec).as_ahol(), prec
+            with_eis, eisenstein(k, prec), prec
         )
         report.add(
             HarnessCase("eisenstein-complement", params, 2, provenance="derived")
@@ -456,11 +456,10 @@ def _parse_atom(text: str, registry: RepRegistry):
             if not rest.startswith(")"):
                 raise ValueError(f"unbalanced parenthesis in {text!r}")
             return hecke_rep(int(head[1:]), inner).rep, rest[1:]
-    for n in range(len(text), 0, -1):
-        label = text[:n]
-        if label in registry:
-            return registry.get(label), text[n:]
-    label = re.match(r"[^*()]*", text).group()
+    # a label runs to the next '*' or unmatched ')' and may hold (...) groups
+    label = re.match(r"(?:[^*()]|\([^*()]*\))*", text).group()
+    if label in registry:
+        return registry.get(label), text[len(label):]
     if label:
         raise ValueError(f"no registry entry labelled {label!r}")
     raise ValueError(f"cannot parse type expression {text!r}")
@@ -594,6 +593,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> int:
+    for opt in ("prec", "index", "max_rounds"):
+        value = getattr(args, opt, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{opt.replace('_', '-')} must be positive, got {value}")
     registry = load_registry(getattr(args, "registry", None))
 
     if args.command == "eis":
@@ -601,7 +604,7 @@ def run(args) -> int:
         if args.format == "json":
             emit(_json_dump(form.to_json(registry)), args.out)
         else:
-            emit(_form_text(form.as_ahol()), args.out)
+            emit(_form_text(form), args.out)
         return 0
 
     if args.command == "vveis":
@@ -694,9 +697,11 @@ def run(args) -> int:
         if args.ahol_command == "closure":
             with open(args.span) as f:
                 span = _span_from_json(json.load(f), registry)
-            kmin, _, kmax = args.window.partition(":")
+            window = re.fullmatch(r"(-?\d+):(-?\d+)", args.window)
+            if window is None:
+                raise ValueError(f"--window must be kmin:kmax, got {args.window!r}")
             closure, stabilized = tinf_closure(
-                span, (int(kmin), int(kmax)), args.max_rounds, registry
+                span, tuple(map(int, window.groups())), args.max_rounds, registry
             )
             obj = closure.to_json()
             obj["stabilized"] = stabilized

@@ -1,4 +1,7 @@
-"""Holomorphic vector-valued modular forms and classical constructors.
+"""Classical constructors of holomorphic vector-valued modular forms.
+
+A holomorphic form is a depth-0 `AholForm`: one graded layer, one
+q-expansion per component.  `VVForm(weight, rep, components)` builds one.
 
 Eisenstein series are normalized to constant term 1:
 E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n.  Weights are even integers
@@ -17,78 +20,17 @@ from fractions import Fraction
 
 from .ahol import AholForm, apply_intertwiner
 from .exactnum import CycNum, bernoulli
-from .linalg import Matrix
 from .qexp import QExp
-from .reps import Rep, RepRegistry, trivial_rep
+from .reps import Rep, trivial_rep
 from . import hecke as _hecke
 from .hyperalg import FormSpan, projections
 
 
-class VVForm:
-    """Holomorphic form: weight, type, one q-expansion per component."""
+# the holomorphic constructor under its exported name: a depth-0 AholForm
+VVForm = AholForm.holomorphic
 
-    __slots__ = ("weight", "rep", "components", "prec", "name")
-
-    def __init__(self, weight: int, rep: Rep, components, name: str = ""):
-        components = tuple(components)
-        if len(components) != rep.dim:
-            raise ValueError(
-                f"{len(components)} components for a type of dimension {rep.dim}"
-            )
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "prec", min(q.prec for q in components))
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VVForm is immutable")
-
-    def as_ahol(self) -> AholForm:
-        return AholForm(self.weight, self.rep, [self.components], name=self.name)
-
-    @staticmethod
-    def from_ahol(f: AholForm, name: str = "") -> "VVForm":
-        return VVForm(f.weight, f.rep, f.components, name=name or f.name)
-
-    def is_zero(self) -> bool:
-        return all(q.is_zero() for q in self.components)
-
-    def __mul__(self, other: "VVForm") -> "VVForm":
-        """Plain product for trivial types (scalar-valued forms)."""
-        if self.rep.dim != 1 or other.rep.dim != 1:
-            raise ValueError("componentwise product needs one-dimensional types")
-        name = f"{self.name}*{other.name}" if self.name and other.name else ""
-        return VVForm(
-            self.weight + other.weight,
-            self.rep,
-            (self.components[0] * other.components[0],),
-            name=name,
-        )
-
-    def scaled(self, s) -> "VVForm":
-        return VVForm(self.weight, self.rep, [q.scaled(s) for q in self.components], name=self.name)
-
-    def __repr__(self):
-        tag = self.name or "form"
-        return f"VVForm({tag}: weight {self.weight}, type {self.rep.label})"
-
-    def to_json(self, registry: RepRegistry | None = None):
-        if registry is not None and self.rep.label in registry:
-            type_field = self.rep.label
-        else:
-            type_field = self.rep.to_json()
-        return {
-            "weight": self.weight,
-            "type": type_field,
-            "h": max(q.h for q in self.components),
-            "prec": str(self.prec),
-            "components": [q.to_json() for q in self.components],
-        }
-
-    @staticmethod
-    def from_json(obj, registry: RepRegistry | None = None) -> "VVForm":
-        return VVForm.from_ahol(AholForm.from_json(obj, registry))
+# componentwise application of an intertwiner, under its exported name
+apply_hom = apply_intertwiner
 
 
 def sigma(k: int, n: int) -> int:
@@ -96,7 +38,7 @@ def sigma(k: int, n: int) -> int:
     return sum(d**k for d in range(1, n + 1) if n % d == 0)
 
 
-def eisenstein(k: int, prec) -> VVForm:
+def eisenstein(k: int, prec) -> AholForm:
     if k < 4 or k % 2 != 0:
         raise ValueError(f"Eisenstein weight must be even and >= 4, got {k}")
     prec = Fraction(prec)
@@ -106,20 +48,20 @@ def eisenstein(k: int, prec) -> VVForm:
     while n < prec:
         terms[n] = CycNum.from_rational(factor * sigma(k - 1, n))
         n += 1
-    return VVForm(k, trivial_rep(), (QExp(1, prec, terms),), name=f"E{k}")
+    return AholForm.holomorphic(k, trivial_rep(), (QExp(1, prec, terms),), name=f"E{k}")
 
 
-def one_form(prec) -> VVForm:
+def one_form(prec) -> AholForm:
     """The constant 1 in weight 0, the identity of the product."""
-    return VVForm(0, trivial_rep(), (QExp.constant(1, prec),), name="1")
+    return AholForm.holomorphic(0, trivial_rep(), (QExp.constant(1, prec),), name="1")
 
 
-def delta_form(prec) -> VVForm:
+def delta_form(prec) -> AholForm:
     """The weight-12 cusp form (E4^3 - E6^2)/1728."""
     e4 = eisenstein(4, prec).components[0]
     e6 = eisenstein(6, prec).components[0]
     q = (e4 * e4 * e4 - e6 * e6).scaled(Fraction(1, 1728))
-    return VVForm(12, trivial_rep(), (q,), name="Delta")
+    return AholForm.holomorphic(12, trivial_rep(), (q,), name="Delta")
 
 
 def rankin_cohen(f: AholForm, g: AholForm, t: int) -> AholForm:
@@ -147,27 +89,15 @@ def rankin_cohen(f: AholForm, g: AholForm, t: int) -> AholForm:
     return AholForm.holomorphic(kf + kg + 2 * t, f.rep.tensor(g.rep), comps, name=name)
 
 
-def apply_hom(phi: Matrix, f, target: Rep):
-    """Componentwise application of an intertwiner; weight unchanged.
-
-    Accepts a holomorphic or a depth-graded form; raises when phi does not
-    intertwine type(f) -> target.
-    """
-    if isinstance(f, VVForm):
-        return VVForm.from_ahol(apply_intertwiner(phi, f.as_ahol(), target))
-    return apply_intertwiner(phi, f, target)
-
-
-def check_T_consistency(f) -> bool:
+def check_T_consistency(f: AholForm) -> bool:
     """Exponent phases must reproduce the T-action on components.
 
     Replacing q^(n/h) by zeta_h^n q^(n/h) in every component has to equal
     rho(T) applied to the component tuple, on every graded layer, up to
     the layer's sound precision.
     """
-    form = f.as_ahol() if isinstance(f, VVForm) else f
-    T = form.rep.T
-    for layer in form.graded:
+    T = f.rep.T
+    for layer in f.graded:
         prec = min(q.prec for q in layer)
         h = 1
         for q in layer:
@@ -203,7 +133,7 @@ def vv_eisenstein(k: int, target: Rep, M: int, prec) -> FormSpan:
     if k < 4 or k % 2 != 0:
         raise ValueError(f"weight must be even and >= 4, got {k}")
     prec = Fraction(prec)
-    base = eisenstein(k, prec * M).as_ahol()
+    base = eisenstein(k, prec * M)
     te = _hecke.hecke_form(M, base)
     span = FormSpan()
     for tag, image in projections(te, [target]):

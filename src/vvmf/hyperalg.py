@@ -31,10 +31,6 @@ class FormSpan:
         self._pivots: dict = {}
 
     @staticmethod
-    def empty() -> "FormSpan":
-        return FormSpan()
-
-    @staticmethod
     def of(*forms, provenance: str = "") -> "FormSpan":
         span = FormSpan()
         for f in forms:

@@ -93,7 +93,7 @@ def test_acceptance_4_classical_hecke_recovery(reg):
             for n in range(6)
         ]
         assert oracle == [tau * b for b in base[:6]]
-        td = hecke_form(p, delta.as_ahol())
+        td = hecke_form(p, delta)
         got = apply_intertwiner(unit_embedding(p), td, reg.get("triv")).components[0]
         scale = Fraction(p, p**6)
         for n in range(6):
@@ -118,8 +118,8 @@ def test_acceptance_6_projection_compatibility(reg):
     t0 = time.monotonic()
     triv = reg.get("triv")
     for M in (2, 3):
-        e4 = eisenstein(4, 4 * M).as_ahol()
-        e6 = eisenstein(6, 4 * M).as_ahol()
+        e4 = eisenstein(4, 4 * M)
+        e6 = eisenstein(6, 4 * M)
         lhs_input = tensor_form(hecke_form(M, e4), hecke_form(M, e6))
         rhs = hecke_form(M, tensor_form(e4, e6))
         lhs = apply_intertwiner(pi_M(triv, triv, M), lhs_input, rhs.rep)
@@ -129,8 +129,8 @@ def test_acceptance_6_projection_compatibility(reg):
 
 
 def _random_depth2_form(rng, prec=7):
-    e4 = eisenstein(4, prec).as_ahol()
-    e6 = eisenstein(6, prec).as_ahol()
+    e4 = eisenstein(4, prec)
+    e6 = eisenstein(6, prec)
 
     def flat(f):
         return AholForm(f.weight, trivial_rep(), f.graded)
@@ -190,10 +190,10 @@ def test_acceptance_8_invariant_suites(reg):
             assert hr.rep.is_valid(), (M, entry.label)
     for M in (2, 3, 4):
         for k in (4, 6):
-            form = hecke_form(M, eisenstein(k, 4 * M).as_ahol())
+            form = hecke_form(M, eisenstein(k, 4 * M))
             constructed.append(form)
-    constructed.append(delta_form(6).as_ahol())
-    constructed.extend(eisenstein(k, 6).as_ahol() for k in (4, 6, 8, 12))
+    constructed.append(delta_form(6))
+    constructed.extend(eisenstein(k, 6) for k in (4, 6, 8, 12))
     for form in constructed:
         assert check_T_consistency(form)
 

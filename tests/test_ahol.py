@@ -54,7 +54,7 @@ def test_repeated_raising_of_one_gives_upper_factorial(lprime):
 
 
 def test_raise_of_weight_four_eisenstein():
-    e4 = eisenstein(4, 6).as_ahol()
+    e4 = eisenstein(4, 6)
     out = raise_op(e4)
     assert out.weight == 6 and out.depth == 1
     base = e4.components[0]
@@ -72,12 +72,12 @@ def test_raise_and_lower_of_zero():
 
 
 def test_lower_kills_holomorphic_forms():
-    assert lower_op(eisenstein(6, 5).as_ahol()).is_zero()
+    assert lower_op(eisenstein(6, 5)).is_zero()
 
 
 def test_lower_raise_gives_minus_weight():
     for k in (4, 6, 12):
-        f = eisenstein(k, 6).as_ahol()
+        f = eisenstein(k, 6)
         assert lower_op(raise_op(f)).agrees_with(f.scaled(-k))
 
 
@@ -90,12 +90,12 @@ def test_lower_of_pure_grading_variable():
 
 def random_depth2_form(rng, prec=7):
     """Random span of 1, R E4, R E6, R^2 E4, E4*E4 products, depth <= 2."""
-    e4 = eisenstein(4, prec).as_ahol()
-    e6 = eisenstein(6, prec).as_ahol()
+    e4 = eisenstein(4, prec)
+    e6 = eisenstein(6, prec)
     pool = [
         retype_trivial(tensor_form(raise_op(e4), e6)),
         retype_trivial(tensor_form(raise_op(e4), raise_op(e6))),
-        raise_op(raise_op(eisenstein(6, prec).as_ahol())),
+        raise_op(raise_op(eisenstein(6, prec))),
         retype_trivial(tensor_form(raise_op(raise_op(e4)), e4.scaled(rng.randint(1, 3)))),
     ]
     f = rng.choice(pool)
@@ -120,13 +120,13 @@ def test_fixed_weight_commutator_is_twice_depth_minus_weight():
 
 
 def test_decompose_depth_zero():
-    f = eisenstein(8, 5).as_ahol()
+    f = eisenstein(8, 5)
     parts = ahol_decompose(f)
     assert len(parts) == 1 and parts[0].agrees_with(f)
 
 
 def test_decompose_raised_eisenstein():
-    e4 = eisenstein(4, 6).as_ahol()
+    e4 = eisenstein(4, 6)
     parts = ahol_decompose(raise_op(e4))
     assert len(parts) == 2
     assert parts[0].is_zero()
@@ -134,8 +134,8 @@ def test_decompose_raised_eisenstein():
 
 
 def test_decompose_product_example():
-    e4 = eisenstein(4, 6).as_ahol()
-    e6 = eisenstein(6, 6).as_ahol()
+    e4 = eisenstein(4, 6)
+    e6 = eisenstein(6, 6)
     f = retype_trivial(tensor_form(raise_op(e4), e6))  # weight 12, depth 1
     parts = ahol_decompose(f)
     e4e6 = tensor_form(e4, e6)
@@ -171,7 +171,7 @@ def test_decompose_obstruction_at_low_weight():
 
 
 def test_tinf_of_holomorphic_form(reg):
-    e4 = eisenstein(4, 6).as_ahol()
+    e4 = eisenstein(4, 6)
     span = tinf(e4, reg)
     assert span.grades() == [(6, "triv")]
     gens = span.generators((6, "triv"))
@@ -180,7 +180,7 @@ def test_tinf_of_holomorphic_form(reg):
 
 
 def test_tinf_of_raised_form_contains_lowered_image(reg):
-    e4 = eisenstein(4, 6).as_ahol()
+    e4 = eisenstein(4, 6)
     span = tinf(raise_op(e4), reg)
     assert (4, "triv") in span.grading
     assert span_contains(span, e4.scaled(-4), 2)
@@ -193,7 +193,7 @@ def test_tinf_of_zero_is_empty(reg):
 
 
 def test_closure_of_holomorphic_form_is_itself(reg):
-    e6 = eisenstein(6, 6).as_ahol()
+    e6 = eisenstein(6, 6)
     closure, stabilized = tinf_closure(FormSpan.of(e6), (6, 6), 5, reg)
     assert stabilized
     assert closure.dimension_signature() == {(6, "triv"): 1}
@@ -201,8 +201,8 @@ def test_closure_of_holomorphic_form_is_itself(reg):
 
 
 def test_closure_separates_depth_layers(reg):
-    e4 = eisenstein(4, 8).as_ahol()
-    e6 = eisenstein(6, 8).as_ahol()
+    e4 = eisenstein(4, 8)
+    e6 = eisenstein(6, 8)
     h1 = retype_trivial(tensor_form(e4, e6)).scaled(Fraction(2, 5))
     h0 = retype_trivial(tensor_form(raise_op(e4), e6)) - raise_op(h1)
     assert h0.depth == 0
@@ -214,21 +214,21 @@ def test_closure_separates_depth_layers(reg):
 
 
 def test_closure_of_empty_is_empty(reg):
-    closure, stabilized = tinf_closure(FormSpan.empty(), (4, 8), 3, reg)
+    closure, stabilized = tinf_closure(FormSpan(), (4, 8), 3, reg)
     assert stabilized
     assert closure.grades() == []
 
 
 def test_closure_rejects_empty_window(reg):
     with pytest.raises(ValueError):
-        tinf_closure(FormSpan.empty(), (8, 4), 3, reg)
+        tinf_closure(FormSpan(), (8, 4), 3, reg)
 
 
 def test_hyper_derivation_containment(reg):
     # images of a product under the infinite-place operator stay inside
     # the products of images
-    e4 = eisenstein(4, 8).as_ahol()
-    e6 = eisenstein(6, 8).as_ahol()
+    e4 = eisenstein(4, 8)
+    e6 = eisenstein(6, 8)
     prod = retype_trivial(tensor_form(e4, e6))
     left = tinf(e4, reg)
     right = tinf(e6, reg)
@@ -244,8 +244,8 @@ def test_hyper_derivation_containment(reg):
 
 
 def test_depth_additivity():
-    e4 = eisenstein(4, 6).as_ahol()
-    e6 = eisenstein(6, 6).as_ahol()
+    e4 = eisenstein(4, 6)
+    e6 = eisenstein(6, 6)
     a = raise_op(e4)
     b = raise_op(raise_op(e6))
     assert tensor_form(a, b).depth <= a.depth + b.depth

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 
@@ -111,6 +112,28 @@ _BAD_FILES = {
 }
 _GOOD_FORM = {"type": "triv", "weight": 4, "components": [
     {"h": 1, "prec": "2", "terms": [[0, _ONE]]}]}
+# an unknown label that starts with a known one, and options out of range;
+# each error line names the label or the option
+_NAMED_ERRORS = [
+    ("label-with-trailing-text", ("homspace", "--source", "rho3x", "--target", "triv"),
+     "no registry entry labelled 'rho3x'"),
+    ("label-with-parenthesis", ("homspace", "--source", "rho3(x)", "--target", "triv"),
+     "no registry entry labelled 'rho3(x)'"),
+    ("hyperprod-zero-precision",
+     ("hyperprod", "--left", "good-form.json", "--right", "good-form.json", "--prec", "0"),
+     "--prec must be positive, got 0"),
+    ("example32-zero-precision", ("verify", "example32", "--prec", "0"),
+     "--prec must be positive, got 0"),
+    ("example32-negative-precision", ("verify", "example32", "--prec", "-2"),
+     "--prec must be positive, got -2"),
+    ("vveis-zero-index", ("vveis", "--weight", "4", "--type", "rho3", "--index", "0", "--prec", "3"),
+     "--index must be positive, got 0"),
+    ("closure-negative-rounds",
+     ("ahol", "closure", "--span", "span.json", "--window", "4:8", "--max-rounds", "-1"),
+     "--max-rounds must be positive, got -1"),
+    ("closure-window-without-colon", ("ahol", "closure", "--span", "span.json", "--window", "4"),
+     "--window must be kmin:kmax, got '4'"),
+]
 
 
 @pytest.mark.parametrize(
@@ -134,7 +157,8 @@ _GOOD_FORM = {"type": "triv", "weight": 4, "components": [
         ("verify", "thm11", "--indices", "0,1"),
         ("verify", "thm11", "--indices", "-1"),
         ("verify", "thm11", "--indices", "1,2,1"),
-    ],
+    ]
+    + [argv for _, argv, _ in _NAMED_ERRORS],
     ids=[
         "unknown-type",
         "eis-zero-precision",
@@ -153,17 +177,21 @@ _GOOD_FORM = {"type": "triv", "weight": 4, "components": [
         "thm11-zero-index",
         "thm11-negative-index",
         "thm11-repeated-index",
-    ],
+    ]
+    + [name for name, _, _ in _NAMED_ERRORS],
 )
 def test_bad_input_is_one_line_exit_2(capsys, tmp_path, argv):
-    files = dict(_BAD_FILES, **{"good-form.json": _GOOD_FORM})
+    files = dict(_BAD_FILES, **{"good-form.json": _GOOD_FORM, "span.json": {"grades": []}})
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
+    message = {case: message for _, case, message in _NAMED_ERRORS}.get(argv)
     argv = [str(tmp_path / a) if a in files else a for a in argv]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if message is not None:
+        assert err == f"error: {message}\n"
 
 
 def test_good_form_file_is_accepted(capsys, tmp_path):
@@ -213,7 +241,7 @@ def reference_thm11_span(k, l, l2, indices, prec, registry) -> FormSpan:
     triv = [registry.get("triv")]
     raw = FormSpan()
     for M in sorted(indices):
-        tl, tr = (eisenstein(w, prec * M).as_ahol() for w in (l, l2))
+        tl, tr = (eisenstein(w, prec * M) for w in (l, l2))
         if M > 1:
             tl, tr = hecke_form(M, tl), hecke_form(M, tr)
         for t1 in range(t + 1):
@@ -314,6 +342,39 @@ def test_eis_json_output(capsys, tmp_path):
     assert terms[1] == {"n": 1, "c": ["240"]}
 
 
+# SHA-256 of CLI output bytes, recorded before the holomorphic form class was
+# folded into AholForm; eis JSON is the registry-relative layout (type label,
+# `components`, no `depth`), the other commands read it back from a file
+PINNED_OUTPUTS = [
+    ("eis12.json", ("eis", "--weight", "12", "--prec", "9", "--format", "json"),
+     "dc6799ba5fd92ee5f65c760e9ff751f2464abd5934206f6ecea73f41eb8834c5"),
+    ("eis12.txt", ("eis", "--weight", "12", "--prec", "9"),
+     "f6fbb4fba4191162a7d9040de6a8dcb6fe78f6c3d99770d3c637e6928f5e31d4"),
+    ("e4.json", ("eis", "--weight", "4", "--prec", "9", "--format", "json"), None),
+    ("e6.json", ("eis", "--weight", "6", "--prec", "9", "--format", "json"), None),
+    ("hecke3.txt", ("hecke", "apply", "--index", "3", "--form", "eis12.json"),
+     "9027bc406a99bcacf45aacbac5a5b6649e93141e175ae9c2447de600bbc41dc3"),
+    ("hecke3.json", ("hecke", "apply", "--index", "3", "--form", "eis12.json", "--format", "json"),
+     "b35fc4e5e1ef79ffafa6feff0054032bbfcbb673783fd60cacbb1e453583f98a"),
+    ("raise4.txt", ("ahol", "raise", "--form", "e4.json"),
+     "fd3e295c01a30bfa1b9d09ab255e3338ec9b3a129ca720d5781c46f2cdf5c3f6"),
+    ("raise4.json", ("ahol", "raise", "--form", "e4.json", "--format", "json"),
+     "e6897266a423c60f35b980b661ce3a456c66fe09236b912c18fe6e09c5ebf63a"),
+    ("hp.json", ("hyperprod", "--left", "e4.json", "--right", "e6.json", "--format", "json"),
+     "2073ce65cea482ce3e938fb3b46f96ee6af20f0e7b74b43ee4f8d989157e186b"),
+]
+
+
+def test_output_bytes_are_pinned(capsys, tmp_path):
+    names = {name for name, _, _ in PINNED_OUTPUTS}
+    for name, argv, digest in PINNED_OUTPUTS:
+        argv = [str(tmp_path / a) if a in names else a for a in argv]
+        code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / name))
+        assert code == 0
+        if digest is not None:
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_hecke_cosets_output(capsys):
     code, out, _ = run_cli(capsys, "hecke", "cosets", "--index", "3", "--count-only")
     assert code == 0 and out.strip() == "4"
@@ -352,7 +413,7 @@ def test_hecke_apply_round_trip(capsys, tmp_path):
     from vvmf.forms import eisenstein
     from vvmf.hecke import hecke_form
 
-    expect = hecke_form(3, eisenstein(12, 9).as_ahol())
+    expect = hecke_form(3, eisenstein(12, 9))
     assert AholForm.from_json(obj).agrees_with(expect)
 
 
@@ -429,8 +490,8 @@ def test_ahol_closure_command(capsys, tmp_path):
     from vvmf.hyperalg import FormSpan, tensor_form
     from vvmf.reps import trivial_rep
 
-    e4 = eisenstein(4, 8).as_ahol()
-    e6 = eisenstein(6, 8).as_ahol()
+    e4 = eisenstein(4, 8)
+    e6 = eisenstein(6, 8)
     big = tensor_form(raise_op(e4), e6)
     big = AholForm(12, trivial_rep(), big.graded)
     span_path.write_text(json.dumps(FormSpan.of(big).to_json()))

@@ -312,10 +312,10 @@ def test_json_round_trip_is_byte_identical(n):
         assert (back.n, back.num, back.den) == (a.n, a.num, a.den)
 
 
-def test_ring_ops_match_fraction_reference_hypothesis():
+def hypothesis_elements():
+    """(hypothesis, a strategy of elements over CONDUCTORS); skips without hypothesis."""
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-
     fractions = st.fractions(max_denominator=50).filter(lambda q: abs(q.numerator) < 10**6)
 
     @st.composite
@@ -323,6 +323,12 @@ def test_ring_ops_match_fraction_reference_hypothesis():
         n = draw(st.sampled_from(CONDUCTORS))
         k = euler_phi(n)
         return CycNum(n, draw(st.lists(fractions, min_size=k, max_size=k)))
+
+    return hyp, elements
+
+
+def test_ring_ops_match_fraction_reference_hypothesis():
+    hyp, elements = hypothesis_elements()
 
     @hyp.settings(max_examples=60, deadline=None, database=None)
     @hyp.given(elements(), elements())
@@ -334,5 +340,46 @@ def test_ring_ops_match_fraction_reference_hypothesis():
         assert coords(a - b, m) == [x - y for x, y in zip(coords(a, m), coords(b, m))]
         if not b.is_zero():
             assert (a / b) * b == a
+
+    check()
+
+
+def test_field_axioms_hypothesis():
+    hyp, elements = hypothesis_elements()
+    zero, one = CycNum.zero(), CycNum.one()
+
+    @hyp.settings(max_examples=60, deadline=None, database=None)
+    @hyp.given(elements(), elements(), elements())
+    def check(a, b, c):
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a and a * one == a
+        assert (a + -a).is_zero() and a - a == zero
+        if not a.is_zero():
+            assert a * a.inverse() == one and (b / a) * a == b
+
+    check()
+
+
+def test_lift_and_reduce_conductor_round_trip_hypothesis():
+    hyp, elements = hypothesis_elements()
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def key(x):
+        return x.n, x.num, x.den
+
+    @hyp.settings(max_examples=80, deadline=None, database=None)
+    @hyp.given(elements(), st.integers(1, 4))
+    def check(a, k):
+        low = a.reduce_conductor()
+        assert_canonical(low)
+        assert a.n % low.n == 0 and key(low.lift(a.n)) == key(a)
+        up = a.lift(a.n * k)
+        assert_canonical(up)
+        assert up == a and hash(up) == hash(a)
+        assert key(up.reduce_conductor()) == key(low)
+        assert key(up.lift(a.n * k)) == key(up)
 
     check()

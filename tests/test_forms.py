@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from vvmf.ahol import ahol_decompose, apply_intertwiner, raise_op
+from vvmf.ahol import AholForm, ahol_decompose, apply_intertwiner, raise_op
 from vvmf.exactnum import CycNum, bernoulli
 from vvmf.forms import (
     VVForm,
@@ -102,7 +102,7 @@ def test_apply_hom_identity_and_zero(reg):
 
 
 def test_apply_hom_rejects_non_intertwiners(reg):
-    t3 = hecke_form(3, eisenstein(12, 9).as_ahol())
+    t3 = hecke_form(3, eisenstein(12, 9))
     bad = Matrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
     with pytest.raises(ValueError):
         apply_hom(bad, t3, reg.get("rho3"))
@@ -117,7 +117,7 @@ def test_apply_hom_projection_constants(reg):
             [-third, -third, 1, -third],
         ]
     )
-    t3 = hecke_form(3, eisenstein(12, 9).as_ahol())
+    t3 = hecke_form(3, eisenstein(12, 9))
     out = apply_hom(phi, t3, reg.get("rho3"))
     consts = [q.coeff(0) for q in out.graded[0]]
     assert consts[0] == CycNum.from_rational(Fraction(531440, 729))
@@ -136,7 +136,7 @@ def test_t_consistency_checks(reg):
             [-third, -third, 1, -third],
         ]
     )
-    t3 = hecke_form(3, eisenstein(12, 9).as_ahol())
+    t3 = hecke_form(3, eisenstein(12, 9))
     e12rho3 = apply_hom(phi, t3, reg.get("rho3"))
     assert check_T_consistency(e12rho3)
     # perturb one coefficient
@@ -161,19 +161,29 @@ def test_products_of_eisenstein_series_are_classical():
     # M_8 and M_10 are one-dimensional with matching constant terms
     e4, e6 = eisenstein(4, 6), eisenstein(6, 6)
     e8, e10 = eisenstein(8, 6), eisenstein(10, 6)
-    sq = e4 * e4
-    prod = e4 * e6
+    sq = e4.components[0] * e4.components[0]
+    prod = e4.components[0] * e6.components[0]
     for n in range(6):
-        assert sq.components[0].coeff(n) == e8.components[0].coeff(n)
-        assert prod.components[0].coeff(n) == e10.components[0].coeff(n)
-    assert check_T_consistency(sq)
+        assert sq.coeff(n) == e8.components[0].coeff(n)
+        assert prod.coeff(n) == e10.components[0].coeff(n)
+    assert check_T_consistency(VVForm(8, e4.rep, [sq]))
+
+
+def test_vvform_builds_a_depth_zero_ahol_form(reg):
+    e4 = eisenstein(4, 3)
+    f = VVForm(4, reg.get("triv"), e4.components, name="E4")
+    assert isinstance(f, AholForm) and f.depth == 0 and f.name == "E4"
+    assert f.agrees_with(e4)
+    assert apply_hom is apply_intertwiner
+    with pytest.raises(ValueError):
+        VVForm(4, reg.get("rho3"), e4.components)
 
 
 def test_vv_eisenstein_trivial_target(reg):
     span = vv_eisenstein(12, reg.get("triv"), 1, 4)
     assert span.dimension_signature() == {(12, "triv"): 1}
     gen = span.generators((12, "triv"))[0][0]
-    assert gen.agrees_with(eisenstein(12, 4).as_ahol(), 4)
+    assert gen.agrees_with(eisenstein(12, 4), 4)
 
 
 def test_vv_eisenstein_threefold_target(reg):
@@ -198,7 +208,7 @@ def test_apply_hom_commutes_with_truncation(reg):
             [-third, -third, 1, -third],
         ]
     )
-    t3 = hecke_form(3, eisenstein(12, 9).as_ahol())
+    t3 = hecke_form(3, eisenstein(12, 9))
     full = apply_hom(phi, t3, reg.get("rho3")).truncate(2)
     short = apply_hom(phi, t3.truncate(2), reg.get("rho3"))
     assert full.agrees_with(short, 2)
@@ -206,14 +216,15 @@ def test_apply_hom_commutes_with_truncation(reg):
 
 def test_vvform_json_round_trip(reg):
     e4 = eisenstein(4, 5)
-    back = VVForm.from_json(json.loads(json.dumps(e4.to_json(reg))), reg)
+    obj = e4.to_json(reg)
+    # registry-relative layout: type label, one component list, no depth
+    assert obj["type"] == "triv" and "components" in obj and "depth" not in obj
+    back = AholForm.from_json(json.loads(json.dumps(obj)), reg)
     assert back.components[0] == e4.components[0]
     assert back.rep.label == "triv"
     # inline type survives without a registry
-    t3 = hecke_form(3, eisenstein(12, 9).as_ahol())
+    t3 = hecke_form(3, eisenstein(12, 9))
     blob = json.dumps(t3.to_json())
-    from vvmf.ahol import AholForm
-
     back2 = AholForm.from_json(json.loads(blob))
     assert back2.agrees_with(t3)
 
@@ -233,7 +244,7 @@ def delta_oracle(n):
 
 def hecke_pair(M, prec):
     """T_M E_4 and T_M E_6, sound to prec."""
-    return tuple(hecke_form(M, eisenstein(k, prec * M).as_ahol()) for k in (4, 6))
+    return tuple(hecke_form(M, eisenstein(k, prec * M)) for k in (4, 6))
 
 
 def multiple_of(x, y):
@@ -252,7 +263,7 @@ def multiple_of(x, y):
 def test_bracket_of_e4_and_e6_is_a_multiple_of_delta():
     # 4 E4 theta(E6) - 6 theta(E4) E6 = -3456 Delta, Delta from its product formula
     prec = 12
-    bracket = rankin_cohen(eisenstein(4, prec).as_ahol(), eisenstein(6, prec).as_ahol(), 1)
+    bracket = rankin_cohen(eisenstein(4, prec), eisenstein(6, prec), 1)
     assert bracket.weight == 12 and bracket.rep.dim == 1
     got = [bracket.components[0].coeff(n) for n in range(prec)]
     assert got == [CycNum.from_rational(-3456 * c) for c in delta_oracle(prec)]
@@ -261,7 +272,7 @@ def test_bracket_of_e4_and_e6_is_a_multiple_of_delta():
 
 @pytest.mark.parametrize("k", [4, 6, 10])
 def test_odd_bracket_of_a_scalar_form_with_itself_vanishes(k):
-    f = eisenstein(k, 8).as_ahol()
+    f = eisenstein(k, 8)
     for t in (1, 3):
         assert rankin_cohen(f, f, t).is_zero()
     assert not rankin_cohen(f, f, 2).is_zero()
@@ -283,7 +294,7 @@ def test_odd_bracket_vanishes_under_the_symmetric_pairing(reg):
 
 def test_bracket_flips_with_sign_under_the_swap_of_factors():
     f, _ = hecke_pair(2, 5)
-    g = hecke_form(3, eisenstein(6, 15).as_ahol())
+    g = hecke_form(3, eisenstein(6, 15))
     for t in range(4):
         fg, gf = rankin_cohen(f, g, t), rankin_cohen(g, f, t)
         assert fg.rep.dim == gf.rep.dim == 12 and fg.weight == 10 + 2 * t
@@ -294,7 +305,7 @@ def test_bracket_flips_with_sign_under_the_swap_of_factors():
 
 
 def test_bracket_rejects_binomials_with_a_negative_top():
-    e4, one = eisenstein(4, 3).as_ahol(), one_form(3).as_ahol()
+    e4, one = eisenstein(4, 3), one_form(3)
     with pytest.raises(ValueError):
         rankin_cohen(e4, e4, -1)
     with pytest.raises(ValueError):
@@ -309,7 +320,7 @@ def test_top_layer_of_raised_products_is_a_multiple_of_the_bracket(t):
     # weight-k holomorphic layer of R^a F (x) R^b G is c_ab [F, G]_t, c_ab != 0
     # a rational depending on the weights alone, checked by ahol_decompose.
     # [E4, E6]_2 lies in the zero space S_14, so there only h0 = 0 is checked.
-    scalar = tuple(eisenstein(k, 6).as_ahol() for k in (4, 6))
+    scalar = tuple(eisenstein(k, 6) for k in (4, 6))
     vector = hecke_pair(2, 4)
     for a in range(t + 1):
         factors = []

@@ -273,14 +273,14 @@ def test_pi_examples(reg):
 
 
 def test_hecke_form_index_one_is_identity(reg):
-    f = eisenstein(8, 5).as_ahol()
+    f = eisenstein(8, 5)
     out = hecke_form(1, f)
     assert out.agrees_with(f)
 
 
 def test_hecke_form_on_weight_twelve_matches_listing(reg):
     e12 = eisenstein(12, 9)
-    out = hecke_form(3, e12.as_ahol())
+    out = hecke_form(3, e12)
     comp = out.components
     assert len(comp) == 4
     base = e12.components[0]
@@ -317,7 +317,7 @@ def test_unit_contraction_recovers_classical_operator(p, tau, reg):
     oracle = classical_hecke_image(base, p, 12)
     assert oracle[:6] == [Fraction(tau) * b for b in base[:6]]
 
-    td = hecke_form(p, delta.as_ahol())
+    td = hecke_form(p, delta)
     contracted = apply_intertwiner(unit_embedding(p), td, reg.get("triv"))
     got = contracted.components[0]
     scale = Fraction(1, p**5)
@@ -331,7 +331,7 @@ def test_unit_contraction_recovers_classical_operator(p, tau, reg):
 def test_hecke_form_commutes_with_covariant_operators(reg):
     # independent check of the depth rescale (d^2/M)^r under each coset
     for M in (2, 3):
-        e4 = eisenstein(4, 12).as_ahol()
+        e4 = eisenstein(4, 12)
         assert hecke_form(M, raise_op(e4)).agrees_with(raise_op(hecke_form(M, e4)))
         deep = raise_op(raise_op(e4))
         assert hecke_form(M, deep).agrees_with(raise_op(raise_op(hecke_form(M, e4))))
@@ -360,5 +360,5 @@ def test_t_consistency_of_hecke_images(reg):
     from vvmf.forms import check_T_consistency
 
     for M in (2, 3, 4):
-        out = hecke_form(M, eisenstein(4, 4 * M).as_ahol())
+        out = hecke_form(M, eisenstein(4, 4 * M))
         assert check_T_consistency(out), M

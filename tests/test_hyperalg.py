@@ -37,8 +37,8 @@ def retype_trivial(f):
 
 
 def test_product_of_scalar_eisenstein_series(triv_only):
-    e4 = eisenstein(4, 6).as_ahol()
-    e8 = eisenstein(8, 6).as_ahol()
+    e4 = eisenstein(4, 6)
+    e8 = eisenstein(8, 6)
     span = hyper_tensor(e4, e8, triv_only)
     assert span.dimension_signature() == {(12, "triv"): 1}
     prod = retype_trivial(tensor_form(e4, e8))
@@ -46,8 +46,8 @@ def test_product_of_scalar_eisenstein_series(triv_only):
 
 
 def test_identity_axiom(triv_only):
-    one = one_form(6).as_ahol()
-    e6 = eisenstein(6, 6).as_ahol()
+    one = one_form(6)
+    e6 = eisenstein(6, 6)
     span = hyper_tensor(one, e6, triv_only)
     assert span.dimension_signature() == {(6, "triv"): 1}
     assert span_contains(span, e6, 2)
@@ -62,7 +62,7 @@ def test_tensor_square_support(reg):
             [-third, -third, 1, -third],
         ]
     )
-    t3 = hecke_form(3, eisenstein(12, 9).as_ahol())
+    t3 = hecke_form(3, eisenstein(12, 9))
     e12rho3 = apply_intertwiner(phi, t3, reg.get("rho3"))
     span = hyper_tensor(e12rho3, e12rho3, reg)
     assert set(span.grading) == {
@@ -82,7 +82,7 @@ def test_golden_trivial_component(reg):
             [-third, -third, 1, -third],
         ]
     )
-    t3 = hecke_form(3, eisenstein(12, 9).as_ahol())
+    t3 = hecke_form(3, eisenstein(12, 9))
     e12rho3 = apply_intertwiner(phi, t3, reg.get("rho3"))
     half = Fraction(1, 2)
     phi_triv = Matrix.from_rows([[1, half, half, half, 1, half, half, half, 1]])
@@ -94,16 +94,16 @@ def test_golden_trivial_component(reg):
 
 
 def test_span_sum_is_idempotent(triv_only):
-    e4 = eisenstein(4, 6).as_ahol()
-    e8 = eisenstein(8, 6).as_ahol()
+    e4 = eisenstein(4, 6)
+    e8 = eisenstein(8, 6)
     s = hyper_tensor(e4, e8, triv_only)
     assert span_sum([s, s]).dimension_signature() == s.dimension_signature()
 
 
 def test_span_sum_of_independent_products(triv_only):
-    e4 = eisenstein(4, 6).as_ahol()
-    e6 = eisenstein(6, 6).as_ahol()
-    e8 = eisenstein(8, 6).as_ahol()
+    e4 = eisenstein(4, 6)
+    e6 = eisenstein(6, 6)
+    e8 = eisenstein(8, 6)
     s1 = hyper_tensor(e4, e8, triv_only)
     s2 = hyper_tensor(e6, e6, triv_only)
     total = span_sum([s1, s2])
@@ -119,10 +119,10 @@ def test_span_sum_of_nothing_is_empty():
 
 
 def test_membership_examples(triv_only):
-    e4 = eisenstein(4, 6).as_ahol()
-    e6 = eisenstein(6, 6).as_ahol()
-    e8 = eisenstein(8, 6).as_ahol()
-    delta = delta_form(6).as_ahol()
+    e4 = eisenstein(4, 6)
+    e6 = eisenstein(6, 6)
+    e8 = eisenstein(8, 6)
+    delta = delta_form(6)
 
     single = FormSpan.of(retype_trivial(tensor_form(e4, e8)))
     assert span_contains(single, retype_trivial(tensor_form(e4, e8)), 3)
@@ -146,10 +146,10 @@ def test_membership_examples(triv_only):
 
 
 def test_membership_requires_precision(triv_only):
-    e4 = eisenstein(4, 6).as_ahol()
-    e8 = eisenstein(8, 6).as_ahol()
+    e4 = eisenstein(4, 6)
+    e8 = eisenstein(8, 6)
     span = hyper_tensor(e4, e8, triv_only)
-    delta = delta_form(6).as_ahol()
+    delta = delta_form(6)
     with pytest.raises(InsufficientPrecision):
         span_contains(span, delta, 1)  # below the Sturm bound 2
     with pytest.raises(InsufficientPrecision):
@@ -167,8 +167,8 @@ def test_congruence_index_values():
 
 
 def test_product_is_commutative_gradewise(reg):
-    e4 = eisenstein(4, 6).as_ahol()
-    e6 = eisenstein(6, 6).as_ahol()
+    e4 = eisenstein(4, 6)
+    e6 = eisenstein(6, 6)
     t2e4 = hecke_form(2, e4)
     t2e6 = hecke_form(2, e6)
     for f, g in [(e4, e6), (t2e4, t2e6)]:
@@ -183,8 +183,8 @@ def test_hecke_compatibility_of_products(reg, triv_only):
     # the coset-diagonal projection of (T_M E4) (x) (T_M E6) spans the same
     # line as T_M(E4 E6)
     for M in (2, 3):
-        e4 = eisenstein(4, 4 * M).as_ahol()
-        e6 = eisenstein(6, 4 * M).as_ahol()
+        e4 = eisenstein(4, 4 * M)
+        e6 = eisenstein(6, 4 * M)
         te4, te6 = hecke_form(M, e4), hecke_form(M, e6)
         tprod = hecke_form(M, tensor_form(e4, e6))
         projected = apply_intertwiner(
@@ -198,8 +198,8 @@ def test_hecke_compatibility_of_products(reg, triv_only):
 
 
 def test_truncation_commutes_with_product(triv_only):
-    e4 = eisenstein(4, 6).as_ahol()
-    e8 = eisenstein(8, 6).as_ahol()
+    e4 = eisenstein(4, 6)
+    e8 = eisenstein(8, 6)
     full = hyper_tensor(e4, e8, triv_only)
     short = hyper_tensor(e4.truncate(4), e8, triv_only)
     key = (12, "triv")

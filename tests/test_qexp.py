@@ -263,3 +263,40 @@ def test_packed_product_matches_reference_hypothesis():
         assert json_bytes(x * y) == json_bytes(reference_mul(x, y))
 
     check()
+
+
+def test_slash_expand_composes_hypothesis():
+    """f | m1 | m2 = f | m1 m2 for upper-triangular m = [[a, b], [0, d]].
+
+    The product [[a1 a2, a1 b2 + b1 d2], [0, d1 d2]] may have its translation
+    entry outside [0, d1 d2); f has integral exponents, so f(tau + 1) = f(tau)
+    and the entry reduces modulo d1 d2.
+    """
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def upper_triangular(draw):
+        a, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        return a, draw(st.integers(0, d - 1)), d
+
+    coefficients = st.builds(
+        lambda n, xs, den: CycNum(n, [Fraction(x, den) for x in xs[: euler_phi(n)]]),
+        st.sampled_from(MIXED_CONDUCTORS),
+        st.lists(st.integers(-50, 50), min_size=4, max_size=4),
+        st.integers(1, 9),
+    )
+    series = st.builds(
+        lambda prec, terms: QExp(1, prec, {n: c for n, c in terms.items() if n < prec}),
+        st.integers(1, 8),
+        st.dictionaries(st.integers(0, 7), coefficients, max_size=8),
+    )
+
+    @hyp.settings(max_examples=80, deadline=None, database=None)
+    @hyp.given(series, upper_triangular(), upper_triangular(), st.sampled_from([2, 4, 6, 12]))
+    def check(f, m1, m2, k):
+        (a1, b1, d1), (a2, b2, d2) = m1, m2
+        m = (a1 * a2, (a1 * b2 + b1 * d2) % (d1 * d2), d1 * d2)
+        assert slash_expand(slash_expand(f, k, m1), k, m2) == slash_expand(f, k, m)
+
+    check()
