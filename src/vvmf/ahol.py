@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import Matrix
-from .qexp import QExp
+from .qexp import QExp, combine
 from .reps import Rep, is_intertwiner, require_same_content
 
 
@@ -230,26 +230,18 @@ def ahol_decompose(f: AholForm) -> list:
 
 
 def apply_intertwiner(phi: Matrix, f: AholForm, target: Rep) -> AholForm:
-    """Componentwise matrix application to every graded layer."""
+    """Componentwise matrix application to every graded layer.
+
+    Component i of a layer is `qexp.combine`'s sum_j phi[i, j] * layer[j].
+    Each of its coefficients has the lcm of the conductors of every pair
+    (phi[i, j], term of layer[j]) that reaches its exponent, even where the
+    sum cancels, so the result does not depend on the order of summation.
+    """
     if not is_intertwiner(phi, f.rep, target):
         raise ValueError("matrix does not intertwine the source and target types")
-    layers = []
-    for layer in f.graded:
-        comps = []
-        for i in range(target.dim):
-            acc = None
-            for j in range(f.rep.dim):
-                c = phi[i, j]
-                if c.is_zero():
-                    continue
-                term = layer[j].scaled(c)
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = QExp.zero(min(q.prec for q in layer))
-            comps.append(acc)
-        layers.append(comps)
+    rows = [[phi[i, j] for j in range(f.rep.dim)] for i in range(target.dim)]
     name = f"phi({f.name})" if f.name else ""
-    return AholForm(f.weight, target, layers, name=name)
+    return AholForm(f.weight, target, [combine(rows, layer) for layer in f.graded], name=name)
 
 
 def tinf(f: AholForm, targets) -> "FormSpan":

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .ahol import AholForm, apply_intertwiner
 from .exactnum import CycNum
 from .linalg import Subspace, invert_rows
-from .qexp import InsufficientPrecision
+from .qexp import InsufficientPrecision, combine
 from .reps import RepRegistry, hom_space, require_same_content
 
 
@@ -217,19 +217,20 @@ def projections(f: AholForm, targets):
 
 
 def tensor_form(f: AholForm, g: AholForm) -> AholForm:
-    """Pointwise tensor with components flattened as i*dim_g + j."""
+    """Pointwise tensor with components flattened as i*dim_g + j.
+
+    Component (i, j) of layer s is the sum over r + t = s of f.graded[t][i]
+    * g.graded[r][j]: one `qexp.combine` row over all components of g.
+    """
     rep = f.rep.tensor(g.rep)
-    depth = f.depth + g.depth
-    layers: list = [[None] * rep.dim for _ in range(depth + 1)]
-    for r1, lay1 in enumerate(f.graded):
-        for r2, lay2 in enumerate(g.graded):
-            s = r1 + r2
-            for i, qi in enumerate(lay1):
-                for j, qj in enumerate(lay2):
-                    prod = qi * qj
-                    pos = i * g.rep.dim + j
-                    cur = layers[s][pos]
-                    layers[s][pos] = prod if cur is None else cur + prod
+    depth, dim = f.depth + g.depth, g.rep.dim
+    rows = [
+        [f.graded[s - r][i] if k == j and 0 <= s - r <= f.depth else 0
+         for r in range(g.depth + 1) for k in range(dim)]
+        for s in range(depth + 1) for i in range(f.rep.dim) for j in range(dim)
+    ]
+    comps = combine(rows, [q for layer in g.graded for q in layer])
+    layers = [comps[s * rep.dim : (s + 1) * rep.dim] for s in range(depth + 1)]
     name = f"({f.name} (x) {g.name})" if f.name and g.name else ""
     return AholForm(f.weight + g.weight, rep, layers, name=name)
 

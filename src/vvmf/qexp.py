@@ -11,21 +11,24 @@ here (sums, products, scalings, theta, lattice changes, truncations) go
 through the trusted constructor `_series`, and each caller drops its own
 zeros.
 
-Products use Kronecker substitution (D. Harvey, J. Symbolic Comput. 44,
-2009).  The terms of each operand are grouped by conductor.  For each
-pair of groups, both are lifted to the joint conductor N, put over one
-denominator and packed into one Python int, with power-basis coordinate j
-of exponent n in slot n*(2*phi(N) - 1) + j; one int multiplication then
-gives every convolution, and each output coefficient is reduced modulo
-Phi_N.  A coefficient of the product has the lcm of the conductors of
-every pair of terms that contributes to it, even where their sum
-cancels: the rule of a termwise product, kept so that the output bytes
-do not depend on the algorithm.
+Products and sums of products are one multiply-accumulate kernel,
+`combine`, by Kronecker substitution (D. Harvey, J. Symbolic Comput. 44,
+2009).  Each factor's terms are grouped by conductor; a group meeting
+another at the joint conductor N is lifted to N over one denominator and
+packed once per call into a Python int, coordinate j of exponent n in
+slot n*(2*phi(N) - 1) + j, at one slot width for the call (a scalar is a
+one-term series).  The int products of a sum that share N are added
+inside the packed int and decoded once, each coefficient reduced modulo
+Phi_N.  A coefficient of the result has the lcm of the conductors of
+every pair of terms that reaches its exponent, even where their sum
+cancels, a rule that depends neither on the algorithm nor on the order
+of summation; packed 0/1 indicators decide it where a decoded sum is 0.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactnum import CycNum, _make, _reduce, as_cyc, euler_phi, format_rational, parse_rational
@@ -126,24 +129,7 @@ class QExp:
         return _series(self.h, self.prec, {n: -c for n, c in self.terms.items()})
 
     def __mul__(self, other):
-        if not isinstance(other, QExp):
-            return self.scaled(other)
-        a, b = self._common(other)
-        prec = min(a.prec, b.prec)
-        bound = math.ceil(prec * a.h)
-        # per exponent: the sum so far and the lcm of the contributing pairs' conductors
-        terms: dict = {}
-        conductors: dict = {}
-        groups_b = _by_conductor(b.terms, bound)
-        for na, ga in _by_conductor(a.terms, bound).items():
-            for nb, gb in groups_b.items():
-                cond = math.lcm(na, nb)
-                for n, part in _packed_product(ga, gb, cond, bound):
-                    conductors[n] = math.lcm(conductors.get(n, 1), cond)
-                    if part is not None:
-                        terms[n] = terms[n] + part if n in terms else part
-        terms = {n: c.lift(conductors[n]) for n, c in sorted(terms.items()) if c}
-        return _series(a.h, prec, terms)
+        return combine([[other]], [self])[0] if isinstance(other, QExp) else self.scaled(other)
 
     def __rmul__(self, other):
         return self.scaled(other)
@@ -252,25 +238,104 @@ _new_object = object.__new__
 _set_h, _set_prec, _set_terms = (getattr(QExp, name).__set__ for name in QExp.__slots__)
 
 
-def _by_conductor(terms: dict, bound: int) -> dict:
-    """Terms below bound as lists of (n, coefficient), keyed by conductor."""
-    groups: dict = {}
-    for n, c in terms.items():
-        if n < bound:
-            groups.setdefault(c.n, []).append((n, c))
-    return groups
+def combine(rows, series) -> list:
+    """The series sum_j rows[i][j] * series[j], one per row i.
+
+    An entry is a scalar or a series, and zero scalars are skipped.  Row i
+    has the lcm of the lattices and the least precision of the series its
+    other entries meet (both factors of a series entry); with no entry left
+    it is QExp.zero at the least precision of all series.
+    """
+    rows = [[(c, q) for c, q in zip(row, series) if isinstance(c, QExp) or c] for row in rows]
+    parts = [[x for pair in row for x in pair if isinstance(x, QExp)] for row in rows]
+    h = math.lcm(*(x.h for xs in parts for x in xs))
+    bounds = [math.ceil(min(x.prec for x in xs) * h) if xs else 0 for xs in parts]
+    limit, classes, lifted, packed = max(bounds, default=0), {}, {}, {}
+
+    def conductors(x) -> dict:
+        """x's terms below every bound at lattice h, as (n, c) by conductor."""
+        if id(x) not in classes:
+            classes[id(x)] = groups = {}
+            terms = x.rescale_lattice(h).terms if isinstance(x, QExp) else {0: as_cyc(x)}
+            for n, c in terms.items():
+                if n < limit:
+                    groups.setdefault(c.n, []).append((n, c))
+        return classes[id(x)]
+
+    def lift(x, c: int, cond: int) -> _Group:
+        key = (id(x), c, cond if c > 1 else 1)
+        if key not in lifted:
+            lifted[key] = _lifted(classes[id(x)][c], key[2])
+        return lifted[key]
+
+    def pack(g: _Group, stride: int) -> int:
+        """g at the call's width; stride 0 packs the 0/1 indicator of its exponents."""
+        if (id(g), stride) not in packed:
+            rows = g.rows if stride else [(n, (1,)) for n, _ in g.rows]
+            packed[id(g), stride] = _pack(rows, g.top, stride or 1, width)
+        return packed[id(g), stride]
+
+    # per row, the pairs of groups at each joint conductor over their common
+    # denominator; one slot width bounds every packed sum of the call
+    jobs, big = [], 0
+    for row in rows:
+        job: dict = {}
+        for x, y in row:
+            for ca in conductors(x):
+                for cb in conductors(y):
+                    cond = math.lcm(ca, cb)
+                    job.setdefault(cond, []).append((lift(x, ca, cond), lift(y, cb, cond)))
+        for cond, pairs in job.items():
+            den = math.lcm(*(a.den * b.den for a, b in pairs))
+            pairs = [(den // (a.den * b.den), a, b) for a, b in pairs]
+            job[cond] = den, pairs
+            size = sum(f * a.big * b.big * min(len(a.rows), len(b.rows)) for f, a, b in pairs)
+            big = max(big, size * euler_phi(cond))
+        jobs.append(job)
+    width = (big.bit_length() + 8) // 8
+
+    out = []
+    for xs, bound, job in zip(parts, bounds, jobs):
+        if not xs:
+            out.append(QExp.zero(min(q.prec for q in series)))
+            continue
+        # per exponent: the sum of the decoded parts, and the lcm of the
+        # joint conductors above 1 that reach it
+        terms, reached = {}, {}
+        for cond, (den, pairs) in sorted(job.items()):
+            stride = 2 * euler_phi(cond) - 1
+            acc = sum(f * pack(a, stride) * pack(b, stride) for f, a, b in pairs)
+            top = min(bound, max(a.top + b.top + 1 for _, a, b in pairs))
+            counts = (pack(a, 0) * pack(b, 0) for _, a, b in pairs)
+            for n, part in _decode(acc, cond, den, top, width, counts):
+                if cond > 1:
+                    reached[n] = math.lcm(reached.get(n, 1), cond)
+                if part is not None:
+                    terms[n] = terms[n] + part if n in terms else part
+        step = h // math.lcm(*(x.h for x in xs))
+        terms = {n // step: c.lift(reached.get(n, 1)) for n, c in sorted(terms.items()) if c}
+        out.append(_series(h // step, min(x.prec for x in xs), terms))
+    return out
 
 
-def _lifted(group: list, cond: int):
-    """Integer coordinates of a group at conductor cond over one denominator."""
-    lifted = [(n, c.lift(cond)) for n, c in group]
-    den = math.lcm(*(c.den for _, c in lifted))
-    return [(n, [x * (den // c.den) for x in c.num]) for n, c in lifted], den
+# terms of one conductor lifted to a joint conductor: rows of (n, integer
+# coordinates over den), big the largest |coordinate| and top the largest n
+_Group = namedtuple("_Group", "rows den big top")
 
 
-def _pack(rows: list, stride: int, width: int) -> int:
-    """Sum of coords[j] * 2^(8 * width * (n * stride + j)) over (n, coords)."""
-    size = (max(n for n, _ in rows) + 1) * stride * width
+def _lifted(group: list, cond: int) -> _Group:
+    """The group at cond; a rational group (cond 1) keeps its one coordinate,
+    the leading one at every joint conductor."""
+    if group[0][1].n != cond:
+        group = [(n, x.lift(cond)) for n, x in group]
+    den = math.lcm(*(x.den for _, x in group))
+    rows = [(n, x.num if x.den == den else [a * (den // x.den) for a in x.num]) for n, x in group]
+    return _Group(rows, den, max(max(map(abs, v)) for _, v in rows), max(n for n, _ in rows))
+
+
+def _pack(rows: list, top: int, stride: int, width: int) -> int:
+    """Sum of coords[j] * 2^(8 * width * (n * stride + j)) over (n, coords), n <= top."""
+    size = (top + 1) * stride * width
     pos, neg = bytearray(size), bytearray(size)
     for n, coords in rows:
         at = n * stride * width
@@ -283,29 +348,20 @@ def _pack(rows: list, stride: int, width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _packed_product(ga: list, gb: list, cond: int, bound: int):
-    """Yield (n, sum of c1 * c2 over the pairs with n1 + n2 = n) for every
-    n < bound that such a pair reaches, at conductor cond; the sum is None
-    when it cancels."""
-    phi = euler_phi(cond)
-    stride = 2 * phi - 1
-    xa, da = _lifted(ga, cond)
-    xb, db = _lifted(gb, cond)
-    # bound on |slot|: at most min(len) pairs of terms times phi coordinate pairs
-    big = max(abs(x) for _, v in xa for x in v) * max(abs(y) for _, v in xb for y in v)
-    width = ((big * min(len(xa), len(xb)) * phi).bit_length() + 8) // 8
-    top = min(bound, max(n for n, _ in xa) + max(n for n, _ in xb) + 1)
+def _decode(acc: int, cond: int, den: int, top: int, width: int, counts):
+    """Yield (n, the slots of n as a CycNum at cond over den, or None when
+    they sum to zero) for every n < top that a pair of terms reaches.
+    counts yields ints whose sum packs the number of such pairs per n at
+    stride 1; it is summed only at a zero slot of a conductor above 1."""
+    stride = 2 * euler_phi(cond) - 1
     size = top * stride * width
-    prod = _pack(xa, stride, width) * _pack(xb, stride, width)
-    raw = (prod & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    raw = (acc & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
     half, full = 1 << (8 * width - 1), 1 << (8 * width)
-    den, block_zero = da * db, bytes(stride * width)
-    reached = None
-    borrow = False
+    zero, hits, borrow = bytes(stride * width), None, False
     for n in range(top):
         at = n * stride * width
         block = []
-        if borrow or not raw.startswith(block_zero, at):
+        if borrow or not raw.startswith(zero, at):
             for s in range(at, at + stride * width, width):
                 u = int.from_bytes(raw[s : s + width], "little") + borrow
                 borrow = u >= half
@@ -315,20 +371,11 @@ def _packed_product(ga: list, gb: list, cond: int, bound: int):
             yield n, _make(cond, tuple(coords), den) if any(coords) else None
         elif cond > 1:
             # a zero sum still sets the conductor when some pair reaches n
-            if reached is None:
-                reached = _reached([m for m, _ in xa], [m for m, _ in xb], top)
-            if n in reached:
+            if hits is None:
+                span = top * width
+                hits = (sum(counts) & ((1 << (8 * span)) - 1)).to_bytes(span, "little")
+            if not hits.startswith(zero[:width], n * width):
                 yield n, None
-
-
-def _reached(sa: list, sb: list, top: int) -> set:
-    """The n < top with n = n1 + n2 for some n1 in sa and n2 in sb, read off
-    the product of the packed 0/1 indicators of sa and sb."""
-    width = (min(len(sa), len(sb)).bit_length() + 7) // 8
-    prod = _pack([(n, (1,)) for n in sa], 1, width) * _pack([(n, (1,)) for n in sb], 1, width)
-    raw = (prod & ((1 << (8 * top * width)) - 1)).to_bytes(top * width, "little")
-    zero = bytes(width)
-    return {n for n in range(top) if not raw.startswith(zero, n * width)}
 
 
 def slash_expand(f: QExp, k: int, m) -> QExp:

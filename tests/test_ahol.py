@@ -1,3 +1,5 @@
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -6,17 +8,19 @@ import pytest
 from vvmf.ahol import (
     AholForm,
     ahol_decompose,
+    apply_intertwiner,
     lower_op,
     raise_op,
     rising_factorial,
     tinf,
     tinf_closure,
 )
-from vvmf.exactnum import CycNum
+from vvmf.exactnum import CycNum, euler_phi
 from vvmf.forms import eisenstein
 from vvmf.hyperalg import FormSpan, hyper_tensor, span_contains, span_sum, tensor_form
+from vvmf.linalg import Matrix
 from vvmf.qexp import QExp
-from vvmf.reps import builtin_registry, trivial_rep
+from vvmf.reps import Rep, builtin_registry, is_intertwiner, trivial_rep
 
 
 @pytest.fixture(scope="module")
@@ -251,3 +255,155 @@ def test_depth_additivity():
     assert tensor_form(a, b).depth <= a.depth + b.depth
     assert tensor_form(a, e6).depth <= a.depth
     assert tensor_form(e4, e6).depth == 0
+
+
+def reference_apply(phi, f, target):
+    """The chain apply_intertwiner used to build: one scaled series and one
+    series sum per nonzero matrix entry.  A partial sum that cancels at an
+    exponent is dropped there, so that coefficient's conductor restarts."""
+    if not is_intertwiner(phi, f.rep, target):
+        raise ValueError("matrix does not intertwine the source and target types")
+    layers = []
+    for layer in f.graded:
+        comps = []
+        for i in range(target.dim):
+            acc = None
+            for j in range(f.rep.dim):
+                c = phi[i, j]
+                if c.is_zero():
+                    continue
+                term = layer[j].scaled(c)
+                acc = term if acc is None else acc + term
+            if acc is None:
+                acc = QExp.zero(min(q.prec for q in layer))
+            comps.append(acc)
+        layers.append(comps)
+    name = f"phi({f.name})" if f.name else ""
+    return AholForm(f.weight, target, layers, name=name)
+
+
+def chain_cancels(phi, i, layer):
+    """True when a prefix sum of reference_apply's row i cancels at some
+    exponent below the row's precision and a later entry reaches it."""
+    used = [(phi[i, j], q) for j, q in enumerate(layer) if phi[i, j]]
+    if not used:
+        return False
+    prec = min(q.prec for _, q in used)
+    sums, cancelled = {}, set()
+    for c, q in used:
+        for n, x in q.terms.items():
+            e = Fraction(n, q.h)
+            if e >= prec:
+                continue
+            if e in cancelled:
+                return True
+            sums[e] = sums.get(e, 0) + c * x
+            if not sums[e]:
+                cancelled.add(e)
+    return False
+
+
+def trivial_power(d):
+    """d copies of the trivial type: every matrix intertwines two of them."""
+    return Rep(f"triv^{d}", 1, Matrix.identity(d), Matrix.identity(d))
+
+
+APPLY_CONDUCTORS = (1, 3, 4, 12)
+
+
+def random_cyc(rng, n):
+    while True:
+        nums = [rng.randint(-4, 4) for _ in range(euler_phi(n))]
+        x = CycNum(n, [Fraction(a, rng.choice([1, 2, 3, 7])) for a in nums])
+        if x:
+            return x
+
+
+def random_application(rng):
+    """(phi, f, target) with f on trivial_power(1..9): components on lattice
+    1 or 3 with coefficients at conductors 1, 3, 4 and 12, phi rational or
+    not, some rows zero, and some rows with two columns that cancel at
+    every exponent of one component."""
+    d, e = rng.randint(1, 9), rng.randint(1, 4)
+    layers = []
+    for _ in range(rng.choice([1, 1, 2])):
+        layer = []
+        for _ in range(d):
+            h, prec = rng.choice([1, 3]), Fraction(rng.randint(2, 10), rng.choice([1, 3]))
+            bound = math.ceil(prec * h)
+            terms = {
+                rng.randrange(bound): random_cyc(rng, rng.choice(APPLY_CONDUCTORS))
+                for _ in range(rng.randint(0, 10))
+            }
+            layer.append(QExp(h, prec, terms))
+        layers.append(layer)
+    cond = rng.choice(APPLY_CONDUCTORS)
+    rows = [[random_cyc(rng, cond) if rng.random() < 0.6 else 0 for _ in range(d)]
+            for _ in range(e)]
+    if rng.random() < 0.3:
+        rows[rng.randrange(e)] = [0] * d
+    for _ in range(rng.randint(0, 3) if d > 1 else 0):
+        i, (j1, j2) = rng.randrange(e), rng.sample(range(d), 2)
+        r = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 5]))
+        for layer in layers:
+            layer[j2] = layer[j1].scaled(r)
+        rows[i][j1] = rows[i][j1] or random_cyc(rng, cond)
+        rows[i][j2] = -rows[i][j1] / r
+    return Matrix.from_rows(rows), AholForm(4, trivial_power(d), layers), trivial_power(e)
+
+
+def form_bytes(f):
+    return json.dumps(f.to_json())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_apply_intertwiner_matches_the_chain(seed):
+    """Equal values always; equal bytes wherever no prefix sum of the chain
+    cancels, where the chain's conductor restarts."""
+    rng = random.Random(f"apply/{seed}")
+    compared = cancelled = 0
+    for _ in range(40):
+        phi, f, target = random_application(rng)
+        new, old = apply_intertwiner(phi, f, target), reference_apply(phi, f, target)
+        assert new.depth == old.depth
+        for layer, a, b in zip(f.graded, new.graded, old.graded):
+            for i, (x, y) in enumerate(zip(a, b)):
+                assert x == y and x.h == y.h
+                if chain_cancels(phi, i, layer):
+                    cancelled += 1
+                else:
+                    assert json.dumps(x.to_json()) == json.dumps(y.to_json())
+                    compared += 1
+    assert compared > 50 and cancelled > 0
+
+
+def test_apply_intertwiner_keeps_the_conductor_of_a_cancelled_prefix():
+    z = CycNum.zeta(12)
+    phi = Matrix.from_rows([[1, -1, 1]])
+    layer = [QExp(1, 3, {1: z}), QExp(1, 3, {1: z}), QExp(1, 3, {1: CycNum.from_rational(5)})]
+    for perm in ((0, 1, 2), (2, 0, 1)):
+        f = AholForm(4, trivial_power(3), [[layer[j] for j in perm]])
+        (q,) = apply_intertwiner(phi, f, trivial_power(1)).components
+        assert q.terms[1] == 5 and q.terms[1].n == 12
+    # the chain drops z - z and restarts at the rational 5
+    f = AholForm(4, trivial_power(3), [layer])
+    assert reference_apply(phi, f, trivial_power(1)).components[0].terms[1].n == 1
+
+
+def test_apply_intertwiner_does_not_depend_on_the_order_of_the_source():
+    rng = random.Random("apply/permuted")
+    chain_moved = 0
+    for _ in range(120):
+        phi, f, target = random_application(rng)
+        d = f.rep.dim
+        perm = rng.sample(range(d), d)
+        phi_p = Matrix.from_rows([[phi[i, j] for j in perm] for i in range(target.dim)])
+        f_p = AholForm(f.weight, f.rep, [[layer[j] for j in perm] for layer in f.graded])
+        assert form_bytes(apply_intertwiner(phi_p, f_p, target)) == form_bytes(
+            apply_intertwiner(phi, f, target)
+        )
+        chain_moved += form_bytes(reference_apply(phi_p, f_p, target)) != form_bytes(
+            reference_apply(phi, f, target)
+        )
+    # the inputs reach the order-dependent cases of the chain
+    assert chain_moved > 0

@@ -14,7 +14,7 @@ from vvmf.cli import (
     verify_example32,
     verify_thm11,
 )
-from vvmf.forms import eisenstein
+from vvmf.forms import eisenstein, vv_eisenstein
 from vvmf.hecke import hecke_form
 from vvmf.hyperalg import FormSpan, hyper_tensor, sturm_bound
 
@@ -362,6 +362,12 @@ PINNED_OUTPUTS = [
      "e6897266a423c60f35b980b661ce3a456c66fe09236b912c18fe6e09c5ebf63a"),
     ("hp.json", ("hyperprod", "--left", "e4.json", "--right", "e6.json", "--format", "json"),
      "2073ce65cea482ce3e938fb3b46f96ee6af20f0e7b74b43ee4f8d989157e186b"),
+    # coefficients at conductors 1 and 3 on lattice 1/3 (recorded before the
+    # products and intertwiner sums moved to qexp.combine)
+    ("vveis_rho3.json",
+     ("vveis", "--weight", "4", "--type", "rho3", "--index", "3", "--prec", "12",
+      "--format", "json"),
+     "dbbcb7729dac1e596efea1bb65d850c64cae0dbfa607c0c52e556dd9374e7003"),
 ]
 
 
@@ -373,6 +379,22 @@ def test_output_bytes_are_pinned(capsys, tmp_path):
         assert code == 0
         if digest is not None:
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_rho3_hyperprod_bytes_are_pinned(capsys, tmp_path, reg):
+    """hyperprod JSON of two rho3 vector-valued Eisenstein forms, whose
+    components mix conductors 1 and 3 on lattice 1/3; recorded with the
+    digest of vveis rho3 above."""
+    for k in (4, 6):
+        span = vv_eisenstein(k, reg.get("rho3"), 3, 9)
+        form = span.generators(span.grades()[0])[0][0]
+        (tmp_path / f"e{k}.json").write_text(json.dumps(form.to_json(reg)))
+    out = tmp_path / "hp.json"
+    argv = ["--left", str(tmp_path / "e4.json"), "--right", str(tmp_path / "e6.json")]
+    code, _, _ = run_cli(capsys, "hyperprod", *argv, "--format", "json", "--out", str(out))
+    assert code == 0
+    digest = "e999abc1e05a5efc13658ff05440f383c8ec5e37324cf99dbbede5a7ad4bb4b2"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_hecke_cosets_output(capsys):
@@ -410,7 +432,7 @@ def test_hecke_apply_round_trip(capsys, tmp_path):
     assert obj["type"]["dim"] == 4
 
     from vvmf.ahol import AholForm
-    from vvmf.forms import eisenstein
+    from vvmf.forms import eisenstein, vv_eisenstein
     from vvmf.hecke import hecke_form
 
     expect = hecke_form(3, eisenstein(12, 9))
@@ -486,7 +508,7 @@ def test_ahol_commands(capsys, tmp_path):
 def test_ahol_closure_command(capsys, tmp_path):
     span_path = tmp_path / "span.json"
     from vvmf.ahol import AholForm, raise_op
-    from vvmf.forms import eisenstein
+    from vvmf.forms import eisenstein, vv_eisenstein
     from vvmf.hyperalg import FormSpan, tensor_form
     from vvmf.reps import trivial_rep
 

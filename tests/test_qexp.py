@@ -233,6 +233,48 @@ def test_cancelled_pair_still_sets_the_conductor():
     assert (a * c).terms[3].n == 1
 
 
+def three_class_pair(rng):
+    """Series x, y with coefficients at conductors 1, 3 and 4 whose product
+    cancels at some exponents: x[n2] = r * x[n1] with r rational, and
+    y[m + n2 - n1] = -r * y[m], so the two pairs meeting at n2 + m cancel."""
+    h = rng.choice([1, 3])
+    prec = Fraction(rng.randint(3, 24), rng.choice([1, 2, 3]))
+    bound = math.ceil(prec * h)
+    x, y = ({rng.randrange(bound): random_coefficient(rng, rng.choice((1, 3, 4)), 9)
+             for _ in range(rng.randint(1, 12))} for _ in range(2))
+    for _ in range(rng.randint(1, 4)):
+        n1 = rng.choice(sorted(x))
+        n2, m = rng.randrange(n1, bound), rng.randrange(bound)
+        if n2 == n1 or m + n2 - n1 >= bound:
+            continue
+        r = Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 4]))
+        x[n2] = r * x[n1]
+        y[m] = y.get(m) or random_coefficient(rng, rng.choice((1, 3, 4)), 9) or CycNum.one()
+        y[m + n2 - n1] = -r * y[m]
+    return QExp(h, prec, x), QExp(h, prec, y)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_packed_product_of_three_conductor_classes_matches_reference_bytes(seed):
+    rng = random.Random(f"three/{seed}")
+    for _ in range(40):
+        x, y = three_class_pair(rng)
+        assert json_bytes(x * y) == json_bytes(reference_mul(x, y))
+        assert json_bytes(x * x) == json_bytes(reference_mul(x, x))
+
+
+def test_cancelled_pairs_of_two_classes_set_the_conductor():
+    z3, z4 = CycNum.zeta(3), CycNum.zeta(4)
+    # at q^4 the conductor-3 pairs give z3*z3 - z3*z3 = 0, the conductor-4
+    # pairs z4*z4 - z4*z4 = 0 and the rational pair 7: the coefficient is
+    # 7 stored at conductor 12
+    a = QExp(1, 5, {0: CycNum.one(), 1: z3, 2: z4, 3: z3, 4: z4})
+    b = QExp(1, 5, {0: -z4, 1: -z3, 2: z4, 3: z3, 4: CycNum.from_rational(7)})
+    prod = a * b
+    assert prod.terms[4] == 7 and prod.terms[4].n == 12
+    assert json_bytes(prod) == json_bytes(reference_mul(a, b))
+
+
 def test_sum_drops_a_cancelled_term():
     z = CycNum.zeta(3)
     s = QExp(1, 3, {1: z}) + QExp(1, 3, {1: -z, 2: CycNum.one()})
