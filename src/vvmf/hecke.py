@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 
 from .ahol import AholForm
 from .exactnum import CycNum
@@ -123,12 +124,12 @@ def _delta_cosets_general(genus: int, M: int) -> list:
     g = genus
     divisors = [k for k in range(1, M + 1) if M % k == 0]
     out = []
-    for diag in _product([divisors] * g):
+    for diag in product(*[divisors] * g):
         off_ranges = []
         for i in range(g):
             for j in range(i + 1, g):
                 off_ranges.append(list(range(diag[j])))
-        for offs in _product(off_ranges):
+        for offs in product(*off_ranges):
             d = [[0] * g for _ in range(g)]
             for i in range(g):
                 d[i][i] = diag[i]
@@ -140,22 +141,12 @@ def _delta_cosets_general(genus: int, M: int) -> list:
             if a is None:
                 continue
             b_ranges = [list(range(diag[j])) for _ in range(g) for j in range(g)]
-            for bent in _product(b_ranges):
+            for bent in product(*b_ranges):
                 b = [list(bent[i * g : (i + 1) * g]) for i in range(g)]
                 mat = _assemble(a, b, d, g)
                 if _is_similitude(mat, g, M):
                     out.append(DeltaCoset(g, mat, M))
     return out
-
-
-def _product(ranges):
-    if not ranges:
-        yield ()
-        return
-    head, *tail = ranges
-    for x in head:
-        for rest in _product(tail):
-            yield (x, *rest)
 
 
 def _scaled_inverse_transpose(d, M: int):
@@ -292,7 +283,8 @@ def hecke_rep(M: int, r: Rep) -> HeckeRep:
             block = r.evaluate(_inv2(corr))
             cells[index_of[target]][src] = block
         blocks[name] = _block_matrix(cells, r.dim)
-    level = _matrix_order(blocks["T"], cap=max(1000, 4 * M * r.level))
+    # T^(M level) fixes each coset (b -> b - a^2 d level) and leaves rho(T^(a^2 level)) = I
+    level = _matrix_order(blocks["T"], cap=M * r.level)
     rep = Rep(f"T{M}({r.label})", level, blocks["S"], blocks["T"])
     report = rep.validate()
     if not report.ok:

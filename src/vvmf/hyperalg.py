@@ -52,15 +52,19 @@ class FormSpan:
         if gens:
             require_same_content(gens[0][0].rep, form.rep)
         forms = [f for f, _ in gens]
-        layout = _row_layout(forms + [form])
-        state = self._pivots.get(key)
-        if state is None or state.layout != layout:
-            state = _Pivots(layout, forms)
+        state = self._state(key, forms, _row_layout(forms + [form]))
         if len(state.forms) < len(forms) or not state.push(form):
             return False
         self._pivots[key] = state
         gens.append((form, provenance or form.name))
         return True
+
+    def _state(self, key, forms, layout) -> "_Pivots":
+        """The grade's pivot state, rebuilt from forms when its layout differs."""
+        state = self._pivots.get(key)
+        if state is None or state.layout != layout:
+            state = _Pivots(layout, forms)
+        return state
 
     def grades(self) -> list:
         return sorted(self.grading)
@@ -288,8 +292,5 @@ def span_contains(span: FormSpan, f: AholForm, prec_used) -> bool:
                 f"generator stores precision {g.prec}, below requested {prec_used}"
             )
     forms = [g for g, _ in gens]
-    layout = _row_layout(forms + [f], prec_used)
-    state = span._pivots.get(key)
-    if state is None or state.layout != layout:
-        state = _Pivots(layout, forms)
+    state = span._state(key, forms, _row_layout(forms + [f], prec_used))
     return next(state.residue(state.row(f)), None) is None

@@ -198,10 +198,7 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        x = self.solve_right(Matrix.identity(self.rows))
-        if not (self * x).is_identity():
-            raise ValueError("matrix is singular")
-        return x
+        return Matrix.from_rows(invert_rows(self.to_rows(), CycNum.zero(), CycNum.one()))
 
     def __repr__(self):
         body = "; ".join(
@@ -363,12 +360,6 @@ class Subspace:
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, [])
-
-    @staticmethod
-    def full(ambient_dim: int) -> "Subspace":
-        return Subspace.from_rows(
-            ambient_dim, Matrix.identity(ambient_dim).to_rows()
-        )
 
     @property
     def dim(self) -> int:

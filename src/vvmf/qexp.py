@@ -75,13 +75,6 @@ class QExp:
     def constant(c, prec) -> "QExp":
         return QExp(1, prec, {0: as_cyc(c)})
 
-    @staticmethod
-    def from_coeffs(coeffs, prec=None) -> "QExp":
-        """Integer-lattice series from a list of coefficients."""
-        if prec is None:
-            prec = len(coeffs)
-        return QExp(1, prec, {n: c for n, c in enumerate(coeffs)})
-
     def is_zero(self) -> bool:
         return not self.terms
 

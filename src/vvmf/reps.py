@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .exactnum import CycNum
-from .linalg import Matrix, Subspace, kernel_of_rows
+from .linalg import Matrix, Subspace, kernel_of_rows, sparse_row
 
 S_MAT = ((0, -1), (1, 0))
 T_MAT = ((1, 1), (0, 1))
@@ -282,39 +282,33 @@ class Decomposition:
     residual_split: list = field(default_factory=list)
     residual_flagged: bool = False
 
-    def accounted_dim(self, registry: "RepRegistry") -> int:
-        total = sum(
-            mult * registry.get(lbl).dim for lbl, mult in self.multiplicities.items()
-        )
-        if self.residual is not None:
-            total += self.residual.dim
-        return total
-
 
 def decompose(r: Rep, registry: "RepRegistry") -> Decomposition:
     """Isotypic multiplicities against a registry, plus the residual.
 
     multiplicity(rho) = dim hom(r, rho).  The residual is r restricted to
-    the joint kernel of all found intertwiners.  When S acts as a scalar
-    there, the residual splits into T-eigenspaces, each reported as a new
-    one-dimensional candidate; otherwise it is returned unsplit and
-    flagged (systematic splitting is out of scope).
+    the joint kernel of all found intertwiners, taken in one elimination of
+    their stacked rows.  That kernel is invariant and its RREF basis is the
+    identity at its pivot columns, so the coordinates of S v and T v are
+    their entries at those columns: the pivot rows of S and T times the
+    basis, with no solve.  When S acts as a scalar there, the residual
+    splits into T-eigenspaces, each reported as a new one-dimensional
+    candidate; otherwise it is returned unsplit and flagged (systematic
+    splitting is out of scope).
     """
     mults = {}
-    intertwiners = []
+    rows = []
     for entry in registry.entries:
         basis = hom_space(r, entry)
         if basis:
             mults[entry.label] = len(basis)
-            intertwiners.extend(basis)
-    joint = Subspace.full(r.dim)
-    for phi in intertwiners:
-        joint = joint.intersect(phi.kernel())
+            rows += [sparse_row(phi.row(i)) for phi in basis for i in range(phi.rows)]
+    joint = kernel_of_rows(rows, r.dim)
     if joint.dim == 0:
         return Decomposition(mults, None)
+    pivots = [next(j for j, x in enumerate(v) if x) for v in joint.basis]
     basis_t = Matrix.from_rows(joint.basis).transpose()  # columns span the kernel
-    s_res = basis_t.solve_right(r.S * basis_t)
-    t_res = basis_t.solve_right(r.T * basis_t)
+    s_res, t_res = (Matrix.from_rows([g.row(p) for p in pivots]) * basis_t for g in (r.S, r.T))
     residual = Rep(f"{r.label}|res", r.level, s_res, t_res)
     scalar = s_res[0, 0]
     if all(

@@ -232,6 +232,14 @@ def test_hecke_rep_relations_for_small_indices(reg):
             assert hecke_rep(M, entry).rep.is_valid(), (M, entry.label)
 
 
+def test_hecke_rep_level_divides_index_times_level(reg):
+    # the order search is capped at M * level, so the found order must divide it
+    for M in range(1, 9):
+        for entry in reg.entries:
+            level = hecke_rep(M, entry).rep.level
+            assert (M * entry.level) % level == 0, (M, entry.label, level)
+
+
 def test_reference_projection_intertwines(reg):
     third = Fraction(1, 3)
     phi = Matrix.from_rows(

@@ -17,7 +17,9 @@ def eis_coeffs(k, count):
 
 
 def qexp_of(coeffs, prec=None):
-    return QExp.from_coeffs([CycNum.from_rational(c) for c in coeffs], prec)
+    # integer-lattice series; the precision defaults to the number of coefficients
+    terms = {n: CycNum.from_rational(c) for n, c in enumerate(coeffs)}
+    return QExp(1, len(coeffs) if prec is None else prec, terms)
 
 
 def test_product_truncates_soundly():

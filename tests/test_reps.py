@@ -7,8 +7,9 @@ import pytest
 
 from vvmf.exactnum import CycNum
 from vvmf.hecke import hecke_rep
-from vvmf.linalg import Matrix
+from vvmf.linalg import Matrix, Subspace
 from vvmf.reps import (
+    Decomposition,
     Rep,
     RepRegistry,
     builtin_registry,
@@ -151,7 +152,7 @@ def test_decompose_tensor_square_fully(reg):
     result = decompose(rr, reg)
     assert result.multiplicities == {"triv": 1, "rho3": 2, "rho_zeta": 1, "rho_zeta2": 1}
     assert result.residual is None
-    assert result.accounted_dim(reg) == 9
+    assert sum(m * reg.get(lbl).dim for lbl, m in result.multiplicities.items()) == 9
 
 
 def test_decompose_trivial_against_itself():
@@ -183,6 +184,91 @@ def test_residual_splitting_scalar_case(reg):
     assert eigs == sorted([str(CycNum.zeta(3)), str(CycNum.zeta(3, 2))])
 
 
+def decompose_reference(r, registry):
+    """decompose by intersecting kernels and solving for the residual.
+
+    The construction `decompose` used before its one joint kernel; the
+    whole space is spelled out where it called the removed Subspace.full.
+    """
+    mults = {}
+    intertwiners = []
+    for entry in registry.entries:
+        basis = hom_space(r, entry)
+        if basis:
+            mults[entry.label] = len(basis)
+            intertwiners.extend(basis)
+    joint = Subspace.from_rows(r.dim, Matrix.identity(r.dim).to_rows())
+    for phi in intertwiners:
+        joint = joint.intersect(phi.kernel())
+    if joint.dim == 0:
+        return Decomposition(mults, None)
+    basis_t = Matrix.from_rows(joint.basis).transpose()  # columns span the kernel
+    s_res = basis_t.solve_right(r.S * basis_t)
+    t_res = basis_t.solve_right(r.T * basis_t)
+    residual = Rep(f"{r.label}|res", r.level, s_res, t_res)
+    scalar = s_res[0, 0]
+    if all(
+        s_res[i, j] == (scalar if i == j else CycNum.zero())
+        for i in range(joint.dim)
+        for j in range(joint.dim)
+    ):
+        split = []
+        for j in range(r.level):
+            eig = CycNum.zeta(r.level, j)
+            ker = (t_res - Matrix.identity(joint.dim).scaled(eig)).kernel()
+            for _ in range(ker.dim):
+                split.append(
+                    Rep(
+                        f"{r.label}|res(T={eig})",
+                        r.level,
+                        Matrix(1, 1, [scalar]),
+                        Matrix(1, 1, [eig]),
+                    )
+                )
+        if sum(s.dim for s in split) == joint.dim:
+            return Decomposition(mults, residual, residual_split=split)
+    return Decomposition(mults, residual, residual_flagged=True)
+
+
+def decompose_cases(reg):
+    """(type, registry) pairs: full decompositions, flagged residuals, a split."""
+    r3, triv = reg.get("rho3"), reg.get("triv")
+    t3 = hecke_rep(3, triv).rep
+    cases = [(a.tensor(b), reg) for a in reg for b in reg]
+    cases += [(hecke_rep(m, r3).rep, reg) for m in (2, 3, 4)]
+    cases += [(t3.tensor(t3), reg), (hecke_rep(2, r3).rep.tensor(r3), reg)]
+    cases.append((r3.tensor(r3), RepRegistry([trivial_rep(), rho3()])))
+    cases.append((r3, RepRegistry([trivial_rep(), rho_zeta(), rho_zeta2()])))
+    return cases
+
+
+def test_decompose_matches_the_intersect_reference(reg):
+    kinds = set()
+    for r, registry in decompose_cases(reg):
+        got, want = decompose(r, registry), decompose_reference(r, registry)
+        assert got.multiplicities == want.multiplicities, r.label
+        assert got.residual_flagged == want.residual_flagged, r.label
+        assert [x.label for x in got.residual_split] == [x.label for x in want.residual_split]
+        if want.residual is None:
+            assert got.residual is None, r.label
+            kinds.add("full")
+        else:
+            assert got.residual.S == want.residual.S, r.label
+            assert got.residual.T == want.residual.T, r.label
+            kinds.add("split" if want.residual_split else "flagged")
+    assert kinds == {"full", "split", "flagged"}
+
+
+def test_decompose_neither_intersects_nor_solves(reg, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("decompose took the intersect-and-solve path")
+
+    monkeypatch.setattr(Subspace, "intersect", refuse)
+    monkeypatch.setattr(Matrix, "solve_right", refuse)
+    for r, registry in decompose_cases(reg)[-4:]:
+        decompose(r, registry)
+
+
 def test_isomorphism_tests(reg):
     assert not rep_isomorphic(reg.get("rho_zeta"), reg.get("rho_zeta2"))
     assert rep_isomorphic(reg.get("rho3"), reg.get("rho3"))
@@ -207,7 +293,10 @@ def test_multiplicity_accounting(reg):
         a, b = rng.choice(reg.entries), rng.choice(reg.entries)
         r = a.tensor(b)
         result = decompose(r, reg)
-        assert result.accounted_dim(reg) == r.dim
+        total = sum(m * reg.get(lbl).dim for lbl, m in result.multiplicities.items())
+        if result.residual is not None:
+            total += result.residual.dim
+        assert total == r.dim
 
 
 def test_frobenius_reciprocity(reg):
