@@ -236,12 +236,24 @@ def apply_intertwiner(phi: Matrix, f: AholForm, target: Rep) -> AholForm:
     Each of its coefficients has the lcm of the conductors of every pair
     (phi[i, j], term of layer[j]) that reaches its exponent, even where the
     sum cancels, so the result does not depend on the order of summation.
+    This public path checks that phi intertwines; `hyperalg.projections`
+    applies maps from `hom_space` through the same `_apply_maps` unchecked.
     """
     if not is_intertwiner(phi, f.rep, target):
         raise ValueError("matrix does not intertwine the source and target types")
-    rows = [[phi[i, j] for j in range(f.rep.dim)] for i in range(target.dim)]
-    name = f"phi({f.name})" if f.name else ""
-    return AholForm(f.weight, target, [combine(rows, layer) for layer in f.graded], name=name)
+    return _apply_maps([(phi, target)], f)[0]
+
+
+def _apply_maps(maps, f: AholForm) -> list:
+    """phi(f) for each (phi, target) of maps: their rows stacked into one
+    `combine` per layer, which packs each component of f once."""
+    rows = [[phi[i, j] for j in range(f.rep.dim)] for phi, t in maps for i in range(t.dim)]
+    layers = [combine(rows, layer) for layer in f.graded]
+    name, out, start = f"phi({f.name})" if f.name else "", [], 0
+    for _, t in maps:
+        out.append(AholForm(f.weight, t, [x[start : start + t.dim] for x in layers], name=name))
+        start += t.dim
+    return out
 
 
 def tinf(f: AholForm, targets) -> "FormSpan":

@@ -273,19 +273,26 @@ def hecke_rep(M: int, r: Rep) -> HeckeRep:
         return hit
     cosets = delta_cosets(1, M)
     index_of = {c: i for i, c in enumerate(cosets)}
-    blocks = {}
+    # moves[g][src]: the coset g sends src to, and the block it applies there
+    moves = {}
     for name, gam in (("S", S_MAT), ("T", T_MAT)):
-        gam_inv = _inv2(gam)
-        nblk = len(cosets)
-        cells = [[None] * nblk for _ in range(nblk)]
-        for src, m in enumerate(cosets):
-            corr, target = cocycle(m, gam_inv)
-            block = r.evaluate(_inv2(corr))
-            cells[index_of[target]][src] = block
-        blocks[name] = _block_matrix(cells, r.dim)
-    # T^(M level) fixes each coset (b -> b - a^2 d level) and leaves rho(T^(a^2 level)) = I
-    level = _matrix_order(blocks["T"], cap=M * r.level)
-    rep = Rep(f"T{M}({r.label})", level, blocks["S"], blocks["T"])
+        steps = [cocycle(m, _inv2(gam)) for m in cosets]
+        moves[name] = [(index_of[target], r.evaluate(_inv2(corr))) for corr, target in steps]
+    # T is block-monomial, so its order is the lcm over coset cycles of the
+    # cycle length times the order of the block product around the cycle.
+    # T^(M level) fixes each coset (b -> b - a^2 d level) and leaves
+    # rho(T^(a^2 level)) = I, which caps every block order.
+    level, seen = 1, set()
+    for start in range(len(cosets)):
+        prod, m, length = Matrix.identity(r.dim), start, 0
+        while m not in seen:
+            seen.add(m)
+            m, block = moves["T"][m]
+            prod, length = block * prod, length + 1
+        if length:
+            level = math.lcm(level, length * _matrix_order(prod, cap=M * r.level))
+    S, T = (_block_matrix(moves[g], r.dim) for g in "ST")
+    rep = Rep(f"T{M}({r.label})", level, S, T)
     report = rep.validate()
     if not report.ok:
         raise AssertionError(f"constructed Hecke type fails relations: {report}")
@@ -296,19 +303,14 @@ def hecke_rep(M: int, r: Rep) -> HeckeRep:
     return out
 
 
-def _block_matrix(cells, blk: int) -> Matrix:
-    nblk = len(cells)
-    dim = nblk * blk
-    zero = CycNum.zero()
-    ent = [zero] * (dim * dim)
-    for bi, row in enumerate(cells):
-        for bj, cell in enumerate(row):
-            if cell is None:
-                continue
-            for i in range(blk):
-                base = (bi * blk + i) * dim + bj * blk
-                for j in range(blk):
-                    ent[base + j] = cell[i, j]
+def _block_matrix(moves, blk: int) -> Matrix:
+    """The matrix with block moves[src][1] at block (moves[src][0], src)."""
+    dim = len(moves) * blk
+    ent = [CycNum.zero()] * (dim * dim)
+    for src, (target, cell) in enumerate(moves):
+        for i in range(blk):
+            base = (target * blk + i) * dim + src * blk
+            ent[base : base + blk] = cell.row(i)
     return Matrix(dim, dim, ent)
 
 
@@ -378,14 +380,3 @@ def pairing_tm(inner: Matrix, M: int) -> Matrix:
     """Gram matrix of the block-diagonal pairing on V(T_M rho)."""
     ncos = len(delta_cosets(1, M))
     return Matrix.identity(ncos).kron(inner)
-
-
-def pairing_apply(gram: Matrix, x, y) -> CycNum:
-    """Sesquilinear pairing sum_ij x_i G_ij conj(y_j)."""
-    acc = CycNum.zero()
-    for i in range(gram.rows):
-        for j in range(gram.cols):
-            gij = gram[i, j]
-            if not gij.is_zero():
-                acc = acc + x[i] * gij * y[j].conjugate()
-    return acc

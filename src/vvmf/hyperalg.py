@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .ahol import AholForm, apply_intertwiner
+from .ahol import AholForm, _apply_maps
 from .exactnum import CycNum
 from .linalg import Subspace, invert_rows
 from .qexp import InsufficientPrecision, combine
@@ -210,14 +210,21 @@ def hyper_tensor(f: AholForm, g: AholForm, targets: RepRegistry) -> FormSpan:
 
 
 def projections(f: AholForm, targets):
-    """Yield (tag, phi(f)) for every basis map phi of hom(type(f), target).
+    """(tag, phi(f)) for every basis map phi of hom(type(f), target).
 
     tag is "label#idx", idx the position of phi in the target's hom basis;
     targets are visited in order, so the tags come out in a fixed order.
+    The rows of every map of every target are stacked into one `combine`
+    call per layer of f, which groups, lifts and packs f's components once.
+    `hom_space` solves for intertwiners, so unlike the public
+    `apply_intertwiner` this does not check the maps again.
     """
+    tags, maps = [], []
     for target in targets:
         for idx, phi in enumerate(hom_space(f.rep, target)):
-            yield f"{target.label}#{idx}", apply_intertwiner(phi, f, target)
+            tags.append(f"{target.label}#{idx}")
+            maps.append((phi, target))
+    return list(zip(tags, _apply_maps(maps, f)))
 
 
 def tensor_form(f: AholForm, g: AholForm) -> AholForm:

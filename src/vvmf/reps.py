@@ -18,6 +18,7 @@ the convention.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -77,9 +78,6 @@ class Rep:
             (f"T^{self.level} = I", _mat_pow(T, self.level).is_identity()),
         ]
         return RepValidation(self.label, checks)
-
-    def is_valid(self) -> bool:
-        return self.validate().ok
 
     def dual(self) -> "Rep":
         return Rep(
@@ -210,12 +208,12 @@ def hom_fixed_subspace(r: Rep, r2: Rep) -> Subspace:
     rows, n = [], 1
     for a, b in ((r.S, r2.S), (r.T, r2.T)):
         # the nonzeros of column i' of a and of row j of -b
-        acols = [[(i * d2, x) for i, x in enumerate(a.entries[ip::d]) if x] for ip in range(d)]
+        acols = _nonzero_columns(a)
         brows = [[(jp, -x) for jp, x in enumerate(b.row(j)) if x] for j in range(d2)]
         block = []
         for ip in range(d):
             for j in range(d2):
-                row = {col + j: x for col, x in acols[ip]}
+                row = {i * d2 + j: x for i, x in acols[ip]}
                 for jp, x in brows[j]:
                     col = ip * d2 + jp
                     y = row[col] + x if col in row else x
@@ -230,6 +228,13 @@ def hom_fixed_subspace(r: Rep, r2: Rep) -> Subspace:
             rows += block
     basis = kernel_of_rows(rows, d * d2).basis
     return Subspace(d * d2, [[x.lift(n) for x in v] for v in basis])
+
+
+@functools.lru_cache(maxsize=_HOM_CACHE_SIZE)
+def _nonzero_columns(a: Matrix) -> tuple:
+    """(i, a[i, i']) for the nonzeros of each column i' of a, once per source."""
+    d = a.cols
+    return tuple(tuple((i, x) for i, x in enumerate(a.entries[c::d]) if x) for c in range(d))
 
 
 def fixed_vector_to_matrix(v, dim_r: int, dim_r2: int) -> Matrix:

@@ -187,7 +187,7 @@ def test_acceptance_8_invariant_suites(reg):
     for M in range(1, 7):
         for entry in reg.entries:
             hr = hecke_rep(M, entry)
-            assert hr.rep.is_valid(), (M, entry.label)
+            assert hr.rep.validate().ok, (M, entry.label)
     for M in (2, 3, 4):
         for k in (4, 6):
             form = hecke_form(M, eisenstein(k, 4 * M))

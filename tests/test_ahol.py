@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import vvmf.ahol
 from vvmf.ahol import (
     AholForm,
+    _apply_maps,
     ahol_decompose,
     apply_intertwiner,
     lower_op,
@@ -16,11 +18,18 @@ from vvmf.ahol import (
     tinf_closure,
 )
 from vvmf.exactnum import CycNum, euler_phi
-from vvmf.forms import eisenstein
-from vvmf.hyperalg import FormSpan, hyper_tensor, span_contains, span_sum, tensor_form
+from vvmf.forms import eisenstein, vv_eisenstein
+from vvmf.hyperalg import (
+    FormSpan,
+    hyper_tensor,
+    projections,
+    span_contains,
+    span_sum,
+    tensor_form,
+)
 from vvmf.linalg import Matrix
 from vvmf.qexp import QExp
-from vvmf.reps import Rep, builtin_registry, is_intertwiner, trivial_rep
+from vvmf.reps import Rep, builtin_registry, hom_space, is_intertwiner, trivial_rep
 
 
 @pytest.fixture(scope="module")
@@ -407,3 +416,107 @@ def test_apply_intertwiner_does_not_depend_on_the_order_of_the_source():
         )
     # the inputs reach the order-dependent cases of the chain
     assert chain_moved > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_maps_match_maps_applied_alone(seed):
+    """Rows stacked beside others that meet other lattices, precisions and
+    conductors give the bytes they give alone."""
+    rng = random.Random(f"stacked/{seed}")
+    for _ in range(20):
+        _, f, _ = random_application(rng)
+        d, maps = f.rep.dim, []
+        for _ in range(rng.randint(1, 4)):
+            cond, cols = rng.choice(APPLY_CONDUCTORS), rng.sample(range(d), rng.randint(1, d))
+            rows = [[random_cyc(rng, cond) if j in cols and rng.random() < 0.7 else 0
+                     for j in range(d)] for _ in range(rng.randint(1, 3))]
+            phi = Matrix.from_rows(rows)
+            maps.append((phi, trivial_power(phi.rows)))
+        stacked = _apply_maps(maps, f)
+        assert len(stacked) == len(maps)
+        for (phi, target), image in zip(maps, stacked):
+            assert form_bytes(image) == form_bytes(apply_intertwiner(phi, f, target))
+
+
+def rho3_eisenstein(k, reg, prec=6):
+    span = vv_eisenstein(k, reg.get("rho3"), 3, prec)
+    return span.generators(span.grades()[0])[0][0]
+
+
+def sign_type():
+    """The level-2 character S = T = -1: no level-3 type maps onto it."""
+    return Rep("sgn", 2, Matrix.from_rows([[-1]]), Matrix.from_rows([[-1]]))
+
+
+def projection_sources(reg):
+    f4, f6 = rho3_eisenstein(4, reg), rho3_eisenstein(6, reg)
+    return [
+        tensor_form(f4, f6),
+        tensor_form(f4, f4),
+        tensor_form(raise_op(f4), f6),
+        tensor_form(raise_op(f4), raise_op(f6)),
+        raise_op(f4),
+        raise_op(raise_op(f4)),
+    ]
+
+
+def test_projections_match_reference_apply_map_by_map(reg):
+    targets = list(reg) + [sign_type()]
+    assert hom_space(reg.get("rho3"), targets[-1]) == []
+    depths = set()
+    for f in projection_sources(reg):
+        depths.add(f.depth)
+        got = projections(f, targets)
+        expected = [
+            (f"{t.label}#{idx}", reference_apply(phi, f, t))
+            for t in targets
+            for idx, phi in enumerate(hom_space(f.rep, t))
+        ]
+        assert [tag for tag, _ in got] == [tag for tag, _ in expected]
+        for (_, a), (_, b) in zip(got, expected):
+            assert a.name == b.name and a.rep is b.rep
+            assert form_bytes(a) == form_bytes(b)
+    assert depths == {0, 1, 2}
+    assert projections(rho3_eisenstein(4, reg), [sign_type()]) == []
+
+
+def test_projections_combine_once_per_layer(reg, monkeypatch):
+    calls = []
+    combine = vvmf.ahol.combine
+
+    def counted(rows, series):
+        calls.append(len(rows))
+        return combine(rows, series)
+
+    monkeypatch.setattr(vvmf.ahol, "combine", counted)
+    for f in projection_sources(reg):
+        calls.clear()
+        images = projections(f, list(reg) + [sign_type()])
+        assert len(calls) == f.depth + 1
+        assert calls == [sum(image.rep.dim for _, image in images)] * (f.depth + 1)
+
+
+def test_projections_skip_the_intertwiner_check(reg, monkeypatch):
+    """Maps from hom_space intertwine by construction; only the public
+    apply_intertwiner checks."""
+
+    def refuse(*args):
+        raise AssertionError("projections must not check or apply map by map")
+
+    f4, f6 = rho3_eisenstein(4, reg), rho3_eisenstein(6, reg)
+    expected = hyper_tensor(f4, f6, reg).dimension_signature()
+    monkeypatch.setattr(vvmf.ahol, "is_intertwiner", refuse)
+    monkeypatch.setattr(vvmf.ahol, "apply_intertwiner", refuse)
+    assert len(projections(tensor_form(f4, f6), reg)) == 5
+    assert hyper_tensor(f4, f6, reg).dimension_signature() == expected
+
+
+def test_apply_intertwiner_rejects_a_map_that_does_not_intertwine(reg):
+    rho3 = reg.get("rho3")
+    f4 = rho3_eisenstein(4, reg)
+    (phi,) = hom_space(rho3, rho3)
+    assert form_bytes(apply_intertwiner(phi, f4, rho3)) == form_bytes(f4)
+    with pytest.raises(ValueError, match="does not intertwine"):
+        apply_intertwiner(Matrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]]), f4, rho3)
+    with pytest.raises(ValueError, match="does not intertwine"):
+        apply_intertwiner(Matrix.from_rows([[1, 1, 1]]), f4, reg.get("triv"))

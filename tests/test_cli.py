@@ -368,6 +368,13 @@ PINNED_OUTPUTS = [
      ("vveis", "--weight", "4", "--type", "rho3", "--index", "3", "--prec", "12",
       "--format", "json"),
      "dbbcb7729dac1e596efea1bb65d850c64cae0dbfa607c0c52e556dd9374e7003"),
+    # the tinf closure of that span holds grades of depth 0, 1 and 2, each a
+    # stacked projection of one form onto every registry type (recorded
+    # before the projections of a form were stacked into one kernel call)
+    ("closure_rho3.json",
+     ("ahol", "closure", "--span", "vveis_rho3.json", "--window", "4:8", "--max-rounds", "3",
+      "--format", "json"),
+     "40f3d114effc1929250f9ee86aaead5d97921a4e194101536b097bc9f191d4af"),
 ]
 
 

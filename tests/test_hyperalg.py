@@ -216,7 +216,7 @@ def test_types_are_identified_by_content_not_label(reg):
     # an impostor labelled rho_zeta whose T is zeta3^2, the T of rho_zeta2
     real = reg.get("rho_zeta")
     impostor = Rep("rho_zeta", 3, Matrix.identity(1), Matrix(1, 1, [CycNum.zeta(3, 2)]))
-    assert impostor.is_valid() and impostor.content != real.content
+    assert impostor.validate().ok and impostor.content != real.content
     q = QExp(3, 6, {1: CycNum.one(), 4: CycNum.zeta(3)})
     f = AholForm.holomorphic(2, real, [q])
     fake = AholForm.holomorphic(2, impostor, [q])
