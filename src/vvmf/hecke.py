@@ -380,3 +380,14 @@ def pairing_tm(inner: Matrix, M: int) -> Matrix:
     """Gram matrix of the block-diagonal pairing on V(T_M rho)."""
     ncos = len(delta_cosets(1, M))
     return Matrix.identity(ncos).kron(inner)
+
+
+def pairing_apply(gram: Matrix, x, y) -> CycNum:
+    """Sesquilinear pairing sum_ij x_i G_ij conj(y_j)."""
+    acc = CycNum.zero()
+    for i in range(gram.rows):
+        for j in range(gram.cols):
+            gij = gram[i, j]
+            if not gij.is_zero():
+                acc = acc + x[i] * gij * y[j].conjugate()
+    return acc

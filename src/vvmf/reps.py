@@ -79,6 +79,9 @@ class Rep:
         ]
         return RepValidation(self.label, checks)
 
+    def is_valid(self) -> bool:
+        return self.validate().ok
+
     def dual(self) -> "Rep":
         return Rep(
             f"{self.label}^",
@@ -208,7 +211,7 @@ def hom_fixed_subspace(r: Rep, r2: Rep) -> Subspace:
     rows, n = [], 1
     for a, b in ((r.S, r2.S), (r.T, r2.T)):
         # the nonzeros of column i' of a and of row j of -b
-        acols = _nonzero_columns(a)
+        acols = _nonzero_columns(a, a.n)
         brows = [[(jp, -x) for jp, x in enumerate(b.row(j)) if x] for j in range(d2)]
         block = []
         for ip in range(d):
@@ -231,8 +234,9 @@ def hom_fixed_subspace(r: Rep, r2: Rep) -> Subspace:
 
 
 @functools.lru_cache(maxsize=_HOM_CACHE_SIZE)
-def _nonzero_columns(a: Matrix) -> tuple:
-    """(i, a[i, i']) for the nonzeros of each column i' of a, once per source."""
+def _nonzero_columns(a: Matrix, n: int) -> tuple:
+    """(i, a[i, i']) for the nonzeros of each column i' of a, once per source;
+    n = a.n is in the key, as equal matrices at other conductors hash alike."""
     d = a.cols
     return tuple(tuple((i, x) for i, x in enumerate(a.entries[c::d]) if x) for c in range(d))
 

@@ -15,6 +15,7 @@ from vvmf.hecke import (
     delta_cosets,
     hecke_form,
     hecke_rep,
+    pairing_apply,
     pairing_tm,
     pi_M,
     reduce_to_coset,
@@ -223,13 +224,13 @@ def test_hecke_cache_is_bounded():
 def test_hecke_rep_of_trivial_type(reg):
     hr = hecke_rep(3, reg.get("triv"))
     assert hr.rep.dim == 4
-    assert hr.rep.validate().ok
+    assert hr.rep.is_valid()
 
 
 def test_hecke_rep_relations_for_small_indices(reg):
     for M in range(1, 7):
         for entry in reg.entries:
-            assert hecke_rep(M, entry).rep.validate().ok, (M, entry.label)
+            assert hecke_rep(M, entry).rep.is_valid(), (M, entry.label)
 
 
 def test_hecke_rep_level_divides_index_times_level(reg):
@@ -355,17 +356,6 @@ def test_hecke_form_commutes_with_covariant_operators(reg):
         deep = raise_op(raise_op(e4))
         assert hecke_form(M, deep).agrees_with(raise_op(raise_op(hecke_form(M, e4))))
         assert hecke_form(M, lower_op(deep)).agrees_with(lower_op(hecke_form(M, deep)))
-
-
-def pairing_apply(gram: Matrix, x, y) -> CycNum:
-    """Sesquilinear pairing sum_ij x_i G_ij conj(y_j)."""
-    acc = CycNum.zero()
-    for i in range(gram.rows):
-        for j in range(gram.cols):
-            gij = gram[i, j]
-            if not gij.is_zero():
-                acc = acc + x[i] * gij * y[j].conjugate()
-    return acc
 
 
 def test_pairing_block_structure(reg):

@@ -38,7 +38,7 @@ def test_threefold_type_passes_validation():
 
 
 def test_trivial_type_passes_validation():
-    assert trivial_rep().validate().ok
+    assert trivial_rep().is_valid()
 
 
 def test_braid_relation_failure_detected():
@@ -137,21 +137,26 @@ def test_stacked_hom_solve_matches_kronecker_reference(reg):
 
 
 def test_hom_solve_of_equal_types_written_at_another_conductor(reg):
-    """Equal generator matrices written at conductor 12 are solved at 12,
-    whether or not the same values were solved at their own conductor."""
+    """Equal generator matrices written at conductor 12 are solved at 12, and
+    at their own conductor at that one, whichever of the two is solved first."""
+    from vvmf import reps
 
     def at12(r):
         S, T = (Matrix(m.rows, m.cols, [x.lift(12) for x in m.entries]) for m in (r.S, r.T))
         return Rep(r.label, r.level, S, T)
 
-    for r in reg:
-        for r2 in reg:
-            for a, b in ((r, r2), (at12(r), at12(r2)), (r, r2)):
-                got, want = hom_fixed_subspace(a, b), hom_fixed_subspace_reference(a, b)
-                assert got == want, (r.label, r2.label)
-                assert [fixed_vector_to_matrix(v, r.dim, r2.dim).to_json() for v in got.basis] == [
-                    fixed_vector_to_matrix(v, r.dim, r2.dim).to_json() for v in want.basis
-                ], (a.S.n, r.label, r2.label)
+    def shaped(sub, r, r2):
+        return [fixed_vector_to_matrix(v, r.dim, r2.dim).to_json() for v in sub.basis]
+
+    for first_at12 in (False, True):
+        reps._nonzero_columns.cache_clear()
+        for r in reg:
+            for r2 in reg:
+                pairs = [(r, r2), (at12(r), at12(r2)), (r, r2)]
+                for a, b in pairs[first_at12:]:
+                    got, want = hom_fixed_subspace(a, b), hom_fixed_subspace_reference(a, b)
+                    assert got == want, (r.label, r2.label)
+                    assert shaped(got, a, b) == shaped(want, a, b), (a.S.n, r.label, r2.label)
 
 
 def test_hom_of_induced_tensor_square_into_threefold_type(reg):
@@ -301,8 +306,8 @@ def test_dual_tensor_preserve_validity(reg):
     entries = reg.entries
     for _ in range(6):
         a, b = rng.choice(entries), rng.choice(entries)
-        assert a.dual().validate().ok
-        assert a.tensor(b).validate().ok
+        assert a.dual().is_valid()
+        assert a.tensor(b).is_valid()
 
 
 def test_multiplicity_accounting(reg):
