@@ -13,7 +13,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from importlib import resources
 
@@ -84,18 +84,7 @@ class Report:
         return {
             "command": self.command,
             "ok": self.ok,
-            "cases": [
-                {
-                    "name": c.name,
-                    "parameters": c.parameters,
-                    "expected": c.expected,
-                    "observed": c.observed,
-                    "provenance": c.provenance,
-                    "status": c.status,
-                    "diagnostics": c.diagnostics,
-                }
-                for c in self.cases
-            ],
+            "cases": [asdict(c) for c in self.cases],
         }
 
     def to_text(self, timestamp: bool = True) -> str:
@@ -421,14 +410,6 @@ def verify_thm11(
     return report
 
 
-def verify_all(registry: RepRegistry | None = None, prec: int | None = None) -> list:
-    return [
-        verify_example32(registry=registry, prec=prec),
-        verify_counts(),
-        verify_thm11(prec=prec, registry=registry),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # type expression parsing: label, T<M>(expr), expr*expr
 
@@ -481,10 +462,6 @@ def emit(payload: str, out: str | None):
         sys.stdout.write(payload)
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
-
-
 def _form_text(f: AholForm) -> str:
     lines = [f"weight {f.weight}  type {f.rep.label}  depth {f.depth}  prec {f.prec}"]
     for r, layer in enumerate(f.graded):
@@ -507,9 +484,14 @@ def _span_text(span: FormSpan) -> str:
 
 
 def _span_from_json(obj, registry: RepRegistry) -> FormSpan:
+    if not isinstance(obj, dict) or not isinstance(obj.get("grades"), list):
+        raise ValueError("a span is a JSON object whose grades are a list")
     span = FormSpan()
     for grade in obj["grades"]:
-        for gen in grade["generators"]:
+        gens = grade.get("generators") if isinstance(grade, dict) else None
+        if not isinstance(gens, list) or not all(isinstance(gen, dict) for gen in gens):
+            raise ValueError("a span grade is an object whose generators are a list of objects")
+        for gen in gens:
             span.add(
                 AholForm.from_json(gen["form"], registry),
                 provenance=gen.get("provenance", ""),
@@ -599,89 +581,57 @@ def run(args) -> int:
             raise ValueError(f"--{opt.replace('_', '-')} must be positive, got {value}")
     registry = load_registry(getattr(args, "registry", None))
 
+    # each command gives its JSON body and a text renderer; only a failed
+    # verify expectation makes the exit code 1
+    ok = True
     if args.command == "eis":
         form = eisenstein(args.weight, args.prec)
-        if args.format == "json":
-            emit(_json_dump(form.to_json(registry)), args.out)
-        else:
-            emit(_form_text(form), args.out)
-        return 0
-
-    if args.command == "vveis":
+        body, text = form.to_json(registry), lambda: _form_text(form)
+    elif args.command == "vveis":
         target = parse_rep_expr(args.type_expr, registry)
         span = vv_eisenstein(args.weight, target, args.index, args.prec)
-        payload = _json_dump(span.to_json()) if args.format == "json" else _span_text(span)
-        emit(payload, args.out)
-        return 0
-
-    if args.command == "hecke":
-        if args.hecke_command == "cosets":
-            cosets = delta_cosets(args.genus, args.index)
-            if args.count_only:
-                emit(f"{len(cosets)}\n", args.out)
-            elif args.format == "json":
-                emit(_json_dump([[list(r) for r in c.mat] for c in cosets]), args.out)
-            else:
-                lines = [" ".join(str(x) for x in row) for c in cosets for row in c.mat + ((),)]
-                emit("\n".join(ln for ln in lines).rstrip() + "\n", args.out)
-            return 0
-        form = load_form(args.form, registry)
-        image = hecke_form(args.index, form)
-        if args.format == "json":
-            emit(_json_dump(image.to_json()), args.out)
+        body, text = span.to_json(), lambda: _span_text(span)
+    elif args.command == "hecke" and args.hecke_command == "cosets":
+        cosets = delta_cosets(args.genus, args.index)
+        if args.count_only:
+            # the bare count, the same in both formats
+            body, text = len(cosets), lambda: f"{len(cosets)}\n"
         else:
-            emit(_form_text(image), args.out)
-        return 0
-
-    if args.command == "homspace":
+            body = [[list(r) for r in c.mat] for c in cosets]
+            lines = [" ".join(str(x) for x in row) for c in cosets for row in c.mat + ((),)]
+            text = lambda: "\n".join(lines).rstrip() + "\n"
+    elif args.command == "hecke":
+        image = hecke_form(args.index, load_form(args.form, registry))
+        body, text = image.to_json(), lambda: _form_text(image)
+    elif args.command == "homspace":
         src = parse_rep_expr(args.source, registry)
         dst = parse_rep_expr(args.target, registry)
         basis = hom_space(src, dst)
-        if args.format == "json":
-            emit(
-                _json_dump(
-                    {
-                        "source": args.source,
-                        "target": args.target,
-                        "dimension": len(basis),
-                        "basis": [m.to_json() for m in basis],
-                    }
-                ),
-                args.out,
-            )
-        else:
-            lines = [f"dim hom({args.source}, {args.target}) = {len(basis)}"]
-            for i, m in enumerate(basis):
-                lines.append(f"basis[{i}] = {m!r}")
-            emit("\n".join(lines) + "\n", args.out)
-        return 0
-
-    if args.command == "decompose":
+        body = {
+            "source": args.source,
+            "target": args.target,
+            "dimension": len(basis),
+            "basis": [m.to_json() for m in basis],
+        }
+        text = lambda: "".join(
+            [f"dim hom({args.source}, {args.target}) = {len(basis)}\n"]
+            + [f"basis[{i}] = {m!r}\n" for i, m in enumerate(basis)]
+        )
+    elif args.command == "decompose":
         rep = parse_rep_expr(args.rep, registry)
         result = decompose(rep, registry)
-        payload = {
+        body = {
             "rep": args.rep,
             "multiplicities": dict(sorted(result.multiplicities.items())),
             "residual_dim": result.residual.dim if result.residual else 0,
             "residual_split": [r.label for r in result.residual_split],
             "residual_flagged": result.residual_flagged,
         }
-        if args.format == "json":
-            emit(_json_dump(payload), args.out)
-        else:
-            emit(
-                "".join(
-                    [
-                        f"{args.rep}: {payload['multiplicities']}",
-                        f" residual_dim={payload['residual_dim']}",
-                        f" flagged={payload['residual_flagged']}\n",
-                    ]
-                ),
-                args.out,
-            )
-        return 0
-
-    if args.command == "hyperprod":
+        text = lambda: (
+            f"{args.rep}: {body['multiplicities']} residual_dim={body['residual_dim']}"
+            f" flagged={body['residual_flagged']}\n"
+        )
+    elif args.command == "hyperprod":
         targets = load_registry(args.targets) if args.targets else registry
         left = load_form(args.left, registry)
         right = load_form(args.right, registry)
@@ -689,29 +639,19 @@ def run(args) -> int:
             left = left.truncate(min(left.prec, args.prec))
             right = right.truncate(min(right.prec, args.prec))
         span = hyper_tensor(left, right, targets)
-        payload = _json_dump(span.to_json()) if args.format == "json" else _span_text(span)
-        emit(payload, args.out)
-        return 0
-
-    if args.command == "ahol":
-        if args.ahol_command == "closure":
-            with open(args.span) as f:
-                span = _span_from_json(json.load(f), registry)
-            window = re.fullmatch(r"(-?\d+):(-?\d+)", args.window)
-            if window is None:
-                raise ValueError(f"--window must be kmin:kmax, got {args.window!r}")
-            closure, stabilized = tinf_closure(
-                span, tuple(map(int, window.groups())), args.max_rounds, registry
-            )
-            obj = closure.to_json()
-            obj["stabilized"] = stabilized
-            payload = (
-                _json_dump(obj)
-                if args.format == "json"
-                else f"stabilized: {stabilized}\n" + _span_text(closure)
-            )
-            emit(payload, args.out)
-            return 0
+        body, text = span.to_json(), lambda: _span_text(span)
+    elif args.command == "ahol" and args.ahol_command == "closure":
+        with open(args.span) as f:
+            span = _span_from_json(json.load(f), registry)
+        window = re.fullmatch(r"(-?\d+):(-?\d+)", args.window)
+        if window is None:
+            raise ValueError(f"--window must be kmin:kmax, got {args.window!r}")
+        closure, stabilized = tinf_closure(
+            span, tuple(map(int, window.groups())), args.max_rounds, registry
+        )
+        body = dict(closure.to_json(), stabilized=stabilized)
+        text = lambda: f"stabilized: {stabilized}\n" + _span_text(closure)
+    elif args.command == "ahol":
         form = load_form(args.form, registry)
         if args.ahol_command == "raise":
             result = [raise_op(form)]
@@ -719,14 +659,9 @@ def run(args) -> int:
             result = [lower_op(form)]
         else:
             result = ahol_decompose(form)
-        if args.format == "json":
-            body = result[0].to_json() if len(result) == 1 else [f.to_json() for f in result]
-            emit(_json_dump(body), args.out)
-        else:
-            emit("".join(_form_text(f) for f in result), args.out)
-        return 0
-
-    if args.command == "verify":
+        body = result[0].to_json() if len(result) == 1 else [f.to_json() for f in result]
+        text = lambda: "".join(_form_text(f) for f in result)
+    elif args.command == "verify":
         if args.target == "example32":
             reports = [verify_example32(registry=registry, prec=args.prec)]
         elif args.target == "counts":
@@ -744,15 +679,20 @@ def run(args) -> int:
                 )
             ]
         else:
-            reports = verify_all(registry=registry, prec=args.prec)
-        if args.format == "json":
-            body = reports[0].to_json() if len(reports) == 1 else [r.to_json() for r in reports]
-            emit(_json_dump(body), args.out)
-        else:
-            emit("".join(r.to_text() for r in reports), args.out)
-        return 0 if all(r.ok for r in reports) else 1
-
-    raise ValueError(f"unknown command {args.command!r}")
+            reports = [
+                verify_example32(registry=registry, prec=args.prec),
+                verify_counts(),
+                verify_thm11(prec=args.prec, registry=registry),
+            ]
+        body = reports[0].to_json() if len(reports) == 1 else [r.to_json() for r in reports]
+        text = lambda: "".join(r.to_text() for r in reports)
+        ok = all(r.ok for r in reports)
+    else:
+        raise ValueError(f"unknown command {args.command!r}")
+    if args.format == "json":
+        text = lambda: json.dumps(body, indent=1, sort_keys=True) + "\n"
+    emit(text(), args.out)
+    return 0 if ok else 1
 
 
 def main(argv=None) -> int:

@@ -51,11 +51,6 @@ def eisenstein(k: int, prec) -> AholForm:
     return AholForm.holomorphic(k, trivial_rep(), (QExp(1, prec, terms),), name=f"E{k}")
 
 
-def one_form(prec) -> AholForm:
-    """The constant 1 in weight 0, the identity of the product."""
-    return AholForm.holomorphic(0, trivial_rep(), (QExp.constant(1, prec),), name="1")
-
-
 def delta_form(prec) -> AholForm:
     """The weight-12 cusp form (E4^3 - E6^2)/1728."""
     e4 = eisenstein(4, prec).components[0]

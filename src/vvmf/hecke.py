@@ -14,6 +14,7 @@ convention (an invalid result raises, it must not occur).
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import product
@@ -253,24 +254,21 @@ class HeckeRep:
         return f"HeckeRep(T_{self.index} {self.base.label}, dim {self.rep.dim})"
 
 
-# hecke_rep results, least recently used first; the label is in the key
-# because the induced type's label is built from it
-_HECKE_CACHE: dict = {}
-_HECKE_CACHE_SIZE = 64
-
-
 def hecke_rep(M: int, r: Rep) -> HeckeRep:
     """Representation on V(rho) (x) C[Delta_M]; validated on construction.
 
     Basis order is coset-major: block m holds the dim(rho) components of
     e_m, cosets in delta_cosets order.  Block (target, source) of the image
-    of gamma is rho([I_m(gamma^-1)]^-1) for m the source coset.
+    of gamma is rho([I_m(gamma^-1)]^-1) for m the source coset.  Memoized by
+    `Rep.key`, and by the label, because the induced type's label is built
+    from it.
     """
-    key = (M, r.label, r.content)
-    hit = _HECKE_CACHE.pop(key, None)
-    if hit is not None:
-        _HECKE_CACHE[key] = hit
-        return hit
+    return _hecke_rep(M, r.label, r.key)
+
+
+@functools.lru_cache(maxsize=64)
+def _hecke_rep(M: int, label: str, key: tuple) -> HeckeRep:
+    r = Rep(label, *key[:3])
     cosets = delta_cosets(1, M)
     index_of = {c: i for i, c in enumerate(cosets)}
     # moves[g][src]: the coset g sends src to, and the block it applies there
@@ -296,11 +294,7 @@ def hecke_rep(M: int, r: Rep) -> HeckeRep:
     report = rep.validate()
     if not report.ok:
         raise AssertionError(f"constructed Hecke type fails relations: {report}")
-    out = HeckeRep(r, M, cosets, rep)
-    _HECKE_CACHE[key] = out
-    if len(_HECKE_CACHE) > _HECKE_CACHE_SIZE:
-        del _HECKE_CACHE[next(iter(_HECKE_CACHE))]
-    return out
+    return HeckeRep(r, M, cosets, rep)
 
 
 def _block_matrix(moves, blk: int) -> Matrix:
@@ -380,14 +374,3 @@ def pairing_tm(inner: Matrix, M: int) -> Matrix:
     """Gram matrix of the block-diagonal pairing on V(T_M rho)."""
     ncos = len(delta_cosets(1, M))
     return Matrix.identity(ncos).kron(inner)
-
-
-def pairing_apply(gram: Matrix, x, y) -> CycNum:
-    """Sesquilinear pairing sum_ij x_i G_ij conj(y_j)."""
-    acc = CycNum.zero()
-    for i in range(gram.rows):
-        for j in range(gram.cols):
-            gij = gram[i, j]
-            if not gij.is_zero():
-                acc = acc + x[i] * gij * y[j].conjugate()
-    return acc

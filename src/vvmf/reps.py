@@ -7,7 +7,7 @@ T^level = I.  The declared level is trusted beyond the T-order check.
 Hom spaces are the fixed vectors of dual(r) tensor r2, found without
 inverses or Kronecker products: the intertwining equations for S and T
 are stacked into one sparse linear system whose kernel is taken once.
-`hom_space` memoizes its bases by the content of both types, in a bounded
+`hom_space` memoizes its bases by `Rep.key` of both types, in a bounded
 least-recently-used table, so relabelled copies of a type share them.
 The flattening between fixed vectors v and intertwiner matrices Phi is
 private: index pairs (i, j) with i < dim_r, j < dim_r2 flatten to
@@ -28,19 +28,11 @@ from .linalg import Matrix, Subspace, kernel_of_rows, sparse_row
 S_MAT = ((0, -1), (1, 0))
 T_MAT = ((1, 1), (0, 1))
 
-# Rep.evaluate keeps at most this many word images per type, least
-# recently used first
-_WORD_CACHE_SIZE = 256
-
-# hom_space results, least recently used first
-_HOM_CACHE: dict = {}
-_HOM_CACHE_SIZE = 64
-
 
 class Rep:
     """Congruence type with generator images for S and T."""
 
-    __slots__ = ("label", "dim", "level", "S", "T", "_word_cache")
+    __slots__ = ("label", "dim", "level", "S", "T")
 
     def __init__(self, label: str, level: int, S: Matrix, T: Matrix):
         if S.rows != S.cols or T.rows != T.cols or S.rows != T.rows:
@@ -52,7 +44,6 @@ class Rep:
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "T", T)
-        object.__setattr__(self, "_word_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Rep is immutable")
@@ -61,6 +52,14 @@ class Rep:
     def content(self) -> tuple:
         """(level, S, T), which identifies the type; the label only names it."""
         return (self.level, self.S, self.T)
+
+    @property
+    def key(self) -> tuple:
+        """(level, S, T, S.n, T.n), the key of every memo of types.  The
+        conductors are in it because equal matrices at other conductors
+        compare and hash alike, and a memoized result is written at the
+        conductors of the type it was built from."""
+        return (self.level, self.S, self.T, self.S.n, self.T.n)
 
     @property
     def conductor(self) -> int:
@@ -78,9 +77,6 @@ class Rep:
             (f"T^{self.level} = I", _mat_pow(T, self.level).is_identity()),
         ]
         return RepValidation(self.label, checks)
-
-    def is_valid(self) -> bool:
-        return self.validate().ok
 
     def dual(self) -> "Rep":
         return Rep(
@@ -105,23 +101,10 @@ class Rep:
         g is ((a, b), (c, d)) with determinant 1; decomposed into an S, T
         word by the Euclidean algorithm on the left column.
         """
-        key = (g[0][0], g[0][1], g[1][0], g[1][1])
-        cached = self._word_cache.pop(key, None)
-        if cached is not None:
-            self._word_cache[key] = cached
-            return cached
-        if key[0] * key[3] - key[1] * key[2] != 1:
+        (a, b), (c, d) = g
+        if a * d - b * c != 1:
             raise ValueError(f"{g} is not in the modular group")
-        out = Matrix.identity(self.dim)
-        for kind, e in sl2_word(*key):
-            if kind == "S":
-                out = out * _mat_pow(self.S, e % 4)
-            else:
-                out = out * _mat_pow(self.T, e % self.level)
-        self._word_cache[key] = out
-        if len(self._word_cache) > _WORD_CACHE_SIZE:
-            del self._word_cache[next(iter(self._word_cache))]
-        return out
+        return _word_image(self.key, a, b, c, d)
 
     def __repr__(self):
         return f"Rep({self.label}, dim {self.dim}, level {self.level})"
@@ -186,6 +169,19 @@ def sl2_word(a: int, b: int, c: int, d: int) -> list:
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _word_image(key: tuple, a: int, b: int, c: int, d: int) -> Matrix:
+    """Rep.evaluate of (a b; c d), shared by all types with this Rep.key."""
+    level, S, T = key[:3]
+    out = Matrix.identity(S.rows)
+    for kind, e in sl2_word(a, b, c, d):
+        if kind == "S":
+            out = out * _mat_pow(S, e % 4)
+        else:
+            out = out * _mat_pow(T, e % level)
+    return out
+
+
 def _mat_pow(m: Matrix, e: int) -> Matrix:
     """m^e for e >= 0 by square-and-multiply."""
     out = Matrix.identity(m.rows)
@@ -233,7 +229,7 @@ def hom_fixed_subspace(r: Rep, r2: Rep) -> Subspace:
     return Subspace(d * d2, [[x.lift(n) for x in v] for v in basis])
 
 
-@functools.lru_cache(maxsize=_HOM_CACHE_SIZE)
+@functools.lru_cache(maxsize=64)
 def _nonzero_columns(a: Matrix, n: int) -> tuple:
     """(i, a[i, i']) for the nonzeros of each column i' of a, once per source;
     n = a.n is in the key, as equal matrices at other conductors hash alike."""
@@ -255,19 +251,18 @@ def matrix_to_fixed_vector(phi: Matrix) -> list:
 def hom_space(r: Rep, r2: Rep) -> list:
     """Basis of intertwiners Phi with Phi r(g) = r2(g) Phi, as a fresh list.
 
-    Memoized by the content of both types, not their labels, and by the
-    conductors their matrices are written at, which fix the conductor the
-    basis is written at.
+    Memoized by `Rep.key` of both types: their content, not their labels,
+    and the conductors their matrices are written at, which fix the
+    conductor the basis is written at.
     """
-    key = (r.content, r2.content, r.S.n, r.T.n, r2.S.n, r2.T.n)
-    basis = _HOM_CACHE.pop(key, None)
-    if basis is None:
-        sub = hom_fixed_subspace(r, r2)
-        basis = tuple(fixed_vector_to_matrix(v, r.dim, r2.dim) for v in sub.basis)
-    _HOM_CACHE[key] = basis
-    if len(_HOM_CACHE) > _HOM_CACHE_SIZE:
-        del _HOM_CACHE[next(iter(_HOM_CACHE))]
-    return list(basis)
+    return list(_hom_basis(r.key, r2.key))
+
+
+@functools.lru_cache(maxsize=64)
+def _hom_basis(key: tuple, key2: tuple) -> tuple:
+    r, r2 = (Rep("", *k[:3]) for k in (key, key2))  # labels do not enter
+    sub = hom_fixed_subspace(r, r2)
+    return tuple(fixed_vector_to_matrix(v, r.dim, r2.dim) for v in sub.basis)
 
 
 def is_intertwiner(phi: Matrix, r: Rep, r2: Rep) -> bool:
@@ -383,6 +378,8 @@ class RepRegistry:
 
     @staticmethod
     def from_json(obj) -> "RepRegistry":
+        if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
+            raise ValueError("a registry is a JSON object whose entries are a list of types")
         return RepRegistry([Rep.from_json(e) for e in obj["entries"]])
 
 

@@ -109,6 +109,12 @@ _BAD_FILES = {
         {"h": 1, "prec": "2", "terms": [[1.5, _ONE]]}]},
     "repeated-exponent.json": {"type": "triv", "weight": 4, "components": [
         {"h": 1, "prec": "2", "terms": [[1, _ONE], [1, _ONE]]}]},
+    # registry and span files whose top level or generators have the wrong shape
+    "registry-list.json": [{"label": "triv", "level": 1, "S": [[_ONE]], "T": [[_ONE]]}],
+    "entries-number.json": {"entries": 5},
+    "grades-number.json": {"grades": 3},
+    "generator-string.json": {"grades": [
+        {"weight": 4, "type": "triv", "dimension": 1, "generators": ["form"]}]},
 }
 _GOOD_FORM = {"type": "triv", "weight": 4, "components": [
     {"h": 1, "prec": "2", "terms": [[0, _ONE]]}]}
@@ -157,6 +163,10 @@ _NAMED_ERRORS = [
         ("verify", "thm11", "--indices", "0,1"),
         ("verify", "thm11", "--indices", "-1"),
         ("verify", "thm11", "--indices", "1,2,1"),
+        ("homspace", "--registry", "registry-list.json", "--source", "triv", "--target", "triv"),
+        ("homspace", "--registry", "entries-number.json", "--source", "triv", "--target", "triv"),
+        ("ahol", "closure", "--span", "grades-number.json", "--window", "4:8"),
+        ("ahol", "closure", "--span", "generator-string.json", "--window", "4:8"),
     ]
     + [argv for _, argv, _ in _NAMED_ERRORS],
     ids=[
@@ -177,6 +187,10 @@ _NAMED_ERRORS = [
         "thm11-zero-index",
         "thm11-negative-index",
         "thm11-repeated-index",
+        "registry-top-level-list",
+        "registry-entries-number",
+        "span-grades-number",
+        "span-generator-not-object",
     ]
     + [name for name, _, _ in _NAMED_ERRORS],
 )
@@ -375,6 +389,39 @@ PINNED_OUTPUTS = [
      ("ahol", "closure", "--span", "vveis_rho3.json", "--window", "4:8", "--max-rounds", "3",
       "--format", "json"),
      "40f3d114effc1929250f9ee86aaead5d97921a4e194101536b097bc9f191d4af"),
+    # every command's text and JSON tail, recorded before the commands shared
+    # one output path
+    ("homspace_t2.txt", ("homspace", "--source", "T2(rho3)", "--target", "rho3"),
+     "d555103d5a39178e6cdbba39888321c53aed18590eddc3eec44613ddb521e2aa"),
+    ("homspace_t2.json",
+     ("homspace", "--source", "T2(rho3)", "--target", "rho3", "--format", "json"),
+     "a29faba364432cdcea072b8a01348092e6938b319c3d2572c34d4d2df1f37051"),
+    ("decompose_square.txt", ("decompose", "--rep", "rho3*rho3"),
+     "842a1d735b4c911c765026bd4f4ed807dd220776d32639f97e38bb3cc91d4153"),
+    ("cosets6.txt", ("hecke", "cosets", "--index", "6"),
+     "ebc1a93b3158771ab93822585f60f19b0d67cc3d34b8c190c3518e16b24f04a5"),
+    ("cosets6.json", ("hecke", "cosets", "--index", "6", "--format", "json"),
+     "fb26b1cca0fa3d1071f78945f321bd7a4ac555fc4294a5106d1d80879aa1efa5"),
+    ("cosets_genus2.txt", ("hecke", "cosets", "--genus", "2", "--index", "2", "--count-only"),
+     "238903180cc104ec2c5d8b3f20c5bc61b389ec0a967df8cc208cdc7cd454174f"),
+    ("lower4.txt", ("ahol", "lower", "--form", "raise4.json"),
+     "275107d179a618daf61022b03716a8892fa9a0560228cec81a023f439682a715"),
+    ("lower4.json", ("ahol", "lower", "--form", "raise4.json", "--format", "json"),
+     "49655aa6ae834cbda544bd5300e581c8b844025a8761e4d72e3a2643e39651f6"),
+    ("ahol_decompose4.txt", ("ahol", "decompose", "--form", "raise4.json"),
+     "5e67d48f594039c6232ed000f76bed9dd50cefe5704fc2264e0959b26ec34eab"),
+    ("ahol_decompose4.json", ("ahol", "decompose", "--form", "raise4.json", "--format", "json"),
+     "f52e18429af96ac07d5b8513f4b9f308e66d4ff5de9f3788fa16bc0a1cf27741"),
+    ("vveis_rho3.txt",
+     ("vveis", "--weight", "4", "--type", "rho3", "--index", "3", "--prec", "12"),
+     "63cadb403788c1d7b9ad89f1b41b67d7a12e7021e5fbadb014d8d66465baa2a9"),
+    ("hp.txt", ("hyperprod", "--left", "e4.json", "--right", "e6.json"),
+     "4784fedfd9ecbca80293332cd21358129c479ce585a0539739ed58f70ed5e10c"),
+    ("closure_rho3.txt",
+     ("ahol", "closure", "--span", "vveis_rho3.json", "--window", "4:8", "--max-rounds", "3"),
+     "1c051863e3b34104bfff8da9e296ab8216c7ddb254002f9ef73003d7b3e5e2df"),
+    ("counts.json", ("verify", "counts", "--format", "json"),
+     "acf17f9990a3ce17f0990afd0e1d54df0f207e0a026b0150c2d14562c470ec40"),
 ]
 
 

@@ -11,7 +11,6 @@ from vvmf.forms import (
     check_T_consistency,
     delta_form,
     eisenstein,
-    one_form,
     rankin_cohen,
     sigma,
     vv_eisenstein,
@@ -20,7 +19,12 @@ from vvmf.hecke import hecke_form
 from vvmf.hyperalg import tensor_form
 from vvmf.linalg import Matrix
 from vvmf.qexp import QExp
-from vvmf.reps import builtin_registry, hom_space
+from vvmf.reps import builtin_registry, hom_space, trivial_rep
+
+
+def one_form(prec) -> AholForm:
+    """The constant 1 in weight 0, the identity of the product."""
+    return AholForm.holomorphic(0, trivial_rep(), (QExp.constant(1, prec),), name="1")
 
 
 @pytest.fixture(scope="module")

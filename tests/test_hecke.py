@@ -7,15 +7,12 @@ from vvmf.ahol import apply_intertwiner, lower_op, raise_op
 from vvmf.exactnum import CycNum
 from vvmf.forms import delta_form, eisenstein
 from vvmf.hecke import (
-    _HECKE_CACHE,
-    _HECKE_CACHE_SIZE,
     DeltaCoset,
     _matrix_order,
     cocycle,
     delta_cosets,
     hecke_form,
     hecke_rep,
-    pairing_apply,
     pairing_tm,
     pi_M,
     reduce_to_coset,
@@ -215,22 +212,59 @@ def test_hecke_cache_is_keyed_by_content():
 
 
 def test_hecke_cache_is_bounded():
+    from vvmf import hecke
+
+    cache = hecke._hecke_rep
+    cache.cache_clear()
+    bound = cache.cache_info().maxsize
     triv = builtin_registry().get("triv")
-    for i in range(_HECKE_CACHE_SIZE + 5):
+    # the label is in the key: every relabelled copy is built afresh
+    for i in range(bound + 5):
         hecke_rep(1, Rep(f"triv{i}", 1, triv.S, triv.T))
-    assert len(_HECKE_CACHE) == _HECKE_CACHE_SIZE
+    assert cache.cache_info()[1:] == (bound + 5, bound, bound)  # misses, maxsize, size
+
+
+def test_hecke_rep_keeps_the_conductor_of_its_source():
+    """An induced type built from a type written at conductor 12 is not
+    handed back for the equal type written at its own conductor, so the hom
+    space of the latter has the bytes it has in a fresh process."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import vvmf
+    from vvmf.reps import hom_space, rho_zeta, rho_zeta2
+
+    def basis_json(hr):
+        return json.dumps([phi.to_json() for phi in hom_space(hr.rep, rho_zeta2())])
+
+    rz = rho_zeta()
+    wide = Rep(rz.label, rz.level, *(Matrix(1, 1, [m[0, 0].lift(12)]) for m in (rz.S, rz.T)))
+    assert hecke_rep(2, wide).rep.S.n == 12
+    hr = hecke_rep(2, rz)
+    assert hr.rep.S.n == 3
+    fresh = (
+        "import json; from vvmf.hecke import hecke_rep; from vvmf.reps import *; "
+        "print(json.dumps([phi.to_json() for phi in "
+        "hom_space(hecke_rep(2, rho_zeta()).rep, rho_zeta2())]))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vvmf.__file__)))
+    out = subprocess.run([sys.executable, "-c", fresh], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert basis_json(hr) == out.stdout.strip() != "[]"
 
 
 def test_hecke_rep_of_trivial_type(reg):
     hr = hecke_rep(3, reg.get("triv"))
     assert hr.rep.dim == 4
-    assert hr.rep.is_valid()
+    assert hr.rep.validate().ok
 
 
 def test_hecke_rep_relations_for_small_indices(reg):
     for M in range(1, 7):
         for entry in reg.entries:
-            assert hecke_rep(M, entry).rep.is_valid(), (M, entry.label)
+            assert hecke_rep(M, entry).rep.validate().ok, (M, entry.label)
 
 
 def test_hecke_rep_level_divides_index_times_level(reg):
@@ -356,6 +390,17 @@ def test_hecke_form_commutes_with_covariant_operators(reg):
         deep = raise_op(raise_op(e4))
         assert hecke_form(M, deep).agrees_with(raise_op(raise_op(hecke_form(M, e4))))
         assert hecke_form(M, lower_op(deep)).agrees_with(lower_op(hecke_form(M, deep)))
+
+
+def pairing_apply(gram: Matrix, x, y) -> CycNum:
+    """Sesquilinear pairing sum_ij x_i G_ij conj(y_j)."""
+    acc = CycNum.zero()
+    for i in range(gram.rows):
+        for j in range(gram.cols):
+            gij = gram[i, j]
+            if not gij.is_zero():
+                acc = acc + x[i] * gij * y[j].conjugate()
+    return acc
 
 
 def test_pairing_block_structure(reg):

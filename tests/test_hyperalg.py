@@ -6,7 +6,7 @@ import pytest
 
 from vvmf.ahol import AholForm, apply_intertwiner
 from vvmf.exactnum import CycNum
-from vvmf.forms import delta_form, eisenstein, one_form
+from vvmf.forms import delta_form, eisenstein
 from vvmf.hecke import hecke_form, pi_M
 from vvmf.hyperalg import (
     FormSpan,
@@ -20,6 +20,11 @@ from vvmf.hyperalg import (
 from vvmf.linalg import Matrix, Subspace
 from vvmf.qexp import InsufficientPrecision, QExp
 from vvmf.reps import Rep, RepRegistry, builtin_registry, trivial_rep
+
+
+def one_form(prec) -> AholForm:
+    """The constant 1 in weight 0, the identity of the product."""
+    return AholForm.holomorphic(0, trivial_rep(), (QExp.constant(1, prec),), name="1")
 
 
 @pytest.fixture(scope="module")

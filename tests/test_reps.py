@@ -38,7 +38,7 @@ def test_threefold_type_passes_validation():
 
 
 def test_trivial_type_passes_validation():
-    assert trivial_rep().is_valid()
+    assert trivial_rep().validate().ok
 
 
 def test_braid_relation_failure_detected():
@@ -306,8 +306,8 @@ def test_dual_tensor_preserve_validity(reg):
     entries = reg.entries
     for _ in range(6):
         a, b = rng.choice(entries), rng.choice(entries)
-        assert a.dual().is_valid()
-        assert a.tensor(b).is_valid()
+        assert a.dual().validate().ok
+        assert a.tensor(b).validate().ok
 
 
 def test_multiplicity_accounting(reg):
@@ -400,7 +400,8 @@ def test_word_cache_is_bounded():
     from vvmf import reps
 
     r = rho3()
-    bound = reps._WORD_CACHE_SIZE
+    cache = reps._word_image
+    bound = cache.cache_info().maxsize
 
     def word(k):  # T^k S, distinct for every k
         return ((k, -1), (1, 0))
@@ -408,16 +409,21 @@ def test_word_cache_is_bounded():
     def image(k):
         return reps._mat_pow(r.T, k % r.level) * r.S
 
+    cache.cache_clear()
     for k in range(bound + 10):
         assert r.evaluate(word(k)) == image(k)
-    assert len(r._word_cache) == bound
+    assert cache.cache_info()[1:] == (bound + 10, bound, bound)  # misses, maxsize, size
     # words 10 .. bound + 9 are held; using the oldest again keeps it, and
     # the evicted word 0 comes back correct, pushing out word 11 instead
     assert r.evaluate(word(10)) == image(10)
     assert r.evaluate(word(0)) == image(0)
-    assert len(r._word_cache) == bound
-    assert (10, -1, 1, 0) in r._word_cache
-    assert (11, -1, 1, 0) not in r._word_cache
+    assert cache.cache_info()[:2] == (1, bound + 11)  # hits, misses
+    assert cache.cache_info().currsize == bound
+    # the table is shared by every type with the same key
+    assert Rep("renamed", r.level, r.S, r.T).evaluate(word(10)) == image(10)
+    assert cache.cache_info()[:2] == (2, bound + 11)
+    assert r.evaluate(word(11)) == image(11)
+    assert cache.cache_info()[:2] == (2, bound + 12)
 
 
 def test_json_round_trip(reg):
@@ -429,29 +435,23 @@ def test_json_round_trip(reg):
 
 
 @pytest.fixture
-def fresh_hom_cache(monkeypatch):
-    """An empty hom_space memo and a count of the solves behind it."""
+def fresh_hom_cache():
+    """An empty hom_space memo; its `cache_info().misses` counts the solves
+    behind it."""
     from vvmf import reps
 
-    solves = []
-
-    def counted(r, r2):
-        solves.append((r.label, r2.label))
-        return hom_fixed_subspace(r, r2)
-
-    monkeypatch.setattr(reps, "_HOM_CACHE", {})
-    monkeypatch.setattr(reps, "hom_fixed_subspace", counted)
-    return solves
+    reps._hom_basis.cache_clear()
+    return reps._hom_basis
 
 
 def test_hom_space_memo_is_keyed_by_content(reg, fresh_hom_cache):
     r3 = reg.get("rho3")
     first = hom_space(r3, r3)
-    assert fresh_hom_cache == [("rho3", "rho3")]
+    assert fresh_hom_cache.cache_info()[:2] == (0, 1)  # hits, misses
     # a relabelled copy has the same content and hits the memo
     renamed = Rep("renamed", r3.level, r3.S, r3.T)
     again = hom_space(renamed, renamed)
-    assert fresh_hom_cache == [("rho3", "rho3")]
+    assert fresh_hom_cache.cache_info()[:2] == (1, 1)
     assert again == first and again is not first
     # the caller owns the list it gets
     again.clear()
@@ -461,11 +461,11 @@ def test_hom_space_memo_is_keyed_by_content(reg, fresh_hom_cache):
     # solved afresh and is not isomorphic to the registry's rho_zeta
     rz = reg.get("rho_zeta")
     assert len(hom_space(rz, rz)) == 1
+    assert fresh_hom_cache.cache_info().misses == 2
     impostor = Rep("rho_zeta", 3, Matrix.identity(1), Matrix(1, 1, [CycNum.zeta(3, 2)]))
     assert hom_space(impostor, rz) == []
     assert hom_space(rz, impostor) == []
-    assert fresh_hom_cache[-2:] == [("rho_zeta", "rho_zeta")] * 2
-    assert len(fresh_hom_cache) == 4
+    assert fresh_hom_cache.cache_info()[:2] == (2, 4)
 
 
 def test_hom_space_memo_keeps_the_conductor_of_the_basis(reg, fresh_hom_cache):
@@ -476,13 +476,11 @@ def test_hom_space_memo_keeps_the_conductor_of_the_basis(reg, fresh_hom_cache):
     assert wide.content == r3.content
     assert hom_space(r3, r3)[0].n == 1
     assert hom_space(wide, wide)[0].n == 3
-    assert len(fresh_hom_cache) == 2
+    assert fresh_hom_cache.cache_info().misses == 2
 
 
 def test_hom_space_memo_is_bounded(fresh_hom_cache):
-    from vvmf import reps
-
-    bound = reps._HOM_CACHE_SIZE
+    bound = fresh_hom_cache.cache_info().maxsize
     level = bound + 10
     one = Matrix.identity(1)
     types = [
@@ -490,14 +488,14 @@ def test_hom_space_memo_is_bounded(fresh_hom_cache):
     ]
     for t in types:
         assert len(hom_space(t, t)) == 1
-    assert len(reps._HOM_CACHE) == bound
+    assert fresh_hom_cache.cache_info().currsize == bound
     # the oldest held entry stays after a hit; the evicted first one is
     # solved again and pushes out the next oldest
     hom_space(types[10], types[10])
     hom_space(types[0], types[0])
-    assert len(fresh_hom_cache) == level + 1
-    assert len(reps._HOM_CACHE) == bound
+    assert fresh_hom_cache.cache_info().misses == level + 1
+    assert fresh_hom_cache.cache_info().currsize == bound
     hom_space(types[10], types[10])
-    assert len(fresh_hom_cache) == level + 1
+    assert fresh_hom_cache.cache_info().misses == level + 1
     hom_space(types[11], types[11])
-    assert len(fresh_hom_cache) == level + 2
+    assert fresh_hom_cache.cache_info().misses == level + 2
