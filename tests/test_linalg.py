@@ -1,10 +1,12 @@
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from vvmf.exactnum import CycNum, as_cyc
-from vvmf.linalg import Matrix, Subspace, _rref_inplace, dense_row, sparse_row
+from vvmf.linalg import Matrix, Subspace, _rref_inplace, dense_row, kernel_of_rows, sparse_row
 
 
 def e(i, n):
@@ -412,3 +414,183 @@ def test_sparsest_row_kernel_matches_first_nonzero_reference(field):
                 reduce_mod(r[stop:], tails[1]) for r in ref[:k]
             ], trial
     assert seen == {(True, True), (False, True), (False, False)}
+
+
+# The dense Matrix as it was before it kept only its nonzeros: a row-major
+# tuple of every entry, lifted to the shared conductor.  Its results are the
+# reference for the bytes (`to_json`) and the conductor `n` of every
+# operation of the sparse Matrix.
+
+
+class DenseMatrix:
+    def __init__(self, rows, cols, entries):
+        cells = [as_cyc(x) for x in entries]
+        assert len(cells) == rows * cols
+        n = 1
+        for x in cells:
+            n = n * x.n // math.gcd(n, x.n)
+        self.rows, self.cols, self.n = rows, cols, n
+        self.entries = tuple(x.lift(n) for x in cells)
+
+    @staticmethod
+    def from_rows(rows):
+        rows = [list(r) for r in rows]
+        ncols = len(rows[0]) if rows else 0
+        return DenseMatrix(len(rows), ncols, [x for r in rows for x in r])
+
+    def row(self, i):
+        return self.entries[i * self.cols : (i + 1) * self.cols]
+
+    def __add__(self, other):
+        return DenseMatrix(self.rows, self.cols, [x + y for x, y in zip(self.entries, other.entries)])
+
+    def __sub__(self, other):
+        return DenseMatrix(self.rows, self.cols, [x - y for x, y in zip(self.entries, other.entries)])
+
+    def __neg__(self):
+        return DenseMatrix(self.rows, self.cols, [-x for x in self.entries])
+
+    def scaled(self, s):
+        s = as_cyc(s)
+        return DenseMatrix(self.rows, self.cols, [s * x for x in self.entries])
+
+    def __mul__(self, other):
+        onz = [[(j, b) for j, b in enumerate(other.row(k)) if b] for k in range(other.rows)]
+        zero = CycNum.zero().lift(math.lcm(self.n, other.n) if any(self.entries) else 1)
+        out = []
+        for i in range(self.rows):
+            acc = {}
+            for k, a in enumerate(self.row(i)):
+                if a:
+                    for j, b in onz[k]:
+                        acc[j] = acc[j] + a * b if j in acc else a * b
+            out.extend(acc.get(j, zero) for j in range(other.cols))
+        return DenseMatrix(self.rows, other.cols, out)
+
+    def transpose(self):
+        cells = [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
+        return DenseMatrix(self.cols, self.rows, cells)
+
+    def kron(self, other):
+        zero = CycNum.zero().lift(math.lcm(self.n, other.n))
+        out = []
+        for i in range(self.rows):
+            for p in range(other.rows):
+                for sij in self.row(i):
+                    out.extend(sij * y if sij and y else zero for y in other.row(p))
+        return DenseMatrix(self.rows * other.rows, self.cols * other.cols, out)
+
+    def rref(self):
+        work = [sparse_row(self.row(i)) for i in range(self.rows)]
+        pivots = _rref_inplace(work, self.cols)
+        zero = CycNum.zero().lift(self.n)
+        rows = [dense_row(r, self.cols, zero) for r in work]
+        return DenseMatrix.from_rows(rows) if rows else DenseMatrix(0, self.cols, []), pivots
+
+    def kernel(self):
+        return kernel_of_rows([sparse_row(self.row(i)) for i in range(self.rows)], self.cols)
+
+    def solve_right(self, b):
+        width = self.cols + b.cols
+        aug = [sparse_row(self.row(i)) | sparse_row(b.row(i), self.cols) for i in range(self.rows)]
+        pivots = _rref_inplace(aug, width, stop_col=self.cols)
+        if any(aug[len(pivots) :]):
+            raise ValueError("inconsistent linear system")
+        zero = CycNum.zero()
+        out = [[zero] * b.cols for _ in range(self.cols)]
+        for row, pc in zip(aug, pivots):
+            out[pc] = dense_row(row, width, zero, self.cols)
+        return DenseMatrix.from_rows(out) if out else DenseMatrix(self.cols, b.cols, [])
+
+    def inverse(self):
+        k, one = self.rows, CycNum.one()
+        aug = [sparse_row(self.row(i)) | {k + i: one} for i in range(k)]
+        if len(_rref_inplace(aug, 2 * k, stop_col=k)) < k:
+            raise ValueError("matrix is singular")
+        return DenseMatrix.from_rows([dense_row(row, 2 * k, CycNum.zero(), k) for row in aug])
+
+    def to_json(self):
+        return [[x.to_json() for x in self.row(i)] for i in range(self.rows)]
+
+
+def _mixed_cell(rng):
+    """An entry at conductor 1, 3 or 12, zero about half the time; zeros too
+    are written at each of the three conductors."""
+    kind = rng.randrange(6)
+    if kind < 3:
+        return CycNum.zero().lift((1, 3, 12)[kind])
+    if kind == 3:
+        return CycNum.from_rational(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+    if kind == 4:
+        return CycNum(3, [rng.randint(-2, 2), rng.choice([-1, 1])])
+    return CycNum(12, [rng.randint(-1, 1), rng.randint(-1, 1), 0, rng.choice([-1, 1])])
+
+
+def _mixed_pair(rng, rows, cols):
+    """The same random cells as a Matrix and as a DenseMatrix: mixed
+    conductors, or all zero at one conductor, or one conductor only."""
+    style = rng.randrange(4)
+    if style == 0:
+        zero = CycNum.zero().lift(rng.choice([1, 3, 12]))
+        cells = [zero] * (rows * cols)
+    elif style == 1:
+        n = rng.choice([1, 3])
+        cells = [c if c.n == n else CycNum.zero().lift(n) for c in
+                 (_mixed_cell(rng) for _ in range(rows * cols))]
+    else:
+        cells = [_mixed_cell(rng) for _ in range(rows * cols)]
+    return Matrix(rows, cols, cells), DenseMatrix(rows, cols, cells)
+
+
+def _same(got, want):
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    assert got.n == want.n
+
+
+def _same_outcome(op_got, op_want, seen, name):
+    """Both raise ValueError, or both give the same bytes and conductor."""
+    try:
+        want = op_want()
+    except ValueError:
+        with pytest.raises(ValueError):
+            op_got()
+        seen.add((name, False))
+        return
+    _same(op_got(), want)
+    seen.add((name, True))
+
+
+def test_sparse_matrix_matches_dense_reference_bytes_and_conductor():
+    rng = random.Random(1412)
+    seen = set()
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]
+    for trial in range(120):
+        r, c = rng.choice(shapes)
+        (a, da), (b, db) = _mixed_pair(rng, r, c), _mixed_pair(rng, r, c)
+        _same(a, da)
+        wide = Matrix(r, c, [x.lift(12) for x in a.entries])
+        assert wide == a and hash(wide) == hash(a)
+        _same(a + b, da + db)
+        _same(a - b, da - db)
+        _same(-a, -da)
+        s = _mixed_cell(rng)
+        _same(a.scaled(s), da.scaled(s))
+        k = rng.choice([0, 1, 2, 3])
+        e, de = _mixed_pair(rng, c, k)
+        _same(a * e, da * de)
+        _same(a.kron(e), da.kron(de))
+        _same(a.transpose(), da.transpose())
+        (got, pivots), (want, want_pivots) = a.rref(), da.rref()
+        _same(got, want)
+        assert pivots == want_pivots
+        assert [[x.to_json() for x in v] for v in a.kernel().basis] == [
+            [x.to_json() for x in v] for v in da.kernel().basis
+        ]
+        # a consistent right-hand side a * x, and a random one
+        x, dx = _mixed_pair(rng, c, k)
+        for rhs, drhs in ((a * x, da * dx), _mixed_pair(rng, r, k)):
+            _same_outcome(lambda: a.solve_right(rhs), lambda: da.solve_right(drhs), seen, "solve")
+        q, dq = _mixed_pair(rng, r, r)
+        _same_outcome(q.inverse, dq.inverse, seen, "inverse")
+    assert seen == {(op, ok) for op in ("solve", "inverse") for ok in (True, False)}
