@@ -247,7 +247,7 @@ def apply_intertwiner(phi: Matrix, f: AholForm, target: Rep) -> AholForm:
 def _apply_maps(maps, f: AholForm) -> list:
     """phi(f) for each (phi, target) of maps: their rows stacked into one
     `combine` per layer, which packs each component of f once."""
-    rows = [[phi[i, j] for j in range(f.rep.dim)] for phi, t in maps for i in range(t.dim)]
+    rows = [phi.row(i) for phi, t in maps for i in range(t.dim)]
     layers = [combine(rows, layer) for layer in f.graded]
     name, out, start = f"phi({f.name})" if f.name else "", [], 0
     for _, t in maps:

@@ -22,7 +22,7 @@ from .exactnum import CycNum
 from .forms import delta_form, eisenstein, rankin_cohen, sigma, vv_eisenstein
 from .hecke import delta_cosets, hecke_form, hecke_rep
 from .hyperalg import FormSpan, hyper_tensor, projections, span_contains, span_sum, sturm_bound
-from .linalg import Matrix, invert_rational
+from .linalg import Matrix
 from .qexp import InsufficientPrecision
 from .reps import (
     Rep,
@@ -257,16 +257,18 @@ def _exhaustive_genus2_count(M: int) -> int:
     return count
 
 
-def _is_integral_symplectic(mat, genus: int) -> bool:
-    from .hecke import _is_similitude
+def _same_left_coset(m1, m2, genus: int, M: int) -> bool:
+    """Whether m1 m2^-1 is in Sp(2g, Z), for m1 and m2 of similitude M.
 
-    n = 2 * genus
-    for i in range(n):
-        for j in range(n):
-            if Fraction(mat[i][j]).denominator != 1:
-                return False
-    imat = tuple(tuple(int(mat[i][j]) for j in range(n)) for i in range(n))
-    return _is_similitude(imat, genus, 1)
+    t(m2) J m2 = M J gives m2^-1 = J^-1 t(m2) J / M, and m1 m2^-1 has
+    similitude 1, so it is in Sp(2g, Z) exactly when M divides every entry
+    of m1 J^-1 t(m2) J; that is m1 t(m2 J) J, as J^-1 = t(J).
+    """
+    from .hecke import _int_mul, _symplectic_form
+
+    jm = _symplectic_form(genus)
+    prod = _int_mul(_int_mul(m1, list(zip(*_int_mul(m2, jm)))), jm)
+    return all(x % M == 0 for row in prod for x in row)
 
 
 def verify_counts() -> Report:
@@ -292,20 +294,11 @@ def verify_counts() -> Report:
     for genus, indices in ((1, range(2, 13)), (2, (2, 3))):
         for M in indices:
             cosets = delta_cosets(genus, M)
-            n = 2 * genus
-            bad = 0
-            for i, m1 in enumerate(cosets):
-                for m2 in cosets[i + 1 :]:
-                    inv = invert_rational(m2.mat)
-                    prod = [
-                        [
-                            sum(Fraction(m1.mat[r][k]) * inv[k][c] for k in range(n))
-                            for c in range(n)
-                        ]
-                        for r in range(n)
-                    ]
-                    if _is_integral_symplectic(prod, genus):
-                        bad += 1
+            bad = sum(
+                _same_left_coset(m1.mat, m2.mat, genus, M)
+                for i, m1 in enumerate(cosets)
+                for m2 in cosets[i + 1 :]
+            )
             report.add(
                 HarnessCase(
                     "left-coset-distinctness",
@@ -410,6 +403,17 @@ def verify_thm11(
     return report
 
 
+# the verify targets, in the order `verify all` runs them, each run with
+# the parsed options and the registry
+VERIFY_RUNNERS = {
+    "example32": lambda args, reg: verify_example32(registry=reg, prec=args.prec),
+    "counts": lambda args, reg: verify_counts(),
+    "thm11": lambda args, reg: verify_thm11(
+        args.k, args.l, args.l2, [int(x) for x in args.indices.split(",") if x], args.prec, reg
+    ),
+}
+
+
 # ---------------------------------------------------------------------------
 # type expression parsing: label, T<M>(expr), expr*expr
 
@@ -492,6 +496,8 @@ def _span_from_json(obj, registry: RepRegistry) -> FormSpan:
         if not isinstance(gens, list) or not all(isinstance(gen, dict) for gen in gens):
             raise ValueError("a span grade is an object whose generators are a list of objects")
         for gen in gens:
+            if "form" not in gen:
+                raise ValueError('a span generator has no "form" field')
             span.add(
                 AholForm.from_json(gen["form"], registry),
                 provenance=gen.get("provenance", ""),
@@ -564,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(pc)
 
     p = sub.add_parser("verify", help="verification harness")
-    p.add_argument("target", choices=("example32", "thm11", "counts", "all"))
+    p.add_argument("target", choices=(*VERIFY_RUNNERS, "all"))
     p.add_argument("--k", type=int, default=12)
     p.add_argument("--l", type=int, default=4)
     p.add_argument("--l2", type=int, default=8)
@@ -662,28 +668,8 @@ def run(args) -> int:
         body = result[0].to_json() if len(result) == 1 else [f.to_json() for f in result]
         text = lambda: "".join(_form_text(f) for f in result)
     elif args.command == "verify":
-        if args.target == "example32":
-            reports = [verify_example32(registry=registry, prec=args.prec)]
-        elif args.target == "counts":
-            reports = [verify_counts()]
-        elif args.target == "thm11":
-            indices = tuple(int(x) for x in args.indices.split(",") if x)
-            reports = [
-                verify_thm11(
-                    k=args.k,
-                    l=args.l,
-                    l2=args.l2,
-                    hecke_indices=indices,
-                    prec=args.prec,
-                    registry=registry,
-                )
-            ]
-        else:
-            reports = [
-                verify_example32(registry=registry, prec=args.prec),
-                verify_counts(),
-                verify_thm11(prec=args.prec, registry=registry),
-            ]
+        targets = list(VERIFY_RUNNERS) if args.target == "all" else [args.target]
+        reports = [VERIFY_RUNNERS[t](args, registry) for t in targets]
         body = reports[0].to_json() if len(reports) == 1 else [r.to_json() for r in reports]
         text = lambda: "".join(r.to_text() for r in reports)
         ok = all(r.ok for r in reports)

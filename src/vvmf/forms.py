@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .ahol import AholForm, apply_intertwiner
 from .exactnum import CycNum, bernoulli
-from .qexp import QExp
+from .qexp import QExp, combine
 from .reps import Rep, trivial_rep
 from . import hecke as _hecke
 from .hyperalg import FormSpan, projections
@@ -91,30 +91,15 @@ def check_T_consistency(f: AholForm) -> bool:
     rho(T) applied to the component tuple, on every graded layer, up to
     the layer's sound precision.
     """
-    T = f.rep.T
+    rows = f.rep.T.to_rows()
     for layer in f.graded:
         prec = min(q.prec for q in layer)
-        h = 1
-        for q in layer:
-            h = math.lcm(h, q.h)
-        comps = [q.rescale_lattice(h) for q in layer]
-        bound = prec * h
-        keys = set()
-        for q in comps:
-            keys.update(n for n in q.terms if n < bound)
-        zero = CycNum.zero()
-        for n in sorted(keys):
-            vec = [q.terms.get(n, zero) for q in comps]
-            phase = CycNum.zeta(h, n % h) if n % h else CycNum.one()
-            for i in range(len(vec)):
-                lhs = phase * vec[i]
-                rhs = zero
-                for j in range(len(vec)):
-                    tij = T[i, j]
-                    if not tij.is_zero():
-                        rhs = rhs + tij * vec[j]
-                if lhs != rhs:
-                    return False
+        twisted = [
+            QExp(q.h, q.prec, {n: CycNum.zeta(q.h, n) * c for n, c in q.terms.items()})
+            for q in layer
+        ]
+        if not all(x.agrees_with(y, prec) for x, y in zip(twisted, combine(rows, layer))):
+            return False
     return True
 
 

@@ -84,19 +84,18 @@ class DeltaCoset:
 
 def _is_similitude(mat, genus: int, M: int) -> bool:
     """t(mat) J mat == M J for the standard symplectic form."""
-    g = genus
-    n = 2 * g
-    jm = [[0] * n for _ in range(n)]
-    for i in range(g):
-        jm[i][g + i] = -1
-        jm[g + i][i] = 1
-    left = [
-        [sum(mat[k][i] * jm[k][l] for k in range(n)) for l in range(n)] for i in range(n)
-    ]
-    prod = [
-        [sum(left[i][k] * mat[k][j] for k in range(n)) for j in range(n)] for i in range(n)
-    ]
-    return all(prod[i][j] == M * jm[i][j] for i in range(n) for j in range(n))
+    jm = _symplectic_form(genus)
+    return _int_mul(_int_mul(list(zip(*mat)), jm), mat) == [[M * x for x in row] for row in jm]
+
+
+def _symplectic_form(genus: int) -> list:
+    """J = (0 -I; I 0) of size 2 * genus."""
+    n = 2 * genus
+    return [[(i == k + genus) - (k == i + genus) for k in range(n)] for i in range(n)]
+
+
+def _int_mul(a, b) -> list:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def delta_cosets(genus: int, M: int) -> list:
@@ -276,21 +275,10 @@ def _hecke_rep(M: int, label: str, key: tuple) -> HeckeRep:
     for name, gam in (("S", S_MAT), ("T", T_MAT)):
         steps = [cocycle(m, _inv2(gam)) for m in cosets]
         moves[name] = [(index_of[target], r.evaluate(_inv2(corr))) for corr, target in steps]
-    # T is block-monomial, so its order is the lcm over coset cycles of the
-    # cycle length times the order of the block product around the cycle.
-    # T^(M level) fixes each coset (b -> b - a^2 d level) and leaves
-    # rho(T^(a^2 level)) = I, which caps every block order.
-    level, seen = 1, set()
-    for start in range(len(cosets)):
-        prod, m, length = Matrix.identity(r.dim), start, 0
-        while m not in seen:
-            seen.add(m)
-            m, block = moves["T"][m]
-            prod, length = block * prod, length + 1
-        if length:
-            level = math.lcm(level, length * _matrix_order(prod, cap=M * r.level))
     S, T = (_block_matrix(moves[g], r.dim) for g in "ST")
-    rep = Rep(f"T{M}({r.label})", level, S, T)
+    # T^(M level) fixes each coset (b -> b - a^2 d level) and leaves
+    # rho(T^(a^2 level)) = I, which caps the order of T.
+    rep = Rep(f"T{M}({r.label})", _matrix_order(T, cap=M * r.level), S, T)
     report = rep.validate()
     if not report.ok:
         raise AssertionError(f"constructed Hecke type fails relations: {report}")
@@ -299,13 +287,11 @@ def _hecke_rep(M: int, label: str, key: tuple) -> HeckeRep:
 
 def _block_matrix(moves, blk: int) -> Matrix:
     """The matrix with block moves[src][1] at block (moves[src][0], src)."""
-    dim = len(moves) * blk
-    ent = [CycNum.zero()] * (dim * dim)
+    rows = [{} for _ in range(len(moves) * blk)]
     for src, (target, cell) in enumerate(moves):
-        for i in range(blk):
-            base = (target * blk + i) * dim + src * blk
-            ent[base : base + blk] = cell.row(i)
-    return Matrix(dim, dim, ent)
+        for i, row in enumerate(cell.nonzeros):
+            rows[target * blk + i].update((src * blk + j, x) for j, x in row.items())
+    return Matrix.from_nonzeros(len(moves) * blk, rows)
 
 
 def _matrix_order(m: Matrix, cap: int) -> int:
@@ -331,17 +317,14 @@ def pi_M(r: Rep, r2: Rep, M: int) -> Matrix:
     """
     ncos = len(delta_cosets(1, M))
     d1, d2 = r.dim, r2.dim
-    rows = ncos * d1 * d2
-    cols = (ncos * d1) * (ncos * d2)
-    ent = [CycNum.zero()] * (rows * cols)
     one = CycNum.one()
-    for m in range(ncos):
-        for i in range(d1):
-            for j in range(d2):
-                row = m * d1 * d2 + i * d2 + j
-                col = (m * d1 + i) * (ncos * d2) + (m * d2 + j)
-                ent[row * cols + col] = one
-    return Matrix(rows, cols, ent)
+    rows = [
+        {(m * d1 + i) * (ncos * d2) + m * d2 + j: one}
+        for m in range(ncos)
+        for i in range(d1)
+        for j in range(d2)
+    ]
+    return Matrix.from_nonzeros(ncos * d1 * ncos * d2, rows)
 
 
 def hecke_form(M: int, f: AholForm) -> AholForm:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .ahol import AholForm, _apply_maps
 from .exactnum import CycNum
-from .linalg import Subspace, invert_rows
+from .linalg import Subspace, invert_rows, sparse_row
 from .qexp import InsufficientPrecision, combine
 from .reps import RepRegistry, hom_space, require_same_content
 
@@ -114,8 +114,9 @@ class _Pivots:
 
     forms are independent generators with coefficient rows G (rebuilt
     when needed, sharing the forms' coefficients), pivots one column per
-    row, and inv the inverse of the block G|P, or None until the next
-    reduction needs it.  v - (v|P . inv) . G is zero iff v is in the span.
+    row, and inv the sparse rows of the inverse of the block G|P, or None
+    until the next reduction needs it.  v - (v|P . inv) . G is zero iff v
+    is in the span.
     """
 
     __slots__ = ("layout", "forms", "pivots", "inv")
@@ -132,12 +133,12 @@ class _Pivots:
         """Nonzero (column, value) of v - (v|P . inv) . G, one column at a
         time, so a caller that needs only the first one stops there."""
         if self.inv is None:
-            block = [[row[q] for q in self.pivots] for row in map(self.row, self.forms)]
-            self.inv = invert_rows(block, CycNum.zero(), CycNum.one())
+            block = [sparse_row(row[q] for q in self.pivots) for row in map(self.row, self.forms)]
+            self.inv = invert_rows(block, CycNum.one())
         a = [(i, v[p]) for i, p in enumerate(self.pivots) if v[p]]
         terms = []
         for j, g in enumerate(self.forms):
-            c = sum((x * self.inv[i][j] for i, x in a if self.inv[i][j]), CycNum.zero())
+            c = sum((x * self.inv[i][j] for i, x in a if j in self.inv[i]), CycNum.zero())
             if c:
                 terms.append((c, self.row(g)))
         for t, x in enumerate(v):

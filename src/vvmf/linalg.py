@@ -6,8 +6,9 @@ per-column index of the rows that are nonzero there.  In each column the
 pivot is the unused row with the fewest nonzeros (lowest position on
 ties); arithmetic is exact, so there are no magnitude heuristics, and
 the output is the unique RREF, pivot rows first in pivot order, so equal
-subspaces have equal bases.  Dense callers convert with `sparse_row` and
-`dense_row`.  Products and member tests multiply nonzero entries only.
+subspaces have equal bases.  A `Matrix` holds its rows in that form, so
+products, sums and eliminations touch nonzero entries only; dense callers
+convert with `sparse_row` and `dense_row`.
 """
 
 from __future__ import annotations
@@ -19,12 +20,23 @@ from .exactnum import CycNum, as_cyc
 
 
 class Matrix:
-    """Row-major dense matrix with all entries at one shared conductor."""
+    """Matrix that stores its nonzero entries row by row, all at one conductor.
 
-    # `_hash` caches __hash__ and stays unset until first asked
-    __slots__ = ("rows", "cols", "n", "entries", "_hash")
+    `nonzeros[i]` is the {column: entry} dict of row i, the row form the
+    elimination kernel works on; callers read it and never write it.  The
+    dense views `entries`, `row` and `m[i, j]` read a zero at conductor n.
+    n is the lcm of the conductors a dense result would have: for the
+    constructor, of its entries, zeros included; for a sum, difference,
+    scaling, Kronecker product or transpose, of the operands'; for A * B,
+    of A's and B's when A has a nonzero entry.  A result without entries
+    has n = 1.
+    """
 
-    def __init__(self, rows: int, cols: int, entries):
+    # `_hash` caches __hash__ and `_transpose` caches transpose(); both stay
+    # unset until first asked
+    __slots__ = ("rows", "cols", "n", "nonzeros", "_hash", "_transpose")
+
+    def __new__(cls, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix shape")
         cells = [as_cyc(x) for x in entries]
@@ -32,13 +44,11 @@ class Matrix:
             raise ValueError(
                 f"expected {rows * cols} entries for {rows}x{cols}, got {len(cells)}"
             )
-        n = 1
-        for x in cells:
-            n = n * x.n // math.gcd(n, x.n)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", tuple(x.lift(n) for x in cells))
+        n = math.lcm(*{x.n for x in cells})
+        return _matrix(rows, cols, n, [
+            {j: x.lift(n) for j, x in enumerate(cells[i * cols : (i + 1) * cols]) if x}
+            for i in range(rows)
+        ])
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -52,19 +62,33 @@ class Matrix:
         return Matrix(len(rows), ncols, [x for r in rows for x in r])
 
     @staticmethod
+    def from_nonzeros(cols: int, rows) -> "Matrix":
+        """Trusted constructor from {column: nonzero entry} rows; n is the
+        lcm of the entries' conductors."""
+        n = math.lcm(*{x.n for row in rows for x in row.values()})
+        return _matrix(len(rows), cols, n, [{j: x.lift(n) for j, x in r.items()} for r in rows])
+
+    @staticmethod
     def identity(k: int) -> "Matrix":
-        return Matrix(k, k, [1 if i == j else 0 for i in range(k) for j in range(k)])
+        one = CycNum.one()
+        return _matrix(k, k, 1, [{i: one} for i in range(k)])
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, [0] * (rows * cols))
+        return _matrix(rows, cols, 1, [{} for _ in range(rows)])
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(x for i in range(self.rows) for x in self.row(i))
 
     def __getitem__(self, ij) -> CycNum:
         i, j = ij
-        return self.entries[i * self.cols + j]
+        x = self.nonzeros[i].get(j)
+        return CycNum.zero().lift(self.n) if x is None else x
 
     def row(self, i) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        zero, row = CycNum.zero().lift(self.n), self.nonzeros[i]
+        return tuple(row.get(j, zero) for j in range(self.cols))
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -72,35 +96,35 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(x == y for x, y in zip(self.entries, other.entries))
-        )
+        return self.shape == other.shape and self.nonzeros == other.nonzeros
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
             pass
-        h = hash((self.rows, self.cols, self.entries))
+        h = hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.nonzeros)))
         object.__setattr__(self, "_hash", h)
         return h
 
     def __add__(self, other):
-        self._shape_check(other)
-        return Matrix(self.rows, self.cols, [x + y for x, y in zip(self.entries, other.entries)])
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        n = math.lcm(self.n, other.n)
+        out = []
+        for a, b in zip(self.nonzeros, other.nonzeros):
+            row = {j: x.lift(n) for j, x in a.items()}
+            for j, y in b.items():
+                row[j] = row[j] + y if j in row else y.lift(n)
+            out.append({j: x for j, x in row.items() if x})
+        return _matrix(self.rows, self.cols, n, out)
 
     def __sub__(self, other):
-        self._shape_check(other)
-        return Matrix(self.rows, self.cols, [x - y for x, y in zip(self.entries, other.entries)])
+        return self + -other
 
     def __neg__(self):
-        return Matrix(self.rows, self.cols, [-x for x in self.entries])
-
-    def _shape_check(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        out = [{j: -x for j, x in r.items()} for r in self.nonzeros]
+        return _matrix(self.rows, self.cols, self.n, out)
 
     @property
     def shape(self):
@@ -108,73 +132,69 @@ class Matrix:
 
     def scaled(self, s) -> "Matrix":
         s = as_cyc(s)
-        return Matrix(self.rows, self.cols, [s * x for x in self.entries])
+        out = [{j: s * x for j, x in r.items()} if s else {} for r in self.nonzeros]
+        return _matrix(self.rows, self.cols, math.lcm(s.n, self.n), out)
+
+    __rmul__ = scaled
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-            # row-by-row sparse product over the nonzeros of each row of other;
-            # a product with any nonzero factor lives at the joint conductor
-            ocols = other.cols
-            onz = [[(j, b) for j, b in enumerate(other.row(k)) if b] for k in range(other.rows)]
-            zero = CycNum.zero().lift(math.lcm(self.n, other.n) if any(self.entries) else 1)
+            # row i of the product sums a * (row k of other) over the nonzeros a
+            # at (i, k); a product with any nonzero factor lives at the joint conductor
             out = []
-            for i in range(self.rows):
+            for arow in self.nonzeros:
                 acc = {}
-                for k, a in enumerate(self.row(i)):
-                    if a:
-                        for j, b in onz[k]:
-                            acc[j] = acc[j] + a * b if j in acc else a * b
-                out.extend(acc.get(j, zero) for j in range(ocols))
-            return Matrix(self.rows, ocols, out)
-        return self.scaled(other)
-
-    def __rmul__(self, other):
+                for k, a in arow.items():
+                    for j, b in other.nonzeros[k].items():
+                        acc[j] = acc[j] + a * b if j in acc else a * b
+                out.append({j: x for j, x in acc.items() if x})
+            n = math.lcm(self.n, other.n) if any(self.nonzeros) else 1
+            return _matrix(self.rows, other.cols, n, out)
         return self.scaled(other)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)]
-        )
+        try:
+            return self._transpose
+        except AttributeError:
+            pass
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.nonzeros):
+            for j, x in row.items():
+                out[j][i] = x
+        t = _matrix(self.cols, self.rows, self.n, out)
+        object.__setattr__(self, "_transpose", t)
+        return t
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; block (i, j) is self[i, j] * other."""
-        zero = CycNum.zero().lift(math.lcm(self.n, other.n))
-        out = []
-        for i in range(self.rows):
-            for p in range(other.rows):
-                for sij in self.row(i):
-                    out.extend(sij * y if sij and y else zero for y in other.row(p))
-        return Matrix(self.rows * other.rows, self.cols * other.cols, out)
+        w = other.cols
+        out = [
+            {j * w + q: a * b for j, a in arow.items() for q, b in brow.items()}
+            for arow in self.nonzeros
+            for brow in other.nonzeros
+        ]
+        return _matrix(self.rows * other.rows, self.cols * w, math.lcm(self.n, other.n), out)
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self[i, j] == (1 if i == j else 0) for i in range(self.rows) for j in range(self.cols)
-        )
+        return self == Matrix.identity(self.rows)
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.entries)
+        return not any(self.nonzeros)
 
     def rref(self):
         """(reduced row-echelon form, pivot column list)."""
-        work = self._sparse_rows()
+        work = [dict(r) for r in self.nonzeros]
         pivots = _rref_inplace(work, self.cols)
-        zero = CycNum.zero().lift(self.n)
-        rows = [dense_row(r, self.cols, zero) for r in work]
-        return Matrix.from_rows(rows) if rows else Matrix.zeros(0, self.cols), pivots
+        return _matrix(self.rows, self.cols, self.n, work), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def kernel(self) -> "Subspace":
         """Right kernel {v : self * v = 0} as an echelonized subspace."""
-        return kernel_of_rows(self._sparse_rows(), self.cols)
-
-    def _sparse_rows(self) -> list:
-        return [sparse_row(self.row(i)) for i in range(self.rows)]
+        return kernel_of_rows([dict(r) for r in self.nonzeros], self.cols)
 
     def solve_right(self, b: "Matrix") -> "Matrix":
         """x with self * x = b; free variables set to zero.
@@ -183,31 +203,29 @@ class Matrix:
         """
         if b.rows != self.rows:
             raise ValueError(f"rhs has {b.rows} rows, expected {self.rows}")
-        width = self.cols + b.cols
-        aug = [sparse_row(self.row(i)) | sparse_row(b.row(i), self.cols) for i in range(self.rows)]
-        pivots = _rref_inplace(aug, width, stop_col=self.cols)
+        c = self.cols
+        aug = [a | {c + j: x for j, x in r.items()} for a, r in zip(self.nonzeros, b.nonzeros)]
+        pivots = _rref_inplace(aug, c + b.cols, stop_col=c)
         # the rows after the pivot rows are empty before stop_col
         if any(aug[len(pivots) :]):
             raise ValueError("inconsistent linear system")
-        zero = CycNum.zero()
-        out = [[zero] * b.cols for _ in range(self.cols)]
+        out = [{} for _ in range(c)]
         for row, pc in zip(aug, pivots):
-            out[pc] = dense_row(row, width, zero, self.cols)
-        return Matrix.from_rows(out) if out else Matrix.zeros(self.cols, b.cols)
+            out[pc] = {j - c: x for j, x in row.items() if j >= c}
+        n = math.lcm(self.n, b.n) if any(out) else 1
+        return _matrix(c, b.cols, n, out)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        return Matrix.from_rows(invert_rows(self.to_rows(), CycNum.zero(), CycNum.one()))
+        return _matrix(self.rows, self.cols, self.n, invert_rows(self.nonzeros, CycNum.one()))
 
     def __repr__(self):
-        body = "; ".join(
-            ", ".join(str(self[i, j]) for j in range(self.cols)) for i in range(self.rows)
-        )
+        body = "; ".join(", ".join(map(str, self.row(i))) for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols}: [{body}])"
 
     def to_json(self):
-        return [[self[i, j].to_json() for j in range(self.cols)] for i in range(self.rows)]
+        return [[x.to_json() for x in self.row(i)] for i in range(self.rows)]
 
     @staticmethod
     def from_json(obj) -> "Matrix":
@@ -215,6 +233,16 @@ class Matrix:
             raise ValueError(f"a matrix is a list of rows, got {obj!r}")
         rows = [[CycNum.from_json(x) for x in r] for r in obj]
         return Matrix.from_rows(rows)
+
+
+def _matrix(rows: int, cols: int, n: int, nonzeros: list) -> Matrix:
+    """Trusted constructor: one {column: nonzero} dict per row, every entry
+    at conductor n; a matrix without entries gets n = 1."""
+    m = object.__new__(Matrix)
+    fields = (rows, cols, n if rows and cols else 1, tuple(nonzeros))
+    for name, value in zip(Matrix.__slots__, fields):
+        object.__setattr__(m, name, value)
+    return m
 
 
 def sparse_row(values, start: int = 0) -> dict:
@@ -315,18 +343,20 @@ def kernel_of_rows(rows: list, ncols: int) -> "Subspace":
     return Subspace._from_sparse(ncols, list(basis.values()))
 
 
-def invert_rows(mat, zero, one) -> list:
-    """Inverse of a square matrix with entries like zero and one; ValueError if singular."""
-    n = len(mat)
-    aug = [sparse_row(row) | {n + i: one} for i, row in enumerate(mat)]
+def invert_rows(rows, one) -> list:
+    """Sparse rows of the inverse of the square matrix with these sparse rows,
+    which are left as they are; entries like one.  ValueError if singular."""
+    n = len(rows)
+    aug = [row | {n + i: one} for i, row in enumerate(rows)]
     if len(_rref_inplace(aug, 2 * n, stop_col=n)) < n:
         raise ValueError("matrix is singular")
-    return [dense_row(row, 2 * n, zero, n) for row in aug]
+    return [{j - n: x for j, x in row.items() if j >= n} for row in aug]
 
 
 def invert_rational(mat) -> list:
     """Inverse of a square rational matrix as Fraction rows; ValueError if singular."""
-    return invert_rows([[Fraction(x) for x in row] for row in mat], Fraction(0), Fraction(1))
+    inv = invert_rows([sparse_row(map(Fraction, row)) for row in mat], Fraction(1))
+    return [dense_row(row, len(mat), Fraction(0)) for row in inv]
 
 
 class Subspace:
@@ -357,10 +387,6 @@ class Subspace:
         zero = CycNum.zero()
         return Subspace(ambient_dim, [dense_row(r, ambient_dim, zero) for r in rows[: len(pivots)]])
 
-    @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, [])
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -383,35 +409,19 @@ class Subspace:
             raise ValueError(
                 f"ambient dimension mismatch: {self.ambient_dim} vs {other.ambient_dim}"
             )
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        # kernel of [U^T | -V^T]: solutions x, y with U^T x = V^T y
-        r, s = self.dim, other.dim
-        block = []
-        for i in range(self.ambient_dim):
-            row = [self.basis[j][i] for j in range(r)]
-            row += [-other.basis[j][i] for j in range(s)]
-            block.append(row)
-        ker = Matrix.from_rows(block).kernel()
-        vecs = []
-        for kv in ker.basis:
-            vec = [CycNum.zero()] * self.ambient_dim
-            for j in range(r):
-                if kv[j]:
-                    for t, b in enumerate(self.basis[j]):
-                        if b:
-                            vec[t] = vec[t] + kv[j] * b
-            vecs.append(vec)
-        return Subspace.from_rows(self.ambient_dim, vecs)
+        # Zassenhaus: in the RREF of the rows (u | u) and (v | 0), the rows
+        # whose left half vanishes span the intersection with their right half
+        d = self.ambient_dim
+        rows = [sparse_row(u) | sparse_row(u, d) for u in self.basis]
+        rows += [sparse_row(v) for v in other.basis]
+        _rref_inplace(rows, 2 * d)
+        meet = [{j - d: x for j, x in r.items()} for r in rows if r and min(r) >= d]
+        return Subspace._from_sparse(d, meet)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
-            return False
-        return all(
-            all(x == y for x, y in zip(r1, r2)) for r1, r2 in zip(self.basis, other.basis)
-        )
+        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"

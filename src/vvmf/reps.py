@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from .exactnum import CycNum
-from .linalg import Matrix, Subspace, kernel_of_rows, sparse_row
+from .linalg import Matrix, Subspace, kernel_of_rows
 
 S_MAT = ((0, -1), (1, 0))
 T_MAT = ((1, 1), (0, 1))
@@ -123,6 +123,9 @@ class Rep:
     def from_json(obj) -> "Rep":
         if not isinstance(obj, dict):
             raise ValueError(f"a type is an object with label, level, S and T, got {obj!r}")
+        missing = [key for key in ("label", "level", "S", "T") if key not in obj]
+        if missing:
+            raise ValueError(f'a type has no "{missing[0]}" field')
         return Rep(
             obj["label"],
             int(obj["level"]),
@@ -206,20 +209,15 @@ def hom_fixed_subspace(r: Rep, r2: Rep) -> Subspace:
     d, d2 = r.dim, r2.dim
     rows, n = [], 1
     for a, b in ((r.S, r2.S), (r.T, r2.T)):
-        # the nonzeros of column i' of a and of row j of -b
-        acols = _nonzero_columns(a, a.n)
-        brows = [[(jp, -x) for jp, x in enumerate(b.row(j)) if x] for j in range(d2)]
+        acols = a.transpose().nonzeros  # the nonzeros of column i' of a
         block = []
         for ip in range(d):
             for j in range(d2):
-                row = {i * d2 + j: x for i, x in acols[ip]}
-                for jp, x in brows[j]:
+                row = {i * d2 + j: x for i, x in acols[ip].items()}
+                for jp, x in b.nonzeros[j].items():
                     col = ip * d2 + jp
-                    y = row[col] + x if col in row else x
-                    if y:
-                        row[col] = y
-                    else:
-                        del row[col]
+                    row[col] = row[col] - x if col in row else -x
+                row = {c: y for c, y in row.items() if y}
                 if row:
                     block.append(row)
         if block:
@@ -229,23 +227,13 @@ def hom_fixed_subspace(r: Rep, r2: Rep) -> Subspace:
     return Subspace(d * d2, [[x.lift(n) for x in v] for v in basis])
 
 
-@functools.lru_cache(maxsize=64)
-def _nonzero_columns(a: Matrix, n: int) -> tuple:
-    """(i, a[i, i']) for the nonzeros of each column i' of a, once per source;
-    n = a.n is in the key, as equal matrices at other conductors hash alike."""
-    d = a.cols
-    return tuple(tuple((i, x) for i, x in enumerate(a.entries[c::d]) if x) for c in range(d))
-
-
 def fixed_vector_to_matrix(v, dim_r: int, dim_r2: int) -> Matrix:
     """Reshape a fixed vector to an intertwiner (dim_r2 x dim_r)."""
-    rows = [[v[i * dim_r2 + j] for i in range(dim_r)] for j in range(dim_r2)]
-    return Matrix.from_rows(rows)
+    return Matrix(dim_r, dim_r2, v).transpose()
 
 
 def matrix_to_fixed_vector(phi: Matrix) -> list:
-    dim_r2, dim_r = phi.rows, phi.cols
-    return [phi[j, i] for i in range(dim_r) for j in range(dim_r2)]
+    return list(phi.transpose().entries)
 
 
 def hom_space(r: Rep, r2: Rep) -> list:
@@ -306,20 +294,18 @@ def decompose(r: Rep, registry: "RepRegistry") -> Decomposition:
         basis = hom_space(r, entry)
         if basis:
             mults[entry.label] = len(basis)
-            rows += [sparse_row(phi.row(i)) for phi in basis for i in range(phi.rows)]
+            rows += [dict(row) for phi in basis for row in phi.nonzeros]
     joint = kernel_of_rows(rows, r.dim)
     if joint.dim == 0:
         return Decomposition(mults, None)
     pivots = [next(j for j, x in enumerate(v) if x) for v in joint.basis]
     basis_t = Matrix.from_rows(joint.basis).transpose()  # columns span the kernel
-    s_res, t_res = (Matrix.from_rows([g.row(p) for p in pivots]) * basis_t for g in (r.S, r.T))
+    s_res, t_res = (
+        Matrix.from_nonzeros(r.dim, [g.nonzeros[p] for p in pivots]) * basis_t for g in (r.S, r.T)
+    )
     residual = Rep(f"{r.label}|res", r.level, s_res, t_res)
     scalar = s_res[0, 0]
-    if all(
-        s_res[i, j] == (scalar if i == j else CycNum.zero())
-        for i in range(joint.dim)
-        for j in range(joint.dim)
-    ):
+    if s_res == Matrix.identity(joint.dim).scaled(scalar):
         split = []
         for j in range(r.level):
             eig = CycNum.zeta(r.level, j)

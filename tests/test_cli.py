@@ -1,11 +1,13 @@
 import hashlib
 import json
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 
 from vvmf.ahol import ahol_decompose, raise_op
 from vvmf.cli import (
+    _same_left_coset,
     load_bundled_registry,
     main,
     parse_rep_expr,
@@ -15,7 +17,8 @@ from vvmf.cli import (
     verify_thm11,
 )
 from vvmf.forms import eisenstein, vv_eisenstein
-from vvmf.hecke import hecke_form
+from vvmf.hecke import _is_similitude, delta_cosets, hecke_form
+from vvmf.linalg import invert_rational
 from vvmf.hyperalg import FormSpan, hyper_tensor, sturm_bound
 
 
@@ -48,6 +51,50 @@ def test_verify_counts_report():
     report = verify_counts()
     assert report.ok
     assert all(c.provenance in ("derived", "trivial") for c in report.cases)
+
+
+def rational_same_left_coset(m1, m2, genus):
+    """m1 m2^-1 through the rational inverse of m2: integral and symplectic."""
+    n, inv = 2 * genus, invert_rational(m2)
+    prod = [[sum(Fraction(m1[r][k]) * inv[k][c] for k in range(n)) for c in range(n)]
+            for r in range(n)]
+    if any(x.denominator != 1 for row in prod for x in row):
+        return False
+    return _is_similitude([[int(x) for x in row] for row in prod], genus, 1)
+
+
+def _int_product(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+# modular-group (genus 1) and Sp(4, Z) (genus 2) elements that move a coset
+# representative within its left coset
+_GAMMAS = {
+    1: [((0, -1), (1, 0)), ((1, 1), (0, 1)), ((2, -1), (1, 0)), ((1, 0), (-3, 1))],
+    2: [
+        ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0)),
+        ((1, 0, 1, 2), (0, 1, 2, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 1)),
+    ],
+}
+
+
+@pytest.mark.parametrize("genus, indices", [(1, range(1, 7)), (2, (2,))])
+def test_same_left_coset_matches_rational_inverse(genus, indices):
+    """The integer test of verify counts agrees with m1 m2^-1 computed over
+    the rationals on every pair of representatives and of their images
+    gamma m, and it puts gamma m and m in one coset."""
+    for M in indices:
+        cosets = [c.mat for c in delta_cosets(genus, M)]
+        moved = [_int_product(g, m) for g in _GAMMAS[genus] for m in cosets]
+        for m1 in cosets + moved:
+            for m2 in cosets:
+                want = rational_same_left_coset(m1, m2, genus)
+                assert _same_left_coset(m1, m2, genus, M) == want, (M, m1, m2)
+        for g in _GAMMAS[genus]:
+            assert _is_similitude(g, genus, 1)
+            for m in cosets:
+                assert _same_left_coset(_int_product(g, m), m, genus, M)
 
 
 def test_verify_thm11_default_instance():
@@ -115,11 +162,16 @@ _BAD_FILES = {
     "grades-number.json": {"grades": 3},
     "generator-string.json": {"grades": [
         {"weight": 4, "type": "triv", "dimension": 1, "generators": ["form"]}]},
+    # a span generator and a registry entry, each missing a required field
+    "generator-empty.json": {"grades": [
+        {"weight": 4, "type": "triv", "dimension": 1, "generators": [{}]}]},
+    "entry-without-label.json": {"entries": [{"level": 1, "S": [[_ONE]], "T": [[_ONE]]}]},
 }
 _GOOD_FORM = {"type": "triv", "weight": 4, "components": [
     {"h": 1, "prec": "2", "terms": [[0, _ONE]]}]}
-# an unknown label that starts with a known one, and options out of range;
-# each error line names the label or the option
+# an unknown label that starts with a known one, options out of range and
+# JSON objects without a required field; each error line names the label,
+# the option or the field and its object
 _NAMED_ERRORS = [
     ("label-with-trailing-text", ("homspace", "--source", "rho3x", "--target", "triv"),
      "no registry entry labelled 'rho3x'"),
@@ -139,6 +191,12 @@ _NAMED_ERRORS = [
      "--max-rounds must be positive, got -1"),
     ("closure-window-without-colon", ("ahol", "closure", "--span", "span.json", "--window", "4"),
      "--window must be kmin:kmax, got '4'"),
+    ("span-generator-without-form",
+     ("ahol", "closure", "--span", "generator-empty.json", "--window", "4:8"),
+     'a span generator has no "form" field'),
+    ("registry-entry-without-label",
+     ("homspace", "--registry", "entry-without-label.json", "--source", "triv", "--target", "triv"),
+     'a type has no "label" field'),
 ]
 
 
@@ -329,6 +387,15 @@ def test_verify_honours_registry(capsys, tmp_path, target):
     code, _, err = run_cli(capsys, "verify", target, "--registry", str(path))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_all_honours_the_thm11_options(capsys):
+    code, out, _ = run_cli(capsys, "verify", "all", "--k", "16", "--indices", "1,3",
+                           "--format", "json")
+    assert code == 0
+    (thm11,) = [r for r in json.loads(out) if r["command"] == "thm11"]
+    assert {c["parameters"]["k"] for c in thm11["cases"]} == {16}
+    assert {tuple(c["parameters"]["indices"]) for c in thm11["cases"]} == {(1, 3)}
 
 
 def test_reports_are_deterministic(capsys):

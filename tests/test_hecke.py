@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -30,6 +31,10 @@ def mul2(p, q):
         (p[0][0] * q[0][0] + p[0][1] * q[1][0], p[0][0] * q[0][1] + p[0][1] * q[1][1]),
         (p[1][0] * q[0][0] + p[1][1] * q[1][0], p[1][0] * q[0][1] + p[1][1] * q[1][1]),
     )
+
+
+def inv2(p):
+    return ((p[1][1], -p[0][1]), (-p[1][0], p[0][0]))
 
 
 @pytest.fixture(scope="module")
@@ -275,15 +280,36 @@ def test_hecke_rep_level_divides_index_times_level(reg):
             assert (M * entry.level) % level == 0, (M, entry.label, level)
 
 
+def coset_cycle_level(M, r):
+    """The order of the induced T read from its coset cycles: T is
+    block-monomial, so its order is the lcm over the cycles of T on the
+    cosets of the cycle length times the order of the block product around
+    the cycle.  T^(M level) fixes each coset and leaves rho(T^(a^2 level))
+    = I, which caps every block order."""
+    cosets = delta_cosets(1, M)
+    index_of = {c: i for i, c in enumerate(cosets)}
+    steps = [cocycle(m, inv2(T)) for m in cosets]
+    moves = [(index_of[target], r.evaluate(inv2(corr))) for corr, target in steps]
+    level, seen = 1, set()
+    for start in range(len(cosets)):
+        prod, m, length = Matrix.identity(r.dim), start, 0
+        while m not in seen:
+            seen.add(m)
+            m, block = moves[m]
+            prod, length = block * prod, length + 1
+        if length:
+            level = math.lcm(level, length * _matrix_order(prod, cap=M * r.level))
+    return level
+
+
 def test_hecke_rep_level_is_the_full_matrix_order(reg):
-    """The level read from T's coset cycles and block products equals the
-    order of the whole induced T, found by multiplying it out."""
+    """The level, the order of the whole induced T found by multiplying it
+    out, equals the order read from T's coset cycles and block products."""
     induced = hecke_rep(2, reg.get("rho3")).rep
     cases = [(M, entry) for M in range(1, 9) for entry in reg.entries]
     cases += [(M, induced) for M in (1, 2, 3)]
     for M, r in cases:
-        hr = hecke_rep(M, r).rep
-        assert hr.level == _matrix_order(hr.T, cap=M * r.level), (M, r.label)
+        assert hecke_rep(M, r).rep.level == coset_cycle_level(M, r), (M, r.label)
 
 
 def test_reference_projection_intertwines(reg):

@@ -546,6 +546,7 @@ def _same(got, want):
     assert (got.rows, got.cols) == (want.rows, want.cols)
     assert json.dumps(got.to_json()) == json.dumps(want.to_json())
     assert got.n == want.n
+    assert all(x.n == got.n for row in got.nonzeros for x in row.values())
 
 
 def _same_outcome(op_got, op_want, seen, name):

@@ -139,7 +139,6 @@ def test_stacked_hom_solve_matches_kronecker_reference(reg):
 def test_hom_solve_of_equal_types_written_at_another_conductor(reg):
     """Equal generator matrices written at conductor 12 are solved at 12, and
     at their own conductor at that one, whichever of the two is solved first."""
-    from vvmf import reps
 
     def at12(r):
         S, T = (Matrix(m.rows, m.cols, [x.lift(12) for x in m.entries]) for m in (r.S, r.T))
@@ -149,7 +148,6 @@ def test_hom_solve_of_equal_types_written_at_another_conductor(reg):
         return [fixed_vector_to_matrix(v, r.dim, r2.dim).to_json() for v in sub.basis]
 
     for first_at12 in (False, True):
-        reps._nonzero_columns.cache_clear()
         for r in reg:
             for r2 in reg:
                 pairs = [(r, r2), (at12(r), at12(r2)), (r, r2)]
