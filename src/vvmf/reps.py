@@ -209,14 +209,15 @@ def hom_fixed_subspace(r: Rep, r2: Rep) -> Subspace:
     d, d2 = r.dim, r2.dim
     rows, n = [], 1
     for a, b in ((r.S, r2.S), (r.T, r2.T)):
-        acols = a.transpose().nonzeros  # the nonzeros of column i' of a
+        # the nonzeros of column i' of a and of row j of -b
+        acols, brows = a.transpose().nonzeros, (-b).nonzeros
         block = []
         for ip in range(d):
             for j in range(d2):
                 row = {i * d2 + j: x for i, x in acols[ip].items()}
-                for jp, x in b.nonzeros[j].items():
+                for jp, x in brows[j].items():
                     col = ip * d2 + jp
-                    row[col] = row[col] - x if col in row else -x
+                    row[col] = row[col] + x if col in row else x
                 row = {c: y for c, y in row.items() if y}
                 if row:
                     block.append(row)
