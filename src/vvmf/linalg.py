@@ -22,14 +22,13 @@ from .exactnum import CycNum, as_cyc
 class Matrix:
     """Matrix that stores its nonzero entries row by row, all at one conductor.
 
-    `nonzeros[i]` is the {column: entry} dict of row i, the row form the
-    elimination kernel works on; callers read it and never write it.  The
-    dense views `entries`, `row` and `m[i, j]` read a zero at conductor n.
-    n is the lcm of the conductors a dense result would have: for the
-    constructor, of its entries, zeros included; for a sum, difference,
-    scaling, Kronecker product or transpose, of the operands'; for A * B,
-    of A's and B's when A has a nonzero entry.  A result without entries
-    has n = 1.
+    `nonzeros[i]` is the {column: entry} dict of row i, the row form of the
+    elimination kernel; callers never write it.  `entries`, `row` and
+    `m[i, j]` are dense views that read a zero at conductor n, and n is the
+    conductor of the dense result: the lcm of the entries' conductors, zeros
+    included, for the constructor and of the operands' for the arithmetic,
+    for A * B only when A has a nonzero entry and for a solve only when the
+    solution is nonzero.  A result without entries has n = 1.
     """
 
     # `_hash` caches __hash__ and `_transpose` caches transpose(); both stay
@@ -240,7 +239,7 @@ def _matrix(rows: int, cols: int, n: int, nonzeros: list) -> Matrix:
     at conductor n; a matrix without entries gets n = 1."""
     m = object.__new__(Matrix)
     fields = (rows, cols, n if rows and cols else 1, tuple(nonzeros))
-    for name, value in zip(Matrix.__slots__, fields):
+    for name, value in zip(("rows", "cols", "n", "nonzeros"), fields):
         object.__setattr__(m, name, value)
     return m
 
@@ -344,8 +343,9 @@ def kernel_of_rows(rows: list, ncols: int) -> "Subspace":
 
 
 def invert_rows(rows, one) -> list:
-    """Sparse rows of the inverse of the square matrix with these sparse rows,
-    which are left as they are; entries like one.  ValueError if singular."""
+    """The inverse, as sparse rows, of the square matrix with these sparse
+    rows (left unchanged); one is the unit of their field.  ValueError if
+    the matrix is singular."""
     n = len(rows)
     aug = [row | {n + i: one} for i, row in enumerate(rows)]
     if len(_rref_inplace(aug, 2 * n, stop_col=n)) < n:
