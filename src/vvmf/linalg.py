@@ -24,11 +24,11 @@ class Matrix:
 
     `nonzeros[i]` is the {column: entry} dict of row i, the row form of the
     elimination kernel; callers never write it.  `entries`, `row` and
-    `m[i, j]` are dense views that read a zero at conductor n, and n is the
-    conductor of the dense result: the lcm of the entries' conductors, zeros
-    included, for the constructor and of the operands' for the arithmetic,
-    for A * B only when A has a nonzero entry and for a solve only when the
-    solution is nonzero.  A result without entries has n = 1.
+    `m[i, j]` are dense views that read a zero at conductor n, the conductor
+    of the dense result: for the constructor the lcm of its entries', zeros
+    included; for the arithmetic the lcm of the operands', but for A * B only
+    when A has a nonzero entry and for a solve only when the solution is
+    nonzero.  A result without entries has n = 1.
     """
 
     # `_hash` caches __hash__ and `_transpose` caches transpose(); both stay
@@ -44,10 +44,11 @@ class Matrix:
                 f"expected {rows * cols} entries for {rows}x{cols}, got {len(cells)}"
             )
         n = math.lcm(*{x.n for x in cells})
-        return _matrix(rows, cols, n, [
+        nonzeros = [
             {j: x.lift(n) for j, x in enumerate(cells[i * cols : (i + 1) * cols]) if x}
             for i in range(rows)
-        ])
+        ]
+        return _matrix(rows, cols, n, nonzeros)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
