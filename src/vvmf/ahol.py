@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .exactnum import json_int
 from .linalg import Matrix
 from .qexp import QExp, combine
 from .reps import Rep, is_intertwiner, require_same_content
@@ -157,7 +158,7 @@ class AholForm:
         if not isinstance(layers, list) or not all(isinstance(x, list) for x in layers):
             raise ValueError("form components are a list of series, graded layers a list of them")
         graded = [[QExp.from_json(q) for q in layer] for layer in layers]
-        return AholForm(int(obj["weight"]), rep, graded)
+        return AholForm(json_int(obj, "weight", "form"), rep, graded)
 
 
 def raise_op(f: AholForm, weight: int | None = None) -> AholForm:
@@ -300,7 +301,7 @@ def tinf_closure(span, weight_window, max_rounds: int, targets):
         for (_, _), gens in sorted(current.grading.items()):
             for form, _ in gens:
                 pieces.append(window_filter(tinf(form, targets)))
-        new = window_filter(span_sum(pieces))
+        new = span_sum(pieces)
         if new.dimension_signature() == current.dimension_signature() and all(
             new.grade_rows(key) == current.grade_rows(key) for key in new.grading
         ):

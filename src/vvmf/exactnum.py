@@ -22,6 +22,7 @@ hashing go through a canonical reduced form instead.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -34,6 +35,14 @@ def parse_rational(s: str) -> Fraction:
     if not isinstance(s, str):
         raise ValueError(f'a rational is a string "a/b" or "a", got {s!r}')
     return Fraction(s.strip())
+
+
+def json_int(obj: dict, key: str, what: str) -> int:
+    """obj[key], which must be a JSON integer (not a float, string, bool or null)."""
+    x = obj[key]
+    if type(x) is not int:
+        raise ValueError(f'{what} "{key}" must be a JSON integer, got {json.dumps(x)}')
+    return x
 
 
 def format_rational(q: Fraction) -> str:
@@ -386,7 +395,10 @@ class CycNum:
     def from_json(obj) -> "CycNum":
         if not isinstance(obj, dict):
             raise ValueError(f'a cyclotomic number is {{"n": ..., "c": [...]}}, got {obj!r}')
-        return CycNum(int(obj["n"]), [parse_rational(s) for s in obj["c"]])
+        c = obj.get("c")
+        if not isinstance(c, list):
+            raise ValueError(f'cyclotomic "c" must be a list of rationals, got {json.dumps(c)}')
+        return CycNum(json_int(obj, "n", "cyclotomic"), [parse_rational(s) for s in c])
 
 
 def _make(n: int, num: tuple, den: int) -> CycNum:

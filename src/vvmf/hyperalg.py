@@ -78,8 +78,8 @@ class FormSpan:
     def dimension_signature(self) -> dict:
         return {key: len(gens) for key, gens in self.grading.items()}
 
-    def grade_rows(self, key, prec=None) -> tuple:
-        """Canonical echelon rows of a graded piece at a sound precision."""
+    def grade_rows(self, key, prec=None):
+        """Canonical RREF `Matrix` of a graded piece at a sound precision; () if empty."""
         gens = self.grading.get(key, [])
         if not gens:
             return ()
@@ -162,11 +162,15 @@ class _Pivots:
 
 
 def _row_layout(forms, prec=None):
-    """(prec, lattice, type dimension, depth) of rows; prec defaults to the lowest."""
+    """(prec, lattice, type dimension, depth) of rows; prec defaults to the
+    lowest stored precision and may not exceed it."""
     h = math.lcm(*(q.h for f in forms for layer in f.graded for q in layer))
     depth = max(f.depth for f in forms)
+    low = min(f.prec for f in forms)
     if prec is None:
-        prec = min(f.prec for f in forms)
+        prec = low
+    elif low < prec:
+        raise InsufficientPrecision(f"generator stores precision {low}, below requested {prec}")
     return prec, h, forms[0].rep.dim, depth
 
 
@@ -294,11 +298,6 @@ def span_contains(span: FormSpan, f: AholForm, prec_used) -> bool:
         return True
     if not gens:
         return False
-    for g, _ in gens:
-        if g.prec < prec_used:
-            raise InsufficientPrecision(
-                f"generator stores precision {g.prec}, below requested {prec_used}"
-            )
     forms = [g for g, _ in gens]
     state = span._state(key, forms, _row_layout(forms + [f], prec_used))
     return next(state.residue(state.row(f)), None) is None

@@ -6,9 +6,9 @@ per-column index of the rows that are nonzero there.  In each column the
 pivot is the unused row with the fewest nonzeros (lowest position on
 ties); arithmetic is exact, so there are no magnitude heuristics, and
 the output is the unique RREF, pivot rows first in pivot order, so equal
-subspaces have equal bases.  A `Matrix` holds its rows in that form, so
-products, sums and eliminations touch nonzero entries only; dense callers
-convert with `sparse_row` and `dense_row`.
+subspaces have equal bases.  A `Matrix`, and so a `Subspace` basis, holds its
+rows in that form: arithmetic and eliminations touch nonzero entries only;
+dense callers convert with `sparse_row` and `dense_row`.
 """
 
 from __future__ import annotations
@@ -361,13 +361,12 @@ def invert_rational(mat) -> list:
 
 
 class Subspace:
-    """Subspace of a coordinate space, basis held in canonical RREF."""
+    """Subspace of a coordinate space; `basis` is its canonical RREF `Matrix`."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("basis",)
 
-    def __init__(self, ambient_dim: int, basis):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(tuple(r) for r in basis))
+    def __init__(self, basis: Matrix):
+        object.__setattr__(self, "basis", basis)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -385,24 +384,26 @@ class Subspace:
     def _from_sparse(ambient_dim: int, rows: list) -> "Subspace":
         """Span of sparse rows, which are reduced in place."""
         pivots = _rref_inplace(rows, ambient_dim)
-        zero = CycNum.zero()
-        return Subspace(ambient_dim, [dense_row(r, ambient_dim, zero) for r in rows[: len(pivots)]])
+        return Subspace(Matrix.from_nonzeros(ambient_dim, rows[: len(pivots)]))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.cols
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.basis.rows
 
     def member(self, v) -> bool:
-        """True iff v reduces to zero against the echelon basis."""
+        """True iff v reduces to zero against each basis row at its pivot."""
         v = [as_cyc(x) for x in v]
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        for row in self.basis:
-            nz = [j for j, y in enumerate(row) if y]
-            f = v[nz[0]]
+        for row in self.basis.nonzeros:
+            f = v[min(row)]
             if f:
-                for j in nz:
-                    v[j] = v[j] - f * row[j]
+                for j, y in row.items():
+                    v[j] = v[j] - f * y
         return not any(v)
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -413,8 +414,8 @@ class Subspace:
         # Zassenhaus: in the RREF of the rows (u | u) and (v | 0), the rows
         # whose left half vanishes span the intersection with their right half
         d = self.ambient_dim
-        rows = [sparse_row(u) | sparse_row(u, d) for u in self.basis]
-        rows += [sparse_row(v) for v in other.basis]
+        rows = [u | {j + d: x for j, x in u.items()} for u in self.basis.nonzeros]
+        rows += [dict(v) for v in other.basis.nonzeros]
         _rref_inplace(rows, 2 * d)
         meet = [{j - d: x for j, x in r.items()} for r in rows if r and min(r) >= d]
         return Subspace._from_sparse(d, meet)
@@ -422,7 +423,7 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self.basis == other.basis
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"

@@ -31,7 +31,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exactnum import CycNum, _make, _reduce, as_cyc, euler_phi, format_rational, parse_rational
+from .exactnum import (
+    CycNum, _make, _reduce, as_cyc, euler_phi, format_rational, json_int, parse_rational,
+)
 
 
 class InsufficientPrecision(Exception):
@@ -214,7 +216,7 @@ class QExp:
             if term[0] in terms:
                 raise ValueError(f"exponent {term[0]} is repeated in a series")
             terms[term[0]] = CycNum.from_json(term[1])
-        return QExp(int(obj["h"]), parse_rational(obj["prec"]), terms)
+        return QExp(json_int(obj, "h", "series"), parse_rational(obj["prec"]), terms)
 
 
 def _series(h: int, prec: Fraction, terms: dict) -> QExp:

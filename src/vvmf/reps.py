@@ -22,7 +22,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .exactnum import CycNum
+from .exactnum import CycNum, json_int
 from .linalg import Matrix, Subspace, kernel_of_rows
 
 S_MAT = ((0, -1), (1, 0))
@@ -128,7 +128,7 @@ class Rep:
             raise ValueError(f'a type has no "{missing[0]}" field')
         return Rep(
             obj["label"],
-            int(obj["level"]),
+            json_int(obj, "level", "type"),
             Matrix.from_json(obj["S"]),
             Matrix.from_json(obj["T"]),
         )
@@ -224,13 +224,18 @@ def hom_fixed_subspace(r: Rep, r2: Rep) -> Subspace:
         if block:
             n = math.lcm(n, a.n, b.n)
             rows += block
-    basis = kernel_of_rows(rows, d * d2).basis
-    return Subspace(d * d2, [[x.lift(n) for x in v] for v in basis])
+    kernel = kernel_of_rows(rows, d * d2).basis
+    lifted = [{j: x.lift(n) for j, x in v.items()} for v in kernel.nonzeros]
+    return Subspace(Matrix.from_nonzeros(d * d2, lifted))
 
 
-def fixed_vector_to_matrix(v, dim_r: int, dim_r2: int) -> Matrix:
-    """Reshape a fixed vector to an intertwiner (dim_r2 x dim_r)."""
-    return Matrix(dim_r, dim_r2, v).transpose()
+def fixed_vector_to_matrix(v: dict, dim_r: int, dim_r2: int) -> Matrix:
+    """Reshape a fixed vector's {i*dim_r2 + j: x} row to the intertwiner with x at (j, i)."""
+    rows = [{} for _ in range(dim_r2)]
+    for k, x in v.items():
+        i, j = divmod(k, dim_r2)
+        rows[j][i] = x
+    return Matrix.from_nonzeros(dim_r, rows)
 
 
 def matrix_to_fixed_vector(phi: Matrix) -> list:
@@ -251,7 +256,7 @@ def hom_space(r: Rep, r2: Rep) -> list:
 def _hom_basis(key: tuple, key2: tuple) -> tuple:
     r, r2 = (Rep("", *k[:3]) for k in (key, key2))  # labels do not enter
     sub = hom_fixed_subspace(r, r2)
-    return tuple(fixed_vector_to_matrix(v, r.dim, r2.dim) for v in sub.basis)
+    return tuple(fixed_vector_to_matrix(v, r.dim, r2.dim) for v in sub.basis.nonzeros)
 
 
 def is_intertwiner(phi: Matrix, r: Rep, r2: Rep) -> bool:
@@ -299,8 +304,8 @@ def decompose(r: Rep, registry: "RepRegistry") -> Decomposition:
     joint = kernel_of_rows(rows, r.dim)
     if joint.dim == 0:
         return Decomposition(mults, None)
-    pivots = [next(j for j, x in enumerate(v) if x) for v in joint.basis]
-    basis_t = Matrix.from_rows(joint.basis).transpose()  # columns span the kernel
+    pivots = [min(v) for v in joint.basis.nonzeros]
+    basis_t = joint.basis.transpose()  # columns span the kernel
     s_res, t_res = (
         Matrix.from_nonzeros(r.dim, [g.nonzeros[p] for p in pivots]) * basis_t for g in (r.S, r.T)
     )

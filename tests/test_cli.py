@@ -266,6 +266,57 @@ def test_bad_input_is_one_line_exit_2(capsys, tmp_path, argv):
         assert err == f"error: {message}\n"
 
 
+def _form_with(weight=4, h=1, cell=_ONE):
+    return {"type": "triv", "weight": weight, "components": [
+        {"h": h, "prec": "2", "terms": [[0, cell]]}]}
+
+
+def _registry_with(level=1, cell=_ONE):
+    return {"entries": [{"label": "triv", "level": level, "S": [[cell]], "T": [[_ONE]]}]}
+
+
+# an integer field given as null, a float, a string or a bool, and a
+# coefficient list that is not a list; a float weight was read as its floor
+_REGISTRY_ARGS = ("homspace", "--source", "triv", "--target", "triv", "--registry")
+_WRONG_JSON_TYPES = [
+    ("level-null", _REGISTRY_ARGS, _registry_with(level=None),
+     'type "level" must be a JSON integer, got null'),
+    ("level-float", _REGISTRY_ARGS, _registry_with(level=1.0),
+     'type "level" must be a JSON integer, got 1.0'),
+    ("level-string", _REGISTRY_ARGS, _registry_with(level="1"),
+     'type "level" must be a JSON integer, got "1"'),
+    ("level-bool", _REGISTRY_ARGS, _registry_with(level=True),
+     'type "level" must be a JSON integer, got true'),
+    ("n-null", _REGISTRY_ARGS, _registry_with(cell={"n": None, "c": ["1"]}),
+     'cyclotomic "n" must be a JSON integer, got null'),
+    ("c-number", _REGISTRY_ARGS, _registry_with(cell={"n": 1, "c": 1}),
+     'cyclotomic "c" must be a list of rationals, got 1'),
+    ("c-string", ("ahol", "raise", "--form"), _form_with(cell={"n": 1, "c": "1"}),
+     'cyclotomic "c" must be a list of rationals, got "1"'),
+    ("weight-null", ("ahol", "raise", "--form"), _form_with(weight=None),
+     'form "weight" must be a JSON integer, got null'),
+    ("weight-float", ("ahol", "raise", "--form"), _form_with(weight=4.5),
+     'form "weight" must be a JSON integer, got 4.5'),
+    ("h-null", ("ahol", "raise", "--form"), _form_with(h=None),
+     'series "h" must be a JSON integer, got null'),
+    ("h-float", ("hyperprod", "--right", "good-form.json", "--left"), _form_with(h=1.0),
+     'series "h" must be a JSON integer, got 1.0'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, obj, message",
+    [case[1:] for case in _WRONG_JSON_TYPES],
+    ids=[case[0] for case in _WRONG_JSON_TYPES],
+)
+def test_wrong_json_type_is_one_line_exit_2(capsys, tmp_path, argv, obj, message):
+    (tmp_path / "good-form.json").write_text(json.dumps(_GOOD_FORM))
+    (tmp_path / "bad.json").write_text(json.dumps(obj))
+    argv = [str(tmp_path / "good-form.json") if a == "good-form.json" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / "bad.json"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_good_form_file_is_accepted(capsys, tmp_path):
     # the well-formed partner of the malformed form files above
     path = tmp_path / "good-form.json"
@@ -489,6 +540,10 @@ PINNED_OUTPUTS = [
      "1c051863e3b34104bfff8da9e296ab8216c7ddb254002f9ef73003d7b3e5e2df"),
     ("counts.json", ("verify", "counts", "--format", "json"),
      "acf17f9990a3ce17f0990afd0e1d54df0f207e0a026b0150c2d14562c470ec40"),
+    # the one report that reads hom_fixed_subspace and Subspace.member,
+    # recorded before Subspace kept its basis as a sparse Matrix
+    ("example32.json", ("verify", "example32", "--format", "json"),
+     "2233727dc541cc2631100aff84f03bbab026bac7ccf59e99b4d834915bc45af2"),
 ]
 
 

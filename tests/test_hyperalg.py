@@ -161,6 +161,15 @@ def test_membership_requires_precision(triv_only):
         span_contains(span, delta, 8)  # beyond the stored expansions
 
 
+def test_grade_rows_refuse_precision_beyond_the_generators():
+    span = FormSpan.of(eisenstein(4, 5))
+    with pytest.raises(InsufficientPrecision):
+        span.grade_rows((4, "triv"), 10)  # coefficients 5..9 are unknown
+    rows = span.grade_rows((4, "triv"), 5)
+    assert isinstance(rows, Matrix) and rows.shape == (1, 5)
+    assert rows.rref() == (rows, [0])
+
+
 def test_sturm_bound_values():
     assert sturm_bound(12, 1) == 2
     assert sturm_bound(24, 1) == 3

@@ -272,18 +272,32 @@ def test_sparse_elimination_matches_dense_reference(field):
         assert [dense_row(r, ncols, SPARSE_FIELDS[field][0]) for r in work] == red
 
         m = Matrix.from_rows(vals)
-        assert [list(r) for r in m.kernel().basis] == dense_kernel_basis(red, pivots, ncols)
+        assert m.kernel().basis.to_rows() == dense_kernel_basis(red, pivots, ncols)
 
         image = Subspace.from_rows(ncols, vals)
         probes = vals[:4] + sparse_rows(rng, field, 4, ncols, 0.2)
         for v in probes:
             answers.add(image.member(v))
-            assert image.member(v) == dense_member(image.basis, [as_cyc(x) for x in v])
+            assert image.member(v) == dense_member(image.basis.to_rows(), [as_cyc(x) for x in v])
 
         other = Matrix.from_rows(sparse_rows(rng, field, ncols, 6, 0.1))
         assert (m * other).to_rows() == dense_product(m.to_rows(), other.to_rows())
     assert zeros >= 0.95 * cells
     assert answers == {True, False}
+
+
+def test_subspace_basis_is_its_rref_matrix():
+    """A Subspace keeps only its canonical RREF basis, a Matrix whose rows
+    start at their pivots; dim and ambient_dim are read off it."""
+    rng = random.Random(15)
+    assert Subspace.__slots__ == ("basis",)
+    for field in sorted(SPARSE_FIELDS):
+        for nrows, ncols in [(0, 4), (3, 5), (8, 6), (12, 30)]:
+            s = Subspace.from_rows(ncols, sparse_rows(rng, field, nrows, ncols, 0.3))
+            red, pivots = s.basis.rref()
+            assert isinstance(s.basis, Matrix) and red == s.basis
+            assert pivots == [min(r) for r in s.basis.nonzeros]
+            assert (s.dim, s.ambient_dim) == (len(pivots), ncols)
 
 
 @pytest.mark.parametrize("field", sorted(SPARSE_FIELDS))
@@ -585,8 +599,8 @@ def test_sparse_matrix_matches_dense_reference_bytes_and_conductor():
         (got, pivots), (want, want_pivots) = a.rref(), da.rref()
         _same(got, want)
         assert pivots == want_pivots
-        assert [[x.to_json() for x in v] for v in a.kernel().basis] == [
-            [x.to_json() for x in v] for v in da.kernel().basis
+        assert [[x.to_json() for x in v] for v in a.kernel().basis.to_rows()] == [
+            [x.to_json() for x in v] for v in da.kernel().basis.to_rows()
         ]
         # a consistent right-hand side a * x, and a random one
         x, dx = _mixed_pair(rng, c, k)

@@ -131,8 +131,10 @@ def test_stacked_hom_solve_matches_kronecker_reference(reg):
             got = hom_fixed_subspace(r, r2)
             want = hom_fixed_subspace_reference(r, r2)
             assert got == want, (r.label, r2.label)
-            assert [fixed_vector_to_matrix(v, r.dim, r2.dim).to_json() for v in got.basis] == [
-                fixed_vector_to_matrix(v, r.dim, r2.dim).to_json() for v in want.basis
+            assert [
+                fixed_vector_to_matrix(v, r.dim, r2.dim).to_json() for v in got.basis.nonzeros
+            ] == [
+                fixed_vector_to_matrix(v, r.dim, r2.dim).to_json() for v in want.basis.nonzeros
             ], (r.label, r2.label)
 
 
@@ -145,7 +147,7 @@ def test_hom_solve_of_equal_types_written_at_another_conductor(reg):
         return Rep(r.label, r.level, S, T)
 
     def shaped(sub, r, r2):
-        return [fixed_vector_to_matrix(v, r.dim, r2.dim).to_json() for v in sub.basis]
+        return [fixed_vector_to_matrix(v, r.dim, r2.dim).to_json() for v in sub.basis.nonzeros]
 
     for first_at12 in (False, True):
         for r in reg:
@@ -155,6 +157,16 @@ def test_hom_solve_of_equal_types_written_at_another_conductor(reg):
                     got, want = hom_fixed_subspace(a, b), hom_fixed_subspace_reference(a, b)
                     assert got == want, (r.label, r2.label)
                     assert shaped(got, a, b) == shaped(want, a, b), (a.S.n, r.label, r2.label)
+
+
+def test_hom_basis_of_rational_coordinate_vectors_keeps_the_joint_conductor():
+    """The kernel here is the coordinate vector e_0, whose entries are
+    rational, but the T block of the system is written at conductor 3, and
+    so is the intertwiner (the bytes recorded before the kernel stayed sparse)."""
+    r = Rep("split", 3, Matrix.identity(2), Matrix(2, 2, [1, 0, 0, CycNum.zeta(3)]))
+    one, zero = {"n": 3, "c": ["1", "0"]}, {"n": 3, "c": ["0", "0"]}
+    assert [phi.to_json() for phi in hom_space(r, trivial_rep())] == [[[one, zero]]]
+    assert [phi.to_json() for phi in hom_space(trivial_rep(), r)] == [[[one], [zero]]]
 
 
 def test_hom_of_induced_tensor_square_into_threefold_type(reg):
@@ -223,7 +235,7 @@ def decompose_reference(r, registry):
         joint = joint.intersect(phi.kernel())
     if joint.dim == 0:
         return Decomposition(mults, None)
-    basis_t = Matrix.from_rows(joint.basis).transpose()  # columns span the kernel
+    basis_t = Matrix.from_rows(joint.basis.to_rows()).transpose()  # columns span the kernel
     s_res = basis_t.solve_right(r.S * basis_t)
     t_res = basis_t.solve_right(r.T * basis_t)
     residual = Rep(f"{r.label}|res", r.level, s_res, t_res)
@@ -288,6 +300,23 @@ def test_decompose_neither_intersects_nor_solves(reg, monkeypatch):
     monkeypatch.setattr(Matrix, "solve_right", refuse)
     for r, registry in decompose_cases(reg)[-4:]:
         decompose(r, registry)
+
+
+def test_kernels_build_no_dense_rows(reg, monkeypatch, fresh_hom_cache):
+    """The hom solve and decompose go from the sparse kernel rows to the
+    intertwiners and the residual without a dense row."""
+    from vvmf import linalg
+
+    cases = decompose_cases(reg)[-4:]  # the type constructors read dense rows
+
+    def refuse(*args):
+        raise AssertionError("a dense row was built")
+
+    monkeypatch.setattr(linalg, "dense_row", refuse)
+    monkeypatch.setattr(Matrix, "from_rows", staticmethod(refuse))
+    for r, registry in cases:
+        decompose(r, registry)
+    assert fresh_hom_cache.cache_info().misses > 0
 
 
 def test_isomorphism_tests(reg):
