@@ -147,6 +147,10 @@ class AholForm:
         """
         if not isinstance(obj, dict):
             raise ValueError(f"a form is a JSON object, got {type(obj).__name__}")
+        if "type" not in obj:
+            raise ValueError('a form has no "type" field')
+        if "graded" not in obj and "components" not in obj:
+            raise ValueError('a form has no "graded" or "components" field')
         t = obj["type"]
         if isinstance(t, str):
             if registry is None:

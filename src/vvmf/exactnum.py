@@ -39,6 +39,8 @@ def parse_rational(s: str) -> Fraction:
 
 def json_int(obj: dict, key: str, what: str) -> int:
     """obj[key], which must be a JSON integer (not a float, string, bool or null)."""
+    if key not in obj:
+        raise ValueError(f'a {what} has no "{key}" field')
     x = obj[key]
     if type(x) is not int:
         raise ValueError(f'{what} "{key}" must be a JSON integer, got {json.dumps(x)}')

@@ -5,7 +5,12 @@ provenance strings so harnesses can report which products certify a
 membership.  Stored generators are linearly independent within a grade
 at its common sound precision.  Each grade keeps a pivot state (one
 pivot column per generator and the inverse of that block of their rows),
-so a new form or a membership candidate is one reduced row.
+so a new form or a membership candidate is one reduced row.  The state
+keeps each generator's series as Kronecker-packed ints, one per
+power-basis coordinate (D. Harvey, J. Symbolic Comput. 44, 2009, as in
+`qexp.combine`): the reduced row is a packed integer combination, block
+by block, at a slot width checked against a bound from bit lengths, and
+its first nonzero column is read off the lowest set bit.
 
 Membership refuses to answer below the Sturm bound: callers pass a
 working precision and get a hard error, never a silent false.  The
@@ -19,9 +24,9 @@ import math
 from fractions import Fraction
 
 from .ahol import AholForm, _apply_maps
-from .exactnum import CycNum
+from .exactnum import CycNum, _reduce, euler_phi
 from .linalg import Subspace, invert_rows, sparse_row
-from .qexp import InsufficientPrecision, combine
+from .qexp import InsufficientPrecision, _pack, combine
 from .reps import RepRegistry, hom_space, require_same_content
 
 
@@ -85,7 +90,7 @@ class FormSpan:
             return ()
         forms = [f for f, _ in gens]
         layout = _row_layout(forms, prec)
-        rows = [_coefficient_row(f, *layout) for f in forms]
+        rows = [_coefficient_row(f, layout) for f in forms]
         return Subspace.from_rows(len(rows[0]), rows).basis
 
     def __repr__(self):
@@ -112,53 +117,108 @@ class FormSpan:
 class _Pivots:
     """Incremental rank state of the span of forms at one row layout.
 
-    forms are independent generators with coefficient rows G (rebuilt
-    when needed, sharing the forms' coefficients), pivots one column per
-    row, and inv the sparse rows of the inverse of the block G|P, or None
-    until the next reduction needs it.  v - (v|P . inv) . G is zero iff v
-    is in the span.
+    forms are independent generators, pivots one column per form, and inv
+    the sparse rows of the inverse of their block G|P, or None until the
+    next read needs it.  v - (v|P . inv) . G is zero iff v is in the span.
+
+    Rows are never built.  A row is one block of `bound` columns per series
+    (layer r, component i), and packed[j][b] holds block b of forms[j] at
+    conductor cond (the lcm of every coefficient read so far; a candidate
+    that raises it relifts every block) as (d, bits, P): P[l] packs d times
+    coordinate l of column t in slot t of `width` bits (`qexp._pack`), and
+    no such integer is longer than bits; None for a zero block.
+
+    A read takes c = (v|P) . inv and walks the blocks in column order.
+    Coordinate i of Lambda * (v - sum_j c_j g_j) on a block is the int
+    (Lambda / d_v) V_i - sum_j sum_l m_j M_j[i][l] P_{j,l}, with M_j the
+    integer matrix of multiplication by c_j's numerator and m_j = Lambda /
+    (den(c_j) d_j).  First the slot bound is met: the largest bit length of
+    a scalar plus its block's bits, plus the bit length of the number of
+    terms.  width (64 at first; it never shrinks) doubles, every block
+    repacked, until it holds the bound.  Every slot of the result is then
+    below 2^width in absolute value, so a nonzero result's first nonzero
+    slot is its lowest set bit // width.  The read stops at the first
+    nonzero block, at the least such slot over its coordinates.
     """
 
-    __slots__ = ("layout", "forms", "pivots", "inv")
+    __slots__ = ("layout", "forms", "pivots", "inv", "cond", "width", "packed")
 
     def __init__(self, layout, forms=()):
         self.layout, self.forms, self.pivots, self.inv = layout, [], [], []
+        self.cond, self.width, self.packed = 1, 64, []
         for f in forms:
             self.push(f)
 
-    def row(self, f: AholForm) -> list:
-        return _coefficient_row(f, *self.layout)
-
-    def residue(self, v):
-        """Nonzero (column, value) of v - (v|P . inv) . G, one column at a
-        time, so a caller that needs only the first one stops there."""
+    def read(self, f: AholForm):
+        """(the first nonzero column of v - (v|P . inv) . G or None, the
+        blocks of f's row v up to that column's, as `_integral` at cond)."""
+        terms = _block_terms(f, self.layout)
+        cond = math.lcm(self.cond, *(c.n for block in terms for _, c in block))
         if self.inv is None:
-            block = [sparse_row(row[q] for q in self.pivots) for row in map(self.row, self.forms)]
+            block = [sparse_row(_entry(g, p, self.layout) for p in self.pivots) for g in self.forms]
             self.inv = invert_rows(block, CycNum.one())
-        a = [(i, v[p]) for i, p in enumerate(self.pivots) if v[p]]
-        terms = []
-        for j, g in enumerate(self.forms):
+        a = [(i, x) for i, p in enumerate(self.pivots) if (x := _entry(f, p, self.layout))]
+        mults = []  # (j, den(c_j), M_j, the bit length of M_j's largest entry)
+        for j in range(len(self.forms)):
             c = sum((x * self.inv[i][j] for i, x in a if j in self.inv[i]), CycNum.zero())
             if c:
-                terms.append((c, self.row(g)))
-        for t, x in enumerate(v):
-            for c, row in terms:
-                if row[t]:
-                    x = x - c * row[t]
-            if x:
-                yield t, x
+                c = c.lift(cond)
+                m = _multiplication(cond, c.num)
+                mults.append((j, c.den, m, max(max(map(abs, row)) for row in m).bit_length()))
+        phi, bound, own = euler_phi(cond), _bound(self.layout), []
+        for b, block in enumerate(terms):
+            own.append(mine := _integral(block, cond))
+            # per term j: den(c_j) d_j, M_j, and the bits of M_j times block b of g_j
+            gens = [(j, d * self.packed[j][b][0], m, bits + self.packed[j][b][1])
+                    for j, d, m, bits in mults if self.packed[j][b]]
+            if mine is None and not gens:
+                continue
+            d_v, v_bits = mine[:2] if mine else (1, 0)
+            lam = math.lcm(d_v, *(d for _, d, _, _ in gens))
+            need = max([(lam // d_v).bit_length() + v_bits]
+                       + [(lam // d).bit_length() + bits for _, d, _, bits in gens])
+            self._fit(cond, need + (1 + phi * len(gens)).bit_length())
+            own_ints = _packed(mine, phi, self.width)[2] if mine else [0] * phi
+            low = None
+            for i in range(phi):
+                y = (lam // d_v) * own_ints[i]
+                for j, d, m, _ in gens:
+                    s = lam // d
+                    for x, g in zip(m[i], self.packed[j][b][2]):
+                        if x and g:
+                            y -= s * x * g
+                if y:
+                    t = ((y & -y).bit_length() - 1) // self.width
+                    low = t if low is None else min(low, t)
+            if low is not None:
+                return b * bound + low, own
+        return None, own
 
     def push(self, f: AholForm) -> bool:
-        """Add f's row when it is independent; True when the state grew."""
-        p, _ = next(self.residue(self.row(f)), (None, None))
+        """Add f when it is independent; True when the state grew."""
+        p, own = self.read(f)
         if p is None:
             return False
         # det of the enlarged block is det(G|P) times the residue at p; its
         # inverse is computed when the next row is reduced
+        own += [_integral(block, self.cond) for block in _block_terms(f, self.layout)[len(own):]]
+        self._fit(self.cond, 1 + max(x[1] for x in own if x))
         self.forms.append(f)
         self.pivots.append(p)
+        self.packed.append([_packed(x, euler_phi(self.cond), self.width) for x in own])
         self.inv = None
         return True
+
+    def _fit(self, cond: int, bits: int):
+        """Relift to cond and double width until it holds bits; a change
+        repacks every block."""
+        width = self.width
+        while width < bits:
+            width *= 2
+        if (cond, width) != (self.cond, self.width):
+            self.cond, self.width, phi = cond, width, euler_phi(cond)
+            self.packed = [[_packed(_integral(block, cond), phi, width)
+                            for block in _block_terms(f, self.layout)] for f in self.forms]
 
 
 def _row_layout(forms, prec=None):
@@ -174,17 +234,71 @@ def _row_layout(forms, prec=None):
     return prec, h, forms[0].rep.dim, depth
 
 
-def _coefficient_row(f: AholForm, prec, h: int, dim: int, depth: int) -> list:
+def _bound(layout) -> int:
+    """Columns per block: the exponents n/h below prec."""
+    return math.ceil(Fraction(layout[0]) * layout[1])
+
+
+def _block_terms(f: AholForm, layout) -> list:
+    """Per block (layer r, component i) of f's row, its (column, coefficient) terms."""
+    _, h, dim, depth = layout
+    bound, out = _bound(layout), []
+    for r in range(depth + 1):
+        for i in range(dim):
+            if r > f.depth:
+                out.append([])
+                continue
+            q = f.graded[r][i]
+            step = h // q.h
+            out.append([(n * step, c) for n, c in q.terms.items() if n * step < bound])
+    return out
+
+
+def _coefficient_row(f: AholForm, layout) -> list:
     """Coefficients below prec of every layer and component, at lattice 1/h."""
-    bound = math.ceil(Fraction(prec) * h)
-    row = [CycNum.zero()] * ((depth + 1) * dim * bound)
-    for r, layer in enumerate(f.graded):
-        for i, q in enumerate(layer):
-            start, step = (r * dim + i) * bound, h // q.h
-            for n, c in q.terms.items():
-                if n * step < bound:
-                    row[start + n * step] = c
+    bound, blocks = _bound(layout), _block_terms(f, layout)
+    row = [CycNum.zero()] * (len(blocks) * bound)
+    for b, terms in enumerate(blocks):
+        for t, c in terms:
+            row[b * bound + t] = c
     return row
+
+
+def _entry(f: AholForm, col: int, layout) -> CycNum:
+    """The coefficient of f's row at column col."""
+    b, t = divmod(col, _bound(layout))
+    r, i = divmod(b, layout[2])
+    if r > f.depth:
+        return CycNum.zero()
+    q = f.graded[r][i]
+    n, rest = divmod(t, layout[1] // q.h)
+    return CycNum.zero() if rest else q.terms.get(n, CycNum.zero())
+
+
+def _integral(terms: list, cond: int):
+    """(d, bits, rows) of nonzero terms at cond: rows of (column, integer
+    coordinates over d), bits their largest bit length; None for no terms."""
+    if not terms:
+        return None
+    terms = [(t, c if c.n == cond else c.lift(cond)) for t, c in terms]
+    d = math.lcm(*(c.den for _, c in terms))
+    rows = [(t, c.num if c.den == d else [x * (d // c.den) for x in c.num]) for t, c in terms]
+    return d, max(max(map(abs, v)) for _, v in rows).bit_length(), rows
+
+
+def _packed(block, phi: int, width: int):
+    """(d, bits, one packed int per coordinate) of an `_integral` block, or None."""
+    if block is None:
+        return None
+    d, bits, rows = block
+    top = max(t for t, _ in rows)
+    return d, bits, [_pack([(t, (v[l],)) for t, v in rows], top, 1, width // 8) for l in range(phi)]
+
+
+def _multiplication(cond: int, num: tuple) -> list:
+    """M with M[i][l] the coordinate i of num * zeta^l modulo Phi_cond."""
+    cols = [_reduce(cond, [0] * l + list(num)) for l in range(len(num))]
+    return [[col[i] for col in cols] for i in range(len(num))]
 
 
 def span_sum(spans) -> "FormSpan":
@@ -300,4 +414,4 @@ def span_contains(span: FormSpan, f: AholForm, prec_used) -> bool:
         return False
     forms = [g for g, _ in gens]
     state = span._state(key, forms, _row_layout(forms + [f], prec_used))
-    return next(state.residue(state.row(f)), None) is None
+    return state.read(f)[0] is None

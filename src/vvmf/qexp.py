@@ -207,6 +207,8 @@ class QExp:
     def from_json(obj) -> "QExp":
         if not isinstance(obj, dict):
             raise ValueError(f"a series is a JSON object, got {type(obj).__name__}")
+        if "prec" not in obj:
+            raise ValueError('a series has no "prec" field')
         if not isinstance(obj.get("terms"), list):
             raise ValueError(f'series "terms" is a list of [n, c] pairs, got {obj.get("terms")!r}')
         terms = {}

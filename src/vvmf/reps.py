@@ -351,10 +351,9 @@ class RepRegistry:
             raise ValueError("duplicate labels in registry")
 
     def get(self, label: str) -> Rep:
-        try:
-            return self._by_label[label]
-        except KeyError:
-            raise KeyError(f"no registry entry labelled {label!r}") from None
+        if label not in self._by_label:
+            raise ValueError(f"no registry entry labelled {label!r}")
+        return self._by_label[label]
 
     def __contains__(self, label: str) -> bool:
         return label in self._by_label

@@ -317,6 +317,55 @@ def test_wrong_json_type_is_one_line_exit_2(capsys, tmp_path, argv, obj, message
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+# a missing registry label or JSON field is named on one line, without the
+# quotes that the repr of a KeyError put around it
+_MISSING_FIELDS = [
+    ("type", ("ahol", "raise", "--form"), {"weight": 4, "components": []},
+     'a form has no "type" field'),
+    ("weight", ("ahol", "raise", "--form"), {"type": "triv", "components": []},
+     'a form has no "weight" field'),
+    ("components", ("ahol", "raise", "--form"), {"type": "triv", "weight": 4},
+     'a form has no "graded" or "components" field'),
+    ("h", ("ahol", "raise", "--form"),
+     {"type": "triv", "weight": 4, "components": [{"prec": "2", "terms": []}]},
+     'a series has no "h" field'),
+    ("prec", ("ahol", "raise", "--form"),
+     {"type": "triv", "weight": 4, "components": [{"h": 1, "terms": []}]},
+     'a series has no "prec" field'),
+    ("level", _REGISTRY_ARGS, {"entries": [{"label": "triv", "S": [[_ONE]], "T": [[_ONE]]}]},
+     'a type has no "level" field'),
+    ("n", _REGISTRY_ARGS, _registry_with(cell={"c": ["1"]}),
+     'a cyclotomic has no "n" field'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, obj, message",
+    [case[1:] for case in _MISSING_FIELDS],
+    ids=[case[0] for case in _MISSING_FIELDS],
+)
+def test_missing_json_field_is_named_exit_2(capsys, tmp_path, argv, obj, message):
+    (tmp_path / "bad.json").write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / "bad.json"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_span_file_given_as_a_form_is_one_line_exit_2(capsys, tmp_path):
+    span = tmp_path / "span.json"
+    code, _, _ = run_cli(capsys, "vveis", "--weight", "4", "--type", "rho3", "--index", "3",
+                         "--prec", "3", "--format", "json", "--out", str(span))
+    assert code == 0
+    code, out, err = run_cli(capsys, "hyperprod", "--left", str(span), "--right", str(span))
+    assert (code, out, err) == (2, "", 'error: a form has no "type" field\n')
+
+
+def test_verify_without_a_registry_label_is_one_line_exit_2(capsys, tmp_path):
+    path = tmp_path / "triv_only.json"
+    path.write_text(json.dumps(_registry_with()))
+    code, out, err = run_cli(capsys, "verify", "example32", "--registry", str(path))
+    assert (code, out, err) == (2, "", "error: no registry entry labelled 'rho3'\n")
+
+
 def test_good_form_file_is_accepted(capsys, tmp_path):
     # the well-formed partner of the malformed form files above
     path = tmp_path / "good-form.json"

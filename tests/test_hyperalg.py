@@ -8,8 +8,11 @@ from vvmf.ahol import AholForm, apply_intertwiner
 from vvmf.exactnum import CycNum
 from vvmf.forms import delta_form, eisenstein
 from vvmf.hecke import hecke_form, pi_M
+from vvmf.forms import vv_eisenstein
 from vvmf.hyperalg import (
     FormSpan,
+    _coefficient_row,
+    _Pivots,
     congruence_index,
     hyper_tensor,
     span_contains,
@@ -17,7 +20,7 @@ from vvmf.hyperalg import (
     sturm_bound,
     tensor_form,
 )
-from vvmf.linalg import Matrix, Subspace
+from vvmf.linalg import Matrix, Subspace, invert_rows, sparse_row
 from vvmf.qexp import InsufficientPrecision, QExp
 from vvmf.reps import Rep, RepRegistry, builtin_registry, trivial_rep
 
@@ -350,8 +353,8 @@ _ORACLE_GRADES = [
 ]
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_incremental_span_matches_full_rref_reference(reg, seed):
+def _check_against_reference(reg, seed):
+    """Add seeded arrivals to a FormSpan and a ReferenceSpan, then query both."""
     rng = random.Random(seed)
     span, ref = FormSpan(), ReferenceSpan()
     for weight, label, n, lattices, prec, lower, query_precs in _ORACLE_GRADES:
@@ -379,6 +382,137 @@ def test_incremental_span_matches_full_rref_reference(reg, seed):
             for p in query_precs:
                 assert _outcome(span_contains, span, f, p) == _outcome(ref.contains, f, p), (
                     seed, key, p)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_incremental_span_matches_full_rref_reference(reg, seed):
+    _check_against_reference(reg, seed)
+
+
+# -- oracle for the packed reads ----------------------------------------------
+# The read as it was before the generators were kept as packed ints: rebuild
+# every dense coefficient row and scan v - (v|P . inv) . G column by column
+# with CycNum arithmetic.
+
+
+def scan_column(layout, forms, pivots, f):
+    """First nonzero column of f's residue against forms, or None."""
+    rows = [_coefficient_row(g, layout) for g in forms]
+    v = _coefficient_row(f, layout)
+    terms = []
+    if rows:
+        inv = invert_rows([sparse_row(row[q] for q in pivots) for row in rows], CycNum.one())
+        a = [(i, v[p]) for i, p in enumerate(pivots) if v[p]]
+        for j, row in enumerate(rows):
+            c = sum((x * inv[i][j] for i, x in a if j in inv[i]), CycNum.zero())
+            if c:
+                terms.append((c, row))
+    for t, x in enumerate(v):
+        for c, row in terms:
+            if row[t]:
+                x = x - c * row[t]
+        if x:
+            return t
+    return None
+
+
+@pytest.fixture
+def recorded_reads(monkeypatch):
+    """Every _Pivots.read as (layout, forms, pivots, f, column), state taken before the read."""
+    calls, read = [], _Pivots.read
+
+    def spy(state, f):
+        before = (state.layout, list(state.forms), list(state.pivots), f)
+        out = read(state, f)
+        calls.append(before + (out[0],))
+        return out
+
+    monkeypatch.setattr(_Pivots, "read", spy)
+    return calls
+
+
+def _assert_reads_match_the_scan(calls):
+    assert calls
+    for layout, forms, pivots, f, column in calls:
+        assert column == scan_column(layout, forms, pivots, f), (layout, len(forms))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_packed_reads_match_the_column_scan(reg, recorded_reads, seed):
+    # depth-0 forms in depth-1 grades (a missing layer), conductors 1 and 3,
+    # truncated arrivals and queries below the stored precision
+    _check_against_reference(reg, seed)
+    _assert_reads_match_the_scan(recorded_reads)
+    assert any(layout[0] < f.prec for layout, _, _, f, _ in recorded_reads)
+    assert any(f.depth < layout[3] for layout, _, _, f, _ in recorded_reads)
+    assert {f.graded[0][0].h for _, _, _, f, _ in recorded_reads} == {1, 3}
+
+
+def test_packed_reads_match_the_column_scan_on_the_weight_16_rho3_grade(reg, recorded_reads):
+    # the (16, rho3) grade of the vector-valued Eisenstein products at the
+    # Sturm bound 33: rational and Q(zeta3) coefficients on lattice 1/3
+    rho3 = reg.get("rho3")
+    eis = {a: vv_eisenstein(a, rho3, 3, 33).generators((a, "rho3"))[0][0] for a in (4, 6, 8, 10, 12)}
+    total = span_sum([hyper_tensor(eis[a], eis[b], reg) for a, b in ((4, 12), (6, 10), (8, 8))])
+    gens = [f for f, _ in total.generators((16, "rho3"))]
+    assert len(gens) == 4
+    conductors = {c.n for g in gens for q in g.components for c in q.terms.values()}
+    assert conductors == {1, 3} and {q.h for g in gens for q in g.components} == {3}
+    span = FormSpan.of(*gens[:3])
+    rng = random.Random(5)
+    z = CycNum.zeta(3)
+    for i in range(6):
+        f = None
+        for g in gens[:3]:
+            c = rng.randint(-3, 3) + z * rng.randint(-3, 3)
+            f = g.scaled(c) if f is None else f + g.scaled(c)
+        if i % 2:
+            f = f + gens[3].scaled(1 + z * i)
+        assert span_contains(span, f, 33) is (i % 2 == 0)
+    _assert_reads_match_the_scan(recorded_reads)
+
+
+def test_huge_coefficients_regrow_the_slot_width():
+    triv = trivial_rep()
+    g1, g2, g3 = (AholForm.holomorphic(4, triv, [QExp(1, 6, terms)])
+                  for terms in ({0: 1, 2: 3}, {1: 2, 3: -1, 5: 1}, {4: 1}))
+    span, ref = FormSpan.of(g1, g2), ReferenceSpan()
+    assert ref.add(g1) and ref.add(g2)
+    state = span._pivots[(4, "triv")]
+    width = state.width
+    big, tiny = 2**300 + 7, Fraction(1, 3**200)
+    member = g1.scaled(big) + g2.scaled(tiny)
+    outsider = member + g3.scaled(tiny)
+    for f in (member, outsider):
+        assert span_contains(span, f, 6) is ref.contains(f, 6)
+    assert span_contains(span, member, 6) and not span_contains(span, outsider, 6)
+    assert state is span._pivots[(4, "triv")] and state.width > width
+    # a generator kept for a column of small coefficients, with huge ones in
+    # a later layer, is packed at a width that holds them
+    f = AholForm(4, triv, [[QExp(1, 6, {0: 1})], [QExp(1, 6, {2: big, 3: tiny})]])
+    g = AholForm(4, triv, [[QExp(1, 6, {1: 1})], [QExp(1, 6, {2: 1})]])
+    span, ref = FormSpan.of(f), ReferenceSpan()
+    assert ref.add(f) and span._pivots[(4, "triv")].width > 300
+    for h in (f.scaled(tiny), f + g.scaled(big)):
+        assert span_contains(span, h, 6) is ref.contains(h, 6)
+    assert span.add(g) is ref.add(g) is True
+
+
+def test_a_cyclotomic_query_relifts_rational_generators():
+    triv = trivial_rep()
+    g1, g2, g3 = (AholForm.holomorphic(4, triv, [QExp(1, 6, terms)])
+                  for terms in ({0: 1, 2: 3}, {1: 2, 3: Fraction(-1, 5)}, {4: 1}))
+    span, ref = FormSpan.of(g1, g2), ReferenceSpan()
+    assert ref.add(g1) and ref.add(g2)
+    state = span._pivots[(4, "triv")]
+    assert state.cond == 1
+    z = CycNum.zeta(12)
+    member = g1.scaled(z) + g2.scaled(z * z + Fraction(1, 7))
+    outsider = member + g3.scaled(z**5)
+    for f in (member, outsider):
+        assert span_contains(span, f, 6) is ref.contains(f, 6)
+    assert span_contains(span, member, 6) and not span_contains(span, outsider, 6)
+    assert state is span._pivots[(4, "triv")] and state.cond == 12
 
 
 def test_lower_precision_form_is_refused_when_stored_generators_collapse():
