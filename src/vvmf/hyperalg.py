@@ -122,103 +122,118 @@ class _Pivots:
     next read needs it.  v - (v|P . inv) . G is zero iff v is in the span.
 
     Rows are never built.  A row is one block of `bound` columns per series
-    (layer r, component i), and packed[j][b] holds block b of forms[j] at
-    conductor cond (the lcm of every coefficient read so far; a candidate
-    that raises it relifts every block) as (d, bits, P): P[l] packs d times
+    (layer r, component i).  packed[j] is (n_j, blocks) for forms[j], n_j
+    the lcm of the conductors of its row's coefficients, and blocks[b] its
+    block b over Q(zeta_{n_j}) as (d, bits, P): P[l] packs d times
     coordinate l of column t in slot t of `width` bits (`qexp._pack`), and
     no such integer is longer than bits; None for a zero block.
 
-    A read takes c = (v|P) . inv and walks the blocks in column order.
-    Coordinate i of Lambda * (v - sum_j c_j g_j) on a block is the int
-    (Lambda / d_v) V_i - sum_j sum_l m_j M_j[i][l] P_{j,l}, with M_j the
-    integer matrix of multiplication by c_j's numerator and m_j = Lambda /
-    (den(c_j) d_j).  First the slot bound is met: the largest bit length of
-    a scalar plus its block's bits, plus the bit length of the number of
-    terms.  width (64 at first; it never shrinks) doubles, every block
-    repacked, until it holds the bound.  Every slot of the result is then
+    A read takes c = (v|P) . inv at the lcm N of n_v and every n_j, and
+    walks the blocks in column order.  Coordinate i of Lambda * (v - sum_j
+    c_j g_j) on a block is the int sum_l (Lambda / d_v) L[i][l] V_l - sum_j
+    sum_l m_j M_j[i][l] P_{j,l}: M_j takes the coordinates of an element of
+    Q(zeta_{n_j}) to those of c_j's numerator times it in Q(zeta_N), L does
+    the same for 1 and n_v, and m_j = Lambda / (den(c_j) d_j), so no
+    generator is lifted.  First the slot bound: the largest bit length of a
+    scalar plus its matrix's largest entry plus its block's bits, plus the
+    bit length of the number of products per coordinate.  A block whose
+    bound is beyond width is combined at width doubled until it holds the
+    bound, with that block of each generator repacked for the read alone;
+    `push` keeps the widest width its read needed (64 bits at first, never
+    shrinking) and repacks every block at it.  Every slot of the result is
     below 2^width in absolute value, so a nonzero result's first nonzero
     slot is its lowest set bit // width.  The read stops at the first
     nonzero block, at the least such slot over its coordinates.
     """
 
-    __slots__ = ("layout", "forms", "pivots", "inv", "cond", "width", "packed")
+    __slots__ = ("layout", "forms", "pivots", "inv", "width", "packed")
 
     def __init__(self, layout, forms=()):
         self.layout, self.forms, self.pivots, self.inv = layout, [], [], []
-        self.cond, self.width, self.packed = 1, 64, []
+        self.width, self.packed = 64, []
         for f in forms:
             self.push(f)
 
     def read(self, f: AholForm):
-        """(the first nonzero column of v - (v|P . inv) . G or None, the
-        blocks of f's row v up to that column's, as `_integral` at cond)."""
-        terms = _block_terms(f, self.layout)
-        cond = math.lcm(self.cond, *(c.n for block in terms for _, c in block))
+        """(the first nonzero column of v - (v|P . inv) . G or None, (n_v,
+        the blocks of f's row v up to that column's as `_integral` at n_v),
+        the widest width combined at); packed and width stay as they were."""
+        bound, terms = _bound(self.layout), _block_terms(f, self.layout)
+        n_v = math.lcm(*(c.n for block in terms for _, c in block))
+        cond = math.lcm(n_v, *(n for n, _ in self.packed))
         if self.inv is None:
-            block = [sparse_row(_entry(g, p, self.layout) for p in self.pivots) for g in self.forms]
+            block = [sparse_row(map(_columns(_block_terms(g, self.layout), bound).get, self.pivots))
+                     for g in self.forms]
             self.inv = invert_rows(block, CycNum.one())
-        a = [(i, x) for i, p in enumerate(self.pivots) if (x := _entry(f, p, self.layout))]
+        v = _columns(terms, bound)
+        a = [(i, x) for i, p in enumerate(self.pivots) if (x := v.get(p))]
         mults = []  # (j, den(c_j), M_j, the bit length of M_j's largest entry)
-        for j in range(len(self.forms)):
+        for j, (n, _) in enumerate(self.packed):
             c = sum((x * self.inv[i][j] for i, x in a if j in self.inv[i]), CycNum.zero())
             if c:
-                c = c.lift(cond)
-                m = _multiplication(cond, c.num)
-                mults.append((j, c.den, m, max(max(map(abs, row)) for row in m).bit_length()))
-        phi, bound, own = euler_phi(cond), _bound(self.layout), []
+                m = _multiplication(cond, c.lift(cond).num, n)
+                mults.append((j, c.den, m, _bits(m)))
+        lift = _multiplication(cond, CycNum.one().lift(cond).num, n_v)
+        lift_bits, phi_v = _bits(lift), euler_phi(n_v)
+        width, own = self.width, []
         for b, block in enumerate(terms):
-            own.append(mine := _integral(block, cond))
+            own.append(mine := _integral(block, n_v))
             # per term j: den(c_j) d_j, M_j, and the bits of M_j times block b of g_j
-            gens = [(j, d * self.packed[j][b][0], m, bits + self.packed[j][b][1])
-                    for j, d, m, bits in mults if self.packed[j][b]]
+            gens = [(j, d * self.packed[j][1][b][0], m, bits + self.packed[j][1][b][1])
+                    for j, d, m, bits in mults if self.packed[j][1][b]]
             if mine is None and not gens:
                 continue
             d_v, v_bits = mine[:2] if mine else (1, 0)
             lam = math.lcm(d_v, *(d for _, d, _, _ in gens))
-            need = max([(lam // d_v).bit_length() + v_bits]
+            need = max([(lam // d_v).bit_length() + lift_bits + v_bits]
                        + [(lam // d).bit_length() + bits for _, d, _, bits in gens])
-            self._fit(cond, need + (1 + phi * len(gens)).bit_length())
-            own_ints = _packed(mine, phi, self.width)[2] if mine else [0] * phi
+            count = (phi_v if mine else 0) + sum(len(m[0]) for _, _, m, _ in gens)
+            wide = _wider(self.width, need + count.bit_length())
+            width = max(width, wide)
+            scaled = [(lam // d_v, lift, _packed(mine, wide)[2])] if mine else []
+            for j, d, m, _ in gens:
+                n, blocks = self.packed[j]
+                g = blocks[b]
+                if wide > self.width:  # block b of g_j, repacked for this read alone
+                    g = _packed(_integral(_series_terms(self.forms[j], self.layout, b), n), wide)
+                scaled.append((-(lam // d), m, g[2]))
             low = None
-            for i in range(phi):
-                y = (lam // d_v) * own_ints[i]
-                for j, d, m, _ in gens:
-                    s = lam // d
-                    for x, g in zip(m[i], self.packed[j][b][2]):
-                        if x and g:
-                            y -= s * x * g
+            for i in range(euler_phi(cond)):
+                y = 0
+                for s, m, ints in scaled:
+                    z = sum(x * p for x, p in zip(m[i], ints) if x)
+                    if z:
+                        y += s * z
                 if y:
-                    t = ((y & -y).bit_length() - 1) // self.width
+                    t = ((y & -y).bit_length() - 1) // wide
                     low = t if low is None else min(low, t)
             if low is not None:
-                return b * bound + low, own
-        return None, own
+                return b * bound + low, (n_v, own), width
+        return None, (n_v, own), width
 
     def push(self, f: AholForm) -> bool:
-        """Add f when it is independent; True when the state grew."""
-        p, own = self.read(f)
+        """Add f when it is independent; True when the state grew.  Either
+        way the state keeps the widest width the read needed."""
+        p, (n, own), width = self.read(f)
+        if p is not None:
+            # det of the enlarged block is det(G|P) times the residue at p; its
+            # inverse is computed when the next row is reduced
+            own += [_integral(block, n) for block in _block_terms(f, self.layout)[len(own):]]
+            width = _wider(width, 1 + max(x[1] for x in own if x))
+        if width > self.width:
+            self.width, self.packed = width, self._table(width)
         if p is None:
             return False
-        # det of the enlarged block is det(G|P) times the residue at p; its
-        # inverse is computed when the next row is reduced
-        own += [_integral(block, self.cond) for block in _block_terms(f, self.layout)[len(own):]]
-        self._fit(self.cond, 1 + max(x[1] for x in own if x))
         self.forms.append(f)
         self.pivots.append(p)
-        self.packed.append([_packed(x, euler_phi(self.cond), self.width) for x in own])
+        self.packed.append((n, [_packed(x, self.width) for x in own]))
         self.inv = None
         return True
 
-    def _fit(self, cond: int, bits: int):
-        """Relift to cond and double width until it holds bits; a change
-        repacks every block."""
-        width = self.width
-        while width < bits:
-            width *= 2
-        if (cond, width) != (self.cond, self.width):
-            self.cond, self.width, phi = cond, width, euler_phi(cond)
-            self.packed = [[_packed(_integral(block, cond), phi, width)
-                            for block in _block_terms(f, self.layout)] for f in self.forms]
+    def _table(self, width: int) -> list:
+        """packed with every block repacked at width."""
+        return [(n, [_packed(_integral(block, n), width) for block in _block_terms(f, self.layout)])
+                for f, (n, _) in zip(self.forms, self.packed)]
 
 
 def _row_layout(forms, prec=None):
@@ -241,64 +256,74 @@ def _bound(layout) -> int:
 
 def _block_terms(f: AholForm, layout) -> list:
     """Per block (layer r, component i) of f's row, its (column, coefficient) terms."""
-    _, h, dim, depth = layout
-    bound, out = _bound(layout), []
-    for r in range(depth + 1):
-        for i in range(dim):
-            if r > f.depth:
-                out.append([])
-                continue
-            q = f.graded[r][i]
-            step = h // q.h
-            out.append([(n * step, c) for n, c in q.terms.items() if n * step < bound])
-    return out
+    return [_series_terms(f, layout, b) for b in range((layout[3] + 1) * layout[2])]
+
+
+def _series_terms(f: AholForm, layout, b: int) -> list:
+    """The (column, coefficient) terms of block b = r * dim + i of f's row."""
+    r, i = divmod(b, layout[2])
+    if r > f.depth:
+        return []
+    q, bound = f.graded[r][i], _bound(layout)
+    step = layout[1] // q.h
+    return [(n * step, c) for n, c in q.terms.items() if n * step < bound]
+
+
+def _columns(blocks: list, bound: int) -> dict:
+    """{column: coefficient} of a row given by its `_block_terms`."""
+    return {b * bound + t: c for b, terms in enumerate(blocks) for t, c in terms}
 
 
 def _coefficient_row(f: AholForm, layout) -> list:
     """Coefficients below prec of every layer and component, at lattice 1/h."""
     bound, blocks = _bound(layout), _block_terms(f, layout)
     row = [CycNum.zero()] * (len(blocks) * bound)
-    for b, terms in enumerate(blocks):
-        for t, c in terms:
-            row[b * bound + t] = c
+    for col, c in _columns(blocks, bound).items():
+        row[col] = c
     return row
 
 
-def _entry(f: AholForm, col: int, layout) -> CycNum:
-    """The coefficient of f's row at column col."""
-    b, t = divmod(col, _bound(layout))
-    r, i = divmod(b, layout[2])
-    if r > f.depth:
-        return CycNum.zero()
-    q = f.graded[r][i]
-    n, rest = divmod(t, layout[1] // q.h)
-    return CycNum.zero() if rest else q.terms.get(n, CycNum.zero())
-
-
-def _integral(terms: list, cond: int):
-    """(d, bits, rows) of nonzero terms at cond: rows of (column, integer
-    coordinates over d), bits their largest bit length; None for no terms."""
+def _integral(terms: list, n: int):
+    """(d, bits, rows) of nonzero terms at conductor n: rows of (column,
+    integer coordinates over d), bits their largest bit length; None for no
+    terms."""
     if not terms:
         return None
-    terms = [(t, c if c.n == cond else c.lift(cond)) for t, c in terms]
+    terms = [(t, c if c.n == n else c.lift(n)) for t, c in terms]
     d = math.lcm(*(c.den for _, c in terms))
     rows = [(t, c.num if c.den == d else [x * (d // c.den) for x in c.num]) for t, c in terms]
     return d, max(max(map(abs, v)) for _, v in rows).bit_length(), rows
 
 
-def _packed(block, phi: int, width: int):
+def _packed(block, width: int):
     """(d, bits, one packed int per coordinate) of an `_integral` block, or None."""
     if block is None:
         return None
     d, bits, rows = block
     top = max(t for t, _ in rows)
-    return d, bits, [_pack([(t, (v[l],)) for t, v in rows], top, 1, width // 8) for l in range(phi)]
+    return d, bits, [_pack([(t, (v[l],)) for t, v in rows], top, 1, width // 8)
+                     for l in range(len(rows[0][1]))]
 
 
-def _multiplication(cond: int, num: tuple) -> list:
-    """M with M[i][l] the coordinate i of num * zeta^l modulo Phi_cond."""
-    cols = [_reduce(cond, [0] * l + list(num)) for l in range(len(num))]
+def _multiplication(cond: int, num: tuple, n: int) -> list:
+    """M with M[i][l] the coordinate i of num * zeta_n^l modulo Phi_cond,
+    for num at conductor cond and n | cond: M takes an element of Q(zeta_n)
+    to num times it."""
+    step = cond // n
+    cols = [_reduce(cond, [0] * (l * step) + list(num)) for l in range(euler_phi(n))]
     return [[col[i] for col in cols] for i in range(len(num))]
+
+
+def _bits(m: list) -> int:
+    """Bit length of a matrix's largest entry."""
+    return max(abs(x) for row in m for x in row).bit_length()
+
+
+def _wider(width: int, bits: int) -> int:
+    """width, doubled until it holds bits."""
+    while width < bits:
+        width *= 2
+    return width
 
 
 def span_sum(spans) -> "FormSpan":

@@ -418,13 +418,15 @@ def scan_column(layout, forms, pivots, f):
 
 @pytest.fixture
 def recorded_reads(monkeypatch):
-    """Every _Pivots.read as (layout, forms, pivots, f, column), state taken before the read."""
+    """Every _Pivots.read as (layout, forms, pivots, f, column, stored width,
+    width read at), the state taken before the read."""
     calls, read = [], _Pivots.read
 
     def spy(state, f):
         before = (state.layout, list(state.forms), list(state.pivots), f)
+        width = state.width
         out = read(state, f)
-        calls.append(before + (out[0],))
+        calls.append(before + (out[0], width, out[2]))
         return out
 
     monkeypatch.setattr(_Pivots, "read", spy)
@@ -433,7 +435,7 @@ def recorded_reads(monkeypatch):
 
 def _assert_reads_match_the_scan(calls):
     assert calls
-    for layout, forms, pivots, f, column in calls:
+    for layout, forms, pivots, f, column, _, _ in calls:
         assert column == scan_column(layout, forms, pivots, f), (layout, len(forms))
 
 
@@ -443,9 +445,9 @@ def test_packed_reads_match_the_column_scan(reg, recorded_reads, seed):
     # truncated arrivals and queries below the stored precision
     _check_against_reference(reg, seed)
     _assert_reads_match_the_scan(recorded_reads)
-    assert any(layout[0] < f.prec for layout, _, _, f, _ in recorded_reads)
-    assert any(f.depth < layout[3] for layout, _, _, f, _ in recorded_reads)
-    assert {f.graded[0][0].h for _, _, _, f, _ in recorded_reads} == {1, 3}
+    assert any(layout[0] < f.prec for layout, _, _, f, *_ in recorded_reads)
+    assert any(f.depth < layout[3] for layout, _, _, f, *_ in recorded_reads)
+    assert {f.graded[0][0].h for _, _, _, f, *_ in recorded_reads} == {1, 3}
 
 
 def test_packed_reads_match_the_column_scan_on_the_weight_16_rho3_grade(reg, recorded_reads):
@@ -472,7 +474,7 @@ def test_packed_reads_match_the_column_scan_on_the_weight_16_rho3_grade(reg, rec
     _assert_reads_match_the_scan(recorded_reads)
 
 
-def test_huge_coefficients_regrow_the_slot_width():
+def test_huge_coefficients_regrow_the_slot_width(recorded_reads):
     triv = trivial_rep()
     g1, g2, g3 = (AholForm.holomorphic(4, triv, [QExp(1, 6, terms)])
                   for terms in ({0: 1, 2: 3}, {1: 2, 3: -1, 5: 1}, {4: 1}))
@@ -483,10 +485,13 @@ def test_huge_coefficients_regrow_the_slot_width():
     big, tiny = 2**300 + 7, Fraction(1, 3**200)
     member = g1.scaled(big) + g2.scaled(tiny)
     outsider = member + g3.scaled(tiny)
+    del recorded_reads[:]
     for f in (member, outsider):
         assert span_contains(span, f, 6) is ref.contains(f, 6)
     assert span_contains(span, member, 6) and not span_contains(span, outsider, 6)
-    assert state is span._pivots[(4, "triv")] and state.width > width
+    # the reads combine at a wider width, which the stored state does not keep
+    assert all(read > stored == width for *_, stored, read in recorded_reads)
+    assert state is span._pivots[(4, "triv")] and state.width == width
     # a generator kept for a column of small coefficients, with huge ones in
     # a later layer, is packed at a width that holds them
     f = AholForm(4, triv, [[QExp(1, 6, {0: 1})], [QExp(1, 6, {2: big, 3: tiny})]])
@@ -496,23 +501,64 @@ def test_huge_coefficients_regrow_the_slot_width():
     for h in (f.scaled(tiny), f + g.scaled(big)):
         assert span_contains(span, h, 6) is ref.contains(h, 6)
     assert span.add(g) is ref.add(g) is True
+    _assert_reads_match_the_scan(recorded_reads)
 
 
-def test_a_cyclotomic_query_relifts_rational_generators():
+def test_a_cyclotomic_query_reads_rational_generators_through_a_lift(recorded_reads):
     triv = trivial_rep()
     g1, g2, g3 = (AholForm.holomorphic(4, triv, [QExp(1, 6, terms)])
                   for terms in ({0: 1, 2: 3}, {1: 2, 3: Fraction(-1, 5)}, {4: 1}))
     span, ref = FormSpan.of(g1, g2), ReferenceSpan()
     assert ref.add(g1) and ref.add(g2)
     state = span._pivots[(4, "triv")]
-    assert state.cond == 1
     z = CycNum.zeta(12)
     member = g1.scaled(z) + g2.scaled(z * z + Fraction(1, 7))
     outsider = member + g3.scaled(z**5)
     for f in (member, outsider):
         assert span_contains(span, f, 6) is ref.contains(f, 6)
     assert span_contains(span, member, 6) and not span_contains(span, outsider, 6)
-    assert state is span._pivots[(4, "triv")] and state.cond == 12
+    # the generators stay stored over Q, one coordinate each
+    assert state is span._pivots[(4, "triv")]
+    assert [(n, len(block[2])) for n, blocks in state.packed for block in blocks] == [(1, 1)] * 2
+    _assert_reads_match_the_scan(recorded_reads)
+
+
+@pytest.mark.parametrize("bits", range(56, 68))
+def test_a_cyclotomic_query_against_wide_generators_at_the_slot_limit(recorded_reads, bits):
+    # a (1 - zeta3) is 2a - a zeta12^2 at conductor 12, a bit longer: the
+    # slot bound of a Q(zeta12) read must count the lifted coordinates, for
+    # generators whose conductor-3 coordinates fill their slots
+    triv, a = trivial_rep(), 2**bits - 1
+    w = a * (1 - CycNum.zeta(3))
+    g1, g2, g3 = (AholForm.holomorphic(4, triv, [QExp(1, 6, terms)])
+                  for terms in ({0: w, 2: w, 4: -w}, {1: w, 3: w * w / a, 5: w}, {2: 1, 3: w}))
+    span, ref = FormSpan.of(g1, g2), ReferenceSpan()
+    assert ref.add(g1) and ref.add(g2)
+    z = CycNum.zeta(12)
+    member = g1.scaled(z**3 - 1) + g2.scaled(z + z**2)
+    for f in (member, member + g3, member + g3.scaled(z), member + g1.scaled(w)):
+        assert span_contains(span, f, 6) is ref.contains(f, 6)
+    assert span.add(g3) is ref.add(g3) is True
+    _assert_reads_match_the_scan(recorded_reads)
+
+
+def test_the_slot_bound_counts_every_product_and_every_multiplier(recorded_reads):
+    # non-members whose residue is 2^64 times a power of two in one column,
+    # cancelled by the next column when slots are 64 bits wide: the count of
+    # products (five terms near 2^62) and the multiplier c = 2^20 each take
+    # the slot bound past 64
+    triv = trivial_rep()
+    y = -(2**62 - 1)
+    gens = [AholForm.holomorphic(4, triv, [QExp(1, 6, {j: 1, 4: y})]) for j in range(4)]
+    member = gens[0] + gens[1] + gens[2] + gens[3]
+    cases = [(gens, member + AholForm.holomorphic(4, triv, [QExp(1, 6, {4: 2**64, 5: -1})]))]
+    g = AholForm.holomorphic(4, triv, [QExp(1, 6, {0: 1, 1: -(2**60)})])
+    cases.append(([g], AholForm.holomorphic(4, triv, [QExp(1, 6, {0: 2**20, 2: -(2**16)})])))
+    for gens, outsider in cases:
+        span, ref = FormSpan.of(*gens), ReferenceSpan()
+        assert all(ref.add(g) for g in gens)
+        assert span_contains(span, outsider, 6) is ref.contains(outsider, 6) is False
+    _assert_reads_match_the_scan(recorded_reads)
 
 
 def test_lower_precision_form_is_refused_when_stored_generators_collapse():

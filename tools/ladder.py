@@ -1,6 +1,6 @@
 """Run the ladder of slow workloads on two checkouts and write BENCH_ladder.json.
 
-    python3 tools/ladder.py --parent DIR --change DIR [--rung NAME ...] [--out FILE]
+    python3 tools/ladder.py --parent DIR --change DIR [--out FILE]
 
 Each rung is one command, run in a fresh interpreter from the root of a
 checkout with PYTHONPATH=src.  A rung records its command, the SHA-256 of
@@ -116,10 +116,10 @@ def revision(root: str) -> str:
     return head + (" with uncommitted src changes" if dirty else "")
 
 
-def ladder(parent: str, change: str, names: list) -> list:
+def ladder(parent: str, change: str) -> list:
     rungs = []
-    for name in names:
-        argv, pairs = RUNGS[name], []
+    for name, argv in RUNGS.items():
+        pairs = []
         while len(pairs) < (3 if not pairs or pairs[0]["parent"]["wall_s"] < SHORT_S else 1):
             # the side that runs first alternates from pair to pair
             sides = [("parent", parent), ("change", change)][:: -1 if len(pairs) % 2 else 1]
@@ -147,7 +147,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout with the change")
-    ap.add_argument("--rung", action="append", choices=sorted(RUNGS), help="default: all")
     ap.add_argument("--out", default="BENCH_ladder.json")
     args = ap.parse_args(argv)
     report = {
@@ -156,7 +155,7 @@ def main(argv=None) -> int:
         "parent": revision(args.parent),
         "change": revision(args.change),
         "cap_s": CAP_S,
-        "rungs": ladder(args.parent, args.change, args.rung or list(RUNGS)),
+        "rungs": ladder(args.parent, args.change),
     }
     with open(args.out, "w") as f:
         json.dump(report, f, indent=1)
