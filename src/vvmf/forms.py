@@ -10,7 +10,8 @@ M^(k/2) rational).
 
 The Rankin-Cohen bracket [f, g]_t, built from theta = q d/dq alone, is up
 to a nonzero rational factor the weight k_f + k_g + 2t holomorphic layer
-of every R^a f (x) R^b g with a + b = t.
+of every R^a f (x) R^b g with a + b = t.  All its products go to one
+`qexp.combine` call, in the row layout of `hyperalg.tensor_form`.
 """
 
 from __future__ import annotations
@@ -65,7 +66,9 @@ def rankin_cohen(f: AholForm, g: AholForm, t: int) -> AholForm:
     [f, g]_t = sum_r (-1)^r C(t+k_f-1, t-r) C(t+k_g-1, r) theta^r f . theta^(t-r) g
     on the type type(f) (x) type(g), components flattened as i*dim_g + j as
     in `tensor_form` (H. Cohen, Math. Ann. 217 (1975); D. Zagier, Modular
-    forms and differential operators (1994)).
+    forms and differential operators (1994)).  One `qexp.combine` call makes
+    every component: its series are the scaled theta^r f_i at i*(t+1) + r,
+    and row (i, j) holds theta^(t-r) g_j at column i*(t+1) + r, 0 elsewhere.
     """
     kf, kg = f.weight, g.weight
     if t < 0 or t + min(kf, kg) < 1:
@@ -74,14 +77,13 @@ def rankin_cohen(f: AholForm, g: AholForm, t: int) -> AholForm:
     for _ in range(t):
         df.append([q.theta() for q in df[-1]])
         dg.append([q.theta() for q in dg[-1]])
-    # the binomial factors scale the theta^r f side, before the products
-    for r in range(t + 1):
-        c = (-1) ** r * math.comb(t + kf - 1, t - r) * math.comb(t + kg - 1, r)
-        df[r] = [q.scaled(c) for q in df[r]]
-    comps = [sum((fi[r] * gj[t - r] for r in range(1, t + 1)), fi[0] * gj[t])
-             for fi in zip(*df) for gj in zip(*dg)]
+    series = [fi[r].scaled((-1) ** r * math.comb(t + kf - 1, t - r) * math.comb(t + kg - 1, r))
+              for fi in zip(*df) for r in range(t + 1)]
+    rows = [[gj[t - r] if k == i else 0 for k in range(f.rep.dim) for r in range(t + 1)]
+            for i in range(f.rep.dim) for gj in zip(*dg)]
     name = f"[{f.name}, {g.name}]_{t}" if f.name and g.name else ""
-    return AholForm.holomorphic(kf + kg + 2 * t, f.rep.tensor(g.rep), comps, name=name)
+    return AholForm.holomorphic(kf + kg + 2 * t, f.rep.tensor(g.rep), combine(rows, series),
+                                name=name)
 
 
 def check_T_consistency(f: AholForm) -> bool:

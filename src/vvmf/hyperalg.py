@@ -156,8 +156,9 @@ class _Pivots:
 
     def read(self, f: AholForm):
         """(the first nonzero column of v - (v|P . inv) . G or None, (n_v,
-        the blocks of f's row v up to that column's as `_integral` at n_v),
-        the widest width combined at); packed and width stay as they were."""
+        the blocks of f's row v up to that column's, each as (`_integral` at
+        n_v, the width it was packed at, its `_packed` ints or None)), the
+        widest width combined at); packed and width stay as they were."""
         bound, terms = _bound(self.layout), _block_terms(f, self.layout)
         n_v = math.lcm(*(c.n for block in terms for _, c in block))
         cond = math.lcm(n_v, *(n for n, _ in self.packed))
@@ -177,11 +178,12 @@ class _Pivots:
         lift_bits, phi_v = _bits(lift), euler_phi(n_v)
         width, own = self.width, []
         for b, block in enumerate(terms):
-            own.append(mine := _integral(block, n_v))
+            mine = _integral(block, n_v)
             # per term j: den(c_j) d_j, M_j, and the bits of M_j times block b of g_j
             gens = [(j, d * self.packed[j][1][b][0], m, bits + self.packed[j][1][b][1])
                     for j, d, m, bits in mults if self.packed[j][1][b]]
             if mine is None and not gens:
+                own.append((None, 0, None))
                 continue
             d_v, v_bits = mine[:2] if mine else (1, 0)
             lam = math.lcm(d_v, *(d for _, d, _, _ in gens))
@@ -190,7 +192,9 @@ class _Pivots:
             count = (phi_v if mine else 0) + sum(len(m[0]) for _, _, m, _ in gens)
             wide = _wider(self.width, need + count.bit_length())
             width = max(width, wide)
-            scaled = [(lam // d_v, lift, _packed(mine, wide)[2])] if mine else []
+            packed = _packed(mine, wide)
+            own.append((mine, wide, packed))
+            scaled = [(lam // d_v, lift, packed[2])] if mine else []
             for j, d, m, _ in gens:
                 n, blocks = self.packed[j]
                 g = blocks[b]
@@ -213,20 +217,23 @@ class _Pivots:
 
     def push(self, f: AholForm) -> bool:
         """Add f when it is independent; True when the state grew.  Either
-        way the state keeps the widest width the read needed."""
+        way the state keeps the widest width the read needed.  A block the
+        read packed at the final width is kept, not packed again."""
         p, (n, own), width = self.read(f)
         if p is not None:
             # det of the enlarged block is det(G|P) times the residue at p; its
             # inverse is computed when the next row is reduced
-            own += [_integral(block, n) for block in _block_terms(f, self.layout)[len(own):]]
-            width = _wider(width, 1 + max(x[1] for x in own if x))
+            own += [(_integral(block, n), 0, None)
+                    for block in _block_terms(f, self.layout)[len(own):]]
+            width = _wider(width, 1 + max(x[1] for x, _, _ in own if x))
         if width > self.width:
             self.width, self.packed = width, self._table(width)
         if p is None:
             return False
         self.forms.append(f)
         self.pivots.append(p)
-        self.packed.append((n, [_packed(x, self.width) for x in own]))
+        self.packed.append((n, [g if w == self.width else _packed(x, self.width)
+                                for x, w, g in own]))
         self.inv = None
         return True
 

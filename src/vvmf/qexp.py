@@ -135,10 +135,10 @@ class QExp:
 
     def theta(self) -> "QExp":
         """q d/dq: multiply each term by its exponent."""
+        h = self.h
         return _series(
-            self.h,
-            self.prec,
-            {n: Fraction(n, self.h) * c for n, c in self.terms.items() if n},
+            h, self.prec, {n: _make(c.n, tuple(x * n for x in c.num), c.den * h)
+                           for n, c in self.terms.items() if n}
         )
 
     def truncate(self, prec) -> "QExp":

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,55 @@ def multiple_of(x, y):
     e = q.exponents()[0]
     c = x.components[i].coeff(e) / q.coeff(e)
     return c.rational_value() if c.is_rational() and x.agrees_with(y.scaled(c)) else None
+
+
+def reference_rankin_cohen(f, g, t):
+    """The bracket as a sum of products: one QExp product per theta pair and
+    one QExp sum per further pair, for every component pair."""
+    kf, kg = f.weight, g.weight
+    df, dg = [f.components], [g.components]
+    for _ in range(t):
+        df.append([q.theta() for q in df[-1]])
+        dg.append([q.theta() for q in dg[-1]])
+    for r in range(t + 1):
+        c = (-1) ** r * math.comb(t + kf - 1, t - r) * math.comb(t + kg - 1, r)
+        df[r] = [q.scaled(c) for q in df[r]]
+    comps = [sum((fi[r] * gj[t - r] for r in range(1, t + 1)), fi[0] * gj[t])
+             for fi in zip(*df) for gj in zip(*dg)]
+    return AholForm.holomorphic(kf + kg + 2 * t, f.rep.tensor(g.rep), comps)
+
+
+def assert_same_terms(x, y):
+    """x and y agree component by component in lattice, precision and every
+    coefficient's value and conductor."""
+    assert x.weight == y.weight and x.rep.dim == y.rep.dim
+    for p, q in zip(x.components, y.components, strict=True):
+        assert (p.h, p.prec) == (q.h, q.prec)
+        assert {n: (c.n, c.num, c.den) for n, c in p.terms.items()} == {
+            n: (c.n, c.num, c.den) for n, c in q.terms.items()}
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_bracket_matches_the_sum_of_products_on_thm11_inputs(M):
+    # the factors verify thm11 brackets: Hecke images of two Eisenstein series
+    pairs = [(4, 8), (4, 6), (6, 6)]
+    for l, l2 in pairs:
+        f, g = (hecke_form(M, eisenstein(k, 4 * M)) if M > 1 else eisenstein(k, 4)
+                for k in (l, l2))
+        for t in range(6):
+            assert_same_terms(rankin_cohen(f, g, t), reference_rankin_cohen(f, g, t))
+
+
+def test_bracket_matches_the_sum_of_products_across_conductors(reg):
+    # a rho3 Eisenstein generator mixes conductors 1 and 3 on lattice 1/3
+    f = vv_eisenstein(4, reg.get("rho3"), 3, 12).generators((4, "rho3"))[0][0]
+    assert {c.n for q in f.components for c in q.terms.values()} == {1, 3}
+    assert {q.h for q in f.components} == {3}
+    e4 = eisenstein(4, 12)
+    for g, ts in ((e4, range(4)), (f, range(3))):
+        for t in ts:
+            assert_same_terms(rankin_cohen(f, g, t), reference_rankin_cohen(f, g, t))
+            assert_same_terms(rankin_cohen(g, f, t), reference_rankin_cohen(g, f, t))
 
 
 def test_bracket_of_e4_and_e6_is_a_multiple_of_delta():

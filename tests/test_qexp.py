@@ -197,6 +197,24 @@ def random_series(rng, size=9, max_terms=14):
     return QExp(h, prec, terms)
 
 
+def fraction_theta(q: QExp) -> QExp:
+    """theta as one Fraction(n, h) times each coefficient."""
+    return QExp(q.h, q.prec, {n: Fraction(n, q.h) * c for n, c in q.terms.items()})
+
+
+@pytest.mark.parametrize("conductors", [(1,), (3,), (1, 3), MIXED_CONDUCTORS])
+def test_theta_matches_the_fraction_product_term_by_term(conductors):
+    rng = random.Random(f"theta/{conductors}")
+    for _ in range(30):
+        h = rng.choice([1, 2, 3, 6])
+        q = QExp(h, rng.randint(1, 12), {rng.randrange(12 * h): random_coefficient(
+            rng, rng.choice(conductors), 40) for _ in range(rng.randint(0, 14))})
+        got, want = q.theta(), fraction_theta(q)
+        assert (got.h, got.prec) == (want.h, want.prec)
+        assert {n: (c.n, c.num, c.den) for n, c in got.terms.items()} == {
+            n: (c.n, c.num, c.den) for n, c in want.terms.items()}
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_packed_product_matches_reference_bytes(seed):
     rng = random.Random(f"packed/{seed}")

@@ -73,6 +73,9 @@ RUNGS = {
     "decompose-T3T3rho3": CLI + ["decompose", "--rep", "T3(rho3)*T3(rho3)*rho3"],
     "decompose-T8T2": CLI + ["decompose", "--rep", "T8(rho3)*T2(rho3)"],
     "hom-residual-T5rho3": ["python3", "-c", _HOM_RESIDUAL],
+    # the largest Rankin-Cohen bracket of the verify jobs: t = 5 on 4 x 4 components
+    "thm11-k20": CLI + ["verify", "thm11", "--k", "20", "--l", "4", "--l2", "6",
+                        "--indices", "1,2,3", "--format", "json"],
     "vv-product-queries": ["python3", "-c", _VV_QUERIES],
 }
 
