@@ -15,18 +15,20 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from importlib import resources
 
 from .ahol import AholForm, ahol_decompose, apply_intertwiner, lower_op, raise_op, tinf_closure
 from .exactnum import CycNum
 from .forms import delta_form, eisenstein, rankin_cohen, sigma, vv_eisenstein
 from .hecke import delta_cosets, hecke_form, hecke_rep
-from .hyperalg import FormSpan, hyper_tensor, projections, span_contains, span_sum, sturm_bound
+from .hyperalg import (
+    FormSpan, hyper_tensor, projections, span_contains, span_sum, sturm_bound, tensor_form,
+)
 from .linalg import Matrix
 from .qexp import InsufficientPrecision
 from .reps import (
     Rep,
     RepRegistry,
+    builtin_registry,
     decompose,
     hom_fixed_subspace,
     hom_space,
@@ -36,8 +38,7 @@ from .reps import (
 
 
 def load_bundled_registry() -> RepRegistry:
-    data = resources.files("vvmf.data").joinpath("registry.json").read_text()
-    return RepRegistry.from_json(json.loads(data))
+    return builtin_registry()
 
 
 def load_registry(path: str | None) -> RepRegistry:
@@ -196,8 +197,6 @@ def verify_example32(registry: RepRegistry | None = None, prec: int | None = Non
     base = eisenstein(12, 9 * max(1, (qprec + 2) // 3))
     t3 = hecke_form(3, base)
     e12rho3 = apply_intertwiner(_example_projection_matrix(), t3, reg.get("rho3"))
-    from .hyperalg import tensor_form
-
     square = tensor_form(e12rho3, e12rho3)
     trivial_part = apply_intertwiner(reference["triv"][0], square, reg.get("triv"))
     got = []

@@ -6,11 +6,12 @@ membership.  Stored generators are linearly independent within a grade
 at its common sound precision.  Each grade keeps a pivot state (one
 pivot column per generator and the inverse of that block of their rows),
 so a new form or a membership candidate is one reduced row.  The state
-keeps each generator's series as Kronecker-packed ints, one per
-power-basis coordinate (D. Harvey, J. Symbolic Comput. 44, 2009, as in
+keeps each generator's series over one denominator and packs it as
+Kronecker-packed ints, one per power-basis coordinate, at each slot width
+a read asks for (D. Harvey, J. Symbolic Comput. 44, 2009, as in
 `qexp.combine`): the reduced row is a packed integer combination, block
-by block, at a slot width checked against a bound from bit lengths, and
-its first nonzero column is read off the lowest set bit.
+by block, at the least width that holds that block's bound from bit
+lengths, and its first nonzero column is read off the lowest set bit.
 
 Membership refuses to answer below the Sturm bound: callers pass a
 working precision and get a hard error, never a silent false.  The
@@ -26,7 +27,7 @@ from fractions import Fraction
 from .ahol import AholForm, _apply_maps
 from .exactnum import CycNum, _reduce, euler_phi
 from .linalg import Subspace, invert_rows, sparse_row
-from .qexp import InsufficientPrecision, _pack, combine
+from .qexp import InsufficientPrecision, _lifted, _pack, combine
 from .reps import RepRegistry, hom_space, require_same_content
 
 
@@ -122,11 +123,12 @@ class _Pivots:
     next read needs it.  v - (v|P . inv) . G is zero iff v is in the span.
 
     Rows are never built.  A row is one block of `bound` columns per series
-    (layer r, component i).  packed[j] is (n_j, blocks) for forms[j], n_j
-    the lcm of the conductors of its row's coefficients, and blocks[b] its
-    block b over Q(zeta_{n_j}) as (d, bits, P): P[l] packs d times
-    coordinate l of column t in slot t of `width` bits (`qexp._pack`), and
-    no such integer is longer than bits; None for a zero block.
+    (layer r, component i).  blocks[j] is (n_j, pairs) for forms[j], n_j the
+    lcm of the conductors of its row's coefficients, and pairs[b] its block
+    b as (g, packs): g the block's terms over Q(zeta_{n_j}) as a
+    `qexp._lifted` group, None for a zero block, and packs maps a slot
+    width to one int per coordinate l, packing coordinate l of column t in
+    slot t (`qexp._pack`), filled by the first read at that width.
 
     A read takes c = (v|P) . inv at the lcm N of n_v and every n_j, and
     walks the blocks in column order.  Coordinate i of Lambda * (v - sum_j
@@ -134,73 +136,60 @@ class _Pivots:
     sum_l m_j M_j[i][l] P_{j,l}: M_j takes the coordinates of an element of
     Q(zeta_{n_j}) to those of c_j's numerator times it in Q(zeta_N), L does
     the same for 1 and n_v, and m_j = Lambda / (den(c_j) d_j), so no
-    generator is lifted.  First the slot bound: the largest bit length of a
-    scalar plus its matrix's largest entry plus its block's bits, plus the
-    bit length of the number of products per coordinate.  A block whose
-    bound is beyond width is combined at width doubled until it holds the
-    bound, with that block of each generator repacked for the read alone;
-    `push` keeps the widest width its read needed (64 bits at first, never
-    shrinking) and repacks every block at it.  Every slot of the result is
-    below 2^width in absolute value, so a nonzero result's first nonzero
-    slot is its lowest set bit // width.  The read stops at the first
-    nonzero block, at the least such slot over its coordinates.
+    generator is lifted.  Each block is combined at the least width (64
+    bits, doubled) that holds its own slot bound: the largest bit length of
+    a scalar plus its matrix's largest entry plus its block's largest
+    coordinate, plus the bit length of the number of products per
+    coordinate.  Every slot of the result is then below 2^width in absolute
+    value, so a nonzero result's first nonzero slot is its lowest set bit
+    // width.  The read stops at the first nonzero block, at the least such
+    slot over its coordinates.
     """
 
-    __slots__ = ("layout", "forms", "pivots", "inv", "width", "packed")
+    __slots__ = ("layout", "forms", "pivots", "inv", "blocks")
 
     def __init__(self, layout, forms=()):
-        self.layout, self.forms, self.pivots, self.inv = layout, [], [], []
-        self.width, self.packed = 64, []
+        self.layout, self.forms, self.pivots, self.inv, self.blocks = layout, [], [], [], []
         for f in forms:
             self.push(f)
 
     def read(self, f: AholForm):
         """(the first nonzero column of v - (v|P . inv) . G or None, (n_v,
-        the blocks of f's row v up to that column's, each as (`_integral` at
-        n_v, the width it was packed at, its `_packed` ints or None)), the
-        widest width combined at); packed and width stay as they were."""
+        the blocks of f's row v up to that column's, as (g, packs) pairs))."""
         bound, terms = _bound(self.layout), _block_terms(f, self.layout)
         n_v = math.lcm(*(c.n for block in terms for _, c in block))
-        cond = math.lcm(n_v, *(n for n, _ in self.packed))
+        cond = math.lcm(n_v, *(n for n, _ in self.blocks))
         if self.inv is None:
             block = [sparse_row(map(_columns(_block_terms(g, self.layout), bound).get, self.pivots))
                      for g in self.forms]
             self.inv = invert_rows(block, CycNum.one())
         v = _columns(terms, bound)
         a = [(i, x) for i, p in enumerate(self.pivots) if (x := v.get(p))]
-        mults = []  # (j, den(c_j), M_j, the bit length of M_j's largest entry)
-        for j, (n, _) in enumerate(self.packed):
+        mults = []  # (den(c_j), M_j, the bit length of M_j's largest entry, g_j's pairs)
+        for j, (n, pairs) in enumerate(self.blocks):
             c = sum((x * self.inv[i][j] for i, x in a if j in self.inv[i]), CycNum.zero())
             if c:
                 m = _multiplication(cond, c.lift(cond).num, n)
-                mults.append((j, c.den, m, _bits(m)))
+                mults.append((c.den, m, _bits(m), pairs))
         lift = _multiplication(cond, CycNum.one().lift(cond).num, n_v)
-        lift_bits, phi_v = _bits(lift), euler_phi(n_v)
-        width, own = self.width, []
+        lift_bits, phi_v, own = _bits(lift), euler_phi(n_v), []
         for b, block in enumerate(terms):
-            mine = _integral(block, n_v)
-            # per term j: den(c_j) d_j, M_j, and the bits of M_j times block b of g_j
-            gens = [(j, d * self.packed[j][1][b][0], m, bits + self.packed[j][1][b][1])
-                    for j, d, m, bits in mults if self.packed[j][1][b]]
+            mine = _lifted(block, n_v) if block else None
+            own.append((mine, {}))
+            # per term j: den(c_j) d_j, M_j, the bits of M_j times block b of g_j, that block
+            gens = [(d * g.den, m, bits + g.big.bit_length(), pairs[b])
+                    for d, m, bits, pairs in mults if (g := pairs[b][0])]
             if mine is None and not gens:
-                own.append((None, 0, None))
                 continue
-            d_v, v_bits = mine[:2] if mine else (1, 0)
-            lam = math.lcm(d_v, *(d for _, d, _, _ in gens))
+            d_v, v_bits = (mine.den, mine.big.bit_length()) if mine else (1, 0)
+            lam = math.lcm(d_v, *(d for d, _, _, _ in gens))
             need = max([(lam // d_v).bit_length() + lift_bits + v_bits]
-                       + [(lam // d).bit_length() + bits for _, d, _, bits in gens])
-            count = (phi_v if mine else 0) + sum(len(m[0]) for _, _, m, _ in gens)
-            wide = _wider(self.width, need + count.bit_length())
-            width = max(width, wide)
-            packed = _packed(mine, wide)
-            own.append((mine, wide, packed))
-            scaled = [(lam // d_v, lift, packed[2])] if mine else []
-            for j, d, m, _ in gens:
-                n, blocks = self.packed[j]
-                g = blocks[b]
-                if wide > self.width:  # block b of g_j, repacked for this read alone
-                    g = _packed(_integral(_series_terms(self.forms[j], self.layout, b), n), wide)
-                scaled.append((-(lam // d), m, g[2]))
+                       + [(lam // d).bit_length() + bits for d, _, bits, _ in gens])
+            count = (phi_v if mine else 0) + sum(len(m[0]) for _, m, _, _ in gens)
+            # the least of 64 bits doubled that holds the bound
+            width = 1 << max(6, (need + count.bit_length() - 1).bit_length())
+            scaled = [(lam // d_v, lift, _packs(own[b], width))] if mine else []
+            scaled += [(-(lam // d), m, _packs(pair, width)) for d, m, _, pair in gens]
             low = None
             for i in range(euler_phi(cond)):
                 y = 0
@@ -209,38 +198,28 @@ class _Pivots:
                     if z:
                         y += s * z
                 if y:
-                    t = ((y & -y).bit_length() - 1) // wide
+                    t = ((y & -y).bit_length() - 1) // width
                     low = t if low is None else min(low, t)
             if low is not None:
-                return b * bound + low, (n_v, own), width
-        return None, (n_v, own), width
+                return b * bound + low, (n_v, own)
+        return None, (n_v, own)
 
     def push(self, f: AholForm) -> bool:
-        """Add f when it is independent; True when the state grew.  Either
-        way the state keeps the widest width the read needed.  A block the
-        read packed at the final width is kept, not packed again."""
-        p, (n, own), width = self.read(f)
-        if p is not None:
-            # det of the enlarged block is det(G|P) times the residue at p; its
-            # inverse is computed when the next row is reduced
-            own += [(_integral(block, n), 0, None)
-                    for block in _block_terms(f, self.layout)[len(own):]]
-            width = _wider(width, 1 + max(x[1] for x, _, _ in own if x))
-        if width > self.width:
-            self.width, self.packed = width, self._table(width)
+        """Add f when it is independent; True when the state grew.  The
+        blocks the read lifted and packed are kept, and only the rest are
+        lifted."""
+        p, (n, own) = self.read(f)
         if p is None:
             return False
+        own += [(_lifted(block, n) if block else None, {})
+                for block in _block_terms(f, self.layout)[len(own):]]
         self.forms.append(f)
         self.pivots.append(p)
-        self.packed.append((n, [g if w == self.width else _packed(x, self.width)
-                                for x, w, g in own]))
+        self.blocks.append((n, own))
+        # det of the enlarged block is det(G|P) times the residue at p; its
+        # inverse is computed when the next row is reduced
         self.inv = None
         return True
-
-    def _table(self, width: int) -> list:
-        """packed with every block repacked at width."""
-        return [(n, [_packed(_integral(block, n), width) for block in _block_terms(f, self.layout)])
-                for f, (n, _) in zip(self.forms, self.packed)]
 
 
 def _row_layout(forms, prec=None):
@@ -290,26 +269,14 @@ def _coefficient_row(f: AholForm, layout) -> list:
     return row
 
 
-def _integral(terms: list, n: int):
-    """(d, bits, rows) of nonzero terms at conductor n: rows of (column,
-    integer coordinates over d), bits their largest bit length; None for no
-    terms."""
-    if not terms:
-        return None
-    terms = [(t, c if c.n == n else c.lift(n)) for t, c in terms]
-    d = math.lcm(*(c.den for _, c in terms))
-    rows = [(t, c.num if c.den == d else [x * (d // c.den) for x in c.num]) for t, c in terms]
-    return d, max(max(map(abs, v)) for _, v in rows).bit_length(), rows
-
-
-def _packed(block, width: int):
-    """(d, bits, one packed int per coordinate) of an `_integral` block, or None."""
-    if block is None:
-        return None
-    d, bits, rows = block
-    top = max(t for t, _ in rows)
-    return d, bits, [_pack([(t, (v[l],)) for t, v in rows], top, 1, width // 8)
-                     for l in range(len(rows[0][1]))]
+def _packs(pair, width: int) -> list:
+    """The ints of a (g, packs) block at width, one per coordinate l with
+    coordinate l of column t in slot t; packed once per width."""
+    g, packs = pair
+    if width not in packs:
+        packs[width] = [_pack([(t, (x[l],)) for t, x in g.rows], g.top, 1, width // 8)
+                        for l in range(len(g.rows[0][1]))]
+    return packs[width]
 
 
 def _multiplication(cond: int, num: tuple, n: int) -> list:
@@ -324,13 +291,6 @@ def _multiplication(cond: int, num: tuple, n: int) -> list:
 def _bits(m: list) -> int:
     """Bit length of a matrix's largest entry."""
     return max(abs(x) for row in m for x in row).bit_length()
-
-
-def _wider(width: int, bits: int) -> int:
-    """width, doubled until it holds bits."""
-    while width < bits:
-        width *= 2
-    return width
 
 
 def span_sum(spans) -> "FormSpan":

@@ -315,16 +315,17 @@ def combine(rows, series) -> list:
     return out
 
 
-# terms of one conductor lifted to a joint conductor: rows of (n, integer
-# coordinates over den), big the largest |coordinate| and top the largest n
+# terms lifted to one conductor: rows of (n, integer coordinates over den),
+# big the largest |coordinate| and top the largest n
 _Group = namedtuple("_Group", "rows den big top")
 
 
 def _lifted(group: list, cond: int) -> _Group:
-    """The group at cond; a rational group (cond 1) keeps its one coordinate,
-    the leading one at every joint conductor."""
-    if group[0][1].n != cond:
-        group = [(n, x.lift(cond)) for n, x in group]
+    """The (n, x) terms, each x.n dividing cond, lifted term by term to cond
+    over one denominator: the form `combine` packs and `hyperalg` stores.
+    At cond 1 a term keeps its one coordinate, the leading one at every
+    joint conductor."""
+    group = [(n, x if x.n == cond else x.lift(cond)) for n, x in group]
     den = math.lcm(*(x.den for _, x in group))
     rows = [(n, x.num if x.den == den else [a * (den // x.den) for a in x.num]) for n, x in group]
     return _Group(rows, den, max(max(map(abs, v)) for _, v in rows), max(n for n, _ in rows))

@@ -1,7 +1,6 @@
 import hashlib
 import json
 from fractions import Fraction
-from importlib import resources
 
 import pytest
 
@@ -20,6 +19,7 @@ from vvmf.forms import eisenstein, vv_eisenstein
 from vvmf.hecke import _is_similitude, delta_cosets, hecke_form
 from vvmf.linalg import invert_rational
 from vvmf.hyperalg import FormSpan, hyper_tensor, sturm_bound
+from vvmf.reps import builtin_registry
 
 
 @pytest.fixture(scope="module")
@@ -464,9 +464,7 @@ def test_thm11_bracket_span_matches_raise_then_decompose(reg, k, l, l2, indices)
 
 def test_thm11_without_triv_in_the_registry(capsys, tmp_path):
     # no triv target, so no weight-k triv grade: the cusp form is not found
-    entries = json.loads(
-        resources.files("vvmf.data").joinpath("registry.json").read_text()
-    )["entries"]
+    entries = builtin_registry().to_json()["entries"]
     path = tmp_path / "no_triv.json"
     path.write_text(json.dumps({"entries": [e for e in entries if e["label"] != "triv"]}))
     code, out, _ = run_cli(capsys, "verify", "thm11", "--registry", str(path), "--format", "json")
@@ -479,9 +477,7 @@ def test_thm11_without_triv_in_the_registry(capsys, tmp_path):
 @pytest.mark.parametrize("target", ["example32", "all"])
 def test_verify_honours_registry(capsys, tmp_path, target):
     # a registry without rho3 cannot run example32, alone or inside "all"
-    entries = json.loads(
-        resources.files("vvmf.data").joinpath("registry.json").read_text()
-    )["entries"]
+    entries = builtin_registry().to_json()["entries"]
     path = tmp_path / "triv_only.json"
     path.write_text(json.dumps({"entries": [e for e in entries if e["label"] == "triv"]}))
     code, _, err = run_cli(capsys, "verify", target, "--registry", str(path))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from vvmf import hyperalg
 from vvmf.ahol import AholForm, apply_intertwiner
 from vvmf.exactnum import CycNum
 from vvmf.forms import delta_form, eisenstein
@@ -418,24 +419,31 @@ def scan_column(layout, forms, pivots, f):
 
 @pytest.fixture
 def recorded_reads(monkeypatch):
-    """Every _Pivots.read as (layout, forms, pivots, f, column, stored width,
-    width read at), the state taken before the read."""
-    calls, read = [], _Pivots.read
+    """Every _Pivots.read as (layout, forms, pivots, f, column, combines),
+    the state taken before the read; combines lists each block combined as
+    (width, a stored generator block, packed by this read)."""
+    calls, read, packs, current = [], _Pivots.read, hyperalg._packs, []
+
+    def packing(pair, width):
+        stored, combines = current[-1]
+        combines.append((width, id(pair) in stored, width not in pair[1]))
+        return packs(pair, width)
 
     def spy(state, f):
         before = (state.layout, list(state.forms), list(state.pivots), f)
-        width = state.width
+        current.append(({id(pair) for _, pairs in state.blocks for pair in pairs}, []))
         out = read(state, f)
-        calls.append(before + (out[0], width, out[2]))
+        calls.append(before + (out[0], current.pop()[1]))
         return out
 
+    monkeypatch.setattr(hyperalg, "_packs", packing)
     monkeypatch.setattr(_Pivots, "read", spy)
     return calls
 
 
 def _assert_reads_match_the_scan(calls):
     assert calls
-    for layout, forms, pivots, f, column, _, _ in calls:
+    for layout, forms, pivots, f, column, _ in calls:
         assert column == scan_column(layout, forms, pivots, f), (layout, len(forms))
 
 
@@ -480,26 +488,33 @@ def test_huge_coefficients_regrow_the_slot_width(recorded_reads):
                   for terms in ({0: 1, 2: 3}, {1: 2, 3: -1, 5: 1}, {4: 1}))
     span, ref = FormSpan.of(g1, g2), ReferenceSpan()
     assert ref.add(g1) and ref.add(g2)
-    state = span._pivots[(4, "triv")]
-    width = state.width
     big, tiny = 2**300 + 7, Fraction(1, 3**200)
     member = g1.scaled(big) + g2.scaled(tiny)
     outsider = member + g3.scaled(tiny)
-    del recorded_reads[:]
+    start = len(recorded_reads)
     for f in (member, outsider):
         assert span_contains(span, f, 6) is ref.contains(f, 6)
     assert span_contains(span, member, 6) and not span_contains(span, outsider, 6)
-    # the reads combine at a wider width, which the stored state does not keep
-    assert all(read > stored == width for *_, stored, read in recorded_reads)
-    assert state is span._pivots[(4, "triv")] and state.width == width
+    # each read combines its one block at one width that holds the coefficients
+    widths = [{w for w, _, _ in combines} for *_, combines in recorded_reads[start:]]
+    assert len(widths) == 4 and all(len(w) == 1 and min(w) > 600 for w in widths)
+    # a later small read still combines at the narrow width
+    start = len(recorded_reads)
+    assert span_contains(span, g1 + g2.scaled(3), 6)
+    ((*_, combines),) = recorded_reads[start:]
+    assert combines and {w for w, _, _ in combines} == {64}
     # a generator kept for a column of small coefficients, with huge ones in
-    # a later layer, is packed at a width that holds them
+    # a later layer, is read at a width that holds them
     f = AholForm(4, triv, [[QExp(1, 6, {0: 1})], [QExp(1, 6, {2: big, 3: tiny})]])
     g = AholForm(4, triv, [[QExp(1, 6, {1: 1})], [QExp(1, 6, {2: 1})]])
     span, ref = FormSpan.of(f), ReferenceSpan()
-    assert ref.add(f) and span._pivots[(4, "triv")].width > 300
+    assert ref.add(f)
+    start = len(recorded_reads)
     for h in (f.scaled(tiny), f + g.scaled(big)):
         assert span_contains(span, h, 6) is ref.contains(h, 6)
+    (*_, combines), _ = recorded_reads[start:]
+    assert [(w > 300, stored) for w, stored, _ in combines] == [(False, False), (False, True),
+                                                               (True, False), (True, True)]
     assert span.add(g) is ref.add(g) is True
     _assert_reads_match_the_scan(recorded_reads)
 
@@ -517,9 +532,46 @@ def test_a_cyclotomic_query_reads_rational_generators_through_a_lift(recorded_re
     for f in (member, outsider):
         assert span_contains(span, f, 6) is ref.contains(f, 6)
     assert span_contains(span, member, 6) and not span_contains(span, outsider, 6)
-    # the generators stay stored over Q, one coordinate each
+    # the generators stay stored over Q, one coordinate per block, also in
+    # the packed ints the Q(zeta12) reads left
     assert state is span._pivots[(4, "triv")]
-    assert [(n, len(block[2])) for n, blocks in state.packed for block in blocks] == [(1, 1)] * 2
+    assert [(n, len(g.rows[0][1])) for n, pairs in state.blocks for g, _ in pairs] == [(1, 1)] * 2
+    assert all(packs and {len(ints) for ints in packs.values()} == {1}
+               for _, pairs in state.blocks for _, packs in pairs)
+    _assert_reads_match_the_scan(recorded_reads)
+
+
+def test_a_repeated_wide_read_packs_no_generator_block_again(recorded_reads):
+    # a non-member whose slot bound passes 64 bits, as the triv non-members
+    # of the vv-product queries: the first read packs the generator blocks
+    # it combines at the wider width, the second packs only its own block
+    triv = trivial_rep()
+    g1, g2, g3 = (AholForm.holomorphic(4, triv, [QExp(1, 6, terms)])
+                  for terms in ({0: 1, 2: 3}, {1: 2, 3: -1, 5: 1}, {4: 1}))
+    span, ref = FormSpan.of(g1, g2), ReferenceSpan()
+    assert ref.add(g1) and ref.add(g2)
+    outsider = g1.scaled(2**100) + g2 + g3
+    start = len(recorded_reads)
+    for _ in range(2):
+        assert span_contains(span, outsider, 6) is ref.contains(outsider, 6) is False
+    (*_, first), (*_, second) = recorded_reads[start:]
+    assert {w for w, _, _ in first} == {w for w, _, _ in second} == {128}
+    assert [(stored, packed) for _, stored, packed in first] == [(False, True)] + [(True, True)] * 2
+    assert [(stored, packed) for _, stored, packed in second] == [(False, True)] + [(True, False)] * 2
+    _assert_reads_match_the_scan(recorded_reads)
+
+
+def test_a_block_that_mixes_conductors_is_lifted_term_by_term(recorded_reads):
+    # each generator series starts in Q(zeta3) and goes on over Q, so a
+    # block's rational terms need the lift as much as its first term
+    triv, z = trivial_rep(), CycNum.zeta(3)
+    g1, g2, g3 = (AholForm.holomorphic(4, triv, [QExp(1, 6, terms)])
+                  for terms in ({0: z, 2: 3}, {1: 1 + z, 3: Fraction(1, 2), 4: 1}, {4: 1}))
+    span, ref = FormSpan.of(g1, g2), ReferenceSpan()
+    assert ref.add(g1) and ref.add(g2)
+    for f in (g1.scaled(z) + g2, g1 + g2 + g3.scaled(z)):
+        assert span_contains(span, f, 6) is ref.contains(f, 6)
+    assert span.add(g3) is ref.add(g3) is True
     _assert_reads_match_the_scan(recorded_reads)
 
 
