@@ -507,76 +507,81 @@ def _span_from_json(obj, registry: RepRegistry) -> FormSpan:
 # ---------------------------------------------------------------------------
 # entry point
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser: given a subcommand's name, with that subcommand's
+    parser only; given no name or an unknown one, the full tree."""
     ap = argparse.ArgumentParser(prog="vvmf", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+
+    def add(name, text):
+        return sub.add_parser(name, help=text) if command in (None, name) else None
 
     def common(p):
         p.add_argument("--registry", help="registry JSON path (default: bundled)")
         p.add_argument("--out", help="write output to this path instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default="text")
 
-    p = sub.add_parser("eis", help="level-1 Eisenstein series")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--prec", type=int, required=True)
-    common(p)
+    if p := add("eis", "level-1 Eisenstein series"):
+        p.add_argument("--weight", type=int, required=True)
+        p.add_argument("--prec", type=int, required=True)
+        common(p)
 
-    p = sub.add_parser("vveis", help="vector-valued Eisenstein span via coset operators")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--type", dest="type_expr", required=True)
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--prec", type=int, required=True)
-    common(p)
+    if p := add("vveis", "vector-valued Eisenstein span via coset operators"):
+        p.add_argument("--weight", type=int, required=True)
+        p.add_argument("--type", dest="type_expr", required=True)
+        p.add_argument("--index", type=int, required=True)
+        p.add_argument("--prec", type=int, required=True)
+        common(p)
 
-    p = sub.add_parser("hecke", help="coset enumeration and operator application")
-    hsub = p.add_subparsers(dest="hecke_command", required=True)
-    pc = hsub.add_parser("cosets")
-    pc.add_argument("--genus", type=int, default=1)
-    pc.add_argument("--index", type=int, required=True)
-    pc.add_argument("--count-only", action="store_true")
-    common(pc)
-    pa = hsub.add_parser("apply")
-    pa.add_argument("--index", type=int, required=True)
-    pa.add_argument("--form", required=True)
-    common(pa)
-
-    p = sub.add_parser("homspace", help="intertwiner basis between two types")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    common(p)
-
-    p = sub.add_parser("decompose", help="isotypic decomposition against the registry")
-    p.add_argument("--rep", required=True)
-    common(p)
-
-    p = sub.add_parser("hyperprod", help="hyper-product span of two forms")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--targets", help="registry JSON of projection targets")
-    p.add_argument("--prec", type=int)
-    common(p)
-
-    p = sub.add_parser("ahol", help="operators on depth-graded forms")
-    asub = p.add_subparsers(dest="ahol_command", required=True)
-    for name in ("raise", "lower", "decompose"):
-        pa = asub.add_parser(name)
+    if p := add("hecke", "coset enumeration and operator application"):
+        hsub = p.add_subparsers(dest="hecke_command", required=True)
+        pc = hsub.add_parser("cosets")
+        pc.add_argument("--genus", type=int, default=1)
+        pc.add_argument("--index", type=int, required=True)
+        pc.add_argument("--count-only", action="store_true")
+        common(pc)
+        pa = hsub.add_parser("apply")
+        pa.add_argument("--index", type=int, required=True)
         pa.add_argument("--form", required=True)
         common(pa)
-    pc = asub.add_parser("closure")
-    pc.add_argument("--span", required=True)
-    pc.add_argument("--window", required=True, help="kmin:kmax")
-    pc.add_argument("--max-rounds", type=int, default=10)
-    common(pc)
 
-    p = sub.add_parser("verify", help="verification harness")
-    p.add_argument("target", choices=(*VERIFY_RUNNERS, "all"))
-    p.add_argument("--k", type=int, default=12)
-    p.add_argument("--l", type=int, default=4)
-    p.add_argument("--l2", type=int, default=8)
-    p.add_argument("--indices", default="1,2", help="comma separated Hecke indices")
-    p.add_argument("--prec", type=int)
-    common(p)
-    return ap
+    if p := add("homspace", "intertwiner basis between two types"):
+        p.add_argument("--source", required=True)
+        p.add_argument("--target", required=True)
+        common(p)
+
+    if p := add("decompose", "isotypic decomposition against the registry"):
+        p.add_argument("--rep", required=True)
+        common(p)
+
+    if p := add("hyperprod", "hyper-product span of two forms"):
+        p.add_argument("--left", required=True)
+        p.add_argument("--right", required=True)
+        p.add_argument("--targets", help="registry JSON of projection targets")
+        p.add_argument("--prec", type=int)
+        common(p)
+
+    if p := add("ahol", "operators on depth-graded forms"):
+        asub = p.add_subparsers(dest="ahol_command", required=True)
+        for name in ("raise", "lower", "decompose"):
+            pa = asub.add_parser(name)
+            pa.add_argument("--form", required=True)
+            common(pa)
+        pc = asub.add_parser("closure")
+        pc.add_argument("--span", required=True)
+        pc.add_argument("--window", required=True, help="kmin:kmax")
+        pc.add_argument("--max-rounds", type=int, default=10)
+        common(pc)
+
+    if p := add("verify", "verification harness"):
+        p.add_argument("target", choices=(*VERIFY_RUNNERS, "all"))
+        p.add_argument("--k", type=int, default=12)
+        p.add_argument("--l", type=int, default=4)
+        p.add_argument("--l2", type=int, default=8)
+        p.add_argument("--indices", default="1,2", help="comma separated Hecke indices")
+        p.add_argument("--prec", type=int)
+        common(p)
+    return ap if sub.choices else build_parser()
 
 
 def run(args) -> int:
@@ -681,7 +686,8 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = build_parser(argv[0] if argv else None)  # the full tree takes milliseconds
     args = ap.parse_args(argv)
     try:
         return run(args)

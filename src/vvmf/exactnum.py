@@ -438,11 +438,7 @@ def as_cyc(x) -> CycNum:
 
 
 def _sorted_divisors(n: int) -> list:
-    divs = []
-    for d in range(1, n + 1):
-        if n % d == 0:
-            divs.append(d)
-    return divs
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _lower_to_conductor(x: CycNum, m: int):

@@ -125,18 +125,10 @@ def _delta_cosets_general(genus: int, M: int) -> list:
     divisors = [k for k in range(1, M + 1) if M % k == 0]
     out = []
     for diag in product(*[divisors] * g):
-        off_ranges = []
-        for i in range(g):
-            for j in range(i + 1, g):
-                off_ranges.append(list(range(diag[j])))
+        off_ranges = [list(range(diag[j])) for i in range(g) for j in range(i + 1, g)]
         for offs in product(*off_ranges):
-            d = [[0] * g for _ in range(g)]
-            for i in range(g):
-                d[i][i] = diag[i]
-            it = iter(offs)
-            for i in range(g):
-                for j in range(i + 1, g):
-                    d[i][j] = next(it)
+            it = iter(offs)  # the entries above the diagonal, row by row
+            d = [[next(it) if j > i else diag[i] * (j == i) for j in range(g)] for i in range(g)]
             a = _scaled_inverse_transpose(d, M)
             if a is None:
                 continue
@@ -160,12 +152,10 @@ def _scaled_inverse_transpose(d, M: int):
 
 
 def _assemble(a, b, d, g):
-    mat = []
-    for i in range(g):
-        mat.append(tuple(a[i]) + tuple(b[i]))
-    for i in range(g):
-        mat.append((0,) * g + tuple(d[i]))
-    return tuple(mat)
+    """The 2g x 2g block matrix [[a, b], [0, d]] as a tuple of row tuples."""
+    return tuple(tuple(a[i]) + tuple(b[i]) for i in range(g)) + tuple(
+        (0,) * g + tuple(d[i]) for i in range(g)
+    )
 
 
 def reduce_to_coset(m):

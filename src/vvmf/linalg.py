@@ -1,22 +1,26 @@
 """Exact linear algebra over cyclotomic fields; arithmetic skips zeros.
 
 Everything is deterministic and goes through one elimination kernel,
-`_rref_inplace`: sparse Gauss-Jordan on {column: nonzero} rows with a
-per-column index of the rows that are nonzero there.  In each column the
-pivot is the unused row with the fewest nonzeros (lowest position on
-ties); arithmetic is exact, so there are no magnitude heuristics, and
-the output is the unique RREF, pivot rows first in pivot order, so equal
-subspaces have equal bases.  A `Matrix`, and so a `Subspace` basis, holds its
-rows in that form: arithmetic and eliminations touch nonzero entries only;
-dense callers convert with `sparse_row` and `dense_row`.
+`_rref_inplace`: sparse fraction-free Gauss-Jordan on integer coordinates
+of {column: nonzero} rows, with a per-column index of the rows that are
+nonzero there.  In each column the pivot is the unused row with the fewest
+nonzeros (lowest position on ties); arithmetic is exact, so there are no
+magnitude heuristics, and the output is the unique RREF, pivot rows first
+in pivot order, so equal subspaces have equal bases.  A `Matrix`, and so
+a `Subspace` basis, holds its rows in that form: arithmetic and
+eliminations touch nonzero entries only; dense callers convert with
+`sparse_row` and `dense_row`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, zip_longest
+from operator import add, neg
 
-from .exactnum import CycNum, as_cyc
+from .exactnum import CycNum, _make, _mul_num, as_cyc, euler_phi
 
 
 class Matrix:
@@ -258,72 +262,131 @@ def dense_row(row: dict, stop: int, zero, start: int = 0) -> list:
 def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
     """Reduce sparse rows in place to RREF; returns the pivot columns.
 
-    Each row is a dict {column: nonzero entry}.  Entries are tested for
-    zero by truthiness and divided with `/`, so Fraction and CycNum rows
-    both work.  Only columns before stop_col are pivot candidates.
+    Rows are dicts {column: nonzero entry}, all CycNum or all Fraction; only
+    columns before stop_col are pivot candidates.  Fraction-free
+    Gauss-Jordan (E. H. Bareiss, Math. Comp. 22, 1968) on integer
+    coordinates at n, the lcm of the entries' conductors, over a column
+    index of the rows that are nonzero there.  The pivot of each column is
+    the unused row with the fewest nonzeros, lowest position on ties (H. M.
+    Markowitz, Management Sci. 3, 1957); its row is multiplied by the other
+    Galois conjugates of a pivot that is not rational, making it an integer
+    N.  Each indexed row with entry f there becomes (N/g) row - (f/g) pivot
+    row, g = gcd(N, f), and loses its content if N/g != 1; an entry that
+    cancels leaves its row and the index.  Every row stays a nonzero
+    multiple of the row that division by each pivot gives; on exit each
+    pivot row is divided by its pivot once.
 
-    Gauss-Jordan over a column index, the set of rows that are nonzero in
-    each column.  In each column in turn the pivot is the unused row with
-    the fewest nonzeros (lowest input position on ties), which limits the
-    fill-in (H. M. Markowitz, Management Sci. 3, 1957).  It is normalized
-    by one inverse and its column is cleared in the rows the index lists,
-    pivot rows included; an entry that cancels leaves its row and the index.
-
-    On return rows holds the pivot rows first, in pivot order, then the
-    other rows in input order; those are empty before stop_col.  When they
-    are empty altogether (always so for stop_col == ncols) the pivot rows
-    are the unique RREF whatever the pivot choice; otherwise their columns
-    from stop_col on are fixed only modulo the other rows, and callers
-    treat that case as inconsistent.
+    On return rows holds the pivot rows in pivot order, then the other rows
+    in input order, each up to a nonzero rational factor and empty before
+    stop_col.  Entries come back at n (Fractions for Fraction rows).  When
+    the other rows are empty (always so for stop_col == ncols) the pivot
+    rows are the unique RREF whatever the pivot choice; otherwise their
+    columns from stop_col on are fixed only modulo the other rows, and
+    callers treat that case as inconsistent.
     """
     if stop_col is None:
         stop_col = ncols
-    nrows = len(rows)
+    cells = [x for row in rows for x in row.values()]
+    if not cells:
+        return []
+    frac = not isinstance(cells[0], CycNum)
+    n = 1 if frac else math.lcm(*{x.n for x in cells})
+    zero = 0 if n == 1 else (0,) * euler_phi(n)
+    _to_coordinates(rows, n, frac)
     where = [set() for _ in range(stop_col)]
     for i, row in enumerate(rows):
         for j in row:
             if j < stop_col:
                 where[j].add(i)
-    used = [False] * nrows
+    used = [False] * len(rows)
     order, pivots = [], []
     for c in range(stop_col):
-        if len(order) == nrows:
+        if len(order) == len(rows):
             break
         hits = where[c]
-        p = min(
-            (i for i in hits if not used[i]), key=lambda i: (len(rows[i]), i), default=None
-        )
+        p = min((i for i in hits if not used[i]), key=lambda i: (len(rows[i]), i), default=None)
         if p is None:
             continue
         prow = rows[p]
-        inv = 1 / prow[c]
-        for j, x in prow.items():
-            prow[j] = x * inv
+        if n > 1 and any(prow[c][1:]):
+            conj = _conjugates(n, prow[c])
+            for j, y in prow.items():
+                prow[j] = _mul_num(n, conj, y)
+            _divide_content(prow, n)
+        big = prow[c] if n == 1 else prow[c][0]
         rest = [(j, y) for j, y in prow.items() if j != c]
         for i in hits:
             if i == p:
                 continue
             row = rows[i]
-            f = -row.pop(c)
+            f = row.pop(c)
+            # row becomes s * row + f * prow for s = big / g, f = -f / g and
+            # g = gcd(big, f); only a scaled row can gain a content
+            g = math.gcd(big, f) if n == 1 else math.gcd(big, *f)
+            s, f = big // g, (-f // g if n == 1 else tuple(map((-g).__rfloordiv__, f)))
+            mul = None if n == 1 or any(f[1:]) else f[0].__mul__
+            if s != 1:
+                _apply(row, n, s.__mul__)
             for j, y in rest:
+                y = f * y if n == 1 else map(mul, y) if mul else _mul_num(n, f, y)
                 x = row.get(j)
                 if x is None:
-                    row[j] = f * y
                     if j < stop_col:
                         where[j].add(i)
                 else:
-                    x = x + f * y
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-                        if j < stop_col:
-                            where[j].discard(i)
+                    y = x + y if n == 1 else map(add, x, y)
+                row[j] = y = y if n == 1 else tuple(y)
+                if y == zero:
+                    del row[j]
+                    if j < stop_col:
+                        where[j].discard(i)
+            if s != 1:
+                _divide_content(row, n)
         used[p] = True
         order.append(p)
         pivots.append(c)
     rows[:] = [rows[i] for i in order] + [row for i, row in enumerate(rows) if not used[i]]
+    for row, c in zip_longest(rows, pivots):
+        den = 1 if c is None else row[c] if n == 1 else row[c][0]
+        if den < 0:
+            _apply(row, n, neg)
+        for j, x in row.items():
+            row[j] = Fraction(x, abs(den)) if frac else _make(n, (x,) if n == 1 else x, abs(den))
     return pivots
+
+
+def _to_coordinates(rows: list, n: int, frac: bool) -> None:
+    """Rewrite each row in place as integer coordinates at conductor n over
+    one denominator: an int per entry for n = 1, a tuple of phi(n) ints else."""
+    pad = (0,) * (euler_phi(n) - 1)
+    for row in rows:
+        d = math.lcm(*[x.denominator if frac else x.den for x in row.values()])
+        for j, x in row.items():
+            if frac:
+                row[j] = x.numerator * (d // x.denominator)
+                continue
+            num, k = x.num, d // x.den
+            if x.n != n:
+                num = num + pad if x.n == 1 else x.lift(n).num
+            row[j] = num[0] * k if n == 1 else tuple(map(k.__mul__, num))
+
+
+@lru_cache(maxsize=1024)
+def _conjugates(n: int, num: tuple) -> tuple:
+    """Integer coordinates of a positive multiple of num's other conjugates' product."""
+    return _make(n, num, 1).inverse().num
+
+
+def _apply(row: dict, n: int, op) -> None:
+    """Apply op to each integer coordinate of a row, in place."""
+    for j, x in row.items():
+        row[j] = op(x) if n == 1 else tuple(map(op, x))
+
+
+def _divide_content(row: dict, n: int) -> None:
+    """Divide a row of integer coordinates by the gcd of them all."""
+    if (g := math.gcd(*(row.values() if n == 1 else chain.from_iterable(row.values())))) > 1:
+        _apply(row, n, g.__rfloordiv__)
 
 
 def kernel_of_rows(rows: list, ncols: int) -> "Subspace":

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from vvmf.ahol import ahol_decompose, raise_op
 from vvmf.cli import (
     _same_left_coset,
+    build_parser,
     load_bundled_registry,
     main,
     parse_rep_expr,
@@ -129,6 +131,52 @@ def test_cli_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "homspace", "--source", "nosuch", "--target", "triv")
     assert code == 2 and "error" in err
 
+
+
+# one command line per subcommand and sub-subcommand, with its options
+_COMMAND_LINES = [
+    ["eis", "--weight", "4", "--prec", "5"],
+    ["vveis", "--weight", "4", "--type", "rho3", "--index", "3", "--prec", "12", "--format", "json"],
+    ["hecke", "cosets", "--genus", "2", "--index", "3", "--count-only"],
+    ["hecke", "apply", "--index", "2", "--form", "f.json", "--out", "o.json"],
+    ["homspace", "--source", "T3(rho3)", "--target", "rho3"],
+    ["decompose", "--rep", "rho3", "--registry", "r.json"],
+    ["hyperprod", "--left", "a.json", "--right", "b.json", "--targets", "t.json", "--prec", "9"],
+    ["ahol", "raise", "--form", "f.json"],
+    ["ahol", "lower", "--form", "f.json", "--format", "json"],
+    ["ahol", "decompose", "--form", "f.json"],
+    ["ahol", "closure", "--span", "s.json", "--window", "4:8", "--max-rounds", "3"],
+    ["verify", "thm11", "--k", "20", "--l", "4", "--l2", "6", "--indices", "1,2,3"],
+    ["verify", "all", "--prec", "7"],
+]
+
+
+def _subcommands(ap):
+    return next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_one_subcommand_parser_parses_as_the_full_tree():
+    full = build_parser()
+    assert {argv[0] for argv in _COMMAND_LINES} == set(_subcommands(full))
+    for argv in _COMMAND_LINES:
+        one = build_parser(argv[0])
+        assert list(_subcommands(one)) == [argv[0]]
+        assert one.parse_args(argv) == full.parse_args(argv)
+    # a name that is no subcommand builds the full tree
+    assert set(_subcommands(build_parser("bogus"))) == set(_subcommands(full))
+
+
+def test_help_lists_every_subcommand_and_unknown_commands_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert all(name in out for name in _subcommands(build_parser()))
+    for argv in (["bogus"], [], ["--format", "json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 _ONE = {"n": 1, "c": ["1"]}
 # a registry or form file whose matrix cell is a bare string, a registry

@@ -5,8 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from vvmf.exactnum import CycNum, as_cyc
-from vvmf.linalg import Matrix, Subspace, _rref_inplace, dense_row, kernel_of_rows, sparse_row
+from vvmf import linalg
+from vvmf.exactnum import CycNum, _lower_to_conductor, as_cyc, euler_phi
+from vvmf.linalg import (
+    Matrix,
+    Subspace,
+    _rref_inplace,
+    dense_row,
+    invert_rational,
+    invert_rows,
+    kernel_of_rows,
+    sparse_row,
+)
 
 
 def e(i, n):
@@ -50,8 +60,6 @@ def kron_oracle(a, b):
 
 
 def random_matrix(rng, rows, cols, conductor=1):
-    from vvmf.exactnum import euler_phi
-
     def cell():
         if conductor == 1:
             return CycNum.from_rational(Fraction(rng.randint(-4, 4)))
@@ -315,7 +323,7 @@ def test_sparse_kron_matches_dense_reference(field):
 # same RREF, so it is an oracle for the sparsest-row kernel.
 
 
-def reference_rref(rows: list, ncols: int, stop_col: int | None = None) -> list:
+def first_nonzero_rref(rows: list, ncols: int, stop_col: int | None = None) -> list:
     """Reduce rows in place to RREF; returns pivot columns.
 
     Gauss-Jordan with first-nonzero pivots; output is the unique RREF.
@@ -399,7 +407,7 @@ def test_sparsest_row_kernel_matches_first_nonzero_reference(field):
         stop = ncols if trial % 3 == 0 else rng.randint(0, ncols)
 
         ref = [list(r) for r in vals]
-        want = reference_rref(ref, ncols, stop)
+        want = first_nonzero_rref(ref, ncols, stop)
         work = [sparse_row(r) for r in vals]
         pivots = _rref_inplace(work, ncols, stop)
         assert pivots == want, trial
@@ -420,7 +428,7 @@ def test_sparsest_row_kernel_matches_first_nonzero_reference(field):
             # modulo that span
             tails = [[r[stop:] for r in rows[k:]] for rows in (got, ref)]
             for t in tails:
-                reference_rref(t, ncols - stop)
+                first_nonzero_rref(t, ncols - stop)
             tails = [[r for r in t if any(r)] for t in tails]
             assert tails[0] == tails[1], trial
             assert [r[:stop] for r in got[:k]] == [r[:stop] for r in ref[:k]], trial
@@ -609,3 +617,204 @@ def test_sparse_matrix_matches_dense_reference_bytes_and_conductor():
         q, dq = _mixed_pair(rng, r, r)
         _same_outcome(q.inverse, dq.inverse, seen, "inverse")
     assert seen == {(op, ok) for op in ("solve", "inverse") for ok in (True, False)}
+
+
+# The sparse kernel as it was before it reduced integer coordinates: every
+# update makes new CycNum (or Fraction) entries.  It picks the same pivots,
+# so it is an exact oracle for the fraction-free kernel, also for the pivot
+# rows of an inconsistent system, whose columns from stop_col on depend on
+# the pivot choice.
+
+
+def reference_rref(rows: list, ncols: int, stop_col: int | None = None) -> list:
+    """Reduce sparse rows in place to RREF; returns the pivot columns.
+
+    Gauss-Jordan over a column index, the set of rows that are nonzero in
+    each column.  In each column in turn the pivot is the unused row with
+    the fewest nonzeros (lowest input position on ties).  It is normalized
+    by one inverse and its column is cleared in the rows the index lists,
+    pivot rows included; an entry that cancels leaves its row and the index.
+    Entries are divided with `/`, so Fraction and CycNum rows both work.
+    """
+    if stop_col is None:
+        stop_col = ncols
+    nrows = len(rows)
+    where = [set() for _ in range(stop_col)]
+    for i, row in enumerate(rows):
+        for j in row:
+            if j < stop_col:
+                where[j].add(i)
+    used = [False] * nrows
+    order, pivots = [], []
+    for c in range(stop_col):
+        if len(order) == nrows:
+            break
+        hits = where[c]
+        p = min(
+            (i for i in hits if not used[i]), key=lambda i: (len(rows[i]), i), default=None
+        )
+        if p is None:
+            continue
+        prow = rows[p]
+        inv = 1 / prow[c]
+        for j, x in prow.items():
+            prow[j] = x * inv
+        rest = [(j, y) for j, y in prow.items() if j != c]
+        for i in hits:
+            if i == p:
+                continue
+            row = rows[i]
+            f = -row.pop(c)
+            for j, y in rest:
+                x = row.get(j)
+                if x is None:
+                    row[j] = f * y
+                    if j < stop_col:
+                        where[j].add(i)
+                else:
+                    x = x + f * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        if j < stop_col:
+                            where[j].discard(i)
+        used[p] = True
+        order.append(p)
+        pivots.append(c)
+    rows[:] = [rows[i] for i in order] + [row for i, row in enumerate(rows) if not used[i]]
+    return pivots
+
+
+def _nonzero_cell(rng, n):
+    """A random nonzero entry at conductor n: small integer coordinates over
+    a small denominator."""
+    while True:
+        coords = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(euler_phi(n))]
+        if n > 1 and rng.random() < 0.3:
+            coords[1:] = [0] * (len(coords) - 1)  # a rational entry written at n
+        if any(coords):
+            return CycNum(n, coords)
+
+
+def _system(rng, conductors, nrows, ncols):
+    """Random sparse rows with some zero, repeated and dependent rows, each
+    entry at a conductor drawn from conductors."""
+    density = rng.choice([0.2, 0.35, 0.6])
+    rows = [{j: _nonzero_cell(rng, rng.choice(conductors)) for j in range(ncols)
+             if rng.random() < density} for _ in range(nrows)]
+    rows.insert(rng.randint(0, nrows), {})
+    rows.append(dict(rng.choice(rows)))
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+    two = CycNum.from_rational(2)
+    both = {k: rows[i].get(k, 0) + two * rows[j].get(k, 0) for k in rows[i].keys() | rows[j].keys()}
+    rows.append({k: x for k, x in both.items() if x})
+    return rows
+
+
+def _kernels_agree(rows, ncols, stop=None, one_conductor=None):
+    """Both kernels on copies of rows: the same pivots, equal pivot rows, and
+    remaining rows that are empty before stop and nonzero in the same
+    columns (each is a nonzero multiple of the reference's).  Returns
+    whether the remaining rows are all empty."""
+    got, want = [dict(r) for r in rows], [dict(r) for r in rows]
+    pivots = _rref_inplace(got, ncols, stop)
+    assert pivots == reference_rref(want, ncols, stop)
+    k = len(pivots)
+    assert got[:k] == want[:k]
+    assert [r[pc] for r, pc in zip(got, pivots)] == [1] * k
+    assert all(j >= (ncols if stop is None else stop) for r in got[k:] for j in r)
+    assert [set(r) for r in got[k:]] == [set(r) for r in want[k:]]
+    cells = [x for r in got for x in r.values()]
+    if one_conductor is not None:
+        assert [[x.n for x in r.values()] for r in got[:k]] == [
+            [x.n for x in r.values()] for r in want[:k]
+        ]
+    if cells and isinstance(cells[0], CycNum):
+        joint = math.lcm(*(x.n for r in rows for x in r.values()))
+        assert {x.n for x in cells} == {joint}
+    return not any(got[k:])
+
+
+def _same_outcome_as_reference(monkeypatch, op):
+    """op() with the kernel and with the reference kernel in its place give
+    equal results, or both raise ValueError; returns whether they raised."""
+
+    def outcome():
+        try:
+            return op()
+        except ValueError:
+            return ValueError
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_rref_inplace", reference_rref)
+        want = outcome()
+    assert outcome() == want
+    return want is ValueError
+
+
+@pytest.mark.parametrize("conductors", [(1,), (3,), (4,), (5,), (12,), (1, 3, 4), (3, 5)])
+def test_fraction_free_kernel_matches_the_reference_kernel(monkeypatch, conductors):
+    rng = random.Random(1900 + sum(conductors) * len(conductors))
+    single = conductors[0] if len(conductors) == 1 else None
+    seen = set()
+    for trial in range(30):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        rows = _system(rng, conductors, nrows, ncols)
+        _kernels_agree(rows, ncols, None, single)
+        stop = rng.randint(0, ncols)
+        seen.add(("stop", stop < ncols, _kernels_agree(rows, ncols, stop, single)))
+
+        # solve_right with a consistent right-hand side a * x and a random one,
+        # and its augmented rows, whose pivot rows depend on the pivot choice
+        # when the system is inconsistent
+        a = Matrix.from_nonzeros(ncols, rows)
+        x = Matrix.from_nonzeros(2, _system(rng, conductors, ncols, 2)[:ncols])
+        y = Matrix.from_nonzeros(2, _system(rng, conductors, len(rows), 2)[: len(rows)])
+        for b in (a * x, y):
+            aug = [r | {ncols + j: y for j, y in s.items()} for r, s in zip(a.nonzeros, b.nonzeros)]
+            consistent = _kernels_agree(aug, ncols + 2, ncols, single)
+            raised = _same_outcome_as_reference(monkeypatch, lambda: a.solve_right(b))
+            assert raised != consistent
+            seen.add(("solve", consistent))
+
+        # invert_rows on a square system, invertible or singular
+        square = _system(rng, conductors, ncols, ncols)[:ncols]
+        one = CycNum.one()
+        aug = [r | {ncols + i: one} for i, r in enumerate(square)]
+        _kernels_agree(aug, 2 * ncols, ncols)
+        raised = _same_outcome_as_reference(monkeypatch, lambda: invert_rows(square, one))
+        seen.add(("invert", raised))
+    assert seen >= {("solve", True), ("solve", False), ("invert", True), ("invert", False)}
+    assert ("stop", True, False) in seen
+
+
+def test_fraction_rows_match_the_reference_kernel(monkeypatch):
+    """Fraction rows, as invert_rational and conductor lowering pass them,
+    come back as Fraction entries equal to the reference's."""
+    rng = random.Random(1919)
+    seen = set()
+    for trial in range(40):
+        k = rng.randint(1, 6)
+        mat = [[rng.randint(-4, 4) * (rng.random() < 0.6) for _ in range(k)] for _ in range(k)]
+        if trial % 4 == 0:
+            mat[-1] = [2 * x for x in mat[0]]
+        rows = [sparse_row(map(Fraction, r)) for r in mat]
+        aug = [r | {k + i: Fraction(1)} for i, r in enumerate(rows)]
+        got = [dict(r) for r in aug]
+        _rref_inplace(got, 2 * k, k)
+        assert all(type(x) is Fraction for r in got for x in r.values())
+        _kernels_agree(aug, 2 * k, k)
+        seen.add(_same_outcome_as_reference(monkeypatch, lambda: invert_rational(mat)))
+        # a rational system with a right-hand side, not square
+        rows = [sparse_row(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * (rng.random() < 0.5)
+                           for _ in range(k + 2)) for _ in range(k)]
+        _kernels_agree(rows, k + 2, rng.randint(0, k + 2))
+    assert seen == {True, False}
+    # conductor lowering solves a Fraction system with stop_col < ncols
+    lowered = {}
+    for x, m in [((1, 0, 0, 1), 4), ((1, 0, 0, 1), 3), ((0, 1, 0, -1), 4), ((2, 0, -1, 0), 6)]:
+        x = CycNum(12, list(x))
+        _same_outcome_as_reference(monkeypatch, lambda: _lower_to_conductor(x, m))
+        lowered[x, m] = _lower_to_conductor(x, m) is not None
+    assert set(lowered.values()) == {True, False}
