@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, zip_longest
-from operator import add, neg
+from operator import add
 
 from .exactnum import CycNum, _make, _mul_num, as_cyc, euler_phi
 
@@ -298,8 +298,7 @@ def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
         for j in row:
             if j < stop_col:
                 where[j].add(i)
-    used = [False] * len(rows)
-    order, pivots = [], []
+    used, order, pivots = [False] * len(rows), [], []
     for c in range(stop_col):
         if len(order) == len(rows):
             break
@@ -326,7 +325,7 @@ def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
             s, f = big // g, (-f // g if n == 1 else tuple(map((-g).__rfloordiv__, f)))
             mul = None if n == 1 or any(f[1:]) else f[0].__mul__
             if s != 1:
-                _apply(row, n, s.__mul__)
+                _scale(row, n, s)
             for j, y in rest:
                 y = f * y if n == 1 else map(mul, y) if mul else _mul_num(n, f, y)
                 x = row.get(j)
@@ -349,7 +348,7 @@ def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
     for row, c in zip_longest(rows, pivots):
         den = 1 if c is None else row[c] if n == 1 else row[c][0]
         if den < 0:
-            _apply(row, n, neg)
+            _scale(row, n, -1)
         for j, x in row.items():
             row[j] = Fraction(x, abs(den)) if frac else _make(n, (x,) if n == 1 else x, abs(den))
     return pivots
@@ -377,16 +376,17 @@ def _conjugates(n: int, num: tuple) -> tuple:
     return _make(n, num, 1).inverse().num
 
 
-def _apply(row: dict, n: int, op) -> None:
-    """Apply op to each integer coordinate of a row, in place."""
+def _scale(row: dict, n: int, s: int) -> None:
+    """Multiply each integer coordinate of a row by s, in place."""
     for j, x in row.items():
-        row[j] = op(x) if n == 1 else tuple(map(op, x))
+        row[j] = s * x if n == 1 else tuple(map(s.__mul__, x))
 
 
 def _divide_content(row: dict, n: int) -> None:
     """Divide a row of integer coordinates by the gcd of them all."""
     if (g := math.gcd(*(row.values() if n == 1 else chain.from_iterable(row.values())))) > 1:
-        _apply(row, n, g.__rfloordiv__)
+        for j, x in row.items():
+            row[j] = x // g if n == 1 else tuple(map(g.__rfloordiv__, x))
 
 
 def kernel_of_rows(rows: list, ncols: int) -> "Subspace":
