@@ -271,10 +271,10 @@ def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
     Markowitz, Management Sci. 3, 1957); its row is multiplied by the other
     Galois conjugates of a pivot that is not rational, making it an integer
     N.  Each indexed row with entry f there becomes (N/g) row - (f/g) pivot
-    row, g = gcd(N, f), and loses its content if N/g != 1; an entry that
-    cancels leaves its row and the index.  Every row stays a nonzero
-    multiple of the row that division by each pivot gives; on exit each
-    pivot row is divided by its pivot once.
+    row, g = gcd(N, f), divided by its content if N/g != 1 (only scaling
+    compounds a content); an entry that cancels leaves its row and the
+    index.  Every row stays a nonzero multiple of the row that division by
+    each pivot gives; on exit each pivot row is divided by its pivot once.
 
     On return rows holds the pivot rows in pivot order, then the other rows
     in input order, each up to a nonzero rational factor and empty before
@@ -287,9 +287,7 @@ def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
     if stop_col is None:
         stop_col = ncols
     cells = [x for row in rows for x in row.values()]
-    if not cells:
-        return []
-    frac = not isinstance(cells[0], CycNum)
+    frac = any(not isinstance(x, CycNum) for x in cells[:1])
     n = 1 if frac else math.lcm(*{x.n for x in cells})
     zero = 0 if n == 1 else (0,) * euler_phi(n)
     _to_coordinates(rows, n, frac)
@@ -319,8 +317,7 @@ def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
                 continue
             row = rows[i]
             f = row.pop(c)
-            # row becomes s * row + f * prow for s = big / g, f = -f / g and
-            # g = gcd(big, f); only a scaled row can gain a content
+            # row becomes s row + f prow, s = big/g, f = -f/g, g = gcd(big, f)
             g = math.gcd(big, f) if n == 1 else math.gcd(big, *f)
             s, f = big // g, (-f // g if n == 1 else tuple(map((-g).__rfloordiv__, f)))
             mul = None if n == 1 or any(f[1:]) else f[0].__mul__
@@ -372,7 +369,8 @@ def _to_coordinates(rows: list, n: int, frac: bool) -> None:
 
 @lru_cache(maxsize=1024)
 def _conjugates(n: int, num: tuple) -> tuple:
-    """Integer coordinates of a positive multiple of num's other conjugates' product."""
+    """Integer coordinates of a positive multiple of the product of the other
+    Galois conjugates of num, so that num times it is a positive integer."""
     return _make(n, num, 1).inverse().num
 
 
