@@ -288,9 +288,12 @@ def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
         stop_col = ncols
     cells = [x for row in rows for x in row.values()]
     frac = any(not isinstance(x, CycNum) for x in cells[:1])
-    n = 1 if frac else math.lcm(*{x.n for x in cells})
+    out = 1 if frac else math.lcm(*{x.n for x in cells})
+    pad = (0,) * (euler_phi(out) - 1)
+    # rational entries are reduced as ints, whatever conductor they are at
+    n = out if out > 1 and any(any(x.num[1:]) for x in cells) else 1
     zero = 0 if n == 1 else (0,) * euler_phi(n)
-    _to_coordinates(rows, n, frac)
+    _to_coordinates(rows, n, frac, pad)
     where = [set() for _ in range(stop_col)]
     for i, row in enumerate(rows):
         for j in row:
@@ -347,14 +350,14 @@ def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
         if den < 0:
             _scale(row, n, -1)
         for j, x in row.items():
-            row[j] = Fraction(x, abs(den)) if frac else _make(n, (x,) if n == 1 else x, abs(den))
+            x = (x,) + pad if n == 1 and not frac else x
+            row[j] = Fraction(x, abs(den)) if frac else _make(out, x, abs(den))
     return pivots
 
 
-def _to_coordinates(rows: list, n: int, frac: bool) -> None:
-    """Rewrite each row in place as integer coordinates at conductor n over
-    one denominator: an int per entry for n = 1, a tuple of phi(n) ints else."""
-    pad = (0,) * (euler_phi(n) - 1)
+def _to_coordinates(rows: list, n: int, frac: bool, pad: tuple) -> None:
+    """Rewrite each row in place as integer coordinates at conductor n over one
+    denominator: an int per entry for n = 1, else phi(n) ints (pad lifts n = 1)."""
     for row in rows:
         d = math.lcm(*[x.denominator if frac else x.den for x in row.values()])
         for j, x in row.items():
@@ -362,7 +365,7 @@ def _to_coordinates(rows: list, n: int, frac: bool) -> None:
                 row[j] = x.numerator * (d // x.denominator)
                 continue
             num, k = x.num, d // x.den
-            if x.n != n:
+            if x.n != n and n > 1:
                 num = num + pad if x.n == 1 else x.lift(n).num
             row[j] = num[0] * k if n == 1 else tuple(map(k.__mul__, num))
 

@@ -764,6 +764,9 @@ def test_fraction_free_kernel_matches_the_reference_kernel(monkeypatch, conducto
         _kernels_agree(rows, ncols, None, single)
         stop = rng.randint(0, ncols)
         seen.add(("stop", stop < ncols, _kernels_agree(rows, ncols, stop, single)))
+        # the same pattern with rational entries written at the same conductors
+        rational = [{j: as_cyc(x.c[0] or 1).lift(x.n) for j, x in r.items()} for r in rows]
+        _kernels_agree(rational, ncols, stop, single)
 
         # solve_right with a consistent right-hand side a * x and a random one,
         # and its augmented rows, whose pivot rows depend on the pivot choice
