@@ -508,8 +508,7 @@ def _span_from_json(obj, registry: RepRegistry) -> FormSpan:
 # entry point
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser: given a subcommand's name, with that subcommand's
-    parser only; given no name or an unknown one, the full tree."""
+    """The argument parser; given a subcommand's name, with its parser only."""
     ap = argparse.ArgumentParser(prog="vvmf", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -152,10 +152,12 @@ def _scaled_inverse_transpose(d, M: int):
 
 
 def _assemble(a, b, d, g):
-    """The 2g x 2g block matrix [[a, b], [0, d]] as a tuple of row tuples."""
-    return tuple(tuple(a[i]) + tuple(b[i]) for i in range(g)) + tuple(
-        (0,) * g + tuple(d[i]) for i in range(g)
-    )
+    mat = []
+    for i in range(g):
+        mat.append(tuple(a[i]) + tuple(b[i]))
+    for i in range(g):
+        mat.append((0,) * g + tuple(d[i]))
+    return tuple(mat)
 
 
 def reduce_to_coset(m):

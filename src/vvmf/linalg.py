@@ -263,26 +263,26 @@ def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
     """Reduce sparse rows in place to RREF; returns the pivot columns.
 
     Rows are dicts {column: nonzero entry}, all CycNum or all Fraction; only
-    columns before stop_col are pivot candidates.  Fraction-free
-    Gauss-Jordan (E. H. Bareiss, Math. Comp. 22, 1968) on integer
-    coordinates at n, the lcm of the entries' conductors, over a column
-    index of the rows that are nonzero there.  The pivot of each column is
-    the unused row with the fewest nonzeros, lowest position on ties (H. M.
-    Markowitz, Management Sci. 3, 1957); its row is multiplied by the other
-    Galois conjugates of a pivot that is not rational, making it an integer
-    N.  Each indexed row with entry f there becomes (N/g) row - (f/g) pivot
-    row, g = gcd(N, f), divided by its content if N/g != 1 (only scaling
-    compounds a content); an entry that cancels leaves its row and the
-    index.  Every row stays a nonzero multiple of the row that division by
-    each pivot gives; on exit each pivot row is divided by its pivot once.
+    columns before stop_col are pivot candidates.  Fraction-free Gauss-Jordan
+    (E. H. Bareiss, Math. Comp. 22, 1968) on integer coordinates at n, the
+    lcm of the entries' conductors (over Q when every entry is rational),
+    over a column index of the rows that are nonzero there.  The pivot of
+    each column is the unused row with the fewest nonzeros, lowest position
+    on ties (H. M. Markowitz, Management Sci. 3, 1957); its row is multiplied
+    by the other Galois conjugates of a pivot that is not rational, making
+    it an integer N.  Each indexed row with entry f there becomes
+    (N/g) row - (f/g) pivot row, g = gcd(N, f), divided by its content if
+    N/g != 1 (only scaling compounds a content); an entry that cancels leaves
+    its row and the index.  Every row stays a nonzero multiple of the row
+    that division by each pivot gives; each pivot row is divided by its
+    pivot once, on exit.
 
     On return rows holds the pivot rows in pivot order, then the other rows
     in input order, each up to a nonzero rational factor and empty before
-    stop_col.  Entries come back at n (Fractions for Fraction rows).  When
-    the other rows are empty (always so for stop_col == ncols) the pivot
-    rows are the unique RREF whatever the pivot choice; otherwise their
-    columns from stop_col on are fixed only modulo the other rows, and
-    callers treat that case as inconsistent.
+    stop_col; entries are at n (Fractions for Fraction rows).  When the
+    other rows are empty (always so for stop_col == ncols) the pivot rows
+    are the unique RREF; otherwise their columns from stop_col on are fixed
+    only modulo the other rows, and callers treat that as inconsistent.
     """
     if stop_col is None:
         stop_col = ncols
@@ -303,8 +303,7 @@ def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
     for c in range(stop_col):
         if len(order) == len(rows):
             break
-        hits = where[c]
-        p = min((i for i in hits if not used[i]), key=lambda i: (len(rows[i]), i), default=None)
+        p = min((i for i in where[c] if not used[i]), key=lambda i: (len(rows[i]), i), default=None)
         if p is None:
             continue
         prow = rows[p]
@@ -315,7 +314,7 @@ def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
             _divide_content(prow, n)
         big = prow[c] if n == 1 else prow[c][0]
         rest = [(j, y) for j, y in prow.items() if j != c]
-        for i in hits:
+        for i in where[c]:
             if i == p:
                 continue
             row = rows[i]
@@ -361,11 +360,8 @@ def _to_coordinates(rows: list, n: int, frac: bool, pad: tuple) -> None:
     for row in rows:
         d = math.lcm(*[x.denominator if frac else x.den for x in row.values()])
         for j, x in row.items():
-            if frac:
-                row[j] = x.numerator * (d // x.denominator)
-                continue
-            num, k = x.num, d // x.den
-            if x.n != n and n > 1:
+            num, k = ((x.numerator,), d // x.denominator) if frac else (x.num, d // x.den)
+            if n > 1 and x.n != n:
                 num = num + pad if x.n == 1 else x.lift(n).num
             row[j] = num[0] * k if n == 1 else tuple(map(k.__mul__, num))
 
