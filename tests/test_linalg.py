@@ -712,7 +712,7 @@ def _system(rng, conductors, nrows, ncols):
     return rows
 
 
-def _kernels_agree(rows, ncols, stop=None, one_conductor=None):
+def _kernels_agree(rows, ncols, stop=None, single_conductor=None):
     """Both kernels on copies of rows: the same pivots, equal pivot rows, and
     remaining rows that are empty before stop and nonzero in the same
     columns (each is a nonzero multiple of the reference's).  Returns
@@ -726,7 +726,7 @@ def _kernels_agree(rows, ncols, stop=None, one_conductor=None):
     assert all(j >= (ncols if stop is None else stop) for r in got[k:] for j in r)
     assert [set(r) for r in got[k:]] == [set(r) for r in want[k:]]
     cells = [x for r in got for x in r.values()]
-    if one_conductor is not None:
+    if single_conductor is not None:
         assert [[x.n for x in r.values()] for r in got[:k]] == [
             [x.n for x in r.values()] for r in want[:k]
         ]
