@@ -18,10 +18,10 @@ from fractions import Fraction
 
 from .ahol import AholForm, ahol_decompose, apply_intertwiner, lower_op, raise_op, tinf_closure
 from .exactnum import CycNum
-from .forms import delta_form, eisenstein, rankin_cohen, sigma, vv_eisenstein
+from .forms import bracket_projections, delta_form, eisenstein, sigma, vv_eisenstein
 from .hecke import delta_cosets, hecke_form, hecke_rep
 from .hyperalg import (
-    FormSpan, hyper_tensor, projections, span_contains, span_sum, sturm_bound, tensor_form,
+    FormSpan, hyper_tensor, span_contains, span_sum, sturm_bound, tensor_form,
 )
 from .linalg import Matrix
 from .qexp import InsufficientPrecision
@@ -333,12 +333,11 @@ def thm11_span(k: int, l: int, l2: int, hecke_indices, prec, registry: RepRegist
     triv = [registry.get("triv")] if "triv" in registry else []
     span = FormSpan()
     for M in sorted(hecke_indices):
-        fl = eisenstein(l, prec * M)
-        fr = eisenstein(l2, prec * M)
-        tl = hecke_form(M, fl) if M > 1 else fl
-        tr = hecke_form(M, fr) if M > 1 else fr
+        images = {w: hecke_form(M, e) if M > 1 else e
+                  for w in {l, l2} for e in [eisenstein(w, prec * M)]}
+        tl, tr = images[l], images[l2]
         name = f"({tl.name} (x) {'R(' * t}{tr.name}{')' * t})"
-        for tag, image in projections(rankin_cohen(tl, tr, t), triv):
+        for tag, image in bracket_projections(tl, tr, t, triv):
             prov = f"phi[{tag}] . {name}"
             span.add(image, provenance=f"h0[{prov}]" if t else prov)
     return span
@@ -408,7 +407,7 @@ VERIFY_RUNNERS = {
     "example32": lambda args, reg: verify_example32(registry=reg, prec=args.prec),
     "counts": lambda args, reg: verify_counts(),
     "thm11": lambda args, reg: verify_thm11(
-        args.k, args.l, args.l2, [int(x) for x in args.indices.split(",") if x], args.prec, reg
+        args.k, args.l, args.l2, [int(x) for x in args.indices.split(",")], args.prec, reg
     ),
 }
 
@@ -588,6 +587,8 @@ def run(args) -> int:
         value = getattr(args, opt, None)
         if value is not None and value < 1:
             raise ValueError(f"--{opt.replace('_', '-')} must be positive, got {value}")
+    if not re.fullmatch(r"-?\d+(,-?\d+)*", indices := getattr(args, "indices", "1")):
+        raise ValueError(f"--indices must be comma separated integers, got {indices!r}")
     registry = load_registry(getattr(args, "registry", None))
 
     # each command gives its JSON body and a text renderer; only a failed

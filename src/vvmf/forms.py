@@ -11,20 +11,21 @@ M^(k/2) rational).
 The Rankin-Cohen bracket [f, g]_t, built from theta = q d/dq alone, is up
 to a nonzero rational factor the weight k_f + k_g + 2t holomorphic layer
 of every R^a f (x) R^b g with a + b = t.  All its products go to one
-`qexp.combine` call, in the row layout of `hyperalg.tensor_form`.
+`qexp.combine` call; its projections contract each map into g first.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 from .ahol import AholForm, apply_intertwiner
 from .exactnum import CycNum, bernoulli
 from .qexp import QExp, combine
 from .reps import Rep, trivial_rep
 from . import hecke as _hecke
-from .hyperalg import FormSpan, projections
+from .hyperalg import FormSpan, _basis_maps, projections
 
 
 # the holomorphic constructor under its exported name: a depth-0 AholForm
@@ -44,11 +45,8 @@ def eisenstein(k: int, prec) -> AholForm:
         raise ValueError(f"Eisenstein weight must be even and >= 4, got {k}")
     prec = Fraction(prec)
     factor = Fraction(-2 * k) / bernoulli(k)
-    terms = {0: CycNum.one()}
-    n = 1
-    while n < prec:
-        terms[n] = CycNum.from_rational(factor * sigma(k - 1, n))
-        n += 1
+    terms = {n: CycNum.from_rational(factor * sigma(k - 1, n)) if n else CycNum.one()
+             for n in range(math.ceil(prec))}
     return AholForm.holomorphic(k, trivial_rep(), (QExp(1, prec, terms),), name=f"E{k}")
 
 
@@ -66,24 +64,49 @@ def rankin_cohen(f: AholForm, g: AholForm, t: int) -> AholForm:
     [f, g]_t = sum_r (-1)^r C(t+k_f-1, t-r) C(t+k_g-1, r) theta^r f . theta^(t-r) g
     on the type type(f) (x) type(g), components flattened as i*dim_g + j as
     in `tensor_form` (H. Cohen, Math. Ann. 217 (1975); D. Zagier, Modular
-    forms and differential operators (1994)).  One `qexp.combine` call makes
-    every component: its series are the scaled theta^r f_i at i*(t+1) + r,
-    and row (i, j) holds theta^(t-r) g_j at column i*(t+1) + r, 0 elsewhere.
+    forms and differential operators (1994)): `_bracket` with one row per
+    component (i, j), whose one block i holds g_j.
     """
-    kf, kg = f.weight, g.weight
+    dg = [_thetas(q, t) for q in g.components]
+    rows = [{i: d} for i in range(f.rep.dim) for d in dg]
+    name = f"[{f.name}, {g.name}]_{t}" if f.name and g.name else ""
+    return AholForm.holomorphic(f.weight + g.weight + 2 * t, f.rep.tensor(g.rep),
+                                _bracket(f, g.weight, t, rows), name=name)
+
+
+def bracket_projections(f: AholForm, g: AholForm, t: int, targets) -> list:
+    """`projections(rankin_cohen(f, g, t), targets)`, each map contracted into g
+    first: as theta is linear, row a of phi([f, g]_t) is `_bracket` with the
+    blocks h_ai = sum_j phi[a, i*dim_g + j] g_j (one scalar `combine` makes
+    them all) where phi's row is nonzero, so conductors can only get smaller."""
+    dg, maps = g.rep.dim, _basis_maps(f.rep.tensor(g.rep), targets)
+    blocks = [[(i, s) for i in range(f.rep.dim) if any(s := phi.row(a)[i * dg:(i + 1) * dg])]
+              for _, (phi, target) in maps for a in range(target.dim)]
+    hs = iter(combine([s for row in blocks for _, s in row], g.components))
+    comps = iter(_bracket(f, g.weight, t, [{i: _thetas(next(hs), t) for i, _ in row}
+                                           for row in blocks]))
+    name = f"phi([{f.name}, {g.name}]_{t})" if f.name and g.name else ""
+    return [(tag, AholForm.holomorphic(f.weight + g.weight + 2 * t, target,
+                                       [next(comps) for _ in range(target.dim)], name=name))
+            for tag, (_, target) in maps]
+
+
+def _bracket(f: AholForm, kg: int, t: int, rows) -> list:
+    """Per row of blocks {i: [h, theta h, ..., theta^t h]}, sum_i sum_r c_r theta^r f_i .
+    theta^(t-r) h by one `qexp.combine`: its series are c_r theta^r f_i at i*(t+1) + r,
+    and a row holds theta^(t-r) h at column i*(t+1) + r per block i, 0 elsewhere."""
+    kf = f.weight
     if t < 0 or t + min(kf, kg) < 1:
         raise ValueError(f"bracket needs t >= 0 and t + k >= 1 for both weights, got t = {t}")
-    df, dg = [f.components], [g.components]
-    for _ in range(t):
-        df.append([q.theta() for q in df[-1]])
-        dg.append([q.theta() for q in dg[-1]])
-    series = [fi[r].scaled((-1) ** r * math.comb(t + kf - 1, t - r) * math.comb(t + kg - 1, r))
-              for fi in zip(*df) for r in range(t + 1)]
-    rows = [[gj[t - r] if k == i else 0 for k in range(f.rep.dim) for r in range(t + 1)]
-            for i in range(f.rep.dim) for gj in zip(*dg)]
-    name = f"[{f.name}, {g.name}]_{t}" if f.name and g.name else ""
-    return AholForm.holomorphic(kf + kg + 2 * t, f.rep.tensor(g.rep), combine(rows, series),
-                                name=name)
+    series = [d[r].scaled((-1) ** r * math.comb(t + kf - 1, t - r) * math.comb(t + kg - 1, r))
+              for d in (_thetas(q, t) for q in f.components) for r in range(t + 1)]
+    return combine([[row[i][t - r] if i in row else 0 for i in range(f.rep.dim)
+                     for r in range(t + 1)] for row in rows], series)
+
+
+def _thetas(q: QExp, t: int) -> list:
+    """[q, theta q, ..., theta^t q]."""
+    return list(accumulate(range(t), lambda x, _: x.theta(), initial=q))
 
 
 def check_T_consistency(f: AholForm) -> bool:
@@ -115,8 +138,7 @@ def vv_eisenstein(k: int, target: Rep, M: int, prec) -> FormSpan:
     if k < 4 or k % 2 != 0:
         raise ValueError(f"weight must be even and >= 4, got {k}")
     prec = Fraction(prec)
-    base = eisenstein(k, prec * M)
-    te = _hecke.hecke_form(M, base)
+    te = _hecke.hecke_form(M, eisenstein(k, prec * M))
     span = FormSpan()
     for tag, image in projections(te, [target]):
         span.add(image, provenance=f"phi[{tag}] . T{M}(E{k})")

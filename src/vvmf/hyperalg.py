@@ -330,12 +330,14 @@ def projections(f: AholForm, targets):
     `hom_space` solves for intertwiners, so unlike the public
     `apply_intertwiner` this does not check the maps again.
     """
-    tags, maps = [], []
-    for target in targets:
-        for idx, phi in enumerate(hom_space(f.rep, target)):
-            tags.append(f"{target.label}#{idx}")
-            maps.append((phi, target))
-    return list(zip(tags, _apply_maps(maps, f)))
+    maps = _basis_maps(f.rep, targets)
+    return list(zip([tag for tag, _ in maps], _apply_maps([m for _, m in maps], f)))
+
+
+def _basis_maps(rep, targets) -> list:
+    """(tag, (phi, target)) for every basis map phi, as `projections` tags them."""
+    return [(f"{target.label}#{idx}", (phi, target))
+            for target in targets for idx, phi in enumerate(hom_space(rep, target))]
 
 
 def tensor_form(f: AholForm, g: AholForm) -> AholForm:

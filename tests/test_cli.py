@@ -245,6 +245,15 @@ _NAMED_ERRORS = [
     ("registry-entry-without-label",
      ("homspace", "--registry", "entry-without-label.json", "--source", "triv", "--target", "triv"),
      'a type has no "label" field'),
+    # an empty or non-integer Hecke index was dropped, or reported by int()
+    ("thm11-empty-inner-index", ("verify", "thm11", "--indices", "1,,2"),
+     "--indices must be comma separated integers, got '1,,2'"),
+    ("thm11-empty-last-index", ("verify", "thm11", "--indices", "1,2,"),
+     "--indices must be comma separated integers, got '1,2,'"),
+    ("thm11-non-integer-index", ("verify", "thm11", "--indices", "1,x"),
+     "--indices must be comma separated integers, got '1,x'"),
+    ("verify-all-empty-index", ("verify", "all", "--indices", "1,,2"),
+     "--indices must be comma separated integers, got '1,,2'"),
 ]
 
 
@@ -481,11 +490,12 @@ def reference_thm11_span(k, l, l2, indices, prec, registry) -> FormSpan:
     return final
 
 
-# the perfbench thm11 jobs, the baseline ladder, the equal-weight sweep and
-# grades of dimension 2
+# the perfbench thm11 jobs, the baseline ladder, the equal-weight sweep,
+# grades of dimension 2 and the composite index 4
 THM11_ORACLE_SWEEP = sorted(
     {
         (22, 4, 8, "1,2"),
+        (20, 4, 8, "1,2,4"),
         (18, 6, 10, "1,3"),
         (12, 4, 8, "1,3"),
         (14, 4, 6, "1,2,3"),

@@ -9,6 +9,7 @@ from vvmf.exactnum import CycNum, bernoulli
 from vvmf.forms import (
     VVForm,
     apply_hom,
+    bracket_projections,
     check_T_consistency,
     delta_form,
     eisenstein,
@@ -17,7 +18,7 @@ from vvmf.forms import (
     vv_eisenstein,
 )
 from vvmf.hecke import hecke_form
-from vvmf.hyperalg import tensor_form
+from vvmf.hyperalg import projections, tensor_form
 from vvmf.linalg import Matrix
 from vvmf.qexp import QExp
 from vvmf.reps import builtin_registry, hom_space, trivial_rep
@@ -312,6 +313,53 @@ def test_bracket_matches_the_sum_of_products_across_conductors(reg):
         for t in ts:
             assert_same_terms(rankin_cohen(f, g, t), reference_rankin_cohen(f, g, t))
             assert_same_terms(rankin_cohen(g, f, t), reference_rankin_cohen(g, f, t))
+
+
+def assert_same_projections(f, g, t, targets):
+    """bracket_projections against the projected bracket, image by image:
+    tags, lattice, precision and values equal, and each conductor divides
+    the oracle's.  Returns the images."""
+    got = bracket_projections(f, g, t, targets)
+    want = projections(rankin_cohen(f, g, t), targets)
+    assert [tag for tag, _ in got] == [tag for tag, _ in want]
+    for (_, x), (_, y) in zip(got, want):
+        assert (x.weight, x.rep, x.name) == (y.weight, y.rep, y.name)
+        for p, q in zip(x.components, y.components, strict=True):
+            assert (p.h, p.prec) == (q.h, q.prec) and p.terms.keys() == q.terms.keys()
+            for n, c in p.terms.items():
+                assert c == q.terms[n] and q.terms[n].n % c.n == 0
+    return [x for _, x in got]
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 6])
+def test_bracket_projections_match_the_projected_bracket_on_thm11_inputs(reg, M):
+    # the verify thm11 factors at k = 20 and k = 14, prec 6; at M = 4 and 6
+    # the components of T_M E_l differ in lattice and precision, so a zero
+    # block of a map must not lower the precision of its row
+    for l, l2, t in ((4, 8, 4), (4, 6, 2)):
+        f, g = (hecke_form(M, eisenstein(w, 6 * M)) if M > 1 else eisenstein(w, 6)
+                for w in (l, l2))
+        assert_same_projections(f, g, t, [reg.get("triv")])
+
+
+@pytest.mark.parametrize("M", [2, 3])
+def test_odd_bracket_projections_of_equal_weights_vanish(reg, M):
+    f = hecke_form(M, eisenstein(6, 6 * M))
+    images = assert_same_projections(f, f, 3, [reg.get("triv")])
+    assert images and all(x.is_zero() for x in images)
+
+
+def test_bracket_projections_match_across_conductors(reg):
+    # a rho3 Eisenstein generator mixes conductors 1 and 3, and the maps onto
+    # the registry types have cyclotomic entries and targets of dimension 3
+    f = vv_eisenstein(4, reg.get("rho3"), 3, 12).generators((4, "rho3"))[0][0]
+    targets = [reg.get(label) for label in reg.labels()]
+    assert max(t.dim for t in targets) == 3
+    e4 = eisenstein(4, 12)
+    for t in range(3):
+        assert_same_projections(f, e4, t, targets)
+        assert_same_projections(e4, f, t, targets)
+        assert_same_projections(f, f, t, targets)
 
 
 def test_bracket_of_e4_and_e6_is_a_multiple_of_delta():

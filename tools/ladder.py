@@ -76,6 +76,9 @@ RUNGS = {
     # the largest Rankin-Cohen bracket of the verify jobs: t = 5 on 4 x 4 components
     "thm11-k20": CLI + ["verify", "thm11", "--k", "20", "--l", "4", "--l2", "6",
                         "--indices", "1,2,3", "--format", "json"],
+    # composite indices: the t = 6 bracket of the T6 images is on 12 x 12 components
+    "thm11-k22-m146": CLI + ["verify", "thm11", "--k", "22", "--l", "4", "--l2", "6",
+                             "--indices", "1,4,6", "--format", "json"],
     "vv-product-queries": ["python3", "-c", _VV_QUERIES],
 }
 
