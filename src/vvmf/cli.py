@@ -13,7 +13,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .ahol import AholForm, ahol_decompose, apply_intertwiner, lower_op, raise_op, tinf_closure
@@ -51,15 +50,12 @@ def load_registry(path: str | None) -> RepRegistry:
 # ---------------------------------------------------------------------------
 # harness plumbing
 
-@dataclass
 class HarnessCase:
-    name: str
-    parameters: dict
-    expected: object
-    observed: object = None
-    provenance: str = "derived"
-    status: str = "pass"
-    diagnostics: str = ""
+    def __init__(self, name: str, parameters: dict, expected, observed=None,
+                 provenance: str = "derived", status: str = "pass", diagnostics: str = ""):
+        self.name, self.parameters, self.expected = name, parameters, expected
+        self.observed, self.provenance = observed, provenance
+        self.status, self.diagnostics = status, diagnostics
 
     def check(self, ok: bool, observed=None, diagnostics: str = ""):
         self.observed = observed
@@ -68,10 +64,9 @@ class HarnessCase:
         return self
 
 
-@dataclass
 class Report:
-    command: str
-    cases: list = field(default_factory=list)
+    def __init__(self, command: str):
+        self.command, self.cases = command, []
 
     def add(self, case: HarnessCase) -> HarnessCase:
         self.cases.append(case)
@@ -85,7 +80,7 @@ class Report:
         return {
             "command": self.command,
             "ok": self.ok,
-            "cases": [asdict(c) for c in self.cases],
+            "cases": [dict(vars(c)) for c in self.cases],
         }
 
     def to_text(self, timestamp: bool = True) -> str:

@@ -13,7 +13,7 @@ strings such as "1/2") once.  Ring operations work on ints only: integer
 convolution, integer reduction modulo the monic Phi_n, one gcd, and they
 build their results through the trusted constructor `_make`.  Conductor 1
 (the rationals) takes a scalar path.  The `Fraction` view `.c` serves
-rendering, JSON and conductor lowering only.
+rendering and JSON only.
 
 Elements keep the conductor they were built with; `reduce_conductor` is
 explicit and never applied behind the caller's back, so equality and
@@ -446,15 +446,17 @@ def _lower_to_conductor(x: CycNum, m: int):
     from .linalg import _rref_inplace, sparse_row
 
     k = euler_phi(m)
-    # columns: lifts of the conductor-m power basis, in conductor-n coords
-    cols = [CycNum.zeta(m, j).lift(x.n).c for j in range(k)]
-    aug = [sparse_row([col[i] for col in cols] + [t]) for i, t in enumerate(x.c)]
+    # columns: lifts of the conductor-m power basis, in integer conductor-n
+    # coords; the right-hand side is x times its denominator
+    cols = [CycNum.zeta(m, j).lift(x.n).num for j in range(k)]
+    aug = [sparse_row(map(as_cyc, [col[i] for col in cols] + [t])) for i, t in enumerate(x.num)]
     # the lifted power basis is independent, so the pivots are 0..k-1 and
     # the other rows hold at most the right-hand side
     _rref_inplace(aug, k + 1, stop_col=k)
     if any(aug[k:]):
         return None
-    return [row.get(k, Fraction(0)) for row in aug[:k]]
+    zero = CycNum.zero()
+    return [row.get(k, zero).rational_value() / x.den for row in aug[:k]]
 
 
 _BERNOULLI_CACHE = [Fraction(1), Fraction(-1, 2)]

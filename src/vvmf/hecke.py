@@ -21,7 +21,7 @@ from itertools import product
 
 from .ahol import AholForm
 from .exactnum import CycNum
-from .linalg import Matrix, invert_rational
+from .linalg import Matrix
 from .qexp import slash_expand
 from .reps import Rep, S_MAT, T_MAT
 
@@ -143,12 +143,10 @@ def _delta_cosets_general(genus: int, M: int) -> list:
 
 def _scaled_inverse_transpose(d, M: int):
     """Integer matrix a with t(a) d = M I, or None."""
-    g = len(d)
-    inv = invert_rational(d)
-    a = [[M * inv[j][i] for j in range(g)] for i in range(g)]
-    if any(x.denominator != 1 for row in a for x in row):
+    a = (Matrix.from_rows(d).inverse().transpose() * M).to_rows()
+    if any(x.den != 1 for row in a for x in row):
         return None
-    return [[int(x) for x in row] for row in a]
+    return [[x.num[0] for x in row] for row in a]
 
 
 def _assemble(a, b, d, g):

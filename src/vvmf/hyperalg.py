@@ -162,7 +162,7 @@ class _Pivots:
         if self.inv is None:
             block = [sparse_row(map(_columns(_block_terms(g, self.layout), bound).get, self.pivots))
                      for g in self.forms]
-            self.inv = invert_rows(block, CycNum.one())
+            self.inv = invert_rows(block)
         v = _columns(terms, bound)
         a = [(i, x) for i, p in enumerate(self.pivots) if (x := v.get(p))]
         mults = []  # (den(c_j), M_j, the bit length of M_j's largest entry, g_j's pairs)

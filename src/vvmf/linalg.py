@@ -15,7 +15,6 @@ eliminations touch nonzero entries only; dense callers convert with
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, zip_longest
 from operator import add
@@ -222,7 +221,7 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        return _matrix(self.rows, self.cols, self.n, invert_rows(self.nonzeros, CycNum.one()))
+        return _matrix(self.rows, self.cols, self.n, invert_rows(self.nonzeros))
 
     def __repr__(self):
         body = "; ".join(", ".join(map(str, self.row(i))) for i in range(self.rows))
@@ -262,38 +261,36 @@ def dense_row(row: dict, stop: int, zero, start: int = 0) -> list:
 def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
     """Reduce sparse rows in place to RREF; returns the pivot columns.
 
-    Rows are dicts {column: nonzero entry}, all CycNum or all Fraction; only
-    columns before stop_col are pivot candidates.  Fraction-free Gauss-Jordan
-    (E. H. Bareiss, Math. Comp. 22, 1968) on integer coordinates at n, the
-    lcm of the entries' conductors (over Q when every entry is rational),
-    over a column index of the rows that are nonzero there.  The pivot of
-    each column is the unused row with the fewest nonzeros, lowest position
-    on ties (H. M. Markowitz, Management Sci. 3, 1957); its row is multiplied
-    by the other Galois conjugates of a pivot that is not rational, making
-    it an integer N.  Each indexed row with entry f there becomes
-    (N/g) row - (f/g) pivot row, g = gcd(N, f), divided by its content if
-    N/g != 1 (only scaling compounds a content); an entry that cancels leaves
-    its row and the index.  Every row stays a nonzero multiple of the row
-    that division by each pivot gives; each pivot row is divided by its
-    pivot once, on exit.
+    Rows are dicts {column: nonzero CycNum}; only columns before stop_col are
+    pivot candidates.  Runs fraction-free Gauss-Jordan (E. H. Bareiss, Math.
+    Comp. 22, 1968) on integer coordinates at n, the lcm of the entries'
+    conductors (over Q when every entry is rational), over a column index of
+    the rows that are nonzero there.  The pivot of each column is the unused
+    row with the fewest nonzeros, lowest position on ties (H. M. Markowitz,
+    Management Sci. 3, 1957); its row is multiplied by the other Galois
+    conjugates of a pivot that is not rational, making it an integer N.
+    Each indexed row with entry f there becomes (N/g) row - (f/g) pivot row,
+    g = gcd(N, f), divided by its content if N/g != 1 (only scaling
+    compounds a content); an entry that cancels leaves its row and the
+    index.  Every row stays a nonzero multiple of the row that division by
+    each pivot gives; each pivot row is divided by its pivot once, on exit.
 
     On return rows holds the pivot rows in pivot order, then the other rows
     in input order, each up to a nonzero rational factor and empty before
-    stop_col; entries are at n (Fractions for Fraction rows).  When the
-    other rows are empty (always so for stop_col == ncols) the pivot rows
-    are the unique RREF; otherwise their columns from stop_col on are fixed
-    only modulo the other rows, and callers treat that as inconsistent.
+    stop_col; entries are at n.  When the other rows are empty (always so
+    for stop_col == ncols) the pivot rows are the unique RREF; otherwise
+    their columns from stop_col on are fixed only modulo the other rows, and
+    callers treat that as inconsistent.
     """
     if stop_col is None:
         stop_col = ncols
     cells = [x for row in rows for x in row.values()]
-    frac = any(not isinstance(x, CycNum) for x in cells[:1])
-    out = 1 if frac else math.lcm(*{x.n for x in cells})
+    out = math.lcm(*{x.n for x in cells})
     pad = (0,) * (euler_phi(out) - 1)
     # rational entries are reduced as ints, whatever conductor they are at
     n = out if out > 1 and any(any(x.num[1:]) for x in cells) else 1
     zero = 0 if n == 1 else (0,) * euler_phi(n)
-    _to_coordinates(rows, n, frac, pad)
+    _to_coordinates(rows, n, pad)
     where = [set() for _ in range(stop_col)]
     for i, row in enumerate(rows):
         for j in row:
@@ -349,18 +346,17 @@ def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
         if den < 0:
             _scale(row, n, -1)
         for j, x in row.items():
-            x = (x,) + pad if n == 1 and not frac else x
-            row[j] = Fraction(x, abs(den)) if frac else _make(out, x, abs(den))
+            row[j] = _make(out, (x,) + pad if n == 1 else x, abs(den))
     return pivots
 
 
-def _to_coordinates(rows: list, n: int, frac: bool, pad: tuple) -> None:
+def _to_coordinates(rows: list, n: int, pad: tuple) -> None:
     """Rewrite each row in place as integer coordinates at conductor n over one
     denominator: an int per entry for n = 1, else phi(n) ints (pad lifts n = 1)."""
     for row in rows:
-        d = math.lcm(*[x.denominator if frac else x.den for x in row.values()])
+        d = math.lcm(*[x.den for x in row.values()])
         for j, x in row.items():
-            num, k = ((x.numerator,), d // x.denominator) if frac else (x.num, d // x.den)
+            num, k = x.num, d // x.den
             if n > 1 and x.n != n:
                 num = num + pad if x.n == 1 else x.lift(n).num
             row[j] = num[0] * k if n == 1 else tuple(map(k.__mul__, num))
@@ -403,21 +399,14 @@ def kernel_of_rows(rows: list, ncols: int) -> "Subspace":
     return Subspace._from_sparse(ncols, list(basis.values()))
 
 
-def invert_rows(rows, one) -> list:
+def invert_rows(rows) -> list:
     """The inverse, as sparse rows, of the square matrix with these sparse
-    rows (left unchanged); one is the unit of their field.  ValueError if
-    the matrix is singular."""
-    n = len(rows)
+    rows (left unchanged).  ValueError if the matrix is singular."""
+    n, one = len(rows), CycNum.one()
     aug = [row | {n + i: one} for i, row in enumerate(rows)]
     if len(_rref_inplace(aug, 2 * n, stop_col=n)) < n:
         raise ValueError("matrix is singular")
     return [{j - n: x for j, x in row.items() if j >= n} for row in aug]
-
-
-def invert_rational(mat) -> list:
-    """Inverse of a square rational matrix as Fraction rows; ValueError if singular."""
-    inv = invert_rows([sparse_row(map(Fraction, row)) for row in mat], Fraction(1))
-    return [dense_row(row, len(mat), Fraction(0)) for row in inv]
 
 
 class Subspace:

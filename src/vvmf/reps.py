@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .exactnum import CycNum, json_int
 from .linalg import Matrix, Subspace, kernel_of_rows
@@ -134,10 +134,8 @@ class Rep:
         )
 
 
-@dataclass
-class RepValidation:
-    label: str
-    checks: list
+class RepValidation(namedtuple("RepValidation", "label checks")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -273,12 +271,11 @@ def rep_isomorphic(r: Rep, r2: Rep) -> bool:
     return len(hom_space(r, r2)) >= 1
 
 
-@dataclass
-class Decomposition:
-    multiplicities: dict
-    residual: "Rep | None"
-    residual_split: list = field(default_factory=list)
-    residual_flagged: bool = False
+Decomposition = namedtuple(
+    "Decomposition",
+    "multiplicities residual residual_split residual_flagged",
+    defaults=((), False),
+)
 
 
 def decompose(r: Rep, registry: "RepRegistry") -> Decomposition:

@@ -19,7 +19,6 @@ from vvmf.cli import (
 )
 from vvmf.forms import eisenstein, vv_eisenstein
 from vvmf.hecke import _is_similitude, delta_cosets, hecke_form
-from vvmf.linalg import invert_rational
 from vvmf.hyperalg import FormSpan, hyper_tensor, sturm_bound
 from vvmf.reps import builtin_registry
 
@@ -55,9 +54,25 @@ def test_verify_counts_report():
     assert all(c.provenance in ("derived", "trivial") for c in report.cases)
 
 
+def fraction_inverse(m):
+    """Inverse of an invertible integer matrix: Gauss-Jordan over Fraction."""
+    n = len(m)
+    rows = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+            for i, r in enumerate(m)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if rows[i][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(n):
+            f = rows[i][c]
+            if i != c and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return [r[n:] for r in rows]
+
+
 def rational_same_left_coset(m1, m2, genus):
     """m1 m2^-1 through the rational inverse of m2: integral and symplectic."""
-    n, inv = 2 * genus, invert_rational(m2)
+    n, inv = 2 * genus, fraction_inverse(m2)
     prod = [[sum(Fraction(m1[r][k]) * inv[k][c] for k in range(n)) for c in range(n)]
             for r in range(n)]
     if any(x.denominator != 1 for row in prod for x in row):
@@ -838,3 +853,21 @@ def test_verify_all_text_report(capsys):
     assert "# vvmf verify example32" in out
     assert "# vvmf verify counts" in out
     assert "# vvmf verify thm11" in out
+
+
+@pytest.mark.parametrize("module", ["vvmf", "vvmf.cli"])
+def test_import_leaves_dataclasses_out(module):
+    """A fresh interpreter that imports the package, or its CLI, and builds
+    the bundled registry has not loaded dataclasses (nor what it pulls in)."""
+    import os
+    import subprocess
+    import sys
+
+    import vvmf
+
+    fresh = f"import sys, {module}, vvmf; vvmf.builtin_registry(); print('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vvmf.__file__)))
+    # -S: no site hooks, which could load dataclasses before the package does
+    out = subprocess.run([sys.executable, "-S", "-c", fresh], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

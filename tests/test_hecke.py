@@ -127,6 +127,41 @@ def test_general_enumerator_agrees_with_fast_path():
         assert fast == general
 
 
+def upper_inverse(d):
+    """Inverse of an invertible upper-triangular matrix: back-substitution
+    over Fraction, one column of the identity at a time."""
+    g = len(d)
+    inv = [[Fraction(0)] * g for _ in range(g)]
+    for j in range(g):
+        for i in reversed(range(g)):
+            s = int(i == j) - sum(d[i][k] * inv[k][j] for k in range(i + 1, g))
+            inv[i][j] = s / Fraction(d[i][i])
+    return inv
+
+
+@pytest.mark.parametrize("genus, indices", [(2, range(1, 13)), (3, range(1, 5))])
+def test_scaled_inverse_transpose_matches_back_substitution(monkeypatch, genus, indices):
+    """On every upper-triangular d the general enumerator visits, a with
+    t(a) d = M I is M times the transposed inverse of d when that is
+    integral, and None otherwise."""
+    from vvmf import hecke
+
+    real, seen = hecke._scaled_inverse_transpose, []
+    # the recorder refuses every d, so no b box is searched
+    monkeypatch.setattr(hecke, "_scaled_inverse_transpose", lambda d, M: seen.append((d, M)))
+    for M in indices:
+        assert hecke._delta_cosets_general(genus, M) == []
+    outcomes = set()
+    for d, M in seen:
+        inv = upper_inverse(d)
+        want = [[M * inv[j][i] for j in range(genus)] for i in range(genus)]
+        if any(x.denominator != 1 for row in want for x in row):
+            want = None
+        assert real(d, M) == want, (d, M)
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
 def test_coset_constructor_validates():
     with pytest.raises(ValueError):
         DeltaCoset(1, ((1, 0), (1, 1)), 1)  # lower-left nonzero

@@ -402,7 +402,7 @@ def scan_column(layout, forms, pivots, f):
     v = _coefficient_row(f, layout)
     terms = []
     if rows:
-        inv = invert_rows([sparse_row(row[q] for q in pivots) for row in rows], CycNum.one())
+        inv = invert_rows([sparse_row(row[q] for q in pivots) for row in rows])
         a = [(i, v[p]) for i, p in enumerate(pivots) if v[p]]
         for j, row in enumerate(rows):
             c = sum((x * inv[i][j] for i, x in a if j in inv[i]), CycNum.zero())

@@ -12,7 +12,6 @@ from vvmf.linalg import (
     Subspace,
     _rref_inplace,
     dense_row,
-    invert_rational,
     invert_rows,
     kernel_of_rows,
     sparse_row,
@@ -165,15 +164,20 @@ def test_rref_is_canonical():
         assert Matrix.from_rows(rows).rref() == want
 
 
-def test_rref_kernel_agrees_on_fraction_and_cyclotomic_rows():
+def test_rref_kernel_agrees_on_rational_rows_at_any_conductor():
+    """A rational system has the same pivots and RREF at conductor 1 and
+    written at a larger conductor, equal to a dense Fraction reduction; the
+    entries come back at the conductor the rows were written at."""
     rng = random.Random(11)
     for _ in range(10):
         vals = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)] for _ in range(3)]
         vals.append([x + 2 * y for x, y in zip(vals[0], vals[1])])
-        frac = [sparse_row(r) for r in vals]
-        cyc = [sparse_row(map(CycNum.from_rational, r)) for r in vals]
-        assert _rref_inplace(frac, 5) == _rref_inplace(cyc, 5)
-        assert cyc == [{j: CycNum.from_rational(x) for j, x in r.items()} for r in frac]
+        red, pivots = dense_rref(vals, 5)
+        for n in (1, 3, 12):
+            cyc = [sparse_row(CycNum.from_rational(x).lift(n) for x in r) for r in vals]
+            assert _rref_inplace(cyc, 5) == pivots
+            assert [dense_row(r, 5, 0) for r in cyc] == red
+            assert {x.n for r in cyc for x in r.values()} == {n}
 
 
 def test_rref_and_rank_match_sympy():
@@ -246,9 +250,18 @@ def dense_product(a, b):
     ]
 
 
-# (zero, nonzero draw): Fraction rows over Q, CycNum rows over Q(zeta3)
+def _rational_draw(n):
+    """Draw of small nonzero rationals, written at conductor n."""
+    return lambda rng: CycNum.from_rational(
+        Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+    ).lift(n)
+
+
+# (zero, nonzero draw): rational rows at conductor 1 and written at
+# conductor 12, and rows over Q(zeta3)
 SPARSE_FIELDS = {
-    "Q": (Fraction(0), lambda rng: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))),
+    "Q": (CycNum.zero(), _rational_draw(1)),
+    "Q@12": (CycNum.zero(), _rational_draw(12)),
     "Q(zeta3)": (
         CycNum.zero(),
         lambda rng: CycNum(3, [rng.randint(-2, 2), rng.choice([-2, -1, 1, 2])]),
@@ -620,7 +633,7 @@ def test_sparse_matrix_matches_dense_reference_bytes_and_conductor():
 
 
 # The sparse kernel as it was before it reduced integer coordinates: every
-# update makes new CycNum (or Fraction) entries.  It picks the same pivots,
+# update makes new CycNum entries.  It picks the same pivots,
 # so it is an exact oracle for the fraction-free kernel, also for the pivot
 # rows of an inconsistent system, whose columns from stop_col on depend on
 # the pivot choice.
@@ -634,7 +647,7 @@ def reference_rref(rows: list, ncols: int, stop_col: int | None = None) -> list:
     the fewest nonzeros (lowest input position on ties).  It is normalized
     by one inverse and its column is cleared in the rows the index lists,
     pivot rows included; an entry that cancels leaves its row and the index.
-    Entries are divided with `/`, so Fraction and CycNum rows both work.
+    Entries are divided with `/`.
     """
     if stop_col is None:
         stop_col = ncols
@@ -730,7 +743,7 @@ def _kernels_agree(rows, ncols, stop=None, single_conductor=None):
         assert [[x.n for x in r.values()] for r in got[:k]] == [
             [x.n for x in r.values()] for r in want[:k]
         ]
-    if cells and isinstance(cells[0], CycNum):
+    if cells:
         joint = math.lcm(*(x.n for r in rows for x in r.values()))
         assert {x.n for x in cells} == {joint}
     return not any(got[k:])
@@ -786,35 +799,36 @@ def test_fraction_free_kernel_matches_the_reference_kernel(monkeypatch, conducto
         one = CycNum.one()
         aug = [r | {ncols + i: one} for i, r in enumerate(square)]
         _kernels_agree(aug, 2 * ncols, ncols)
-        raised = _same_outcome_as_reference(monkeypatch, lambda: invert_rows(square, one))
+        raised = _same_outcome_as_reference(monkeypatch, lambda: invert_rows(square))
         seen.add(("invert", raised))
     assert seen >= {("solve", True), ("solve", False), ("invert", True), ("invert", False)}
     assert ("stop", True, False) in seen
 
 
-def test_fraction_rows_match_the_reference_kernel(monkeypatch):
-    """Fraction rows, as invert_rational and conductor lowering pass them,
-    come back as Fraction entries equal to the reference's."""
+def test_rational_rows_match_the_reference_kernel(monkeypatch):
+    """Rational rows, as integer matrix inverses and conductor lowering pass
+    them, at conductor 1 and written at conductor 4, come back at that
+    conductor and equal to the reference's."""
     rng = random.Random(1919)
     seen = set()
     for trial in range(40):
-        k = rng.randint(1, 6)
+        k, n = rng.randint(1, 6), rng.choice([1, 4])
         mat = [[rng.randint(-4, 4) * (rng.random() < 0.6) for _ in range(k)] for _ in range(k)]
         if trial % 4 == 0:
             mat[-1] = [2 * x for x in mat[0]]
-        rows = [sparse_row(map(Fraction, r)) for r in mat]
-        aug = [r | {k + i: Fraction(1)} for i, r in enumerate(rows)]
-        got = [dict(r) for r in aug]
-        _rref_inplace(got, 2 * k, k)
-        assert all(type(x) is Fraction for r in got for x in r.values())
+        rows = [sparse_row(as_cyc(x).lift(n) for x in r) for r in mat]
+        aug = [r | {k + i: CycNum.one()} for i, r in enumerate(rows)]
         _kernels_agree(aug, 2 * k, k)
-        seen.add(_same_outcome_as_reference(monkeypatch, lambda: invert_rational(mat)))
+        square = Matrix.from_rows(mat)
+        seen.add(_same_outcome_as_reference(monkeypatch, square.inverse))
+        seen.add(_same_outcome_as_reference(monkeypatch, lambda: invert_rows(rows)))
         # a rational system with a right-hand side, not square
-        rows = [sparse_row(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * (rng.random() < 0.5)
+        rows = [sparse_row(CycNum.from_rational(Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                                * (rng.random() < 0.5)).lift(n)
                            for _ in range(k + 2)) for _ in range(k)]
         _kernels_agree(rows, k + 2, rng.randint(0, k + 2))
     assert seen == {True, False}
-    # conductor lowering solves a Fraction system with stop_col < ncols
+    # conductor lowering solves an integer system with stop_col < ncols
     lowered = {}
     for x, m in [((1, 0, 0, 1), 4), ((1, 0, 0, 1), 3), ((0, 1, 0, -1), 4), ((2, 0, -1, 0), 6)]:
         x = CycNum(12, list(x))
