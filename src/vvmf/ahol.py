@@ -158,6 +158,8 @@ class AholForm:
             rep = registry.get(t)
         else:
             rep = Rep.from_json(t)
+            if not (check := rep.validate()).ok:
+                raise ValueError(f"the form's type is not a representation: {check}")
         layers = obj["graded"] if "graded" in obj else [obj["components"]]
         if not isinstance(layers, list) or not all(isinstance(x, list) for x in layers):
             raise ValueError("form components are a list of series, graded layers a list of them")

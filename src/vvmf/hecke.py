@@ -95,49 +95,44 @@ def _symplectic_form(genus: int) -> list:
 
 
 def _int_mul(a, b) -> list:
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    return [[_dot(row, col) for col in zip(*b)] for row in a]
+
+
+def _dot(u, v) -> int:
+    return sum(x * y for x, y in zip(u, v))
 
 
 def delta_cosets(genus: int, M: int) -> list:
-    """All canonical representatives of similitude M, in contract order."""
+    """All canonical representatives of similitude M, in contract order.
+
+    a is forced by t(a) d = M I, so the loops run over upper-triangular d
+    and skip d when a is not integral.  Then t(m) J m = M J says only that
+    t(b) d is symmetric, or, as d^-1 = t(a) / M, that b t(a) is: entry
+    (i, j) is row i of b against row j of a.  So b is built row by row,
+    keeping a row of the residue box when it matches every earlier row.
+    Extending each prefix in order by each row in order is the
+    lexicographic order of the whole box of b, so no box is searched.
+    """
     if M < 1:
         raise ValueError(f"similitude index must be positive, got {M}")
     if genus < 1:
         raise ValueError(f"genus must be positive, got {genus}")
-    if genus == 1:
-        out = []
-        for d in sorted(k for k in range(1, M + 1) if M % k == 0):
-            a = M // d
-            for b in range(d):
-                out.append(DeltaCoset(1, ((a, b), (0, d)), M))
-        return out
-    return _delta_cosets_general(genus, M)
-
-
-def _delta_cosets_general(genus: int, M: int) -> list:
-    """Exhaustive enumeration over the admissible residue ranges.
-
-    a is forced by t(a) d = M I, so candidates run over upper-triangular d
-    (diagonal over divisors of M) and the b residue box; the assembled
-    matrix is filtered by the exact similitude identity.
-    """
     g = genus
     divisors = [k for k in range(1, M + 1) if M % k == 0]
     out = []
-    for diag in product(*[divisors] * g):
-        off_ranges = [list(range(diag[j])) for i in range(g) for j in range(i + 1, g)]
+    for diag in product(divisors, repeat=g):
+        off_ranges = [range(diag[j]) for i in range(g) for j in range(i + 1, g)]
         for offs in product(*off_ranges):
             it = iter(offs)  # the entries above the diagonal, row by row
             d = [[next(it) if j > i else diag[i] * (j == i) for j in range(g)] for i in range(g)]
             a = _scaled_inverse_transpose(d, M)
             if a is None:
                 continue
-            b_ranges = [list(range(diag[j])) for _ in range(g) for j in range(g)]
-            for bent in product(*b_ranges):
-                b = [list(bent[i * g : (i + 1) * g]) for i in range(g)]
-                mat = _assemble(a, b, d, g)
-                if _is_similitude(mat, g, M):
-                    out.append(DeltaCoset(g, mat, M))
+            bs = [[]]
+            for i in range(g):
+                bs = [b + [r] for b in bs for r in product(*map(range, diag))
+                      if all(_dot(r, a[j]) == _dot(b[j], a[i]) for j in range(i))]
+            out += [DeltaCoset(g, _assemble(a, b, d, g), M) for b in bs]
     return out
 
 

@@ -37,6 +37,8 @@ class Rep:
     def __init__(self, label: str, level: int, S: Matrix, T: Matrix):
         if S.rows != S.cols or T.rows != T.cols or S.rows != T.rows:
             raise ValueError("generator matrices must be square of equal size")
+        if S.rows == 0:
+            raise ValueError("a type must have dimension at least 1")
         if level < 1:
             raise ValueError(f"level must be positive, got {level}")
         object.__setattr__(self, "label", label)

@@ -438,6 +438,29 @@ def test_verify_without_a_registry_label_is_one_line_exit_2(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: no registry entry labelled 'rho3'\n")
 
 
+# an inline type is a representation of dimension at least 1: rho_zeta's
+# generators at level 1 fail T^1 = I, and an empty type has no dimension
+_INLINE_TYPE_ERRORS = [
+    ("not-a-representation", {"label": "fake", "level": 1, "S": [[_ONE]], "T": [[{"n": 3, "c": ["0", "1"]}]]},
+     "the form's type is not a representation: [fake] pass  S^4 = I; pass  (ST)^3 = S^2;"
+     " pass  S^2 = I; FAIL  T^1 = I"),
+    ("dimension-zero", {"label": "empty", "level": 1, "S": [], "T": []},
+     "a type must have dimension at least 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "rep, message",
+    [case[1:] for case in _INLINE_TYPE_ERRORS],
+    ids=[case[0] for case in _INLINE_TYPE_ERRORS],
+)
+def test_inline_type_is_validated_exit_2(capsys, tmp_path, rep, message):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(dict(_GOOD_FORM, type=rep)))
+    code, out, err = run_cli(capsys, "hyperprod", "--left", str(path), "--right", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_good_form_file_is_accepted(capsys, tmp_path):
     # the well-formed partner of the malformed form files above
     path = tmp_path / "good-form.json"

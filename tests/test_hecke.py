@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -119,12 +120,49 @@ def test_genus_two_counts(p):
 
 
 def test_general_enumerator_agrees_with_fast_path():
-    from vvmf.hecke import _delta_cosets_general
+    """At genus 1 there is no condition between rows of b, so the list is
+    the old genus-1 fast path: d over the divisors of M, a = M / d and
+    0 <= b < d."""
+    for M in range(1, 25):
+        want = [((M // d, b), (0, d)) for d in range(1, M + 1) if M % d == 0 for b in range(d)]
+        assert [c.mat for c in delta_cosets(1, M)] == want
 
-    for M in (1, 2, 3, 4, 6):
-        fast = [c.mat for c in delta_cosets(1, M)]
-        general = [c.mat for c in _delta_cosets_general(1, M)]
-        assert fast == general
+
+def box_filter_cosets(genus, M):
+    """The whole residue box of b for each d, filtered by the similitude
+    identity: the enumeration that building b row by row replaces."""
+    from vvmf import hecke
+
+    g = genus
+    divisors = [k for k in range(1, M + 1) if M % k == 0]
+    out = []
+    for diag in itertools.product(divisors, repeat=g):
+        off_ranges = [range(diag[j]) for i in range(g) for j in range(i + 1, g)]
+        for offs in itertools.product(*off_ranges):
+            it = iter(offs)
+            d = [[next(it) if j > i else diag[i] * (j == i) for j in range(g)] for i in range(g)]
+            a = hecke._scaled_inverse_transpose(d, M)
+            if a is None:
+                continue
+            for bent in itertools.product(*[range(diag[j]) for _ in range(g) for j in range(g)]):
+                b = [bent[i * g : (i + 1) * g] for i in range(g)]
+                mat = hecke._assemble(a, b, d, g)
+                if hecke._is_similitude(mat, g, M):
+                    out.append(mat)
+    return out
+
+
+@pytest.mark.parametrize("genus, indices", [(2, range(1, 9)), (3, range(1, 3))])
+def test_row_by_row_matches_box_filter(genus, indices):
+    for M in indices:
+        assert [c.mat for c in delta_cosets(genus, M)] == box_filter_cosets(genus, M), M
+
+
+@pytest.mark.parametrize("genus, p, count", [(1, 5, 6), (2, 5, 156), (3, 2, 135), (3, 3, 1120), (4, 2, 2295)])
+def test_prime_index_counts(genus, p, count):
+    """For prime p there are prod_{i=1..g} (1 + p^i) cosets."""
+    assert math.prod(1 + p**i for i in range(1, genus + 1)) == count
+    assert len(delta_cosets(genus, p)) == count
 
 
 def upper_inverse(d):
@@ -141,7 +179,7 @@ def upper_inverse(d):
 
 @pytest.mark.parametrize("genus, indices", [(2, range(1, 13)), (3, range(1, 5))])
 def test_scaled_inverse_transpose_matches_back_substitution(monkeypatch, genus, indices):
-    """On every upper-triangular d the general enumerator visits, a with
+    """On every upper-triangular d the enumerator visits, a with
     t(a) d = M I is M times the transposed inverse of d when that is
     integral, and None otherwise."""
     from vvmf import hecke
@@ -150,7 +188,7 @@ def test_scaled_inverse_transpose_matches_back_substitution(monkeypatch, genus, 
     # the recorder refuses every d, so no b box is searched
     monkeypatch.setattr(hecke, "_scaled_inverse_transpose", lambda d, M: seen.append((d, M)))
     for M in indices:
-        assert hecke._delta_cosets_general(genus, M) == []
+        assert hecke.delta_cosets(genus, M) == []
     outcomes = set()
     for d, M in seen:
         inv = upper_inverse(d)
