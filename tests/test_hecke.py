@@ -185,7 +185,7 @@ def test_scaled_inverse_transpose_matches_back_substitution(monkeypatch, genus, 
     from vvmf import hecke
 
     real, seen = hecke._scaled_inverse_transpose, []
-    # the recorder refuses every d, so no b box is searched
+    # the recorder refuses every d, so no row of b is built
     monkeypatch.setattr(hecke, "_scaled_inverse_transpose", lambda d, M: seen.append((d, M)))
     for M in indices:
         assert hecke.delta_cosets(genus, M) == []
