@@ -190,10 +190,7 @@ def lower_op(f: AholForm) -> AholForm:
     """Weight-lowering operator; annihilates holomorphic forms."""
     if f.depth == 0:
         return AholForm.zero(f.weight - 2, f.rep, f.prec)
-    layers = [[QExp.zero(f.prec) for _ in range(f.rep.dim)] for _ in range(f.depth)]
-    for r in range(1, f.depth + 1):
-        for i, q in enumerate(f.graded[r]):
-            layers[r - 1][i] = layers[r - 1][i] + q.scaled(-r)
+    layers = [[q.truncate(f.prec).scaled(-r) for q in f.graded[r]] for r in range(1, f.depth + 1)]
     return AholForm(f.weight - 2, f.rep, layers, name=f"L({f.name})" if f.name else "")
 
 

@@ -14,6 +14,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .ahol import AholForm, ahol_decompose, apply_intertwiner, lower_op, raise_op, tinf_closure
 from .exactnum import CycNum
@@ -50,27 +51,17 @@ def load_registry(path: str | None) -> RepRegistry:
 # ---------------------------------------------------------------------------
 # harness plumbing
 
-class HarnessCase:
-    def __init__(self, name: str, parameters: dict, expected, observed=None,
-                 provenance: str = "derived", status: str = "pass", diagnostics: str = ""):
-        self.name, self.parameters, self.expected = name, parameters, expected
-        self.observed, self.provenance = observed, provenance
-        self.status, self.diagnostics = status, diagnostics
-
-    def check(self, ok: bool, observed=None, diagnostics: str = ""):
-        self.observed = observed
-        self.status = "pass" if ok else "fail"
-        self.diagnostics = diagnostics
-        return self
-
-
 class Report:
     def __init__(self, command: str):
         self.command, self.cases = command, []
 
-    def add(self, case: HarnessCase) -> HarnessCase:
-        self.cases.append(case)
-        return case
+    def case(self, name: str, parameters: dict, expected, ok, observed=None,
+             diagnostics: str = "", provenance: str = "derived"):
+        """Record one case: it passes or fails by ok, and ok=None skips it."""
+        status = "skipped" if ok is None else "pass" if ok else "fail"
+        self.cases.append(SimpleNamespace(
+            name=name, parameters=parameters, expected=expected, observed=observed,
+            provenance=provenance, status=status, diagnostics=diagnostics))
 
     @property
     def ok(self) -> bool:
@@ -165,9 +156,8 @@ def verify_example32(registry: RepRegistry | None = None, prec: int | None = Non
 
     expected_dims = {"triv": 1, "rho3": 2, "rho_zeta": 1, "rho_zeta2": 1}
     dims = {lbl: len(hom_space(rr, reg.get(lbl))) for lbl in expected_dims}
-    report.add(
-        HarnessCase("hom-dimensions", {"source": "rho3*rho3"}, expected_dims, provenance="paper")
-    ).check(dims == expected_dims, dims)
+    report.case("hom-dimensions", {"source": "rho3*rho3"}, expected_dims, dims == expected_dims,
+                dims, provenance="paper")
 
     reference = _example_intertwiners()
     for lbl, mats in sorted(reference.items()):
@@ -176,17 +166,9 @@ def verify_example32(registry: RepRegistry | None = None, prec: int | None = Non
         for i, phi in enumerate(mats):
             inter = is_intertwiner(phi, rr, target)
             member = sub.member(matrix_to_fixed_vector(phi))
-            report.add(
-                HarnessCase(
-                    f"reference-intertwiner-{lbl}-{i}",
-                    {"target": lbl},
-                    "member of computed hom space",
-                    provenance="paper",
-                )
-            ).check(
-                inter and member,
-                f"intertwines={inter} member={member}",
-            )
+            report.case(f"reference-intertwiner-{lbl}-{i}", {"target": lbl},
+                        "member of computed hom space", inter and member,
+                        f"intertwines={inter} member={member}", provenance="paper")
 
     qprec = prec if prec is not None else max(sturm_bound(24, 1), 6)
     base = eisenstein(12, 9 * max(1, (qprec + 2) // 3))
@@ -204,14 +186,9 @@ def verify_example32(registry: RepRegistry | None = None, prec: int | None = Non
     fractional_zero = all(
         comp.coeff(Fraction(n, 3)).is_zero() for n in range(1, 9) if n % 3
     )
-    report.add(
-        HarnessCase(
-            "trivial-type-expansion",
-            {"prec": 3},
-            [str(x) for x in GOLDEN_COEFFS],
-            provenance="paper",
-        )
-    ).check(ok and fractional_zero, got, "" if fractional_zero else "nonzero fractional exponent")
+    report.case("trivial-type-expansion", {"prec": 3}, [str(x) for x in GOLDEN_COEFFS],
+                ok and fractional_zero, got,
+                "" if fractional_zero else "nonzero fractional exponent", provenance="paper")
     return report
 
 
@@ -269,21 +246,13 @@ def verify_counts() -> Report:
     report = Report("counts")
     for M in range(1, 13):
         got = len(delta_cosets(1, M))
-        report.add(
-            HarnessCase("coset-count-genus1", {"M": M}, sigma(1, M), provenance="derived")
-        ).check(got == sigma(1, M), got)
+        report.case("coset-count-genus1", {"M": M}, sigma(1, M), got == sigma(1, M), got)
     for p in (2, 3):
         expect = (1 + p) * (1 + p * p)
         got = len(delta_cosets(2, p))
         oracle = _exhaustive_genus2_count(p)
-        report.add(
-            HarnessCase(
-                "coset-count-genus2",
-                {"p": p},
-                {"closed-form": expect, "exhaustive": oracle},
-                provenance="derived",
-            )
-        ).check(got == expect and got == oracle, got)
+        report.case("coset-count-genus2", {"p": p}, {"closed-form": expect, "exhaustive": oracle},
+                    got == expect and got == oracle, got)
     # left-coset distinctness
     for genus, indices in ((1, range(2, 13)), (2, (2, 3))):
         for M in indices:
@@ -293,14 +262,7 @@ def verify_counts() -> Report:
                 for i, m1 in enumerate(cosets)
                 for m2 in cosets[i + 1 :]
             )
-            report.add(
-                HarnessCase(
-                    "left-coset-distinctness",
-                    {"genus": genus, "M": M},
-                    0,
-                    provenance="derived",
-                )
-            ).check(bad == 0, bad)
+            report.case("left-coset-distinctness", {"genus": genus, "M": M}, 0, bad == 0, bad)
     return report
 
 
@@ -364,10 +326,8 @@ def verify_thm11(
 
     cusp = _desk_cusp_form(k, prec)
     if cusp is None:
-        report.add(
-            HarnessCase("cusp-membership", params, "skipped", provenance="derived")
-        ).check(True, None, f"no desk-scale cusp generator for weight {k}")
-        report.cases[-1].status = "skipped"
+        report.case("cusp-membership", params, "skipped", None,
+                    diagnostics=f"no desk-scale cusp generator for weight {k}")
     else:
         # F = G when l == l2, and an odd bracket [F, F]_t vanishes under the
         # symmetric pairing into triv: no weight-k triv layer, no member
@@ -380,9 +340,8 @@ def verify_thm11(
         )
         member = span_contains(final, cusp, prec)
         certifying = [prov for _, prov in final.generators((k, "triv"))]
-        report.add(
-            HarnessCase("cusp-membership", params, not degenerate, provenance="derived")
-        ).check(member != degenerate, member, why + "generators: " + "; ".join(certifying))
+        report.case("cusp-membership", params, not degenerate, member != degenerate, member,
+                    why + "generators: " + "; ".join(certifying))
     if t == 0 and cusp is not None:
         # with the Eisenstein series restored, the graded piece is all of M(k)
         with_eis = span_sum([final, FormSpan.of(eisenstein(k, prec))])
@@ -390,9 +349,7 @@ def verify_thm11(
         both = span_contains(with_eis, cusp, prec) and span_contains(
             with_eis, eisenstein(k, prec), prec
         )
-        report.add(
-            HarnessCase("eisenstein-complement", params, 2, provenance="derived")
-        ).check(dim == 2 and both, dim)
+        report.case("eisenstein-complement", params, 2, dim == 2 and both, dim)
     return report
 
 

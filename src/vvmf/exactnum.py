@@ -54,22 +54,17 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def divisors(n: int) -> list:
+    """The positive divisors of n in ascending order, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError(f"euler_phi undefined for {n}")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return sum(math.gcd(k, n) == 1 for k in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -87,9 +82,8 @@ def cyclotomic_poly(n: int) -> tuple:
     num = [0] * (n + 1)
     num[0] = -1
     num[n] = 1
-    for d in range(1, n):
-        if n % d == 0:
-            num = _poly_divexact(num, list(cyclotomic_poly(d)))
+    for d in divisors(n)[:-1]:
+        num = _poly_divexact(num, list(cyclotomic_poly(d)))
     return tuple(num)
 
 
@@ -228,7 +222,7 @@ class CycNum:
         if self.is_rational():
             result = _make(1, self.num[:1], self.den)
         else:
-            for m in _sorted_divisors(self.n)[:-1]:
+            for m in divisors(self.n)[:-1]:
                 coords = _lower_to_conductor(self, m)
                 if coords is not None:
                     result = CycNum(m, coords)
@@ -435,10 +429,6 @@ def as_cyc(x) -> CycNum:
     if isinstance(x, Fraction):
         return _make(1, (x.numerator,), x.denominator)
     raise TypeError(f"cannot coerce {type(x).__name__} to CycNum")
-
-
-def _sorted_divisors(n: int) -> list:
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _lower_to_conductor(x: CycNum, m: int):

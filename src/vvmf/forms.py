@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .ahol import AholForm, apply_intertwiner
-from .exactnum import CycNum, bernoulli
+from .exactnum import CycNum, bernoulli, divisors
 from .qexp import QExp, combine
 from .reps import Rep, trivial_rep
 from . import hecke as _hecke
@@ -36,8 +36,8 @@ apply_hom = apply_intertwiner
 
 
 def sigma(k: int, n: int) -> int:
-    """Divisor power sum sigma_k(n), by direct enumeration."""
-    return sum(d**k for d in range(1, n + 1) if n % d == 0)
+    """Divisor power sum sigma_k(n)."""
+    return sum(d**k for d in divisors(n))
 
 
 def eisenstein(k: int, prec) -> AholForm:

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
 from .ahol import AholForm
-from .exactnum import CycNum
+from .exactnum import CycNum, divisors
 from .linalg import Matrix
 from .qexp import slash_expand
 from .reps import Rep, S_MAT, T_MAT
@@ -102,6 +103,10 @@ def _dot(u, v) -> int:
     return sum(x * y for x, y in zip(u, v))
 
 
+# a listing that surely holds more cosets than this is refused, not enumerated
+_MAX_COSETS = 10**5
+
+
 def delta_cosets(genus: int, M: int) -> list:
     """All canonical representatives of similitude M, in contract order.
 
@@ -117,10 +122,13 @@ def delta_cosets(genus: int, M: int) -> list:
         raise ValueError(f"similitude index must be positive, got {M}")
     if genus < 1:
         raise ValueError(f"genus must be positive, got {genus}")
+    # the cosets with d = M I alone number M^(g(g+1)/2), one per symmetric b
+    # mod M; 2^17 already passes the limit, so the exponent stops at 17
+    if M > 1 and M ** min(genus * (genus + 1) // 2, 17) > _MAX_COSETS:
+        raise ValueError(f"Delta_{M} at genus {genus} has over {_MAX_COSETS} cosets; refused")
     g = genus
-    divisors = [k for k in range(1, M + 1) if M % k == 0]
     out = []
-    for diag in product(divisors, repeat=g):
+    for diag in product(divisors(M), repeat=g):
         off_ranges = [range(diag[j]) for i in range(g) for j in range(i + 1, g)]
         for offs in product(*off_ranges):
             it = iter(offs)  # the entries above the diagonal, row by row
@@ -172,10 +180,7 @@ def reduce_to_coset(m):
     rd = det // g
     t = -(rb // rd)  # shift so 0 <= rb + t*rd < rd
     v = ((1, t), (0, 1))
-    rep = DeltaCoset(1, ((ra, rb + t * rd), (0, rd)), det)
-    vu = _mul2(v, u)
-    gamma = _inv2(vu)
-    return rep, gamma
+    return DeltaCoset(1, ((ra, rb + t * rd), (0, rd)), det), _inv2(_int_mul(v, u))
 
 
 def _ext_gcd(a: int, c: int, g: int):
@@ -193,13 +198,6 @@ def _ext_gcd(a: int, c: int, g: int):
     return old_x, old_y
 
 
-def _mul2(p, q):
-    return (
-        (p[0][0] * q[0][0] + p[0][1] * q[1][0], p[0][0] * q[0][1] + p[0][1] * q[1][1]),
-        (p[1][0] * q[0][0] + p[1][1] * q[1][0], p[1][0] * q[0][1] + p[1][1] * q[1][1]),
-    )
-
-
 def _inv2(p):
     # determinant 1
     return ((p[1][1], -p[0][1]), (-p[1][0], p[0][0]))
@@ -215,24 +213,14 @@ def cocycle(m: DeltaCoset, gamma):
     (a, b), (c, d) = gamma
     if a * d - b * c != 1:
         raise ValueError(f"{gamma} is not in the modular group")
-    prod = _mul2(m.mat, gamma)
-    rep, corr = reduce_to_coset(prod)
+    rep, corr = reduce_to_coset(_int_mul(m.mat, gamma))
     return corr, rep
 
 
-class HeckeRep:
+class HeckeRep(namedtuple("HeckeRep", "base index cosets rep")):
     """The induced type on V(rho) (x) C[Delta_M], with its coset order."""
 
-    __slots__ = ("base", "index", "cosets", "rep")
-
-    def __init__(self, base: Rep, index: int, cosets, rep: Rep):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "cosets", tuple(cosets))
-        object.__setattr__(self, "rep", rep)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HeckeRep is immutable")
+    __slots__ = ()
 
     def __repr__(self):
         return f"HeckeRep(T_{self.index} {self.base.label}, dim {self.rep.dim})"
@@ -267,7 +255,7 @@ def _hecke_rep(M: int, label: str, key: tuple) -> HeckeRep:
     report = rep.validate()
     if not report.ok:
         raise AssertionError(f"constructed Hecke type fails relations: {report}")
-    return HeckeRep(r, M, cosets, rep)
+    return HeckeRep(r, M, tuple(cosets), rep)
 
 
 def _block_matrix(moves, blk: int) -> Matrix:

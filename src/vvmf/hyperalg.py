@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .ahol import AholForm, _apply_maps
-from .exactnum import CycNum, _reduce, euler_phi
+from .exactnum import CycNum, _reduce, divisors, euler_phi
 from .linalg import Subspace, invert_rows, sparse_row
 from .qexp import InsufficientPrecision, _lifted, _pack, combine
 from .reps import RepRegistry, hom_space, require_same_content
@@ -91,8 +91,9 @@ class FormSpan:
             return ()
         forms = [f for f, _ in gens]
         layout = _row_layout(forms, prec)
-        rows = [_coefficient_row(f, layout) for f in forms]
-        return Subspace.from_rows(len(rows[0]), rows).basis
+        bound = _bound(layout)
+        rows = [_columns(_block_terms(f, layout), bound) for f in forms]
+        return Subspace._from_sparse((layout[3] + 1) * layout[2] * bound, rows).basis
 
     def __repr__(self):
         parts = [f"({w},{lbl}):{len(g)}" for (w, lbl), g in sorted(self.grading.items())]
@@ -260,15 +261,6 @@ def _columns(blocks: list, bound: int) -> dict:
     return {b * bound + t: c for b, terms in enumerate(blocks) for t, c in terms}
 
 
-def _coefficient_row(f: AholForm, layout) -> list:
-    """Coefficients below prec of every layer and component, at lattice 1/h."""
-    bound, blocks = _bound(layout), _block_terms(f, layout)
-    row = [CycNum.zero()] * (len(blocks) * bound)
-    for col, c in _columns(blocks, bound).items():
-        row[col] = c
-    return row
-
-
 def _packs(pair, width: int) -> list:
     """The ints of a (g, packs) block at width, one per coordinate l with
     coordinate l of column t in slot t; packed once per width."""
@@ -360,20 +352,14 @@ def tensor_form(f: AholForm, g: AholForm) -> AholForm:
 
 
 def congruence_index(level: int) -> int:
-    """Index of the principal congruence subgroup of the given level."""
+    """Index of the principal congruence subgroup of the given level:
+    N^3 prod(1 - p^-2) over the primes p dividing N."""
     if level < 1:
         raise ValueError(f"level must be positive, got {level}")
     idx = level**3
-    m = level
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
+    for p in divisors(level):
+        if euler_phi(p) == p - 1:  # p is prime
             idx = idx // (p * p) * (p * p - 1)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        idx = idx // (m * m) * (m * m - 1)
     return idx
 
 

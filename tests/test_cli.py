@@ -122,6 +122,20 @@ def test_verify_thm11_default_instance():
     assert "T2(E4) (x) T2(E8)" in case.diagnostics
 
 
+def test_verify_thm11_skips_a_weight_without_a_desk_cusp_form(capsys):
+    # S_14 has no desk-scale generator: one skipped case, which does not fail
+    argv = ("verify", "thm11", "--k", "14", "--l", "4", "--l2", "6", "--indices", "1,2,3")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    digest = "57eef406ff0992c9270a799c46756fcd2d924a6f8b9a30668293076b40210455"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert [c["status"] for c in json.loads(out)["cases"]] == ["skipped"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert [ln for ln in out.splitlines() if not ln.startswith("#")][0].startswith(
+        "skip cusp-membership ")
+
+
 def test_verify_thm11_fails_without_second_index():
     report = verify_thm11(hecke_indices=(1,))
     assert not report.ok
@@ -269,6 +283,21 @@ _NAMED_ERRORS = [
      "--indices must be comma separated integers, got '1,x'"),
     ("verify-all-empty-index", ("verify", "all", "--indices", "1,,2"),
      "--indices must be comma separated integers, got '1,,2'"),
+    # the weights of verify thm11 are checked before any series is built
+    ("thm11-odd-weight-l", ("verify", "thm11", "--l", "3"),
+     "Eisenstein weights must be even and >= 4"),
+    ("thm11-odd-weight-l2", ("verify", "thm11", "--l2", "5"),
+     "Eisenstein weights must be even and >= 4"),
+    ("thm11-odd-target-weight", ("verify", "thm11", "--k", "13"),
+     "target weight must be even and >= l + l2"),
+    ("thm11-target-below-l-plus-l2", ("verify", "thm11", "--k", "10"),
+     "target weight must be even and >= l + l2"),
+    # these listings ran until killed: the cosets with d = M I alone number
+    # M^(g(g+1)/2), so a listing past the limit is refused before it starts
+    ("decompose-huge-hecke-index", ("decompose", "--rep", "T99999999999999999999(triv)"),
+     "Delta_99999999999999999999 at genus 1 has over 100000 cosets; refused"),
+    ("cosets-genus-8", ("hecke", "cosets", "--genus", "8", "--index", "2", "--count-only"),
+     "Delta_2 at genus 8 has over 100000 cosets; refused"),
 ]
 
 
@@ -712,6 +741,23 @@ def test_rho3_hyperprod_bytes_are_pinned(capsys, tmp_path, reg):
     assert code == 0
     digest = "e999abc1e05a5efc13658ff05440f383c8ec5e37324cf99dbbede5a7ad4bb4b2"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_hyperprod_truncates_both_forms_to_the_requested_precision(capsys, tmp_path):
+    for k in (4, 6):
+        out = str(tmp_path / f"e{k}.json")
+        assert run_cli(capsys, "eis", "--weight", str(k), "--prec", "9", "--format", "json",
+                       "--out", out)[0] == 0
+    out = tmp_path / "hp5.json"
+    argv = ["--left", str(tmp_path / "e4.json"), "--right", str(tmp_path / "e6.json")]
+    code, _, _ = run_cli(capsys, "hyperprod", *argv, "--prec", "5", "--format", "json",
+                         "--out", str(out))
+    assert code == 0
+    digest = "e4fd65363c0d9edf4584bd768fa855929ae8b801c5942fa78dbd6e5bd2b297b8"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    grades = json.loads(out.read_text())["grades"]
+    assert [(g["weight"], g["type"], g["dimension"]) for g in grades] == [(10, "triv", 1)]
+    assert grades[0]["generators"][0]["form"]["prec"] == "5"
 
 
 def test_hecke_cosets_output(capsys):

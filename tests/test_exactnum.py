@@ -9,6 +9,7 @@ from vvmf.exactnum import (
     CycNum,
     bernoulli,
     cyclotomic_poly,
+    divisors,
     euler_phi,
     format_rational,
     parse_rational,
@@ -383,3 +384,35 @@ def test_lift_and_reduce_conductor_round_trip_hypothesis():
         assert key(up.lift(a.n * k)) == key(up)
 
     check()
+
+
+def test_divisors_match_a_scan():
+    for n in range(1, 501):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+
+def test_divisors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in (*range(1, 200), 720, 997, 1024, 30030, 99991, 10**6):
+        assert divisors(n) == list(sympy.divisors(n)), n
+
+
+def _phi_by_factorization(n):
+    """phi(n) = n prod(1 - 1/p) over the primes p found by trial division."""
+    result, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            result -= result // p
+        p += 1
+    if m > 1:
+        result -= result // m
+    return result
+
+
+def test_euler_phi_matches_the_factorization():
+    for n in range(1, 501):
+        assert euler_phi(n) == _phi_by_factorization(n), n
+    with pytest.raises(ValueError):
+        euler_phi(0)

@@ -12,7 +12,6 @@ from vvmf.hecke import hecke_form, pi_M
 from vvmf.forms import vv_eisenstein
 from vvmf.hyperalg import (
     FormSpan,
-    _coefficient_row,
     _Pivots,
     congruence_index,
     hyper_tensor,
@@ -182,6 +181,14 @@ def test_sturm_bound_values():
 
 def test_congruence_index_values():
     assert [congruence_index(n) for n in (1, 2, 3, 4)] == [1, 6, 24, 48]
+
+
+@pytest.mark.parametrize("level", range(1, 9))
+def test_congruence_index_counts_sl2_mod_n(level):
+    # [SL2(Z) : Gamma(N)] = |SL2(Z/NZ)|, counted over all four entries mod N
+    r = range(level)
+    count = sum((a * d - b * c) % level == 1 % level for a in r for b in r for c in r for d in r)
+    assert congruence_index(level) == count
 
 
 def test_product_is_commutative_gradewise(reg):
@@ -391,15 +398,23 @@ def test_incremental_span_matches_full_rref_reference(reg, seed):
 
 
 # -- oracle for the packed reads ----------------------------------------------
-# The read as it was before the generators were kept as packed ints: rebuild
-# every dense coefficient row and scan v - (v|P . inv) . G column by column
-# with CycNum arithmetic.
+# The read as it was before the generators were kept as packed ints: build
+# every dense coefficient row from QExp.coeff and scan v - (v|P . inv) . G
+# column by column with CycNum arithmetic.
+
+
+def dense_row(f, layout):
+    """f's coefficients at the exponents t/h below prec, one block of columns
+    per layer r and component i, zero on the layers f does not have."""
+    prec, h, dim, depth = layout
+    return [f.graded[r][i].coeff(Fraction(t, h)) if r <= f.depth else CycNum.zero()
+            for r in range(depth + 1) for i in range(dim) for t in range(math.ceil(prec * h))]
 
 
 def scan_column(layout, forms, pivots, f):
     """First nonzero column of f's residue against forms, or None."""
-    rows = [_coefficient_row(g, layout) for g in forms]
-    v = _coefficient_row(f, layout)
+    rows = [dense_row(g, layout) for g in forms]
+    v = dense_row(f, layout)
     terms = []
     if rows:
         inv = invert_rows([sparse_row(row[q] for q in pivots) for row in rows])
