@@ -132,6 +132,13 @@ def _reduce(n: int, coeffs: list) -> tuple:
     return tuple(coeffs[:deg])
 
 
+def _embed(num, step: int, shift: int, n: int) -> tuple:
+    """Coordinates at conductor n of sum_j num[j] * zeta_n^(j * step + shift)."""
+    out = [0] * (shift + (len(num) - 1) * step + 1)
+    out[shift::step] = num
+    return _reduce(n, out)
+
+
 def _mul_num(n: int, x: tuple, y: tuple) -> tuple:
     """Product of two integer coordinate tuples of conductor n."""
     prod = [0] * (len(x) + len(y) - 1)
@@ -206,11 +213,7 @@ class CycNum:
             return self
         if self.n == 1:
             return _make(m, self.num + (0,) * (euler_phi(m) - 1), self.den)
-        step = m // self.n
-        out = [0] * ((len(self.num) - 1) * step + 1)
-        for j, a in enumerate(self.num):
-            out[j * step] = a
-        return _make(m, _reduce(m, out), self.den)
+        return _make(m, _embed(self.num, m // self.n, 0, m), self.den)
 
     def reduce_conductor(self) -> "CycNum":
         """Smallest divisor conductor representing the same element."""

@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .ahol import AholForm, _apply_maps
-from .exactnum import CycNum, _reduce, divisors, euler_phi
+from .exactnum import CycNum, _embed, divisors, euler_phi
 from .linalg import Subspace, invert_rows, sparse_row
 from .qexp import InsufficientPrecision, _lifted, _pack, combine
 from .reps import RepRegistry, hom_space, require_same_content
@@ -276,7 +276,7 @@ def _multiplication(cond: int, num: tuple, n: int) -> list:
     for num at conductor cond and n | cond: M takes an element of Q(zeta_n)
     to num times it."""
     step = cond // n
-    cols = [_reduce(cond, [0] * (l * step) + list(num)) for l in range(euler_phi(n))]
+    cols = [_embed(num, 1, l * step, cond) for l in range(euler_phi(n))]
     return [[col[i] for col in cols] for i in range(len(num))]
 
 

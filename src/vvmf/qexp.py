@@ -7,33 +7,37 @@ only objects holomorphic at infinity occur here.  `terms` maps each n to
 its nonzero coefficient; zero coefficients are never stored.
 
 The public constructor coerces and checks every term.  Results built
-here (sums, products, scalings, theta, lattice changes, truncations) go
-through the trusted constructor `_series`, and each caller drops its own
-zeros.
+here (sums, products, scalings, slash images, theta, lattice changes,
+truncations) go through the trusted constructor `_series`, and each
+caller drops its own zeros.
 
 Products and sums of products are one multiply-accumulate kernel,
 `combine`, by Kronecker substitution (D. Harvey, J. Symbolic Comput. 44,
-2009).  Each factor's terms are grouped by conductor; a group meeting
-another at the joint conductor N is lifted to N over one denominator and
-packed once per call into a Python int, coordinate j of exponent n in
+2009).  A row of products is one job at its joint conductor N, the lcm of
+its factors' conductors: each factor is lifted to N over one denominator
+and packed once per call into a Python int, coordinate j of exponent n in
 slot n*(2*phi(N) - 1) + j, at one slot width for the call (a scalar is a
-one-term series).  The int products of a sum that share N are added
-inside the packed int and decoded once, each coefficient reduced modulo
-Phi_N.  A coefficient of the result has the lcm of the conductors of
-every pair of terms that reaches its exponent, even where their sum
-cancels, a rule that depends neither on the algorithm nor on the order
-of summation; packed 0/1 indicators decide it where a decoded sum is 0.
+one-term series), and the row's products are added in one int, decoded
+once and reduced modulo Phi_N.  A coefficient has the lcm m of the
+conductors of every pair of terms that reaches its exponent, even where
+their sum cancels, a rule that depends neither on the algorithm nor on
+the order of summation; products of narrow 0/1 indicators of each
+conductor's terms decide it, and one CycNum is made at m per coefficient.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 
 from .exactnum import (
-    CycNum, _make, _reduce, as_cyc, euler_phi, format_rational, json_int, parse_rational,
+    CycNum, _embed, _make, _reduce, as_cyc, euler_phi, format_rational, json_int, parse_rational,
 )
+from .linalg import Matrix
 
 
 class InsufficientPrecision(Exception):
@@ -54,6 +58,8 @@ class QExp:
         bound = math.ceil(prec * h)
         clean = {}
         for n, c in terms.items():
+            if not isinstance(n, int):
+                raise ValueError(f"an exponent numerator is an integer, got {n!r}")
             c = as_cyc(c)
             if c.is_zero():
                 continue
@@ -242,76 +248,83 @@ def combine(rows, series) -> list:
     has the lcm of the lattices and the least precision of the series its
     other entries meet (both factors of a series entry); with no entry left
     it is QExp.zero at the least precision of all series.
+
+    A row is one packed sum at its joint conductor N, one product per
+    entry, decoded once.  Indicator products mark where a pair with a term
+    at conductor c > 1 reaches; a coefficient's coordinates are lowered from
+    N to the lcm m of its marked c (m = 1: coordinate 0; else `_lowering`).
     """
     rows = [[(c, q) for c, q in zip(row, series) if isinstance(c, QExp) or c] for row in rows]
     parts = [[x for pair in row for x in pair if isinstance(x, QExp)] for row in rows]
     h = math.lcm(*(x.h for xs in parts for x in xs))
     bounds = [math.ceil(min(x.prec for x in xs) * h) if xs else 0 for xs in parts]
-    limit, classes, lifted, packed = max(bounds, default=0), {}, {}, {}
+    limit, found, lifted, packed, marked = max(bounds, default=0), {}, {}, {}, {}
 
-    def conductors(x) -> dict:
-        """x's terms below every bound at lattice h, as (n, c) by conductor."""
-        if id(x) not in classes:
-            classes[id(x)] = groups = {}
-            terms = x.rescale_lattice(h).terms if isinstance(x, QExp) else {0: as_cyc(x)}
-            for n, c in terms.items():
-                if n < limit:
-                    groups.setdefault(c.n, []).append((n, c))
-        return classes[id(x)]
+    def terms(x) -> tuple:
+        """(x's (n, c) terms below every bound at lattice h, their conductors)."""
+        if id(x) not in found:
+            q = x if isinstance(x, QExp) else QExp.constant(x, 1)
+            step = h // q.h
+            t = [(n * step, c) for n, c in q.terms.items() if n * step < limit]
+            found[id(x)] = t, {c.n for _, c in t}
+        return found[id(x)]
 
-    def lift(x, c: int, cond: int) -> _Group:
-        key = (id(x), c, cond if c > 1 else 1)
-        if key not in lifted:
-            lifted[key] = _lifted(classes[id(x)][c], key[2])
-        return lifted[key]
+    def lift(x, cond: int) -> _Group:
+        if (id(x), cond) not in lifted:
+            lifted[id(x), cond] = _lifted(terms(x)[0], cond)
+        return lifted[id(x), cond]
 
     def pack(g: _Group, stride: int) -> int:
-        """g at the call's width; stride 0 packs the 0/1 indicator of its exponents."""
         if (id(g), stride) not in packed:
-            rows = g.rows if stride else [(n, (1,)) for n, _ in g.rows]
-            packed[id(g), stride] = _pack(rows, g.top, stride or 1, width)
+            packed[id(g), stride] = _pack(g.rows, g.top, stride, width)
         return packed[id(g), stride]
 
-    # per row, the pairs of groups at each joint conductor over their common
-    # denominator; one slot width bounds every packed sum of the call
-    jobs, big = [], 0
-    for row in rows:
-        job: dict = {}
-        for x, y in row:
-            for ca in conductors(x):
-                for cb in conductors(y):
-                    cond = math.lcm(ca, cb)
-                    job.setdefault(cond, []).append((lift(x, ca, cond), lift(y, cb, cond)))
-        for cond, pairs in job.items():
-            den = math.lcm(*(a.den * b.den for a, b in pairs))
-            pairs = [(den // (a.den * b.den), a, b) for a, b in pairs]
-            job[cond] = den, pairs
-            size = sum(f * a.big * b.big * min(len(a.rows), len(b.rows)) for f, a, b in pairs)
-            big = max(big, size * euler_phi(cond))
-        jobs.append(job)
-    width = (big.bit_length() + 8) // 8
+    def marks(x, c: int) -> int:
+        """The 0/1 indicator of x's exponents whose term has conductor c (any for 0)."""
+        if (id(x), c) not in marked:
+            ns = [n for n, t in terms(x)[0] if c in (0, t.n)]
+            marked[id(x), c] = _pack([(n, (1,)) for n in ns], max(ns), 1, narrow)
+        return marked[id(x), c]
 
-    out = []
-    for xs, bound, job in zip(parts, bounds, jobs):
+    # one slot width bounds every packed sum of the call, and one narrow
+    # width every sum of indicator products
+    jobs, big, most = [], 0, 1
+    for row in rows:
+        row = [(x, y) for x, y in row if terms(x)[0] and terms(y)[0]]
+        cond = math.lcm(*(c for pair in row for x in pair for c in terms(x)[1]))
+        pairs = [(lift(x, cond), lift(y, cond)) for x, y in row]
+        den = math.lcm(*(a.den * b.den for a, b in pairs))
+        pairs = [(den // (a.den * b.den), a, b) for a, b in pairs]
+        size = sum(f * a.big * b.big * min(len(a.rows), len(b.rows)) for f, a, b in pairs)
+        big = max(big, size * euler_phi(cond))
+        most = max(most, sum(2 * min(len(a.rows), len(b.rows)) for _, a, b in pairs))
+        jobs.append((row, cond, den, pairs))
+    width, narrow = (big.bit_length() + 8) // 8, (most.bit_length() + 7) // 8
+
+    out, blank = [], bytes(narrow)
+    for xs, bound, (row, cond, den, pairs) in zip(parts, bounds, jobs):
         if not xs:
             out.append(QExp.zero(min(q.prec for q in series)))
             continue
-        # per exponent: the sum of the decoded parts, and the lcm of the
-        # joint conductors above 1 that reach it
-        terms, reached = {}, {}
-        for cond, (den, pairs) in sorted(job.items()):
-            stride = 2 * euler_phi(cond) - 1
-            acc = sum(f * pack(a, stride) * pack(b, stride) for f, a, b in pairs)
-            top = min(bound, max(a.top + b.top + 1 for _, a, b in pairs))
-            counts = (pack(a, 0) * pack(b, 0) for _, a, b in pairs)
-            for n, part in _decode(acc, cond, den, top, width, counts):
-                if cond > 1:
-                    reached[n] = math.lcm(reached.get(n, 1), cond)
-                if part is not None:
-                    terms[n] = terms[n] + part if n in terms else part
-        step = h // math.lcm(*(x.h for x in xs))
-        terms = {n // step: c.lift(reached.get(n, 1)) for n, c in sorted(terms.items()) if c}
-        out.append(_series(h // step, min(x.prec for x in xs), terms))
+        stride = 2 * euler_phi(cond) - 1
+        acc = sum(f * pack(a, stride) * pack(b, stride) for f, a, b in pairs)
+        top = min(bound, max((a.top + b.top + 1 for _, a, b in pairs), default=0))
+        reach: dict = {}
+        for x, y in row:
+            for u, v in ((x, y), (y, x)):
+                for c in terms(u)[1] - {1}:
+                    reach[c] = reach.get(c, 0) + marks(u, c) * marks(v, 0)
+        hits = [(c, _low_bytes(r, top * narrow)) for c, r in reach.items()]
+        step, coeffs = h // math.lcm(*(x.h for x in xs)), {}
+        for n, num in _decode(acc, cond, top, width):
+            m, d = math.lcm(*(c for c, hit in hits if not hit.startswith(blank, n * narrow))), 1
+            if m == 1:
+                num = num[:1]
+            elif m != cond:
+                low, d = _lowering(cond, m)
+                num = [sum(map(operator.mul, r, num)) for r in low]
+            coeffs[n // step] = _make(m, tuple(num), den * d)
+        out.append(_series(h // step, min(x.prec for x in xs), coeffs))
     return out
 
 
@@ -321,14 +334,20 @@ _Group = namedtuple("_Group", "rows den big top")
 
 
 def _lifted(group: list, cond: int) -> _Group:
-    """The (n, x) terms, each x.n dividing cond, lifted term by term to cond
-    over one denominator: the form `combine` packs and `hyperalg` stores.
-    At cond 1 a term keeps its one coordinate, the leading one at every
-    joint conductor."""
-    group = [(n, x if x.n == cond else x.lift(cond)) for n, x in group]
-    den = math.lcm(*(x.den for _, x in group))
-    rows = [(n, x.num if x.den == den else [a * (den // x.den) for a in x.num]) for n, x in group]
-    return _Group(rows, den, max(max(map(abs, v)) for _, v in rows), max(n for n, _ in rows))
+    """The (n, x) terms, each x.n dividing cond, lifted together to cond over
+    one denominator at the integer level: the form `combine` packs and
+    `hyperalg` stores.  A rational x becomes (x, 0, ...), so coordinate 0
+    leads at every conductor."""
+    den, pad, rows = math.lcm(*(x.den for _, x in group)), (0,) * (euler_phi(cond) - 1), []
+    for n, x in group:
+        num = x.num
+        if x.n != cond:
+            num = num + pad if x.n == 1 else _embed(num, cond // x.n, 0, cond)
+        if x.den != den:
+            num = tuple([a * (den // x.den) for a in num])
+        rows.append((n, num))
+    big = max(map(abs, chain.from_iterable([v for _, v in rows])))
+    return _Group(rows, den, big, max(n for n, _ in rows))
 
 
 def _pack(rows: list, top: int, stride: int, width: int) -> int:
@@ -346,34 +365,38 @@ def _pack(rows: list, top: int, stride: int, width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _decode(acc: int, cond: int, den: int, top: int, width: int, counts):
-    """Yield (n, the slots of n as a CycNum at cond over den, or None when
-    they sum to zero) for every n < top that a pair of terms reaches.
-    counts yields ints whose sum packs the number of such pairs per n at
-    stride 1; it is summed only at a zero slot of a conductor above 1."""
-    stride = 2 * euler_phi(cond) - 1
-    size = top * stride * width
-    raw = (acc & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-    half, full = 1 << (8 * width - 1), 1 << (8 * width)
-    zero, hits, borrow = bytes(stride * width), None, False
-    for n in range(top):
-        at = n * stride * width
-        block = []
-        if borrow or not raw.startswith(zero, at):
-            for s in range(at, at + stride * width, width):
-                u = int.from_bytes(raw[s : s + width], "little") + borrow
-                borrow = u >= half
-                block.append(u - full if borrow else u)
-        if any(block):
-            coords = _reduce(cond, block) if cond > 1 else block
-            yield n, _make(cond, tuple(coords), den) if any(coords) else None
-        elif cond > 1:
-            # a zero sum still sets the conductor when some pair reaches n
-            if hits is None:
-                span = top * width
-                hits = (sum(counts) & ((1 << (8 * span)) - 1)).to_bytes(span, "little")
-            if not hits.startswith(zero[:width], n * width):
-                yield n, None
+def _decode(acc: int, cond: int, top: int, width: int):
+    """Yield (n, its slots reduced modulo Phi_cond) for every n < top where
+    they are nonzero.  Every slot is below half = 2^(8 * width - 1) in
+    absolute value, so adding half to each carries nothing between slots."""
+    half = 1 << (8 * width - 1)
+    blank = half.to_bytes(width, "little") * (2 * euler_phi(cond) - 1)
+    size = top * len(blank)
+    raw = _low_bytes(acc + int.from_bytes(blank * top, "little"), size)
+    for at in range(0, size, len(blank)):
+        if not raw.startswith(blank, at):
+            block = [int.from_bytes(raw[s : s + width], "little") - half
+                     for s in range(at, at + len(blank), width)]
+            num = _reduce(cond, block) if cond > 1 else block
+            if any(num):
+                yield at // len(blank), num
+
+
+def _low_bytes(x: int, size: int) -> bytes:
+    """The size low bytes of x in two's complement, little-endian."""
+    return (x & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+
+
+@lru_cache(maxsize=None)
+def _lowering(cond: int, m: int) -> tuple:
+    """(P, d), P an integer phi(m) x phi(cond) matrix: an element of Q(zeta_m),
+    m | cond, with coordinates u at cond has coordinates P u / d at m.  P / d
+    is the left inverse (L^T L)^-1 L^T of the lift L from m to cond."""
+    lt = Matrix.from_rows(CycNum.zeta(m, l).lift(cond).num for l in range(euler_phi(m)))
+    left = (lt * lt.transpose()).inverse() * lt
+    low = [[x.rational_value() for x in r] for r in left.to_rows()]
+    d = math.lcm(*(x.denominator for r in low for x in r))
+    return tuple(tuple(int(x * d) for x in r) for r in low), d
 
 
 def slash_expand(f: QExp, k: int, m) -> QExp:
@@ -393,14 +416,12 @@ def slash_expand(f: QExp, k: int, m) -> QExp:
         raise ValueError(f"translation entry b={b} out of range [0, {d})")
     M = a * d
     scale = Fraction(M ** (k // 2), d**k)
-    hd = f.h * d
+    p, q, hd = scale.numerator, scale.denominator, f.h * d
     terms = {}
     for n, c in f.terms.items():
-        coeff = scale * c
+        # zeta_{hd}^(n*b) lives in conductor hd / gcd(n*b, hd): keep conductors tight
         ph = (n * b) % hd
-        if ph:
-            # keep conductors tight: zeta_{hd}^ph lives in conductor hd/gcd
-            g = math.gcd(ph, hd)
-            coeff = coeff * CycNum.zeta(hd // g, ph // g)
-        terms[n * a] = coeff
-    return QExp(hd, f.prec * Fraction(a, d), terms)
+        cond = math.lcm(c.n, hd // math.gcd(ph, hd))
+        num = _embed(c.num, cond // c.n, ph * cond // hd, cond)
+        terms[n * a] = _make(cond, tuple([p * x for x in num]), c.den * q)
+    return _series(hd, f.prec * Fraction(a, d), terms)

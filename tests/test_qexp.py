@@ -1,12 +1,14 @@
 import json
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
 
-from vvmf.exactnum import CycNum, bernoulli, euler_phi
-from vvmf.qexp import InsufficientPrecision, QExp, slash_expand
+from vvmf import qexp
+from vvmf.exactnum import CycNum, _make, _reduce, as_cyc, bernoulli, divisors, euler_phi
+from vvmf.qexp import InsufficientPrecision, QExp, _series, combine, slash_expand
 
 
 def eis_coeffs(k, count):
@@ -139,6 +141,12 @@ def test_negative_exponents_and_zero_precision_rejected():
         QExp(1, 2, {-1: CycNum.one()})
     with pytest.raises(InsufficientPrecision):
         QExp(1, 0, {})
+
+
+@pytest.mark.parametrize("key", [2.5, Fraction(5, 2), Fraction(4, 2), "2", None])
+def test_constructor_rejects_an_exponent_that_is_not_an_integer(key):
+    with pytest.raises(ValueError, match="exponent numerator"):
+        QExp(1, 5, {key: 1})
 
 
 def test_json_round_trip():
@@ -362,3 +370,245 @@ def test_slash_expand_composes_hypothesis():
         assert slash_expand(slash_expand(f, k, m1), k, m2) == slash_expand(f, k, m)
 
     check()
+
+
+# -- the kernel against the pair-by-pair kernel it replaced ----------------
+#
+# oracle_combine packs each pair of conductor groups of an entry at their
+# joint conductor, decodes every such job into CycNums, lifts and adds them;
+# oracle_slash_expand multiplies CycNums.  Both are kept here, verbatim in
+# their arithmetic, as references for the one-product-per-row kernel.
+
+OracleGroup = namedtuple("OracleGroup", "rows den big top")
+
+
+def oracle_combine(rows, series) -> list:
+    rows = [[(c, q) for c, q in zip(row, series) if isinstance(c, QExp) or c] for row in rows]
+    parts = [[x for pair in row for x in pair if isinstance(x, QExp)] for row in rows]
+    h = math.lcm(*(x.h for xs in parts for x in xs))
+    bounds = [math.ceil(min(x.prec for x in xs) * h) if xs else 0 for xs in parts]
+    limit, classes, lifted, packed = max(bounds, default=0), {}, {}, {}
+
+    def conductors(x) -> dict:
+        if id(x) not in classes:
+            classes[id(x)] = groups = {}
+            terms = x.rescale_lattice(h).terms if isinstance(x, QExp) else {0: as_cyc(x)}
+            for n, c in terms.items():
+                if n < limit:
+                    groups.setdefault(c.n, []).append((n, c))
+        return classes[id(x)]
+
+    def lift(x, c: int, cond: int):
+        key = (id(x), c, cond if c > 1 else 1)
+        if key not in lifted:
+            lifted[key] = oracle_lifted(classes[id(x)][c], key[2])
+        return lifted[key]
+
+    def pack(g, stride: int) -> int:
+        if (id(g), stride) not in packed:
+            rows = g.rows if stride else [(n, (1,)) for n, _ in g.rows]
+            packed[id(g), stride] = oracle_pack(rows, g.top, stride or 1, width)
+        return packed[id(g), stride]
+
+    jobs, big = [], 0
+    for row in rows:
+        job: dict = {}
+        for x, y in row:
+            for ca in conductors(x):
+                for cb in conductors(y):
+                    cond = math.lcm(ca, cb)
+                    job.setdefault(cond, []).append((lift(x, ca, cond), lift(y, cb, cond)))
+        for cond, pairs in job.items():
+            den = math.lcm(*(a.den * b.den for a, b in pairs))
+            pairs = [(den // (a.den * b.den), a, b) for a, b in pairs]
+            job[cond] = den, pairs
+            size = sum(f * a.big * b.big * min(len(a.rows), len(b.rows)) for f, a, b in pairs)
+            big = max(big, size * euler_phi(cond))
+        jobs.append(job)
+    width = (big.bit_length() + 8) // 8
+
+    out = []
+    for xs, bound, job in zip(parts, bounds, jobs):
+        if not xs:
+            out.append(QExp.zero(min(q.prec for q in series)))
+            continue
+        terms, reached = {}, {}
+        for cond, (den, pairs) in sorted(job.items()):
+            stride = 2 * euler_phi(cond) - 1
+            acc = sum(f * pack(a, stride) * pack(b, stride) for f, a, b in pairs)
+            top = min(bound, max(a.top + b.top + 1 for _, a, b in pairs))
+            counts = (pack(a, 0) * pack(b, 0) for _, a, b in pairs)
+            for n, part in oracle_decode(acc, cond, den, top, width, counts):
+                if cond > 1:
+                    reached[n] = math.lcm(reached.get(n, 1), cond)
+                if part is not None:
+                    terms[n] = terms[n] + part if n in terms else part
+        step = h // math.lcm(*(x.h for x in xs))
+        terms = {n // step: c.lift(reached.get(n, 1)) for n, c in sorted(terms.items()) if c}
+        out.append(_series(h // step, min(x.prec for x in xs), terms))
+    return out
+
+
+def oracle_lifted(group: list, cond: int):
+    group = [(n, x if x.n == cond else x.lift(cond)) for n, x in group]
+    den = math.lcm(*(x.den for _, x in group))
+    rows = [(n, x.num if x.den == den else [a * (den // x.den) for a in x.num]) for n, x in group]
+    return OracleGroup(rows, den, max(max(map(abs, v)) for _, v in rows), max(n for n, _ in rows))
+
+
+def oracle_pack(rows: list, top: int, stride: int, width: int) -> int:
+    size = (top + 1) * stride * width
+    pos, neg = bytearray(size), bytearray(size)
+    for n, coords in rows:
+        at = n * stride * width
+        for x in coords:
+            if x > 0:
+                pos[at : at + width] = x.to_bytes(width, "little")
+            elif x < 0:
+                neg[at : at + width] = (-x).to_bytes(width, "little")
+            at += width
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def oracle_decode(acc: int, cond: int, den: int, top: int, width: int, counts):
+    stride = 2 * euler_phi(cond) - 1
+    size = top * stride * width
+    raw = (acc & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    half, full = 1 << (8 * width - 1), 1 << (8 * width)
+    zero, hits, borrow = bytes(stride * width), None, False
+    for n in range(top):
+        at = n * stride * width
+        block = []
+        if borrow or not raw.startswith(zero, at):
+            for s in range(at, at + stride * width, width):
+                u = int.from_bytes(raw[s : s + width], "little") + borrow
+                borrow = u >= half
+                block.append(u - full if borrow else u)
+        if any(block):
+            coords = _reduce(cond, block) if cond > 1 else block
+            yield n, _make(cond, tuple(coords), den) if any(coords) else None
+        elif cond > 1:
+            if hits is None:
+                span = top * width
+                hits = (sum(counts) & ((1 << (8 * span)) - 1)).to_bytes(span, "little")
+            if not hits.startswith(zero[:width], n * width):
+                yield n, None
+
+
+def oracle_slash_expand(f: QExp, k: int, m) -> QExp:
+    a, b, d = m
+    scale = Fraction((a * d) ** (k // 2), d**k)
+    hd = f.h * d
+    terms = {}
+    for n, c in f.terms.items():
+        coeff = scale * c
+        ph = (n * b) % hd
+        if ph:
+            g = math.gcd(ph, hd)
+            coeff = coeff * CycNum.zeta(hd // g, ph // g)
+        terms[n * a] = coeff
+    return QExp(hd, f.prec * Fraction(a, d), terms)
+
+
+# per kind of series, the conductors its coefficients are drawn from; an
+# entry's joint conductor is 1, 3, 4, 6 or 12
+SERIES_KINDS = [(1,), (1, 3), (3,), (1, 4), (2, 3), (1, 6), (1, 3, 4), (12,), (1, 3, 6)]
+
+
+def kind_series(rng, kind, size=9, max_terms=12):
+    h = rng.choice([1, 3])
+    prec = Fraction(rng.randint(2, 20), rng.choice([1, 2, 3]))
+    terms = {rng.randrange(math.ceil(prec * h) + 2): random_coefficient(rng, rng.choice(kind), size)
+             for _ in range(rng.randint(0, max_terms))}
+    return QExp(h, prec, terms)
+
+
+def mixed_rows(rng, series, count):
+    """Rows of scalar entries (rational or at conductor 3, 4, 6 or 12) and
+    series entries, with zero entries between them."""
+    def entry():
+        pick = rng.random()
+        if pick < 0.25:
+            return 0
+        if pick < 0.5:
+            return kind_series(rng, rng.choice(SERIES_KINDS))
+        if pick < 0.65:
+            return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 7]))
+        return random_coefficient(rng, rng.choice((1, 3, 4, 6, 12)), 9)
+    return [[entry() for _ in series] for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_combine_matches_the_pair_by_pair_oracle_bytes(seed):
+    rng = random.Random(f"oracle/{seed}")
+    # near 10**40 the products of slots need more than 256 bits
+    size = 10**40 if seed % 4 == 3 else 9
+    for _ in range(12):
+        series = [kind_series(rng, rng.choice(SERIES_KINDS), size) for _ in range(rng.randint(1, 4))]
+        rows = mixed_rows(rng, series, rng.randint(1, 5))
+        got, want = combine(rows, series), oracle_combine(rows, series)
+        assert [json_bytes(q) for q in got] == [json_bytes(q) for q in want]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_oracle_matches_the_termwise_product(seed):
+    rng = random.Random(f"oracle-termwise/{seed}")
+    for _ in range(30):
+        x, y = (kind_series(rng, rng.choice(SERIES_KINDS)) for _ in range(2))
+        (want,) = oracle_combine([[x]], [y])
+        assert json_bytes(want) == json_bytes(reference_mul(y, x))
+        assert json_bytes(x * y) == json_bytes(want)
+
+
+def test_an_exponent_reached_only_by_rational_pairs_stays_rational():
+    z3 = CycNum.zeta(3)
+    # q^1 is reached by 2 * 3 only; q^2 by z3 * 1 as well
+    a = QExp(1, 4, {0: CycNum.from_rational(2), 2: z3})
+    b = QExp(1, 4, {1: CycNum.from_rational(3)})
+    prod = a * b
+    assert prod.terms[1] == 6 and prod.terms[1].n == 1
+    assert prod.terms[3].n == 3
+    assert [json_bytes(prod)] == [json_bytes(q) for q in oracle_combine([[a]], [b])]
+
+
+def test_cancelled_conductor_3_pairs_keep_conductor_3():
+    z3 = CycNum.zeta(3)
+    # at q^2: z3 * z3 - z3 * z3 = 0 and 1 * 4 = 4, stored at conductor 3
+    a = QExp(1, 4, {0: CycNum.one(), 1: z3, 2: -z3})
+    b = QExp(1, 4, {0: z3, 1: z3, 2: CycNum.from_rational(4)})
+    ((got,), (want,)) = combine([[a]], [b]), oracle_combine([[a]], [b])
+    assert got.terms[2] == 4 and got.terms[2].n == 3
+    assert json_bytes(got) == json_bytes(want)
+
+
+@pytest.mark.parametrize("high", [CycNum.zeta(6), CycNum.zeta(4), CycNum.zeta(12, 5)])
+def test_a_conductor_3_exponent_inside_a_higher_entry_is_lowered(high, monkeypatch):
+    z3 = CycNum.zeta(3)
+    # the entry's joint conductor is 6 or 12; q^0 and q^1 are reached by
+    # conductor-3 pairs only, q^4 by the higher term
+    a = QExp(1, 6, {0: z3, 1: CycNum.from_rational(Fraction(2, 5)), 4: high})
+    b = QExp(1, 6, {0: 3 * z3 + 1, 1: CycNum.from_rational(7)})
+    calls = []
+    lowering = qexp._lowering
+    monkeypatch.setattr(qexp, "_lowering", lambda n, m: calls.append((n, m)) or lowering(n, m))
+    ((got,), (want,)) = combine([[a]], [b]), oracle_combine([[a]], [b])
+    cond = math.lcm(3, high.n)
+    assert (cond, 3) in calls
+    assert got.terms[0].n == got.terms[1].n == 3 and got.terms[4].n == cond
+    assert json_bytes(got) == json_bytes(want) == json_bytes(reference_mul(b, a))
+
+
+def delta_triples(M):
+    return [(a, b, M // a) for a in divisors(M) for b in range(M // a)]
+
+
+@pytest.mark.parametrize("M", range(1, 7))
+def test_slash_expand_matches_the_cycnum_oracle_on_every_coset(M):
+    rng = random.Random(f"slash/{M}")
+    for _ in range(6):
+        h = rng.choice([1, 2, 3])
+        f = QExp(h, rng.randint(1, 6), {rng.randrange(6 * h): random_coefficient(
+            rng, rng.choice((1, 3, 4)), 40) for _ in range(rng.randint(0, 12))})
+        for k in (2, 4, 12):
+            for m in delta_triples(M):
+                assert json_bytes(slash_expand(f, k, m)) == json_bytes(oracle_slash_expand(f, k, m))

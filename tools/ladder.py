@@ -64,6 +64,25 @@ for form, expected in _vv_queries(span, withheld, random.Random(1)):
 print(f"# inner_s={spent:.4f}", file=sys.stderr)
 """
 
+# T3(E4) (x) T3(E8), built from precision 150, onto the bundled registry: the
+# product of the CI hyperprod pin, in process, at a length where the series
+# kernel takes most of the time; inner_s times hyper_tensor alone
+_HYPER_T3 = """
+import hashlib, json, sys, time
+from vvmf.cli import load_bundled_registry
+from vvmf.forms import eisenstein
+from vvmf.hecke import hecke_form
+from vvmf.hyperalg import hyper_tensor
+reg = load_bundled_registry()
+t3e4, t3e8 = (hecke_form(3, eisenstein(k, 150)) for k in (4, 8))
+start = time.perf_counter()
+span = hyper_tensor(t3e4, t3e8, reg)
+spent = time.perf_counter() - start
+text = json.dumps(span.to_json())
+print(sorted(span.dimension_signature().items()), hashlib.sha256(text.encode()).hexdigest())
+print(f"# inner_s={spent:.4f}", file=sys.stderr)
+"""
+
 CLI = ["python3", "-m", "vvmf.cli"]
 RUNGS = {
     "hecke-cosets-g3-m3": CLI + ["hecke", "cosets", "--genus", "3", "--index", "3", "--count-only"],
@@ -80,6 +99,7 @@ RUNGS = {
     "thm11-k22-m146": CLI + ["verify", "thm11", "--k", "22", "--l", "4", "--l2", "6",
                              "--indices", "1,4,6", "--format", "json"],
     "vv-product-queries": ["python3", "-c", _VV_QUERIES],
+    "hyperprod-t3e4-t3e8": ["python3", "-c", _HYPER_T3],
 }
 
 
