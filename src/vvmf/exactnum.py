@@ -397,7 +397,15 @@ class CycNum:
         c = obj.get("c")
         if not isinstance(c, list):
             raise ValueError(f'cyclotomic "c" must be a list of rationals, got {json.dumps(c)}')
-        return CycNum(json_int(obj, "n", "cyclotomic"), [parse_rational(s) for s in c])
+        n = json_int(obj, "n", "cyclotomic")
+        if n < 1:
+            raise ValueError(f"conductor must be positive, got {n}")
+        # phi(n) >= sqrt(n / 2), so a short list at a huge n is refused
+        # before phi(n) is counted
+        if 2 * len(c) ** 2 < n or len(c) != euler_phi(n):
+            raise ValueError(f'cyclotomic "c" at conductor {n} must have phi({n}) coordinates, '
+                             f"got {len(c)}")
+        return CycNum(n, [parse_rational(s) for s in c])
 
 
 def _make(n: int, num: tuple, den: int) -> CycNum:

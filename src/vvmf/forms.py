@@ -11,7 +11,7 @@ M^(k/2) rational).
 The Rankin-Cohen bracket [f, g]_t, built from theta = q d/dq alone, is up
 to a nonzero rational factor the weight k_f + k_g + 2t holomorphic layer
 of every R^a f (x) R^b g with a + b = t.  All its products go to one
-`qexp.combine` call; its projections contract each map into g first.
+`qexp.combine_terms` call; its projections contract each map into g first.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from itertools import accumulate
 
 from .ahol import AholForm, apply_intertwiner
 from .exactnum import CycNum, bernoulli, divisors
-from .qexp import QExp, combine
+from .qexp import QExp, combine, combine_terms
 from .reps import Rep, trivial_rep
 from . import hecke as _hecke
 from .hyperalg import FormSpan, _basis_maps, projections
@@ -93,15 +93,17 @@ def bracket_projections(f: AholForm, g: AholForm, t: int, targets) -> list:
 
 def _bracket(f: AholForm, kg: int, t: int, rows) -> list:
     """Per row of blocks {i: [h, theta h, ..., theta^t h]}, sum_i sum_r c_r theta^r f_i .
-    theta^(t-r) h by one `qexp.combine`: its series are c_r theta^r f_i at i*(t+1) + r,
-    and a row holds theta^(t-r) h at column i*(t+1) + r per block i, 0 elsewhere."""
+    theta^(t-r) h: one `qexp.combine_terms` row of the terms (c_r, theta^r f_i,
+    theta^(t-r) h); a row without blocks is zero at the least precision of f."""
     kf = f.weight
     if t < 0 or t + min(kf, kg) < 1:
         raise ValueError(f"bracket needs t >= 0 and t + k >= 1 for both weights, got t = {t}")
-    series = [d[r].scaled((-1) ** r * math.comb(t + kf - 1, t - r) * math.comb(t + kg - 1, r))
-              for d in (_thetas(q, t) for q in f.components) for r in range(t + 1)]
-    return combine([[row[i][t - r] if i in row else 0 for i in range(f.rep.dim)
-                     for r in range(t + 1)] for row in rows], series)
+    coeffs = [(-1) ** r * math.comb(t + kf - 1, t - r) * math.comb(t + kg - 1, r)
+              for r in range(t + 1)]
+    df = [_thetas(q, t) for q in f.components]
+    return combine_terms([[(c, df[i][r], d[t - r]) for i, d in row.items()
+                           for r, c in enumerate(coeffs)] for row in rows],
+                         min(q.prec for q in f.components))
 
 
 def _thetas(q: QExp, t: int) -> list:

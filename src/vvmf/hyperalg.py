@@ -1,5 +1,11 @@
 """The multivalued product of forms and graded spans with exact membership.
 
+The product of f and g is the span of every intertwiner projection of
+f (x) g.  Each projected row is one row of `qexp.combine_terms` whose terms
+are phi[a, i*dim_g + j] * f_i * g_j, so each product f_i g_j is made once,
+shared by every row and map that meets it, and no component of the tensor
+product is made or decoded.
+
 A FormSpan stores generators per grade (weight, type label), with
 provenance strings so harnesses can report which products certify a
 membership.  Stored generators are linearly independent within a grade
@@ -8,8 +14,10 @@ pivot column per generator and the inverse of that block of their rows),
 so a new form or a membership candidate is one reduced row.  The state
 keeps each generator's series over one denominator and packs it as
 Kronecker-packed ints, one per power-basis coordinate, at each slot width
-a read asks for (D. Harvey, J. Symbolic Comput. 44, 2009, as in
-`qexp.combine`): the reduced row is a packed integer combination, block
+a read asks for (D. Harvey, J. Symbolic Comput. 44, 2009), the layout and
+packer of `qexp.combine_terms`, and meets a scalar through its integer
+multiplication matrix (`qexp._multiplication`) as that kernel does: the
+reduced row is a packed integer combination, block
 by block, at the least width that holds that block's bound from bit
 lengths, and its first nonzero column is read off the lowest set bit.
 
@@ -25,9 +33,9 @@ import math
 from fractions import Fraction
 
 from .ahol import AholForm, _apply_maps
-from .exactnum import CycNum, _embed, divisors, euler_phi
-from .linalg import Subspace, invert_rows, sparse_row
-from .qexp import InsufficientPrecision, _lifted, _pack, combine
+from .exactnum import CycNum, divisors, euler_phi
+from .linalg import Matrix, Subspace, invert_rows, sparse_row
+from .qexp import InsufficientPrecision, _lifted, _multiplication, _pack, combine_terms
 from .reps import RepRegistry, hom_space, require_same_content
 
 
@@ -129,7 +137,8 @@ class _Pivots:
     b as (g, packs): g the block's terms over Q(zeta_{n_j}) as a
     `qexp._lifted` group, None for a zero block, and packs maps a slot
     width to one int per coordinate l, packing coordinate l of column t in
-    slot t (`qexp._pack`), filled by the first read at that width.
+    slot t (`qexp._pack`, the packer of the series kernel), filled by the
+    first read at that width.
 
     A read takes c = (v|P) . inv at the lcm N of n_v and every n_j, and
     walks the blocks in column order.  Coordinate i of Lambda * (v - sum_j
@@ -266,18 +275,8 @@ def _packs(pair, width: int) -> list:
     coordinate l of column t in slot t; packed once per width."""
     g, packs = pair
     if width not in packs:
-        packs[width] = [_pack([(t, (x[l],)) for t, x in g.rows], g.top, 1, width // 8)
-                        for l in range(len(g.rows[0][1]))]
+        packs[width] = _pack(g.rows, g.top, width // 8)
     return packs[width]
-
-
-def _multiplication(cond: int, num: tuple, n: int) -> list:
-    """M with M[i][l] the coordinate i of num * zeta_n^l modulo Phi_cond,
-    for num at conductor cond and n | cond: M takes an element of Q(zeta_n)
-    to num times it."""
-    step = cond // n
-    cols = [_embed(num, 1, l * step, cond) for l in range(euler_phi(n))]
-    return [[col[i] for col in cols] for i in range(len(num))]
 
 
 def _bits(m: list) -> int:
@@ -301,13 +300,16 @@ def hyper_tensor(f: AholForm, g: AholForm, targets: RepRegistry) -> FormSpan:
     Weights are integers at genus 1 and simply add; there is no weight-side
     hom enumeration (the tensor of one-dimensional weights is canonically
     irreducible).  Depths add: output layers are convolutions of the
-    Y-graded pieces.
+    Y-graded pieces.  Each projection is made from f and g directly
+    (`_tensor_images`); no component of the tensor product is made.
     """
     if f.weight % 2 != 0 or g.weight % 2 != 0:
         raise ValueError("weights must be even")
     span = FormSpan()
     name = f"({f.name or 'f'} (x) {g.name or 'g'})"
-    for tag, image in projections(tensor_form(f, g), targets):
+    maps = _basis_maps(f.rep.tensor(g.rep), targets)
+    images = _tensor_images(f, g, [m for _, m in maps], f"phi({_tensor_name(f, g)})")
+    for (tag, _), image in zip(maps, images):
         span.add(image, provenance=f"phi[{tag}] . {name}")
     return span
 
@@ -333,22 +335,37 @@ def _basis_maps(rep, targets) -> list:
 
 
 def tensor_form(f: AholForm, g: AholForm) -> AholForm:
-    """Pointwise tensor with components flattened as i*dim_g + j.
-
-    Component (i, j) of layer s is the sum over r + t = s of f.graded[t][i]
-    * g.graded[r][j]: one `qexp.combine` row over all components of g.
-    """
+    """Pointwise tensor with components flattened as i*dim_g + j: the
+    image of f (x) g under the identity map (`_tensor_images`)."""
     rep = f.rep.tensor(g.rep)
-    depth, dim = f.depth + g.depth, g.rep.dim
-    rows = [
-        [f.graded[s - r][i] if k == j and 0 <= s - r <= f.depth else 0
-         for r in range(g.depth + 1) for k in range(dim)]
-        for s in range(depth + 1) for i in range(f.rep.dim) for j in range(dim)
-    ]
-    comps = combine(rows, [q for layer in g.graded for q in layer])
-    layers = [comps[s * rep.dim : (s + 1) * rep.dim] for s in range(depth + 1)]
-    name = f"({f.name} (x) {g.name})" if f.name and g.name else ""
-    return AholForm(f.weight + g.weight, rep, layers, name=name)
+    return _tensor_images(f, g, [(Matrix.identity(rep.dim), rep)], _tensor_name(f, g))[0]
+
+
+def _tensor_name(f: AholForm, g: AholForm) -> str:
+    return f"({f.name} (x) {g.name})" if f.name and g.name else ""
+
+
+def _tensor_images(f: AholForm, g: AholForm, maps, name: str) -> list:
+    """phi(f (x) g) for each (phi, target) of maps, one `qexp.combine_terms`
+    call per layer s.  Row a of layer s is the sum over r + t = s and i, j
+    of phi[a, i*dim_g + j] * f.graded[t][i] * g.graded[r][j], so each
+    product f_i g_j is made once and shared by every row that meets it.  A
+    row whose map row is zero is QExp.zero at the least precision of the
+    layer's factors."""
+    dg, layers = g.rep.dim, []
+    for s in range(f.depth + g.depth + 1):
+        pairs = [(f.graded[t], g.graded[s - t]) for t in range(f.depth + 1)
+                 if 0 <= s - t <= g.depth]
+        rows = [[(c, fs[k // dg], gs[k % dg])
+                 for fs, gs in pairs for k, c in phi.nonzeros[a].items()]
+                for phi, target in maps for a in range(target.dim)]
+        layers.append(combine_terms(rows, min(q.prec for fs, gs in pairs for q in fs + gs)))
+    out, start = [], 0
+    for _, target in maps:
+        out.append(AholForm(f.weight + g.weight, target,
+                            [layer[start : start + target.dim] for layer in layers], name=name))
+        start += target.dim
+    return out
 
 
 def congruence_index(level: int) -> int:

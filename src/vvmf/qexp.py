@@ -12,17 +12,14 @@ truncations) go through the trusted constructor `_series`, and each
 caller drops its own zeros.
 
 Products and sums of products are one multiply-accumulate kernel,
-`combine`, by Kronecker substitution (D. Harvey, J. Symbolic Comput. 44,
-2009).  A row of products is one job at its joint conductor N, the lcm of
-its factors' conductors: each factor is lifted to N over one denominator
-and packed once per call into a Python int, coordinate j of exponent n in
-slot n*(2*phi(N) - 1) + j, at one slot width for the call (a scalar is a
-one-term series), and the row's products are added in one int, decoded
-once and reduced modulo Phi_N.  A coefficient has the lcm m of the
-conductors of every pair of terms that reaches its exponent, even where
-their sum cancels, a rule that depends neither on the algorithm nor on
-the order of summation; products of narrow 0/1 indicators of each
-conductor's terms decide it, and one CycNum is made at m per coefficient.
+`combine_terms`, by Kronecker substitution (D. Harvey, J. Symbolic
+Comput. 44, 2009): each distinct product of a call is made once on
+factors packed one Python int per power-basis coordinate, folded modulo
+the cyclotomic polynomial on the packed ints, and shared by every row
+that scales it.  A coefficient has the lcm of the conductors of every
+term and pair of terms that reaches its exponent, even where their sum
+cancels, a rule that depends neither on the algorithm nor on the order
+of summation.
 """
 
 from __future__ import annotations
@@ -247,25 +244,50 @@ def combine(rows, series) -> list:
     An entry is a scalar or a series, and zero scalars are skipped.  Row i
     has the lcm of the lattices and the least precision of the series its
     other entries meet (both factors of a series entry); with no entry left
-    it is QExp.zero at the least precision of all series.
-
-    A row is one packed sum at its joint conductor N, one product per
-    entry, decoded once.  Indicator products mark where a pair with a term
-    at conductor c > 1 reaches; a coefficient's coordinates are lowered from
-    N to the lcm m of its marked c (m = 1: coordinate 0; else `_lowering`).
+    it is QExp.zero at the least precision of all series.  The rows are one
+    `combine_terms` call: a scalar entry c is the term c * series[j], a
+    series entry x the term 1 * x * series[j].
     """
-    rows = [[(c, q) for c, q in zip(row, series) if isinstance(c, QExp) or c] for row in rows]
-    parts = [[x for pair in row for x in pair if isinstance(x, QExp)] for row in rows]
-    h = math.lcm(*(x.h for xs in parts for x in xs))
-    bounds = [math.ceil(min(x.prec for x in xs) * h) if xs else 0 for xs in parts]
-    limit, found, lifted, packed, marked = max(bounds, default=0), {}, {}, {}, {}
+    return combine_terms([[(1, c, q) if isinstance(c, QExp) else (c, q, None)
+                           for c, q in zip(row, series)] for row in rows],
+                         min(q.prec for q in series))
+
+
+def combine_terms(rows, empty) -> list:
+    """Per row of terms (c, x, y), c a scalar and x, y series (y None for
+    the term c * x), the series sum c * x * y.  A row has the lcm of the
+    lattices and the least precision of the factors of its terms with
+    c != 0; with no such term it is QExp.zero at precision empty.
+
+    Each distinct product x * y of the call is made once, at the lcm n of
+    its terms' conductors: x and y are lifted to n over one denominator and
+    packed into one int per power-basis coordinate, exponent t in slot t
+    (`_pack`), and the coordinate-pair products are folded modulo Phi_n on
+    those ints (`_multiply`).  A row at its joint conductor N, the lcm of
+    its terms' c.n and n, applies each c as the integer matrix of c times
+    Q(zeta_n) in Q(zeta_N) (`_multiplication`) to the shared product and
+    decodes its phi(N) sums once.  One slot width holds every row of the
+    call: per term, the matrix's largest row sum times the product's slot
+    bound, `_fold_growth(n)` * phi(n) * (pairs of terms per exponent) *
+    (the factors' largest coordinates).
+
+    A coefficient has the lcm m of c.n and the pair's term conductors, over
+    every term and pair of terms that reaches its exponent, even where
+    their sum cancels; products of narrow 0/1 indicators of each
+    conductor's terms decide it, and the coefficient's coordinates are
+    lowered from N to m (m = 1: coordinate 0; else `_lowering`).
+    """
+    rows = [[(as_cyc(c), x, y) for c, x, y in row if c] for row in rows]
+    parts = [[q for _, x, y in row for q in (x, y) if q is not None] for row in rows]
+    h = math.lcm(*(q.h for qs in parts for q in qs))
+    bounds = [math.ceil(min(q.prec for q in qs) * h) if qs else 0 for qs in parts]
+    limit, found, lifted, packed, made, marked = max(bounds, default=0), {}, {}, {}, {}, {}
 
     def terms(x) -> tuple:
         """(x's (n, c) terms below every bound at lattice h, their conductors)."""
         if id(x) not in found:
-            q = x if isinstance(x, QExp) else QExp.constant(x, 1)
-            step = h // q.h
-            t = [(n * step, c) for n, c in q.terms.items() if n * step < limit]
+            step = h // x.h
+            t = [(n * step, c) for n, c in x.terms.items() if n * step < limit]
             found[id(x)] = t, {c.n for _, c in t}
         return found[id(x)]
 
@@ -274,57 +296,117 @@ def combine(rows, series) -> list:
             lifted[id(x), cond] = _lifted(terms(x)[0], cond)
         return lifted[id(x), cond]
 
-    def pack(g: _Group, stride: int) -> int:
-        if (id(g), stride) not in packed:
-            packed[id(g), stride] = _pack(g.rows, g.top, stride, width)
-        return packed[id(g), stride]
+    def product(x, y) -> _Product:
+        """The product record of x * y (of x where y is None), made once."""
+        key = (id(x), id(y)) if y is None or id(x) <= id(y) else (id(y), id(x))
+        if key not in made:
+            conds = terms(x)[1] | (terms(y)[1] if y is not None else set())
+            cond = math.lcm(*conds)
+            if y is None:
+                a = lift(x, cond)
+                made[key] = _Product(x, y, conds, cond, (a,), a.den, a.big, a.top, 1, {})
+            else:
+                a, b = lift(x, cond), lift(y, cond)
+                count = min(len(a.rows), len(b.rows))
+                big = _fold_growth(cond) * euler_phi(cond) * count * a.big * b.big
+                made[key] = _Product(x, y, conds, cond, (a, b), a.den * b.den, big,
+                                     a.top + b.top, count, {})
+        return made[key]
+
+    # one slot width bounds every row of the call, and one narrow width
+    # every sum of indicator products
+    jobs, big, most = [], 0, 1
+    for row in rows:
+        job = [(c, product(x, y)) for c, x, y in row
+               if terms(x)[0] and (y is None or terms(y)[0])]
+        cond = math.lcm(*(c.n for c, _ in job), *(p.cond for _, p in job))
+        den = math.lcm(*(c.den * p.den for c, p in job))
+        scaled, size = [], 0
+        for c, p in job:
+            f, m = den // (c.den * p.den), _multiplication(cond, c.lift(cond).num, p.cond)
+            m = [[f * v for v in r] for r in m] if f != 1 else m
+            size += max(sum(map(abs, r)) for r in m) * p.big
+            scaled.append((m, p))
+        big = max(big, size)
+        most = max(most, sum(3 * p.count for _, p in job))
+        jobs.append((job, cond, den, scaled))
+    width, narrow = (big.bit_length() + 8) // 8, (most.bit_length() + 7) // 8
+    half = 1 << (8 * width - 1)
+    fill = int.from_bytes(half.to_bytes(width, "little") * limit, "little")
+
+    def pack(g: _Group) -> list:
+        if id(g) not in packed:
+            packed[id(g)] = _pack(g.rows, g.top, width)
+        return packed[id(g)]
+
+    def ints(p: _Product) -> list:
+        """The folded coordinate ints of p at the call's width, made once."""
+        if "ints" not in p.cache:
+            packs = [pack(g) for g in p.groups]
+            p.cache["ints"] = packs[0] if len(packs) == 1 else _multiply(*packs, p.cond)
+        return p.cache["ints"]
 
     def marks(x, c: int) -> int:
         """The 0/1 indicator of x's exponents whose term has conductor c (any for 0)."""
         if (id(x), c) not in marked:
             ns = [n for n, t in terms(x)[0] if c in (0, t.n)]
-            marked[id(x), c] = _pack([(n, (1,)) for n in ns], max(ns), 1, narrow)
+            flags = bytearray((max(ns) + 1) * narrow)
+            for n in ns:
+                flags[n * narrow] = 1
+            marked[id(x), c] = int.from_bytes(flags, "little")
         return marked[id(x), c]
 
-    # one slot width bounds every packed sum of the call, and one narrow
-    # width every sum of indicator products
-    jobs, big, most = [], 0, 1
-    for row in rows:
-        row = [(x, y) for x, y in row if terms(x)[0] and terms(y)[0]]
-        cond = math.lcm(*(c for pair in row for x in pair for c in terms(x)[1]))
-        pairs = [(lift(x, cond), lift(y, cond)) for x, y in row]
-        den = math.lcm(*(a.den * b.den for a, b in pairs))
-        pairs = [(den // (a.den * b.den), a, b) for a, b in pairs]
-        size = sum(f * a.big * b.big * min(len(a.rows), len(b.rows)) for f, a, b in pairs)
-        big = max(big, size * euler_phi(cond))
-        most = max(most, sum(2 * min(len(a.rows), len(b.rows)) for _, a, b in pairs))
-        jobs.append((row, cond, den, pairs))
-    width, narrow = (big.bit_length() + 8) // 8, (most.bit_length() + 7) // 8
+    def reach(p: _Product, c: int) -> int:
+        """The indicator of the exponents that p reaches with a term of
+        conductor c > 1 (with any term for 0), made once."""
+        if c not in p.cache:
+            x, y = p.x, p.y
+            if y is None:
+                p.cache[c] = marks(x, c)
+            elif c == 0:
+                p.cache[c] = marks(x, 0) * marks(y, 0)
+            else:
+                p.cache[c] = sum(marks(u, c) * marks(v, 0)
+                                 for u, v in ((x, y), (y, x)) if c in terms(u)[1])
+        return p.cache[c]
 
     out, blank = [], bytes(narrow)
-    for xs, bound, (row, cond, den, pairs) in zip(parts, bounds, jobs):
-        if not xs:
-            out.append(QExp.zero(min(q.prec for q in series)))
+    for qs, bound, (job, cond, den, scaled) in zip(parts, bounds, jobs):
+        if not qs:
+            out.append(QExp.zero(empty))
             continue
-        stride = 2 * euler_phi(cond) - 1
-        acc = sum(f * pack(a, stride) * pack(b, stride) for f, a, b in pairs)
-        top = min(bound, max((a.top + b.top + 1 for _, a, b in pairs), default=0))
-        reach: dict = {}
-        for x, y in row:
-            for u, v in ((x, y), (y, x)):
-                for c in terms(u)[1] - {1}:
-                    reach[c] = reach.get(c, 0) + marks(u, c) * marks(v, 0)
-        hits = [(c, _low_bytes(r, top * narrow)) for c, r in reach.items()]
-        step, coeffs = h // math.lcm(*(x.h for x in xs)), {}
-        for n, num in _decode(acc, cond, top, width):
-            m, d = math.lcm(*(c for c, hit in hits if not hit.startswith(blank, n * narrow))), 1
+        acc = [0] * euler_phi(cond)
+        for m, p in scaled:
+            zs = ints(p)
+            for i, r in enumerate(m):
+                for v, z in zip(r, zs):
+                    if v == 1:
+                        acc[i] += z
+                    elif v:
+                        acc[i] += v * z
+        top = min(bound, max((p.top + 1 for _, p in job), default=0))
+        # every term of conductor cond reaches cond wherever it reaches
+        fixed = cond == 1 or all(c.n == cond for c, _ in job)
+        hits: dict = {}
+        for c, p in job if not fixed else ():
+            for k in p.conds - {1}:
+                hits[k] = hits.get(k, 0) + reach(p, k)
+            if c.n > 1:
+                hits[c.n] = hits.get(c.n, 0) + reach(p, 0)
+        hits = [(k, _low_bytes(r, top * narrow)) for k, r in hits.items()]
+        step, coeffs = h // math.lcm(*(q.h for q in qs)), {}
+        for n, num in _decode(acc, top, width, fill):
+            m, d = cond if fixed else 1, 1
+            for k, hit in hits:
+                if not hit.startswith(blank, n * narrow):
+                    m = math.lcm(m, k)
             if m == 1:
                 num = num[:1]
             elif m != cond:
                 low, d = _lowering(cond, m)
                 num = [sum(map(operator.mul, r, num)) for r in low]
             coeffs[n // step] = _make(m, tuple(num), den * d)
-        out.append(_series(h // step, min(x.prec for x in xs), coeffs))
+        out.append(_series(h // step, min(q.prec for q in qs), coeffs))
     return out
 
 
@@ -332,10 +414,18 @@ def combine(rows, series) -> list:
 # big the largest |coordinate| and top the largest n
 _Group = namedtuple("_Group", "rows den big top")
 
+# a product x * y (x alone where y is None) of a `combine_terms` call:
+# conds the conductors of their terms and cond their lcm, groups x and y
+# lifted to cond, den the product of their denominators, big a bound on
+# each slot of its folded coordinates, top its largest exponent, count the
+# most pairs of terms per exponent, and cache its folded ints and its
+# indicators, made at most once per call
+_Product = namedtuple("_Product", "x y conds cond groups den big top count cache")
+
 
 def _lifted(group: list, cond: int) -> _Group:
     """The (n, x) terms, each x.n dividing cond, lifted together to cond over
-    one denominator at the integer level: the form `combine` packs and
+    one denominator at the integer level: the form `combine_terms` packs and
     `hyperalg` stores.  A rational x becomes (x, 0, ...), so coordinate 0
     leads at every conductor."""
     den, pad, rows = math.lcm(*(x.den for _, x in group)), (0,) * (euler_phi(cond) - 1), []
@@ -350,36 +440,74 @@ def _lifted(group: list, cond: int) -> _Group:
     return _Group(rows, den, big, max(n for n, _ in rows))
 
 
-def _pack(rows: list, top: int, stride: int, width: int) -> int:
-    """Sum of coords[j] * 2^(8 * width * (n * stride + j)) over (n, coords), n <= top."""
-    size = (top + 1) * stride * width
-    pos, neg = bytearray(size), bytearray(size)
-    for n, coords in rows:
-        at = n * stride * width
-        for x in coords:
+def _pack(rows: list, top: int, width: int) -> list:
+    """One int per coordinate l of the (n, coords) rows, n <= top: the sum of
+    coords[l] * 2^(8 * width * n)."""
+    out, size = [], (top + 1) * width
+    for l in range(len(rows[0][1])):
+        pos, neg = bytearray(size), bytearray(size)
+        for n, coords in rows:
+            x = coords[l]
             if x > 0:
+                at = n * width
                 pos[at : at + width] = x.to_bytes(width, "little")
             elif x < 0:
+                at = n * width
                 neg[at : at + width] = (-x).to_bytes(width, "little")
-            at += width
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        out.append(int.from_bytes(pos, "little") - int.from_bytes(neg, "little"))
+    return out
 
 
-def _decode(acc: int, cond: int, top: int, width: int):
-    """Yield (n, its slots reduced modulo Phi_cond) for every n < top where
-    they are nonzero.  Every slot is below half = 2^(8 * width - 1) in
-    absolute value, so adding half to each carries nothing between slots."""
+def _multiply(xs: list, ys: list, cond: int) -> tuple:
+    """The coordinate ints of the product of two elements of Q(zeta_cond)
+    given by their coordinate ints: the products of coordinate pairs
+    (Karatsuba at phi(cond) = 2), folded modulo Phi_cond."""
+    if len(xs) == 2 and all(xs) and all(ys):
+        low, high = xs[0] * ys[0], xs[1] * ys[1]
+        s = xs[0] + xs[1]
+        t = s if xs is ys else ys[0] + ys[1]
+        prods = [low, s * t - low - high, high]
+    else:
+        prods = [0] * (2 * len(xs) - 1)
+        for l, a in enumerate(xs):
+            if a:
+                for j, b in enumerate(ys):
+                    if b:
+                        prods[l + j] += a * b
+    return _reduce(cond, prods)
+
+
+@lru_cache(maxsize=None)
+def _fold_growth(cond: int) -> int:
+    """The largest sum over k < 2 phi(cond) - 1 of |coordinate j of x^k mod
+    Phi_cond|: folding products of coordinates that are each at most B in
+    absolute value gives coordinates at most this times B."""
+    phi = euler_phi(cond)
+    powers = [_reduce(cond, [0] * k + [1]) for k in range(2 * phi - 1)]
+    return max(sum(abs(p[j]) for p in powers) for j in range(phi))
+
+
+def _multiplication(cond: int, num: tuple, n: int) -> list:
+    """M with M[i][l] the coordinate i of num * zeta_n^l modulo Phi_cond,
+    for num at conductor cond and n | cond: M takes an element of Q(zeta_n)
+    to num times it."""
+    step = cond // n
+    cols = [_embed(num, 1, l * step, cond) for l in range(euler_phi(n))]
+    return [[col[i] for col in cols] for i in range(len(num))]
+
+
+def _decode(accs: list, top: int, width: int, fill: int):
+    """Yield (n, [slot n of each of accs]) for every n < top where a slot is
+    nonzero.  Every slot is below half = 2^(8 * width - 1) in absolute
+    value, so adding fill, half in each slot, carries nothing between
+    slots."""
     half = 1 << (8 * width - 1)
-    blank = half.to_bytes(width, "little") * (2 * euler_phi(cond) - 1)
-    size = top * len(blank)
-    raw = _low_bytes(acc + int.from_bytes(blank * top, "little"), size)
-    for at in range(0, size, len(blank)):
-        if not raw.startswith(blank, at):
-            block = [int.from_bytes(raw[s : s + width], "little") - half
-                     for s in range(at, at + len(blank), width)]
-            num = _reduce(cond, block) if cond > 1 else block
-            if any(num):
-                yield at // len(blank), num
+    blank, size = half.to_bytes(width, "little"), top * width
+    raws = [_low_bytes(a + fill, size) for a in accs]
+    for at in range(0, size, width):
+        if not all(raw.startswith(blank, at) for raw in raws):
+            yield at // width, [int.from_bytes(raw[at : at + width], "little") - half
+                                for raw in raws]
 
 
 def _low_bytes(x: int, size: int) -> bytes:

@@ -243,6 +243,13 @@ _BAD_FILES = {
     "generator-empty.json": {"grades": [
         {"weight": 4, "type": "triv", "dimension": 1, "generators": [{}]}]},
     "entry-without-label.json": {"entries": [{"level": 1, "S": [[_ONE]], "T": [[_ONE]]}]},
+    # coordinate lists of the wrong length, which were read as 0, 6 and 0
+    "long-at-4-form.json": {"type": "triv", "weight": 4, "components": [
+        {"h": 1, "prec": "2", "terms": [[0, {"n": 4, "c": ["1", "0", "1"]}]]}]},
+    "long-at-1-registry.json": {"entries": [
+        {"label": "triv", "level": 1, "S": [[{"n": 1, "c": ["1", "2", "3"]}]], "T": [[_ONE]]}]},
+    "empty-at-1-form.json": {"type": "triv", "weight": 4, "components": [
+        {"h": 1, "prec": "2", "terms": [[0, {"n": 1, "c": []}]]}]},
 }
 _GOOD_FORM = {"type": "triv", "weight": 4, "components": [
     {"h": 1, "prec": "2", "terms": [[0, _ONE]]}]}
@@ -298,6 +305,15 @@ _NAMED_ERRORS = [
      "Delta_99999999999999999999 at genus 1 has over 100000 cosets; refused"),
     ("cosets-genus-8", ("hecke", "cosets", "--genus", "8", "--index", "2", "--count-only"),
      "Delta_2 at genus 8 has over 100000 cosets; refused"),
+    # a cyclotomic number has exactly phi(n) coordinates
+    ("cyclotomic-three-coordinates-at-4",
+     ("hyperprod", "--left", "long-at-4-form.json", "--right", "good-form.json"),
+     'cyclotomic "c" at conductor 4 must have phi(4) coordinates, got 3'),
+    ("cyclotomic-three-coordinates-at-1",
+     ("homspace", "--registry", "long-at-1-registry.json", "--source", "triv", "--target", "triv"),
+     'cyclotomic "c" at conductor 1 must have phi(1) coordinates, got 3'),
+    ("cyclotomic-no-coordinates", ("ahol", "raise", "--form", "empty-at-1-form.json"),
+     'cyclotomic "c" at conductor 1 must have phi(1) coordinates, got 0'),
 ]
 
 

@@ -313,6 +313,19 @@ def test_json_round_trip_is_byte_identical(n):
         assert (back.n, back.num, back.den) == (a.n, a.num, a.den)
 
 
+@pytest.mark.parametrize("obj", [
+    {"n": 4, "c": ["1", "0", "1"]},
+    {"n": 1, "c": ["1", "2", "3"]},
+    {"n": 1, "c": []},
+    {"n": 3, "c": ["1"]},
+    # phi(n) is not counted at a huge n for a short list
+    {"n": 10**30, "c": ["1"]},
+])
+def test_json_needs_exactly_phi_n_coordinates(obj):
+    with pytest.raises(ValueError, match=f'conductor {obj["n"]} must have phi'):
+        CycNum.from_json(obj)
+
+
 def hypothesis_elements():
     """(hypothesis, a strategy of elements over CONDUCTORS); skips without hypothesis."""
     hyp = pytest.importorskip("hypothesis")

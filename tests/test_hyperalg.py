@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from vvmf import hyperalg
-from vvmf.ahol import AholForm, apply_intertwiner
+from vvmf.ahol import AholForm, apply_intertwiner, raise_op
 from vvmf.exactnum import CycNum
 from vvmf.forms import delta_form, eisenstein
 from vvmf.hecke import hecke_form, pi_M
@@ -15,14 +16,15 @@ from vvmf.hyperalg import (
     _Pivots,
     congruence_index,
     hyper_tensor,
+    projections,
     span_contains,
     span_sum,
     sturm_bound,
     tensor_form,
 )
 from vvmf.linalg import Matrix, Subspace, invert_rows, sparse_row
-from vvmf.qexp import InsufficientPrecision, QExp
-from vvmf.reps import Rep, RepRegistry, builtin_registry, trivial_rep
+from vvmf.qexp import InsufficientPrecision, QExp, combine
+from vvmf.reps import Rep, RepRegistry, builtin_registry, hom_space, trivial_rep
 
 
 def one_form(prec) -> AholForm:
@@ -235,6 +237,98 @@ def test_hyper_tensor_rejects_odd_weights(triv_only):
     f = AholForm.holomorphic(3, trivial_rep(), [eisenstein(4, 4).components[0]])
     with pytest.raises(ValueError):
         hyper_tensor(f, f, triv_only)
+
+
+# -- the fused projections against the two-step path they replaced ------
+#
+# oracle_tensor_form makes every tensor component by one `combine` row and
+# two_step_span projects them with `projections`: the path `hyper_tensor`
+# took before it made each projected row from f and g directly.
+
+
+def oracle_tensor_form(f: AholForm, g: AholForm) -> AholForm:
+    rep = f.rep.tensor(g.rep)
+    depth, dim = f.depth + g.depth, g.rep.dim
+    rows = [
+        [f.graded[s - r][i] if k == j and 0 <= s - r <= f.depth else 0
+         for r in range(g.depth + 1) for k in range(dim)]
+        for s in range(depth + 1) for i in range(f.rep.dim) for j in range(dim)
+    ]
+    comps = combine(rows, [q for layer in g.graded for q in layer])
+    layers = [comps[s * rep.dim : (s + 1) * rep.dim] for s in range(depth + 1)]
+    name = f"({f.name} (x) {g.name})" if f.name and g.name else ""
+    return AholForm(f.weight + g.weight, rep, layers, name=name)
+
+
+def two_step_span(f: AholForm, g: AholForm, targets) -> FormSpan:
+    span = FormSpan()
+    name = f"({f.name or 'f'} (x) {g.name or 'g'})"
+    for tag, image in projections(oracle_tensor_form(f, g), targets):
+        span.add(image, provenance=f"phi[{tag}] . {name}")
+    return span
+
+
+def assert_fused_matches_two_step(f, g, targets):
+    want = two_step_span(f, g, targets)
+    assert want.grading, "the case projects onto nothing"
+    assert json.dumps(hyper_tensor(f, g, targets).to_json()) == json.dumps(want.to_json())
+    fused, oracle = tensor_form(f, g), oracle_tensor_form(f, g)
+    assert json.dumps(fused.to_json()) == json.dumps(oracle.to_json())
+    assert fused.name == oracle.name
+
+
+@pytest.fixture(scope="module")
+def rho3_eisenstein(reg):
+    """The vv-product inputs: rho3 Eisenstein series of weights 4 to 12 at
+    the Sturm bound 33, coefficients over Q and Q(zeta3) on lattice 1/3."""
+    rho3 = reg.get("rho3")
+    return {a: vv_eisenstein(a, rho3, 3, 33).generators((a, "rho3"))[0][0] for a in (4, 6, 8, 10, 12)}
+
+
+@pytest.mark.parametrize("a, b", [(4, 12), (6, 10), (8, 8)])
+def test_fused_projections_match_the_two_step_path_at_depth_0(reg, rho3_eisenstein, a, b):
+    f, g = rho3_eisenstein[a], rho3_eisenstein[b]
+    # the maps onto triv are rational, those onto the cubic characters are not
+    maps = [phi for t in reg for phi in hom_space(f.rep.tensor(g.rep), t)]
+    assert {phi.n for phi in maps} == {1, 3}
+    assert_fused_matches_two_step(f, g, reg)
+
+
+def test_fused_projections_match_the_two_step_path_at_depth_1(reg, rho3_eisenstein):
+    t3e4, t3e8 = (hecke_form(3, eisenstein(k, 12)) for k in (4, 8))
+    r4, r6 = raise_op(rho3_eisenstein[4]), raise_op(rho3_eisenstein[6])
+    for f, g in ((raise_op(t3e4), t3e8), (t3e8, raise_op(t3e4)), (r4, r6), (r4, rho3_eisenstein[8])):
+        assert f.depth + g.depth >= 1
+        assert_fused_matches_two_step(f, g, reg)
+
+
+def test_fused_projections_skip_zero_map_blocks_and_empty_hom_spaces(reg):
+    # the components of T4(E4) differ in lattice and precision; the
+    # commutant of its type has maps with zero entries, whose factors must
+    # not lower a projected row's precision, and the level-3 targets of the
+    # registry have no map from it at all
+    t4e4, e6 = hecke_form(4, eisenstein(4, 8)), eisenstein(6, 10)
+    assert len({q.h for q in t4e4.components}) > 1 and len({q.prec for q in t4e4.components}) > 1
+    targets = list(reg) + [t4e4.rep]
+    rep = t4e4.rep.tensor(e6.rep)
+    assert any(not hom_space(rep, t) for t in targets)
+    assert any(any(x.is_zero() for x in phi.row(0)) for phi in hom_space(rep, t4e4.rep))
+    assert_fused_matches_two_step(t4e4, e6, targets)
+    assert_fused_matches_two_step(e6, raise_op(t4e4), targets)
+
+
+def test_a_zero_map_row_is_zero_at_the_layer_precision():
+    # phi's second row is zero: its component is QExp.zero at the least
+    # precision of the layer's factors, as the two-step path gives it
+    triv = trivial_rep()
+    f = AholForm.holomorphic(4, triv, [QExp(1, 5, {0: 1, 2: 3})])
+    g = AholForm.holomorphic(4, triv, [QExp(3, 4, {1: 2})])
+    two = Rep("two", 1, Matrix.identity(2), Matrix.identity(2))
+    phi = Matrix.from_rows([[1], [0]])
+    (got,) = hyperalg._tensor_images(f, g, [(phi, two)], "")
+    want = hyperalg._apply_maps([(phi, two)], oracle_tensor_form(f, g))[0]
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    assert got.graded[0][1] == QExp.zero(4)
 
 
 def test_types_are_identified_by_content_not_label(reg):

@@ -550,6 +550,46 @@ def test_combine_matches_the_pair_by_pair_oracle_bytes(seed):
         assert [json_bytes(q) for q in got] == [json_bytes(q) for q in want]
 
 
+def folded_signs(cond: int, rng) -> tuple:
+    """Sign vectors s, t of phi(cond) entries whose product folded modulo
+    Phi_cond has a coordinate larger than phi(cond) in absolute value, the
+    most that the products of coordinate pairs can reach before the fold;
+    and that coordinate's size."""
+    k, best = euler_phi(cond), (0, None, None)
+    for _ in range(400):
+        s, t = ([rng.choice((1, -1)) for _ in range(k)] for _ in range(2))
+        prods = [0] * (2 * k - 1)
+        for i, a in enumerate(s):
+            for j, b in enumerate(t):
+                prods[i + j] += a * b
+        best = max(best, (max(map(abs, _reduce(cond, prods))), s, t))
+    return best[1], best[2], best[0]
+
+
+@pytest.mark.parametrize("cond", [5, 7, 9, 12, 15, 21])
+@pytest.mark.parametrize("width", [4, 9])
+def test_combine_holds_the_fold_growth_at_the_slot_width_bound(cond, width):
+    # three equal terms of coordinates +-big, with phi(cond) * 3 * big^2 just
+    # below 2^(8 * width - 1): a width that bounds the products of
+    # coordinate pairs but not their fold modulo Phi_cond is this width, and
+    # the folded coordinates overflow it
+    rng = random.Random(f"fold/{cond}/{width}")
+    s, t, most = folded_signs(cond, rng)
+    k, count = euler_phi(cond), 3
+    assert most > k
+    big = math.isqrt(((1 << (8 * width - 1)) - 1) // (k * count))
+    assert (k * count * big * big).bit_length() == 8 * width - 1
+    x, y = (QExp(1, count, {n: CycNum(cond, [v * big for v in signs]) for n in range(count)})
+            for signs in (s, t))
+    got, want = combine([[x]], [y]), oracle_combine([[x]], [y])
+    assert [json_bytes(q) for q in got] == [json_bytes(q) for q in want]
+    assert json_bytes(got[0]) == json_bytes(reference_mul(x, y))
+    # a scalar entry at the same conductor and a rational one, in one call
+    rows = [[CycNum(cond, s), 0], [x, Fraction(-1, 7)]]
+    got, want = combine(rows, [y, x]), oracle_combine(rows, [y, x])
+    assert [json_bytes(q) for q in got] == [json_bytes(q) for q in want]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_the_oracle_matches_the_termwise_product(seed):
     rng = random.Random(f"oracle-termwise/{seed}")
