@@ -240,8 +240,6 @@ def apply_intertwiner(phi: Matrix, f: AholForm, target: Rep) -> AholForm:
     Each of its coefficients has the lcm of the conductors of every pair
     (phi[i, j], term of layer[j]) that reaches its exponent, even where the
     sum cancels, so the result does not depend on the order of summation.
-    `hyperalg` projects a tensor product f (x) g by the same rule without
-    making it: its rows take phi[a, i*dim_g + j] f_i g_j as terms.
     This public path checks that phi intertwines; `hyperalg.projections`
     applies maps from `hom_space` through the same `_apply_maps` unchecked.
     """
