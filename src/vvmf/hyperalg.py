@@ -301,7 +301,11 @@ def hyper_tensor(f: AholForm, g: AholForm, targets: RepRegistry) -> FormSpan:
     hom enumeration (the tensor of one-dimensional weights is canonically
     irreducible).  Depths add: output layers are convolutions of the
     Y-graded pieces.  Each projection is made from f and g directly
-    (`_tensor_images`); no component of the tensor product is made.
+    (`_tensor_images`); no component of the tensor product is made.  A
+    coefficient's conductor is the lcm over every term c * f_i * g_j of its
+    row that reaches its exponent; projecting `tensor_form(f, g)` instead
+    drops a tensor coefficient that cancels exactly, so there the same value
+    can come out at a smaller conductor and the span's JSON can differ.
     """
     if f.weight % 2 != 0 or g.weight % 2 != 0:
         raise ValueError("weights must be even")

@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import chain
 
 from .exactnum import (
-    CycNum, _embed, _make, _reduce, as_cyc, euler_phi, format_rational, json_int, parse_rational,
+    CycNum, _embed, _make, _mul_num, _reduce, as_cyc, euler_phi, format_rational, json_int, parse_rational,
 )
 from .linalg import Matrix
 
@@ -263,7 +263,7 @@ def combine_terms(rows, empty) -> list:
     its terms' conductors: x and y are lifted to n over one denominator and
     packed into one int per power-basis coordinate, exponent t in slot t
     (`_pack`), and the coordinate-pair products are folded modulo Phi_n on
-    those ints (`_multiply`).  A row at its joint conductor N, the lcm of
+    those ints (`exactnum._mul_num`).  A row at its joint conductor N, the lcm of
     its terms' c.n and n, applies each c as the integer matrix of c times
     Q(zeta_n) in Q(zeta_N) (`_multiplication`) to the shared product and
     decodes its phi(N) sums once.  One slot width holds every row of the
@@ -343,17 +343,14 @@ def combine_terms(rows, empty) -> list:
         """The folded coordinate ints of p at the call's width, made once."""
         if "ints" not in p.cache:
             packs = [pack(g) for g in p.groups]
-            p.cache["ints"] = packs[0] if len(packs) == 1 else _multiply(*packs, p.cond)
+            p.cache["ints"] = packs[0] if len(packs) == 1 else _mul_num(p.cond, *packs)
         return p.cache["ints"]
 
     def marks(x, c: int) -> int:
         """The 0/1 indicator of x's exponents whose term has conductor c (any for 0)."""
         if (id(x), c) not in marked:
-            ns = [n for n, t in terms(x)[0] if c in (0, t.n)]
-            flags = bytearray((max(ns) + 1) * narrow)
-            for n in ns:
-                flags[n * narrow] = 1
-            marked[id(x), c] = int.from_bytes(flags, "little")
+            ns = [(n, (1,)) for n, t in terms(x)[0] if c in (0, t.n)]
+            marked[id(x), c] = _pack(ns, max(n for n, _ in ns), narrow)[0]
         return marked[id(x), c]
 
     def reach(p: _Product, c: int) -> int:
@@ -380,15 +377,11 @@ def combine_terms(rows, empty) -> list:
             zs = ints(p)
             for i, r in enumerate(m):
                 for v, z in zip(r, zs):
-                    if v == 1:
-                        acc[i] += z
-                    elif v:
+                    if v:
                         acc[i] += v * z
         top = min(bound, max((p.top + 1 for _, p in job), default=0))
-        # every term of conductor cond reaches cond wherever it reaches
-        fixed = cond == 1 or all(c.n == cond for c, _ in job)
         hits: dict = {}
-        for c, p in job if not fixed else ():
+        for c, p in job:
             for k in p.conds - {1}:
                 hits[k] = hits.get(k, 0) + reach(p, k)
             if c.n > 1:
@@ -396,7 +389,7 @@ def combine_terms(rows, empty) -> list:
         hits = [(k, _low_bytes(r, top * narrow)) for k, r in hits.items()]
         step, coeffs = h // math.lcm(*(q.h for q in qs)), {}
         for n, num in _decode(acc, top, width, fill):
-            m, d = cond if fixed else 1, 1
+            m, d = 1, 1
             for k, hit in hits:
                 if not hit.startswith(blank, n * narrow):
                     m = math.lcm(m, k)
@@ -456,25 +449,6 @@ def _pack(rows: list, top: int, width: int) -> list:
                 neg[at : at + width] = (-x).to_bytes(width, "little")
         out.append(int.from_bytes(pos, "little") - int.from_bytes(neg, "little"))
     return out
-
-
-def _multiply(xs: list, ys: list, cond: int) -> tuple:
-    """The coordinate ints of the product of two elements of Q(zeta_cond)
-    given by their coordinate ints: the products of coordinate pairs
-    (Karatsuba at phi(cond) = 2), folded modulo Phi_cond."""
-    if len(xs) == 2 and all(xs) and all(ys):
-        low, high = xs[0] * ys[0], xs[1] * ys[1]
-        s = xs[0] + xs[1]
-        t = s if xs is ys else ys[0] + ys[1]
-        prods = [low, s * t - low - high, high]
-    else:
-        prods = [0] * (2 * len(xs) - 1)
-        for l, a in enumerate(xs):
-            if a:
-                for j, b in enumerate(ys):
-                    if b:
-                        prods[l + j] += a * b
-    return _reduce(cond, prods)
 
 
 @lru_cache(maxsize=None)

@@ -331,6 +331,25 @@ def test_a_zero_map_row_is_zero_at_the_layer_precision():
     assert got.graded[0][1] == QExp.zero(4)
 
 
+def test_a_cancelled_tensor_coefficient_keeps_its_conductor_in_the_fused_row():
+    # at q^1, f_0 g_0 = zeta3 * (-1) + zeta3 * 1 cancels: the two-step path
+    # drops that tensor coefficient, so the projected q^1 coefficient, 1
+    # from f_1 g_0 alone, stays at conductor 1 there, while the fused row
+    # counts every pair that reaches q^1 and stores the same value at 3
+    z, triv = CycNum.zeta(3), trivial_rep()
+    two = Rep("two", 1, Matrix.identity(2), Matrix.identity(2))
+    f = AholForm.holomorphic(4, two, [QExp(1, 4, {0: z, 1: z}), QExp(1, 4, {1: 1})])
+    g = AholForm.holomorphic(4, triv, [QExp(1, 4, {0: 1, 1: -1})])
+    phi = Matrix.from_rows([[1, 1]])
+    tensor = oracle_tensor_form(f, g)
+    assert 1 not in tensor.graded[0][0].terms
+    (got,) = hyperalg._tensor_images(f, g, [(phi, triv)], "")
+    (want,) = hyperalg._apply_maps([(phi, triv)], tensor)
+    assert got.graded[0][0] == want.graded[0][0] == QExp(1, 4, {0: z, 1: 1, 2: -z - 1})
+    assert want.graded[0][0].terms[1].to_json() == {"n": 1, "c": ["1"]}
+    assert got.graded[0][0].terms[1].to_json() == {"n": 3, "c": ["1", "0"]}
+
+
 def test_types_are_identified_by_content_not_label(reg):
     # an impostor labelled rho_zeta whose T is zeta3^2, the T of rho_zeta2
     real = reg.get("rho_zeta")
