@@ -290,7 +290,8 @@ def thm11_span(k: int, l: int, l2: int, hecke_indices, prec, registry: RepRegist
     triv = [registry.get("triv")] if "triv" in registry else []
     span = FormSpan()
     for M in sorted(hecke_indices):
-        images = {w: hecke_form(M, e) if M > 1 else e
+        # the grade is read at prec, while coset components of T_M(E_w) reach prec * M^2
+        images = {w: hecke_form(M, e).truncate(prec) if M > 1 else e
                   for w in {l, l2} for e in [eisenstein(w, prec * M)]}
         tl, tr = images[l], images[l2]
         name = f"({tl.name} (x) {'R(' * t}{tr.name}{')' * t})"
@@ -644,8 +645,13 @@ def main(argv=None) -> int:
     try:
         return run(args)
     except (ValueError, KeyError, OSError, ArithmeticError, InsufficientPrecision) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = exc
+    except RecursionError:
+        message = "the input is nested too deeply (maximum recursion depth exceeded)"
+    except MemoryError:
+        message = "out of memory; the input is too large"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

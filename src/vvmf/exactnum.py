@@ -18,12 +18,18 @@ rendering and JSON only.
 Elements keep the conductor they were built with; `reduce_conductor` is
 explicit and never applied behind the caller's back, so equality and
 hashing go through a canonical reduced form instead.
+
+Integer coordinates move between Q(zeta_m) and Q(zeta_n), m | n, by one
+pair of maps shared with the series kernel and the span reads: the lift
+`_lift_num` and the cached left inverse `_lowering`.  `reduce_conductor`
+takes the first divisor whose lowering lifts back to the element.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -139,6 +145,38 @@ def _embed(num, step: int, shift: int, n: int) -> tuple:
     return _reduce(n, out)
 
 
+def _lift_num(num: tuple, m: int, n: int) -> tuple:
+    """Integer coordinates at n of the element with coordinates num at m | n,
+    by zeta_m -> zeta_n^(n/m).  A rational becomes (x, 0, ...), so
+    coordinate 0 leads at every conductor."""
+    if m == n:
+        return num
+    return num + (0,) * (euler_phi(n) - 1) if m == 1 else _embed(num, n // m, 0, n)
+
+
+def _multiplication(cond: int, num: tuple, n: int) -> list:
+    """M with M[i][l] the coordinate i of num * zeta_n^l modulo Phi_cond,
+    for num at conductor cond and n | cond: M takes an element of Q(zeta_n)
+    to num times it."""
+    step = cond // n
+    cols = [_embed(num, 1, l * step, cond) for l in range(euler_phi(n))]
+    return [[col[i] for col in cols] for i in range(len(num))]
+
+
+@lru_cache(maxsize=None)
+def _lowering(cond: int, m: int) -> tuple:
+    """(P, d), P an integer phi(m) x phi(cond) matrix: an element of Q(zeta_m),
+    m | cond, with coordinates u at cond has coordinates P u / d at m.  P / d
+    is the left inverse (L^T L)^-1 L^T of the lift L from m to cond."""
+    from .linalg import Matrix
+
+    lt = Matrix.from_rows(CycNum.zeta(m, l).lift(cond).num for l in range(euler_phi(m)))
+    left = (lt * lt.transpose()).inverse() * lt
+    low = [[x.rational_value() for x in r] for r in left.to_rows()]
+    d = math.lcm(*(x.denominator for r in low for x in r))
+    return tuple(tuple(int(x * d) for x in r) for r in low), d
+
+
 def _mul_num(n: int, x: tuple, y: tuple) -> tuple:
     """Product of two integer coordinate tuples of conductor n."""
     prod = [0] * (len(x) + len(y) - 1)
@@ -165,8 +203,7 @@ class CycNum:
     cyclotomic polynomial of their conductor.
     """
 
-    # `_reduced` caches reduce_conductor and stays unset until first asked
-    __slots__ = ("n", "num", "den", "_reduced")
+    __slots__ = ("n", "num", "den")
 
     def __new__(cls, n: int, coeffs):
         if n < 1:
@@ -209,29 +246,18 @@ class CycNum:
         """Rewrite in conductor m; requires n | m."""
         if m % self.n != 0:
             raise ValueError(f"cannot lift conductor {self.n} into {m}")
-        if m == self.n:
-            return self
-        if self.n == 1:
-            return _make(m, self.num + (0,) * (euler_phi(m) - 1), self.den)
-        return _make(m, _embed(self.num, m // self.n, 0, m), self.den)
+        return self if m == self.n else _make(m, _lift_num(self.num, self.n, m), self.den)
 
     def reduce_conductor(self) -> "CycNum":
-        """Smallest divisor conductor representing the same element."""
-        try:
-            return self._reduced
-        except AttributeError:
-            pass
-        result = self
-        if self.is_rational():
-            result = _make(1, self.num[:1], self.den)
-        else:
-            for m in divisors(self.n)[:-1]:
-                coords = _lower_to_conductor(self, m)
-                if coords is not None:
-                    result = CycNum(m, coords)
-                    break
-        _set_reduced(self, result)
-        return result
+        """Smallest divisor conductor representing the same element: the first
+        divisor m, ascending, whose lowering lifts back to this element."""
+        n, num = self.n, self.num
+        for m in divisors(n)[:-1]:
+            low, d = _lowering(n, m)
+            coords = tuple([sum(map(operator.mul, r, num)) for r in low])
+            if _lift_num(coords, m, n) == tuple([d * a for a in num]):
+                return _make(m, coords, self.den * d)
+        return self
 
     # -- predicates ----------------------------------------------------
 
@@ -426,7 +452,7 @@ def _make(n: int, num: tuple, den: int) -> CycNum:
 
 # the slot setters bypass CycNum.__setattr__, which refuses every write
 _new_object = object.__new__
-_set_n, _set_num, _set_den, _set_reduced = (
+_set_n, _set_num, _set_den = (
     getattr(CycNum, name).__set__ for name in CycNum.__slots__
 )
 
@@ -440,24 +466,6 @@ def as_cyc(x) -> CycNum:
     if isinstance(x, Fraction):
         return _make(1, (x.numerator,), x.denominator)
     raise TypeError(f"cannot coerce {type(x).__name__} to CycNum")
-
-
-def _lower_to_conductor(x: CycNum, m: int):
-    """Coordinates of x in conductor m | n, or None if not representable."""
-    from .linalg import _rref_inplace, sparse_row
-
-    k = euler_phi(m)
-    # columns: lifts of the conductor-m power basis, in integer conductor-n
-    # coords; the right-hand side is x times its denominator
-    cols = [CycNum.zeta(m, j).lift(x.n).num for j in range(k)]
-    aug = [sparse_row(map(as_cyc, [col[i] for col in cols] + [t])) for i, t in enumerate(x.num)]
-    # the lifted power basis is independent, so the pivots are 0..k-1 and
-    # the other rows hold at most the right-hand side
-    _rref_inplace(aug, k + 1, stop_col=k)
-    if any(aug[k:]):
-        return None
-    zero = CycNum.zero()
-    return [row.get(k, zero).rational_value() / x.den for row in aug[:k]]
 
 
 _BERNOULLI_CACHE = [Fraction(1), Fraction(-1, 2)]

@@ -16,7 +16,7 @@ keeps each generator's series over one denominator and packs it as
 Kronecker-packed ints, one per power-basis coordinate, at each slot width
 a read asks for (D. Harvey, J. Symbolic Comput. 44, 2009), the layout and
 packer of `qexp.combine_terms`, and meets a scalar through its integer
-multiplication matrix (`qexp._multiplication`) as that kernel does: the
+multiplication matrix (`exactnum._multiplication`) as that kernel does: the
 reduced row is a packed integer combination, block
 by block, at the least width that holds that block's bound from bit
 lengths, and its first nonzero column is read off the lowest set bit.
@@ -33,9 +33,9 @@ import math
 from fractions import Fraction
 
 from .ahol import AholForm, _apply_maps
-from .exactnum import CycNum, divisors, euler_phi
+from .exactnum import CycNum, _multiplication, divisors, euler_phi
 from .linalg import Matrix, Subspace, invert_rows, sparse_row
-from .qexp import InsufficientPrecision, _lifted, _multiplication, _pack, combine_terms
+from .qexp import InsufficientPrecision, _lifted, _pack, combine_terms
 from .reps import RepRegistry, hom_space, require_same_content
 
 

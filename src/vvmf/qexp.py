@@ -19,7 +19,9 @@ the cyclotomic polynomial on the packed ints, and shared by every row
 that scales it.  A coefficient has the lcm of the conductors of every
 term and pair of terms that reaches its exponent, even where their sum
 cancels, a rule that depends neither on the algorithm nor on the order
-of summation.
+of summation.  Coordinates move between conductors by the maps of
+`exactnum`: the lift `_lift_num`, the multiplication matrix
+`_multiplication` and the lowering `_lowering`.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from functools import lru_cache
 from itertools import chain
 
 from .exactnum import (
-    CycNum, _embed, _make, _mul_num, _reduce, as_cyc, euler_phi, format_rational, json_int, parse_rational,
+    CycNum, _embed, _lift_num, _lowering, _make, _mul_num, _multiplication, _reduce, as_cyc,
+    euler_phi, format_rational, json_int, parse_rational,
 )
-from .linalg import Matrix
 
 
 class InsufficientPrecision(Exception):
@@ -419,13 +421,10 @@ _Product = namedtuple("_Product", "x y conds cond groups den big top count cache
 def _lifted(group: list, cond: int) -> _Group:
     """The (n, x) terms, each x.n dividing cond, lifted together to cond over
     one denominator at the integer level: the form `combine_terms` packs and
-    `hyperalg` stores.  A rational x becomes (x, 0, ...), so coordinate 0
-    leads at every conductor."""
-    den, pad, rows = math.lcm(*(x.den for _, x in group)), (0,) * (euler_phi(cond) - 1), []
+    `hyperalg` stores, each term by `exactnum._lift_num`."""
+    den, rows = math.lcm(*(x.den for _, x in group)), []
     for n, x in group:
-        num = x.num
-        if x.n != cond:
-            num = num + pad if x.n == 1 else _embed(num, cond // x.n, 0, cond)
+        num = _lift_num(x.num, x.n, cond)
         if x.den != den:
             num = tuple([a * (den // x.den) for a in num])
         rows.append((n, num))
@@ -461,15 +460,6 @@ def _fold_growth(cond: int) -> int:
     return max(sum(abs(p[j]) for p in powers) for j in range(phi))
 
 
-def _multiplication(cond: int, num: tuple, n: int) -> list:
-    """M with M[i][l] the coordinate i of num * zeta_n^l modulo Phi_cond,
-    for num at conductor cond and n | cond: M takes an element of Q(zeta_n)
-    to num times it."""
-    step = cond // n
-    cols = [_embed(num, 1, l * step, cond) for l in range(euler_phi(n))]
-    return [[col[i] for col in cols] for i in range(len(num))]
-
-
 def _decode(accs: list, top: int, width: int, fill: int):
     """Yield (n, [slot n of each of accs]) for every n < top where a slot is
     nonzero.  Every slot is below half = 2^(8 * width - 1) in absolute
@@ -487,18 +477,6 @@ def _decode(accs: list, top: int, width: int, fill: int):
 def _low_bytes(x: int, size: int) -> bytes:
     """The size low bytes of x in two's complement, little-endian."""
     return (x & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-
-
-@lru_cache(maxsize=None)
-def _lowering(cond: int, m: int) -> tuple:
-    """(P, d), P an integer phi(m) x phi(cond) matrix: an element of Q(zeta_m),
-    m | cond, with coordinates u at cond has coordinates P u / d at m.  P / d
-    is the left inverse (L^T L)^-1 L^T of the lift L from m to cond."""
-    lt = Matrix.from_rows(CycNum.zeta(m, l).lift(cond).num for l in range(euler_phi(m)))
-    left = (lt * lt.transpose()).inverse() * lt
-    low = [[x.rational_value() for x in r] for r in left.to_rows()]
-    d = math.lcm(*(x.denominator for r in low for x in r))
-    return tuple(tuple(int(x * d) for x in r) for r in low), d
 
 
 def slash_expand(f: QExp, k: int, m) -> QExp:

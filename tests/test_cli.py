@@ -314,7 +314,20 @@ _NAMED_ERRORS = [
      'cyclotomic "c" at conductor 1 must have phi(1) coordinates, got 3'),
     ("cyclotomic-no-coordinates", ("ahol", "raise", "--form", "empty-at-1-form.json"),
      'cyclotomic "c" at conductor 1 must have phi(1) coordinates, got 0'),
+    # the type parser recurses once per nesting level
+    ("homspace-600-nested-hecke-types",
+     ("homspace", "--source", "T1(" * 600 + "triv" + ")" * 600, "--target", "triv"),
+     "the input is nested too deeply (maximum recursion depth exceeded)"),
 ]
+
+
+def test_running_out_of_memory_is_one_line_exit_2(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("vvmf.cli.eisenstein", exhausted)
+    code, out, err = run_cli(capsys, "eis", "--weight", "4", "--prec", "5")
+    assert (code, out, err) == (2, "", "error: out of memory; the input is too large\n")
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from vvmf.exactnum import (
     CycNum,
+    _lowering,
     bernoulli,
     cyclotomic_poly,
     divisors,
@@ -282,6 +284,37 @@ def test_reduce_conductor_matches_fraction_reference(n):
             red = up.reduce_conductor()
             assert (red.n, coords(red)) == (low.n, coords(low))
             assert up == a and hash(up) == hash(a)
+
+
+def test_conductor_12_elements_lower_to_their_own_field():
+    # 1 + zeta_12^3 = 1 + i lowers to 4 and 2 - zeta_12^2 = 2 - zeta_6 to 3;
+    # zeta_12 - zeta_12^3 = zeta_12^-1 lies in no smaller field
+    for coeffs, want in [((1, 0, 0, 1), 4), ((0, 1, 0, -1), 12), ((2, 0, -1, 0), 3)]:
+        x = CycNum(12, list(coeffs))
+        low = x.reduce_conductor()
+        assert_canonical(low)
+        assert low.n == want and low == x and low.lift(12).num == x.num
+
+
+def test_lowering_inverts_the_lift_for_every_divisor():
+    """For every n <= 60 and m | n, _lowering(n, m) times the reference lift
+    matrix from m to n is d I, and an element built at m and lifted to n
+    reduces to the same value and hash at a conductor dividing m."""
+    rng = random.Random("lowering")
+    for n in range(1, 61):
+        for m in divisors(n):
+            low, d = _lowering(n, m)
+            k = euler_phi(m)
+            unit = [[int(i == j) for i in range(k)] for j in range(k)]
+            cols = [list(map(int, ref_lift(e, m, n))) for e in unit]
+            got = [[sum(map(operator.mul, r, col)) for col in cols] for r in low]
+            assert got == [[d * (i == j) for j in range(k)] for i in range(k)], (n, m)
+            for x in random_elements(rng, m, 3):
+                red = x.lift(n).reduce_conductor()
+                assert_canonical(red)
+                assert m % red.n == 0 and red == x and hash(red) == hash(x), (n, m)
+                own = x.reduce_conductor()
+                assert (red.n, red.num, red.den) == (own.n, own.num, own.den), (n, m)
 
 
 def test_hash_agrees_with_int_and_fraction():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from vvmf import linalg
-from vvmf.exactnum import CycNum, _lower_to_conductor, as_cyc, euler_phi
+from vvmf.exactnum import CycNum, as_cyc, euler_phi
 from vvmf.linalg import (
     Matrix,
     Subspace,
@@ -430,7 +430,7 @@ def test_sparsest_row_kernel_matches_first_nonzero_reference(field):
         assert all(x != 0 for r, pc in zip(got, pivots) for x in [r[pc]]), trial
 
         # whether every remaining row has a zero tail: all that solve_right
-        # and _lower_to_conductor read of them
+        # reads of them
         consistent = all(x == 0 for r in got[k:] for x in r[stop:])
         assert consistent == all(x == 0 for r in ref[k:] for x in r[stop:]), trial
         seen.add((stop == ncols, consistent))
@@ -806,9 +806,9 @@ def test_fraction_free_kernel_matches_the_reference_kernel(monkeypatch, conducto
 
 
 def test_rational_rows_match_the_reference_kernel(monkeypatch):
-    """Rational rows, as integer matrix inverses and conductor lowering pass
-    them, at conductor 1 and written at conductor 4, come back at that
-    conductor and equal to the reference's."""
+    """Rational rows, as integer matrix inverses pass them, at conductor 1
+    and written at conductor 4, come back at that conductor and equal to
+    the reference's."""
     rng = random.Random(1919)
     seen = set()
     for trial in range(40):
@@ -828,10 +828,3 @@ def test_rational_rows_match_the_reference_kernel(monkeypatch):
                            for _ in range(k + 2)) for _ in range(k)]
         _kernels_agree(rows, k + 2, rng.randint(0, k + 2))
     assert seen == {True, False}
-    # conductor lowering solves an integer system with stop_col < ncols
-    lowered = {}
-    for x, m in [((1, 0, 0, 1), 4), ((1, 0, 0, 1), 3), ((0, 1, 0, -1), 4), ((2, 0, -1, 0), 6)]:
-        x = CycNum(12, list(x))
-        _same_outcome_as_reference(monkeypatch, lambda: _lower_to_conductor(x, m))
-        lowered[x, m] = _lower_to_conductor(x, m) is not None
-    assert set(lowered.values()) == {True, False}
