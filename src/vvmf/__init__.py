@@ -9,7 +9,7 @@ from .exactnum import CycNum, Rational, bernoulli
 from .linalg import Matrix, Subspace
 from .qexp import InsufficientPrecision, QExp, slash_expand
 from .reps import Rep, RepRegistry, builtin_registry, decompose, hom_space, rep_isomorphic
-from .ahol import AholForm, ahol_decompose, lower_op, raise_op, tinf, tinf_closure
+from .ahol import AholForm, ahol_decompose, lower_op, raise_op
 from .hecke import (
     DeltaCoset,
     HeckeRep,
@@ -22,7 +22,9 @@ from .hecke import (
     reduce_to_coset,
     unit_embedding,
 )
-from .hyperalg import FormSpan, hyper_tensor, span_contains, span_sum, sturm_bound
+from .hyperalg import (
+    FormSpan, hyper_tensor, span_contains, span_sum, sturm_bound, tinf, tinf_closure,
+)
 from .forms import VVForm, apply_hom, check_T_consistency, delta_form, eisenstein, vv_eisenstein
 
 __version__ = "0.1.0"

@@ -10,6 +10,8 @@ On a graded piece g_r * Y^r of a weight-k form,
 
 with theta = q d/dq.  Depth d means L^ applied d+1 times annihilates the
 form while L^ applied d times does not; holomorphic forms have depth 0.
+The operator at infinity and its closure act on spans and live in
+`hyperalg`, which this module does not import.
 """
 
 from __future__ import annotations
@@ -259,56 +261,3 @@ def _apply_maps(maps, f: AholForm) -> list:
         start += t.dim
     return out
 
-
-def tinf(f: AholForm, targets) -> "FormSpan":
-    """Hecke operator at infinity: span of lowered and raised images.
-
-    Graded by (weight -/+ 2, target label), components projected against
-    the registry entries.
-    """
-    from .hyperalg import FormSpan, projections
-
-    span = FormSpan()
-    src = f.name or "form"
-    for g, op in ((lower_op(f), "lower"), (raise_op(f), "raise")):
-        if not g.is_zero():
-            for tag, image in projections(g, targets):
-                span.add(image, provenance=f"{op}({src})->{tag}")
-    return span
-
-
-def tinf_closure(span, weight_window, max_rounds: int, targets):
-    """Least fixed point of repeated tinf applications inside a window.
-
-    Returns (closure span, stabilized flag); non-stabilization within
-    max_rounds is reported, not raised.
-    """
-    from .hyperalg import FormSpan, span_sum
-
-    kmin, kmax = weight_window
-    if kmin > kmax:
-        raise ValueError(f"empty weight window [{kmin}, {kmax}]")
-
-    def window_filter(s: FormSpan) -> FormSpan:
-        out = FormSpan()
-        for (w, lbl), gens in sorted(s.grading.items()):
-            if kmin <= w <= kmax:
-                for form, prov in gens:
-                    out.add(form, provenance=prov)
-        return out
-
-    current = window_filter(span)
-    stabilized = False
-    for _ in range(max_rounds):
-        pieces = [current]
-        for (_, _), gens in sorted(current.grading.items()):
-            for form, _ in gens:
-                pieces.append(window_filter(tinf(form, targets)))
-        new = span_sum(pieces)
-        if new.dimension_signature() == current.dimension_signature() and all(
-            new.grade_rows(key) == current.grade_rows(key) for key in new.grading
-        ):
-            stabilized = True
-            break
-        current = new
-    return current, stabilized

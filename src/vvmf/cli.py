@@ -16,12 +16,12 @@ import time
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .ahol import AholForm, ahol_decompose, apply_intertwiner, lower_op, raise_op, tinf_closure
+from .ahol import AholForm, ahol_decompose, apply_intertwiner, lower_op, raise_op
 from .exactnum import CycNum
 from .forms import bracket_projections, delta_form, eisenstein, sigma, vv_eisenstein
 from .hecke import delta_cosets, hecke_form, hecke_rep
 from .hyperalg import (
-    FormSpan, hyper_tensor, span_contains, span_sum, sturm_bound, tensor_form,
+    FormSpan, _tensor_images, hyper_tensor, span_contains, span_sum, sturm_bound, tinf_closure,
 )
 from .linalg import Matrix
 from .qexp import InsufficientPrecision
@@ -174,11 +174,11 @@ def verify_example32(registry: RepRegistry | None = None, prec: int | None = Non
     base = eisenstein(12, 9 * max(1, (qprec + 2) // 3))
     t3 = hecke_form(3, base)
     e12rho3 = apply_intertwiner(_example_projection_matrix(), t3, reg.get("rho3"))
-    square = tensor_form(e12rho3, e12rho3)
-    trivial_part = apply_intertwiner(reference["triv"][0], square, reg.get("triv"))
+    # the golden trivial map projects the square as hyper_tensor projects it
+    triv_map = [(reference["triv"][0], reg.get("triv"))]
+    comp = _tensor_images(e12rho3, e12rho3, triv_map, "")[0].components[0]
     got = []
     ok = True
-    comp = trivial_part.components[0]
     for n, want in enumerate(GOLDEN_COEFFS):
         c = comp.coeff(n)
         got.append(str(c))

@@ -21,6 +21,11 @@ reduced row is a packed integer combination, block
 by block, at the least width that holds that block's bound from bit
 lengths, and its first nonzero column is read off the lowest set bit.
 
+The Hecke operator at infinity acts on spans: `tinf(f)` spans every
+projection of the lowered and raised images of f, and `tinf_closure` grows
+one span inside a weight window by the tinf spans of its generators until a
+round leaves its dimension signature unchanged.
+
 Membership refuses to answer below the Sturm bound: callers pass a
 working precision and get a hard error, never a silent false.  The
 congruence index used in the bound is the full index of Gamma(N), the
@@ -32,7 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .ahol import AholForm, _apply_maps
+from .ahol import AholForm, _apply_maps, lower_op, raise_op
 from .exactnum import CycNum, _multiplication, divisors, euler_phi
 from .linalg import Matrix, Subspace, invert_rows, sparse_row
 from .qexp import InsufficientPrecision, _lifted, _pack, combine_terms
@@ -141,14 +146,15 @@ class _Pivots:
     first read at that width.
 
     A read takes c = (v|P) . inv at the lcm N of n_v and every n_j, and
-    walks the blocks in column order.  Coordinate i of Lambda * (v - sum_j
-    c_j g_j) on a block is the int sum_l (Lambda / d_v) L[i][l] V_l - sum_j
-    sum_l m_j M_j[i][l] P_{j,l}: M_j takes the coordinates of an element of
-    Q(zeta_{n_j}) to those of c_j's numerator times it in Q(zeta_N), L does
-    the same for 1 and n_v, and m_j = Lambda / (den(c_j) d_j), so no
-    generator is lifted.  Each block is combined at the least width (64
-    bits, doubled) that holds its own slot bound: the largest bit length of
-    a scalar plus its matrix's largest entry plus its block's largest
+    walks the blocks in column order over one list of terms: v with scalar
+    1 at n_v, then each g_j with scalar -c_j.  Coordinate i of Lambda * (v -
+    sum_j c_j g_j) on a block is the int sum over the terms t whose block is
+    nonzero of sum_l m_t M_t[i][l] P_{t,l}: M_t takes the coordinates of an
+    element of Q(zeta_{n_t}) to those of t's scalar numerator times it in
+    Q(zeta_N), and m_t = Lambda / (den(scalar) d_t), so no generator is
+    lifted.  Each block is combined at the least width (64 bits, doubled)
+    that holds its own slot bound over those terms: the largest bit length
+    of a scalar plus its matrix's largest entry plus its block's largest
     coordinate, plus the bit length of the number of products per
     coordinate.  Every slot of the result is then below 2^width in absolute
     value, so a nonzero result's first nonzero slot is its lowest set bit
@@ -175,31 +181,30 @@ class _Pivots:
             self.inv = invert_rows(block)
         v = _columns(terms, bound)
         a = [(i, x) for i, p in enumerate(self.pivots) if (x := v.get(p))]
-        mults = []  # (den(c_j), M_j, the bit length of M_j's largest entry, g_j's pairs)
+        # the terms of v - sum_j c_j g_j: v with scalar 1, then g_j with -c_j
+        own = []  # v's blocks, lifted as the walk reaches them
+        scalars = [(CycNum.one(), n_v, own)]
         for j, (n, pairs) in enumerate(self.blocks):
             c = sum((x * self.inv[i][j] for i, x in a if j in self.inv[i]), CycNum.zero())
             if c:
-                m = _multiplication(cond, c.lift(cond).num, n)
-                mults.append((c.den, m, _bits(m), pairs))
-        lift = _multiplication(cond, CycNum.one().lift(cond).num, n_v)
-        lift_bits, phi_v, own = _bits(lift), euler_phi(n_v), []
+                scalars.append((-c, n, pairs))
+        mults = []  # per term: den(scalar), M, the bit length of M's largest entry, its blocks
+        for c, n, pairs in scalars:
+            m = _multiplication(cond, c.lift(cond).num, n)
+            mults.append((c.den, m, _bits(m), pairs))
         for b, block in enumerate(terms):
-            mine = _lifted(block, n_v) if block else None
-            own.append((mine, {}))
-            # per term j: den(c_j) d_j, M_j, the bits of M_j times block b of g_j, that block
-            gens = [(d * g.den, m, bits + g.big.bit_length(), pairs[b])
+            own.append((_lifted(block, n_v) if block else None, {}))
+            # per term with a nonzero block b: den(scalar) d_b, M, the bits of M times it, it
+            live = [(d * g.den, m, bits + g.big.bit_length(), pairs[b])
                     for d, m, bits, pairs in mults if (g := pairs[b][0])]
-            if mine is None and not gens:
+            if not live:
                 continue
-            d_v, v_bits = (mine.den, mine.big.bit_length()) if mine else (1, 0)
-            lam = math.lcm(d_v, *(d for d, _, _, _ in gens))
-            need = max([(lam // d_v).bit_length() + lift_bits + v_bits]
-                       + [(lam // d).bit_length() + bits for d, _, bits, _ in gens])
-            count = (phi_v if mine else 0) + sum(len(m[0]) for _, m, _, _ in gens)
+            lam = math.lcm(*(d for d, _, _, _ in live))
+            need = max((lam // d).bit_length() + bits for d, _, bits, _ in live)
+            count = sum(len(m[0]) for _, m, _, _ in live)
             # the least of 64 bits doubled that holds the bound
             width = 1 << max(6, (need + count.bit_length() - 1).bit_length())
-            scaled = [(lam // d_v, lift, _packs(own[b], width))] if mine else []
-            scaled += [(-(lam // d), m, _packs(pair, width)) for d, m, _, pair in gens]
+            scaled = [(lam // d, m, _packs(pair, width)) for d, m, _, pair in live]
             low = None
             for i in range(euler_phi(cond)):
                 y = 0
@@ -336,6 +341,48 @@ def _basis_maps(rep, targets) -> list:
     """(tag, (phi, target)) for every basis map phi, as `projections` tags them."""
     return [(f"{target.label}#{idx}", (phi, target))
             for target in targets for idx, phi in enumerate(hom_space(rep, target))]
+
+
+def tinf(f: AholForm, targets) -> FormSpan:
+    """Hecke operator at infinity: the span of f's lowered and raised images,
+    each projected onto every target, graded by (weight -/+ 2, target label)."""
+    span = FormSpan()
+    for g, op in ((lower_op(f), "lower"), (raise_op(f), "raise")):
+        if not g.is_zero():
+            for tag, image in projections(g, targets):
+                span.add(image, provenance=f"{op}({f.name or 'form'})->{tag}")
+    return span
+
+
+def tinf_closure(span: FormSpan, weight_window, max_rounds: int, targets):
+    """Least fixed point of repeated tinf applications inside a window.
+
+    Starts from the window's grades of span.  Each round adds, in grade
+    order, the window's grades of the tinf span of every generator held at
+    its start; a round that leaves the dimension signature unchanged added
+    nothing (`FormSpan.add` never drops a kept generator), so it ends the
+    closure.  Returns (closure span, stabilized flag); non-stabilization
+    within max_rounds is reported, not raised.
+    """
+    kmin, kmax = weight_window
+    if kmin > kmax:
+        raise ValueError(f"empty weight window [{kmin}, {kmax}]")
+    closure = FormSpan()
+
+    def add_window(s: FormSpan):
+        for key in s.grades():
+            if kmin <= key[0] <= kmax:
+                for form, prov in s.grading[key]:
+                    closure.add(form, provenance=prov)
+
+    add_window(span)
+    for _ in range(max_rounds):
+        before = closure.dimension_signature()
+        for form in [f for key in closure.grades() for f, _ in closure.grading[key]]:
+            add_window(tinf(form, targets))
+        if closure.dimension_signature() == before:
+            return closure, True
+    return closure, False
 
 
 def tensor_form(f: AholForm, g: AholForm) -> AholForm:

@@ -1,7 +1,9 @@
+import ast
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +16,8 @@ from vvmf.ahol import (
     lower_op,
     raise_op,
     rising_factorial,
-    tinf,
-    tinf_closure,
 )
+from vvmf.cli import _span_from_json
 from vvmf.exactnum import CycNum, euler_phi
 from vvmf.forms import eisenstein, vv_eisenstein
 from vvmf.hyperalg import (
@@ -26,6 +27,8 @@ from vvmf.hyperalg import (
     span_contains,
     span_sum,
     tensor_form,
+    tinf,
+    tinf_closure,
 )
 from vvmf.linalg import Matrix
 from vvmf.qexp import QExp
@@ -235,6 +238,83 @@ def test_closure_of_empty_is_empty(reg):
 def test_closure_rejects_empty_window(reg):
     with pytest.raises(ValueError):
         tinf_closure(FormSpan(), (8, 4), 3, reg)
+
+
+def reference_tinf_closure(span, weight_window, max_rounds, targets):
+    """The closure as it was: each round copied the window's grades of the
+    last closure, summed them with the window's grades of every generator's
+    tinf span by span_sum, and compared both the dimension signatures and
+    the canonical RREF rows of every grade."""
+    kmin, kmax = weight_window
+
+    def window_filter(s):
+        out = FormSpan()
+        for (w, _), gens in sorted(s.grading.items()):
+            if kmin <= w <= kmax:
+                for form, prov in gens:
+                    out.add(form, provenance=prov)
+        return out
+
+    current = window_filter(span)
+    for _ in range(max_rounds):
+        pieces = [current]
+        for _, gens in sorted(current.grading.items()):
+            pieces += [window_filter(tinf(form, targets)) for form, _ in gens]
+        new = span_sum(pieces)
+        if new.dimension_signature() == current.dimension_signature() and all(
+            new.grade_rows(key) == current.grade_rows(key) for key in new.grading
+        ):
+            return current, True
+        current = new
+    return current, False
+
+
+def closure_against_reference(span, window, rounds, reg):
+    """tinf_closure's (span, stabilized), after checking that the reference
+    gives the same flag and the same JSON bytes."""
+    got, stabilized = tinf_closure(span, window, rounds, reg)
+    want, want_stabilized = reference_tinf_closure(span, window, rounds, reg)
+    assert stabilized is want_stabilized
+    assert json.dumps(got.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
+    return got, stabilized
+
+
+@pytest.mark.parametrize("prec, window, rounds, stabilized", [
+    (12, (4, 8), 3, True),  # the closure CI pins at 40f3d114...
+    (33, (4, 10), 4, True),
+    (12, (2, 12), 2, False),
+])
+def test_closure_matches_the_span_sum_closure(reg, prec, window, rounds, stabilized):
+    # the span as `ahol closure --span` reads the JSON of `vveis --weight 4
+    # --type rho3 --index 3 --prec PREC`
+    eis = vv_eisenstein(4, reg.get("rho3"), 3, prec)
+    span = _span_from_json(json.loads(json.dumps(eis.to_json())), reg)
+    closure, got_stabilized = closure_against_reference(span, window, rounds, reg)
+    assert got_stabilized is stabilized
+    assert len(closure.grades()) > len(span.grades())
+
+
+def test_closure_grows_inside_the_grades_it_has(reg):
+    # rounds 1 and 2 add R(E4), R(E6) and then R^2(E4) to the grades that E6
+    # and E8 opened, and open none, so a stop rule on the set of grades
+    # alone would end after round 1
+    span = FormSpan.of(eisenstein(4, 6), eisenstein(6, 6), eisenstein(8, 6))
+    closure, stabilized = closure_against_reference(span, (4, 8), 4, reg)
+    assert stabilized
+    assert closure.dimension_signature() == {(4, "triv"): 1, (6, "triv"): 2, (8, "triv"): 3}
+
+
+def test_ahol_imports_nothing_from_hyperalg():
+    # the span layer owns tinf and its closure, so the form layer below it
+    # imports nothing from it, not even lazily inside a function
+    tree = ast.parse(Path(vvmf.ahol.__file__).read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [alias.name for alias in node.names]
+    assert "qexp" in names and not any("hyperalg" in name for name in names)
 
 
 def test_hyper_derivation_containment(reg):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from vvmf.ahol import apply_intertwiner, lower_op, raise_op
+from vvmf.ahol import AholForm, apply_intertwiner, lower_op, raise_op
 from vvmf.exactnum import CycNum
 from vvmf.forms import delta_form, eisenstein
 from vvmf.hecke import (
@@ -21,7 +21,7 @@ from vvmf.hecke import (
     unit_embedding,
 )
 from vvmf.linalg import Matrix
-from vvmf.reps import Rep, builtin_registry, is_intertwiner
+from vvmf.reps import Rep, builtin_registry, is_intertwiner, trivial_rep
 
 S = ((0, -1), (1, 0))
 T = ((1, 1), (0, 1))
@@ -479,6 +479,107 @@ def test_unit_contraction_recovers_classical_operator(p, tau, reg):
     for n in range(1, 6 * p):
         if n % p:
             assert got.coeff(Fraction(n, p)).is_zero()
+
+
+# -- genus-1 Hecke traces against Eichler-Selberg --------------------------------
+# Where dim S_k > 1, a coefficient check on one form does not see the whole
+# operator, so the trace of T_p on S_k(triv) is checked against the
+# Eichler-Selberg trace formula (D. Zagier's appendix to S. Lang,
+# Introduction to Modular Forms, 1976).
+
+
+def hurwitz_class_number(n: int) -> Fraction:
+    """H(n) for n > 0: the reduced positive definite forms (a, b, c) of
+    discriminant -n, |b| <= a <= c and b >= 0 where |b| = a or a = c, each
+    weighted 1/2 if it is a multiple of x^2 + y^2 and 1/3 if it is a
+    multiple of x^2 + xy + y^2."""
+    total, a = Fraction(0), 1
+    while 3 * a * a <= n:
+        for b in range(1 - a, a + 1):
+            c, rest = divmod(b * b + n, 4 * a)
+            if rest == 0 and (c > a or (c == a and b >= 0)):
+                total += Fraction(1, 3) if b == a == c else Fraction(1, 2) if a == c and not b else 1
+        a += 1
+    return total
+
+
+def eichler_selberg_trace(k: int, p: int) -> Fraction:
+    """-1/2 sum_{t^2 < 4p} P_k(t, p) H(4p - t^2) - 1/2 sum_{dd' = p} min(d, d')^(k-1),
+    with P_2 = 1, P_3 = t and P_{j+1} = t P_j - p P_{j-1}."""
+    total, top = Fraction(0), math.isqrt(4 * p - 1)
+    for t in range(-top, top + 1):
+        poly = [1, t]
+        while len(poly) < k - 1:
+            poly.append(t * poly[-1] - p * poly[-2])
+        total += poly[k - 2] * hurwitz_class_number(4 * p - t * t)
+    return -total / 2 - Fraction(sum(min(d, p // d) ** (k - 1) for d in (1, p)), 2)
+
+
+def cusp_basis(k: int, prec) -> list:
+    """The triangular basis Delta^j E4^a E6^b, 4a + 6b = k - 12j, of S_k(triv);
+    its form j starts with q^j."""
+    e4, e6 = eisenstein(4, prec).components[0], eisenstein(6, prec).components[0]
+    delta = delta_form(prec).components[0]
+    out = []
+    for j in range(1, k // 12 + 1):
+        rest = k - 12 * j
+        if rest == 2:
+            continue
+        b = rest % 4 // 2
+        q = delta
+        for x in [delta] * (j - 1) + [e4] * ((rest - 6 * b) // 4) + [e6] * b:
+            q = q * x
+        out.append(AholForm.holomorphic(k, trivial_rep(), (q,)))
+    return out
+
+
+def hecke_trace(k: int, p: int, dropped=()) -> CycNum:
+    """Trace of T_p on S_k(triv), with T_p f = p^(k/2-1) times the sum of the
+    coset components of hecke_form(p, f), the normalisation of
+    test_unit_contraction_recovers_classical_operator; the components at the
+    positions in dropped are left out of the sum."""
+    basis = cusp_basis(k, p * (k // 12 + 1))
+    rows = [[f.components[0].coeff(n) for n in range(1, len(basis) + 1)] for f in basis]
+    trace = CycNum.zero()
+    for j, f in enumerate(basis):
+        comps = [q for i, q in enumerate(hecke_form(p, f).components) if i not in dropped]
+        image = [sum((q.coeff(n) for q in comps), CycNum.zero()) * p ** (k // 2 - 1)
+                 for n in range(1, len(basis) + 1)]
+        # the image's coordinates in the triangular basis, up to its diagonal one
+        for i, row in enumerate(rows[: j + 1]):
+            c = image[i]
+            image = [y - c * x for x, y in zip(row, image)]
+        trace = trace + c
+    return trace
+
+
+def test_the_trace_oracle_on_known_values():
+    got = [hurwitz_class_number(n) for n in (3, 4, 7, 8, 12, 15, 16, 20, 23, 27)]
+    assert got == [Fraction(1, 3), Fraction(1, 2), 1, 1, Fraction(4, 3), 2, Fraction(3, 2), 2, 3,
+                   Fraction(4, 3)]
+    # tau(2), tau(3), tau(5); the two eigenvalues of T_2 on S_24 are 540 +- 12 sqrt(144169)
+    assert [eichler_selberg_trace(12, p) for p in (2, 3, 5)] == [-24, 252, 4830]
+    assert eichler_selberg_trace(24, 2) == 1080
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("k", [12, 16, 24, 36])
+def test_hecke_traces_match_eichler_selberg(k, p):
+    assert len(cusp_basis(k, 1)) == {12: 1, 16: 1, 24: 2, 36: 3}[k]
+    assert hecke_trace(k, p) == CycNum.from_rational(eichler_selberg_trace(k, p))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_trace_sees_every_upper_coset(p):
+    want = CycNum.from_rational(eichler_selberg_trace(24, p))
+    # components follow delta_cosets: (p 0; 0 1), then (1 b; 0 p) for b = 0..p-1
+    assert [(c.a, c.b, c.d) for c in delta_cosets(1, p)] == [(p, 0, 1)] + [(1, b, p) for b in range(p)]
+    for b in range(p):
+        assert hecke_trace(24, p, dropped={1 + b}) != want, b
+    # (p 0; 0 1) sends a_n q^n to q^(pn), below the diagonal of the triangular
+    # basis, so no trace sees it; test_unit_contraction_recovers_classical_operator
+    # and test_hecke_form_on_weight_twelve_matches_listing check its coefficients
+    assert hecke_trace(24, p, dropped={0}) == want
 
 
 def test_hecke_form_commutes_with_covariant_operators(reg):

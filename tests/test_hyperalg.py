@@ -741,6 +741,31 @@ def test_the_slot_bound_counts_every_product_and_every_multiplier(recorded_reads
     _assert_reads_match_the_scan(recorded_reads)
 
 
+def test_a_zero_candidate_block_adds_no_bound_to_the_slot(recorded_reads):
+    # g1 and g2 agree on layer 0, so a candidate that lives on layer 1 only
+    # reads c = (1, -1): both generators' layer-0 blocks are combined there,
+    # against a zero block of the candidate.  Their 3^-200 coefficients
+    # cancel in Lambda / den, so the block fits 64-bit slots; the candidate's
+    # term has no block there and adds no bound of its own.
+    triv, tiny = trivial_rep(), Fraction(1, 3**200)
+
+    def form(low, high):
+        return AholForm(4, triv, [[QExp(1, 6, low)], [QExp(1, 6, high)]])
+
+    g1, g2 = form({0: tiny}, {2: 1}), form({0: tiny}, {3: 1})
+    span, ref = FormSpan.of(g1, g2), ReferenceSpan()
+    assert ref.add(g1) and ref.add(g2)
+    start = len(recorded_reads)
+    for f, member in ((form({}, {2: 1, 3: -1}), True), (form({}, {2: 1}), False),
+                      (form({}, {2: 1, 4: 5}), False)):
+        assert span_contains(span, f, 6) is ref.contains(f, 6) is member
+    for *_, combines in recorded_reads[start:]:
+        # layer 0: the two stored generator blocks only; layer 1: the
+        # candidate's block first, then the generators'
+        assert combines[:3] == [(64, True, False)] * 2 + [(64, False, True)]
+    _assert_reads_match_the_scan(recorded_reads)
+
+
 def test_lower_precision_form_is_refused_when_stored_generators_collapse():
     # 1 + q^2 and 1 + 2q^2 are independent at precision 6 but not below q^2,
     # so q at precision 2 is refused although it is independent of 1 + q^2
