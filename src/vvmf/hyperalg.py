@@ -12,19 +12,19 @@ membership.  Stored generators are linearly independent within a grade
 at its common sound precision.  Each grade keeps a pivot state (one
 pivot column per generator and the inverse of that block of their rows),
 so a new form or a membership candidate is one reduced row.  The state
-keeps each generator's series over one denominator and packs it as
-Kronecker-packed ints, one per power-basis coordinate, at each slot width
-a read asks for (D. Harvey, J. Symbolic Comput. 44, 2009), the layout and
-packer of `qexp.combine_terms`, and meets a scalar through its integer
-multiplication matrix (`exactnum._multiplication`) as that kernel does: the
-reduced row is a packed integer combination, block
-by block, at the least width that holds that block's bound from bit
-lengths, and its first nonzero column is read off the lowest set bit.
+lifts a generator's series over one denominator when a read first reaches
+it and packs it as Kronecker-packed ints, one per power-basis coordinate,
+at each slot width a read asks for (D. Harvey, J. Symbolic Comput. 44,
+2009), the layout and packer of `qexp.combine_terms`; it meets a scalar
+through its integer multiplication matrix (`exactnum._multiplication`):
+the reduced row is a packed integer combination, block by block, at the
+least width that holds that block's bound from bit lengths, and its first
+nonzero column is read off the lowest set bit.  `span_sum` adopts states.
 
 The Hecke operator at infinity acts on spans: `tinf(f)` spans every
 projection of the lowered and raised images of f, and `tinf_closure` grows
-one span inside a weight window by the tinf spans of its generators until a
-round leaves its dimension signature unchanged.
+one span inside a weight window by the tinf spans of the generators the last
+round added, each expanded once, until a round adds none.
 
 Membership refuses to answer below the Sturm bound: callers pass a
 working precision and get a hard error, never a silent false.  The
@@ -143,7 +143,8 @@ class _Pivots:
     `qexp._lifted` group, None for a zero block, and packs maps a slot
     width to one int per coordinate l, packing coordinate l of column t in
     slot t (`qexp._pack`, the packer of the series kernel), filled by the
-    first read at that width.
+    first read at that width.  A read lifts block b onto pairs the first
+    time it combines it, and a read against no generator lifts nothing.
 
     A read takes c = (v|P) . inv at the lcm N of n_v and every n_j, and
     walks the blocks in column order over one list of terms: v with scalar
@@ -151,8 +152,8 @@ class _Pivots:
     sum_j c_j g_j) on a block is the int sum over the terms t whose block is
     nonzero of sum_l m_t M_t[i][l] P_{t,l}: M_t takes the coordinates of an
     element of Q(zeta_{n_t}) to those of t's scalar numerator times it in
-    Q(zeta_N), and m_t = Lambda / (den(scalar) d_t), so no generator is
-    lifted.  Each block is combined at the least width (64 bits, doubled)
+    Q(zeta_N), and m_t = Lambda / (den(scalar) d_t), so no block is lifted
+    to N.  Each block is combined at the least width (64 bits, doubled)
     that holds its own slot bound over those terms: the largest bit length
     of a scalar plus its matrix's largest entry plus its block's largest
     coordinate, plus the bit length of the number of products per
@@ -171,32 +172,36 @@ class _Pivots:
 
     def read(self, f: AholForm):
         """(the first nonzero column of v - (v|P . inv) . G or None, (n_v,
-        the blocks of f's row v up to that column's, as (g, packs) pairs))."""
+        the (g, packs) pairs of the blocks of f's row v that it lifted))."""
         bound, terms = _bound(self.layout), _block_terms(f, self.layout)
         n_v = math.lcm(*(c.n for block in terms for _, c in block))
-        cond = math.lcm(n_v, *(n for n, _ in self.blocks))
+        v, own = _columns(terms, bound), []
+        if not self.forms:
+            return min(v, default=None), (n_v, own)
         if self.inv is None:
             block = [sparse_row(map(_columns(_block_terms(g, self.layout), bound).get, self.pivots))
                      for g in self.forms]
             self.inv = invert_rows(block)
-        v = _columns(terms, bound)
         a = [(i, x) for i, p in enumerate(self.pivots) if (x := v.get(p))]
+        cond = math.lcm(n_v, *(n for n, _ in self.blocks))
         # the terms of v - sum_j c_j g_j: v with scalar 1, then g_j with -c_j
-        own = []  # v's blocks, lifted as the walk reaches them
-        scalars = [(CycNum.one(), n_v, own)]
+        scalars = [(CycNum.one(), f, n_v, own)]
         for j, (n, pairs) in enumerate(self.blocks):
             c = sum((x * self.inv[i][j] for i, x in a if j in self.inv[i]), CycNum.zero())
             if c:
-                scalars.append((-c, n, pairs))
-        mults = []  # per term: den(scalar), M, the bit length of M's largest entry, its blocks
-        for c, n, pairs in scalars:
-            m = _multiplication(cond, c.lift(cond).num, n)
-            mults.append((c.den, m, _bits(m), pairs))
-        for b, block in enumerate(terms):
-            own.append((_lifted(block, n_v) if block else None, {}))
+                scalars.append((-c, self.forms[j], n, pairs))
+        # per term: den(scalar), M, the bit length of M's largest entry, its form, n, its blocks
+        mults = [(c.den, m, _bits(m), g, n, pairs) for c, g, n, pairs in scalars
+                 for m in [_multiplication(cond, c.lift(cond).num, n)]]
+        for b in range(len(terms)):
             # per term with a nonzero block b: den(scalar) d_b, M, the bits of M times it, it
-            live = [(d * g.den, m, bits + g.big.bit_length(), pairs[b])
-                    for d, m, bits, pairs in mults if (g := pairs[b][0])]
+            live = []
+            for d, m, bits, g, n, pairs in mults:
+                if b == len(pairs):
+                    block = _series_terms(g, self.layout, b)
+                    pairs.append((_lifted(block, n) if block else None, {}))
+                if group := pairs[b][0]:
+                    live.append((d * group.den, m, bits + group.big.bit_length(), pairs[b]))
             if not live:
                 continue
             lam = math.lcm(*(d for d, _, _, _ in live))
@@ -220,14 +225,11 @@ class _Pivots:
         return None, (n_v, own)
 
     def push(self, f: AholForm) -> bool:
-        """Add f when it is independent; True when the state grew.  The
-        blocks the read lifted and packed are kept, and only the rest are
-        lifted."""
+        """Add f when it is independent; True when the state grew.  f keeps
+        the blocks its read lifted and packed, and no others."""
         p, (n, own) = self.read(f)
         if p is None:
             return False
-        own += [(_lifted(block, n) if block else None, {})
-                for block in _block_terms(f, self.layout)[len(own):]]
         self.forms.append(f)
         self.pivots.append(p)
         self.blocks.append((n, own))
@@ -290,12 +292,21 @@ def _bits(m: list) -> int:
 
 
 def span_sum(spans) -> "FormSpan":
-    """Graded union by incremental adds; dimensions never exceed the sum."""
+    """Graded union by incremental adds; dimensions never exceed the sum.
+    The first span holding a grade hands over a copy of its pivot state
+    (block lists, which only grow, shared): its generators are independent
+    at their own layout, so adding them one by one would keep each."""
     out = FormSpan()
     for s in spans:
         for key in s.grades():
-            for form, prov in s.grading[key]:
-                out.add(form, provenance=prov)
+            if key in s._pivots and not out.grading.get(key):
+                state, out.grading[key] = s._pivots[key], list(s.grading[key])
+                out._pivots[key] = copy = _Pivots(state.layout)
+                copy.forms, copy.pivots, copy.inv = state.forms[:], state.pivots[:], state.inv
+                copy.blocks = state.blocks[:]
+            else:
+                for form, prov in s.grading[key]:
+                    out.add(form, provenance=prov)
     return out
 
 
@@ -357,12 +368,13 @@ def tinf(f: AholForm, targets) -> FormSpan:
 def tinf_closure(span: FormSpan, weight_window, max_rounds: int, targets):
     """Least fixed point of repeated tinf applications inside a window.
 
-    Starts from the window's grades of span.  Each round adds, in grade
-    order, the window's grades of the tinf span of every generator held at
-    its start; a round that leaves the dimension signature unchanged added
-    nothing (`FormSpan.add` never drops a kept generator), so it ends the
-    closure.  Returns (closure span, stabilized flag); non-stabilization
-    within max_rounds is reported, not raised.
+    Starts from the window's grades of span.  A round adds, in grade
+    order, the window's grades of the tinf span of every generator the
+    round before added (of every one in round 1): a rejected image stays
+    dependent as the span grows or its precision drops, so expanding a
+    generator again adds nothing.  A round that adds none ends the closure.
+    Returns (closure span, stabilized flag); non-stabilization within
+    max_rounds is reported, not raised.
     """
     kmin, kmax = weight_window
     if kmin > kmax:
@@ -376,11 +388,13 @@ def tinf_closure(span: FormSpan, weight_window, max_rounds: int, targets):
                     closure.add(form, provenance=prov)
 
     add_window(span)
+    fresh = [f for key in closure.grades() for f, _ in closure.grading[key]]
     for _ in range(max_rounds):
-        before = closure.dimension_signature()
-        for form in [f for key in closure.grades() for f, _ in closure.grading[key]]:
+        was = closure.dimension_signature()
+        for form in fresh:
             add_window(tinf(form, targets))
-        if closure.dimension_signature() == before:
+        fresh = [f for key in closure.grades() for f, _ in closure.grading[key][was.get(key, 0):]]
+        if not fresh:
             return closure, True
     return closure, False
 

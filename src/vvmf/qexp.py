@@ -14,14 +14,14 @@ caller drops its own zeros.
 Products and sums of products are one multiply-accumulate kernel,
 `combine_terms`, by Kronecker substitution (D. Harvey, J. Symbolic
 Comput. 44, 2009): each distinct product of a call is made once on
-factors packed one Python int per power-basis coordinate, folded modulo
-the cyclotomic polynomial on the packed ints, and shared by every row
-that scales it.  A coefficient has the lcm of the conductors of every
-term and pair of terms that reaches its exponent, even where their sum
-cancels, a rule that depends neither on the algorithm nor on the order
-of summation.  Coordinates move between conductors by the maps of
-`exactnum`: the lift `_lift_num`, the multiplication matrix
-`_multiplication` and the lowering `_lowering`.
+factors packed in one pass, one Python int per power-basis coordinate,
+folded modulo the cyclotomic polynomial on the packed ints, and shared by
+every row that scales it; a row is decoded a coordinate at a time.  A
+coefficient has the lcm of the conductors of every term and pair of terms
+that reaches its exponent, even where their sum cancels, a rule that
+depends neither on the algorithm nor on the order of summation.
+Conductors change by the maps of `exactnum`: the lift `_lift_num`, the
+multiplication matrix `_multiplication` and the lowering `_lowering`.
 """
 
 from __future__ import annotations
@@ -333,8 +333,6 @@ def combine_terms(rows, empty) -> list:
         most = max(most, sum(3 * p.count for _, p in job))
         jobs.append((job, cond, den, scaled))
     width, narrow = (big.bit_length() + 8) // 8, (most.bit_length() + 7) // 8
-    half = 1 << (8 * width - 1)
-    fill = int.from_bytes(half.to_bytes(width, "little") * limit, "little")
 
     def pack(g: _Group) -> list:
         if id(g) not in packed:
@@ -390,7 +388,7 @@ def combine_terms(rows, empty) -> list:
                 hits[c.n] = hits.get(c.n, 0) + reach(p, 0)
         hits = [(k, _low_bytes(r, top * narrow)) for k, r in hits.items()]
         step, coeffs = h // math.lcm(*(q.h for q in qs)), {}
-        for n, num in _decode(acc, top, width, fill):
+        for n, num in _decode(acc, top, width):
             m, d = 1, 1
             for k, hit in hits:
                 if not hit.startswith(blank, n * narrow):
@@ -399,8 +397,8 @@ def combine_terms(rows, empty) -> list:
                 num = num[:1]
             elif m != cond:
                 low, d = _lowering(cond, m)
-                num = [sum(map(operator.mul, r, num)) for r in low]
-            coeffs[n // step] = _make(m, tuple(num), den * d)
+                num = tuple([sum(map(operator.mul, r, num)) for r in low])
+            coeffs[n // step] = _make(m, num, den * d)
         out.append(_series(h // step, min(q.prec for q in qs), coeffs))
     return out
 
@@ -433,20 +431,18 @@ def _lifted(group: list, cond: int) -> _Group:
 
 
 def _pack(rows: list, top: int, width: int) -> list:
-    """One int per coordinate l of the (n, coords) rows, n <= top: the sum of
-    coords[l] * 2^(8 * width * n)."""
-    out, size = [], (top + 1) * width
+    """One int per coordinate l of the (n, coords) rows, n <= top, in any
+    order: the sum of coords[l] * 2^(8 * width * n).  Every caller's width
+    keeps |coords[l]| < half = 2^(8 * width - 1), so the fields coords[l] +
+    half are joined once and one fill int, half in every slot, subtracted."""
+    half = 1 << (8 * width - 1)
+    blank = half.to_bytes(width, "little")
+    fill, out = int.from_bytes(blank * (top + 1), "little"), []
     for l in range(len(rows[0][1])):
-        pos, neg = bytearray(size), bytearray(size)
+        fields = [blank] * (top + 1)
         for n, coords in rows:
-            x = coords[l]
-            if x > 0:
-                at = n * width
-                pos[at : at + width] = x.to_bytes(width, "little")
-            elif x < 0:
-                at = n * width
-                neg[at : at + width] = (-x).to_bytes(width, "little")
-        out.append(int.from_bytes(pos, "little") - int.from_bytes(neg, "little"))
+            fields[n] = (coords[l] + half).to_bytes(width, "little")
+        out.append(int.from_bytes(b"".join(fields), "little") - fill)
     return out
 
 
@@ -460,18 +456,18 @@ def _fold_growth(cond: int) -> int:
     return max(sum(abs(p[j]) for p in powers) for j in range(phi))
 
 
-def _decode(accs: list, top: int, width: int, fill: int):
-    """Yield (n, [slot n of each of accs]) for every n < top where a slot is
-    nonzero.  Every slot is below half = 2^(8 * width - 1) in absolute
-    value, so adding fill, half in each slot, carries nothing between
-    slots."""
-    half = 1 << (8 * width - 1)
-    blank, size = half.to_bytes(width, "little"), top * width
-    raws = [_low_bytes(a + fill, size) for a in accs]
-    for at in range(0, size, width):
-        if not all(raw.startswith(blank, at) for raw in raws):
-            yield at // width, [int.from_bytes(raw[at : at + width], "little") - half
-                                for raw in raws]
+def _decode(accs: list, top: int, width: int):
+    """Yield (n, the tuple of slot n of each of accs) for every n < top
+    where a slot is nonzero.  Every slot is below half = 2^(8 * width - 1)
+    in absolute value, so adding fill, half in each slot, carries nothing
+    between slots."""
+    half, size = 1 << (8 * width - 1), top * width
+    fill = int.from_bytes(half.to_bytes(width, "little") * top, "little")
+    slots = [[int.from_bytes(raw[at : at + width], "little") - half for at in range(0, size, width)]
+             for raw in [_low_bytes(a + fill, size) for a in accs]]
+    for n, num in enumerate(zip(*slots)):
+        if any(num):
+            yield n, num
 
 
 def _low_bytes(x: int, size: int) -> bytes:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import vvmf.ahol
+import vvmf.hyperalg
 from vvmf.ahol import (
     AholForm,
     _apply_maps,
@@ -269,10 +270,22 @@ def reference_tinf_closure(span, weight_window, max_rounds, targets):
     return current, False
 
 
-def closure_against_reference(span, window, rounds, reg):
+def closure_against_reference(span, window, rounds, reg, monkeypatch):
     """tinf_closure's (span, stabilized), after checking that the reference
-    gives the same flag and the same JSON bytes."""
-    got, stabilized = tinf_closure(span, window, rounds, reg)
+    gives the same flag and the same JSON bytes, and that the closure
+    expanded each generator once at most, and every one when it stabilized."""
+    expanded, expand = [], vvmf.hyperalg.tinf
+
+    def spy(form, targets):
+        expanded.append(form)
+        return expand(form, targets)
+
+    with monkeypatch.context() as m:
+        m.setattr(vvmf.hyperalg, "tinf", spy)
+        got, stabilized = tinf_closure(span, window, rounds, reg)
+    gens = {id(f) for key in got.grades() for f, _ in got.grading[key]}
+    assert len({id(f) for f in expanded}) == len(expanded) and {id(f) for f in expanded} <= gens
+    assert len(expanded) == len(gens) or not stabilized
     want, want_stabilized = reference_tinf_closure(span, window, rounds, reg)
     assert stabilized is want_stabilized
     assert json.dumps(got.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
@@ -284,22 +297,22 @@ def closure_against_reference(span, window, rounds, reg):
     (33, (4, 10), 4, True),
     (12, (2, 12), 2, False),
 ])
-def test_closure_matches_the_span_sum_closure(reg, prec, window, rounds, stabilized):
+def test_closure_matches_the_span_sum_closure(reg, monkeypatch, prec, window, rounds, stabilized):
     # the span as `ahol closure --span` reads the JSON of `vveis --weight 4
     # --type rho3 --index 3 --prec PREC`
     eis = vv_eisenstein(4, reg.get("rho3"), 3, prec)
     span = _span_from_json(json.loads(json.dumps(eis.to_json())), reg)
-    closure, got_stabilized = closure_against_reference(span, window, rounds, reg)
+    closure, got_stabilized = closure_against_reference(span, window, rounds, reg, monkeypatch)
     assert got_stabilized is stabilized
     assert len(closure.grades()) > len(span.grades())
 
 
-def test_closure_grows_inside_the_grades_it_has(reg):
+def test_closure_grows_inside_the_grades_it_has(reg, monkeypatch):
     # rounds 1 and 2 add R(E4), R(E6) and then R^2(E4) to the grades that E6
     # and E8 opened, and open none, so a stop rule on the set of grades
     # alone would end after round 1
     span = FormSpan.of(eisenstein(4, 6), eisenstein(6, 6), eisenstein(8, 6))
-    closure, stabilized = closure_against_reference(span, (4, 8), 4, reg)
+    closure, stabilized = closure_against_reference(span, (4, 8), 4, reg, monkeypatch)
     assert stabilized
     assert closure.dimension_signature() == {(4, "triv"): 1, (6, "triv"): 2, (8, "triv"): 3}
 

@@ -632,17 +632,22 @@ def test_huge_coefficients_regrow_the_slot_width(recorded_reads):
     ((*_, combines),) = recorded_reads[start:]
     assert combines and {w for w, _, _ in combines} == {64}
     # a generator kept for a column of small coefficients, with huge ones in
-    # a later layer, is read at a width that holds them
+    # a later layer, is read at a width that holds them.  Its push lifted
+    # none of its blocks, so the first read lifts and packs both blocks it
+    # combines, and a second such read finds them stored and packs neither
+    # again
     f = AholForm(4, triv, [[QExp(1, 6, {0: 1})], [QExp(1, 6, {2: big, 3: tiny})]])
     g = AholForm(4, triv, [[QExp(1, 6, {1: 1})], [QExp(1, 6, {2: 1})]])
     span, ref = FormSpan.of(f), ReferenceSpan()
     assert ref.add(f)
     start = len(recorded_reads)
-    for h in (f.scaled(tiny), f + g.scaled(big)):
+    for h in (f.scaled(tiny), f + g.scaled(big), f.scaled(tiny)):
         assert span_contains(span, h, 6) is ref.contains(h, 6)
-    (*_, combines), _ = recorded_reads[start:]
-    assert [(w > 300, stored) for w, stored, _ in combines] == [(False, False), (False, True),
-                                                               (True, False), (True, True)]
+    (*_, first), _, (*_, again) = recorded_reads[start:]
+    assert [(w > 300, stored, packed) for w, stored, packed in first] == [
+        (False, False, True), (False, False, True), (True, False, True), (True, False, True)]
+    assert [(w > 300, stored, packed) for w, stored, packed in again] == [
+        (False, False, True), (False, True, False), (True, False, True), (True, True, False)]
     assert span.add(g) is ref.add(g) is True
     _assert_reads_match_the_scan(recorded_reads)
 
@@ -671,8 +676,10 @@ def test_a_cyclotomic_query_reads_rational_generators_through_a_lift(recorded_re
 
 def test_a_repeated_wide_read_packs_no_generator_block_again(recorded_reads):
     # a non-member whose slot bound passes 64 bits, as the triv non-members
-    # of the vv-product queries: the first read packs the generator blocks
-    # it combines at the wider width, the second packs only its own block
+    # of the vv-product queries: the first read lifts and packs the
+    # generator blocks it combines at the wider width (g1's block was never
+    # lifted, since the push of g2 read it with c = 0; g2 kept the block its
+    # push lifted), and the second read packs only its own block
     triv = trivial_rep()
     g1, g2, g3 = (AholForm.holomorphic(4, triv, [QExp(1, 6, terms)])
                   for terms in ({0: 1, 2: 3}, {1: 2, 3: -1, 5: 1}, {4: 1}))
@@ -684,7 +691,7 @@ def test_a_repeated_wide_read_packs_no_generator_block_again(recorded_reads):
         assert span_contains(span, outsider, 6) is ref.contains(outsider, 6) is False
     (*_, first), (*_, second) = recorded_reads[start:]
     assert {w for w, _, _ in first} == {w for w, _, _ in second} == {128}
-    assert [(stored, packed) for _, stored, packed in first] == [(False, True)] + [(True, True)] * 2
+    assert [(stored, packed) for _, stored, packed in first] == [(False, True), (False, True), (True, True)]
     assert [(stored, packed) for _, stored, packed in second] == [(False, True)] + [(True, False)] * 2
     _assert_reads_match_the_scan(recorded_reads)
 
@@ -781,3 +788,109 @@ def test_lower_precision_form_is_refused_when_stored_generators_collapse():
     q3 = AholForm.holomorphic(4, triv, [QExp(1, 6, {3: 1})])
     assert span_contains(span, q2, 6) and not span_contains(span, q3, 6)
     assert span.add(q3) is ref.add(q3) is True
+
+
+# -- span_sum against one-by-one adds -----------------------------------------
+
+
+def one_by_one_sum(spans) -> FormSpan:
+    """span_sum as it was: every generator of every span added in turn."""
+    out = FormSpan()
+    for s in spans:
+        for key in s.grades():
+            for form, prov in s.grading[key]:
+                out.add(form, provenance=prov)
+    return out
+
+
+def span_bytes(span: FormSpan) -> str:
+    return json.dumps(span.to_json(), sort_keys=True)
+
+
+def assert_sum_matches_one_by_one(spans) -> FormSpan:
+    got, want = span_sum(spans), one_by_one_sum(spans)
+    assert span_bytes(got) == span_bytes(want)
+    assert got.dimension_signature() == want.dimension_signature()
+    return got
+
+
+def test_span_sum_matches_one_by_one_adds_on_the_vv_product_spans(reg):
+    rho3 = reg.get("rho3")
+    eis = {a: vv_eisenstein(a, rho3, 3, 33).generators((a, "rho3"))[0][0] for a in (4, 6, 8, 10, 12)}
+    spans = [hyper_tensor(eis[a], eis[b], reg) for a, b in ((4, 12), (6, 10), (8, 8))]
+    sources = [span_bytes(s) for s in spans]
+    total = assert_sum_matches_one_by_one(spans)
+    assert total.dimension_signature() == {(16, "rho3"): 4, (16, "rho_zeta"): 2,
+                                           (16, "rho_zeta2"): 1, (16, "triv"): 2}
+    # the sum took the (16, rho3) state of the first span; a form added to
+    # the sum leaves that span's generators and state as they were
+    key = (16, "rho3")
+    state = spans[0]._pivots[key]
+    held = (list(state.forms), list(state.pivots), [list(pairs) for _, pairs in state.blocks])
+    extra = _random_form(random.Random(7), 16, rho3, 3, (3,), 33, 0)
+    assert total.add(extra, "extra") and not span_contains(spans[0], extra, 33)
+    assert [span_bytes(s) for s in spans] == sources
+    assert spans[0]._pivots[key] is state
+    assert (state.forms, state.pivots) == held[:2]
+    assert len(state.blocks) == len(held[2])
+    assert span_contains(total, extra, 33)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_span_sum_matches_one_by_one_adds_when_a_later_span_lowers_the_precision(reg, seed):
+    # spans of seeded forms in two grades, the later ones truncated below the
+    # first span's precision: the adopted state is rebuilt at the lower
+    # precision, where some kept generators may collapse
+    rng = random.Random(seed)
+    spans = []
+    for i, prec in enumerate((6, 6, 4, 3)):
+        span = FormSpan()
+        for weight, label, n, lattices, _, _, _ in _ORACLE_GRADES:
+            rep = reg.get(label)
+            pool = [_random_form(rng, weight, rep, n, lattices, 6, rng.randint(0, 1))
+                    for _ in range(3)]
+            for _ in range(3):
+                f = _combination(rng, pool, n) if rng.random() < 0.5 else rng.choice(pool)
+                span.add(f.truncate(prec), f"{label}#{i}")
+        spans.append(span)
+    sources = [span_bytes(s) for s in spans]
+    total = assert_sum_matches_one_by_one(spans)
+    assert total.dimension_signature() != spans[0].dimension_signature()
+    # adds to the sum leave every source as it was
+    for weight, label, n, lattices, _, _, _ in _ORACLE_GRADES:
+        total.add(_random_form(rng, weight, reg.get(label), n, lattices, 6, 1), "extra")
+    assert [span_bytes(s) for s in spans] == sources
+
+
+def test_span_sum_matches_one_by_one_adds_when_adopted_generators_collapse():
+    # 1 + q^2 and 1 + 2q^2 collapse below q^2, so the sum refuses q at
+    # precision 2 as the one-by-one adds do, and then keeps q^3 at precision 6
+    triv = trivial_rep()
+    f1, f2, q3 = (AholForm.holomorphic(4, triv, [QExp(1, 6, terms)])
+                  for terms in ({0: 1, 2: 1}, {0: 1, 2: 2}, {3: 1}))
+    low = AholForm.holomorphic(4, triv, [QExp(1, 2, {1: 1})])
+    spans = [FormSpan.of(f1, f2), FormSpan.of(low), FormSpan.of(q3)]
+    total = assert_sum_matches_one_by_one(spans)
+    assert total.dimension_signature() == {(4, "triv"): 3}
+
+
+def test_a_first_add_to_an_empty_grade_takes_the_scan_pivot_and_lifts_nothing(reg):
+    # the first form of a grade is read against no generator: its pivot is
+    # its first stored column, also where its block 0 is zero, and push
+    # keeps no lifted or packed block of it
+    triv, rho3 = trivial_rep(), reg.get("rho3")
+    z = CycNum.zeta(3)
+    forms = [
+        AholForm(4, triv, [[QExp(1, 6, {})], [QExp(1, 6, {3: 2, 1: 5})]]),
+        AholForm.holomorphic(4, triv, [QExp(1, 6, {4: 1, 2: Fraction(7, 3)})]),
+        AholForm.holomorphic(2, rho3, [QExp(3, 2, {}), QExp(3, 2, {5: z, 2: 1 + z}),
+                                       QExp(1, 2, {1: 1})]),
+    ]
+    for f, n in zip(forms, (1, 1, 3)):
+        span = FormSpan()
+        assert span.add(f, "first")
+        state = span._pivots[(f.weight, f.rep.label)]
+        assert state.pivots == [scan_column(state.layout, [], [], f)]
+        assert state.blocks == [(n, [])]
+    # block 1 of the rho3 form starts at column 6 (exponents n/3 below 2); its first term is q^(2/3)
+    assert state.pivots == [6 + 2]

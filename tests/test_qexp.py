@@ -652,3 +652,72 @@ def test_slash_expand_matches_the_cycnum_oracle_on_every_coset(M):
         for k in (2, 4, 12):
             for m in delta_triples(M):
                 assert json_bytes(slash_expand(f, k, m)) == json_bytes(oracle_slash_expand(f, k, m))
+
+
+def bytearray_pack(rows: list, top: int, width: int) -> list:
+    # the packer as it was: per coordinate, one bytearray of the positive
+    # coordinates and one of the negated negative ones, written term by term
+    out, size = [], (top + 1) * width
+    for l in range(len(rows[0][1])):
+        pos, neg = bytearray(size), bytearray(size)
+        for n, coords in rows:
+            x, at = coords[l], n * width
+            if x > 0:
+                pos[at : at + width] = x.to_bytes(width, "little")
+            elif x < 0:
+                neg[at : at + width] = (-x).to_bytes(width, "little")
+        out.append(int.from_bytes(pos, "little") - int.from_bytes(neg, "little"))
+    return out
+
+
+def slot_decode(accs: list, top: int, width: int):
+    # the decoder as it was: a generator over the slots, each kept when any
+    # coordinate is nonzero there
+    half = 1 << (8 * width - 1)
+    blank, size = half.to_bytes(width, "little"), top * width
+    fill = int.from_bytes(blank * top, "little")
+    raws = [qexp._low_bytes(a + fill, size) for a in accs]
+    for at in range(0, size, width):
+        if not all(raw.startswith(blank, at) for raw in raws):
+            yield at // width, tuple(int.from_bytes(raw[at : at + width], "little") - half
+                                     for raw in raws)
+
+
+def random_rows(rng, top: int, phi: int, width: int, density: float) -> list:
+    # rows at some n <= top in shuffled order, coordinates below half in
+    # absolute value, with the extremes +-(half - 1) and zeros mixed in
+    half = 1 << (8 * width - 1)
+    ns = [n for n in range(top + 1) if rng.random() < density] or [rng.randint(0, top)]
+    rng.shuffle(ns)
+    pick = lambda: rng.choice([half - 1, 1 - half, 0, rng.randrange(1 - half, half)])
+    return [(n, tuple(pick() for _ in range(phi))) for n in ns]
+
+
+@pytest.mark.parametrize("width", range(1, 34))
+def test_pack_and_decode_match_the_bytearray_packer(width):
+    rng = random.Random(f"pack/{width}")
+    half = 1 << (8 * width - 1)
+    cases = [
+        ([(0, (half - 1,))], 0),  # one slot only
+        ([(0, (1 - half, half - 1))], 0),
+        ([(3, (half - 1, 0)), (0, (1 - half, 1)), (7, (0, 1 - half))], 11),  # gaps, top past the last row
+    ]
+    for phi in (1, 2, 4):
+        for density in (0.2, 0.9):
+            top = rng.randint(0, 40)
+            cases.append((random_rows(rng, top, phi, width, density), top + rng.randint(0, 3)))
+    for rows, top in cases:
+        packs = qexp._pack(rows, top, width)
+        assert packs == bytearray_pack(rows, top, width)
+        # every slot back, nonzero ones only, in exponent order
+        want = sorted((n, coords) for n, coords in rows if any(coords))
+        got = list(qexp._decode(packs, top + 1, width))
+        assert got == want == list(slot_decode(packs, top + 1, width))
+        assert all(type(coords) is tuple for _, coords in got)
+        # the negated ints, whose slots borrow where the rows' slots carried,
+        # and a decode that stops below the last row
+        negated = [(n, tuple(-x for x in coords)) for n, coords in want]
+        assert list(qexp._decode([-a for a in packs], top + 1, width)) == negated
+        cut = max(n for n, _ in rows)
+        assert (list(qexp._decode(packs, cut, width)) == list(slot_decode(packs, cut, width))
+                == [(n, c) for n, c in want if n < cut])
