@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -360,6 +361,26 @@ def test_bracket_projections_match_across_conductors(reg):
         assert_same_projections(f, e4, t, targets)
         assert_same_projections(e4, f, t, targets)
         assert_same_projections(f, f, t, targets)
+
+
+def bracket_digest(images) -> str:
+    return hashlib.sha256(json.dumps([[tag, x.to_json()] for tag, x in images],
+                                     sort_keys=True).encode()).hexdigest()
+
+
+def test_bracket_projection_bytes_are_pinned(reg):
+    # the projections above check values and that conductors divide the
+    # oracle's; these digests pin every coefficient's stored conductor too
+    f, g = (hecke_form(2, eisenstein(k, 12)) for k in (4, 8))
+    images = bracket_projections(f, g, 4, [reg.get("triv")])
+    assert {c.n for _, x in images for q in x.components for c in q.terms.values()} == {2}
+    assert bracket_digest(images) == (
+        "45c3cf4296966a09e986b6a018caf724bb7eb7752b77f3317b3cf531dccaa126")
+    f = vv_eisenstein(4, reg.get("rho3"), 3, 12).generators((4, "rho3"))[0][0]
+    images = bracket_projections(f, eisenstein(4, 12), 2, [reg.get(x) for x in reg.labels()])
+    assert [tag for tag, _ in images] == ["rho3#0"]
+    assert bracket_digest(images) == (
+        "e34d77b1e08908e11bdbe49768922e7210cd265e05c65f3839d94c834fb36c59")
 
 
 def test_bracket_of_e4_and_e6_is_a_multiple_of_delta():
