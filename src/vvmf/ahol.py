@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .exactnum import json_int
 from .linalg import Matrix
-from .qexp import QExp, combine
+from .qexp import QExp, combine_terms
 from .reps import Rep, is_intertwiner, require_same_content
 
 
@@ -236,28 +236,46 @@ def ahol_decompose(f: AholForm) -> list:
 
 
 def apply_intertwiner(phi: Matrix, f: AholForm, target: Rep) -> AholForm:
-    """Componentwise matrix application to every graded layer.
-
-    Component i of a layer is `qexp.combine`'s sum_j phi[i, j] * layer[j].
-    Each of its coefficients has the lcm of the conductors of every pair
-    (phi[i, j], term of layer[j]) that reaches its exponent, even where the
-    sum cancels, so the result does not depend on the order of summation.
+    """phi(f) on every graded layer, made by `_images` at its conductor rule.
     This public path checks that phi intertwines; `hyperalg.projections`
-    applies maps from `hom_space` through the same `_apply_maps` unchecked.
-    """
+    applies maps from `hom_space` through `_images` unchecked."""
     if not is_intertwiner(phi, f.rep, target):
         raise ValueError("matrix does not intertwine the source and target types")
-    return _apply_maps([(phi, target)], f)[0]
+    return _images(f, None, [(phi, target)], _image_name(f.name))[0]
 
 
-def _apply_maps(maps, f: AholForm) -> list:
-    """phi(f) for each (phi, target) of maps: their rows stacked into one
-    `combine` per layer, which packs each component of f once."""
-    rows = [phi.row(i) for phi, t in maps for i in range(t.dim)]
-    layers = [combine(rows, layer) for layer in f.graded]
-    name, out, start = f"phi({f.name})" if f.name else "", [], 0
-    for _, t in maps:
-        out.append(AholForm(f.weight, t, [x[start : start + t.dim] for x in layers], name=name))
-        start += t.dim
+def _images(f: AholForm, g: AholForm | None, maps, name: str) -> list:
+    """phi(f (x) g) for each (phi, target) of maps, phi(f) for g = None.
+
+    One `qexp.combine_terms` call per layer s; row a sums the terms
+    phi[a, i*dim_g + j] * f.graded[t][i] * g.graded[s - t][j] (phi[a, i] *
+    f.graded[s][i] for g = None), so each product f_i g_j is made once for
+    every row and map.  A coefficient has the lcm of the conductors of every
+    term of its row that reaches it, even where the sum cancels; a zero map
+    row is QExp.zero at the least precision of the layer's factors."""
+    # without g, one layer of one factor None: each term is c * f_i alone
+    gs = [(None,)] if g is None else g.graded
+    dg, layers = len(gs[0]), []
+    for s in range(f.depth + len(gs)):
+        pairs = [(f.graded[t], gs[s - t]) for t in range(f.depth + 1) if 0 <= s - t < len(gs)]
+        rows = [[(c, fs[k // dg], ys[k % dg])
+                 for fs, ys in pairs for k, c in phi.nonzeros[a].items()]
+                for phi, target in maps for a in range(target.dim)]
+        precs = [q.prec for fs, ys in pairs for q in fs + ys if q is not None]
+        layers.append(combine_terms(rows, min(precs)))
+    return _split(layers, maps, f.weight + (0 if g is None else g.weight), name)
+
+
+def _split(layers, maps, weight: int, name: str) -> list:
+    """The image of each (phi, target) of maps: the next target.dim rows of every layer."""
+    out, start = [], 0
+    for _, target in maps:
+        out.append(AholForm(weight, target, [x[start : start + target.dim] for x in layers],
+                            name=name))
+        start += target.dim
     return out
 
+
+def _image_name(source: str) -> str:
+    """The name of a basis-map image: phi(source), unnamed for an unnamed source."""
+    return f"phi({source})" if source else ""

@@ -16,12 +16,12 @@ import time
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .ahol import AholForm, ahol_decompose, apply_intertwiner, lower_op, raise_op
+from .ahol import AholForm, _images, ahol_decompose, apply_intertwiner, lower_op, raise_op
 from .exactnum import CycNum
 from .forms import bracket_projections, delta_form, eisenstein, sigma, vv_eisenstein
 from .hecke import delta_cosets, hecke_form, hecke_rep
 from .hyperalg import (
-    FormSpan, _tensor_images, hyper_tensor, span_contains, span_sum, sturm_bound, tinf_closure,
+    FormSpan, hyper_tensor, span_contains, span_sum, sturm_bound, tinf_closure,
 )
 from .linalg import Matrix
 from .qexp import InsufficientPrecision
@@ -176,7 +176,7 @@ def verify_example32(registry: RepRegistry | None = None, prec: int | None = Non
     e12rho3 = apply_intertwiner(_example_projection_matrix(), t3, reg.get("rho3"))
     # the golden trivial map projects the square as hyper_tensor projects it
     triv_map = [(reference["triv"][0], reg.get("triv"))]
-    comp = _tensor_images(e12rho3, e12rho3, triv_map, "")[0].components[0]
+    comp = _images(e12rho3, e12rho3, triv_map, "")[0].components[0]
     got = []
     ok = True
     for n, want in enumerate(GOLDEN_COEFFS):

@@ -10,8 +10,9 @@ M^(k/2) rational).
 
 The Rankin-Cohen bracket [f, g]_t, built from theta = q d/dq alone, is up
 to a nonzero rational factor the weight k_f + k_g + 2t holomorphic layer
-of every R^a f (x) R^b g with a + b = t.  All its products go to one
-`qexp.combine_terms` call; its projections contract each map into g first.
+of every R^a f (x) R^b g with a + b = t.  `_bracket_images` makes its
+images: it contracts each map into g, then makes every product of every
+image in one `qexp.combine_terms` call.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 
-from .ahol import AholForm, apply_intertwiner
+from .ahol import AholForm, _image_name, _split, apply_intertwiner
 from .exactnum import CycNum, bernoulli, divisors
+from .linalg import Matrix
 from .qexp import QExp, combine, combine_terms
 from .reps import Rep, trivial_rep
 from . import hecke as _hecke
@@ -64,46 +66,45 @@ def rankin_cohen(f: AholForm, g: AholForm, t: int) -> AholForm:
     [f, g]_t = sum_r (-1)^r C(t+k_f-1, t-r) C(t+k_g-1, r) theta^r f . theta^(t-r) g
     on the type type(f) (x) type(g), components flattened as i*dim_g + j as
     in `tensor_form` (H. Cohen, Math. Ann. 217 (1975); D. Zagier, Modular
-    forms and differential operators (1994)): `_bracket` with one row per
-    component (i, j), whose one block i holds g_j.
+    forms and differential operators (1994)): `_bracket_images` under the
+    identity map.
     """
-    dg = [_thetas(q, t) for q in g.components]
-    rows = [{i: d} for i in range(f.rep.dim) for d in dg]
+    rep = f.rep.tensor(g.rep)
     name = f"[{f.name}, {g.name}]_{t}" if f.name and g.name else ""
-    return AholForm.holomorphic(f.weight + g.weight + 2 * t, f.rep.tensor(g.rep),
-                                _bracket(f, g.weight, t, rows), name=name)
+    return _bracket_images(f, g, t, [(Matrix.identity(rep.dim), rep)], name)[0]
 
 
 def bracket_projections(f: AholForm, g: AholForm, t: int, targets) -> list:
-    """`projections(rankin_cohen(f, g, t), targets)`, each map contracted into g
-    first: as theta is linear, row a of phi([f, g]_t) is `_bracket` with the
-    blocks h_ai = sum_j phi[a, i*dim_g + j] g_j (one scalar `combine` makes
-    them all) where phi's row is nonzero, so conductors can only get smaller."""
-    dg, maps = g.rep.dim, _basis_maps(f.rep.tensor(g.rep), targets)
-    blocks = [[(i, s) for i in range(f.rep.dim) if any(s := phi.row(a)[i * dg:(i + 1) * dg])]
-              for _, (phi, target) in maps for a in range(target.dim)]
-    hs = iter(combine([s for row in blocks for _, s in row], g.components))
-    comps = iter(_bracket(f, g.weight, t, [{i: _thetas(next(hs), t) for i, _ in row}
-                                           for row in blocks]))
-    name = f"phi([{f.name}, {g.name}]_{t})" if f.name and g.name else ""
-    return [(tag, AholForm.holomorphic(f.weight + g.weight + 2 * t, target,
-                                       [next(comps) for _ in range(target.dim)], name=name))
-            for tag, (_, target) in maps]
+    """`projections(rankin_cohen(f, g, t), targets)` by `_bracket_images`,
+    which contracts each map into g first, so conductors can only get
+    smaller than the projected bracket's."""
+    tags, maps = _basis_maps(f.rep.tensor(g.rep), targets)
+    name = _image_name(f"[{f.name}, {g.name}]_{t}" if f.name and g.name else "")
+    return list(zip(tags, _bracket_images(f, g, t, maps, name)))
 
 
-def _bracket(f: AholForm, kg: int, t: int, rows) -> list:
-    """Per row of blocks {i: [h, theta h, ..., theta^t h]}, sum_i sum_r c_r theta^r f_i .
-    theta^(t-r) h: one `qexp.combine_terms` row of the terms (c_r, theta^r f_i,
-    theta^(t-r) h); a row without blocks is zero at the least precision of f."""
-    kf = f.weight
+def _bracket_images(f: AholForm, g: AholForm, t: int, maps, name: str) -> list:
+    """phi([f, g]_t) for each (phi, target) of maps.  As theta is linear,
+    row a is sum_i sum_r c_r theta^r f_i . theta^(t-r) h_ai over the blocks
+    h_ai = sum_j phi[a, i*dim_g + j] g_j where phi's row is nonzero.  One
+    scalar `combine` makes every block and one `qexp.combine_terms` call
+    every row: a coefficient has the lcm of the conductors of the terms that
+    reach it after contraction, a divisor of the projected bracket's; a row
+    without blocks is zero at the least precision of f."""
+    kf, kg, dg = f.weight, g.weight, g.rep.dim
     if t < 0 or t + min(kf, kg) < 1:
         raise ValueError(f"bracket needs t >= 0 and t + k >= 1 for both weights, got t = {t}")
     coeffs = [(-1) ** r * math.comb(t + kf - 1, t - r) * math.comb(t + kg - 1, r)
               for r in range(t + 1)]
+    blocks = [[(i, s) for i in range(f.rep.dim) if any(s := phi.row(a)[i * dg:(i + 1) * dg])]
+              for phi, target in maps for a in range(target.dim)]
+    hs = iter(combine([s for row in blocks for _, s in row], g.components))
+    dh = [{i: _thetas(next(hs), t) for i, _ in row} for row in blocks]
     df = [_thetas(q, t) for q in f.components]
-    return combine_terms([[(c, df[i][r], d[t - r]) for i, d in row.items()
-                           for r, c in enumerate(coeffs)] for row in rows],
-                         min(q.prec for q in f.components))
+    rows = [[(c, df[i][r], d[t - r]) for i, d in row.items() for r, c in enumerate(coeffs)]
+            for row in dh]
+    comps = combine_terms(rows, min(q.prec for q in f.components))
+    return _split([comps], maps, kf + kg + 2 * t, name)
 
 
 def _thetas(q: QExp, t: int) -> list:

@@ -1,10 +1,10 @@
 """The multivalued product of forms and graded spans with exact membership.
 
 The product of f and g is the span of every intertwiner projection of
-f (x) g.  Each projected row is one row of `qexp.combine_terms` whose terms
-are phi[a, i*dim_g + j] * f_i * g_j, so each product f_i g_j is made once,
-shared by every row and map that meets it, and no component of the tensor
-product is made or decoded.
+f (x) g.  `ahol._images` makes them all: each projected row is one row of
+`qexp.combine_terms` whose terms are phi[a, i*dim_g + j] * f_i * g_j, so
+each product f_i g_j is made once, shared by every row and map that meets
+it, and no component of the tensor product is made or decoded.
 
 A FormSpan stores generators per grade (weight, type label), with
 provenance strings so harnesses can report which products certify a
@@ -37,10 +37,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .ahol import AholForm, _apply_maps, lower_op, raise_op
+from .ahol import AholForm, _image_name, _images, lower_op, raise_op
 from .exactnum import CycNum, _multiplication, divisors, euler_phi
 from .linalg import Matrix, Subspace, invert_rows, sparse_row
-from .qexp import InsufficientPrecision, _lifted, _pack, combine_terms
+from .qexp import InsufficientPrecision, _lifted, _pack
 from .reps import RepRegistry, hom_space, require_same_content
 
 
@@ -316,20 +316,20 @@ def hyper_tensor(f: AholForm, g: AholForm, targets: RepRegistry) -> FormSpan:
     Weights are integers at genus 1 and simply add; there is no weight-side
     hom enumeration (the tensor of one-dimensional weights is canonically
     irreducible).  Depths add: output layers are convolutions of the
-    Y-graded pieces.  Each projection is made from f and g directly
-    (`_tensor_images`); no component of the tensor product is made.  A
-    coefficient's conductor is the lcm over every term c * f_i * g_j of its
-    row that reaches its exponent; projecting `tensor_form(f, g)` instead
-    drops a tensor coefficient that cancels exactly, so there the same value
-    can come out at a smaller conductor and the span's JSON can differ.
+    Y-graded pieces.  `ahol._images` makes every projection from f and g
+    directly; no component of the tensor product is made.  A coefficient's
+    conductor is the lcm over every term c * f_i * g_j of its row that
+    reaches its exponent; projecting `tensor_form(f, g)` instead drops a
+    tensor coefficient that cancels exactly, so there the same value can
+    come out at a smaller conductor and the span's JSON can differ.
     """
     if f.weight % 2 != 0 or g.weight % 2 != 0:
         raise ValueError("weights must be even")
     span = FormSpan()
     name = f"({f.name or 'f'} (x) {g.name or 'g'})"
-    maps = _basis_maps(f.rep.tensor(g.rep), targets)
-    images = _tensor_images(f, g, [m for _, m in maps], f"phi({_tensor_name(f, g)})")
-    for (tag, _), image in zip(maps, images):
+    tags, maps = _basis_maps(f.rep.tensor(g.rep), targets)
+    images = _images(f, g, maps, _image_name(_tensor_name(f, g)))
+    for tag, image in zip(tags, images):
         span.add(image, provenance=f"phi[{tag}] . {name}")
     return span
 
@@ -339,19 +339,20 @@ def projections(f: AholForm, targets):
 
     tag is "label#idx", idx the position of phi in the target's hom basis;
     targets are visited in order, so the tags come out in a fixed order.
-    The rows of every map of every target are stacked into one `combine`
-    call per layer of f, which groups, lifts and packs f's components once.
-    `hom_space` solves for intertwiners, so unlike the public
-    `apply_intertwiner` this does not check the maps again.
+    `ahol._images` stacks the rows of every map of every target into one
+    `combine_terms` call per layer of f, at the conductor rule of
+    `apply_intertwiner`.  `hom_space` solves for intertwiners, so unlike the
+    public `apply_intertwiner` this does not check the maps again.
     """
-    maps = _basis_maps(f.rep, targets)
-    return list(zip([tag for tag, _ in maps], _apply_maps([m for _, m in maps], f)))
+    tags, maps = _basis_maps(f.rep, targets)
+    return list(zip(tags, _images(f, None, maps, _image_name(f.name))))
 
 
-def _basis_maps(rep, targets) -> list:
-    """(tag, (phi, target)) for every basis map phi, as `projections` tags them."""
-    return [(f"{target.label}#{idx}", (phi, target))
-            for target in targets for idx, phi in enumerate(hom_space(rep, target))]
+def _basis_maps(rep, targets) -> tuple:
+    """(tags, maps): (phi, target) for every basis map phi, tagged as `projections` tags it."""
+    tagged = [(f"{target.label}#{idx}", (phi, target))
+              for target in targets for idx, phi in enumerate(hom_space(rep, target))]
+    return [tag for tag, _ in tagged], [m for _, m in tagged]
 
 
 def tinf(f: AholForm, targets) -> FormSpan:
@@ -400,37 +401,15 @@ def tinf_closure(span: FormSpan, weight_window, max_rounds: int, targets):
 
 
 def tensor_form(f: AholForm, g: AholForm) -> AholForm:
-    """Pointwise tensor with components flattened as i*dim_g + j: the
-    image of f (x) g under the identity map (`_tensor_images`)."""
+    """Pointwise tensor with components flattened as i*dim_g + j: the image
+    of f (x) g under the identity map, made by `ahol._images` at its
+    conductor rule (every product of terms counts, even where it cancels)."""
     rep = f.rep.tensor(g.rep)
-    return _tensor_images(f, g, [(Matrix.identity(rep.dim), rep)], _tensor_name(f, g))[0]
+    return _images(f, g, [(Matrix.identity(rep.dim), rep)], _tensor_name(f, g))[0]
 
 
 def _tensor_name(f: AholForm, g: AholForm) -> str:
     return f"({f.name} (x) {g.name})" if f.name and g.name else ""
-
-
-def _tensor_images(f: AholForm, g: AholForm, maps, name: str) -> list:
-    """phi(f (x) g) for each (phi, target) of maps, one `qexp.combine_terms`
-    call per layer s.  Row a of layer s is the sum over r + t = s and i, j
-    of phi[a, i*dim_g + j] * f.graded[t][i] * g.graded[r][j], so each
-    product f_i g_j is made once and shared by every row that meets it.  A
-    row whose map row is zero is QExp.zero at the least precision of the
-    layer's factors."""
-    dg, layers = g.rep.dim, []
-    for s in range(f.depth + g.depth + 1):
-        pairs = [(f.graded[t], g.graded[s - t]) for t in range(f.depth + 1)
-                 if 0 <= s - t <= g.depth]
-        rows = [[(c, fs[k // dg], gs[k % dg])
-                 for fs, gs in pairs for k, c in phi.nonzeros[a].items()]
-                for phi, target in maps for a in range(target.dim)]
-        layers.append(combine_terms(rows, min(q.prec for fs, gs in pairs for q in fs + gs)))
-    out, start = [], 0
-    for _, target in maps:
-        out.append(AholForm(f.weight + g.weight, target,
-                            [layer[start : start + target.dim] for layer in layers], name=name))
-        start += target.dim
-    return out
 
 
 def congruence_index(level: int) -> int:

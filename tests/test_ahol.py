@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 import vvmf.ahol
+import vvmf.forms
 import vvmf.hyperalg
 from vvmf.ahol import (
     AholForm,
-    _apply_maps,
+    _images,
     ahol_decompose,
     apply_intertwiner,
     lower_op,
@@ -20,7 +21,7 @@ from vvmf.ahol import (
 )
 from vvmf.cli import _span_from_json
 from vvmf.exactnum import CycNum, euler_phi
-from vvmf.forms import eisenstein, vv_eisenstein
+from vvmf.forms import bracket_projections, eisenstein, rankin_cohen, vv_eisenstein
 from vvmf.hyperalg import (
     FormSpan,
     hyper_tensor,
@@ -525,7 +526,7 @@ def test_stacked_maps_match_maps_applied_alone(seed):
                      for j in range(d)] for _ in range(rng.randint(1, 3))]
             phi = Matrix.from_rows(rows)
             maps.append((phi, trivial_power(phi.rows)))
-        stacked = _apply_maps(maps, f)
+        stacked = _images(f, None, maps, "")
         assert len(stacked) == len(maps)
         for (phi, target), image in zip(maps, stacked):
             assert form_bytes(image) == form_bytes(apply_intertwiner(phi, f, target))
@@ -573,20 +574,66 @@ def test_projections_match_reference_apply_map_by_map(reg):
     assert projections(rho3_eisenstein(4, reg), [sign_type()]) == []
 
 
-def test_projections_combine_once_per_layer(reg, monkeypatch):
-    calls = []
-    combine = vvmf.ahol.combine
+def counting(monkeypatch, module, name) -> list:
+    """Replace module.name by a spy that records the number of rows of each call."""
+    calls, kernel = [], getattr(module, name)
 
-    def counted(rows, series):
+    def counted(rows, *args):
         calls.append(len(rows))
-        return combine(rows, series)
+        return kernel(rows, *args)
 
-    monkeypatch.setattr(vvmf.ahol, "combine", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_projections_combine_once_per_layer(reg, monkeypatch):
+    calls = counting(monkeypatch, vvmf.ahol, "combine_terms")
+    targets = list(reg) + [sign_type()]
     for f in projection_sources(reg):
         calls.clear()
-        images = projections(f, list(reg) + [sign_type()])
-        assert len(calls) == f.depth + 1
+        images = projections(f, targets)
         assert calls == [sum(image.rep.dim for _, image in images)] * (f.depth + 1)
+    f4, f6 = rho3_eisenstein(4, reg), rho3_eisenstein(6, reg)
+    rows = sum(t.dim * len(hom_space(f4.rep.tensor(f6.rep), t)) for t in targets)
+    for f, g in ((f4, f6), (raise_op(f4), f6), (raise_op(f4), raise_op(raise_op(f6)))):
+        calls.clear()
+        hyper_tensor(f, g, targets)
+        assert calls == [rows] * (f.depth + g.depth + 1)
+
+
+def test_bracket_projections_contract_once_and_combine_once(reg, monkeypatch):
+    contractions = counting(monkeypatch, vvmf.forms, "combine")
+    calls = counting(monkeypatch, vvmf.forms, "combine_terms")
+    f4, f6 = rho3_eisenstein(4, reg), rho3_eisenstein(6, reg)
+    targets = list(reg) + [sign_type()]
+    images = bracket_projections(f4, f6, 2, targets)
+    assert len(contractions) == 1
+    assert calls == [sum(image.rep.dim for _, image in images)]
+
+
+def test_images_follow_one_naming_rule(reg):
+    """An image of a named source s is phi(s) under a basis map and s under
+    the identity map; an image of an unnamed source is unnamed."""
+    f4, f6 = rho3_eisenstein(4, reg), rho3_eisenstein(6, reg)
+    named = {x: AholForm(f.weight, f.rep, f.graded, name=x) for x, f in (("F", f4), ("G", f6))}
+    bare = {x: AholForm(f.weight, f.rep, f.graded) for x, f in named.items()}
+    rho3 = reg.get("rho3")
+    (phi,) = hom_space(rho3, rho3)
+
+    def names(f, g):
+        span = hyper_tensor(f, g, reg)
+        return {
+            apply_intertwiner(phi, f, rho3).name,
+            *(image.name for _, image in projections(f, reg)),
+            *(form.name for key in span.grades() for form, _ in span.generators(key)),
+            *(image.name for _, image in bracket_projections(f, g, 2, reg)),
+        }
+
+    assert names(named["F"], named["G"]) == {"phi(F)", "phi((F (x) G))", "phi([F, G]_2)"}
+    assert names(bare["F"], bare["G"]) == names(bare["F"], named["G"]) == {""}
+    assert tensor_form(named["F"], named["G"]).name == "(F (x) G)"
+    assert rankin_cohen(named["F"], named["G"], 2).name == "[F, G]_2"
+    assert tensor_form(bare["F"], named["G"]).name == rankin_cohen(bare["F"], bare["G"], 2).name == ""
 
 
 def test_projections_skip_the_intertwiner_check(reg, monkeypatch):

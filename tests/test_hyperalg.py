@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from vvmf import hyperalg
-from vvmf.ahol import AholForm, apply_intertwiner, raise_op
+from vvmf.ahol import AholForm, _images, apply_intertwiner, raise_op
 from vvmf.exactnum import CycNum
 from vvmf.forms import delta_form, eisenstein
 from vvmf.hecke import hecke_form, pi_M
@@ -325,8 +325,8 @@ def test_a_zero_map_row_is_zero_at_the_layer_precision():
     g = AholForm.holomorphic(4, triv, [QExp(3, 4, {1: 2})])
     two = Rep("two", 1, Matrix.identity(2), Matrix.identity(2))
     phi = Matrix.from_rows([[1], [0]])
-    (got,) = hyperalg._tensor_images(f, g, [(phi, two)], "")
-    want = hyperalg._apply_maps([(phi, two)], oracle_tensor_form(f, g))[0]
+    (got,) = _images(f, g, [(phi, two)], "")
+    (want,) = _images(oracle_tensor_form(f, g), None, [(phi, two)], "")
     assert json.dumps(got.to_json()) == json.dumps(want.to_json())
     assert got.graded[0][1] == QExp.zero(4)
 
@@ -343,8 +343,8 @@ def test_a_cancelled_tensor_coefficient_keeps_its_conductor_in_the_fused_row():
     phi = Matrix.from_rows([[1, 1]])
     tensor = oracle_tensor_form(f, g)
     assert 1 not in tensor.graded[0][0].terms
-    (got,) = hyperalg._tensor_images(f, g, [(phi, triv)], "")
-    (want,) = hyperalg._apply_maps([(phi, triv)], tensor)
+    (got,) = _images(f, g, [(phi, triv)], "")
+    (want,) = _images(tensor, None, [(phi, triv)], "")
     assert got.graded[0][0] == want.graded[0][0] == QExp(1, 4, {0: z, 1: 1, 2: -z - 1})
     assert want.graded[0][0].terms[1].to_json() == {"n": 1, "c": ["1"]}
     assert got.graded[0][0].terms[1].to_json() == {"n": 3, "c": ["1", "0"]}

@@ -83,6 +83,22 @@ print(sorted(span.dimension_signature().items()), hashlib.sha256(text.encode()).
 print(f"# inner_s={spent:.4f}", file=sys.stderr)
 """
 
+# the weight-60 triv grade of thm11 from E4 and E8 at Hecke indices 1 to 5:
+# t = 24 brackets, far past the t = 6 of the verify jobs; inner_s times
+# thm11_span alone
+_THM11_SPAN_K60 = """
+import hashlib, json, sys, time
+from vvmf.cli import load_bundled_registry, thm11_span
+from vvmf.hyperalg import sturm_bound
+reg = load_bundled_registry()
+start = time.perf_counter()
+span = thm11_span(60, 4, 8, [1, 2, 3, 4, 5], sturm_bound(60, 1), reg)
+spent = time.perf_counter() - start
+text = json.dumps(span.to_json())
+print(span.grade_dimension((60, "triv")), hashlib.sha256(text.encode()).hexdigest())
+print(f"# inner_s={spent:.4f}", file=sys.stderr)
+"""
+
 CLI = ["python3", "-m", "vvmf.cli"]
 RUNGS = {
     "hecke-cosets-g3-m3": CLI + ["hecke", "cosets", "--genus", "3", "--index", "3", "--count-only"],
@@ -100,6 +116,7 @@ RUNGS = {
                              "--indices", "1,4,6", "--format", "json"],
     "vv-product-queries": ["python3", "-c", _VV_QUERIES],
     "hyperprod-t3e4-t3e8": ["python3", "-c", _HYPER_T3],
+    "thm11-span-k60": ["python3", "-c", _THM11_SPAN_K60],
 }
 
 
