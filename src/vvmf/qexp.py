@@ -426,8 +426,8 @@ def _lifted(group: list, cond: int) -> _Group:
         if x.den != den:
             num = tuple([a * (den // x.den) for a in num])
         rows.append((n, num))
-    big = max(map(abs, chain.from_iterable([v for _, v in rows])))
-    return _Group(rows, den, big, max(n for n, _ in rows))
+    big = max(map(abs, chain.from_iterable([v for _, v in rows])), default=0)
+    return _Group(rows, den, big, max((n for n, _ in rows), default=0))
 
 
 def _pack(rows: list, top: int, width: int) -> list:

@@ -10,6 +10,7 @@ import pytest
 import vvmf.ahol
 import vvmf.forms
 import vvmf.hyperalg
+import vvmf.qexp
 from vvmf.ahol import (
     AholForm,
     _images,
@@ -602,13 +603,19 @@ def test_projections_combine_once_per_layer(reg, monkeypatch):
 
 
 def test_bracket_projections_contract_once_and_combine_once(reg, monkeypatch):
+    # one scalar combine contracts every map into g; the coefficients are then
+    # evaluated directly, with no packed product and no theta chain
     contractions = counting(monkeypatch, vvmf.forms, "combine")
-    calls = counting(monkeypatch, vvmf.forms, "combine_terms")
+    kernel = counting(monkeypatch, vvmf.qexp, "combine_terms")
+    thetas, theta = [], QExp.theta
+    monkeypatch.setattr(QExp, "theta", lambda q: thetas.append(q) or theta(q))
     f4, f6 = rho3_eisenstein(4, reg), rho3_eisenstein(6, reg)
     targets = list(reg) + [sign_type()]
     images = bracket_projections(f4, f6, 2, targets)
-    assert len(contractions) == 1
-    assert calls == [sum(image.rep.dim for _, image in images)]
+    assert images and len(contractions) == 1
+    # the only series-kernel call is the one the contraction makes
+    assert kernel == contractions
+    assert thetas == []
 
 
 def test_images_follow_one_naming_rule(reg):

@@ -363,6 +363,40 @@ def test_bracket_projections_match_across_conductors(reg):
         assert_same_projections(f, f, t, targets)
 
 
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 6])
+def test_thm11_factors_are_T_consistent(M):
+    # bracket_projections keeps only the exponents a target's T allows, which
+    # is exact for T-consistent factors: the T_M(E_l), E_l2 of verify thm11
+    for w in (4, 6, 8):
+        e = eisenstein(w, 6 * M)
+        assert check_T_consistency(hecke_form(M, e).truncate(6) if M > 1 else e)
+
+
+def test_bracket_projections_keep_the_class_of_a_nontrivial_T(reg):
+    # rho_zeta and rho_zeta2 have T = zeta_3 and zeta_3^2: their images live
+    # on the exponents 1/3 + Z and 2/3 + Z alone
+    f, g = (hecke_form(3, eisenstein(k, 36)).truncate(12) for k in (4, 6))
+    targets = [reg.get("rho_zeta"), reg.get("rho_zeta2")]
+    images = assert_same_projections(f, g, 1, targets)
+    assert [x.rep.label for x in images] == ["rho_zeta", "rho_zeta2"]
+    for x, e in zip(images, (Fraction(1, 3), Fraction(2, 3))):
+        (q,) = x.components
+        assert q.terms and all((n - e * q.h) % q.h == 0 for n in q.terms)
+
+
+def test_bracket_conductor_counts_pairs_where_q_vanishes(reg):
+    # Q_1(m, n) = 4n - 8m for weights 4 and 8 vanishes at (1, 2), where the
+    # zeta_3 term of f meets g: coefficient 3 is Q_1(0, 3) = 12, at conductor 3
+    f = VVForm(4, trivial_rep(), [QExp(1, 6, {0: 1, 1: CycNum.zeta(3)})])
+    g = VVForm(8, trivial_rep(), [QExp(1, 6, {n: 1 for n in range(6)})])
+    bracket = rankin_cohen(f, g, 1)
+    assert_same_terms(bracket, reference_rankin_cohen(f, g, 1))
+    ((_, image),) = bracket_projections(f, g, 1, [reg.get("triv")])
+    for x in (bracket, image):
+        c = x.components[0].terms[3]
+        assert (c.n, c.num, c.den) == (3, (12, 0), 1)
+
+
 def bracket_digest(images) -> str:
     return hashlib.sha256(json.dumps([[tag, x.to_json()] for tag, x in images],
                                      sort_keys=True).encode()).hexdigest()

@@ -83,19 +83,19 @@ print(sorted(span.dimension_signature().items()), hashlib.sha256(text.encode()).
 print(f"# inner_s={spent:.4f}", file=sys.stderr)
 """
 
-# the weight-60 triv grade of thm11 from E4 and E8 at Hecke indices 1 to 5:
-# t = 24 brackets, far past the t = 6 of the verify jobs; inner_s times
-# thm11_span alone
-_THM11_SPAN_K60 = """
+# the weight-K triv grade of thm11 from E4 and E8 at Hecke indices 1 to M:
+# t = (K - 12)/2 brackets, far past the t = 6 of the verify jobs; inner_s
+# times thm11_span alone
+_THM11_SPAN = """
 import hashlib, json, sys, time
 from vvmf.cli import load_bundled_registry, thm11_span
 from vvmf.hyperalg import sturm_bound
 reg = load_bundled_registry()
 start = time.perf_counter()
-span = thm11_span(60, 4, 8, [1, 2, 3, 4, 5], sturm_bound(60, 1), reg)
+span = thm11_span(K, 4, 8, list(range(1, M + 1)), sturm_bound(K, 1), reg)
 spent = time.perf_counter() - start
 text = json.dumps(span.to_json())
-print(span.grade_dimension((60, "triv")), hashlib.sha256(text.encode()).hexdigest())
+print(span.grade_dimension((K, "triv")), hashlib.sha256(text.encode()).hexdigest())
 print(f"# inner_s={spent:.4f}", file=sys.stderr)
 """
 
@@ -116,7 +116,17 @@ RUNGS = {
                              "--indices", "1,4,6", "--format", "json"],
     "vv-product-queries": ["python3", "-c", _VV_QUERIES],
     "hyperprod-t3e4-t3e8": ["python3", "-c", _HYPER_T3],
-    "thm11-span-k60": ["python3", "-c", _THM11_SPAN_K60],
+    "thm11-span-k60": ["python3", "-c", "K, M = 60, 5" + _THM11_SPAN],
+    # a stretch rung: t = 30 brackets at Hecke indices 1 to 6
+    "thm11-span-k72": ["python3", "-c", "K, M = 72, 6" + _THM11_SPAN],
+    # long series: the bracket at t = 5 and t = 0 to precision 120 and 60
+    "thm11-k22-prec120": CLI + ["verify", "thm11", "--k", "22", "--indices", "1,2,3",
+                                "--prec", "120", "--format", "json"],
+    "thm11-k12-prec60": CLI + ["verify", "thm11", "--k", "12", "--indices", "1,3",
+                               "--prec", "60", "--format", "json"],
+    # the CI pin whose T4 components differ in lattice and precision
+    "thm11-k20-l8": CLI + ["verify", "thm11", "--k", "20", "--l", "4", "--l2", "8",
+                           "--indices", "1,2,4", "--format", "json"],
 }
 
 
