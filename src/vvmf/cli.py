@@ -387,7 +387,7 @@ def _parse_tensor(text: str, registry: RepRegistry):
 def _parse_atom(text: str, registry: RepRegistry):
     if text.startswith("T") and "(" in text:
         head, _, tail = text.partition("(")
-        if head[1:].isdigit():
+        if head[1:].isdigit() and head[1:].isascii():
             inner, rest = _parse_tensor(tail, registry)
             if not rest.startswith(")"):
                 raise ValueError(f"unbalanced parenthesis in {text!r}")

@@ -491,7 +491,7 @@ def slash_expand(f: QExp, k: int, m) -> QExp:
     if not 0 <= b < d:
         raise ValueError(f"translation entry b={b} out of range [0, {d})")
     M = a * d
-    scale = Fraction(M ** (k // 2), d**k)
+    scale = Fraction(M) ** (k // 2) / Fraction(d) ** k
     p, q, hd = scale.numerator, scale.denominator, f.h * d
     terms = {}
     for n, c in f.terms.items():

@@ -7,8 +7,8 @@ T^level = I.  The declared level is trusted beyond the T-order check.
 Hom spaces are the fixed vectors of dual(r) tensor r2, found without
 inverses or Kronecker products: the intertwining equations for S and T
 are stacked into one sparse linear system whose kernel is taken once.
-`hom_space` memoizes its bases by `Rep.key` of both types, in a bounded
-least-recently-used table, so relabelled copies of a type share them.
+`hom_space` memoizes its bases by `Rep.key` of both types and its solves per
+Galois orbit of the pair, in bounded least-recently-used tables.
 The flattening between fixed vectors v and intertwiner matrices Phi is
 private: index pairs (i, j) with i < dim_r, j < dim_r2 flatten to
 i*dim_r2 + j and Phi[j, i] = v[i*dim_r2 + j].  Public contracts only use
@@ -22,8 +22,8 @@ import functools
 import math
 from collections import namedtuple
 
-from .exactnum import CycNum, json_int
-from .linalg import Matrix, Subspace, kernel_of_rows
+from .exactnum import CycNum, _galois_num, _make, json_int
+from .linalg import Matrix, Subspace, _matrix, kernel_of_rows
 
 S_MAT = ((0, -1), (1, 0))
 T_MAT = ((1, 1), (0, 1))
@@ -245,11 +245,23 @@ def matrix_to_fixed_vector(phi: Matrix) -> list:
 def hom_space(r: Rep, r2: Rep) -> list:
     """Basis of intertwiners Phi with Phi r(g) = r2(g) Phi, as a fresh list.
 
-    Memoized by `Rep.key` of both types: their content, not their labels,
-    and the conductors their matrices are written at, which fix the
-    conductor the basis is written at.
+    Memoized by `Rep.key` of both types (content and the conductors, which
+    fix the basis's; not labels), and solved once per Galois orbit of the
+    pair: sigma_k: zeta_m -> zeta_m^k keeps every conductor and maps the
+    canonical RREF basis of a pair to that of its conjugate pair.
     """
-    return list(_hom_basis(r.key, r2.key))
+    return list(_hom_pair(r.key, r2.key))
+
+
+@functools.lru_cache(maxsize=64)
+def _hom_pair(key: tuple, key2: tuple) -> tuple:
+    """The basis of one pair: sigma_(k^-1) of the solved basis of sigma_k of
+    the pair, its orbit's representative."""
+    n = math.lcm(*key[3:], *key2[3:])
+    if n <= 2:  # (Z/n)^* is trivial
+        return _hom_basis(key, key2)
+    k, key, key2 = _orbit_rep(key, key2, n)
+    return tuple(_galois(phi, pow(k, -1, n)) for phi in _hom_basis(key, key2))
 
 
 @functools.lru_cache(maxsize=64)
@@ -257,6 +269,29 @@ def _hom_basis(key: tuple, key2: tuple) -> tuple:
     r, r2 = (Rep("", *k[:3]) for k in (key, key2))  # labels do not enter
     sub = hom_fixed_subspace(r, r2)
     return tuple(fixed_vector_to_matrix(v, r.dim, r2.dim) for v in sub.basis.nonzeros)
+
+
+def _orbit_rep(key: tuple, key2: tuple, n: int) -> tuple:
+    """(k, key_k, key2_k): the conjugate sigma_k of a pair of keys, k in
+    (Z/n)^*, whose nonzeros (row, column, numerators, denominator) compare
+    greatest, with the least such k.  Matrices at conductor 1 or 2 are the
+    same in every conjugate, so only the others are compared."""
+    return max(
+        ((k, *[(q[0], _galois(q[1], k), _galois(q[2], k), *q[3:]) for q in (key, key2)])
+         for k in range(1, n) if math.gcd(k, n) == 1),
+        key=lambda c: [(i, j, x.num, x.den) for q in c[1:] for m in q[1:3] if m.n > 2
+                       for i, row in enumerate(m.nonzeros) for j, x in sorted(row.items())],
+    )
+
+
+def _galois(m: Matrix, k: int) -> Matrix:
+    """sigma_k(m): zeta_c -> zeta_c^k on each entry, at its conductor c."""
+    if m.n <= 2 or k % m.n == 1:  # sigma_k fixes Q(zeta_(m.n))
+        return m
+    return _matrix(m.rows, m.cols, m.n, [
+        {j: _make(x.n, _galois_num(x.n, x.num, k % x.n), x.den) for j, x in row.items()}
+        for row in m.nonzeros
+    ])
 
 
 def is_intertwiner(phi: Matrix, r: Rep, r2: Rep) -> bool:

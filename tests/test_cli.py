@@ -261,6 +261,9 @@ _NAMED_ERRORS = [
      "no registry entry labelled 'rho3x'"),
     ("label-with-parenthesis", ("homspace", "--source", "rho3(x)", "--target", "triv"),
      "no registry entry labelled 'rho3(x)'"),
+    # T<M> takes ASCII digits only; int() would read an Arabic-Indic one as 1
+    ("hecke-index-non-ascii-digit", ("homspace", "--source", "T\u0661(triv)", "--target", "triv"),
+     "no registry entry labelled 'T\u0661(triv)'"),
     ("hyperprod-zero-precision",
      ("hyperprod", "--left", "good-form.json", "--right", "good-form.json", "--prec", "0"),
      "--prec must be positive, got 0"),
@@ -328,6 +331,21 @@ def test_running_out_of_memory_is_one_line_exit_2(capsys, monkeypatch):
     monkeypatch.setattr("vvmf.cli.eisenstein", exhausted)
     code, out, err = run_cli(capsys, "eis", "--weight", "4", "--prec", "5")
     assert (code, out, err) == (2, "", "error: out of memory; the input is too large\n")
+
+
+def test_hecke_apply_takes_a_negative_even_weight(capsys, tmp_path):
+    """slash_expand scales by M^(k/2) d^-k as a Fraction for k < 0 too; the
+    (1 0; 0 2) image of 1 + 3q at weight -4 has 3 * 2^-2 * 2^4 = 12 at q^(1/2)."""
+    form = {"type": "triv", "weight": -4, "components": [
+        {"h": 1, "prec": "2", "terms": [[0, _ONE], [1, {"n": 1, "c": ["3"]}]]}]}
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(form))
+    code, out, err = run_cli(capsys, "hecke", "apply", "--index", "2", "--form", str(path),
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    image = json.loads(out)
+    assert image["weight"] == -4
+    assert image["graded"][0][1]["terms"][1] == [1, {"n": 1, "c": ["12"]}]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -157,6 +158,71 @@ def test_hom_solve_of_equal_types_written_at_another_conductor(reg):
                     got, want = hom_fixed_subspace(a, b), hom_fixed_subspace_reference(a, b)
                     assert got == want, (r.label, r2.label)
                     assert shaped(got, a, b) == shaped(want, a, b), (a.S.n, r.label, r2.label)
+
+
+def test_galois_conjugate_hom_spaces_match_the_reference(reg, fresh_hom_cache):
+    """hom_space solves one pair per Galois orbit and maps the others to it by
+    sigma_k; every answer has the bytes of a direct solve of its own pair,
+    whichever pair of an orbit is asked first, and spans the Kronecker
+    reference.  The lifts to conductor 12 and the
+    characters T = zeta_12^a, S = zeta_4^-a (valid for SL2(Z), S^2 = -1) make
+    k = 5, 7 and 11 occur; the conductor-5 pairs check that sigma_k is undone
+    by sigma_(k^-1), not by sigma_k."""
+    from vvmf import reps
+
+    def at(r, n):
+        S, T = (Matrix(m.rows, m.cols, [x.lift(n) for x in m.entries]) for m in (r.S, r.T))
+        return Rep(r.label, r.level, S, T)
+
+    r3, rz = reg.get("rho3"), reg.get("rho_zeta")
+    bases = [
+        hecke_rep(3, r3).rep,
+        hecke_rep(2, r3).rep.tensor(r3),
+        rz.tensor(r3),
+        hecke_rep(2, rz).rep,
+        hecke_rep(3, rz).rep,
+    ]
+    def mixed(a):  # T = zeta_5^a (+) zeta_5^2a in a basis that sigma_k moves
+        p = Matrix(2, 2, [1, CycNum.zeta(5, a), 0, 1])
+        d = Matrix(2, 2, [CycNum.zeta(5, a), 0, 0, CycNum.zeta(5, 2 * a)])
+        return Rep(f"mixed{a}", 5, Matrix.identity(2), p * d * p.inverse())
+
+    sources = bases + [at(r, math.lcm(12, r.conductor)) for r in bases] + [
+        Rep(f"chi{a}", 12, Matrix(1, 1, [CycNum.zeta(4, -a)]), Matrix(1, 1, [CycNum.zeta(12, a)]))
+        for a in (1, 5, 7, 11)
+    ] + [mixed(a) for a in range(1, 5)]
+    # the characters T = zeta_5^a pair with the mixed sources in one orbit
+    # whose k, unlike those of conductor 12, differ from their inverses
+    targets = list(reg) + [at(r, 12) for r in reg] + [
+        Rep(f"psi{a}", 5, Matrix.identity(1), Matrix(1, 1, [CycNum.zeta(5, a)])) for a in range(1, 5)
+    ]
+    for src in sources:
+        want = {}
+        for t in targets:
+            sub = hom_fixed_subspace(src, t)
+            assert sub == hom_fixed_subspace_reference(src, t), (src.label, t.label)
+            want[t] = [fixed_vector_to_matrix(v, src.dim, t.dim).to_json() for v in sub.basis.nonzeros]
+        for order in (targets, targets[::-1]):
+            reps._hom_pair.cache_clear()
+            fresh_hom_cache.cache_clear()
+            for t in order:
+                assert [phi.to_json() for phi in hom_space(src, t)] == want[t], (src.label, t.label)
+    ks = {
+        reps._orbit_rep(s.key, t.key, math.lcm(s.conductor, t.conductor))[0]
+        for s in sources for t in targets if s.conductor > 2
+    }
+    assert {2, 3, 4, 5, 7, 11} <= ks
+
+    # sigma_2 fixes a rational source, so hom(src, rho_zeta2) after
+    # hom(src, rho_zeta) makes no second solve; it moves rho_zeta*rho3 to
+    # rho_zeta2*rho3, which is then the source of the conjugate pair
+    rz2 = reg.get("rho_zeta2")
+    for src, src2 in [(s, s) for s in sources[:2]] + [(rz.tensor(r3), rz2.tensor(r3))]:
+        reps._hom_pair.cache_clear()
+        fresh_hom_cache.cache_clear()
+        hom_space(src, rz)
+        hom_space(src2, rz2)
+        assert fresh_hom_cache.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 def test_hom_basis_of_rational_coordinate_vectors_keeps_the_joint_conductor():
@@ -463,36 +529,47 @@ def test_json_round_trip(reg):
 
 @pytest.fixture
 def fresh_hom_cache():
-    """An empty hom_space memo; its `cache_info().misses` counts the solves
-    behind it."""
+    """Empty hom_space memos.  The returned per-orbit table's
+    `cache_info().misses` counts the solves behind them, and its hits the
+    answers taken from the solve of a conjugate pair."""
     from vvmf import reps
 
+    reps._hom_pair.cache_clear()
     reps._hom_basis.cache_clear()
     return reps._hom_basis
 
 
 def test_hom_space_memo_is_keyed_by_content(reg, fresh_hom_cache):
+    from vvmf import reps
+
+    pairs = reps._hom_pair
     r3 = reg.get("rho3")
     first = hom_space(r3, r3)
-    assert fresh_hom_cache.cache_info()[:2] == (0, 1)  # hits, misses
+    assert pairs.cache_info()[:2] == (0, 1)  # hits, misses
     # a relabelled copy has the same content and hits the memo
     renamed = Rep("renamed", r3.level, r3.S, r3.T)
     again = hom_space(renamed, renamed)
-    assert fresh_hom_cache.cache_info()[:2] == (1, 1)
+    assert pairs.cache_info()[:2] == (1, 1)
     assert again == first and again is not first
     # the caller owns the list it gets
     again.clear()
     assert len(hom_space(r3, r3)) == 1
+    assert fresh_hom_cache.cache_info()[:2] == (0, 1)
 
-    # a type labelled rho_zeta whose T is zeta3^2 has other content: it is
-    # solved afresh and is not isomorphic to the registry's rho_zeta
+    # a type labelled rho_zeta whose T is zeta3^2 has other content and is
+    # not isomorphic to the registry's rho_zeta; but sigma_2: zeta3 -> zeta3^2
+    # swaps the two, so (impostor, rz) and (rz, impostor) share one solve, and
+    # (impostor, impostor) is the conjugate of (rz, rz)
     rz = reg.get("rho_zeta")
     assert len(hom_space(rz, rz)) == 1
-    assert fresh_hom_cache.cache_info().misses == 2
+    assert fresh_hom_cache.cache_info()[:2] == (0, 2)
     impostor = Rep("rho_zeta", 3, Matrix.identity(1), Matrix(1, 1, [CycNum.zeta(3, 2)]))
     assert hom_space(impostor, rz) == []
     assert hom_space(rz, impostor) == []
-    assert fresh_hom_cache.cache_info()[:2] == (2, 4)
+    assert fresh_hom_cache.cache_info()[:2] == (1, 3)
+    assert len(hom_space(impostor, impostor)) == 1
+    assert fresh_hom_cache.cache_info()[:2] == (2, 3)
+    assert pairs.cache_info()[:2] == (2, 5)
 
 
 def test_hom_space_memo_keeps_the_conductor_of_the_basis(reg, fresh_hom_cache):
@@ -507,22 +584,27 @@ def test_hom_space_memo_keeps_the_conductor_of_the_basis(reg, fresh_hom_cache):
 
 
 def test_hom_space_memo_is_bounded(fresh_hom_cache):
-    bound = fresh_hom_cache.cache_info().maxsize
-    level = bound + 10
+    from vvmf import reps
+
+    pairs, bound = reps._hom_pair, reps._hom_pair.cache_info().maxsize
+    assert fresh_hom_cache.cache_info().maxsize == bound
+    # characters of distinct levels m, T = zeta_m: each pair (t, t) is alone
+    # in its Galois orbit, since sigma_k keeps the conductor of T
     one = Matrix.identity(1)
-    types = [
-        Rep(f"chi{k}", level, one, Matrix(1, 1, [CycNum.zeta(level, k)])) for k in range(level)
-    ]
+    types = [Rep(f"chi{m}", m, one, Matrix(1, 1, [CycNum.zeta(m)])) for m in range(1, bound + 11)]
     for t in types:
         assert len(hom_space(t, t)) == 1
-    assert fresh_hom_cache.cache_info().currsize == bound
-    # the oldest held entry stays after a hit; the evicted first one is
-    # solved again and pushes out the next oldest
+    assert pairs.cache_info().currsize == fresh_hom_cache.cache_info().currsize == bound
+    # the oldest held pair stays after a hit; the evicted first one is
+    # solved again and pushes out the next oldest pair, and the oldest
+    # solve, which the hit did not reach
     hom_space(types[10], types[10])
     hom_space(types[0], types[0])
-    assert fresh_hom_cache.cache_info().misses == level + 1
-    assert fresh_hom_cache.cache_info().currsize == bound
+    assert pairs.cache_info().misses == fresh_hom_cache.cache_info().misses == len(types) + 1
+    assert pairs.cache_info().currsize == bound
     hom_space(types[10], types[10])
-    assert fresh_hom_cache.cache_info().misses == level + 1
+    assert pairs.cache_info().misses == len(types) + 1
+    # the pair of types[11] was pushed out, but its solve is still held
     hom_space(types[11], types[11])
-    assert fresh_hom_cache.cache_info().misses == level + 2
+    assert pairs.cache_info().misses == len(types) + 2
+    assert fresh_hom_cache.cache_info()[:2] == (1, len(types) + 1)
