@@ -89,10 +89,11 @@ def _is_similitude(mat, genus: int, M: int) -> bool:
     return _int_mul(_int_mul(list(zip(*mat)), jm), mat) == [[M * x for x in row] for row in jm]
 
 
-def _symplectic_form(genus: int) -> list:
+@functools.lru_cache(maxsize=8)
+def _symplectic_form(genus: int) -> tuple:
     """J = (0 -I; I 0) of size 2 * genus."""
     n = 2 * genus
-    return [[(i == k + genus) - (k == i + genus) for k in range(n)] for i in range(n)]
+    return tuple(tuple((i == k + genus) - (k == i + genus) for k in range(n)) for i in range(n))
 
 
 def _int_mul(a, b) -> list:
@@ -145,11 +146,17 @@ def delta_cosets(genus: int, M: int) -> list:
 
 
 def _scaled_inverse_transpose(d, M: int):
-    """Integer matrix a with t(a) d = M I, or None."""
-    a = (Matrix.from_rows(d).inverse().transpose() * M).to_rows()
-    if any(x.den != 1 for row in a for x in row):
-        return None
-    return [[x.num[0] for x in row] for row in a]
+    """Integer matrix a with t(a) d = M I, or None: row i of a solves d x = M e_i
+    by back substitution, integral only if every step divides (x_k = 0 for k > i)."""
+    a = []
+    for i in range(len(d)):
+        x = [0] * len(d)
+        for k in reversed(range(i + 1)):
+            x[k], rem = divmod(M * (k == i) - _dot(d[k][k + 1:], x[k + 1:]), d[k][k])
+            if rem:
+                return None
+        a.append(x)
+    return a
 
 
 def _assemble(a, b, d, g):
@@ -231,9 +238,9 @@ def hecke_rep(M: int, r: Rep) -> HeckeRep:
 
     Basis order is coset-major: block m holds the dim(rho) components of
     e_m, cosets in delta_cosets order.  Block (target, source) of the image
-    of gamma is rho([I_m(gamma^-1)]^-1) for m the source coset.  Memoized by
-    `Rep.key`, and by the label, because the induced type's label is built
-    from it.
+    of gamma is rho([I_m(gamma^-1)]^-1) for m the source coset, listed once
+    per index M; the level is read from T's cycles on the cosets.  Memoized
+    by `Rep.key` and by the label, which names the induced type.
     """
     return _hecke_rep(M, r.label, r.key)
 
@@ -241,21 +248,26 @@ def hecke_rep(M: int, r: Rep) -> HeckeRep:
 @functools.lru_cache(maxsize=64)
 def _hecke_rep(M: int, label: str, key: tuple) -> HeckeRep:
     r = Rep(label, *key[:3])
-    cosets = delta_cosets(1, M)
-    index_of = {c: i for i, c in enumerate(cosets)}
-    # moves[g][src]: the coset g sends src to, and the block it applies there
-    moves = {}
-    for name, gam in (("S", S_MAT), ("T", T_MAT)):
-        steps = [cocycle(m, _inv2(gam)) for m in cosets]
-        moves[name] = [(index_of[target], r.evaluate(_inv2(corr))) for corr, target in steps]
-    S, T = (_block_matrix(moves[g], r.dim) for g in "ST")
+    cosets, *actions = _coset_action(M)
+    S, T = ([(target, r.evaluate(gamma)) for target, gamma in act] for act in actions)
     # T^(M level) fixes each coset (b -> b - a^2 d level) and leaves
     # rho(T^(a^2 level)) = I, which caps the order of T.
-    rep = Rep(f"T{M}({r.label})", _matrix_order(T, cap=M * r.level), S, T)
+    level = _cycle_order(T, cap=M * r.level)
+    rep = Rep(f"T{M}({r.label})", level, _block_matrix(S, r.dim), _block_matrix(T, r.dim))
     report = rep.validate()
     if not report.ok:
         raise AssertionError(f"constructed Hecke type fails relations: {report}")
-    return HeckeRep(r, M, tuple(cosets), rep)
+    return HeckeRep(r, M, cosets, rep)
+
+
+@functools.lru_cache(maxsize=16)
+def _coset_action(M: int) -> tuple:
+    """(cosets, S action, T action): for each coset m, the index of the coset
+    g sends it to and the correction [I_m(g^-1)]^-1 that every type evaluates."""
+    cosets = tuple(delta_cosets(1, M))
+    index_of = {c: i for i, c in enumerate(cosets)}
+    steps = ([cocycle(m, _inv2(gam)) for m in cosets] for gam in (S_MAT, T_MAT))
+    return (cosets, *(tuple((index_of[t], _inv2(corr)) for corr, t in s) for s in steps))
 
 
 def _block_matrix(moves, blk: int) -> Matrix:
@@ -265,6 +277,21 @@ def _block_matrix(moves, blk: int) -> Matrix:
         for i, row in enumerate(cell.nonzeros):
             rows[target * blk + i].update((src * blk + j, x) for j, x in row.items())
     return Matrix.from_nonzeros(len(moves) * blk, rows)
+
+
+def _cycle_order(moves, cap: int) -> int:
+    """Order of the block-monomial matrix of moves: lcm of cycle length x block product order."""
+    order, seen = 1, set()
+    for start, (m, prod) in enumerate(moves):
+        if start not in seen:
+            cycle = [start]
+            while m != start:
+                cycle.append(m)
+                m, block = moves[m]
+                prod = block * prod
+            seen.update(cycle)
+            order = math.lcm(order, len(cycle) * _matrix_order(prod, cap))
+    return order
 
 
 def _matrix_order(m: Matrix, cap: int) -> int:

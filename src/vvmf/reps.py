@@ -72,10 +72,11 @@ class Rep:
         s2 = S * S
         st = S * T
         st3 = st * st * st
+        s2_is_one = s2.is_identity()
         checks = [
-            ("S^4 = I", (s2 * s2).is_identity()),
+            ("S^4 = I", s2_is_one or (s2 * s2).is_identity()),
             ("(ST)^3 = S^2", st3 == s2),
-            ("S^2 = I", s2.is_identity()),
+            ("S^2 = I", s2_is_one),
             (f"T^{self.level} = I", _mat_pow(T, self.level).is_identity()),
         ]
         return RepValidation(self.label, checks)
@@ -175,26 +176,23 @@ def sl2_word(a: int, b: int, c: int, d: int) -> list:
 @functools.lru_cache(maxsize=256)
 def _word_image(key: tuple, a: int, b: int, c: int, d: int) -> Matrix:
     """Rep.evaluate of (a b; c d), shared by all types with this Rep.key."""
-    level, S, T = key[:3]
-    out = Matrix.identity(S.rows)
-    for kind, e in sl2_word(a, b, c, d):
-        if kind == "S":
-            out = out * _mat_pow(S, e % 4)
-        else:
-            out = out * _mat_pow(T, e % level)
-    return out
+    mods = {"S": 4, "T": key[0]}
+    factors = [_power(key, g, e % mods[g]) for g, e in sl2_word(a, b, c, d) if e % mods[g]]
+    return functools.reduce(Matrix.__mul__, factors) if factors else Matrix.identity(key[1].rows)
+
+
+@functools.lru_cache(maxsize=256)
+def _power(key: tuple, kind: str, e: int) -> Matrix:
+    """rho(S)^e or rho(T)^e of the type with this Rep.key."""
+    return _mat_pow(key[1] if kind == "S" else key[2], e)
 
 
 def _mat_pow(m: Matrix, e: int) -> Matrix:
     """m^e for e >= 0 by square-and-multiply."""
-    out = Matrix.identity(m.rows)
-    while e:
-        if e & 1:
-            out = out * m
-        e >>= 1
-        if e:
-            m = m * m
-    return out
+    if e < 2:
+        return m if e else Matrix.identity(m.rows)
+    half = _mat_pow(m * m, e >> 1)
+    return half * m if e & 1 else half
 
 
 def hom_fixed_subspace(r: Rep, r2: Rep) -> Subspace:

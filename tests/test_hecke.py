@@ -353,36 +353,63 @@ def test_hecke_rep_level_divides_index_times_level(reg):
             assert (M * entry.level) % level == 0, (M, entry.label, level)
 
 
-def coset_cycle_level(M, r):
-    """The order of the induced T read from its coset cycles: T is
-    block-monomial, so its order is the lcm over the cycles of T on the
-    cosets of the cycle length times the order of the block product around
-    the cycle.  T^(M level) fixes each coset and leaves rho(T^(a^2 level))
-    = I, which caps every block order."""
-    cosets = delta_cosets(1, M)
-    index_of = {c: i for i, c in enumerate(cosets)}
-    steps = [cocycle(m, inv2(T)) for m in cosets]
-    moves = [(index_of[target], r.evaluate(inv2(corr))) for corr, target in steps]
-    level, seen = 1, set()
-    for start in range(len(cosets)):
-        prod, m, length = Matrix.identity(r.dim), start, 0
-        while m not in seen:
-            seen.add(m)
-            m, block = moves[m]
-            prod, length = block * prod, length + 1
-        if length:
-            level = math.lcm(level, length * _matrix_order(prod, cap=M * r.level))
-    return level
-
-
 def test_hecke_rep_level_is_the_full_matrix_order(reg):
-    """The level, the order of the whole induced T found by multiplying it
-    out, equals the order read from T's coset cycles and block products."""
+    """The level, read from T's coset cycles and block products, equals the
+    order of the whole induced T found by multiplying it out."""
     induced = hecke_rep(2, reg.get("rho3")).rep
     cases = [(M, entry) for M in range(1, 9) for entry in reg.entries]
     cases += [(M, induced) for M in (1, 2, 3)]
     for M, r in cases:
-        assert hecke_rep(M, r).rep.level == coset_cycle_level(M, r), (M, r.label)
+        hr = hecke_rep(M, r)
+        assert hr.rep.level == _matrix_order(hr.rep.T, cap=M * r.level), (M, r.label)
+
+
+def test_induced_types_keep_their_bytes(reg):
+    """One sha256 over the types T_M rho and their coset matrices, M = 1..8,
+    rho the registry types, T2(rho3) and T3(triv); recorded at 0a9edd4,
+    where each type's level was the order of its whole induced T."""
+    import hashlib
+    import json
+
+    sources = reg.entries + [hecke_rep(2, reg.get("rho3")).rep, hecke_rep(3, reg.get("triv")).rep]
+    rows = []
+    for M in range(1, 9):
+        for r in sources:
+            hr = hecke_rep(M, r)
+            rows.append([M, r.label, hr.rep.to_json(), [c.mat for c in hr.cosets]])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "eee76fa349744bc8f0274e265f00e9e426901bde9675c7bdf1ae7c552c7a6447"
+
+
+def test_coset_action_is_listed_once_per_index(reg):
+    """Every type of index M evaluates rho on the same corrections."""
+    from vvmf import hecke
+
+    for cache in (hecke._hecke_rep, hecke._coset_action):
+        cache.cache_clear()
+    a = hecke_rep(3, reg.get("rho3"))
+    assert hecke._coset_action.cache_info() == (0, 1, 16, 1)  # hits, misses, maxsize, size
+    b = hecke_rep(3, reg.get("triv"))
+    assert hecke._coset_action.cache_info() == (1, 1, 16, 1)
+    assert a.cosets is b.cosets and len(a.cosets) == 4
+
+
+def test_generator_powers_are_keyed_by_conductor():
+    """The power table holds rho(S)^e and rho(T)^e per Rep.key: the type
+    written at conductor 12 and the equal type at its own conductor each
+    fill their own entries, and neither is handed the other's."""
+    from vvmf import hecke, reps
+    from vvmf.reps import rho_zeta
+
+    rz = rho_zeta()
+    wide = Rep(rz.label, rz.level, *(Matrix(1, 1, [m[0, 0].lift(12)]) for m in (rz.S, rz.T)))
+    for cache in (hecke._hecke_rep, reps._word_image, reps._power):
+        cache.cache_clear()
+    assert hecke_rep(2, wide).rep.T.n == 12
+    # the six corrections of index 2 take T^1 and T^2, S^1 and S^2
+    assert reps._power.cache_info() == (4, 4, 256, 4)  # hits, misses, maxsize, size
+    assert hecke_rep(2, rz).rep.T.n == 3
+    assert reps._power.cache_info() == (8, 8, 256, 8)
 
 
 def test_reference_projection_intertwines(reg):

@@ -54,6 +54,28 @@ def test_braid_relation_failure_detected():
     assert "(ST)^3 = S^2" in failed
 
 
+def test_validate_checks_match_full_products(reg):
+    """Each check keeps its name and the boolean of its full product, also
+    where S^4 = I is read from S^2 = I; the quarter type has S^2 = -I."""
+    swap = Matrix.from_rows([[0, 1], [1, 0]])
+    bad = Rep("bad", 1, swap, Matrix.identity(2))
+    quarter = Rep("quarter", 1, Matrix(1, 1, [CycNum.zeta(4)]), Matrix.identity(1))
+    for r in reg.entries + [bad, quarter]:
+        S, T, one = r.S, r.T, Matrix.identity(r.dim)
+        t_level = one
+        for _ in range(r.level):
+            t_level = t_level * T
+        want = [
+            ("S^4 = I", S * S * S * S == one),
+            ("(ST)^3 = S^2", S * T * S * T * S * T == S * S),
+            ("S^2 = I", S * S == one),
+            (f"T^{r.level} = I", t_level == one),
+        ]
+        assert r.validate().checks == want, r.label
+    assert [ok for _, ok in bad.validate().checks] == [True, False, True, True]
+    assert [ok for _, ok in quarter.validate().checks] == [True, False, False, True]
+
+
 def test_dual_examples(reg):
     triv = reg.get("triv")
     assert triv.dual().S == triv.S and triv.dual().T == triv.T

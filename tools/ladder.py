@@ -99,12 +99,28 @@ print(span.grade_dimension((K, "triv")), hashlib.sha256(text.encode()).hexdigest
 print(f"# inner_s={spent:.4f}", file=sys.stderr)
 """
 
+# the induced types T_M rho3 at six indices up to dimension 93, built in
+# process: coset actions, generator powers, cycle levels and validation;
+# inner_s times the six builds alone
+_INDUCED_RHO3 = """
+import hashlib, json, sys, time
+from vvmf.hecke import hecke_rep
+from vvmf.reps import rho3
+start = time.perf_counter()
+types = [hecke_rep(M, rho3()).rep for M in (5, 7, 8, 9, 12, 16)]
+spent = time.perf_counter() - start
+text = json.dumps([t.to_json() for t in types])
+print([(t.dim, t.level) for t in types], hashlib.sha256(text.encode()).hexdigest())
+print(f"# inner_s={spent:.4f}", file=sys.stderr)
+"""
+
 CLI = ["python3", "-m", "vvmf.cli"]
 RUNGS = {
     "hecke-cosets-g3-m3": CLI + ["hecke", "cosets", "--genus", "3", "--index", "3", "--count-only"],
     "hecke-cosets-g2-m12": CLI + ["hecke", "cosets", "--genus", "2", "--index", "12", "--count-only"],
     "hecke-cosets-g4-m2": CLI + ["hecke", "cosets", "--genus", "4", "--index", "2", "--count-only"],
     "hecke-cosets-g3-m4": CLI + ["hecke", "cosets", "--genus", "3", "--index", "4", "--count-only"],
+    "induced-types-rho3": ["python3", "-c", _INDUCED_RHO3],
     "decompose-T3T3rho3": CLI + ["decompose", "--rep", "T3(rho3)*T3(rho3)*rho3"],
     "decompose-T8T2": CLI + ["decompose", "--rep", "T8(rho3)*T2(rho3)"],
     "hom-residual-T5rho3": ["python3", "-c", _HOM_RESIDUAL],
