@@ -287,7 +287,7 @@ def thm11_span(k: int, l: int, l2: int, hecke_indices, prec, registry: RepRegist
     named after the product F (x) R^t G, the first of its t + 1 products.
     """
     t = (k - l - l2) // 2
-    triv = [registry.get("triv")] if "triv" in registry else []
+    triv = [registry.get("triv")]
     span = FormSpan()
     for M in sorted(hecke_indices):
         # the grade is read at prec, while coset components of T_M(E_w) reach prec * M^2

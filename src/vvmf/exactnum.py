@@ -166,15 +166,20 @@ def _multiplication(cond: int, num: tuple, n: int) -> list:
 @lru_cache(maxsize=None)
 def _lowering(cond: int, m: int) -> tuple:
     """(P, d), P an integer phi(m) x phi(cond) matrix: an element of Q(zeta_m),
-    m | cond, with coordinates u at cond has coordinates P u / d at m.  P / d
-    is the left inverse (L^T L)^-1 L^T of the lift L from m to cond."""
-    from .linalg import Matrix
-
-    lt = Matrix.from_rows(CycNum.zeta(m, l).lift(cond).num for l in range(euler_phi(m)))
-    left = (lt * lt.transpose()).inverse() * lt
-    low = [[x.rational_value() for x in r] for r in left.to_rows()]
-    d = math.lcm(*(x.denominator for r in low for x in r))
-    return tuple(tuple(int(x * d) for x in r) for r in low), d
+    m | cond, with coordinates u at cond has coordinates P u / d at m.  P / d is
+    the left inverse (L^T L)^-1 L^T of the lift L from m to cond, by fraction-free
+    Gauss-Jordan on the integer rows [L^T L | L^T], pivoting on the diagonal."""
+    k = euler_phi(m)
+    lt = [_lift_num(tuple(int(i == l) for i in range(k)), m, cond) for l in range(k)]
+    rows = [[sum(map(operator.mul, a, b)) for b in lt] + list(a) for a in lt]
+    for c, pivot in enumerate(rows):
+        for r in rows:
+            if r is not pivot and (f := r[c]):
+                r[:] = [pivot[c] * x - f * y for x, y in zip(r, pivot)]
+                g = math.gcd(*r)
+                r[:] = [x // g for x in r]
+    d = math.lcm(*(r[i] // math.gcd(r[i], *r[k:]) for i, r in enumerate(rows)))
+    return tuple(tuple(x * d // r[i] for x in r[k:]) for i, r in enumerate(rows)), d
 
 
 def _mul_num(n: int, x: tuple, y: tuple) -> tuple:
@@ -468,20 +473,17 @@ def as_cyc(x) -> CycNum:
     raise TypeError(f"cannot coerce {type(x).__name__} to CycNum")
 
 
-_BERNOULLI_CACHE = [Fraction(1), Fraction(-1, 2)]
-
-
+@lru_cache(maxsize=None)
 def bernoulli(k: int) -> Fraction:
-    """k-th Bernoulli number, convention B_1 = -1/2.
-
-    Recurrence sum_{j<=n} C(n+1, j) B_j = 0 for n >= 1.
-    """
+    """k-th Bernoulli number, convention B_1 = -1/2: B_2n = (-1)^(n-1) 2n T_n /
+    (4^n (4^n - 1)) from the tangent numbers T_n, by the integer recurrence of
+    R. P. Brent and D. Harvey, Fast computation of Bernoulli, tangent and secant numbers (2011)."""
     if k < 0:
         raise ValueError(f"bernoulli undefined for {k}")
-    while len(_BERNOULLI_CACHE) <= k:
-        n = len(_BERNOULLI_CACHE)
-        acc = Fraction(0)
-        for j in range(n):
-            acc += math.comb(n + 1, j) * _BERNOULLI_CACHE[j]
-        _BERNOULLI_CACHE.append(-acc / (n + 1))
-    return _BERNOULLI_CACHE[k]
+    if k < 2 or k % 2:
+        return Fraction(-1, 2) if k == 1 else Fraction(int(k == 0))
+    n, tan = k // 2, [0] + [math.factorial(j) for j in range(k // 2)]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            tan[j] = (j - i) * tan[j - 1] + (j - i + 2) * tan[j]
+    return Fraction((-1) ** (n - 1) * k * tan[n], 4**n * (4**n - 1))

@@ -602,20 +602,18 @@ def test_projections_combine_once_per_layer(reg, monkeypatch):
         assert calls == [rows] * (f.depth + g.depth + 1)
 
 
-def test_bracket_projections_contract_once_and_combine_once(reg, monkeypatch):
-    # one scalar combine contracts every map into g; the coefficients are then
-    # evaluated directly, with no packed product and no theta chain
+def test_bracket_projections_make_no_combine_or_theta_call(reg, monkeypatch):
+    # every map is contracted into g on integer coordinates and the coefficients
+    # are evaluated directly: no scalar combine, no series-kernel call and no theta chain
+    f4, f6 = rho3_eisenstein(4, reg), rho3_eisenstein(6, reg)
     contractions = counting(monkeypatch, vvmf.forms, "combine")
     kernel = counting(monkeypatch, vvmf.qexp, "combine_terms")
     thetas, theta = [], QExp.theta
     monkeypatch.setattr(QExp, "theta", lambda q: thetas.append(q) or theta(q))
-    f4, f6 = rho3_eisenstein(4, reg), rho3_eisenstein(6, reg)
     targets = list(reg) + [sign_type()]
     images = bracket_projections(f4, f6, 2, targets)
-    assert images and len(contractions) == 1
-    # the only series-kernel call is the one the contraction makes
-    assert kernel == contractions
-    assert thetas == []
+    assert images
+    assert contractions == kernel == thetas == []
 
 
 def test_images_follow_one_naming_rule(reg):

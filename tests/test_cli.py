@@ -635,15 +635,15 @@ def test_thm11_bracket_span_matches_raise_then_decompose(reg, k, l, l2, indices)
 
 
 def test_thm11_without_triv_in_the_registry(capsys, tmp_path):
-    # no triv target, so no weight-k triv grade: the cusp form is not found
+    # the theorem is about the triv grade: without triv the run is refused as bad
+    # input, as example32 is without rho3, not reported as a failed theorem
     entries = builtin_registry().to_json()["entries"]
     path = tmp_path / "no_triv.json"
     path.write_text(json.dumps({"entries": [e for e in entries if e["label"] != "triv"]}))
-    code, out, _ = run_cli(capsys, "verify", "thm11", "--registry", str(path), "--format", "json")
-    assert code == 1
-    member, complement = json.loads(out)["cases"]
-    assert member["observed"] is False and member["diagnostics"] == "generators: "
-    assert complement["observed"] == 1
+    for target in ("thm11", "all"):
+        code, out, err = run_cli(capsys, "verify", target, "--registry", str(path),
+                                 "--format", "json")
+        assert (code, out, err) == (2, "", "error: no registry entry labelled 'triv'\n")
 
 
 @pytest.mark.parametrize("target", ["example32", "all"])

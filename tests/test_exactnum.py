@@ -133,7 +133,7 @@ def test_bernoulli_trivial_and_derived():
     assert bernoulli(1) == Fraction(-1, 2)
     assert bernoulli(4) == Fraction(-1, 30)
     assert bernoulli(12) == Fraction(-691, 2730)
-    for n in range(0, 15):
+    for n in range(0, 41):
         assert bernoulli(n) == bernoulli_oracle(n), n
 
 
@@ -315,6 +315,23 @@ def test_lowering_inverts_the_lift_for_every_divisor():
                 assert m % red.n == 0 and red == x and hash(red) == hash(x), (n, m)
                 own = x.reduce_conductor()
                 assert (red.n, red.num, red.den) == (own.n, own.num, own.den), (n, m)
+
+
+def test_lowering_is_the_reference_left_inverse():
+    """For every n <= 60 and m | n, _lowering(n, m) is (L^T L)^-1 L^T exactly,
+    with L the reference lift matrix from m to n, inverted by linalg, and d the
+    least common denominator of its entries."""
+    from vvmf.linalg import Matrix
+
+    for n in range(1, 61):
+        for m in divisors(n):
+            k = euler_phi(m)
+            lt = Matrix.from_rows(ref_lift([Fraction(int(i == j)) for i in range(k)], m, n)
+                                  for j in range(k))
+            ref = [[x.rational_value() for x in r] for r in ((lt * lt.transpose()).inverse() * lt).to_rows()]
+            low, d = _lowering(n, m)
+            assert d == math.lcm(*(x.denominator for r in ref for x in r)), (n, m)
+            assert [[Fraction(a, d) for a in r] for r in low] == ref, (n, m)
 
 
 def test_hash_agrees_with_int_and_fraction():

@@ -9,6 +9,7 @@ from vvmf.ahol import AholForm, ahol_decompose, apply_intertwiner, raise_op
 from vvmf.exactnum import CycNum, bernoulli
 from vvmf.forms import (
     VVForm,
+    _bracket_images,
     apply_hom,
     bracket_projections,
     check_T_consistency,
@@ -22,7 +23,7 @@ from vvmf.hecke import hecke_form
 from vvmf.hyperalg import projections, tensor_form
 from vvmf.linalg import Matrix
 from vvmf.qexp import QExp
-from vvmf.reps import builtin_registry, hom_space, trivial_rep
+from vvmf.reps import Rep, builtin_registry, hom_space, trivial_rep
 
 
 def one_form(prec) -> AholForm:
@@ -60,11 +61,13 @@ def test_eisenstein_constant_term_is_one(k):
 
 
 def test_eisenstein_coefficients_match_divisor_sums():
-    for k in (4, 6, 8):
-        f = eisenstein(k, 7).components[0]
+    for k in range(4, 24, 2):
+        f = eisenstein(k, 99).components[0]
         factor = Fraction(-2 * k) / bernoulli(k)
-        for n in range(1, 7):
-            assert f.coeff(n) == CycNum.from_rational(factor * sigma_oracle(k - 1, n))
+        assert f.prec == 99 and f.coeff(0) == 1 and len(f.terms) == 99
+        for n in range(1, 99):
+            c = f.terms[n]
+            assert (c.n, c.c) == (1, (factor * sigma_oracle(k - 1, n),)), (k, n)
 
 
 def test_sigma_matches_sympy():
@@ -395,6 +398,25 @@ def test_bracket_conductor_counts_pairs_where_q_vanishes(reg):
     for x in (bracket, image):
         c = x.components[0].terms[3]
         assert (c.n, c.num, c.den) == (3, (12, 0), 1)
+
+
+def test_bracket_contraction_keeps_the_combine_conductor_rule():
+    # h = phi[0, 0] g_1 + phi[0, 1] g_2 keeps combine's rule: h(n) has the lcm of
+    # the entries' conductors and of the g_j(n) stored, and a zero sum is absent.
+    # With f = 1 + q at t = 0, coefficient N of the bracket is h(N) + h(N - 1).
+    two = Rep("two", 1, Matrix.identity(2), Matrix.identity(2))
+    f = VVForm(4, trivial_rep(), [QExp(1, 4, {0: 1, 1: 1})])
+    g = VVForm(4, two, [QExp(1, 4, {1: 1, 2: CycNum.zeta(3)}), QExp(1, 4, {2: CycNum.zeta(3)})])
+    cases = [
+        # h = q + 0 q^2: h(2) is absent, so coefficient 2 = h(1) keeps conductor 1
+        ([[1, -1]], {1: (1, (1,), 1), 2: (1, (1,), 1)}),
+        # both entries are stored at conductor 3, so h = q - q^2 is there throughout
+        ([[1, CycNum.zeta(3)]], {1: (3, (1, 0), 1), 3: (3, (-1, 0), 1)}),
+    ]
+    for rows, want in cases:
+        (image,) = _bracket_images(f, g, 0, [(Matrix.from_rows(rows), trivial_rep())], "")
+        terms = image.components[0].terms
+        assert {n: (c.n, c.num, c.den) for n, c in terms.items()} == want, rows
 
 
 def bracket_digest(images) -> str:

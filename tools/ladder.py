@@ -7,9 +7,9 @@ checkout with PYTHONPATH=src.  A rung records its command, the SHA-256 of
 its standard output (its answer) and, per side, the wall time and peak RSS
 of the child (and inner_s, when the child's standard error ends with a
 "# inner_s=SECONDS" line), in parent/change pairs whose first side
-alternates: three pairs when the first parent run takes under 10 s, one
-pair otherwise.  A run over CAP_S seconds is killed and recorded as
-killed.  Runs are one at a time.
+alternates: seven pairs when the first parent run takes under 1 s, three
+when it takes under 10 s, one pair otherwise.  A run over CAP_S seconds is
+killed and recorded as killed.  Runs are one at a time.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ import time
 
 CAP_S = 600
 SHORT_S = 10
+# a sub-second rung can move by x1.6 between single runs, so it gets more pairs
+SUBSECOND_S = 1
 
 _HOM_RESIDUAL = """
 import hashlib, json
@@ -185,11 +187,16 @@ def revision(root: str) -> str:
     return head + (" with uncommitted src changes" if dirty else "")
 
 
+def pair_count(first_parent_s: float) -> int:
+    """Pairs for a rung whose first parent run took first_parent_s (0 before it runs)."""
+    return 7 if first_parent_s < SUBSECOND_S else 3 if first_parent_s < SHORT_S else 1
+
+
 def ladder(parent: str, change: str) -> list:
     rungs = []
     for name, argv in RUNGS.items():
         pairs = []
-        while len(pairs) < (3 if not pairs or pairs[0]["parent"]["wall_s"] < SHORT_S else 1):
+        while len(pairs) < pair_count(pairs[0]["parent"]["wall_s"] if pairs else 0):
             # the side that runs first alternates from pair to pair
             sides = [("parent", parent), ("change", change)][:: -1 if len(pairs) % 2 else 1]
             pair = {side: run_once(root, argv) for side, root in sides}
