@@ -5,10 +5,10 @@ coset Hecke operators at finite places and at infinity, and the
 multivalued product of forms, with a verification harness on the CLI.
 """
 
-from .exactnum import CycNum, Rational, bernoulli
+from .exactnum import CycNum, bernoulli
 from .linalg import Matrix, Subspace
 from .qexp import InsufficientPrecision, QExp, slash_expand
-from .reps import Rep, RepRegistry, builtin_registry, decompose, hom_space, rep_isomorphic
+from .reps import Rep, RepRegistry, builtin_registry, decompose, hom_space
 from .ahol import AholForm, ahol_decompose, lower_op, raise_op
 from .hecke import (
     DeltaCoset,
@@ -25,7 +25,7 @@ from .hecke import (
 from .hyperalg import (
     FormSpan, hyper_tensor, span_contains, span_sum, sturm_bound, tinf, tinf_closure,
 )
-from .forms import VVForm, apply_hom, check_T_consistency, delta_form, eisenstein, vv_eisenstein
+from .forms import check_T_consistency, delta_form, eisenstein, vv_eisenstein
 
 __version__ = "0.1.0"
 
@@ -38,13 +38,10 @@ __all__ = [
     "InsufficientPrecision",
     "Matrix",
     "QExp",
-    "Rational",
     "Rep",
     "RepRegistry",
     "Subspace",
-    "VVForm",
     "ahol_decompose",
-    "apply_hom",
     "bernoulli",
     "builtin_registry",
     "check_T_consistency",
@@ -62,7 +59,6 @@ __all__ = [
     "pi_M",
     "raise_op",
     "reduce_to_coset",
-    "rep_isomorphic",
     "slash_expand",
     "span_contains",
     "span_sum",

@@ -17,8 +17,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .ahol import AholForm, _images, ahol_decompose, apply_intertwiner, lower_op, raise_op
-from .exactnum import CycNum
-from .forms import bracket_projections, delta_form, eisenstein, sigma, vv_eisenstein
+from .exactnum import CycNum, divisors
+from .forms import bracket_projections, delta_form, eisenstein, vv_eisenstein
 from .hecke import delta_cosets, hecke_form, hecke_rep
 from .hyperalg import (
     FormSpan, hyper_tensor, span_contains, span_sum, sturm_bound, tinf_closure,
@@ -245,8 +245,8 @@ def _same_left_coset(m1, m2, genus: int, M: int) -> bool:
 def verify_counts() -> Report:
     report = Report("counts")
     for M in range(1, 13):
-        got = len(delta_cosets(1, M))
-        report.case("coset-count-genus1", {"M": M}, sigma(1, M), got == sigma(1, M), got)
+        got, expect = len(delta_cosets(1, M)), sum(divisors(M))
+        report.case("coset-count-genus1", {"M": M}, expect, got == expect, got)
     for p in (2, 3):
         expect = (1 + p) * (1 + p * p)
         got = len(delta_cosets(2, p))

@@ -33,8 +33,6 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-Rational = Fraction
-
 
 def parse_rational(s: str) -> Fraction:
     """Parse "a/b" or "a" into a Fraction."""

@@ -1,7 +1,8 @@
 """Classical constructors of holomorphic vector-valued modular forms.
 
 A holomorphic form is a depth-0 `AholForm`: one graded layer, one
-q-expansion per component.  `VVForm(weight, rep, components)` builds one.
+q-expansion per component.  `AholForm.holomorphic(weight, rep, components)`
+builds one.
 
 Eisenstein series are normalized to constant term 1:
 E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n, the sigma_{k-1}(n) from one
@@ -24,26 +25,13 @@ from functools import lru_cache, partial
 from itertools import accumulate, repeat
 from types import SimpleNamespace
 
-from .ahol import AholForm, _image_name, _split, apply_intertwiner
-from .exactnum import (CycNum, _lowering, _make, _multiplication, _reduce, bernoulli, divisors,
-                       euler_phi)
+from .ahol import AholForm, _image_name, _split
+from .exactnum import CycNum, _lowering, _make, _multiplication, _reduce, bernoulli, euler_phi
 from .linalg import Matrix
 from .qexp import QExp, _lifted, _series, combine
 from .reps import Rep, trivial_rep
 from . import hecke as _hecke
 from .hyperalg import FormSpan, _basis_maps, projections
-
-
-# the holomorphic constructor under its exported name: a depth-0 AholForm
-VVForm = AholForm.holomorphic
-
-# componentwise application of an intertwiner, under its exported name
-apply_hom = apply_intertwiner
-
-
-def sigma(k: int, n: int) -> int:
-    """Divisor power sum sigma_k(n)."""
-    return sum(d**k for d in divisors(n))
 
 
 def eisenstein(k: int, prec) -> AholForm:
@@ -67,12 +55,14 @@ def delta_form(prec) -> AholForm:
 
 def rankin_cohen(f: AholForm, g: AholForm, t: int) -> AholForm:
     """The t-th Rankin-Cohen bracket of holomorphic forms f and g, T-consistent
-    for their types: [f, g]_t = sum_r (-1)^r C(t+k_f-1, t-r) C(t+k_g-1, r)
-    theta^r f . theta^(t-r) g on type(f) (x) type(g), components flattened as
-    i*dim_g + j as in `tensor_form` (H. Cohen, Math. Ann. 217 (1975); D.
-    Zagier, Modular forms and differential operators (1994)).  Coefficient N
-    is sum_{m+n=N} f(m) g(n) Q_t(m, n), with m^r n^(t-r) for theta^r .
-    theta^(t-r): `_bracket_images` under the identity map."""
+    for their types (else ValueError): [f, g]_t = sum_r (-1)^r C(t+k_f-1, t-r)
+    C(t+k_g-1, r) theta^r f . theta^(t-r) g on type(f) (x) type(g), components
+    flattened as i*dim_g + j as in `tensor_form` (H. Cohen, Math. Ann. 217
+    (1975); D. Zagier, Modular forms and differential operators (1994)).
+    Coefficient N is sum_{m+n=N} f(m) g(n) Q_t(m, n), with m^r n^(t-r) for
+    theta^r . theta^(t-r): `_bracket_images` under the identity map."""
+    if not all(map(check_T_consistency, (f, g))):
+        raise ValueError("a bracket factor is not T-consistent for its type")
     rep = f.rep.tensor(g.rep)
     name = f"[{f.name}, {g.name}]_{t}" if f.name and g.name else ""
     return _bracket_images(f, g, t, [(Matrix.identity(rep.dim), rep)], name)[0]
@@ -89,7 +79,7 @@ def bracket_projections(f: AholForm, g: AholForm, t: int, targets) -> list:
 
 def _bracket_images(f: AholForm, g: AholForm, t: int, maps, name: str) -> list:
     """phi([f, g]_t) for each (phi, target) of maps, for f and g T-consistent
-    for their types (`check_T_consistency`), as every caller's are.  Each
+    for their types (`check_T_consistency`), as `rankin_cohen` checks.  Each
     component is lifted once to the call's joint conductor and lattice, the
     blocks h_ai = sum_j phi[a, i*dim_g + j] g_j are contracted in integers (a
     row without any is zero at f's precision), and `_bracket_row` sums row a

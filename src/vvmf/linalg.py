@@ -76,10 +76,6 @@ class Matrix:
         one = CycNum.one()
         return _matrix(k, k, 1, [{i: one} for i in range(k)])
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        return _matrix(rows, cols, 1, [{} for _ in range(rows)])
-
     @property
     def entries(self) -> tuple:
         return tuple(x for i in range(self.rows) for x in self.row(i))

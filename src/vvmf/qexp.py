@@ -78,10 +78,6 @@ class QExp:
     def zero(prec, h: int = 1) -> "QExp":
         return QExp(h, prec, {})
 
-    @staticmethod
-    def constant(c, prec) -> "QExp":
-        return QExp(1, prec, {0: as_cyc(c)})
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -256,8 +256,6 @@ def _hom_pair(key: tuple, key2: tuple) -> tuple:
     """The basis of one pair: sigma_(k^-1) of the solved basis of sigma_k of
     the pair, its orbit's representative."""
     n = math.lcm(*key[3:], *key2[3:])
-    if n <= 2:  # (Z/n)^* is trivial
-        return _hom_basis(key, key2)
     k, key, key2 = _orbit_rep(key, key2, n)
     return tuple(_galois(phi, pow(k, -1, n)) for phi in _hom_basis(key, key2))
 
@@ -271,12 +269,13 @@ def _hom_basis(key: tuple, key2: tuple) -> tuple:
 
 def _orbit_rep(key: tuple, key2: tuple, n: int) -> tuple:
     """(k, key_k, key2_k): the conjugate sigma_k of a pair of keys, k in
-    (Z/n)^*, whose nonzeros (row, column, numerators, denominator) compare
-    greatest, with the least such k.  Matrices at conductor 1 or 2 are the
-    same in every conjugate, so only the others are compared."""
+    (Z/n)^* taken as 1..n (so k = 1 alone for n <= 2), whose nonzeros (row,
+    column, numerators, denominator) compare greatest, with the least such k.
+    Matrices at conductor 1 or 2 are the same in every conjugate, so only
+    the others are compared."""
     return max(
         ((k, *[(q[0], _galois(q[1], k), _galois(q[2], k), *q[3:]) for q in (key, key2)])
-         for k in range(1, n) if math.gcd(k, n) == 1),
+         for k in range(1, n + 1) if math.gcd(k, n) == 1),
         key=lambda c: [(i, j, x.num, x.den) for q in c[1:] for m in q[1:3] if m.n > 2
                        for i, row in enumerate(m.nonzeros) for j, x in sorted(row.items())],
     )
@@ -296,14 +295,6 @@ def is_intertwiner(phi: Matrix, r: Rep, r2: Rep) -> bool:
     if phi.rows != r2.dim or phi.cols != r.dim:
         return False
     return phi * r.S == r2.S * phi and phi * r.T == r2.T * phi
-
-
-def rep_isomorphic(r: Rep, r2: Rep) -> bool:
-    """Schur test; both inputs must be certified irreducible."""
-    for x in (r, r2):
-        if len(hom_space(x, x)) != 1:
-            raise ValueError(f"{x.label} is not certified irreducible")
-    return len(hom_space(r, r2)) >= 1
 
 
 Decomposition = namedtuple(

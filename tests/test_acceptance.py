@@ -151,7 +151,7 @@ def _random_depth2_form(rng, prec=7):
 def test_acceptance_7_differential_operator_suite():
     t0 = time.monotonic()
     for lprime in (4, 6, 8):
-        f = AholForm.holomorphic(lprime, trivial_rep(), [QExp.constant(1, 5)])
+        f = AholForm.holomorphic(lprime, trivial_rep(), [QExp(1, 5, {0: 1})])
         for t in range(1, 4):
             f = raise_op(f)
             top = f.graded[t][0]

@@ -60,7 +60,7 @@ def theta_oracle(q):
 
 @pytest.mark.parametrize("lprime", [4, 6, 8])
 def test_repeated_raising_of_one_gives_upper_factorial(lprime):
-    f = AholForm.holomorphic(lprime, trivial_rep(), [QExp.constant(1, 6)])
+    f = AholForm.holomorphic(lprime, trivial_rep(), [QExp(1, 6, {0: 1})])
     for t in range(1, 4):
         f = raise_op(f)
         assert f.depth == t
@@ -101,7 +101,7 @@ def test_lower_raise_gives_minus_weight():
 
 
 def test_lower_of_pure_grading_variable():
-    f = AholForm(2, trivial_rep(), [[QExp.zero(5)], [QExp.constant(1, 5)]])
+    f = AholForm(2, trivial_rep(), [[QExp.zero(5)], [QExp(1, 5, {0: 1})]])
     out = lower_op(f)
     assert out.depth == 0
     assert out.components[0].coeff(0) == CycNum.from_rational(-1)
@@ -184,7 +184,7 @@ def test_decompose_reconstructs_randomized_forms():
 
 
 def test_decompose_obstruction_at_low_weight():
-    f = AholForm(2, trivial_rep(), [[QExp.zero(4)], [QExp.constant(1, 4)]])
+    f = AholForm(2, trivial_rep(), [[QExp.zero(4)], [QExp(1, 4, {0: 1})]])
     with pytest.raises(ArithmeticError):
         ahol_decompose(f)
 

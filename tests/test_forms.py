@@ -8,15 +8,12 @@ import pytest
 from vvmf.ahol import AholForm, ahol_decompose, apply_intertwiner, raise_op
 from vvmf.exactnum import CycNum, bernoulli
 from vvmf.forms import (
-    VVForm,
     _bracket_images,
-    apply_hom,
     bracket_projections,
     check_T_consistency,
     delta_form,
     eisenstein,
     rankin_cohen,
-    sigma,
     vv_eisenstein,
 )
 from vvmf.hecke import hecke_form
@@ -28,7 +25,7 @@ from vvmf.reps import Rep, builtin_registry, hom_space, trivial_rep
 
 def one_form(prec) -> AholForm:
     """The constant 1 in weight 0, the identity of the product."""
-    return AholForm.holomorphic(0, trivial_rep(), (QExp.constant(1, prec),), name="1")
+    return AholForm.holomorphic(0, trivial_rep(), (QExp(1, prec, {0: 1}),), name="1")
 
 
 @pytest.fixture(scope="module")
@@ -70,13 +67,6 @@ def test_eisenstein_coefficients_match_divisor_sums():
             assert (c.n, c.c) == (1, (factor * sigma_oracle(k - 1, n),)), (k, n)
 
 
-def test_sigma_matches_sympy():
-    sympy = pytest.importorskip("sympy")
-    for k in range(0, 12):
-        for n in range(1, 121):
-            assert sigma(k, n) == sympy.divisor_sigma(n, k), (k, n)
-
-
 def test_eisenstein_rejects_bad_weights():
     with pytest.raises(ValueError):
         eisenstein(2, 4)
@@ -105,9 +95,9 @@ def test_delta_form_leading_coefficients():
 
 def test_apply_hom_identity_and_zero(reg):
     e4 = eisenstein(4, 5)
-    same = apply_hom(Matrix.identity(1), e4, reg.get("triv"))
+    same = apply_intertwiner(Matrix.identity(1), e4, reg.get("triv"))
     assert same.components[0] == e4.components[0]
-    zero = apply_hom(Matrix.zeros(1, 1), e4, reg.get("triv"))
+    zero = apply_intertwiner(Matrix.from_rows([[0]]), e4, reg.get("triv"))
     assert zero.is_zero()
 
 
@@ -115,7 +105,7 @@ def test_apply_hom_rejects_non_intertwiners(reg):
     t3 = hecke_form(3, eisenstein(12, 9))
     bad = Matrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
     with pytest.raises(ValueError):
-        apply_hom(bad, t3, reg.get("rho3"))
+        apply_intertwiner(bad, t3, reg.get("rho3"))
 
 
 def test_apply_hom_projection_constants(reg):
@@ -128,7 +118,7 @@ def test_apply_hom_projection_constants(reg):
         ]
     )
     t3 = hecke_form(3, eisenstein(12, 9))
-    out = apply_hom(phi, t3, reg.get("rho3"))
+    out = apply_intertwiner(phi, t3, reg.get("rho3"))
     consts = [q.coeff(0) for q in out.graded[0]]
     assert consts[0] == CycNum.from_rational(Fraction(531440, 729))
     assert consts[1] == CycNum.from_rational(Fraction(-531440, 2187))
@@ -147,7 +137,7 @@ def test_t_consistency_checks(reg):
         ]
     )
     t3 = hecke_form(3, eisenstein(12, 9))
-    e12rho3 = apply_hom(phi, t3, reg.get("rho3"))
+    e12rho3 = apply_intertwiner(phi, t3, reg.get("rho3"))
     assert check_T_consistency(e12rho3)
     # perturb one coefficient
     comps = list(e12rho3.graded[0])
@@ -156,7 +146,7 @@ def test_t_consistency_checks(reg):
         comps[1].prec,
         {**comps[1].terms, 3: comps[1].terms.get(3, CycNum.zero()) + CycNum.one()},
     )
-    perturbed = VVForm(12, reg.get("rho3"), [comps[0], broken, comps[2]])
+    perturbed = AholForm.holomorphic(12, reg.get("rho3"), [comps[0], broken, comps[2]])
     assert not check_T_consistency(perturbed)
 
 
@@ -176,17 +166,16 @@ def test_products_of_eisenstein_series_are_classical():
     for n in range(6):
         assert sq.coeff(n) == e8.components[0].coeff(n)
         assert prod.coeff(n) == e10.components[0].coeff(n)
-    assert check_T_consistency(VVForm(8, e4.rep, [sq]))
+    assert check_T_consistency(AholForm.holomorphic(8, e4.rep, [sq]))
 
 
 def test_vvform_builds_a_depth_zero_ahol_form(reg):
     e4 = eisenstein(4, 3)
-    f = VVForm(4, reg.get("triv"), e4.components, name="E4")
+    f = AholForm.holomorphic(4, reg.get("triv"), e4.components, name="E4")
     assert isinstance(f, AholForm) and f.depth == 0 and f.name == "E4"
     assert f.agrees_with(e4)
-    assert apply_hom is apply_intertwiner
     with pytest.raises(ValueError):
-        VVForm(4, reg.get("rho3"), e4.components)
+        AholForm.holomorphic(4, reg.get("rho3"), e4.components)
 
 
 def test_vv_eisenstein_trivial_target(reg):
@@ -219,8 +208,8 @@ def test_apply_hom_commutes_with_truncation(reg):
         ]
     )
     t3 = hecke_form(3, eisenstein(12, 9))
-    full = apply_hom(phi, t3, reg.get("rho3")).truncate(2)
-    short = apply_hom(phi, t3.truncate(2), reg.get("rho3"))
+    full = apply_intertwiner(phi, t3, reg.get("rho3")).truncate(2)
+    short = apply_intertwiner(phi, t3.truncate(2), reg.get("rho3"))
     assert full.agrees_with(short, 2)
 
 
@@ -390,8 +379,8 @@ def test_bracket_projections_keep_the_class_of_a_nontrivial_T(reg):
 def test_bracket_conductor_counts_pairs_where_q_vanishes(reg):
     # Q_1(m, n) = 4n - 8m for weights 4 and 8 vanishes at (1, 2), where the
     # zeta_3 term of f meets g: coefficient 3 is Q_1(0, 3) = 12, at conductor 3
-    f = VVForm(4, trivial_rep(), [QExp(1, 6, {0: 1, 1: CycNum.zeta(3)})])
-    g = VVForm(8, trivial_rep(), [QExp(1, 6, {n: 1 for n in range(6)})])
+    f = AholForm.holomorphic(4, trivial_rep(), [QExp(1, 6, {0: 1, 1: CycNum.zeta(3)})])
+    g = AholForm.holomorphic(8, trivial_rep(), [QExp(1, 6, {n: 1 for n in range(6)})])
     bracket = rankin_cohen(f, g, 1)
     assert_same_terms(bracket, reference_rankin_cohen(f, g, 1))
     ((_, image),) = bracket_projections(f, g, 1, [reg.get("triv")])
@@ -405,8 +394,9 @@ def test_bracket_contraction_keeps_the_combine_conductor_rule():
     # the entries' conductors and of the g_j(n) stored, and a zero sum is absent.
     # With f = 1 + q at t = 0, coefficient N of the bracket is h(N) + h(N - 1).
     two = Rep("two", 1, Matrix.identity(2), Matrix.identity(2))
-    f = VVForm(4, trivial_rep(), [QExp(1, 4, {0: 1, 1: 1})])
-    g = VVForm(4, two, [QExp(1, 4, {1: 1, 2: CycNum.zeta(3)}), QExp(1, 4, {2: CycNum.zeta(3)})])
+    f = AholForm.holomorphic(4, trivial_rep(), [QExp(1, 4, {0: 1, 1: 1})])
+    g = AholForm.holomorphic(
+        4, two, [QExp(1, 4, {1: 1, 2: CycNum.zeta(3)}), QExp(1, 4, {2: CycNum.zeta(3)})])
     cases = [
         # h = q + 0 q^2: h(2) is absent, so coefficient 2 = h(1) keeps conductor 1
         ([[1, -1]], {1: (1, (1,), 1), 2: (1, (1,), 1)}),
@@ -481,6 +471,18 @@ def test_bracket_flips_with_sign_under_the_swap_of_factors():
             for j in range(g.rep.dim):
                 want = fg.components[i * g.rep.dim + j].scaled((-1) ** t)
                 assert gf.components[j * f.rep.dim + i] == want
+
+
+def test_bracket_refuses_factors_that_are_not_T_consistent(reg):
+    # E4's components read as a rho_zeta form: rho(T) = zeta_3 but every exponent
+    # is an integer, so the evaluator would keep no exponent and answer 0
+    e4 = eisenstein(4, 6)
+    f = AholForm.holomorphic(4, reg.get("rho_zeta"), e4.components)
+    assert not check_T_consistency(f)
+    assert tensor_form(f, f).components[0].coeff(1) == 480
+    for x, y in ((f, f), (f, e4), (e4, f)):
+        with pytest.raises(ValueError, match="T-consistent"):
+            rankin_cohen(x, y, 0)
 
 
 def test_bracket_rejects_binomials_with_a_negative_top():

@@ -29,7 +29,7 @@ from vvmf.reps import Rep, RepRegistry, builtin_registry, hom_space, trivial_rep
 
 def one_form(prec) -> AholForm:
     """The constant 1 in weight 0, the identity of the product."""
-    return AholForm.holomorphic(0, trivial_rep(), (QExp.constant(1, prec),), name="1")
+    return AholForm.holomorphic(0, trivial_rep(), (QExp(1, prec, {0: 1}),), name="1")
 
 
 @pytest.fixture(scope="module")
