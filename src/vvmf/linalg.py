@@ -1,12 +1,14 @@
 """Exact linear algebra over cyclotomic fields; arithmetic skips zeros.
 
 Everything is deterministic and goes through one elimination kernel,
-`_rref_inplace`: sparse fraction-free Gauss-Jordan on integer coordinates
-of {column: nonzero} rows, with a per-column index of the rows that are
+`_eliminate`: sparse fraction-free Gauss-Jordan on integer coordinates of
+{column: nonzero} rows, with a per-column index of the rows that are
 nonzero there.  In each column the pivot is the unused row with the fewest
-nonzeros (lowest position on ties); arithmetic is exact, so there are no
-magnitude heuristics, and the output is the unique RREF, pivot rows first
-in pivot order, so equal subspaces have equal bases.  A `Matrix`, and so
+nonzeros (lowest position on ties), made a positive integer; arithmetic is
+exact, so there are no magnitude heuristics, and the output is the unique
+RREF, pivot rows first in pivot order, so equal subspaces have equal bases.
+`_rref_inplace` runs it between `CycNum` rows and coordinates, and
+`kernel_of_rows` reduces its kernel in those coordinates too.  A `Matrix`, and so
 a `Subspace` basis, holds its rows in that form: arithmetic and
 eliminations touch nonzero entries only; dense callers convert with
 `sparse_row` and `dense_row`.
@@ -258,35 +260,61 @@ def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
     """Reduce sparse rows in place to RREF; returns the pivot columns.
 
     Rows are dicts {column: nonzero CycNum}; only columns before stop_col are
-    pivot candidates.  Runs fraction-free Gauss-Jordan (E. H. Bareiss, Math.
-    Comp. 22, 1968) on integer coordinates at n, the lcm of the entries'
-    conductors (over Q when every entry is rational), over a column index of
-    the rows that are nonzero there.  The pivot of each column is the unused
-    row with the fewest nonzeros, lowest position on ties (H. M. Markowitz,
-    Management Sci. 3, 1957); its row is multiplied by the other Galois
-    conjugates of a pivot that is not rational, making it an integer N.
-    Each indexed row with entry f there becomes (N/g) row - (f/g) pivot row,
-    g = gcd(N, f), divided by its content if N/g != 1 (only scaling
-    compounds a content); an entry that cancels leaves its row and the
-    index.  Every row stays a nonzero multiple of the row that division by
-    each pivot gives; each pivot row is divided by its pivot once, on exit.
+    pivot candidates.  The rows go to integer coordinates (`_to_coordinates`),
+    `_eliminate` reduces them over positive integer pivots, and each entry
+    becomes a `CycNum` once, over its row's pivot (`_from_coordinates`).
 
     On return rows holds the pivot rows in pivot order, then the other rows
     in input order, each up to a nonzero rational factor and empty before
-    stop_col; entries are at n.  When the other rows are empty (always so
-    for stop_col == ncols) the pivot rows are the unique RREF; otherwise
-    their columns from stop_col on are fixed only modulo the other rows, and
-    callers treat that as inconsistent.
+    stop_col; entries are at n, the lcm of the entries' conductors.  When the
+    other rows are empty (always so for stop_col == ncols) the pivot rows are
+    the unique RREF; otherwise their columns from stop_col on are fixed only
+    modulo the other rows, and callers treat that as inconsistent.
     """
-    if stop_col is None:
-        stop_col = ncols
+    out, n, pad = _to_coordinates(rows)
+    pivots = _eliminate(rows, ncols if stop_col is None else stop_col, n)
+    _from_coordinates(rows, pivots, out, n, pad)
+    return pivots
+
+
+def _to_coordinates(rows: list) -> tuple:
+    """Rewrite each row in place as integer coordinates over one denominator,
+    at n: an int per entry for n = 1, else phi(n) ints.  Returns (out, n, pad):
+    out is the lcm of the entries' conductors, n is out unless every entry is
+    rational (then 1, whatever conductor they are at), and pad lifts n = 1
+    coordinates to out."""
     cells = [x for row in rows for x in row.values()]
     out = math.lcm(*{x.n for x in cells})
     pad = (0,) * (euler_phi(out) - 1)
-    # rational entries are reduced as ints, whatever conductor they are at
     n = out if out > 1 and any(any(x.num[1:]) for x in cells) else 1
+    for row in rows:
+        d = math.lcm(*[x.den for x in row.values()])
+        for j, x in row.items():
+            num, k = x.num, d // x.den
+            if n > 1 and x.n != n:
+                num = num + pad if x.n == 1 else x.lift(n).num
+            row[j] = num[0] * k if n == 1 else tuple(map(k.__mul__, num))
+    return out, n, pad
+
+
+def _eliminate(rows: list, stop_col: int, n: int) -> list:
+    """Fraction-free Gauss-Jordan (E. H. Bareiss, Math. Comp. 22, 1968) on
+    rows of integer coordinates at n, in place; returns the pivot columns.
+
+    A column index lists the rows that are nonzero there.  The pivot of each
+    column before stop_col is the unused row with the fewest nonzeros, lowest
+    position on ties (H. M. Markowitz, Management Sci. 3, 1957).  A pivot
+    that is not rational has its row multiplied by its other Galois
+    conjugates, and a negative one has its row negated, so that every pivot
+    is a positive integer N.  Each indexed row with entry f there becomes
+    s row - (f/g) pivot row, s = N/g, g = gcd(N, f); s = 1 whenever N
+    divides f, and only s != 1 compounds a content, which is then divided
+    out.  An entry that cancels leaves its row and the index.  Every row
+    stays a positive multiple of the row that division by each pivot gives,
+    so pivots stay positive.  Rows end up as pivot rows in pivot order, then
+    the other rows in input order.
+    """
     zero = 0 if n == 1 else (0,) * euler_phi(n)
-    _to_coordinates(rows, n, pad)
     where = [set() for _ in range(stop_col)]
     for i, row in enumerate(rows):
         for j in row:
@@ -296,7 +324,7 @@ def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
     for c in range(stop_col):
         if len(order) == len(rows):
             break
-        p = min((i for i in where[c] if not used[i]), key=lambda i: (len(rows[i]), i), default=None)
+        p = min(((len(rows[i]), i) for i in where[c] if not used[i]), default=(0, None))[1]
         if p is None:
             continue
         prow = rows[p]
@@ -306,6 +334,9 @@ def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
                 prow[j] = _mul_num(n, conj, y)
             _divide_content(prow, n)
         big = prow[c] if n == 1 else prow[c][0]
+        if big < 0:
+            _scale(prow, n, -1)
+            big = -big
         rest = [(j, y) for j, y in prow.items() if j != c]
         for i in where[c]:
             if i == p:
@@ -337,25 +368,16 @@ def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:
         order.append(p)
         pivots.append(c)
     rows[:] = [rows[i] for i in order] + [row for i, row in enumerate(rows) if not used[i]]
-    for row, c in zip_longest(rows, pivots):
-        den = 1 if c is None else row[c] if n == 1 else row[c][0]
-        if den < 0:
-            _scale(row, n, -1)
-        for j, x in row.items():
-            row[j] = _make(out, (x,) + pad if n == 1 else x, abs(den))
     return pivots
 
 
-def _to_coordinates(rows: list, n: int, pad: tuple) -> None:
-    """Rewrite each row in place as integer coordinates at conductor n over one
-    denominator: an int per entry for n = 1, else phi(n) ints (pad lifts n = 1)."""
-    for row in rows:
-        d = math.lcm(*[x.den for x in row.values()])
+def _from_coordinates(rows: list, pivots: list, out: int, n: int, pad: tuple) -> None:
+    """Rewrite rows of integer coordinates at n in place as `CycNum`s at out,
+    each pivot row divided by its (positive) pivot."""
+    for row, c in zip_longest(rows, pivots):
+        den = 1 if c is None else row[c] if n == 1 else row[c][0]
         for j, x in row.items():
-            num, k = x.num, d // x.den
-            if n > 1 and x.n != n:
-                num = num + pad if x.n == 1 else x.lift(n).num
-            row[j] = num[0] * k if n == 1 else tuple(map(k.__mul__, num))
+            row[j] = _make(out, (x,) + pad if n == 1 else x, den)
 
 
 @lru_cache(maxsize=1024)
@@ -379,20 +401,36 @@ def _divide_content(row: dict, n: int) -> None:
 
 
 def kernel_of_rows(rows: list, ncols: int) -> "Subspace":
-    """Right kernel of the matrix with these sparse rows; reduces the rows in place.
+    """Right kernel of the matrix with these sparse rows, which it overwrites.
 
-    The kernel vector of a free column f is e_f minus, at each pivot column,
-    the pivot row's entry in column f.
+    The rows are eliminated in integer coordinates (`_eliminate`), and the
+    kernel vector of each free column f is made there: over the lcm m of the
+    pivots N of the pivot rows that are nonzero in column f, it is m e_f
+    minus (m/N) times that entry at each such row's pivot column.  These
+    vectors are reduced to RREF in the same coordinates, and become `CycNum`s
+    once: at the lcm of the rows' conductors when some kernel vector has an
+    entry at a pivot column, else at conductor 1.
     """
-    pivots = _rref_inplace(rows, ncols)
-    one = CycNum.one()
-    basis = {j: {j: one} for j in range(ncols)}
+    out, n, pad = _to_coordinates(rows)
+    pivots = _eliminate(rows, ncols, n)
+    if not any(len(row) > 1 for row in rows[: len(pivots)]):
+        out, n, pad = 1, 1, ()  # every kernel vector is a unit vector
+    terms = {j: [] for j in range(ncols)}
     for row, pc in zip(rows, pivots):
-        del basis[pc]
+        del terms[pc]
+        big = row.pop(pc) if n == 1 else row.pop(pc)[0]
         for j, x in row.items():
-            if j != pc:
-                basis[j][pc] = -x
-    return Subspace._from_sparse(ncols, list(basis.values()))
+            terms[j].append((pc, big, x))
+    basis = []
+    for f, t in terms.items():
+        m = math.lcm(*(big for _, big, _ in t))
+        v = {f: m if n == 1 else (m,) + pad}
+        for pc, big, x in t:
+            s = -(m // big)
+            v[pc] = s * x if n == 1 else tuple(map(s.__mul__, x))
+        basis.append(v)
+    _from_coordinates(basis, _eliminate(basis, ncols, n), out, n, pad)
+    return Subspace(_matrix(len(basis), ncols, out, basis))
 
 
 def invert_rows(rows) -> list:

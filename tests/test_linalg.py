@@ -828,3 +828,81 @@ def test_rational_rows_match_the_reference_kernel(monkeypatch):
                            for _ in range(k + 2)) for _ in range(k)]
         _kernels_agree(rows, k + 2, rng.randint(0, k + 2))
     assert seen == {True, False}
+
+
+def two_elimination_kernel(rows: list, ncols: int) -> Subspace:
+    """The kernel as it was built from `CycNum` rows: the RREF of the rows,
+    then e_f minus the pivot rows' entries in column f for each free column
+    f, put in RREF by a second elimination."""
+    pivots = _rref_inplace(rows, ncols)
+    one = CycNum.one()
+    basis = {j: {j: one} for j in range(ncols)}
+    for row, pc in zip(rows, pivots):
+        del basis[pc]
+        for j, x in row.items():
+            if j != pc:
+                basis[j][pc] = -x
+    return Subspace._from_sparse(ncols, list(basis.values()))
+
+
+def _triangular(rng, conductors, cols):
+    """Shuffled rows with a nonzero entry at each of cols and random entries
+    after it: a system of full rank on cols."""
+    rows = [{j: _nonzero_cell(rng, rng.choice(conductors))}
+            | {k: _nonzero_cell(rng, rng.choice(conductors)) for k in cols if k > j
+               and rng.random() < 0.5} for j in cols]
+    return rng.sample(rows, len(rows))
+
+
+@pytest.mark.parametrize("conductors", [(1,), (3,), (4,), (5,), (12,), (1, 3, 4), (3, 5)])
+def test_kernel_in_coordinates_matches_the_two_elimination_kernel(conductors):
+    """Equal bytes, basis conductor and entry conductors, on random systems,
+    their rational patterns, full-rank systems (no kernel) and systems of
+    full rank on some columns (a kernel of unit vectors, at conductor 1)."""
+    rng = random.Random(3500 + sum(conductors) * len(conductors))
+    seen = set()
+    for trial in range(30):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        rows = _system(rng, conductors, nrows, ncols)
+        rational = [{j: as_cyc(x.c[0] or 1).lift(x.n) for j, x in r.items()} for r in rows]
+        full = _triangular(rng, conductors, range(ncols))
+        units = _triangular(rng, conductors, sorted(rng.sample(range(ncols), rng.randint(0, ncols))))
+        for system in (rows, rational, full, units):
+            got = kernel_of_rows([dict(r) for r in system], ncols)
+            want = two_elimination_kernel([dict(r) for r in system], ncols)
+            assert json.dumps(got.basis.to_json()) == json.dumps(want.basis.to_json())
+            assert got.basis.n == want.basis.n
+            assert [{j: x.n for j, x in r.items()} for r in got.basis.nonzeros] == [
+                {j: x.n for j, x in r.items()} for r in want.basis.nonzeros
+            ]
+            joint = math.lcm(*(x.n for r in system for x in r.values()))
+            units = all(len(r) == 1 for r in got.basis.nonzeros)
+            seen.add(("empty" if not got.dim else "units" if units else "vectors", joint > 1))
+    lifted = conductors != (1,)
+    assert seen >= {("empty", lifted), ("units", lifted), ("vectors", lifted)}
+
+
+def test_negative_pivots_are_negated_once_and_never_rescale_rows(monkeypatch):
+    """Rational rows -e_j, e_j and a permutation of the e_j, each with a tail
+    of three random entries: every pivot is -1, so negating each pivot row
+    once makes every update s = 1, with no rescaling and no content pass."""
+    k, rng = 6, random.Random(35)
+    perm = rng.sample(range(k), k)
+
+    def tailed(j, sign):
+        tail = {k + t: as_cyc(rng.choice([-2, -1, 1, 3])) for t in range(3)}
+        return {j: as_cyc(sign)} | tail
+
+    rows = [tailed(j, -1) for j in range(k)] + [tailed(j, 1) for j in range(k)]
+    rows += [tailed(j, 1) for j in perm]
+    calls = {"_scale": 0, "_divide_content": 0}
+    for name in calls:
+
+        def spy(*args, name=name, real=getattr(linalg, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(linalg, name, spy)
+    _kernels_agree(rows, k + 3, k)
+    assert calls["_divide_content"] == 0
+    assert calls["_scale"] <= k

@@ -147,7 +147,7 @@ def test_stacked_hom_solve_matches_kronecker_reference(reg):
         hecke_rep(4, reg.get("rho3")).rep,
         t3.tensor(t3),
         hecke_rep(2, reg.get("rho3")).rep.tensor(reg.get("rho3")),
-    ]
+    ] + [hecke_rep(M, reg.get("triv")).rep for M in range(1, 9)]
     for r in sources:
         for r2 in reg:
             got = hom_fixed_subspace(r, r2)

@@ -29,15 +29,26 @@ SHORT_S = 10
 # a sub-second rung can move by x1.6 between single runs, so it gets more pairs
 SUBSECOND_S = 1
 
+# the End of the residual that decompose leaves of EXPR, digested from the
+# dense JSON of each basis map or, for SPARSE, from its nonzeros alone (the
+# dense JSON of 78 maps of 120 x 120 takes seconds and half a gigabyte);
+# inner_s times the solve alone
 _HOM_RESIDUAL = """
-import hashlib, json
+import hashlib, json, sys, time
 from vvmf.cli import load_bundled_registry, parse_rep_expr
 from vvmf.reps import decompose, hom_space
 reg = load_bundled_registry()
-r = decompose(parse_rep_expr("T5(rho3)*rho3", reg), reg).residual
+r = decompose(parse_rep_expr(EXPR, reg), reg).residual
+start = time.perf_counter()
 basis = hom_space(r, r)
-text = json.dumps([phi.to_json() for phi in basis], sort_keys=True)
+spent = time.perf_counter() - start
+if SPARSE:
+    text = json.dumps([[phi.n, [sorted((j, x.to_json()) for j, x in row.items()) for row in phi.nonzeros]]
+                       for phi in basis])
+else:
+    text = json.dumps([phi.to_json() for phi in basis], sort_keys=True)
 print(r.dim, len(basis), hashlib.sha256(text.encode()).hexdigest())
+print(f"# inner_s={spent:.4f}", file=sys.stderr)
 """
 
 # the 44 span_contains queries of perfbench's vv-product workload at seed 1
@@ -125,7 +136,10 @@ RUNGS = {
     "induced-types-rho3": ["python3", "-c", _INDUCED_RHO3],
     "decompose-T3T3rho3": CLI + ["decompose", "--rep", "T3(rho3)*T3(rho3)*rho3"],
     "decompose-T8T2": CLI + ["decompose", "--rep", "T8(rho3)*T2(rho3)"],
-    "hom-residual-T5rho3": ["python3", "-c", _HOM_RESIDUAL],
+    "hom-residual-T5rho3": ["python3", "-c", 'EXPR, SPARSE = "T5(rho3)*rho3", False' + _HOM_RESIDUAL],
+    # the stretch case of splitting a residual: dim End 78
+    "hom-residual-T3T3rho3": ["python3", "-c",
+                              'EXPR, SPARSE = "T3(rho3)*T3(rho3)", True' + _HOM_RESIDUAL],
     # the largest Rankin-Cohen bracket of the verify jobs: t = 5 on 4 x 4 components
     "thm11-k20": CLI + ["verify", "thm11", "--k", "20", "--l", "4", "--l2", "6",
                         "--indices", "1,2,3", "--format", "json"],
