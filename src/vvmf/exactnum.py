@@ -157,8 +157,7 @@ def _multiplication(cond: int, num: tuple, n: int) -> list:
     for num at conductor cond and n | cond: M takes an element of Q(zeta_n)
     to num times it."""
     step = cond // n
-    cols = [_embed(num, 1, l * step, cond) for l in range(euler_phi(n))]
-    return [[col[i] for col in cols] for i in range(len(num))]
+    return list(zip(*[_embed(num, 1, l * step, cond) for l in range(euler_phi(n))]))
 
 
 @lru_cache(maxsize=None)

@@ -36,10 +36,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .ahol import AholForm, _image_name, _images, lower_op, raise_op
-from .exactnum import CycNum, _multiplication, divisors, euler_phi
-from .linalg import Matrix, Subspace, invert_rows, sparse_row
+from .exactnum import _lift_num, _mul_num, _multiplication, divisors, euler_phi
+from .linalg import Matrix, Subspace, sparse_row
 from .qexp import InsufficientPrecision, _lifted, _pack
 from .reps import RepRegistry, hom_space, require_same_content
 
@@ -70,19 +71,20 @@ class FormSpan:
         gens = self.grading.setdefault(key, [])
         if gens:
             require_same_content(gens[0][0].rep, form.rep)
-        forms = [f for f, _ in gens]
-        state = self._state(key, forms, _row_layout(forms + [form]))
-        if len(state.forms) < len(forms) or not state.push(form):
+        state = self._state(key, form)
+        if len(state.forms) < len(gens) or not state.push(form):
             return False
         self._pivots[key] = state
         gens.append((form, provenance or form.name))
         return True
 
-    def _state(self, key, forms, layout) -> "_Pivots":
-        """The grade's pivot state, rebuilt from forms when its layout differs."""
+    def _state(self, key, f, prec=None) -> "_Pivots":
+        """The grade's pivot state at the layout of its generators and f; the
+        stored one (at the generators' own layout) or one rebuilt from them."""
         state = self._pivots.get(key)
+        layout = _row_layout([f], prec, state and state.layout)
         if state is None or state.layout != layout:
-            state = _Pivots(layout, forms)
+            state = _Pivots(layout, [g for g, _ in self.grading[key]])
         return state
 
     def grades(self) -> list:
@@ -105,7 +107,8 @@ class FormSpan:
         forms = [f for f, _ in gens]
         layout = _row_layout(forms, prec)
         bound = _bound(layout)
-        rows = [_columns(_block_terms(f, layout), bound) for f in forms]
+        rows = [{b * bound + t: c for b, terms in enumerate(_block_terms(f, layout, bound))
+                 for t, c in terms} for f in forms]
         return Subspace._from_sparse((layout[3] + 1) * layout[2] * bound, rows).basis
 
     def __repr__(self):
@@ -133,8 +136,9 @@ class _Pivots:
     """Incremental rank state of the span of forms at one row layout.
 
     forms are independent generators, pivots one column per form, and inv
-    the sparse rows of the inverse of their block G|P, or None until the
-    next read needs it.  v - (v|P . inv) . G is zero iff v is in the span.
+    the inverse of their block G|P as (n, d, rows), sparse rows of integer
+    coordinates at n over one denominator d, or None until a read needs it.
+    v - (v|P . inv) . G is zero iff v is in the span.
 
     Rows are never built.  A row is one block of `bound` columns per series
     (layer r, component i).  blocks[j] is (n_j, pairs) for forms[j], n_j the
@@ -146,9 +150,10 @@ class _Pivots:
     first read at that width.  A read lifts block b onto pairs the first
     time it combines it, and a read against no generator lifts nothing.
 
-    A read takes c = (v|P) . inv at the lcm N of n_v and every n_j, and
-    walks the blocks in column order over one list of terms: v with scalar
-    1 at n_v, then each g_j with scalar -c_j.  Coordinate i of Lambda * (v -
+    A read looks v|P up in v's series, takes the numerators of c = (v|P) .
+    inv in integer coordinates at the lcm N of n_v and every n_j, and walks
+    the blocks in column order over one list of terms: v with scalar 1 at
+    n_v, then each g_j with scalar -c_j.  Coordinate i of Lambda * (v -
     sum_j c_j g_j) on a block is the int sum over the terms t whose block is
     nonzero of sum_l m_t M_t[i][l] P_{t,l}: M_t takes the coordinates of an
     element of Q(zeta_{n_t}) to those of t's scalar numerator times it in
@@ -159,47 +164,61 @@ class _Pivots:
     coordinate, plus the bit length of the number of products per
     coordinate.  Every slot of the result is then below 2^width in absolute
     value, so a nonzero result's first nonzero slot is its lowest set bit
-    // width.  The read stops at the first nonzero block, at the least such
-    slot over its coordinates.
+    // width.  The read stops at the first nonzero block.
     """
 
-    __slots__ = ("layout", "forms", "pivots", "inv", "blocks")
+    __slots__ = ("layout", "bound", "forms", "pivots", "inv", "blocks")
 
     def __init__(self, layout, forms=()):
-        self.layout, self.forms, self.pivots, self.inv, self.blocks = layout, [], [], [], []
+        self.layout, self.bound = layout, _bound(layout)
+        self.forms, self.pivots, self.inv, self.blocks = [], [], None, []
         for f in forms:
             self.push(f)
 
     def read(self, f: AholForm):
         """(the first nonzero column of v - (v|P . inv) . G or None, (n_v,
         the (g, packs) pairs of the blocks of f's row v that it lifted))."""
-        bound, terms = _bound(self.layout), _block_terms(f, self.layout)
-        n_v = math.lcm(*(c.n for block in terms for _, c in block))
-        v, own = _columns(terms, bound), []
+        layout, bound, own = self.layout, self.bound, []
+        terms = _block_terms(f, layout, bound)
+        n_v = math.lcm(*{c.n for block in terms for _, c in block})
         if not self.forms:
-            return min(v, default=None), (n_v, own)
+            first = (b * bound + t for b, block in enumerate(terms) for t, _ in block)
+            return min(first, default=None), (n_v, own)
         if self.inv is None:
-            block = [sparse_row(map(_columns(_block_terms(g, self.layout), bound).get, self.pivots))
-                     for g in self.forms]
-            self.inv = invert_rows(block)
-        a = [(i, x) for i, p in enumerate(self.pivots) if (x := v.get(p))]
-        cond = math.lcm(n_v, *(n for n, _ in self.blocks))
-        # the terms of v - sum_j c_j g_j: v with scalar 1, then g_j with -c_j
-        scalars = [(CycNum.one(), f, n_v, own)]
+            inv = Matrix.from_nonzeros(len(self.forms), [sparse_row(_at(
+                _block_terms(g, layout, bound), self.pivots, bound)) for g in self.forms]).inverse()
+            d = math.lcm(*(x.den for row in inv.nonzeros for x in row.values()))
+            self.inv = inv.n, d, [{j: tuple([y * (d // x.den) for y in x.num]) for j, x in row.items()}
+                                  for row in inv.nonzeros]
+        n_inv, den, inv = self.inv
+        cond = math.lcm(n_v, n_inv, *(n for n, _ in self.blocks))
+        phi = euler_phi(cond)
+        # v|P in integer coordinates at cond over lam; c over den = d * lam
+        a = [(i, x) for i, x in enumerate(_at(terms, self.pivots, bound)) if x is not None]
+        lam = math.lcm(*(x.den for _, x in a))
+        a = [(inv[i], tuple([y * (lam // x.den) for y in _lift_num(x.num, x.n, cond)]))
+             for i, x in a]
+        den *= lam
+        # the terms of v - sum_j c_j g_j, v with scalar 1, then g_j with -c_j,
+        # each as den(scalar), M, the bit length of M's largest entry, its
+        # form, n, its blocks
+        mults = [(1, *_lift_matrix(cond, n_v), f, n_v, own)]
         for j, (n, pairs) in enumerate(self.blocks):
-            c = sum((x * self.inv[i][j] for i, x in a if j in self.inv[i]), CycNum.zero())
-            if c:
-                scalars.append((-c, self.forms[j], n, pairs))
-        # per term: den(scalar), M, the bit length of M's largest entry, its form, n, its blocks
-        mults = [(c.den, m, _bits(m), g, n, pairs) for c, g, n, pairs in scalars
-                 for m in [_multiplication(cond, c.lift(cond).num, n)]]
-        for b in range(len(terms)):
+            c = [0] * phi
+            for row, x in a:
+                if y := row.get(j):
+                    c = [u + w for u, w in zip(c, _mul_num(cond, x, _lift_num(y, n_inv, cond)))]
+            if any(c):
+                g = math.gcd(den, *c)
+                m = _multiplication(cond, [-x // g for x in c], n)
+                mults.append((den // g, m, _bits(m), self.forms[j], n, pairs))
+        for b, block in enumerate(terms):
             # per term with a nonzero block b: den(scalar) d_b, M, the bits of M times it, it
             live = []
             for d, m, bits, g, n, pairs in mults:
                 if b == len(pairs):
-                    block = _series_terms(g, self.layout, b)
-                    pairs.append((_lifted(block, n) if block else None, {}))
+                    got = block if g is f else _series_terms(g, layout, b, bound)
+                    pairs.append((_lifted(got, n) if got else None, {}))
                 if group := pairs[b][0]:
                     live.append((d * group.den, m, bits + group.big.bit_length(), pairs[b]))
             if not live:
@@ -211,7 +230,7 @@ class _Pivots:
             width = 1 << max(6, (need + count.bit_length() - 1).bit_length())
             scaled = [(lam // d, m, _packs(pair, width)) for d, m, _, pair in live]
             low = None
-            for i in range(euler_phi(cond)):
+            for i in range(phi):
                 y = 0
                 for s, m, ints in scaled:
                     z = sum(x * p for x, p in zip(m[i], ints) if x)
@@ -239,12 +258,15 @@ class _Pivots:
         return True
 
 
-def _row_layout(forms, prec=None):
-    """(prec, lattice, type dimension, depth) of rows; prec defaults to the
-    lowest stored precision and may not exceed it."""
+def _row_layout(forms, prec=None, base=None):
+    """(prec, lattice, type dimension, depth) of rows of forms and of the
+    forms whose layout at their lowest precision is base; prec defaults to
+    the lowest stored precision and may not exceed it."""
     h = math.lcm(*(q.h for f in forms for layer in f.graded for q in layer))
     depth = max(f.depth for f in forms)
     low = min(f.prec for f in forms)
+    if base:
+        low, h, depth = min(low, base[0]), math.lcm(h, base[1]), max(depth, base[3])
     if prec is None:
         prec = low
     elif low < prec:
@@ -253,28 +275,31 @@ def _row_layout(forms, prec=None):
 
 
 def _bound(layout) -> int:
-    """Columns per block: the exponents n/h below prec."""
-    return math.ceil(Fraction(layout[0]) * layout[1])
+    """Columns per block: the exponents n/h below prec, ceil(prec * h)."""
+    p, q = layout[0].as_integer_ratio()
+    return -(-p * layout[1] // q)
 
 
-def _block_terms(f: AholForm, layout) -> list:
+def _block_terms(f: AholForm, layout, bound: int) -> list:
     """Per block (layer r, component i) of f's row, its (column, coefficient) terms."""
-    return [_series_terms(f, layout, b) for b in range((layout[3] + 1) * layout[2])]
+    return [_series_terms(f, layout, b, bound) for b in range((layout[3] + 1) * layout[2])]
 
 
-def _series_terms(f: AholForm, layout, b: int) -> list:
+def _series_terms(f: AholForm, layout, b: int, bound: int) -> list:
     """The (column, coefficient) terms of block b = r * dim + i of f's row."""
     r, i = divmod(b, layout[2])
     if r > f.depth:
         return []
-    q, bound = f.graded[r][i], _bound(layout)
+    q = f.graded[r][i]
     step = layout[1] // q.h
     return [(n * step, c) for n, c in q.terms.items() if n * step < bound]
 
 
-def _columns(blocks: list, bound: int) -> dict:
-    """{column: coefficient} of a row given by its `_block_terms`."""
-    return {b * bound + t: c for b, terms in enumerate(blocks) for t, c in terms}
+def _at(terms: list, columns: list, bound: int) -> list:
+    """The entries at columns of a row given by its `_block_terms`, None for
+    zero; only the blocks that hold the columns are looked up."""
+    blocks = {b: dict(terms[b]) for b in {p // bound for p in columns}}
+    return [blocks[p // bound].get(p % bound) for p in columns]
 
 
 def _packs(pair, width: int) -> list:
@@ -284,6 +309,13 @@ def _packs(pair, width: int) -> list:
     if width not in packs:
         packs[width] = _pack(g.rows, g.top, width // 8)
     return packs[width]
+
+
+@lru_cache(maxsize=64)
+def _lift_matrix(cond: int, n: int) -> tuple:
+    """(M, `_bits` of M) for the scalar 1: M lifts coordinates from n | cond to cond."""
+    m = _multiplication(cond, _lift_num((1,), 1, cond), n)
+    return m, _bits(m)
 
 
 def _bits(m: list) -> int:
@@ -412,6 +444,7 @@ def _tensor_name(f: AholForm, g: AholForm) -> str:
     return f"({f.name} (x) {g.name})" if f.name and g.name else ""
 
 
+@lru_cache(maxsize=64)
 def congruence_index(level: int) -> int:
     """Index of the principal congruence subgroup of the given level:
     N^3 prod(1 - p^-2) over the primes p dividing N."""
@@ -453,6 +486,4 @@ def span_contains(span: FormSpan, f: AholForm, prec_used) -> bool:
         return True
     if not gens:
         return False
-    forms = [g for g, _ in gens]
-    state = span._state(key, forms, _row_layout(forms + [f], prec_used))
-    return state.read(f)[0] is None
+    return span._state(key, f, prec_used).read(f)[0] is None

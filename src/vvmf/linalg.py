@@ -226,7 +226,10 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: [{body}])"
 
     def to_json(self):
-        return [[x.to_json() for x in self.row(i)] for i in range(self.rows)]
+        """Rows of entry JSON; every zero entry is one shared dict, made once."""
+        zero = CycNum.zero().lift(self.n).to_json()
+        return [[row[j].to_json() if j in row else zero for j in range(self.cols)]
+                for row in self.nonzeros]
 
     @staticmethod
     def from_json(obj) -> "Matrix":

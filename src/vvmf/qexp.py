@@ -416,14 +416,11 @@ def _lifted(group: list, cond: int) -> _Group:
     """The (n, x) terms, each x.n dividing cond, lifted together to cond over
     one denominator at the integer level: the form `combine_terms` packs and
     `hyperalg` stores, each term by `exactnum._lift_num`."""
-    den, rows = math.lcm(*(x.den for _, x in group)), []
-    for n, x in group:
-        num = _lift_num(x.num, x.n, cond)
-        if x.den != den:
-            num = tuple([a * (den // x.den) for a in num])
-        rows.append((n, num))
+    den = math.lcm(*{x.den for _, x in group})
+    rows = [(n, _lift_num(x.num, x.n, cond) if x.den == den else
+             tuple([a * (den // x.den) for a in _lift_num(x.num, x.n, cond)])) for n, x in group]
     big = max(map(abs, chain.from_iterable([v for _, v in rows])), default=0)
-    return _Group(rows, den, big, max((n for n, _ in rows), default=0))
+    return _Group(rows, den, big, max(rows)[0] if rows else 0)
 
 
 def _pack(rows: list, top: int, width: int) -> list:

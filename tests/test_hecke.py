@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from vvmf.ahol import AholForm, apply_intertwiner, lower_op, raise_op
+from vvmf.ahol import AholForm, _images, apply_intertwiner, lower_op, raise_op
 from vvmf.exactnum import CycNum
-from vvmf.forms import delta_form, eisenstein
+from vvmf.forms import delta_form, eisenstein, vv_eisenstein
 from vvmf.hecke import (
     DeltaCoset,
     _matrix_order,
@@ -21,6 +21,7 @@ from vvmf.hecke import (
     unit_embedding,
 )
 from vvmf.linalg import Matrix
+from vvmf.qexp import QExp
 from vvmf.reps import Rep, builtin_registry, is_intertwiner, trivial_rep
 
 S = ((0, -1), (1, 0))
@@ -654,3 +655,85 @@ def test_t_consistency_of_hecke_images(reg):
     for M in (2, 3, 4):
         out = hecke_form(M, eisenstein(4, 4 * M))
         assert check_T_consistency(out), M
+
+
+# -- the Hecke relations T_m T_n = T_mn and T_p T_p = T_p^2 + p iota ------------
+# Component (a, b) of T_m(T_n f), a in Delta_m the outer coset and b in Delta_n
+# the inner one, is f | b a, and b a = gamma c with (c, gamma) =
+# reduce_to_coset(b a), so f | b a = rho(gamma) (f | c).  The map built from
+# reduce_to_coset alone therefore ties hecke_form and hecke_rep together.
+
+
+def coset_product_map(m, n, r, block=Matrix.inverse, swap=False):
+    """(Phi, source, target): Phi sends block (a, b) of T_m(T_n r) to block c
+    of T_mn r, reduce_to_coset(b a) = (c, gamma), with block(rho(gamma)),
+    rho(gamma)^-1 by default; swap exchanges the targets of the first two
+    blocks (a control)."""
+    inner, whole = hecke_rep(n, r), hecke_rep(m * n, r)
+    outer = hecke_rep(m, inner.rep)
+    index = {c: i for i, c in enumerate(whole.cosets)}
+    moves = [reduce_to_coset(mul2(b.mat, a.mat)) for a in outer.cosets for b in inner.cosets]
+    if swap:
+        moves[:2] = moves[1::-1]
+    rows = [{} for _ in range(whole.rep.dim)]
+    for src, (c, gamma) in enumerate(moves):
+        for i, row in enumerate(block(r.evaluate(gamma)).nonzeros):
+            rows[index[c] * r.dim + i].update((src * r.dim + j, x) for j, x in row.items())
+    return Matrix.from_nonzeros(outer.rep.dim, rows), outer.rep, whole.rep
+
+
+def composed_image(m, n, f, **control) -> AholForm:
+    """Phi_{m,n}(T_m(T_n f)) - T_mn f, at the precision the two share."""
+    phi, source, target = coset_product_map(m, n, f.rep, **control)
+    twice = hecke_form(m, hecke_form(n, f))
+    assert twice.rep is source
+    return _images(twice, None, [(phi, target)], "")[0] + hecke_form(m * n, f).scaled(-1)
+
+
+@pytest.fixture(scope="module")
+def hecke_relation_forms(reg):
+    rho3 = reg.get("rho3")
+    return {"E4": eisenstein(4, 30), "Delta": delta_form(30),
+            "rho3": vv_eisenstein(4, rho3, 3, 30).generators((4, "rho3"))[0][0]}
+
+
+@pytest.mark.parametrize("name, m, n", [
+    ("E4", 2, 3), ("E4", 3, 4), ("E4", 5, 2), ("Delta", 3, 2), ("Delta", 2, 5), ("Delta", 4, 3),
+    ("rho3", 2, 3), ("rho3", 3, 2), ("rho3", 2, 5),
+])
+def test_coprime_hecke_operators_compose(hecke_relation_forms, name, m, n):
+    f = hecke_relation_forms[name]
+    phi, source, target = coset_product_map(m, n, f.rep)
+    assert is_intertwiner(phi, source, target)
+    diff = composed_image(m, n, f)
+    assert diff.is_zero() and min(q.prec for q in diff.graded[0]) >= 2
+
+
+@pytest.mark.parametrize("name", ["E4", "Delta", "rho3"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_hecke_square_is_the_next_power_plus_p_times_the_diagonal_coset(
+        hecke_relation_forms, name, p):
+    # T_p T_p f = T_{p^2} f + p iota(f): the p + 1 pairs (a, b) with b a in
+    # Gamma p I all land on the coset p I, where T_{p^2} f has f once; p = 3
+    # divides the level of rho3
+    f = hecke_relation_forms[name]
+    phi, source, target = coset_product_map(p, p, f.rep)
+    assert is_intertwiner(phi, source, target)
+    cosets = hecke_rep(p * p, f.rep).cosets
+    at = cosets.index(DeltaCoset(1, ((p, 0), (0, p)), p * p))
+    iota = [f.graded[0][i] if c == at else QExp.zero(f.prec) for c in range(len(cosets))
+            for i in range(f.rep.dim)]
+    diff = composed_image(p, p, f) + AholForm.holomorphic(f.weight, target, iota).scaled(-p)
+    assert diff.is_zero() and min(q.prec for q in diff.graded[0]) >= 2
+    assert not composed_image(p, p, f).is_zero()
+
+
+@pytest.mark.parametrize("control", [{"block": lambda g: g}, {"swap": True}])
+def test_the_coset_product_map_controls_fail(hecke_relation_forms, control):
+    # rho(gamma) in place of rho(gamma)^-1 intertwines only where every block
+    # is scalar, so the control needs rho3; a swap of two targets breaks both
+    f = hecke_relation_forms["rho3"]
+    for m, n in ((2, 3), (3, 2)):
+        phi, source, target = coset_product_map(m, n, f.rep, **control)
+        assert not is_intertwiner(phi, source, target)
+        assert not composed_image(m, n, f, **control).is_zero()

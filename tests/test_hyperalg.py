@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -894,3 +895,73 @@ def test_a_first_add_to_an_empty_grade_takes_the_scan_pivot_and_lifts_nothing(re
         assert state.blocks == [(n, [])]
     # block 1 of the rho3 form starts at column 6 (exponents n/3 below 2); its first term is q^(2/3)
     assert state.pivots == [6 + 2]
+
+
+# -- the read path against the grade's RREF -----------------------------------
+
+
+def test_the_bound_is_the_ceiling_of_prec_times_the_lattice():
+    precs = [1, 6, 33, Fraction(33), Fraction(5, 2), Fraction(7, 3), Fraction(1, 6), Fraction(100, 7)]
+    for prec in precs:
+        for h in (1, 2, 3, 6, 12, 35):
+            assert hyperalg._bound((prec, h, 1, 0)) == math.ceil(Fraction(prec) * h), (prec, h)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_span_contains_agrees_with_member_on_the_grade_rows(reg, seed):
+    # a rho3 grade of forms over Q and over Q(zeta3), so conductors 1 and 3
+    # in one grade, of depths 0 and 1 on lattices 1 and 3; read at the
+    # grade's own precision 6 and at 5, where the state is rebuilt from the
+    # generators on each read
+    rng, rho3, key = random.Random(seed), reg.get("rho3"), (2, "rho3")
+    pool = [_random_form(rng, 2, rho3, n, (1, 3), 6, depth)
+            for n, depth in ((1, 0), (3, 1), (1, 1), (3, 0))]
+    span = FormSpan.of(*pool[:3])
+    gens = [g for g, _ in span.generators(key)]
+    assert len(gens) == 3
+    assert {c.n for g in gens for layer in g.graded for q in layer for c in q.terms.values()} == {1, 3}
+
+    def scalar(n):
+        return CycNum(n, [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(max(n - 1, 1))])
+
+    seen = set()
+    for prec in (6, 5):
+        layout = hyperalg._row_layout(gens, prec)
+        assert layout == (prec, 3, 3, 1)
+        basis = Subspace(span.grade_rows(key, prec))
+        for i in range(8):
+            n = rng.choice((1, 3))
+            f = pool[0].scaled(scalar(n)) + pool[1].scaled(scalar(n)) + pool[2].scaled(scalar(n))
+            if i % 2:
+                f = f + pool[3].scaled(CycNum(3, [1, rng.randint(-2, 2)]))
+            member = basis.member(dense_row(f, layout))
+            assert span_contains(span, f, prec) is member, (seed, prec, i)
+            seen.add(member)
+    assert seen == {True, False}
+
+
+def test_the_vv_product_spans_keep_their_bytes_through_a_chain_of_adds(reg, rho3_eisenstein):
+    # per grade of the weight-16 Eisenstein products: every kept generator
+    # but the last, three combinations of them (dependent), then the last;
+    # digests recorded before the read path went to integer coordinates
+    eis = rho3_eisenstein
+    total = span_sum([hyper_tensor(eis[a], eis[b], reg) for a, b in ((4, 12), (6, 10), (8, 8))])
+    span, rng, z = FormSpan(), random.Random(3), CycNum.zeta(3)
+    grew = {}
+    for key in total.grades():
+        gens = total.generators(key)
+        grew[key[1]] = [span.add(form, prov) for form, prov in gens[:-1]]
+        for i in range(3):
+            f = None
+            for g, _ in gens[:-1] or gens:
+                c = rng.randint(-3, 3) + z * rng.randint(-3, 3)
+                f = g.scaled(c) if f is None else f + g.scaled(c)
+            grew[key[1]].append(span.add(f, f"combination {i}"))
+        grew[key[1]].append(span.add(*gens[-1]))
+    # the one-generator grade takes its first combination and no other form
+    assert grew == {"rho3": [True] * 3 + [False] * 3 + [True], "rho_zeta": [True] + [False] * 3 + [True],
+                    "rho_zeta2": [True] + [False] * 3, "triv": [True] + [False] * 3 + [True]}
+    assert span.dimension_signature() == total.dimension_signature()
+    digests = [hashlib.sha256(span_bytes(s).encode()).hexdigest() for s in (span, total)]
+    assert digests == ["057c7c38d2a9464e5543761a15e6feea813551f08092748da3c386a7e142c895",
+                       "b3cd89047c9030e4e686f9e1d3fd12cc1177399a015c70758ecca22d6d49b939"]
