@@ -21,8 +21,9 @@ hashing go through a canonical reduced form instead.
 
 Integer coordinates move between Q(zeta_m) and Q(zeta_n), m | n, by one
 pair of maps shared with the series kernel and the span reads: the lift
-`_lift_num` and the cached left inverse `_lowering`.  `reduce_conductor`
-takes the first divisor whose lowering lifts back to the element.
+`_lift_num` and the one decoder `_lowered`, which applies the cached left
+inverse `_lowering`.  `reduce_conductor` takes the first divisor whose
+lowering lifts back to the element.
 """
 
 from __future__ import annotations
@@ -179,6 +180,15 @@ def _lowering(cond: int, m: int) -> tuple:
     return tuple(tuple(x * d // r[i] for x in r[k:]) for i, r in enumerate(rows)), d
 
 
+def _lowered(cond: int, m: int, num: tuple, den: int) -> "CycNum":
+    """The element num / den at cond, which lies in Q(zeta_m), m | cond, written
+    at m: num itself for m == cond, coordinate 0 for m == 1, else by `_lowering`."""
+    if m == cond or m == 1:
+        return _make(m, num if m == cond else num[:1], den)
+    low, d = _lowering(cond, m)
+    return _make(m, tuple([sum(map(operator.mul, r, num)) for r in low]), den * d)
+
+
 def _mul_num(n: int, x: tuple, y: tuple) -> tuple:
     """Product of two integer coordinate tuples of conductor n."""
     prod = [0] * (len(x) + len(y) - 1)
@@ -253,12 +263,10 @@ class CycNum:
     def reduce_conductor(self) -> "CycNum":
         """Smallest divisor conductor representing the same element: the first
         divisor m, ascending, whose lowering lifts back to this element."""
-        n, num = self.n, self.num
-        for m in divisors(n)[:-1]:
-            low, d = _lowering(n, m)
-            coords = tuple([sum(map(operator.mul, r, num)) for r in low])
-            if _lift_num(coords, m, n) == tuple([d * a for a in num]):
-                return _make(m, coords, self.den * d)
+        for m in divisors(self.n)[:-1]:
+            low = _lowered(self.n, m, self.num, self.den)
+            if low.den == self.den and low.lift(self.n).num == self.num:
+                return low
         return self
 
     # -- predicates ----------------------------------------------------

@@ -26,7 +26,7 @@ from itertools import accumulate, repeat
 from types import SimpleNamespace
 
 from .ahol import AholForm, _image_name, _split
-from .exactnum import CycNum, _lowering, _make, _multiplication, _reduce, bernoulli, euler_phi
+from .exactnum import CycNum, _lowered, _make, _multiplication, _reduce, bernoulli, euler_phi
 from .linalg import Matrix
 from .qexp import QExp, _lifted, _series, combine
 from .reps import Rep, trivial_rep
@@ -188,9 +188,7 @@ def _bracket_row(pairs: list, coeffs: list, qrow, kept, cond: int, H: int) -> QE
                     acc[k + l] += sum(map(operator.mul, w, b))
         if any(num := _reduce(cond, acc)):
             m = math.lcm(1, *(k for k, r in hits.items() if r >> n * bits & mask))
-            low, d = _lowering(cond, m)
-            out[n * h // H] = _make(m, tuple([sum(map(operator.mul, r, num)) for r in low]),
-                                    den * H**t * d)
+            out[n * h // H] = _lowered(cond, m, num, den * H**t)
     return _series(h, prec, out)
 
 

@@ -173,14 +173,16 @@ def reduce_to_coset(m):
 
     Returns (rep, gamma) with gamma in the modular group and
     gamma * rep.mat = m.  Hermite-style reduction: clear the lower-left
-    entry by an extended-gcd row operation, fix signs, reduce b mod d.
+    entry by a Bezout row operation, fix signs, reduce b mod d.
     """
     (a, b), (c, d) = m
     det = a * d - b * c
     if det < 1:
         raise ValueError(f"matrix must have positive determinant, got {det}")
     g = math.gcd(a, c)
-    x, y = _ext_gcd(a, c, g)
+    # x a + y c = g, x the inverse of a/g modulo |c|/g
+    x = pow(a // g, -1, abs(c) // g) if c else a // g
+    y = (g - x * a) // c if c else 0
     # U = (x y; -c/g a/g) has det 1 and U m upper triangular
     u = ((x, y), (-c // g, a // g))
     ra, rb = g, x * b + y * d
@@ -188,21 +190,6 @@ def reduce_to_coset(m):
     t = -(rb // rd)  # shift so 0 <= rb + t*rd < rd
     v = ((1, t), (0, 1))
     return DeltaCoset(1, ((ra, rb + t * rd), (0, rd)), det), _inv2(_int_mul(v, u))
-
-
-def _ext_gcd(a: int, c: int, g: int):
-    """x, y with x*a + y*c = g = gcd(a, c) > 0."""
-    old_r, r = a, c
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_x, old_y = -old_x, -old_y
-    return old_x, old_y
 
 
 def _inv2(p):

@@ -193,12 +193,9 @@ class _Pivots:
         n_inv, den, inv = self.inv
         cond = math.lcm(n_v, n_inv, *(n for n, _ in self.blocks))
         phi = euler_phi(cond)
-        # v|P in integer coordinates at cond over lam; c over den = d * lam
-        a = [(i, x) for i, x in enumerate(_at(terms, self.pivots, bound)) if x is not None]
-        lam = math.lcm(*(x.den for _, x in a))
-        a = [(inv[i], tuple([y * (lam // x.den) for y in _lift_num(x.num, x.n, cond)]))
-             for i, x in a]
-        den *= lam
+        # v|P lifted to cond over vp.den (`_lifted`); c over den = d * vp.den
+        vp = _lifted([(i, x) for i, x in enumerate(_at(terms, self.pivots, bound)) if x], cond)
+        a, den = [(inv[i], x) for i, x in vp.rows], den * vp.den
         # the terms of v - sum_j c_j g_j, v with scalar 1, then g_j with -c_j,
         # each as den(scalar), M, the bit length of M's largest entry, its
         # form, n, its blocks

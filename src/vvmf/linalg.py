@@ -219,7 +219,10 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        return _matrix(self.rows, self.cols, self.n, invert_rows(self.nonzeros))
+        try:
+            return self.solve_right(Matrix.identity(self.rows))
+        except ValueError:
+            raise ValueError("matrix is singular") from None
 
     def __repr__(self):
         body = "; ".join(", ".join(map(str, self.row(i))) for i in range(self.rows))
@@ -434,16 +437,6 @@ def kernel_of_rows(rows: list, ncols: int) -> "Subspace":
         basis.append(v)
     _from_coordinates(basis, _eliminate(basis, ncols, n), out, n, pad)
     return Subspace(_matrix(len(basis), ncols, out, basis))
-
-
-def invert_rows(rows) -> list:
-    """The inverse, as sparse rows, of the square matrix with these sparse
-    rows (left unchanged).  ValueError if the matrix is singular."""
-    n, one = len(rows), CycNum.one()
-    aug = [row | {n + i: one} for i, row in enumerate(rows)]
-    if len(_rref_inplace(aug, 2 * n, stop_col=n)) < n:
-        raise ValueError("matrix is singular")
-    return [{j - n: x for j, x in row.items() if j >= n} for row in aug]
 
 
 class Subspace:

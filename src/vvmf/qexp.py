@@ -21,20 +21,19 @@ coefficient has the lcm of the conductors of every term and pair of terms
 that reaches its exponent, even where their sum cancels, a rule that
 depends neither on the algorithm nor on the order of summation.
 Conductors change by the maps of `exactnum`: the lift `_lift_num`, the
-multiplication matrix `_multiplication` and the lowering `_lowering`.
+multiplication matrix `_multiplication` and the lowering `_lowered`.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
 from .exactnum import (
-    CycNum, _embed, _lift_num, _lowering, _make, _mul_num, _multiplication, _reduce, as_cyc,
+    CycNum, _embed, _lift_num, _lowered, _make, _mul_num, _multiplication, _reduce, as_cyc,
     euler_phi, format_rational, json_int, parse_rational,
 )
 
@@ -273,7 +272,7 @@ def combine_terms(rows, empty) -> list:
     every term and pair of terms that reaches its exponent, even where
     their sum cancels; products of narrow 0/1 indicators of each
     conductor's terms decide it, and the coefficient's coordinates are
-    lowered from N to m (m = 1: coordinate 0; else `_lowering`).
+    lowered from N to m (`exactnum._lowered`).
     """
     rows = [[(as_cyc(c), x, y) for c, x, y in row if c] for row in rows]
     parts = [[q for _, x, y in row for q in (x, y) if q is not None] for row in rows]
@@ -385,16 +384,8 @@ def combine_terms(rows, empty) -> list:
         hits = [(k, _low_bytes(r, top * narrow)) for k, r in hits.items()]
         step, coeffs = h // math.lcm(*(q.h for q in qs)), {}
         for n, num in _decode(acc, top, width):
-            m, d = 1, 1
-            for k, hit in hits:
-                if not hit.startswith(blank, n * narrow):
-                    m = math.lcm(m, k)
-            if m == 1:
-                num = num[:1]
-            elif m != cond:
-                low, d = _lowering(cond, m)
-                num = tuple([sum(map(operator.mul, r, num)) for r in low])
-            coeffs[n // step] = _make(m, num, den * d)
+            m = math.lcm(1, *(k for k, hit in hits if not hit.startswith(blank, n * narrow)))
+            coeffs[n // step] = _lowered(cond, m, num, den)
         out.append(_series(h // step, min(q.prec for q in qs), coeffs))
     return out
 

@@ -8,6 +8,7 @@ import pytest
 
 from vvmf.exactnum import (
     CycNum,
+    _lowered,
     _lowering,
     bernoulli,
     cyclotomic_poly,
@@ -298,9 +299,10 @@ def test_conductor_12_elements_lower_to_their_own_field():
 
 def test_lowering_inverts_the_lift_for_every_divisor():
     """For every n <= 60 and m | n, _lowering(n, m) times the reference lift
-    matrix from m to n is d I, and an element built at m and lifted to n
-    reduces to the same value and hash at a conductor dividing m."""
-    rng = random.Random("lowering")
+    matrix from m to n is d I, an element built at m and lifted to n
+    reduces to the same value and hash at a conductor dividing m, and
+    _lowered(n, m, ...) gives it back at m (m == n and m == 1 included)."""
+    rng, again = random.Random("lowering"), random.Random("lowered")
     for n in range(1, 61):
         for m in divisors(n):
             low, d = _lowering(n, m)
@@ -315,6 +317,10 @@ def test_lowering_inverts_the_lift_for_every_divisor():
                 assert m % red.n == 0 and red == x and hash(red) == hash(x), (n, m)
                 own = x.reduce_conductor()
                 assert (red.n, red.num, red.den) == (own.n, own.num, own.den), (n, m)
+            for x in random_elements(again, m, 5)[2:]:
+                up = x.lift(n)
+                back = _lowered(n, m, up.num, up.den)
+                assert (back.n, back.num, back.den) == (m, x.num, x.den), (n, m)
 
 
 def test_lowering_is_the_reference_left_inverse():

@@ -240,6 +240,30 @@ def test_reduce_random_products():
         assert gamma[0][0] * gamma[1][1] - gamma[0][1] * gamma[1][0] == 1
 
 
+def test_reduce_to_coset_on_random_integer_matrices():
+    """On 2,000 integer matrices of positive determinant, entries in [-30, 30]
+    (every tenth with a = 0, every tenth with c = 0): gamma has determinant 1,
+    gamma * rep = m, rep is (a b; 0 d) with a > 0 and 0 <= b < d, and for
+    det <= 40 rep is one of delta_cosets(1, det)."""
+    rng, cosets = random.Random("reduce"), {}
+    for i in range(2000):
+        while True:
+            a, b, c, d = (rng.randint(-30, 30) for _ in range(4))
+            a, c = (0 if i % 10 == 0 else a), (0 if i % 10 == 1 else c)
+            if (det := a * d - b * c) > 0:
+                break
+        m = ((a, b), (c, d))
+        rep, gamma = reduce_to_coset(m)
+        (ra, rb), (rc, rd) = rep.mat
+        assert gamma[0][0] * gamma[1][1] - gamma[0][1] * gamma[1][0] == 1, m
+        assert mul2(gamma, rep.mat) == m and rep.similitude == det, m
+        assert rc == 0 and ra > 0 and 0 <= rb < rd, m
+        if det <= 40:
+            if det not in cosets:
+                cosets[det] = delta_cosets(1, det)
+            assert rep in cosets[det], m
+
+
 def test_cocycle_examples():
     m = delta_cosets(1, 3)[1]  # (1 0; 0 3)
     ident = ((1, 0), (0, 1))

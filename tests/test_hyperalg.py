@@ -23,7 +23,7 @@ from vvmf.hyperalg import (
     sturm_bound,
     tensor_form,
 )
-from vvmf.linalg import Matrix, Subspace, invert_rows, sparse_row
+from vvmf.linalg import Matrix, Subspace, sparse_row
 from vvmf.qexp import InsufficientPrecision, QExp, combine
 from vvmf.reps import Rep, RepRegistry, builtin_registry, hom_space, trivial_rep
 
@@ -531,7 +531,8 @@ def scan_column(layout, forms, pivots, f):
     v = dense_row(f, layout)
     terms = []
     if rows:
-        inv = invert_rows([sparse_row(row[q] for q in pivots) for row in rows])
+        inv = Matrix.from_nonzeros(len(rows), [sparse_row(row[q] for q in pivots)
+                                               for row in rows]).inverse().nonzeros
         a = [(i, v[p]) for i, p in enumerate(pivots) if v[p]]
         for j, row in enumerate(rows):
             c = sum((x * inv[i][j] for i, x in a if j in inv[i]), CycNum.zero())

@@ -12,7 +12,6 @@ from vvmf.linalg import (
     Subspace,
     _rref_inplace,
     dense_row,
-    invert_rows,
     kernel_of_rows,
     sparse_row,
 )
@@ -148,6 +147,28 @@ def test_kron_respects_inverse():
 def test_inverse_errors_on_singular():
     with pytest.raises(ValueError):
         Matrix.from_rows([[1, 2], [2, 4]]).inverse()
+
+
+@pytest.mark.parametrize("conductors", [(1,), (3,), (4,), (12,), (1, 3, 4)])
+def test_inverse_is_two_sided_and_keeps_the_conductor(conductors):
+    """The inverse of a random invertible matrix, entries at the given
+    conductors, is a left and right inverse written at the matrix's
+    conductor; a singular matrix raises ValueError saying so."""
+    rng, made = random.Random(f"inverse/{conductors}"), 0
+    while made < 8:
+        k = rng.randint(1, 5)
+        m = Matrix.from_nonzeros(k, [{j: _nonzero_cell(rng, rng.choice(conductors))
+                                      for j in range(k) if rng.random() < 0.7} for _ in range(k)])
+        if m.kernel().dim:
+            with pytest.raises(ValueError, match="singular"):
+                m.inverse()
+            continue
+        inv = m.inverse()
+        assert m * inv == inv * m == Matrix.identity(k) and inv.n == m.n
+        made += 1
+    z = CycNum.zeta(max(conductors))
+    with pytest.raises(ValueError, match="singular"):
+        Matrix.from_rows([[z, 2 * z], [1, 2]]).inverse()
 
 
 def test_rref_is_canonical():
@@ -794,12 +815,13 @@ def test_fraction_free_kernel_matches_the_reference_kernel(monkeypatch, conducto
             assert raised != consistent
             seen.add(("solve", consistent))
 
-        # invert_rows on a square system, invertible or singular
+        # the inverse of a square system, invertible or singular
         square = _system(rng, conductors, ncols, ncols)[:ncols]
         one = CycNum.one()
         aug = [r | {ncols + i: one} for i, r in enumerate(square)]
         _kernels_agree(aug, 2 * ncols, ncols)
-        raised = _same_outcome_as_reference(monkeypatch, lambda: invert_rows(square))
+        raised = _same_outcome_as_reference(
+            monkeypatch, lambda: Matrix.from_nonzeros(ncols, square).inverse())
         seen.add(("invert", raised))
     assert seen >= {("solve", True), ("solve", False), ("invert", True), ("invert", False)}
     assert ("stop", True, False) in seen
@@ -821,7 +843,8 @@ def test_rational_rows_match_the_reference_kernel(monkeypatch):
         _kernels_agree(aug, 2 * k, k)
         square = Matrix.from_rows(mat)
         seen.add(_same_outcome_as_reference(monkeypatch, square.inverse))
-        seen.add(_same_outcome_as_reference(monkeypatch, lambda: invert_rows(rows)))
+        seen.add(_same_outcome_as_reference(monkeypatch,
+                                            lambda: Matrix.from_nonzeros(k, rows).inverse()))
         # a rational system with a right-hand side, not square
         rows = [sparse_row(CycNum.from_rational(Fraction(rng.randint(-3, 3), rng.randint(1, 4))
                                                 * (rng.random() < 0.5)).lift(n)

@@ -1,6 +1,7 @@
 """The public surface: the names `vvmf` exports and the entry points that
-perfbench's tracer wraps."""
+perfbench's tracer wraps; and no module of `vvmf` imports a name it never uses."""
 
+import ast
 import importlib
 import runpy
 from pathlib import Path
@@ -34,3 +35,31 @@ def test_traced_entry_points_resolve():
         if holder is None or not callable(vars(holder).get(attr)):
             missing.append(f"{modname}.{qualname}")
     assert missing == []
+
+
+def unused_imports(source: str) -> list:
+    """The names a module imports and never reads, `from __future__` aside."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\nimport os, os.path as p\n"
+              "from math import gcd, lcm\nlcm(os.sep)\n")
+    assert unused_imports(source) == [(2, "p"), (3, "gcd")]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export, so only the other modules are checked
+    found = {path.name: unused for path in sorted(Path(vvmf.__file__).parent.glob("*.py"))
+             if path.name != "__init__.py" and (unused := unused_imports(path.read_text()))}
+    assert found == {}

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from vvmf import qexp
+from vvmf import exactnum, qexp
 from vvmf.exactnum import CycNum, _make, _reduce, as_cyc, bernoulli, divisors, euler_phi
 from vvmf.qexp import InsufficientPrecision, QExp, _series, combine, slash_expand
 
@@ -629,8 +629,8 @@ def test_a_conductor_3_exponent_inside_a_higher_entry_is_lowered(high, monkeypat
     a = QExp(1, 6, {0: z3, 1: CycNum.from_rational(Fraction(2, 5)), 4: high})
     b = QExp(1, 6, {0: 3 * z3 + 1, 1: CycNum.from_rational(7)})
     calls = []
-    lowering = qexp._lowering
-    monkeypatch.setattr(qexp, "_lowering", lambda n, m: calls.append((n, m)) or lowering(n, m))
+    lowering = exactnum._lowering
+    monkeypatch.setattr(exactnum, "_lowering", lambda n, m: calls.append((n, m)) or lowering(n, m))
     ((got,), (want,)) = combine([[a]], [b]), oracle_combine([[a]], [b])
     cond = math.lcm(3, high.n)
     assert (cond, 3) in calls

@@ -9,7 +9,8 @@ of the child (and inner_s, when the child's standard error ends with a
 "# inner_s=SECONDS" line), in parent/change pairs whose first side
 alternates: seven pairs when the first parent run takes under 1 s, three
 when it takes under 10 s, one pair otherwise.  A run over CAP_S seconds is
-killed and recorded as killed.  Runs are one at a time.
+killed and recorded as killed.  Runs are one at a time.  The report header
+records each checkout's src_lines, the line count of its src/vvmf/*.py.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import signal
 import subprocess
 import threading
 import time
+from pathlib import Path
 
 CAP_S = 600
 SHORT_S = 10
@@ -201,6 +203,11 @@ def revision(root: str) -> str:
     return head + (" with uncommitted src changes" if dirty else "")
 
 
+def src_lines(root: str) -> int:
+    """Lines of the checkout's src/vvmf/*.py, as `cat src/vvmf/*.py | wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in Path(root, "src", "vvmf").glob("*.py"))
+
+
 def pair_count(first_parent_s: float) -> int:
     """Pairs for a rung whose first parent run took first_parent_s (0 before it runs)."""
     return 7 if first_parent_s < SUBSECOND_S else 3 if first_parent_s < SHORT_S else 1
@@ -244,6 +251,7 @@ def main(argv=None) -> int:
                  "machine": platform.machine()},
         "parent": revision(args.parent),
         "change": revision(args.change),
+        "src_lines": {"parent": src_lines(args.parent), "change": src_lines(args.change)},
         "cap_s": CAP_S,
         "rungs": ladder(args.parent, args.change),
     }
