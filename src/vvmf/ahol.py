@@ -16,6 +16,7 @@ The operator at infinity and its closure act on spans and live in
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .exactnum import json_int
@@ -196,13 +197,6 @@ def lower_op(f: AholForm) -> AholForm:
     return AholForm(f.weight - 2, f.rep, layers, name=f"L({f.name})" if f.name else "")
 
 
-def rising_factorial(a: int, n: int) -> int:
-    out = 1
-    for j in range(n):
-        out *= a + j
-    return out
-
-
 def ahol_decompose(f: AholForm) -> list:
     """Holomorphic layers h_t with f = sum_t R^^t h_t, exactly.
 
@@ -217,7 +211,7 @@ def ahol_decompose(f: AholForm) -> list:
         if rest.depth < t:
             parts.append(AholForm.zero(k - 2 * t, f.rep, rest.prec))
             continue
-        fac = rising_factorial(k - 2 * t, t)
+        fac = math.prod(range(k - 2 * t, k - t))
         if fac == 0:
             raise ArithmeticError(
                 f"depth decomposition obstructed: ({k - 2 * t}) rising {t} vanishes"

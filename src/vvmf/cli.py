@@ -20,9 +20,7 @@ from .ahol import AholForm, _images, ahol_decompose, apply_intertwiner, lower_op
 from .exactnum import CycNum, divisors
 from .forms import bracket_projections, delta_form, eisenstein, vv_eisenstein
 from .hecke import delta_cosets, hecke_form, hecke_rep
-from .hyperalg import (
-    FormSpan, hyper_tensor, span_contains, span_sum, sturm_bound, tinf_closure,
-)
+from .hyperalg import FormSpan, hyper_tensor, span_contains, sturm_bound, tinf_closure
 from .linalg import Matrix
 from .qexp import InsufficientPrecision
 from .reps import (
@@ -345,11 +343,10 @@ def verify_thm11(
                     why + "generators: " + "; ".join(certifying))
     if t == 0 and cusp is not None:
         # with the Eisenstein series restored, the graded piece is all of M(k)
-        with_eis = span_sum([final, FormSpan.of(eisenstein(k, prec))])
-        dim = with_eis.grade_dimension((k, "triv"))
-        both = span_contains(with_eis, cusp, prec) and span_contains(
-            with_eis, eisenstein(k, prec), prec
-        )
+        eis = eisenstein(k, prec)
+        final.add(eis)
+        dim = final.grade_dimension((k, "triv"))
+        both = span_contains(final, cusp, prec) and span_contains(final, eis, prec)
         report.case("eisenstein-complement", params, 2, dim == 2 and both, dim)
     return report
 

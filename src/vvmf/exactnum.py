@@ -23,7 +23,8 @@ Integer coordinates move between Q(zeta_m) and Q(zeta_n), m | n, by one
 pair of maps shared with the series kernel and the span reads: the lift
 `_lift_num` and the one decoder `_lowered`, which applies the cached left
 inverse `_lowering`.  `reduce_conductor` takes the first divisor whose
-lowering lifts back to the element.
+lowering lifts back to the element.  `_embed` is also the one Galois map:
+sigma_k on coordinates at n is `_embed(num, k, 0, n)`.
 """
 
 from __future__ import annotations
@@ -138,9 +139,13 @@ def _reduce(n: int, coeffs: list) -> tuple:
 
 
 def _embed(num, step: int, shift: int, n: int) -> tuple:
-    """Coordinates at conductor n of sum_j num[j] * zeta_n^(j * step + shift)."""
+    """Coordinates at conductor n of sum_j num[j] * zeta_n^(j * step + shift),
+    for step >= 1.  With step k prime to n and shift 0 it is the Galois map
+    sigma_k: zeta_n -> zeta_n^k, since x^(jk) == x^(jk mod n) modulo Phi_n."""
     out = [0] * (shift + (len(num) - 1) * step + 1)
     out[shift::step] = num
+    if len(out) > 2 * n:  # only a Galois step gets here; zeta_n^n = 1 folds it to n
+        out = [sum(out[i::n]) for i in range(n)]
     return _reduce(n, out)
 
 
@@ -197,14 +202,6 @@ def _mul_num(n: int, x: tuple, y: tuple) -> tuple:
             for j, b in enumerate(y):
                 prod[i + j] += a * b
     return _reduce(n, prod)
-
-
-def _galois_num(n: int, x: tuple, k: int) -> tuple:
-    """Image of integer coordinates under zeta_n -> zeta_n^k."""
-    out = [0] * n
-    for j, a in enumerate(x):
-        out[j * k % n] += a
-    return _reduce(n, out)
 
 
 class CycNum:
@@ -342,7 +339,7 @@ class CycNum:
         conj = (1,) + (0,) * (len(num) - 1)
         for k in range(2, n):
             if math.gcd(k, n) == 1:
-                conj = _mul_num(n, conj, _galois_num(n, num, k))
+                conj = _mul_num(n, conj, _embed(num, k, 0, n))
         norm = _mul_num(n, num, conj)[0]
         if norm < 0:
             norm, den = -norm, -den
@@ -373,7 +370,7 @@ class CycNum:
         """Complex conjugation zeta -> zeta^(-1)."""
         if self.n == 1:
             return self
-        return _make(self.n, _galois_num(self.n, self.num, self.n - 1), self.den)
+        return _make(self.n, _embed(self.num, self.n - 1, 0, self.n), self.den)
 
     # -- comparisons -----------------------------------------------------
 

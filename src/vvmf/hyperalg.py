@@ -19,7 +19,7 @@ at each slot width a read asks for (D. Harvey, J. Symbolic Comput. 44,
 through its integer multiplication matrix (`exactnum._multiplication`):
 the reduced row is a packed integer combination, block by block, at the
 least width that holds that block's bound from bit lengths, and its first
-nonzero column is read off the lowest set bit.  `span_sum` adopts states.
+nonzero column is read off the lowest set bit.
 
 The Hecke operator at infinity acts on spans: `tinf(f)` spans every
 projection of the lowered and raised images of f, and `tinf_closure` grows
@@ -169,7 +169,7 @@ class _Pivots:
 
     __slots__ = ("layout", "bound", "forms", "pivots", "inv", "blocks")
 
-    def __init__(self, layout, forms=()):
+    def __init__(self, layout, forms):
         self.layout, self.bound = layout, _bound(layout)
         self.forms, self.pivots, self.inv, self.blocks = [], [], None, []
         for f in forms:
@@ -321,21 +321,12 @@ def _bits(m: list) -> int:
 
 
 def span_sum(spans) -> "FormSpan":
-    """Graded union by incremental adds; dimensions never exceed the sum.
-    The first span holding a grade hands over a copy of its pivot state
-    (block lists, which only grow, shared): its generators are independent
-    at their own layout, so adding them one by one would keep each."""
+    """Graded union by incremental adds; dimensions never exceed the sum."""
     out = FormSpan()
     for s in spans:
         for key in s.grades():
-            if key in s._pivots and not out.grading.get(key):
-                state, out.grading[key] = s._pivots[key], list(s.grading[key])
-                out._pivots[key] = copy = _Pivots(state.layout)
-                copy.forms, copy.pivots, copy.inv = state.forms[:], state.pivots[:], state.inv
-                copy.blocks = state.blocks[:]
-            else:
-                for form, prov in s.grading[key]:
-                    out.add(form, provenance=prov)
+            for form, prov in s.grading[key]:
+                out.add(form, provenance=prov)
     return out
 
 

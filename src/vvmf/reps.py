@@ -22,7 +22,7 @@ import functools
 import math
 from collections import namedtuple
 
-from .exactnum import CycNum, _galois_num, _make, json_int
+from .exactnum import CycNum, _embed, _make, json_int
 from .linalg import Matrix, Subspace, _matrix, kernel_of_rows
 
 S_MAT = ((0, -1), (1, 0))
@@ -286,7 +286,7 @@ def _galois(m: Matrix, k: int) -> Matrix:
     if m.n <= 2 or k % m.n == 1:  # sigma_k fixes Q(zeta_(m.n))
         return m
     return _matrix(m.rows, m.cols, m.n, [
-        {j: _make(x.n, _galois_num(x.n, x.num, k % x.n), x.den) for j, x in row.items()}
+        {j: _make(x.n, _embed(x.num, k, 0, x.n), x.den) for j, x in row.items()}
         for row in m.nonzeros
     ])
 

@@ -5,6 +5,7 @@ criterion.  Every comparison is exact rational/cyclotomic equality; the
 time budgets are generous checks against runaway blowup, not benchmarks.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -17,7 +18,6 @@ from vvmf.ahol import (
     apply_intertwiner,
     lower_op,
     raise_op,
-    rising_factorial,
 )
 from vvmf.cli import verify_counts, verify_example32, verify_thm11
 from vvmf.exactnum import CycNum
@@ -155,7 +155,7 @@ def test_acceptance_7_differential_operator_suite():
         for t in range(1, 4):
             f = raise_op(f)
             top = f.graded[t][0]
-            assert top.coeff(0) == CycNum.from_rational(rising_factorial(lprime, t))
+            assert top.coeff(0) == CycNum.from_rational(math.prod(range(lprime, lprime + t)))
             assert all(q.is_zero() for layer in f.graded[:t] for q in layer)
     rng = random.Random(20240)
     for _ in range(20):

@@ -8,8 +8,10 @@ import pytest
 
 from vvmf.exactnum import (
     CycNum,
+    _embed,
     _lowered,
     _lowering,
+    _reduce,
     bernoulli,
     cyclotomic_poly,
     divisors,
@@ -338,6 +340,26 @@ def test_lowering_is_the_reference_left_inverse():
             low, d = _lowering(n, m)
             assert d == math.lcm(*(x.denominator for r in ref for x in r)), (n, m)
             assert [[Fraction(a, d) for a in r] for r in low] == ref, (n, m)
+
+
+def galois_by_fold(n, num, k):
+    """sigma_k on integer coordinates at n by the mod-n fold zeta^j -> zeta^(jk mod n)."""
+    out = [0] * n
+    for j, a in enumerate(num):
+        out[j * k % n] += a
+    return _reduce(n, out)
+
+
+def test_embed_with_step_k_is_the_galois_map():
+    """For every n <= 60 and every k < 2n prime to n, k >= n included,
+    _embed(x, k, 0, n) is the mod-n fold of sigma_k on seeded elements."""
+    rng = random.Random("galois")
+    for n in range(1, 61):
+        xs = [x.num for x in random_elements(rng, n, 5)]
+        for k in range(1, 2 * n):
+            if math.gcd(k, n) == 1:
+                for num in xs:
+                    assert _embed(num, k, 0, n) == galois_by_fold(n, num, k), (n, k)
 
 
 def test_hash_agrees_with_int_and_fraction():

@@ -876,6 +876,33 @@ def test_span_sum_matches_one_by_one_adds_when_adopted_generators_collapse():
     assert total.dimension_signature() == {(4, "triv"): 3}
 
 
+def test_span_sum_shares_no_pivot_state_with_its_summands(reg):
+    # a read appends lifted blocks to the block lists of the state it reads,
+    # so a sum that shared a summand's state or lists would grow with it
+    rng = random.Random(5)
+    spans = []
+    for i in range(2):
+        span = FormSpan()
+        for weight, label, n, lattices, prec, _, _ in _ORACLE_GRADES:
+            for _ in range(3):
+                span.add(_random_form(rng, weight, reg.get(label), n, lattices, prec, 0), f"#{i}")
+        spans.append(span)
+    total = span_sum(spans)
+
+    def assert_unshared():
+        for s in spans:
+            for key, state in s._pivots.items():
+                mine = total._pivots[key]
+                assert mine is not state
+                assert all(own is not theirs for _, own in mine.blocks for _, theirs in state.blocks)
+
+    assert_unshared()
+    for target in (total, spans[0]):
+        weight, label, n, lattices, prec, _, _ = _ORACLE_GRADES[1]
+        assert target.add(_random_form(rng, weight, reg.get(label), n, lattices, prec, 0), "extra")
+    assert_unshared()
+
+
 def test_a_first_add_to_an_empty_grade_takes_the_scan_pivot_and_lifts_nothing(reg):
     # the first form of a grade is read against no generator: its pivot is
     # its first stored column, also where its block 0 is zero, and push
