@@ -19,13 +19,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import json_int
+from .exactnum import Immutable, json_int
 from .linalg import Matrix
 from .qexp import QExp, combine_terms
 from .reps import Rep, is_intertwiner, require_same_content
 
 
-class AholForm:
+class AholForm(Immutable):
     """Depth-graded form: graded[r] is the component tuple of Y^r."""
 
     __slots__ = ("weight", "rep", "graded", "prec", "name")
@@ -47,9 +47,6 @@ class AholForm:
         object.__setattr__(self, "graded", tuple(graded))
         object.__setattr__(self, "prec", prec)
         object.__setattr__(self, "name", name)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AholForm is immutable")
 
     @property
     def depth(self) -> int:

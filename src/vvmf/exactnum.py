@@ -25,6 +25,10 @@ pair of maps shared with the series kernel and the span reads: the lift
 inverse `_lowering`.  `reduce_conductor` takes the first divisor whose
 lowering lifts back to the element.  `_embed` is also the one Galois map:
 sigma_k on coordinates at n is `_embed(num, k, 0, n)`.
+
+The number theory reads one list, `prime_divisors(n)`: phi(n) = n * prod (p - 1) / p,
+and Phi_n is a Moebius product taken as a power series.  `Immutable` is the one
+base of the value types; its `__setattr__` refuses every write.
 """
 
 from __future__ import annotations
@@ -66,49 +70,46 @@ def divisors(n: int) -> list:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
+def prime_divisors(n: int) -> list:
+    """The primes dividing n in ascending order: each divisor above 1 that no
+    smaller prime divisor divides."""
+    out = []
+    for d in divisors(n)[1:]:
+        if all(d % p for p in out):
+            out.append(d)
+    return out
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
+    """phi(n) = n * prod (p - 1) / p over the primes p dividing n."""
     if n < 1:
         raise ValueError(f"euler_phi undefined for {n}")
-    return sum(math.gcd(k, n) == 1 for k in range(n))
+    primes = prime_divisors(n)
+    return n // math.prod(primes) * math.prod(p - 1 for p in primes)
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple:
     """Coefficients of the n-th cyclotomic polynomial, low degree first.
 
-    Computed by exact division of x^n - 1 by the product of Phi_d over
-    proper divisors d of n.
+    For n > 1 it is the power series prod (1 - x^d)^mu(n/d) over d | n with n/d
+    squarefree, to degree phi(n): mu = 1 is a descending difference out[i] -=
+    out[i - d], mu = -1 (the series sum_k x^(kd)) an ascending running sum.
     """
     if n < 1:
         raise ValueError(f"cyclotomic polynomial undefined for {n}")
     if n == 1:
         return (-1, 1)
-    # x^n - 1
-    num = [0] * (n + 1)
-    num[0] = -1
-    num[n] = 1
-    for d in divisors(n)[:-1]:
-        num = _poly_divexact(num, list(cyclotomic_poly(d)))
-    return tuple(num)
-
-
-def _poly_divexact(num: list, den: list) -> list:
-    """Exact division of integer polynomials (remainder must vanish)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1] != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        q = c // den[-1]
-        out[i] = q
-        if q:
-            for j, dj in enumerate(den):
-                num[i + j] -= q * dj
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
+    factors = [(n, 1)]
+    for p in prime_divisors(n):
+        factors += [(d // p, -mu) for d, mu in factors]
+    deg = euler_phi(n)
+    out = [1] + [0] * deg
+    for d, mu in factors:
+        for i in range(deg, d - 1, -1) if mu == 1 else range(d, deg + 1):
+            out[i] -= mu * out[i - d]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -204,7 +205,16 @@ def _mul_num(n: int, x: tuple, y: tuple) -> tuple:
     return _reduce(n, prod)
 
 
-class CycNum:
+class Immutable:
+    """Base of the value types; constructors write slots past `__setattr__`, which raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class CycNum(Immutable):
     """Element of Q(zeta_n): integer power-basis numerators over one denominator.
 
     Arithmetic on mismatched conductors lifts both operands to the lcm
@@ -220,9 +230,6 @@ class CycNum:
         c = [Fraction(x) for x in coeffs]
         den = math.lcm(*[x.denominator for x in c])
         return _make(n, _reduce(n, [x.numerator * (den // x.denominator) for x in c]), den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycNum is immutable")
 
     @property
     def c(self) -> tuple:
@@ -434,7 +441,7 @@ class CycNum:
         if n < 1:
             raise ValueError(f"conductor must be positive, got {n}")
         # phi(n) >= sqrt(n / 2), so a short list at a huge n is refused
-        # before phi(n) is counted
+        # before the divisor walk of phi(n), sqrt(n) trial divisions
         if 2 * len(c) ** 2 < n or len(c) != euler_phi(n):
             raise ValueError(f'cyclotomic "c" at conductor {n} must have phi({n}) coordinates, '
                              f"got {len(c)}")
@@ -457,7 +464,7 @@ def _make(n: int, num: tuple, den: int) -> CycNum:
     return x
 
 
-# the slot setters bypass CycNum.__setattr__, which refuses every write
+# the slot setters bypass Immutable.__setattr__, which refuses every write
 _new_object = object.__new__
 _set_n, _set_num, _set_den = (
     getattr(CycNum, name).__set__ for name in CycNum.__slots__

@@ -21,13 +21,13 @@ from fractions import Fraction
 from itertools import product
 
 from .ahol import AholForm
-from .exactnum import CycNum, divisors
+from .exactnum import CycNum, Immutable, divisors
 from .linalg import Matrix
 from .qexp import slash_expand
 from .reps import Rep, S_MAT, T_MAT
 
 
-class DeltaCoset:
+class DeltaCoset(Immutable):
     """One canonical representative; mat is a 2g x 2g integer matrix."""
 
     __slots__ = ("genus", "mat", "similitude")
@@ -56,9 +56,6 @@ class DeltaCoset:
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "similitude", similitude)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DeltaCoset is immutable")
 
     # genus-1 accessors
     @property

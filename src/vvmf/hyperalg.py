@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .ahol import AholForm, _image_name, _images, lower_op, raise_op
-from .exactnum import _lift_num, _mul_num, _multiplication, divisors, euler_phi
+from .exactnum import _lift_num, _mul_num, _multiplication, euler_phi, prime_divisors
 from .linalg import Matrix, Subspace, sparse_row
 from .qexp import InsufficientPrecision, _lifted, _pack
 from .reps import RepRegistry, hom_space, require_same_content
@@ -438,11 +438,8 @@ def congruence_index(level: int) -> int:
     N^3 prod(1 - p^-2) over the primes p dividing N."""
     if level < 1:
         raise ValueError(f"level must be positive, got {level}")
-    idx = level**3
-    for p in divisors(level):
-        if euler_phi(p) == p - 1:  # p is prime
-            idx = idx // (p * p) * (p * p - 1)
-    return idx
+    primes = prime_divisors(level)
+    return level**3 // math.prod(p * p for p in primes) * math.prod(p * p - 1 for p in primes)
 
 
 def sturm_bound(k: int, level_index: int) -> int:

@@ -21,10 +21,10 @@ from functools import lru_cache
 from itertools import chain, zip_longest
 from operator import add
 
-from .exactnum import CycNum, _make, _mul_num, as_cyc, euler_phi
+from .exactnum import CycNum, Immutable, _make, _mul_num, as_cyc, euler_phi
 
 
-class Matrix:
+class Matrix(Immutable):
     """Matrix that stores its nonzero entries row by row, all at one conductor.
 
     `nonzeros[i]` is the {column: entry} dict of row i, the row form of the
@@ -54,9 +54,6 @@ class Matrix:
             for i in range(rows)
         ]
         return _matrix(rows, cols, n, nonzeros)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @staticmethod
     def from_rows(rows) -> "Matrix":
@@ -439,16 +436,13 @@ def kernel_of_rows(rows: list, ncols: int) -> "Subspace":
     return Subspace(_matrix(len(basis), ncols, out, basis))
 
 
-class Subspace:
+class Subspace(Immutable):
     """Subspace of a coordinate space; `basis` is its canonical RREF `Matrix`."""
 
     __slots__ = ("basis",)
 
     def __init__(self, basis: Matrix):
         object.__setattr__(self, "basis", basis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
 
     @staticmethod
     def from_rows(ambient_dim: int, rows) -> "Subspace":

@@ -33,8 +33,8 @@ from functools import lru_cache
 from itertools import chain
 
 from .exactnum import (
-    CycNum, _embed, _lift_num, _lowered, _make, _mul_num, _multiplication, _reduce, as_cyc,
-    euler_phi, format_rational, json_int, parse_rational,
+    CycNum, Immutable, _embed, _lift_num, _lowered, _make, _mul_num, _multiplication, _reduce,
+    as_cyc, euler_phi, format_rational, json_int, parse_rational,
 )
 
 
@@ -42,7 +42,7 @@ class InsufficientPrecision(Exception):
     """A requested computation is not covered by the stored precision."""
 
 
-class QExp:
+class QExp(Immutable):
     __slots__ = ("h", "prec", "terms")
 
     def __init__(self, h: int, prec, terms):
@@ -69,9 +69,6 @@ class QExp:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "prec", prec)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QExp is immutable")
 
     @staticmethod
     def zero(prec, h: int = 1) -> "QExp":
@@ -155,10 +152,7 @@ class QExp:
     def __eq__(self, other):
         if not isinstance(other, QExp):
             return NotImplemented
-        if self.prec != other.prec:
-            return False
-        a, b = self._common(other)
-        return a.terms == b.terms
+        return self.prec == other.prec and self.agrees_with(other)
 
     def agrees_with(self, other: "QExp", prec=None) -> bool:
         """Termwise agreement below prec (default: common sound precision)."""
@@ -230,7 +224,7 @@ def _series(h: int, prec: Fraction, terms: dict) -> QExp:
     return q
 
 
-# the slot setters bypass QExp.__setattr__, which refuses every write
+# the slot setters bypass Immutable.__setattr__, which refuses every write
 _new_object = object.__new__
 _set_h, _set_prec, _set_terms = (getattr(QExp, name).__set__ for name in QExp.__slots__)
 

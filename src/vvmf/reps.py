@@ -22,14 +22,14 @@ import functools
 import math
 from collections import namedtuple
 
-from .exactnum import CycNum, _embed, _make, json_int
+from .exactnum import CycNum, Immutable, _embed, _make, json_int
 from .linalg import Matrix, Subspace, _matrix, kernel_of_rows
 
 S_MAT = ((0, -1), (1, 0))
 T_MAT = ((1, 1), (0, 1))
 
 
-class Rep:
+class Rep(Immutable):
     """Congruence type with generator images for S and T."""
 
     __slots__ = ("label", "dim", "level", "S", "T")
@@ -46,9 +46,6 @@ class Rep:
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "T", T)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Rep is immutable")
 
     @property
     def content(self) -> tuple:

@@ -250,6 +250,10 @@ _BAD_FILES = {
         {"label": "triv", "level": 1, "S": [[{"n": 1, "c": ["1", "2", "3"]}]], "T": [[_ONE]]}]},
     "empty-at-1-form.json": {"type": "triv", "weight": 4, "components": [
         {"h": 1, "prec": "2", "terms": [[0, {"n": 1, "c": []}]]}]},
+    # a coordinate list long enough to pass from_json's size guard at n = 2 * 10^9;
+    # counting phi(n) by n gcds ran past 60 s
+    "huge-conductor-form.json": {"type": "triv", "weight": 4, "components": [
+        {"h": 1, "prec": "2", "terms": [[0, {"n": 2000000000, "c": ["0"] * 31623}]]}]},
 }
 _GOOD_FORM = {"type": "triv", "weight": 4, "components": [
     {"h": 1, "prec": "2", "terms": [[0, _ONE]]}]}
@@ -317,6 +321,9 @@ _NAMED_ERRORS = [
      'cyclotomic "c" at conductor 1 must have phi(1) coordinates, got 3'),
     ("cyclotomic-no-coordinates", ("ahol", "raise", "--form", "empty-at-1-form.json"),
      'cyclotomic "c" at conductor 1 must have phi(1) coordinates, got 0'),
+    ("cyclotomic-huge-conductor",
+     ("hecke", "apply", "--index", "2", "--form", "huge-conductor-form.json"),
+     'cyclotomic "c" at conductor 2000000000 must have phi(2000000000) coordinates, got 31623'),
     # the type parser recurses once per nesting level
     ("homspace-600-nested-hecke-types",
      ("homspace", "--source", "T1(" * 600 + "triv" + ")" * 600, "--target", "triv"),

@@ -18,6 +18,7 @@ from vvmf.exactnum import (
     euler_phi,
     format_rational,
     parse_rational,
+    prime_divisors,
 )
 
 
@@ -129,6 +130,30 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_poly(3) == (1, 1, 1)
     assert cyclotomic_poly(4) == (1, 0, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_coefficients_outside_minus_one_to_one():
+    # the sympy comparison stops at n = 60, where every coefficient is -1, 0
+    # or 1; 105 = 3 * 5 * 7 is the first n with another coefficient
+    big = [(j, c) for j, c in enumerate(cyclotomic_poly(105)) if abs(c) > 1]
+    assert big == [(7, -2), (41, -2)]
+    assert max(cyclotomic_poly(165)) == 2
+    assert (min(cyclotomic_poly(385)), max(cyclotomic_poly(385))) == (-3, 2)
+    assert {-3, 3} <= set(cyclotomic_poly(1155))
+    # x^n - 1 is the product of Phi_d over the divisors d of n
+    for n in (105, 165, 385, 1155):
+        prod = [1]
+        for d in divisors(n):
+            prod = _poly_mul(prod, cyclotomic_poly(d))
+        assert prod == [-1] + [0] * (n - 1) + [1], n
 
 
 def test_bernoulli_trivial_and_derived():
@@ -480,6 +505,12 @@ def test_lift_and_reduce_conductor_round_trip_hypothesis():
 def test_divisors_match_a_scan():
     for n in range(1, 501):
         assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+
+def test_prime_divisors_match_a_scan():
+    for n in range(1, 501):
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+        assert prime_divisors(n) == primes, n
 
 
 def test_divisors_match_sympy():

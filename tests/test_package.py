@@ -1,12 +1,17 @@
 """The public surface: the names `vvmf` exports and the entry points that
-perfbench's tracer wraps; and no module of `vvmf` imports a name it never uses."""
+perfbench's tracer wraps; no module of `vvmf` imports a name it never uses;
+the value types are immutable through one base class; and primality is never
+tested through euler_phi."""
 
 import ast
 import importlib
 import runpy
 from pathlib import Path
 
+import pytest
+
 import vvmf
+from vvmf import AholForm, CycNum, DeltaCoset, Matrix, QExp, Rep, Subspace
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -63,3 +68,51 @@ def test_no_module_imports_a_name_it_never_uses():
     found = {path.name: unused for path in sorted(Path(vvmf.__file__).parent.glob("*.py"))
              if path.name != "__init__.py" and (unused := unused_imports(path.read_text()))}
     assert found == {}
+
+
+_ONE = Matrix.identity(1)
+_TRIV = Rep("triv", 1, _ONE, _ONE)
+_VALUES = [CycNum.one(), QExp.zero(1), _ONE, Subspace.from_rows(1, [[1]]),
+           AholForm.holomorphic(4, _TRIV, [QExp.zero(1)]), _TRIV, DeltaCoset(1, [[1, 0], [0, 1]], 1)]
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=lambda value: type(value).__name__)
+def test_value_types_refuse_attribute_writes(value):
+    # Rep.key and the lru_cache tables of types and forms hash these objects,
+    # so a write after construction would corrupt them
+    for name in (value.__slots__[0], "extra"):
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            setattr(value, name, None)
+
+
+def setattr_defs_and_phi_primality_tests(source: str) -> tuple:
+    """(the lines of each `def __setattr__`, the lines of each primality test
+    written `euler_phi(p) == p - 1`)."""
+    setattrs, phi_tests = [], []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "__setattr__":
+            setattrs.append(node.lineno)
+        elif (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+              and getattr(node.left.func, "id", None) == "euler_phi"
+              and isinstance(node.ops[0], ast.Eq)
+              and isinstance(node.comparators[0], ast.BinOp)
+              and isinstance(node.comparators[0].op, ast.Sub)):
+            phi_tests.append(node.lineno)
+    return setattrs, phi_tests
+
+
+def test_setattr_and_phi_primality_lint_finds_both():
+    source = ("class A:\n    def __setattr__(self, k, v):\n        pass\n"
+              "prime = euler_phi(p) == p - 1\nsame = euler_phi(p) == q\n")
+    assert setattr_defs_and_phi_primality_tests(source) == ([2], [4])
+
+
+def test_one_setattr_and_no_primality_test_by_euler_phi():
+    # one immutability rule, Immutable.__setattr__ in exactnum, and the primes
+    # of n come from exactnum.prime_divisors
+    setattrs, phi_tests = {}, {}
+    for path in sorted(Path(vvmf.__file__).parent.glob("*.py")):
+        setattrs[path.name], phi_tests[path.name] = setattr_defs_and_phi_primality_tests(
+            path.read_text())
+    assert {name: len(lines) for name, lines in setattrs.items() if lines} == {"exactnum.py": 1}
+    assert {name: lines for name, lines in phi_tests.items() if lines} == {}
