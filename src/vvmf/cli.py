@@ -435,24 +435,6 @@ def _span_text(span: FormSpan) -> str:
     return ("\n".join(lines) + "\n") if lines else "empty span\n"
 
 
-def _span_from_json(obj, registry: RepRegistry) -> FormSpan:
-    if not isinstance(obj, dict) or not isinstance(obj.get("grades"), list):
-        raise ValueError("a span is a JSON object whose grades are a list")
-    span = FormSpan()
-    for grade in obj["grades"]:
-        gens = grade.get("generators") if isinstance(grade, dict) else None
-        if not isinstance(gens, list) or not all(isinstance(gen, dict) for gen in gens):
-            raise ValueError("a span grade is an object whose generators are a list of objects")
-        for gen in gens:
-            if "form" not in gen:
-                raise ValueError('a span generator has no "form" field')
-            span.add(
-                AholForm.from_json(gen["form"], registry),
-                provenance=gen.get("provenance", ""),
-            )
-    return span
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -602,7 +584,7 @@ def run(args) -> int:
         body, text = span.to_json(), lambda: _span_text(span)
     elif args.command == "ahol" and args.ahol_command == "closure":
         with open(args.span) as f:
-            span = _span_from_json(json.load(f), registry)
+            span = FormSpan.from_json(json.load(f), registry)
         window = re.fullmatch(r"(-?\d+):(-?\d+)", args.window)
         if window is None:
             raise ValueError(f"--window must be kmin:kmax, got {args.window!r}")

@@ -28,7 +28,8 @@ sigma_k on coordinates at n is `_embed(num, k, 0, n)`.
 
 The number theory reads one list, `prime_divisors(n)`: phi(n) = n * prod (p - 1) / p,
 and Phi_n is a Moebius product taken as a power series.  `Immutable` is the one
-base of the value types; its `__setattr__` refuses every write.
+base of the value types; its `__setattr__` refuses every write.  `_pow` is the
+one square-and-multiply, of numbers and of matrices.
 """
 
 from __future__ import annotations
@@ -205,6 +206,14 @@ def _mul_num(n: int, x: tuple, y: tuple) -> tuple:
     return _reduce(n, prod)
 
 
+def _pow(x, e: int, one):
+    """x^e for e >= 0 (one for e == 0) by square-and-multiply: the power of numbers and matrices."""
+    if e < 2:
+        return x if e else one
+    half = _pow(x * x, e >> 1, one)
+    return half * x if e & 1 else half
+
+
 class Immutable:
     """Base of the value types; constructors write slots past `__setattr__`, which raises."""
 
@@ -362,16 +371,7 @@ class CycNum(Immutable):
         return as_cyc(other).__truediv__(self)
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = CycNum.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _pow(self.inverse() if e < 0 else self, abs(e), CycNum.one())
 
     def conjugate(self) -> "CycNum":
         """Complex conjugation zeta -> zeta^(-1)."""

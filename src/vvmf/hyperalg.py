@@ -41,7 +41,7 @@ from functools import lru_cache
 from .ahol import AholForm, _image_name, _images, lower_op, raise_op
 from .exactnum import _lift_num, _mul_num, _multiplication, euler_phi, prime_divisors
 from .linalg import Matrix, Subspace, sparse_row
-from .qexp import InsufficientPrecision, _lifted, _pack
+from .qexp import InsufficientPrecision, _lattice_terms, _lifted, _pack
 from .reps import RepRegistry, hom_space, require_same_content
 
 
@@ -130,6 +130,24 @@ class FormSpan:
                 }
             )
         return {"grades": grades}
+
+    @staticmethod
+    def from_json(obj, registry: RepRegistry) -> "FormSpan":
+        """The span `to_json` writes: its generators added in order, each with
+        its provenance, their types inline or labels in registry."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("grades"), list):
+            raise ValueError("a span is a JSON object whose grades are a list")
+        span = FormSpan()
+        for grade in obj["grades"]:
+            gens = grade.get("generators") if isinstance(grade, dict) else None
+            if not isinstance(gens, list) or not all(isinstance(gen, dict) for gen in gens):
+                raise ValueError("a span grade is an object whose generators are a list of objects")
+            for gen in gens:
+                if "form" not in gen:
+                    raise ValueError('a span generator has no "form" field')
+                span.add(AholForm.from_json(gen["form"], registry),
+                         provenance=gen.get("provenance", ""))
+        return span
 
 
 class _Pivots:
@@ -287,9 +305,7 @@ def _series_terms(f: AholForm, layout, b: int, bound: int) -> list:
     r, i = divmod(b, layout[2])
     if r > f.depth:
         return []
-    q = f.graded[r][i]
-    step = layout[1] // q.h
-    return [(n * step, c) for n, c in q.terms.items() if n * step < bound]
+    return _lattice_terms(f.graded[r][i], layout[1], bound)
 
 
 def _at(terms: list, columns: list, bound: int) -> list:

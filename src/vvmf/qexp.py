@@ -71,8 +71,8 @@ class QExp(Immutable):
         object.__setattr__(self, "terms", clean)
 
     @staticmethod
-    def zero(prec, h: int = 1) -> "QExp":
-        return QExp(h, prec, {})
+    def zero(prec) -> "QExp":
+        return QExp(1, prec, {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -229,6 +229,16 @@ _new_object = object.__new__
 _set_h, _set_prec, _set_terms = (getattr(QExp, name).__set__ for name in QExp.__slots__)
 
 
+def _lattice_terms(q: QExp, h: int, bound: int) -> list:
+    """q's terms (n, c) on lattice 1/h, h a multiple of q.h, with n < bound, in
+    q's order.  Every stored term has n < q.prec * h, so a bound at or past
+    that tests no term."""
+    step, (p, d) = h // q.h, q.prec.as_integer_ratio()
+    if bound * d >= p * h:
+        return [(n * step, c) for n, c in q.terms.items()]
+    return [(n * step, c) for n, c in q.terms.items() if n * step < bound]
+
+
 def combine(rows, series) -> list:
     """The series sum_j rows[i][j] * series[j], one per row i.
 
@@ -277,8 +287,7 @@ def combine_terms(rows, empty) -> list:
     def terms(x) -> tuple:
         """(x's (n, c) terms below every bound at lattice h, their conductors)."""
         if id(x) not in found:
-            step = h // x.h
-            t = [(n * step, c) for n, c in x.terms.items() if n * step < limit]
+            t = _lattice_terms(x, h, limit)
             found[id(x)] = t, {c.n for _, c in t}
         return found[id(x)]
 

@@ -22,7 +22,7 @@ import functools
 import math
 from collections import namedtuple
 
-from .exactnum import CycNum, Immutable, _embed, _make, json_int
+from .exactnum import CycNum, Immutable, _embed, _make, _pow, json_int
 from .linalg import Matrix, Subspace, _matrix, kernel_of_rows
 
 S_MAT = ((0, -1), (1, 0))
@@ -74,7 +74,7 @@ class Rep(Immutable):
             ("S^4 = I", s2_is_one or (s2 * s2).is_identity()),
             ("(ST)^3 = S^2", st3 == s2),
             ("S^2 = I", s2_is_one),
-            (f"T^{self.level} = I", _mat_pow(T, self.level).is_identity()),
+            (f"T^{self.level} = I", _pow(T, self.level, Matrix.identity(T.rows)).is_identity()),
         ]
         return RepValidation(self.label, checks)
 
@@ -181,15 +181,7 @@ def _word_image(key: tuple, a: int, b: int, c: int, d: int) -> Matrix:
 @functools.lru_cache(maxsize=256)
 def _power(key: tuple, kind: str, e: int) -> Matrix:
     """rho(S)^e or rho(T)^e of the type with this Rep.key."""
-    return _mat_pow(key[1] if kind == "S" else key[2], e)
-
-
-def _mat_pow(m: Matrix, e: int) -> Matrix:
-    """m^e for e >= 0 by square-and-multiply."""
-    if e < 2:
-        return m if e else Matrix.identity(m.rows)
-    half = _mat_pow(m * m, e >> 1)
-    return half * m if e & 1 else half
+    return _pow(key[1] if kind == "S" else key[2], e, Matrix.identity(key[1].rows))
 
 
 def hom_fixed_subspace(r: Rep, r2: Rep) -> Subspace:

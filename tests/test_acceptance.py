@@ -10,8 +10,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from vvmf.ahol import (
     AholForm,
     ahol_decompose,
@@ -25,14 +23,9 @@ from vvmf.forms import check_T_consistency, delta_form, eisenstein
 from vvmf.hecke import cocycle, delta_cosets, hecke_form, hecke_rep, pi_M, unit_embedding
 from vvmf.hyperalg import tensor_form
 from vvmf.qexp import QExp
-from vvmf.reps import builtin_registry, trivial_rep
+from vvmf.reps import trivial_rep
 
 _MODULE_T0 = time.monotonic()
-
-
-@pytest.fixture(scope="module")
-def reg():
-    return builtin_registry()
 
 
 def report(n, name, elapsed):

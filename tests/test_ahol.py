@@ -19,7 +19,6 @@ from vvmf.ahol import (
     lower_op,
     raise_op,
 )
-from vvmf.cli import _span_from_json
 from vvmf.exactnum import CycNum, euler_phi
 from vvmf.forms import bracket_projections, eisenstein, rankin_cohen, vv_eisenstein
 from vvmf.hyperalg import (
@@ -34,12 +33,7 @@ from vvmf.hyperalg import (
 )
 from vvmf.linalg import Matrix
 from vvmf.qexp import QExp
-from vvmf.reps import Rep, builtin_registry, hom_space, is_intertwiner, trivial_rep
-
-
-@pytest.fixture(scope="module")
-def reg():
-    return builtin_registry()
+from vvmf.reps import Rep, hom_space, is_intertwiner, trivial_rep
 
 
 def triv_form(weight, graded, prec=8):
@@ -302,10 +296,20 @@ def test_closure_matches_the_span_sum_closure(reg, monkeypatch, prec, window, ro
     # the span as `ahol closure --span` reads the JSON of `vveis --weight 4
     # --type rho3 --index 3 --prec PREC`
     eis = vv_eisenstein(4, reg.get("rho3"), 3, prec)
-    span = _span_from_json(json.loads(json.dumps(eis.to_json())), reg)
+    span = FormSpan.from_json(json.loads(json.dumps(eis.to_json())), reg)
     closure, got_stabilized = closure_against_reference(span, window, rounds, reg, monkeypatch)
     assert got_stabilized is stabilized
     assert len(closure.grades()) > len(span.grades())
+
+
+def test_span_json_round_trips_byte_for_byte(reg):
+    # the depth-0/1/2 closure CI pins at 40f3d114..., read back as `ahol
+    # closure --span` reads a span
+    eis = vv_eisenstein(4, reg.get("rho3"), 3, 12)
+    closure, _ = tinf_closure(eis, (4, 8), 3, reg)
+    assert {f.depth for key in closure.grades() for f, _ in closure.generators(key)} == {0, 1, 2}
+    text = json.dumps(closure.to_json(), sort_keys=True)
+    assert json.dumps(FormSpan.from_json(json.loads(text), reg).to_json(), sort_keys=True) == text
 
 
 def test_closure_grows_inside_the_grades_it_has(reg, monkeypatch):

@@ -9,7 +9,6 @@ from vvmf.ahol import ahol_decompose, raise_op
 from vvmf.cli import (
     _same_left_coset,
     build_parser,
-    load_bundled_registry,
     main,
     parse_rep_expr,
     thm11_span,
@@ -21,11 +20,6 @@ from vvmf.forms import eisenstein, vv_eisenstein
 from vvmf.hecke import _is_similitude, delta_cosets, hecke_form
 from vvmf.hyperalg import FormSpan, hyper_tensor, sturm_bound
 from vvmf.reps import builtin_registry
-
-
-@pytest.fixture(scope="module")
-def reg():
-    return load_bundled_registry()
 
 
 def run_cli(capsys, *argv):

@@ -20,17 +20,12 @@ from vvmf.hecke import hecke_form
 from vvmf.hyperalg import projections, tensor_form
 from vvmf.linalg import Matrix
 from vvmf.qexp import QExp
-from vvmf.reps import Rep, builtin_registry, hom_space, trivial_rep
+from vvmf.reps import Rep, hom_space, trivial_rep
 
 
 def one_form(prec) -> AholForm:
     """The constant 1 in weight 0, the identity of the product."""
     return AholForm.holomorphic(0, trivial_rep(), (QExp(1, prec, {0: 1}),), name="1")
-
-
-@pytest.fixture(scope="module")
-def reg():
-    return builtin_registry()
 
 
 def sigma_oracle(k, n):

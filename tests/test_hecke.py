@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from vvmf.ahol import AholForm, _images, apply_intertwiner, lower_op, raise_op
+from vvmf.cli import _exhaustive_genus2_count
 from vvmf.exactnum import CycNum
 from vvmf.forms import delta_form, eisenstein, vv_eisenstein
 from vvmf.hecke import (
@@ -39,11 +40,6 @@ def inv2(p):
     return ((p[1][1], -p[0][1]), (-p[1][0], p[0][0]))
 
 
-@pytest.fixture(scope="module")
-def reg():
-    return builtin_registry()
-
-
 def test_cosets_of_index_three_match_contract_order():
     mats = [c.mat for c in delta_cosets(1, 3)]
     assert mats == [
@@ -64,60 +60,11 @@ def test_counts_match_divisor_sums():
         assert len(delta_cosets(1, M)) == sigma1
 
 
-def genus2_exhaustive_oracle(M):
-    """Independent brute force over all admissible entries."""
-
-    def similitude_ok(mat):
-        J = ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0))
-        left = [
-            [sum(mat[k][i] * J[k][l] for k in range(4)) for l in range(4)]
-            for i in range(4)
-        ]
-        prod = [
-            [sum(left[i][k] * mat[k][j] for k in range(4)) for j in range(4)]
-            for i in range(4)
-        ]
-        return all(prod[i][j] == M * J[i][j] for i in range(4) for j in range(4))
-
-    found = 0
-    rng_entries = range(-M, M + 1)
-    for d11 in range(1, M + 1):
-        for d22 in range(1, M + 1):
-            for d12 in range(d22):
-                candidates = []
-                for a11 in rng_entries:
-                    for a12 in rng_entries:
-                        for a21 in rng_entries:
-                            for a22 in rng_entries:
-                                # t(a) d = M I
-                                if (
-                                    a11 * d11 == M
-                                    and a11 * d12 + a21 * d22 == 0
-                                    and a12 * d11 == 0
-                                    and a12 * d12 + a22 * d22 == M
-                                ):
-                                    candidates.append((a11, a12, a21, a22))
-                for (a11, a12, a21, a22) in candidates:
-                    for b11 in range(d11):
-                        for b12 in range(d22):
-                            for b21 in range(d11):
-                                for b22 in range(d22):
-                                    mat = (
-                                        (a11, a12, b11, b12),
-                                        (a21, a22, b21, b22),
-                                        (0, 0, d11, d12),
-                                        (0, 0, 0, d22),
-                                    )
-                                    if similitude_ok(mat):
-                                        found += 1
-    return found
-
-
 @pytest.mark.parametrize("p", [2, 3])
 def test_genus_two_counts(p):
     got = len(delta_cosets(2, p))
     assert got == (1 + p) * (1 + p * p)
-    assert got == genus2_exhaustive_oracle(p)
+    assert got == _exhaustive_genus2_count(p)
 
 
 def test_general_enumerator_agrees_with_fast_path():

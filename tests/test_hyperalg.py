@@ -25,17 +25,12 @@ from vvmf.hyperalg import (
 )
 from vvmf.linalg import Matrix, Subspace, sparse_row
 from vvmf.qexp import InsufficientPrecision, QExp, combine
-from vvmf.reps import Rep, RepRegistry, builtin_registry, hom_space, trivial_rep
+from vvmf.reps import Rep, RepRegistry, hom_space, trivial_rep
 
 
 def one_form(prec) -> AholForm:
     """The constant 1 in weight 0, the identity of the product."""
     return AholForm.holomorphic(0, trivial_rep(), (QExp(1, prec, {0: 1}),), name="1")
-
-
-@pytest.fixture(scope="module")
-def reg():
-    return builtin_registry()
 
 
 @pytest.fixture(scope="module")

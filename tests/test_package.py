@@ -1,7 +1,7 @@
 """The public surface: the names `vvmf` exports and the entry points that
 perfbench's tracer wraps; no module of `vvmf` imports a name it never uses;
-the value types are immutable through one base class; and primality is never
-tested through euler_phi."""
+the value types are immutable through one base class; primality is never
+tested through euler_phi; and each job below has one home."""
 
 import ast
 import importlib
@@ -116,3 +116,71 @@ def test_one_setattr_and_no_primality_test_by_euler_phi():
             path.read_text())
     assert {name: len(lines) for name, lines in setattrs.items() if lines} == {"exactnum.py": 1}
     assert {name: lines for name, lines in phi_tests.items() if lines} == {}
+
+
+def _own_nodes(scope):
+    """The nodes of a module or function body, leaving out nested functions and classes."""
+    todo = list(scope.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def one_home_jobs(source: str) -> dict:
+    """Per job, the sorted names of the functions ("<module>" for top-level
+    code) that do it: "power", a square-and-multiply (it squares by x * x and
+    halves the exponent by >> 1); "term filter", a comprehension that keeps
+    n * step < bound; "span reader", a read of a span manifest's "grades"
+    (obj["grades"] or obj.get("grades")); "fixture", a decorated def reg."""
+    found = {"power": set(), "term filter": set(), "span reader": set(), "fixture": set()}
+    tree = ast.parse(source)
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
+        name = getattr(scope, "name", "<module>")
+        nodes = list(_own_nodes(scope))
+        squares = any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+                      and ast.dump(n.left) == ast.dump(n.right) for n in nodes)
+        if squares and any(isinstance(n, (ast.BinOp, ast.AugAssign))
+                           and isinstance(n.op, ast.RShift) for n in nodes):
+            found["power"].add(name)
+        for n in nodes:
+            if isinstance(n, ast.comprehension) and any(
+                    isinstance(t, ast.Compare) and isinstance(t.ops[0], ast.Lt)
+                    and isinstance(t.left, ast.BinOp) and isinstance(t.left.op, ast.Mult)
+                    for t in n.ifs):
+                found["term filter"].add(name)
+            key = (n.slice if isinstance(n, ast.Subscript) else
+                   n.args[0] if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "get"
+                   and n.args else None)
+            if isinstance(key, ast.Constant) and key.value == "grades":
+                found["span reader"].add(name)
+        if name == "reg" and scope.decorator_list:
+            found["fixture"].add(name)
+    return {job: sorted(names) for job, names in found.items()}
+
+
+def test_one_home_lint_finds_each_job():
+    source = ("def power(x, e):\n    return x if e < 2 else power(x * x, e >> 1)\n"
+              "def terms(q, step, bound):\n    return [n for n in q if n * step < bound]\n"
+              "def reader(obj):\n    return obj.get('grades'), obj['grades']\n"
+              "@fixture\ndef reg():\n    pass\n"
+              "def others(g, n, e):\n    e >>= 1\n"
+              "    return {'grades': g}, [x for x in g if x < n], g * n, g.get('other')\n")
+    assert one_home_jobs(source) == {"power": ["power"], "term filter": ["terms"],
+                                     "span reader": ["reader"], "fixture": ["reg"]}
+
+
+def test_one_home_per_job():
+    # one power (exactnum._pow), one series-term reader (qexp._lattice_terms),
+    # one span-manifest reader (FormSpan.from_json) and one registry fixture
+    homes = {job: [] for job in ("power", "term filter", "span reader", "fixture")}
+    for paths, jobs in ((sorted(Path(vvmf.__file__).parent.glob("*.py")),
+                         ("power", "term filter", "span reader")),
+                        (sorted(Path(__file__).parent.glob("*.py")), ("fixture",))):
+        for path in paths:
+            found = one_home_jobs(path.read_text())
+            for job in jobs:
+                homes[job] += [f"{path.stem}.{name}" for name in found[job]]
+    assert homes == {"power": ["exactnum._pow"], "term filter": ["qexp._lattice_terms"],
+                     "span reader": ["hyperalg.from_json"], "fixture": ["conftest.reg"]}

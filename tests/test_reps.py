@@ -6,14 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from vvmf.exactnum import CycNum
+from vvmf.exactnum import CycNum, _pow
 from vvmf.hecke import hecke_rep
 from vvmf.linalg import Matrix, Subspace
 from vvmf.reps import (
     Decomposition,
     Rep,
     RepRegistry,
-    builtin_registry,
     decompose,
     fixed_vector_to_matrix,
     hom_fixed_subspace,
@@ -25,11 +24,6 @@ from vvmf.reps import (
     sl2_word,
     trivial_rep,
 )
-
-
-@pytest.fixture(scope="module")
-def reg():
-    return builtin_registry()
 
 
 def test_threefold_type_passes_validation():
@@ -526,7 +520,7 @@ def test_word_cache_is_bounded():
         return ((k, -1), (1, 0))
 
     def image(k):
-        return reps._mat_pow(r.T, k % r.level) * r.S
+        return _pow(r.T, k % r.level, Matrix.identity(r.dim)) * r.S
 
     cache.cache_clear()
     for k in range(bound + 10):
@@ -634,3 +628,64 @@ def test_hom_space_memo_is_bounded(fresh_hom_cache):
     hom_space(types[11], types[11])
     assert pairs.cache_info().misses == len(types) + 2
     assert fresh_hom_cache.cache_info()[:2] == (1, len(types) + 1)
+
+
+def direct_sum(ms: list) -> Matrix:
+    """The block-diagonal matrix of ms, in order."""
+    rows, at = [], 0
+    for m in ms:
+        rows += [{at + j: x for j, x in row.items()} for row in m.nonzeros]
+        at += m.cols
+    return Matrix.from_nonzeros(at, rows)
+
+
+def characters(types: list) -> tuple:
+    """(|G|, per type its character as a list over G), G the finite image group
+    of S and T acting on the direct sum of the types, walked breadth first by
+    right multiplication by S and T; each character is the trace of its block."""
+    s, t = (direct_sum([getattr(r, g) for r in types]) for g in "ST")
+    group = frontier = [Matrix.identity(s.rows)]
+    seen = set(group)
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for x in (g * s, g * t):
+                if x not in seen:
+                    seen.add(x)
+                    fresh.append(x)
+        group, frontier = group + fresh, fresh
+    starts = [sum(r.dim for r in types[:i]) for i in range(len(types))]
+    chars = [[sum((g.nonzeros[i].get(i, 0) for i in range(at, at + r.dim)), CycNum.zero())
+              for g in group] for at, r in zip(starts, types)]
+    return len(group), chars
+
+
+def inner(chi: list, psi: list) -> CycNum:
+    """Schur's <chi, psi> = (1 / |G|) sum chi(g) conj(psi(g))."""
+    return sum((x * y.conjugate() for x, y in zip(chi, psi)), CycNum.zero()) / len(chi)
+
+
+def test_registry_characters_are_orthonormal(reg):
+    # the certificate RepRegistry.__init__ takes from 10 hom solves, by traces alone
+    order, chars = characters(reg.entries)
+    assert order == 12
+    gram = [[inner(chi, psi) for psi in chars] for chi in chars]
+    assert gram == [[int(i == j) for j in range(len(chars))] for i in range(len(chars))]
+
+
+@pytest.mark.parametrize("expr, mults, order", [
+    ("T3(rho3)", [1, 1, 0, 0], 324),
+    ("T4(rho3)", [0, 2, 0, 0], 288),
+    ("T3(triv)*T3(triv)", [2, 4, 1, 1], 12),
+    ("T2(rho3)*rho3", [1, 2, 1, 1], 72),
+])
+def test_character_multiplicities_match_hom_space(reg, expr, mults, order):
+    # the homspace-induced sources: dim Hom(R, sigma) = <chi_R, chi_sigma>
+    # over the image group, with no elimination
+    from vvmf.cli import parse_rep_expr
+
+    r = parse_rep_expr(expr, reg)
+    got_order, (chi, *targets) = characters([r, *reg.entries])
+    assert got_order == order
+    assert [inner(chi, psi) for psi in targets] == mults
+    assert [len(hom_space(r, sigma)) for sigma in reg.entries] == mults
