@@ -133,8 +133,8 @@ class FormSpan:
 
     @staticmethod
     def from_json(obj, registry: RepRegistry) -> "FormSpan":
-        """The span `to_json` writes: its generators added in order, each with
-        its provenance, their types inline or labels in registry."""
+        """The span `to_json` writes, its generators added in order with their provenance and
+        types inline or labelled in registry; refused unless they span the grades it declares."""
         if not isinstance(obj, dict) or not isinstance(obj.get("grades"), list):
             raise ValueError("a span is a JSON object whose grades are a list")
         span = FormSpan()
@@ -145,8 +145,11 @@ class FormSpan:
             for gen in gens:
                 if "form" not in gen:
                     raise ValueError('a span generator has no "form" field')
-                span.add(AholForm.from_json(gen["form"], registry),
-                         provenance=gen.get("provenance", ""))
+                span.add(AholForm.from_json(gen["form"], registry), gen.get("provenance", ""))
+        declared = {(g.get("weight"), g.get("type")): g.get("dimension") for g in obj["grades"]}
+        if span.dimension_signature() != declared:
+            raise ValueError(f"the span declares grades {declared}, "
+                             f"but its generators span {span.dimension_signature()}")
         return span
 
 

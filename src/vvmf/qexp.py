@@ -231,11 +231,8 @@ _set_h, _set_prec, _set_terms = (getattr(QExp, name).__set__ for name in QExp.__
 
 def _lattice_terms(q: QExp, h: int, bound: int) -> list:
     """q's terms (n, c) on lattice 1/h, h a multiple of q.h, with n < bound, in
-    q's order.  Every stored term has n < q.prec * h, so a bound at or past
-    that tests no term."""
-    step, (p, d) = h // q.h, q.prec.as_integer_ratio()
-    if bound * d >= p * h:
-        return [(n * step, c) for n, c in q.terms.items()]
+    q's order."""
+    step = h // q.h
     return [(n * step, c) for n, c in q.terms.items() if n * step < bound]
 
 

@@ -206,6 +206,8 @@ _ONE = {"n": 1, "c": ["1"]}
 # whose entry is not an object, and registries with a coefficient or a whole
 # matrix given as a JSON number
 _BARE_CELL_TYPE = {"label": "triv", "level": 1, "S": [["1"]], "T": [[_ONE]]}
+_SPAN_GEN = {"provenance": "E4", "form": {"type": "triv", "weight": 4, "components": [
+    {"h": 1, "prec": "2", "terms": [[0, _ONE]]}]}}
 _BAD_FILES = {
     "bare-cell.json": {"entries": [_BARE_CELL_TYPE]},
     "label-entry.json": {"entries": ["triv"]},
@@ -237,6 +239,12 @@ _BAD_FILES = {
     "generator-empty.json": {"grades": [
         {"weight": 4, "type": "triv", "dimension": 1, "generators": [{}]}]},
     "entry-without-label.json": {"entries": [{"level": 1, "S": [[_ONE]], "T": [[_ONE]]}]},
+    # span grades that contradict their generators: another weight and type,
+    # and a dimension the repeated generator does not reach
+    "grade-other-weight.json": {"grades": [
+        {"weight": 99, "type": "rho3", "dimension": 2, "generators": [_SPAN_GEN, _SPAN_GEN]}]},
+    "grade-short-dimension.json": {"grades": [
+        {"weight": 4, "type": "triv", "dimension": 2, "generators": [_SPAN_GEN, _SPAN_GEN]}]},
     # coordinate lists of the wrong length, which were read as 0, 6 and 0
     "long-at-4-form.json": {"type": "triv", "weight": 4, "components": [
         {"h": 1, "prec": "2", "terms": [[0, {"n": 4, "c": ["1", "0", "1"]}]]}]},
@@ -279,6 +287,12 @@ _NAMED_ERRORS = [
     ("span-generator-without-form",
      ("ahol", "closure", "--span", "generator-empty.json", "--window", "4:8"),
      'a span generator has no "form" field'),
+    ("span-grade-other-weight",
+     ("ahol", "closure", "--span", "grade-other-weight.json", "--window", "4:8"),
+     "the span declares grades {(99, 'rho3'): 2}, but its generators span {(4, 'triv'): 1}"),
+    ("span-grade-short-dimension",
+     ("ahol", "closure", "--span", "grade-short-dimension.json", "--window", "4:8"),
+     "the span declares grades {(4, 'triv'): 2}, but its generators span {(4, 'triv'): 1}"),
     ("registry-entry-without-label",
      ("homspace", "--registry", "entry-without-label.json", "--source", "triv", "--target", "triv"),
      'a type has no "label" field'),

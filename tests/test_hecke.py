@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from vvmf import hecke
 from vvmf.ahol import AholForm, _images, apply_intertwiner, lower_op, raise_op
 from vvmf.cli import _exhaustive_genus2_count
 from vvmf.exactnum import CycNum
@@ -65,6 +66,26 @@ def test_genus_two_counts(p):
     got = len(delta_cosets(2, p))
     assert got == (1 + p) * (1 + p * p)
     assert got == _exhaustive_genus2_count(p)
+
+
+def test_similitude_check_is_the_explicit_product():
+    """_is_similitude against t(m) J m = M J with J written out, on the genus-2
+    cosets of Delta_2 and on each with one entry raised by 1."""
+    J = ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0))
+
+    def explicit(m):
+        return all(sum(m[k][i] * J[k][l] * m[l][j] for k in range(4) for l in range(4))
+                   == 2 * J[i][j] for i in range(4) for j in range(4))
+
+    seen = set()
+    for c in delta_cosets(2, 2):
+        for i, j in [(None, None), (0, 2), (1, 0), (2, 3), (3, 3)]:
+            m = [list(row) for row in c.mat]
+            if i is not None:
+                m[i][j] += 1
+            assert hecke._is_similitude(m, 2, 2) == explicit(m)
+            seen.add(explicit(m))
+    assert seen == {True, False}
 
 
 def test_general_enumerator_agrees_with_fast_path():

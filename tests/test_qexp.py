@@ -8,7 +8,7 @@ import pytest
 
 from vvmf import exactnum, qexp
 from vvmf.exactnum import CycNum, _make, _reduce, as_cyc, bernoulli, divisors, euler_phi
-from vvmf.qexp import InsufficientPrecision, QExp, _lattice_terms, _series, combine, slash_expand
+from vvmf.qexp import InsufficientPrecision, QExp, _series, combine, slash_expand
 
 
 def eis_coeffs(k, count):
@@ -331,34 +331,6 @@ def test_packed_product_matches_reference_hypothesis():
     @hyp.given(series(), series())
     def check(x, y):
         assert json_bytes(x * y) == json_bytes(reference_mul(x, y))
-
-    check()
-
-
-def test_lattice_terms_match_the_filtered_comprehension_hypothesis():
-    # the one series-term reader of combine_terms and the span reads tests no
-    # term at a bound at or past prec * h; it must keep the same terms in order
-    hyp = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
-
-    @st.composite
-    def cases(draw):
-        h = draw(st.sampled_from([1, 2, 3, 6]))
-        prec = draw(st.fractions(min_value=Fraction(1, 5), max_value=12, max_denominator=5))
-        ns = draw(st.lists(st.integers(0, math.ceil(prec * h)), max_size=12, unique=True))
-        q = QExp(h, prec, {n: CycNum.zeta(6, n) for n in ns})
-        lattice = math.lcm(h, draw(st.sampled_from([1, 2, 3, 6])))
-        # below, at and past the precision on the target lattice
-        bound = max(0, math.ceil(prec * lattice) + draw(st.integers(-4, 3)))
-        return q, lattice, bound
-
-    @hyp.settings(max_examples=200, deadline=None, database=None)
-    @hyp.given(cases())
-    def check(case):
-        q, h, bound = case
-        step = h // q.h
-        want = [(n * step, c) for n, c in q.terms.items() if n * step < bound]
-        assert _lattice_terms(q, h, bound) == want
 
     check()
 
