@@ -13,7 +13,10 @@ The Rankin-Cohen bracket [f, g]_t is up to a nonzero rational factor the
 weight k_f + k_g + 2t holomorphic layer of every R^a f (x) R^b g, a + b = t.
 `_bracket_images` stays in integer coordinates: it lifts each component
 once, contracts each map into g on those coordinates, then takes each kept
-coefficient as integer dot products against a row of Q_t(m, n).
+coefficient as integer dot products against a row of Q_t(m, n).  Its
+conductor comes from the series kernel's packed conductor indicator
+(`qexp._marks`, `_paired`, `_conductors`), and no packed arithmetic is
+written here.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from types import SimpleNamespace
 from .ahol import AholForm, _image_name, _split
 from .exactnum import CycNum, _lowered, _make, _multiplication, _reduce, bernoulli, euler_phi
 from .linalg import Matrix
-from .qexp import QExp, _lifted, _series, combine
+from .qexp import QExp, _conductors, _lifted, _marks, _paired, _series, combine
 from .reps import Rep, trivial_rep
 from . import hecke as _hecke
 from .hyperalg import FormSpan, _basis_maps, projections
@@ -161,7 +164,7 @@ def _bracket_row(pairs: list, coeffs: list, qrow, kept, cond: int, H: int) -> QE
     (all N/H in (1/h)Z if kept is None): sum_{i, m+n=N} x_i(m) y_i(n) Q_t(m, n) / H^t,
     an integer dot product per coordinate pair with the Q_t row of N.  The conductor
     is the lcm over the stored pairs at m + n = N, Q_t = 0 too (m = 0 if c_0 != 0,
-    n = 0 if c_t != 0), read off packed 0/1 products."""
+    n = 0 if c_t != 0), read off the pairs' conductor indicators (`qexp._paired`)."""
     qs = [q for pair in pairs for q in pair]
     t, h, prec = len(coeffs) - 1, math.lcm(*(q.h for q in qs)), min(q.prec for q in qs)
     bound, den = math.ceil(prec * H), math.lcm(*(x.den * y.den for x, y in pairs))
@@ -169,15 +172,10 @@ def _bracket_row(pairs: list, coeffs: list, qrow, kept, cond: int, H: int) -> QE
     scale = [den // (qs[i - 1].den * q.den) if i % 2 else 1 for i, q in enumerate(qs)]
     cols = [[(l, c[::(-1) ** i]) for l, b in q.cols if any(c := [a * scale[i] for a in b[:bound]])]
             for i, q in enumerate(qs)]
-    bits, hits = (bound * len(qs)).bit_length(), {}
-    for x, y in zip(qs[::2], qs[1::2]):
-        x, y = ([p for p in u.conds.items() if p[0] < bound and (p[0] or coeffs[e])]
-                for u, e in ((x, 0), (y, t)))
-        for u, v in ((x, y), (y, x)):
-            for k in {c for _, c in u} - {1}:
-                hits[k] = hits.get(k, 0) + (sum(1 << n * bits for n, c in u if c == k)
-                                            * sum(1 << n * bits for n, _ in v))
-    start, step, mask, out = (kept or 0) * H, H // h if kept is None else H, (1 << bits) - 1, {}
+    marks = [[_marks([(n, k) for n, k in u.conds.items() if n < bound and (n or coeffs[e])], bound)
+              for u, e in ((x, 0), (y, t))] for x, y in zip(qs[::2], qs[1::2])]
+    conductor = _conductors([_paired(a, b) for a, b in marks], bound)
+    start, step, out = (kept or 0) * H, H // h if kept is None else H, {}
     for n in range(start.numerator, bound if start.denominator == 1 else 0, step):
         acc, q = [0] * (2 * euler_phi(cond) - 1), qrow(n) if t else None
         for xs, ys in zip(cols[::2], cols[1::2]):
@@ -187,8 +185,7 @@ def _bracket_row(pairs: list, coeffs: list, qrow, kept, cond: int, H: int) -> QE
                 for l, b in tails:
                     acc[k + l] += sum(map(operator.mul, w, b))
         if any(num := _reduce(cond, acc)):
-            m = math.lcm(1, *(k for k, r in hits.items() if r >> n * bits & mask))
-            out[n * h // H] = _lowered(cond, m, num, den * H**t)
+            out[n * h // H] = _lowered(cond, conductor(n), num, den * H**t)
     return _series(h, prec, out)
 
 

@@ -17,9 +17,10 @@ it and packs it as Kronecker-packed ints, one per power-basis coordinate,
 at each slot width a read asks for (D. Harvey, J. Symbolic Comput. 44,
 2009), the layout and packer of `qexp.combine_terms`; it meets a scalar
 through its integer multiplication matrix (`exactnum._multiplication`):
-the reduced row is a packed integer combination, block by block, at the
-least width that holds that block's bound from bit lengths, and its first
-nonzero column is read off the lowest set bit.
+the reduced row is a packed integer combination, block by block, by the
+kernel's multiply-accumulate at a width from its slot bound, and its first
+nonzero column is read off the lowest set bit.  The rows are laid out on
+the lattice of the grade's exponents, not on the lcm of its series'.
 
 The Hecke operator at infinity acts on spans: `tinf(f)` spans every
 projection of the lowered and raised images of f, and `tinf_closure` grows
@@ -41,7 +42,7 @@ from functools import lru_cache
 from .ahol import AholForm, _image_name, _images, lower_op, raise_op
 from .exactnum import _lift_num, _mul_num, _multiplication, euler_phi, prime_divisors
 from .linalg import Matrix, Subspace, sparse_row
-from .qexp import InsufficientPrecision, _lattice_terms, _lifted, _pack
+from .qexp import InsufficientPrecision, _accumulate, _lattice_terms, _lifted, _pack, _slot_bound
 from .reps import RepRegistry, hom_space, require_same_content
 
 
@@ -179,13 +180,13 @@ class _Pivots:
     nonzero of sum_l m_t M_t[i][l] P_{t,l}: M_t takes the coordinates of an
     element of Q(zeta_{n_t}) to those of t's scalar numerator times it in
     Q(zeta_N), and m_t = Lambda / (den(scalar) d_t), so no block is lifted
-    to N.  Each block is combined at the least width (64 bits, doubled)
-    that holds its own slot bound over those terms: the largest bit length
-    of a scalar plus its matrix's largest entry plus its block's largest
-    coordinate, plus the bit length of the number of products per
-    coordinate.  Every slot of the result is then below 2^width in absolute
-    value, so a nonzero result's first nonzero slot is its lowest set bit
-    // width.  The read stops at the first nonzero block.
+    to N (`qexp._accumulate`).  Each block is combined at the least width
+    (64 bits, doubled, as packs live across reads) above the bit length of
+    its `qexp._slot_bound`, sum_t m_t * (M_t's largest absolute row sum) *
+    (its block's largest coordinate).  Every slot of the result is then
+    below 2^width in absolute value, so a nonzero result's first nonzero
+    slot is its lowest set bit // width.  The read stops at the first
+    nonzero block.
     """
 
     __slots__ = ("layout", "bound", "forms", "pivots", "inv", "blocks")
@@ -218,9 +219,8 @@ class _Pivots:
         vp = _lifted([(i, x) for i, x in enumerate(_at(terms, self.pivots, bound)) if x], cond)
         a, den = [(inv[i], x) for i, x in vp.rows], den * vp.den
         # the terms of v - sum_j c_j g_j, v with scalar 1, then g_j with -c_j,
-        # each as den(scalar), M, the bit length of M's largest entry, its
-        # form, n, its blocks
-        mults = [(1, *_lift_matrix(cond, n_v), f, n_v, own)]
+        # each as den(scalar), M, its form, n, its blocks
+        mults = [(1, _lift_matrix(cond, n_v), f, n_v, own)]
         for j, (n, pairs) in enumerate(self.blocks):
             c = [0] * phi
             for row, x in a:
@@ -228,35 +228,25 @@ class _Pivots:
                     c = [u + w for u, w in zip(c, _mul_num(cond, x, _lift_num(y, n_inv, cond)))]
             if any(c):
                 g = math.gcd(den, *c)
-                m = _multiplication(cond, [-x // g for x in c], n)
-                mults.append((den // g, m, _bits(m), self.forms[j], n, pairs))
+                mults.append((den // g, _multiplication(cond, [-x // g for x in c], n),
+                              self.forms[j], n, pairs))
         for b, block in enumerate(terms):
-            # per term with a nonzero block b: den(scalar) d_b, M, the bits of M times it, it
+            # per term with a nonzero block b: den(scalar) d_b, M, the block
             live = []
-            for d, m, bits, g, n, pairs in mults:
+            for d, m, g, n, pairs in mults:
                 if b == len(pairs):
                     got = block if g is f else _series_terms(g, layout, b, bound)
                     pairs.append((_lifted(got, n) if got else None, {}))
                 if group := pairs[b][0]:
-                    live.append((d * group.den, m, bits + group.big.bit_length(), pairs[b]))
+                    live.append((d * group.den, m, pairs[b]))
             if not live:
                 continue
-            lam = math.lcm(*(d for d, _, _, _ in live))
-            need = max((lam // d).bit_length() + bits for d, _, bits, _ in live)
-            count = sum(len(m[0]) for _, m, _, _ in live)
-            # the least of 64 bits doubled that holds the bound
-            width = 1 << max(6, (need + count.bit_length() - 1).bit_length())
-            scaled = [(lam // d, m, _packs(pair, width)) for d, m, _, pair in live]
-            low = None
-            for i in range(phi):
-                y = 0
-                for s, m, ints in scaled:
-                    z = sum(x * p for x, p in zip(m[i], ints) if x)
-                    if z:
-                        y += s * z
-                if y:
-                    t = ((y & -y).bit_length() - 1) // width
-                    low = t if low is None else min(low, t)
+            lam = math.lcm(*(d for d, _, _ in live))
+            # the least of 64 bits doubled above the bit length of the slot bound
+            need = _slot_bound([(lam // d, m, pair[0].big) for d, m, pair in live]).bit_length()
+            width = 1 << max(6, need.bit_length())
+            acc = _accumulate([(lam // d, m, _packs(pair, width)) for d, m, pair in live], phi)
+            low = min((((y & -y).bit_length() - 1) // width for y in acc if y), default=None)
             if low is not None:
                 return b * bound + low, (n_v, own)
         return None, (n_v, own)
@@ -279,8 +269,11 @@ class _Pivots:
 def _row_layout(forms, prec=None, base=None):
     """(prec, lattice, type dimension, depth) of rows of forms and of the
     forms whose layout at their lowest precision is base; prec defaults to
-    the lowest stored precision and may not exceed it."""
-    h = math.lcm(*(q.h for f in forms for layer in f.graded for q in layer))
+    the lowest stored precision and may not exceed it.  The lattice is the
+    lcm of the lattices of the series' exponents, q.h // gcd(q.h, *q.terms)
+    (1 for a zero series)."""
+    h = math.lcm(*(q.h // math.gcd(q.h, *q.terms)
+                   for f in forms for layer in f.graded for q in layer))
     depth = max(f.depth for f in forms)
     low = min(f.prec for f in forms)
     if base:
@@ -328,15 +321,9 @@ def _packs(pair, width: int) -> list:
 
 
 @lru_cache(maxsize=64)
-def _lift_matrix(cond: int, n: int) -> tuple:
-    """(M, `_bits` of M) for the scalar 1: M lifts coordinates from n | cond to cond."""
-    m = _multiplication(cond, _lift_num((1,), 1, cond), n)
-    return m, _bits(m)
-
-
-def _bits(m: list) -> int:
-    """Bit length of a matrix's largest entry."""
-    return max(abs(x) for row in m for x in row).bit_length()
+def _lift_matrix(cond: int, n: int) -> list:
+    """M for the scalar 1: M lifts coordinates from n | cond to cond."""
+    return _multiplication(cond, _lift_num((1,), 1, cond), n)
 
 
 def span_sum(spans) -> "FormSpan":

@@ -11,7 +11,7 @@ RREF, pivot rows first in pivot order, so equal subspaces have equal bases.
 `kernel_of_rows` reduces its kernel in those coordinates too.  A `Matrix`, and so
 a `Subspace` basis, holds its rows in that form: arithmetic and
 eliminations touch nonzero entries only; dense callers convert with
-`sparse_row` and `dense_row`.
+`sparse_row`.
 """
 
 from __future__ import annotations
@@ -252,11 +252,6 @@ def _matrix(rows: int, cols: int, n: int, nonzeros: list) -> Matrix:
 def sparse_row(values, start: int = 0) -> dict:
     """{column: entry} of the nonzero entries, columns counted from start."""
     return {j: x for j, x in enumerate(values, start) if x}
-
-
-def dense_row(row: dict, stop: int, zero, start: int = 0) -> list:
-    """Entries start..stop-1 of a sparse row, zero where it has none."""
-    return [row.get(j, zero) for j in range(start, stop)]
 
 
 def _rref_inplace(rows: list, ncols: int, stop_col: int | None = None) -> list:

@@ -29,8 +29,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
+from operator import or_
 
 from .exactnum import (
     CycNum, Immutable, _embed, _lift_num, _lowered, _make, _mul_num, _multiplication, _reduce,
@@ -230,10 +231,11 @@ _set_h, _set_prec, _set_terms = (getattr(QExp, name).__set__ for name in QExp.__
 
 
 def _lattice_terms(q: QExp, h: int, bound: int) -> list:
-    """q's terms (n, c) on lattice 1/h, h a multiple of q.h, with n < bound, in
-    q's order."""
-    step = h // q.h
-    return [(n * step, c) for n, c in q.terms.items() if n * step < bound]
+    """q's terms (n, c) on lattice 1/h, a multiple of the lattice of q's
+    exponents, with n < bound, in q's order: the term at n/q.h is at n * h
+    // q.h."""
+    cut = bound * q.h
+    return [(n * h // q.h, c) for n, c in q.terms.items() if n * h < cut]
 
 
 def combine(rows, series) -> list:
@@ -261,25 +263,26 @@ def combine_terms(rows, empty) -> list:
     its terms' conductors: x and y are lifted to n over one denominator and
     packed into one int per power-basis coordinate, exponent t in slot t
     (`_pack`), and the coordinate-pair products are folded modulo Phi_n on
-    those ints (`exactnum._mul_num`).  A row at its joint conductor N, the lcm of
-    its terms' c.n and n, applies each c as the integer matrix of c times
-    Q(zeta_n) in Q(zeta_N) (`_multiplication`) to the shared product and
-    decodes its phi(N) sums once.  One slot width holds every row of the
-    call: per term, the matrix's largest row sum times the product's slot
-    bound, `_fold_growth(n)` * phi(n) * (pairs of terms per exponent) *
-    (the factors' largest coordinates).
+    those ints (`exactnum._mul_num`).  A row at its joint conductor N, the
+    lcm of its terms' c.n and n, folds the row's denominator into the integer
+    matrix of each c times Q(zeta_n) in Q(zeta_N) (`_multiplication`),
+    applies it to the shared product (`_accumulate`) and decodes its phi(N)
+    sums once.  One slot width holds every row of the call (`_slot_bound`),
+    a product's slot bound being `_fold_growth(n)` * phi(n) * (pairs of
+    terms per exponent) * (the factors' largest coordinates).
 
     A coefficient has the lcm m of c.n and the pair's term conductors, over
     every term and pair of terms that reaches its exponent, even where
-    their sum cancels; products of narrow 0/1 indicators of each
-    conductor's terms decide it, and the coefficient's coordinates are
+    their sum cancels: each series keeps one conductor indicator
+    (`_marks`), each product pairs its factors' (`_paired`) and
+    `_conductors` reads m off the row's; the coefficient's coordinates are
     lowered from N to m (`exactnum._lowered`).
     """
     rows = [[(as_cyc(c), x, y) for c, x, y in row if c] for row in rows]
     parts = [[q for _, x, y in row for q in (x, y) if q is not None] for row in rows]
     h = math.lcm(*(q.h for qs in parts for q in qs))
     bounds = [math.ceil(min(q.prec for q in qs) * h) if qs else 0 for qs in parts]
-    limit, found, lifted, packed, made, marked = max(bounds, default=0), {}, {}, {}, {}, {}
+    limit, found, lifted, packed, made, indicators = max(bounds, default=0), {}, {}, {}, {}, {}
 
     def terms(x) -> tuple:
         """(x's (n, c) terms below every bound at lattice h, their conductors)."""
@@ -297,37 +300,29 @@ def combine_terms(rows, empty) -> list:
         """The product record of x * y (of x where y is None), made once."""
         key = (id(x), id(y)) if y is None or id(x) <= id(y) else (id(y), id(x))
         if key not in made:
-            conds = terms(x)[1] | (terms(y)[1] if y is not None else set())
-            cond = math.lcm(*conds)
+            cond = math.lcm(*terms(x)[1], *(terms(y)[1] if y is not None else ()))
             if y is None:
                 a = lift(x, cond)
-                made[key] = _Product(x, y, conds, cond, (a,), a.den, a.big, a.top, 1, {})
+                made[key] = _Product(x, y, cond, (a,), a.den, a.big, a.top, {})
             else:
                 a, b = lift(x, cond), lift(y, cond)
                 count = min(len(a.rows), len(b.rows))
                 big = _fold_growth(cond) * euler_phi(cond) * count * a.big * b.big
-                made[key] = _Product(x, y, conds, cond, (a, b), a.den * b.den, big,
-                                     a.top + b.top, count, {})
+                made[key] = _Product(x, y, cond, (a, b), a.den * b.den, big, a.top + b.top, {})
         return made[key]
 
-    # one slot width bounds every row of the call, and one narrow width
-    # every sum of indicator products
-    jobs, big, most = [], 0, 1
+    # one slot width bounds every row of the call
+    jobs, big = [], 0
     for row in rows:
         job = [(c, product(x, y)) for c, x, y in row
                if terms(x)[0] and (y is None or terms(y)[0])]
         cond = math.lcm(*(c.n for c, _ in job), *(p.cond for _, p in job))
         den = math.lcm(*(c.den * p.den for c, p in job))
-        scaled, size = [], 0
-        for c, p in job:
-            f, m = den // (c.den * p.den), _multiplication(cond, c.lift(cond).num, p.cond)
-            m = [[f * v for v in r] for r in m] if f != 1 else m
-            size += max(sum(map(abs, r)) for r in m) * p.big
-            scaled.append((m, p))
-        big = max(big, size)
-        most = max(most, sum(3 * p.count for _, p in job))
+        scaled = [(den // (c.den * p.den), _multiplication(cond, c.lift(cond).num, p.cond), p)
+                  for c, p in job]
+        big = max(big, _slot_bound([(f, m, p.big) for f, m, p in scaled]))
         jobs.append((job, cond, den, scaled))
-    width, narrow = (big.bit_length() + 8) // 8, (most.bit_length() + 7) // 8
+    width = _slot_width(big)
 
     def pack(g: _Group) -> list:
         if id(g) not in packed:
@@ -341,51 +336,30 @@ def combine_terms(rows, empty) -> list:
             p.cache["ints"] = packs[0] if len(packs) == 1 else _mul_num(p.cond, *packs)
         return p.cache["ints"]
 
-    def marks(x, c: int) -> int:
-        """The 0/1 indicator of x's exponents whose term has conductor c (any for 0)."""
-        if (id(x), c) not in marked:
-            ns = [(n, (1,)) for n, t in terms(x)[0] if c in (0, t.n)]
-            marked[id(x), c] = _pack(ns, max(n for n, _ in ns), narrow)[0]
-        return marked[id(x), c]
+    def indicator(x) -> dict:
+        if id(x) not in indicators:
+            indicators[id(x)] = _marks([(n, c.n) for n, c in terms(x)[0]], limit)
+        return indicators[id(x)]
 
-    def reach(p: _Product, c: int) -> int:
-        """The indicator of the exponents that p reaches with a term of
-        conductor c > 1 (with any term for 0), made once."""
-        if c not in p.cache:
-            x, y = p.x, p.y
-            if y is None:
-                p.cache[c] = marks(x, c)
-            elif c == 0:
-                p.cache[c] = marks(x, 0) * marks(y, 0)
-            else:
-                p.cache[c] = sum(marks(u, c) * marks(v, 0)
-                                 for u, v in ((x, y), (y, x)) if c in terms(u)[1])
-        return p.cache[c]
+    def reached(p: _Product) -> dict:
+        """The conductor indicator of the exponents p reaches, made once."""
+        if "reached" not in p.cache:
+            a = indicator(p.x)
+            p.cache["reached"] = a if p.y is None else _paired(a, indicator(p.y))
+        return p.cache["reached"]
 
-    out, blank = [], bytes(narrow)
+    out = []
     for qs, bound, (job, cond, den, scaled) in zip(parts, bounds, jobs):
         if not qs:
             out.append(QExp.zero(empty))
             continue
-        acc = [0] * euler_phi(cond)
-        for m, p in scaled:
-            zs = ints(p)
-            for i, r in enumerate(m):
-                for v, z in zip(r, zs):
-                    if v:
-                        acc[i] += v * z
+        acc = _accumulate([(f, m, ints(p)) for f, m, p in scaled], euler_phi(cond))
         top = min(bound, max((p.top + 1 for _, p in job), default=0))
-        hits: dict = {}
-        for c, p in job:
-            for k in p.conds - {1}:
-                hits[k] = hits.get(k, 0) + reach(p, k)
-            if c.n > 1:
-                hits[c.n] = hits.get(c.n, 0) + reach(p, 0)
-        hits = [(k, _low_bytes(r, top * narrow)) for k, r in hits.items()]
+        conductor = _conductors([reached(p) for _, p in job if p.cond > 1]
+                                + [{c.n: reached(p)[0]} for c, p in job if c.n > 1], limit)
         step, coeffs = h // math.lcm(*(q.h for q in qs)), {}
         for n, num in _decode(acc, top, width):
-            m = math.lcm(1, *(k for k, hit in hits if not hit.startswith(blank, n * narrow)))
-            coeffs[n // step] = _lowered(cond, m, num, den)
+            coeffs[n // step] = _lowered(cond, conductor(n), num, den)
         out.append(_series(h // step, min(q.prec for q in qs), coeffs))
     return out
 
@@ -394,13 +368,12 @@ def combine_terms(rows, empty) -> list:
 # big the largest |coordinate| and top the largest n
 _Group = namedtuple("_Group", "rows den big top")
 
-# a product x * y (x alone where y is None) of a `combine_terms` call:
-# conds the conductors of their terms and cond their lcm, groups x and y
-# lifted to cond, den the product of their denominators, big a bound on
-# each slot of its folded coordinates, top its largest exponent, count the
-# most pairs of terms per exponent, and cache its folded ints and its
-# indicators, made at most once per call
-_Product = namedtuple("_Product", "x y conds cond groups den big top count cache")
+# a product x * y (x alone where y is None) of a `combine_terms` call at cond,
+# the lcm of their terms' conductors: groups x and y lifted to cond, den the
+# product of their denominators, big a bound on each slot of its folded
+# coordinates, top its largest exponent, and cache its folded ints and its
+# conductor indicator, made at most once per call
+_Product = namedtuple("_Product", "x y cond groups den big top cache")
 
 
 def _lifted(group: list, cond: int) -> _Group:
@@ -430,6 +403,51 @@ def _pack(rows: list, top: int, width: int) -> list:
     return out
 
 
+def _accumulate(terms, phi: int) -> list:
+    """Per coordinate i < phi, the int sum over terms (s, m, ints) of s times
+    row i of the integer matrix m applied to ints, one per coordinate l."""
+    return [sum(s * v * z for s, m, ints in terms for v, z in zip(m[i], ints) if v)
+            for i in range(phi)]
+
+
+def _slot_bound(terms) -> int:
+    """A bound on every slot of `_accumulate` over terms (s, m, ints) whose ints
+    have slots at most big in absolute value, from their (s, m, big)."""
+    return sum(s * max(sum(map(abs, r)) for r in m) * big for s, m, big in terms)
+
+
+def _slot_width(bound: int) -> int:
+    """The least width in bytes whose slots hold |x| <= bound: bound < 2^(8 * width - 1)."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _marks(conds, limit: int) -> dict:
+    """The conductor indicator of the (n, conductor) pairs conds, each n < limit:
+    at 0 the 0/1 indicator of every n, at each k > 1 that of the n of conductor
+    k, packed in slots of `_slot_width(limit)` bytes."""
+    width = _slot_width(limit)
+    flags = {k: bytearray(limit * width) for k in {0, *(k for _, k in conds)}}
+    for n, k in conds:
+        flags[0][n * width] = flags[k][n * width] = 1
+    return {k: int.from_bytes(f, "little") for k, f in flags.items() if k != 1}
+
+
+def _paired(a: dict, b: dict) -> dict:
+    """The conductor indicator of the pairs of a term of `_marks` a and one of b
+    at the sums of their exponents; a slot counts the pairs there, at most limit."""
+    return {0: a[0] * b[0]} | {k: a.get(k, 0) * b[0] | b.get(k, 0) * a[0] for k in {*a, *b} - {0}}
+
+
+def _conductors(marks: list, limit: int):
+    """The function of n that gives the lcm of the k > 1 whose indicator in one
+    of marks, `_marks` at limit or `_paired` products, has a nonzero slot n."""
+    hits = {k: reduce(or_, [mark.get(k, 0) for mark in marks])
+            for k in {k for mark in marks for k in mark if k > 1}}
+    bits = 8 * _slot_width(limit)
+    mask = (1 << bits) - 1
+    return lambda n: math.lcm(1, *(k for k, x in hits.items() if x >> bits * n & mask))
+
+
 @lru_cache(maxsize=None)
 def _fold_growth(cond: int) -> int:
     """The largest sum over k < 2 phi(cond) - 1 of |coordinate j of x^k mod
@@ -444,19 +462,14 @@ def _decode(accs: list, top: int, width: int):
     """Yield (n, the tuple of slot n of each of accs) for every n < top
     where a slot is nonzero.  Every slot is below half = 2^(8 * width - 1)
     in absolute value, so adding fill, half in each slot, carries nothing
-    between slots."""
+    between slots; the low top slots of the sum are read as unsigned."""
     half, size = 1 << (8 * width - 1), top * width
-    fill = int.from_bytes(half.to_bytes(width, "little") * top, "little")
+    fill, mask = int.from_bytes(half.to_bytes(width, "little") * top, "little"), (1 << 8 * size) - 1
     slots = [[int.from_bytes(raw[at : at + width], "little") - half for at in range(0, size, width)]
-             for raw in [_low_bytes(a + fill, size) for a in accs]]
+             for raw in [((a + fill) & mask).to_bytes(size, "little") for a in accs]]
     for n, num in enumerate(zip(*slots)):
         if any(num):
             yield n, num
-
-
-def _low_bytes(x: int, size: int) -> bytes:
-    """The size low bytes of x in two's complement, little-endian."""
-    return (x & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
 
 
 def slash_expand(f: QExp, k: int, m) -> QExp:

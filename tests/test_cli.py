@@ -649,6 +649,18 @@ def test_thm11_bracket_span_matches_raise_then_decompose(reg, k, l, l2, indices)
     assert [p for _, p in got.generators(key)] == [p for _, p in want.generators(key)]
 
 
+def test_the_weight_96_span_keeps_its_bytes_on_the_integer_lattice(reg):
+    # the triv projections of T_M(E4) and T_M(E8), M = 1..8, are stored on
+    # lattices 1/M but have integer exponents, so the grade's pivot state is
+    # laid out on lattice 1, not on 1/840; the span's JSON is the one the
+    # 1/840 layout made (CI pins it too)
+    span = thm11_span(96, 4, 8, list(range(1, 9)), sturm_bound(96, 1), reg)
+    assert max(q.h for f, _ in span.generators((96, "triv")) for q in f.components) > 1
+    assert span._pivots[(96, "triv")].layout[1] == 1
+    digest = hashlib.sha256(json.dumps(span.to_json()).encode()).hexdigest()
+    assert digest == "57d6adfeb4df74ada28314a086d352060b6fcfb3aa7592ef1fdf9f163ab862a7"
+
+
 def test_thm11_without_triv_in_the_registry(capsys, tmp_path):
     # the theorem is about the triv grade: without triv the run is refused as bad
     # input, as example32 is without rho3, not reported as a failed theorem

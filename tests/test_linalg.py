@@ -11,10 +11,14 @@ from vvmf.linalg import (
     Matrix,
     Subspace,
     _rref_inplace,
-    dense_row,
     kernel_of_rows,
     sparse_row,
 )
+
+
+def dense_row(row: dict, stop: int, zero, start: int = 0) -> list:
+    """Entries start..stop-1 of a sparse row, zero where it has none."""
+    return [row.get(j, zero) for j in range(start, stop)]
 
 
 def e(i, n):

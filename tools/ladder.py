@@ -153,6 +153,11 @@ RUNGS = {
     "thm11-span-k60": ["python3", "-c", "K, M = 60, 5" + _THM11_SPAN],
     # a stretch rung: t = 30 brackets at Hecke indices 1 to 6
     "thm11-span-k72": ["python3", "-c", "K, M = 72, 6" + _THM11_SPAN],
+    # high weight: the projections are stored on lattices 1/M, M <= 8 and
+    # M <= 10, but have integer exponents, so the span's pivot state is laid
+    # out on lattice 1; the k120 rung is a stretch rung of one pair
+    "thm11-span-k96": ["python3", "-c", "K, M = 96, 8" + _THM11_SPAN],
+    "thm11-span-k120": ["python3", "-c", "K, M = 120, 10" + _THM11_SPAN],
     # long series: the bracket at t = 5 and t = 0 to precision 120 and 60
     "thm11-k22-prec120": CLI + ["verify", "thm11", "--k", "22", "--indices", "1,2,3",
                                 "--prec", "120", "--format", "json"],
