@@ -268,7 +268,7 @@ def _desk_cusp_form(k: int, prec) -> AholForm | None:
     """Generator of the one-dimensional cusp spaces at desk scale."""
     if k == 12:
         return delta_form(prec)
-    if k in (16, 18, 20, 22):
+    if k in (16, 18, 20, 22, 26):
         d = delta_form(prec)
         e = eisenstein(k - 12, prec)
         return AholForm.holomorphic(k, d.rep, [d.components[0] * e.components[0]])

@@ -344,28 +344,24 @@ class CycNum(Immutable):
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
+        """1/x at x's conductor n, computed in x's least field Q(zeta_m) (`reduce_conductor`)
+        and lifted back: x times its other conjugates over Q is the rational integer N(x), so
+        1/x = conj / N(x).  The cost follows m, not n; at m = 1 there are no conjugates."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        n, num, den = self.n, self.num, self.den
-        if n == 1:
-            p = num[0]
-            return _make(1, (den if p > 0 else -den,), abs(p))
-        # x * (product of the other Galois conjugates of x) is the norm N(x),
-        # a rational integer for integer coordinates, so 1/x = conj / N(x).
+        low = self.reduce_conductor()
+        m, num, den = low.n, low.num, low.den
         conj = (1,) + (0,) * (len(num) - 1)
-        for k in range(2, n):
-            if math.gcd(k, n) == 1:
-                conj = _mul_num(n, conj, _embed(num, k, 0, n))
-        norm = _mul_num(n, num, conj)[0]
+        for k in range(2, m):
+            if math.gcd(k, m) == 1:
+                conj = _mul_num(m, conj, _embed(num, k, 0, m))
+        norm = _mul_num(m, num, conj)[0]
         if norm < 0:
             norm, den = -norm, -den
-        return _make(n, tuple(den * x for x in conj), norm)
+        return _make(m, tuple(den * x for x in conj), norm).lift(self.n)
 
     def __truediv__(self, other):
-        other = as_cyc(other)
-        if other.is_zero():
-            raise ZeroDivisionError("cyclotomic division by zero")
-        return self * other.inverse()
+        return self * as_cyc(other).inverse()
 
     def __rtruediv__(self, other):
         return as_cyc(other).__truediv__(self)

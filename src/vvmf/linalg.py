@@ -380,8 +380,8 @@ def _from_coordinates(rows: list, pivots: list, out: int, n: int, pad: tuple) ->
 
 @lru_cache(maxsize=1024)
 def _conjugates(n: int, num: tuple) -> tuple:
-    """Integer coordinates of a positive multiple of the product of the other
-    Galois conjugates of num, so that num times it is a positive integer."""
+    """Integer coordinates of a positive multiple of 1/num, the numerators of the
+    inverse taken in num's least field, so that num times it is a positive integer."""
     return _make(n, num, 1).inverse().num
 
 

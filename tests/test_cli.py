@@ -7,6 +7,7 @@ import pytest
 
 from vvmf.ahol import ahol_decompose, raise_op
 from vvmf.cli import (
+    _desk_cusp_form,
     _same_left_coset,
     build_parser,
     main,
@@ -128,6 +129,35 @@ def test_verify_thm11_skips_a_weight_without_a_desk_cusp_form(capsys):
     assert code == 0
     assert [ln for ln in out.splitlines() if not ln.startswith("#")][0].startswith(
         "skip cusp-membership ")
+
+
+def test_the_desk_table_covers_every_one_dimensional_cusp_space():
+    # dim S_k = floor(k/12) - 1 for k = 2 mod 12, else floor(k/12), for even k >= 4:
+    # the desk table has a generator exactly where that is 1, each a q-expansion
+    # that starts at q^1 with coefficient 1
+    for k in range(4, 60, 2):
+        dim = k // 12 - (k % 12 == 2)
+        form = _desk_cusp_form(k, 4)
+        assert (form is not None) == (dim == 1), k
+        if form is not None:
+            series = form.components[0]
+            assert (form.weight, series.coeff(0), series.coeff(1)) == (k, 0, 1)
+
+
+@pytest.mark.parametrize("argv, member", [
+    (("--k", "26", "--indices", "1,2"), True),
+    (("--k", "26", "--indices", "1"), True),
+    (("--k", "26", "--l", "6", "--l2", "10", "--indices", "1,3"), True),
+    # l == l2 with t odd: the grade is empty, and no member is expected
+    (("--k", "26", "--l", "8", "--l2", "8", "--indices", "1,2"), False),
+    (("--k", "26", "--l", "6", "--l2", "6", "--indices", "1,2"), False),
+])
+def test_verify_thm11_checks_the_weight_26_cusp_space(capsys, argv, member):
+    # S_26 is spanned by Delta * E14, so its membership is checked, not skipped
+    code, out, _ = run_cli(capsys, "verify", "thm11", *argv, "--format", "json")
+    assert code == 0
+    cases = [(c["name"], c["status"], c["observed"]) for c in json.loads(out)["cases"]]
+    assert cases == [("cusp-membership", "pass", member)]
 
 
 def test_verify_thm11_fails_without_second_index():
@@ -659,6 +689,15 @@ def test_the_weight_96_span_keeps_its_bytes_on_the_integer_lattice(reg):
     assert span._pivots[(96, "triv")].layout[1] == 1
     digest = hashlib.sha256(json.dumps(span.to_json()).encode()).hexdigest()
     assert digest == "57d6adfeb4df74ada28314a086d352060b6fcfb3aa7592ef1fdf9f163ab862a7"
+
+
+def test_the_weight_120_span_keeps_its_bytes(reg):
+    # the first weight whose least Hecke index drops below dim S_k; a pivot entry
+    # written at the joint conductor 2520 lies in Q(zeta_3), so the span is cheap
+    # only while an inverse is taken in the element's least field
+    span = thm11_span(120, 4, 8, list(range(1, 11)), sturm_bound(120, 1), reg)
+    digest = hashlib.sha256(json.dumps(span.to_json()).encode()).hexdigest()
+    assert digest == "1cababbc6328a4747615c88bcf435e8f55271523aad42482df2ce3524bd77fec"
 
 
 def test_thm11_without_triv_in_the_registry(capsys, tmp_path):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from vvmf import exactnum
 from vvmf.exactnum import (
     CycNum,
     _embed,
@@ -80,10 +81,43 @@ def test_conjugation_inverts_roots_of_unity():
 def test_division_errors_on_zero():
     with pytest.raises(ZeroDivisionError):
         CycNum.one() / CycNum.zero()
+    with pytest.raises(ZeroDivisionError):
+        CycNum.zeta(5) / 0
 
 
 def random_cyc(rng, n):
     return CycNum(n, [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(euler_phi(n))])
+
+
+@pytest.mark.parametrize("m, n", [(1, 30), (3, 12), (4, 40), (5, 60), (7, 2520), (12, 12)])
+def test_inverse_is_taken_in_the_least_field(m, n):
+    # an element of Q(zeta_m) written at n keeps n, and its inverse is the
+    # inverse in Q(zeta_m) lifted to n, digit for digit
+    rng = random.Random(f"least/{m}/{n}")
+    for _ in range(4):
+        x = (random_cyc(rng, m) + rng.randint(7, 9)).lift(n)
+        inv = x.inverse()
+        want = x.reduce_conductor().inverse().lift(n)
+        assert inv.n == n and x * inv == 1
+        assert (inv.n, inv.num, inv.den) == (want.n, want.num, want.den)
+
+
+def test_inverse_cost_follows_the_least_field(monkeypatch):
+    # 2 + zeta_7 written at 2520 takes phi(7) = 6 products in Q(zeta_7), not one
+    # per unit mod 2520; the count stops at a seventh, so a walk over all 576 fails fast
+    calls = []
+    mul = exactnum._mul_num
+
+    def counted(n, x, y):
+        calls.append(n)
+        assert len(calls) <= euler_phi(7), "the inverse multiplies past phi(7) times"
+        return mul(n, x, y)
+
+    x = (CycNum.zeta(7) + 2).lift(2520)
+    monkeypatch.setattr(exactnum, "_mul_num", counted)
+    inv = x.inverse()
+    monkeypatch.undo()
+    assert inv.n == 2520 and x * inv == 1 and set(calls) == {7}
 
 
 @pytest.mark.parametrize("conductor", [1, 3, 4, 5, 12])

@@ -155,7 +155,8 @@ RUNGS = {
     "thm11-span-k72": ["python3", "-c", "K, M = 72, 6" + _THM11_SPAN],
     # high weight: the projections are stored on lattices 1/M, M <= 8 and
     # M <= 10, but have integer exponents, so the span's pivot state is laid
-    # out on lattice 1; the k120 rung is a stretch rung of one pair
+    # out on lattice 1; at k120 a pivot entry written at the joint conductor
+    # 2520 lies in Q(zeta_3), and is inverted there
     "thm11-span-k96": ["python3", "-c", "K, M = 96, 8" + _THM11_SPAN],
     "thm11-span-k120": ["python3", "-c", "K, M = 120, 10" + _THM11_SPAN],
     # long series: the bracket at t = 5 and t = 0 to precision 120 and 60
