@@ -21,10 +21,10 @@ hashing go through a canonical reduced form instead.
 
 Integer coordinates move between Q(zeta_m) and Q(zeta_n), m | n, by one
 pair of maps shared with the series kernel and the span reads: the lift
-`_lift_num` and the one decoder `_lowered`, which applies the cached left
-inverse `_lowering`.  `reduce_conductor` takes the first divisor whose
-lowering lifts back to the element.  `_embed` is also the one Galois map:
-sigma_k on coordinates at n is `_embed(num, k, 0, n)`.
+`_lift_num` and the one decoder `_lowered`, a field trace taken one prime at
+a time.  `reduce_conductor` takes the first divisor whose lowering lifts back
+to the element.  `_embed` is also the one Galois map: sigma_k on coordinates
+at n is `_embed(num, k, 0, n)`.
 
 The number theory reads one list, `prime_divisors(n)`: phi(n) = n * prod (p - 1) / p,
 and Phi_n is a Moebius product taken as a power series.  `Immutable` is the one
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -168,32 +167,28 @@ def _multiplication(cond: int, num: tuple, n: int) -> list:
     return list(zip(*[_embed(num, 1, l * step, cond) for l in range(euler_phi(n))]))
 
 
-@lru_cache(maxsize=None)
-def _lowering(cond: int, m: int) -> tuple:
-    """(P, d), P an integer phi(m) x phi(cond) matrix: an element of Q(zeta_m),
-    m | cond, with coordinates u at cond has coordinates P u / d at m.  P / d is
-    the left inverse (L^T L)^-1 L^T of the lift L from m to cond, by fraction-free
-    Gauss-Jordan on the integer rows [L^T L | L^T], pivoting on the diagonal."""
-    k = euler_phi(m)
-    lt = [_lift_num(tuple(int(i == l) for i in range(k)), m, cond) for l in range(k)]
-    rows = [[sum(map(operator.mul, a, b)) for b in lt] + list(a) for a in lt]
-    for c, pivot in enumerate(rows):
-        for r in rows:
-            if r is not pivot and (f := r[c]):
-                r[:] = [pivot[c] * x - f * y for x, y in zip(r, pivot)]
-                g = math.gcd(*r)
-                r[:] = [x // g for x in r]
-    d = math.lcm(*(r[i] // math.gcd(r[i], *r[k:]) for i, r in enumerate(rows)))
-    return tuple(tuple(x * d // r[i] for x in r[k:]) for i, r in enumerate(rows)), d
-
-
 def _lowered(cond: int, m: int, num: tuple, den: int) -> "CycNum":
-    """The element num / den at cond, which lies in Q(zeta_m), m | cond, written
-    at m: num itself for m == cond, coordinate 0 for m == 1, else by `_lowering`."""
+    """The element num / den at cond, which lies in Q(zeta_m), m | cond, written at m:
+    num itself for m == cond, coordinate 0 for m == 1, else one prime p of cond / m at a
+    time, n -> k = n / p.  For p | k, Phi_n(x) = Phi_k(x^p) and the coordinates at k are
+    num[::p].  Else the element is its trace to Q(zeta_k) over p - 1: with b = p^-1 mod k,
+    zeta_n^i has trace zeta_k^(b i) times p - 1 if p | i and times -1 if not (see
+    L. C. Washington, Introduction to Cyclotomic Fields)."""
     if m == cond or m == 1:
         return _make(m, num if m == cond else num[:1], den)
-    low, d = _lowering(cond, m)
-    return _make(m, tuple([sum(map(operator.mul, r, num)) for r in low]), den * d)
+    n = cond
+    for p in prime_divisors(cond // m):
+        while n // m % p == 0:
+            k = n // p
+            if k % p == 0:
+                num = num[::p]
+            else:
+                b, out = pow(p, -1, k), [0] * k
+                for i, c in enumerate(num):
+                    out[b * i % k] += c * (p - 1) if i % p == 0 else -c
+                num, den = _reduce(k, out), den * (p - 1)
+            n = k
+    return _make(m, num, den)
 
 
 def _mul_num(n: int, x: tuple, y: tuple) -> tuple:

@@ -1,6 +1,5 @@
 import json
 import math
-import operator
 import random
 from fractions import Fraction
 
@@ -11,7 +10,6 @@ from vvmf.exactnum import (
     CycNum,
     _embed,
     _lowered,
-    _lowering,
     _reduce,
     bernoulli,
     cyclotomic_poly,
@@ -118,6 +116,29 @@ def test_inverse_cost_follows_the_least_field(monkeypatch):
     inv = x.inverse()
     monkeypatch.undo()
     assert inv.n == 2520 and x * inv == 1 and set(calls) == {7}
+
+
+def test_reduce_conductor_cost_follows_the_divisor_count(monkeypatch):
+    # 2 + zeta_2520 needs its full conductor, so the walk lowers it to each of the
+    # 47 proper divisors of 2520 and lifts it back: at most 3 d(2520) = 144 reductions
+    # modulo a cyclotomic polynomial; the count stops at the 145th, so building one
+    # lowering matrix per divisor fails fast
+    calls = []
+    reduce = exactnum._reduce
+
+    def counted(n, coeffs):
+        calls.append(n)
+        assert len(calls) <= 3 * len(divisors(2520)), "reduce_conductor reduces past 3 d(2520) times"
+        return reduce(n, coeffs)
+
+    x = CycNum.zeta(2520) + 2
+    monkeypatch.setattr(exactnum, "_reduce", counted)
+    low = x.reduce_conductor()
+    monkeypatch.undo()
+    assert (low.n, low.num, low.den) == (2520, x.num, x.den)
+    z3 = CycNum.zeta(3)
+    red = z3.lift(2520).reduce_conductor()
+    assert (red.n, red.num, red.den) == (3, z3.num, z3.den) and hash(z3.lift(2520)) == hash(z3)
 
 
 @pytest.mark.parametrize("conductor", [1, 3, 4, 5, 12])
@@ -359,19 +380,14 @@ def test_conductor_12_elements_lower_to_their_own_field():
 
 
 def test_lowering_inverts_the_lift_for_every_divisor():
-    """For every n <= 60 and m | n, _lowering(n, m) times the reference lift
-    matrix from m to n is d I, an element built at m and lifted to n
-    reduces to the same value and hash at a conductor dividing m, and
-    _lowered(n, m, ...) gives it back at m (m == n and m == 1 included)."""
+    """For every n <= 60, n = 840 and n = 2520, and every m | n, an element
+    built at m and lifted to n reduces to the same value and hash at a
+    conductor dividing m, and _lowered(n, m, ...) gives it back at m (m == n
+    and m == 1 included).  840 and 2520 run both steps of the prime walk,
+    p | n / p and p prime to n / p, at large conductors."""
     rng, again = random.Random("lowering"), random.Random("lowered")
-    for n in range(1, 61):
+    for n in [*range(1, 61), 840, 2520]:
         for m in divisors(n):
-            low, d = _lowering(n, m)
-            k = euler_phi(m)
-            unit = [[int(i == j) for i in range(k)] for j in range(k)]
-            cols = [list(map(int, ref_lift(e, m, n))) for e in unit]
-            got = [[sum(map(operator.mul, r, col)) for col in cols] for r in low]
-            assert got == [[d * (i == j) for j in range(k)] for i in range(k)], (n, m)
             for x in random_elements(rng, m, 3):
                 red = x.lift(n).reduce_conductor()
                 assert_canonical(red)
@@ -385,20 +401,23 @@ def test_lowering_inverts_the_lift_for_every_divisor():
 
 
 def test_lowering_is_the_reference_left_inverse():
-    """For every n <= 60 and m | n, _lowering(n, m) is (L^T L)^-1 L^T exactly,
-    with L the reference lift matrix from m to n, inverted by linalg, and d the
-    least common denominator of its entries."""
+    """For every n <= 60 and m | n, _lowered(n, m, ...) of seeded elements of
+    Q(zeta_m) lifted to n equals (L^T L)^-1 L^T applied to their coordinates,
+    with L the reference lift matrix from m to n, inverted by linalg."""
     from vvmf.linalg import Matrix
 
+    rng = random.Random("left inverse")
     for n in range(1, 61):
         for m in divisors(n):
             k = euler_phi(m)
             lt = Matrix.from_rows(ref_lift([Fraction(int(i == j)) for i in range(k)], m, n)
                                   for j in range(k))
             ref = [[x.rational_value() for x in r] for r in ((lt * lt.transpose()).inverse() * lt).to_rows()]
-            low, d = _lowering(n, m)
-            assert d == math.lcm(*(x.denominator for r in ref for x in r)), (n, m)
-            assert [[Fraction(a, d) for a in r] for r in low] == ref, (n, m)
+            for x in random_elements(rng, m, 4):
+                up = x.lift(n)
+                want = [sum(a * b for a, b in zip(r, coords(up))) for r in ref]
+                got = _lowered(n, m, up.num, up.den)
+                assert got.n == m and coords(got) == want, (n, m)
 
 
 def galois_by_fold(n, num, k):

@@ -630,8 +630,8 @@ def test_a_conductor_3_exponent_inside_a_higher_entry_is_lowered(high, monkeypat
     a = QExp(1, 6, {0: z3, 1: CycNum.from_rational(Fraction(2, 5)), 4: high})
     b = QExp(1, 6, {0: 3 * z3 + 1, 1: CycNum.from_rational(7)})
     calls = []
-    lowering = exactnum._lowering
-    monkeypatch.setattr(exactnum, "_lowering", lambda n, m: calls.append((n, m)) or lowering(n, m))
+    lowered = qexp._lowered
+    monkeypatch.setattr(qexp, "_lowered", lambda n, m, *rest: calls.append((n, m)) or lowered(n, m, *rest))
     ((got,), (want,)) = combine([[a]], [b]), oracle_combine([[a]], [b])
     cond = math.lcm(3, high.n)
     assert (cond, 3) in calls

@@ -129,6 +129,20 @@ print([(t.dim, t.level) for t in types], hashlib.sha256(text.encode()).hexdigest
 print(f"# inner_s={spent:.4f}", file=sys.stderr)
 """
 
+# the first reduce_conductor of 2 + zeta_2520, which needs its full conductor,
+# so the divisor walk lowers it to each of the 47 proper divisors of 2520;
+# inner_s times the call alone
+_REDUCE_2520 = """
+import hashlib, json, sys, time
+from vvmf.exactnum import CycNum
+x = CycNum.zeta(2520) + 2
+start = time.perf_counter()
+low = x.reduce_conductor()
+spent = time.perf_counter() - start
+print(low.n, hashlib.sha256(json.dumps(low.to_json()).encode()).hexdigest())
+print(f"# inner_s={spent:.4f}", file=sys.stderr)
+"""
+
 CLI = ["python3", "-m", "vvmf.cli"]
 RUNGS = {
     "hecke-cosets-g3-m3": CLI + ["hecke", "cosets", "--genus", "3", "--index", "3", "--count-only"],
@@ -136,6 +150,7 @@ RUNGS = {
     "hecke-cosets-g4-m2": CLI + ["hecke", "cosets", "--genus", "4", "--index", "2", "--count-only"],
     "hecke-cosets-g3-m4": CLI + ["hecke", "cosets", "--genus", "3", "--index", "4", "--count-only"],
     "induced-types-rho3": ["python3", "-c", _INDUCED_RHO3],
+    "conductor-reduction-2520": ["python3", "-c", _REDUCE_2520],
     "decompose-T3T3rho3": CLI + ["decompose", "--rep", "T3(rho3)*T3(rho3)*rho3"],
     "decompose-T8T2": CLI + ["decompose", "--rep", "T8(rho3)*T2(rho3)"],
     "hom-residual-T5rho3": ["python3", "-c", 'EXPR, SPARSE = "T5(rho3)*rho3", False' + _HOM_RESIDUAL],
