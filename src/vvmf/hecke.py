@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 
 from .ahol import AholForm
-from .exactnum import CycNum, Immutable, divisors
+from .exactnum import CycNum, Immutable, _pow, divisors
 from .linalg import Matrix
 from .qexp import slash_expand
 from .reps import Rep, S_MAT, T_MAT
@@ -223,8 +223,12 @@ def hecke_rep(M: int, r: Rep) -> HeckeRep:
     Basis order is coset-major: block m holds the dim(rho) components of
     e_m, cosets in delta_cosets order.  Block (target, source) of the image
     of gamma is rho([I_m(gamma^-1)]^-1) for m the source coset, listed once
-    per index M; the level is read from T's cycles on the cosets.  Memoized
-    by `Rep.key` and by the label, which names the induced type.
+    per index M.  Memoized by `Rep.key` and by the label, which names the
+    induced type.  Its level, the order of T, is the lcm over a | M, d = M/a,
+    g = gcd(a, d) of (d/g) o / gcd(o, a/g) (the denominator of a/(d o)), o the
+    order of rho(T): T takes b to b - a mod d in cycles of length d/g whose
+    corrections multiply to T^(a/g), of order o / gcd(o, a/g) under rho, and a
+    block-monomial cycle of length L, block product of order q, has order L q.
     """
     return _hecke_rep(M, r.label, r.key)
 
@@ -232,11 +236,13 @@ def hecke_rep(M: int, r: Rep) -> HeckeRep:
 @functools.lru_cache(maxsize=64)
 def _hecke_rep(M: int, label: str, key: tuple) -> HeckeRep:
     r = Rep(label, *key[:3])
+    one = Matrix.identity(r.dim)
+    o = next((e for e in divisors(r.level) if _pow(r.T, e, one).is_identity()), None)
+    if o is None:
+        raise ArithmeticError(f"T of {r.label} has no order dividing its level {r.level}")
     cosets, *actions = _coset_action(M)
     S, T = ([(target, r.evaluate(gamma)) for target, gamma in act] for act in actions)
-    # T^(M level) fixes each coset (b -> b - a^2 d level) and leaves
-    # rho(T^(a^2 level)) = I, which caps the order of T.
-    level = _cycle_order(T, cap=M * r.level)
+    level = math.lcm(*(Fraction(a, M // a * o).denominator for a in divisors(M)))
     rep = Rep(f"T{M}({r.label})", level, _block_matrix(S, r.dim), _block_matrix(T, r.dim))
     report = rep.validate()
     if not report.ok:
@@ -261,30 +267,6 @@ def _block_matrix(moves, blk: int) -> Matrix:
         for i, row in enumerate(cell.nonzeros):
             rows[target * blk + i].update((src * blk + j, x) for j, x in row.items())
     return Matrix.from_nonzeros(len(moves) * blk, rows)
-
-
-def _cycle_order(moves, cap: int) -> int:
-    """Order of the block-monomial matrix of moves: lcm of cycle length x block product order."""
-    order, seen = 1, set()
-    for start, (m, prod) in enumerate(moves):
-        if start not in seen:
-            cycle = [start]
-            while m != start:
-                cycle.append(m)
-                m, block = moves[m]
-                prod = block * prod
-            seen.update(cycle)
-            order = math.lcm(order, len(cycle) * _matrix_order(prod, cap))
-    return order
-
-
-def _matrix_order(m: Matrix, cap: int) -> int:
-    acc = m
-    for k in range(1, cap + 1):
-        if acc.is_identity():
-            return k
-        acc = acc * m
-    raise ArithmeticError(f"matrix order exceeds cap {cap}")
 
 
 def unit_embedding(M: int) -> Matrix:

@@ -12,7 +12,6 @@ from vvmf.exactnum import CycNum
 from vvmf.forms import delta_form, eisenstein, vv_eisenstein
 from vvmf.hecke import (
     DeltaCoset,
-    _matrix_order,
     cocycle,
     delta_cosets,
     hecke_form,
@@ -339,22 +338,52 @@ def test_hecke_rep_relations_for_small_indices(reg):
 
 
 def test_hecke_rep_level_divides_index_times_level(reg):
-    # the order search is capped at M * level, so the found order must divide it
+    # each cycle's order (d/g) o / gcd(o, a/g) divides d o, so the level divides M * level
     for M in range(1, 9):
         for entry in reg.entries:
             level = hecke_rep(M, entry).rep.level
             assert (M * entry.level) % level == 0, (M, entry.label, level)
 
 
+def _full_order(m: Matrix, cap: int) -> int:
+    """Order of m by repeated multiplication, at most cap."""
+    acc = m
+    for k in range(1, cap + 1):
+        if acc.is_identity():
+            return k
+        acc = acc * m
+    raise ArithmeticError(f"matrix order exceeds cap {cap}")
+
+
+def _level_cases(reg) -> list:
+    """(M, rho) for the registry types and three types declared at a multiple of
+    their T order at M = 1..20, and four induced types at M = 1..8: 172 pairs."""
+    declared = [Rep(label, level, reg.get(label).S, reg.get(label).T)
+                for label, level in (("rho_zeta", 6), ("triv", 4), ("rho3", 6))]
+    t2 = hecke_rep(2, reg.get("rho3")).rep
+    induced = [t2, hecke_rep(3, reg.get("rho_zeta")).rep, hecke_rep(2, t2).rep,
+               hecke_rep(4, reg.get("triv")).rep]
+    return ([(M, r) for r in reg.entries + declared for M in range(1, 21)]
+            + [(M, r) for r in induced for M in range(1, 9)])
+
+
 def test_hecke_rep_level_is_the_full_matrix_order(reg):
-    """The level, read from T's coset cycles and block products, equals the
-    order of the whole induced T found by multiplying it out."""
-    induced = hecke_rep(2, reg.get("rho3")).rep
-    cases = [(M, entry) for M in range(1, 9) for entry in reg.entries]
-    cases += [(M, induced) for M in (1, 2, 3)]
+    """The level, the lcm over the divisors of M of each coset cycle's order,
+    equals the order of the whole induced T found by multiplying it out."""
+    cases = _level_cases(reg)
+    assert len(cases) == 172
     for M, r in cases:
         hr = hecke_rep(M, r)
-        assert hr.rep.level == _matrix_order(hr.rep.T, cap=M * r.level), (M, r.label)
+        assert hr.rep.level == _full_order(hr.rep.T, cap=M * r.level), (M, r.label, r.level)
+
+
+def test_hecke_rep_refuses_a_level_that_t_does_not_divide():
+    """A T of order 3 declared at level 2 has no order dividing its level:
+    every index refuses it with one ArithmeticError."""
+    bad = Rep("bad", 2, Matrix.identity(1), Matrix(1, 1, [CycNum.zeta(3)]))
+    for M in range(1, 5):
+        with pytest.raises(ArithmeticError):
+            hecke_rep(M, bad)
 
 
 def test_induced_types_keep_their_bytes(reg):
