@@ -29,7 +29,8 @@ at n is `_embed(num, k, 0, n)`.
 The number theory reads one list, `prime_divisors(n)`: phi(n) = n * prod (p - 1) / p,
 and Phi_n is a Moebius product taken as a power series.  `Immutable` is the one
 base of the value types; its `__setattr__` refuses every write.  `_pow` is the
-one square-and-multiply, of numbers and of matrices.
+one square-and-multiply, of numbers and of matrices, and `_sum_text` the one
+writer of a sum of terms, for `CycNum.__str__` and `QExp.to_text`.
 """
 
 from __future__ import annotations
@@ -199,6 +200,17 @@ def _mul_num(n: int, x: tuple, y: tuple) -> tuple:
             for j, b in enumerate(y):
                 prod[i + j] += a * b
     return _reduce(n, prod)
+
+
+def _sum_text(terms) -> str:
+    """The sum of (coefficient text, monomial or "") terms, "0" for none: a 1 or -1 before
+    a monomial shows only its sign, and a term whose text starts with "-" is subtracted."""
+    out = ""
+    for text, mono in terms:
+        if mono:
+            text = mono if text == "1" else f"-{mono}" if text == "-1" else f"{text}*{mono}"
+        out += text if not out else f" - {text[1:]}" if text[0] == "-" else f" + {text}"
+    return out or "0"
 
 
 def _pow(x, e: int, one):
@@ -393,25 +405,9 @@ class CycNum(Immutable):
     # -- rendering ---------------------------------------------------------
 
     def __str__(self):
-        if self.is_rational():
-            return format_rational(self.rational_value())
-        parts = []
-        for j, cj in enumerate(self.c):
-            if cj == 0:
-                continue
-            var = "" if j == 0 else (f"z{self.n}" if j == 1 else f"z{self.n}^{j}")
-            if j == 0:
-                parts.append(format_rational(cj))
-            elif cj == 1:
-                parts.append(var)
-            elif cj == -1:
-                parts.append(f"-{var}")
-            else:
-                parts.append(f"{format_rational(cj)}*{var}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return f"({out})" if len(parts) > 1 else out
+        terms = [(format_rational(cj), f"z{self.n}^{j}" if j > 1 else f"z{self.n}" if j else "")
+                 for j, cj in enumerate(self.c) if cj]
+        return f"({_sum_text(terms)})" if len(terms) > 1 else _sum_text(terms)
 
     def __repr__(self):
         return f"CycNum({self.n}, {[str(x) for x in self.c]})"

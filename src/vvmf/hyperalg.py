@@ -13,14 +13,14 @@ at its common sound precision.  Each grade keeps a pivot state (one
 pivot column per generator and the inverse of that block of their rows),
 so a new form or a membership candidate is one reduced row.  The state
 lifts a generator's series over one denominator when a read first reaches
-it and packs it as Kronecker-packed ints, one per power-basis coordinate,
-at each slot width a read asks for (D. Harvey, J. Symbolic Comput. 44,
-2009), the layout and packer of `qexp.combine_terms`; it meets a scalar
-through its integer multiplication matrix (`exactnum._multiplication`):
-the reduced row is a packed integer combination, block by block, by the
-kernel's multiply-accumulate at a width from its slot bound, and its first
-nonzero column is read off the lowest set bit.  The rows are laid out on
-the lattice of the grade's exponents, not on the lcm of its series'.
+it, as one `qexp._lifted` group (or None) per block, packed as Kronecker
+ints (D. Harvey, J. Symbolic Comput. 44, 2009) through `qexp._packed`, the
+pack cache of `qexp.combine_terms`, at each slot width a read asks for; it
+meets a scalar through its integer multiplication matrix
+(`exactnum._multiplication`): the reduced row is a packed integer
+combination, block by block, by the kernel's multiply-accumulate at a width
+from its slot bound, and its first nonzero column is read off the lowest
+set bit.  The rows are laid out on the lattice of the grade's exponents.
 
 The Hecke operator at infinity acts on spans: `tinf(f)` spans every
 projection of the lowered and raised images of f, and `tinf_closure` grows
@@ -42,7 +42,7 @@ from functools import lru_cache
 from .ahol import AholForm, _image_name, _images, lower_op, raise_op
 from .exactnum import _lift_num, _mul_num, _multiplication, euler_phi, prime_divisors
 from .linalg import Matrix, Subspace, sparse_row
-from .qexp import InsufficientPrecision, _accumulate, _lattice_terms, _lifted, _pack, _slot_bound
+from .qexp import InsufficientPrecision, _accumulate, _lattice_terms, _lifted, _packed, _slot_bound
 from .reps import RepRegistry, hom_space, require_same_content
 
 
@@ -163,14 +163,12 @@ class _Pivots:
     v - (v|P . inv) . G is zero iff v is in the span.
 
     Rows are never built.  A row is one block of `bound` columns per series
-    (layer r, component i).  blocks[j] is (n_j, pairs) for forms[j], n_j the
-    lcm of the conductors of its row's coefficients, and pairs[b] its block
-    b as (g, packs): g the block's terms over Q(zeta_{n_j}) as a
-    `qexp._lifted` group, None for a zero block, and packs maps a slot
-    width to one int per coordinate l, packing coordinate l of column t in
-    slot t (`qexp._pack`, the packer of the series kernel), filled by the
-    first read at that width.  A read lifts block b onto pairs the first
-    time it combines it, and a read against no generator lifts nothing.
+    (layer r, component i).  blocks[j] is (n_j, groups) for forms[j], n_j
+    the lcm of the conductors of its row's coefficients, and groups[b] its
+    block b's terms over Q(zeta_{n_j}) as a `qexp._lifted` group, or None
+    for a zero block, packed through `qexp._packed` at each width a read
+    asks for.  A read lifts block b onto groups the first time it combines
+    it, and a read against no generator lifts nothing.
 
     A read looks v|P up in v's series, takes the numerators of c = (v|P) .
     inv in integer coordinates at the lcm N of n_v and every n_j, and walks
@@ -199,7 +197,7 @@ class _Pivots:
 
     def read(self, f: AholForm):
         """(the first nonzero column of v - (v|P . inv) . G or None, (n_v,
-        the (g, packs) pairs of the blocks of f's row v that it lifted))."""
+        the groups of the blocks of f's row v that it lifted))."""
         layout, bound, own = self.layout, self.bound, []
         terms = _block_terms(f, layout, bound)
         n_v = math.lcm(*{c.n for block in terms for _, c in block})
@@ -221,7 +219,7 @@ class _Pivots:
         # the terms of v - sum_j c_j g_j, v with scalar 1, then g_j with -c_j,
         # each as den(scalar), M, its form, n, its blocks
         mults = [(1, _lift_matrix(cond, n_v), f, n_v, own)]
-        for j, (n, pairs) in enumerate(self.blocks):
+        for j, (n, groups) in enumerate(self.blocks):
             c = [0] * phi
             for row, x in a:
                 if y := row.get(j):
@@ -229,23 +227,23 @@ class _Pivots:
             if any(c):
                 g = math.gcd(den, *c)
                 mults.append((den // g, _multiplication(cond, [-x // g for x in c], n),
-                              self.forms[j], n, pairs))
+                              self.forms[j], n, groups))
         for b, block in enumerate(terms):
             # per term with a nonzero block b: den(scalar) d_b, M, the block
             live = []
-            for d, m, g, n, pairs in mults:
-                if b == len(pairs):
+            for d, m, g, n, groups in mults:
+                if b == len(groups):
                     got = block if g is f else _series_terms(g, layout, b, bound)
-                    pairs.append((_lifted(got, n) if got else None, {}))
-                if group := pairs[b][0]:
-                    live.append((d * group.den, m, pairs[b]))
+                    groups.append(_lifted(got, n) if got else None)
+                if group := groups[b]:
+                    live.append((d * group.den, m, group))
             if not live:
                 continue
             lam = math.lcm(*(d for d, _, _ in live))
             # the least of 64 bits doubled above the bit length of the slot bound
-            need = _slot_bound([(lam // d, m, pair[0].big) for d, m, pair in live]).bit_length()
+            need = _slot_bound([(lam // d, m, g.big) for d, m, g in live]).bit_length()
             width = 1 << max(6, need.bit_length())
-            acc = _accumulate([(lam // d, m, _packs(pair, width)) for d, m, pair in live], phi)
+            acc = _accumulate([(lam // d, m, _packed(g, width // 8)) for d, m, g in live], phi)
             low = min((((y & -y).bit_length() - 1) // width for y in acc if y), default=None)
             if low is not None:
                 return b * bound + low, (n_v, own)
@@ -309,15 +307,6 @@ def _at(terms: list, columns: list, bound: int) -> list:
     zero; only the blocks that hold the columns are looked up."""
     blocks = {b: dict(terms[b]) for b in {p // bound for p in columns}}
     return [blocks[p // bound].get(p % bound) for p in columns]
-
-
-def _packs(pair, width: int) -> list:
-    """The ints of a (g, packs) block at width, one per coordinate l with
-    coordinate l of column t in slot t; packed once per width."""
-    g, packs = pair
-    if width not in packs:
-        packs[width] = _pack(g.rows, g.top, width // 8)
-    return packs[width]
 
 
 @lru_cache(maxsize=64)

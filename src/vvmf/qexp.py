@@ -16,7 +16,8 @@ Products and sums of products are one multiply-accumulate kernel,
 Comput. 44, 2009): each distinct product of a call is made once on
 factors packed in one pass, one Python int per power-basis coordinate,
 folded modulo the cyclotomic polynomial on the packed ints, and shared by
-every row that scales it; a row is decoded a coordinate at a time.  A
+every row that scales it; a row is decoded a coordinate at a time.
+`_packed` is the one pack cache, of this kernel and of the span reads.  A
 coefficient has the lcm of the conductors of every term and pair of terms
 that reaches its exponent, even where their sum cancels, a rule that
 depends neither on the algorithm nor on the order of summation.
@@ -35,7 +36,7 @@ from operator import or_
 
 from .exactnum import (
     CycNum, Immutable, _embed, _lift_num, _lowered, _make, _mul_num, _multiplication, _reduce,
-    as_cyc, euler_phi, format_rational, json_int, parse_rational,
+    _sum_text, as_cyc, euler_phi, format_rational, json_int, parse_rational,
 )
 
 
@@ -173,23 +174,10 @@ class QExp(Immutable):
         return f"QExp({self.to_text()})"
 
     def to_text(self) -> str:
-        parts = []
-        for n in sorted(self.terms):
-            c = self.terms[n]
-            cs = str(c)
-            if n == 0:
-                parts.append(cs)
-            else:
-                e = Fraction(n, self.h)
-                mono = f"q^({format_rational(e)})" if e != 1 else "q"
-                if cs == "1":
-                    parts.append(mono)
-                elif cs == "-1":
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{cs}*{mono}")
-        body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
-        return f"{body} + O(q^({format_rational(self.prec)}))"
+        terms = [(str(c), "" if n == 0 else "q" if n == self.h else
+                  f"q^({format_rational(Fraction(n, self.h))})")
+                 for n, c in sorted(self.terms.items())]
+        return f"{_sum_text(terms)} + O(q^({format_rational(self.prec)}))"
 
     def to_json(self):
         return {
@@ -262,7 +250,7 @@ def combine_terms(rows, empty) -> list:
     Each distinct product x * y of the call is made once, at the lcm n of
     its terms' conductors: x and y are lifted to n over one denominator and
     packed into one int per power-basis coordinate, exponent t in slot t
-    (`_pack`), and the coordinate-pair products are folded modulo Phi_n on
+    (`_packed`), and the coordinate-pair products are folded modulo Phi_n on
     those ints (`exactnum._mul_num`).  A row at its joint conductor N, the
     lcm of its terms' c.n and n, folds the row's denominator into the integer
     matrix of each c times Q(zeta_n) in Q(zeta_N) (`_multiplication`),
@@ -282,7 +270,7 @@ def combine_terms(rows, empty) -> list:
     parts = [[q for _, x, y in row for q in (x, y) if q is not None] for row in rows]
     h = math.lcm(*(q.h for qs in parts for q in qs))
     bounds = [math.ceil(min(q.prec for q in qs) * h) if qs else 0 for qs in parts]
-    limit, found, lifted, packed, made, indicators = max(bounds, default=0), {}, {}, {}, {}, {}
+    limit, found, lifted, made, indicators = max(bounds, default=0), {}, {}, {}, {}
 
     def terms(x) -> tuple:
         """(x's (n, c) terms below every bound at lattice h, their conductors)."""
@@ -324,15 +312,10 @@ def combine_terms(rows, empty) -> list:
         jobs.append((job, cond, den, scaled))
     width = _slot_width(big)
 
-    def pack(g: _Group) -> list:
-        if id(g) not in packed:
-            packed[id(g)] = _pack(g.rows, g.top, width)
-        return packed[id(g)]
-
     def ints(p: _Product) -> list:
         """The folded coordinate ints of p at the call's width, made once."""
         if "ints" not in p.cache:
-            packs = [pack(g) for g in p.groups]
+            packs = [_packed(g, width) for g in p.groups]
             p.cache["ints"] = packs[0] if len(packs) == 1 else _mul_num(p.cond, *packs)
         return p.cache["ints"]
 
@@ -365,8 +348,8 @@ def combine_terms(rows, empty) -> list:
 
 
 # terms lifted to one conductor: rows of (n, integer coordinates over den),
-# big the largest |coordinate| and top the largest n
-_Group = namedtuple("_Group", "rows den big top")
+# big the largest |coordinate|, top the largest n and packs its ints per width (`_packed`)
+_Group = namedtuple("_Group", "rows den big top packs")
 
 # a product x * y (x alone where y is None) of a `combine_terms` call at cond,
 # the lcm of their terms' conductors: groups x and y lifted to cond, den the
@@ -384,7 +367,7 @@ def _lifted(group: list, cond: int) -> _Group:
     rows = [(n, _lift_num(x.num, x.n, cond) if x.den == den else
              tuple([a * (den // x.den) for a in _lift_num(x.num, x.n, cond)])) for n, x in group]
     big = max(map(abs, chain.from_iterable([v for _, v in rows])), default=0)
-    return _Group(rows, den, big, max(rows)[0] if rows else 0)
+    return _Group(rows, den, big, max(rows)[0] if rows else 0, {})
 
 
 def _pack(rows: list, top: int, width: int) -> list:
@@ -401,6 +384,14 @@ def _pack(rows: list, top: int, width: int) -> list:
             fields[n] = (coords[l] + half).to_bytes(width, "little")
         out.append(int.from_bytes(b"".join(fields), "little") - fill)
     return out
+
+
+def _packed(g: _Group, width: int) -> list:
+    """g's `_pack` ints at width bytes, packed once per width: the one pack
+    cache, of `combine_terms` and of the span reads of `hyperalg`."""
+    if width not in g.packs:
+        g.packs[width] = _pack(g.rows, g.top, width)
+    return g.packs[width]
 
 
 def _accumulate(terms, phi: int) -> list:

@@ -546,22 +546,22 @@ def scan_column(layout, forms, pivots, f):
 def recorded_reads(monkeypatch):
     """Every _Pivots.read as (layout, forms, pivots, f, column, combines),
     the state taken before the read; combines lists each block combined as
-    (width, a stored generator block, packed by this read)."""
-    calls, read, packs, current = [], _Pivots.read, hyperalg._packs, []
+    (width in bits, a stored generator block, packed by this read)."""
+    calls, read, packed, current = [], _Pivots.read, hyperalg._packed, []
 
-    def packing(pair, width):
+    def packing(g, width):
         stored, combines = current[-1]
-        combines.append((width, id(pair) in stored, width not in pair[1]))
-        return packs(pair, width)
+        combines.append((8 * width, id(g) in stored, width not in g.packs))
+        return packed(g, width)
 
     def spy(state, f):
         before = (state.layout, list(state.forms), list(state.pivots), f)
-        current.append(({id(pair) for _, pairs in state.blocks for pair in pairs}, []))
+        current.append(({id(g) for _, groups in state.blocks for g in groups}, []))
         out = read(state, f)
         calls.append(before + (out[0], current.pop()[1]))
         return out
 
-    monkeypatch.setattr(hyperalg, "_packs", packing)
+    monkeypatch.setattr(hyperalg, "_packed", packing)
     monkeypatch.setattr(_Pivots, "read", spy)
     return calls
 
@@ -665,9 +665,9 @@ def test_a_cyclotomic_query_reads_rational_generators_through_a_lift(recorded_re
     # the generators stay stored over Q, one coordinate per block, also in
     # the packed ints the Q(zeta12) reads left
     assert state is span._pivots[(4, "triv")]
-    assert [(n, len(g.rows[0][1])) for n, pairs in state.blocks for g, _ in pairs] == [(1, 1)] * 2
-    assert all(packs and {len(ints) for ints in packs.values()} == {1}
-               for _, pairs in state.blocks for _, packs in pairs)
+    assert [(n, len(g.rows[0][1])) for n, groups in state.blocks for g in groups] == [(1, 1)] * 2
+    assert all(g.packs and {len(ints) for ints in g.packs.values()} == {1}
+               for _, groups in state.blocks for g in groups)
     _assert_reads_match_the_scan(recorded_reads)
 
 

@@ -135,13 +135,20 @@ def one_home_jobs(source: str) -> dict:
     n * step < bound; "span reader", a read of a span manifest's "grades"
     (obj["grades"] or obj.get("grades")); "conductor indicator", a packed 0/1
     indicator (a slot set to 1 at n * width, or a shift 1 << n * width of two
-    names); "fixture", a decorated def reg."""
+    names); "sum renderer", comparisons with both 1 and -1 (as numbers or as
+    the strings "1" and "-1"); "pack cache", a `_pack(...)` call assigned to a
+    subscript; "fixture", a decorated def reg."""
     found = {"power": set(), "term filter": set(), "span reader": set(),
-             "conductor indicator": set(), "fixture": set()}
+             "conductor indicator": set(), "sum renderer": set(), "pack cache": set(),
+             "fixture": set()}
     tree = ast.parse(source)
     for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
         name = getattr(scope, "name", "<module>")
         nodes = list(_own_nodes(scope))
+        signs = {_sign(x) for n in nodes if isinstance(n, ast.Compare)
+                 for x in (n.left, *n.comparators)}
+        if {1, -1} <= signs:
+            found["sum renderer"].add(name)
         squares = any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
                       and ast.dump(n.left) == ast.dump(n.right) for n in nodes)
         if squares and any(isinstance(n, (ast.BinOp, ast.AugAssign))
@@ -160,6 +167,10 @@ def one_home_jobs(source: str) -> dict:
                 found["span reader"].add(name)
             if _packs_a_flag(n):
                 found["conductor indicator"].add(name)
+            if (isinstance(n, ast.Assign) and isinstance(n.value, ast.Call)
+                    and getattr(n.value.func, "id", getattr(n.value.func, "attr", None)) == "_pack"
+                    and any(isinstance(t, ast.Subscript) for t in n.targets)):
+                found["pack cache"].add(name)
         if name == "reg" and scope.decorator_list:
             found["fixture"].add(name)
     return {job: sorted(names) for job, names in found.items()}
@@ -176,6 +187,15 @@ def _packs_a_flag(n) -> bool:
             and not any(isinstance(x, ast.Constant) for x in (n.right.left, n.right.right)))
 
 
+def _sign(node):
+    """1 or -1 when node is that number or its string, else None."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -1 if _sign(node.operand) == 1 and isinstance(node.operand.value, int) else None
+    if isinstance(node, ast.Constant) and type(node.value) in (int, str):
+        return {1: 1, -1: -1, "1": 1, "-1": -1}.get(node.value)
+    return None
+
+
 def _is_product(node) -> bool:
     return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
 
@@ -187,21 +207,29 @@ def test_one_home_lint_finds_each_job():
               "@fixture\ndef reg():\n    pass\n"
               "def flags(ns, w):\n    b = bytearray(9)\n    for n in ns:\n        b[n * w] = 1\n"
               "def shifts(ns, w):\n    return sum(1 << n * w for n in ns)\n"
+              "def signs(c):\n    return c == 1, c != -1\n"
+              "def texts(s):\n    return 'x' if s == '1' else s if s != '-1' else ''\n"
+              "def cache(g, w, memo):\n    memo[w] = _pack(g.rows, g.top, w)\n"
+              "def dotted(g, w):\n    g.packs[w] = qexp._pack(g.rows, g.top, w)\n"
               "def others(g, n, e):\n    e >>= 1\n    g[n * e] = 2\n    g[n] = 1 << 8 * n\n"
+              "    p = _pack(g, n)\n    g[0] = pack(g, n)\n    t = n == -1, e == True, e < 1.0\n"
               "    return {'grades': g}, [x for x in g if x < n], g * n, g.get('other')\n")
     assert one_home_jobs(source) == {"power": ["power"], "term filter": ["terms"],
                                      "span reader": ["reader"],
-                                     "conductor indicator": ["flags", "shifts"], "fixture": ["reg"]}
+                                     "conductor indicator": ["flags", "shifts"],
+                                     "sum renderer": ["signs", "texts"],
+                                     "pack cache": ["cache", "dotted"], "fixture": ["reg"]}
 
 
 def test_one_home_per_job():
     # one power (exactnum._pow), one series-term reader (qexp._lattice_terms),
     # one span-manifest reader (FormSpan.from_json), one conductor indicator
-    # (qexp._marks) and one registry fixture
-    homes = {job: [] for job in ("power", "term filter", "span reader", "conductor indicator",
-                                 "fixture")}
-    for paths, jobs in ((sorted(Path(vvmf.__file__).parent.glob("*.py")),
-                         ("power", "term filter", "span reader", "conductor indicator")),
+    # (qexp._marks), one writer of a sum of terms (exactnum._sum_text), one
+    # pack cache (qexp._packed) and one registry fixture
+    src_jobs = ("power", "term filter", "span reader", "conductor indicator", "sum renderer",
+                "pack cache")
+    homes = {job: [] for job in (*src_jobs, "fixture")}
+    for paths, jobs in ((sorted(Path(vvmf.__file__).parent.glob("*.py")), src_jobs),
                         (sorted(Path(__file__).parent.glob("*.py")), ("fixture",))):
         for path in paths:
             found = one_home_jobs(path.read_text())
@@ -209,4 +237,5 @@ def test_one_home_per_job():
                 homes[job] += [f"{path.stem}.{name}" for name in found[job]]
     assert homes == {"power": ["exactnum._pow"], "term filter": ["qexp._lattice_terms"],
                      "span reader": ["hyperalg.from_json"],
-                     "conductor indicator": ["qexp._marks"], "fixture": ["conftest.reg"]}
+                     "conductor indicator": ["qexp._marks"], "sum renderer": ["exactnum._sum_text"],
+                     "pack cache": ["qexp._packed"], "fixture": ["conftest.reg"]}

@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from vvmf import exactnum, qexp
-from vvmf.exactnum import CycNum, _make, _reduce, as_cyc, bernoulli, divisors, euler_phi
+from vvmf.exactnum import (
+    CycNum, _make, _reduce, as_cyc, bernoulli, divisors, euler_phi, format_rational,
+)
 from vvmf.qexp import InsufficientPrecision, QExp, _series, combine, slash_expand
 
 
@@ -806,3 +808,79 @@ def test_the_slot_bound_holds_a_slot_that_fills_its_row_sum(cond):
     (got,) = [num for _, num in qexp._decode(acc, 1, width)]
     assert width == 5 and got[i] == R * big
     assert got == tuple(sum(map(operator.mul, r, coords)) for r in m)
+
+
+# -- the one renderer of a sum of terms against the renderers it replaced ----
+# `CycNum.__str__` and `QExp.to_text` each wrote their sums by hand, with the
+# same elision of 1 and -1 and the same sign rule; both now go through
+# `exactnum._sum_text`, and these are their old bodies.
+
+
+def hand_rolled_cyc_text(x):
+    if x.is_rational():
+        return format_rational(x.rational_value())
+    parts = []
+    for j, cj in enumerate(x.c):
+        if cj == 0:
+            continue
+        var = "" if j == 0 else (f"z{x.n}" if j == 1 else f"z{x.n}^{j}")
+        if j == 0:
+            parts.append(format_rational(cj))
+        elif cj == 1:
+            parts.append(var)
+        elif cj == -1:
+            parts.append(f"-{var}")
+        else:
+            parts.append(f"{format_rational(cj)}*{var}")
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return f"({out})" if len(parts) > 1 else out
+
+
+def hand_rolled_qexp_text(q):
+    parts = []
+    for n in sorted(q.terms):
+        cs = hand_rolled_cyc_text(q.terms[n])
+        if n == 0:
+            parts.append(cs)
+        else:
+            e = Fraction(n, q.h)
+            mono = f"q^({format_rational(e)})" if e != 1 else "q"
+            if cs == "1":
+                parts.append(mono)
+            elif cs == "-1":
+                parts.append(f"-{mono}")
+            else:
+                parts.append(f"{cs}*{mono}")
+    body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
+    return f"{body} + O(q^({format_rational(q.prec)}))"
+
+
+COORDS = (0, 0, 0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2))
+
+
+def test_cycnum_text_matches_the_hand_rolled_renderer():
+    rng = random.Random(46)
+    xs = [CycNum.zero(), CycNum(6, [0, 0]), CycNum(6, [Fraction(-1, 2), 0]), CycNum(12, [2, 0, 0, 0]),
+          CycNum.zeta(3), -CycNum.zeta(3), 2 * CycNum.zeta(12, 3), CycNum.zeta(1)]
+    xs += [CycNum(n, [rng.choice(COORDS) for _ in range(euler_phi(n))])
+           for n in range(1, 16) for _ in range(150)]
+    for x in xs:
+        assert str(x) == hand_rolled_cyc_text(x), repr(x)
+
+
+def test_qexp_text_matches_the_hand_rolled_renderer():
+    rng = random.Random(46)
+    z3, z4 = CycNum.zeta(3), CycNum.zeta(4)
+    coeffs = [1, -1, 2, Fraction(-1, 2), Fraction(3, 7), z3, -z3, -1 + z4, CycNum(12, [0, 0, -1, 0]),
+              CycNum(5, [Fraction(-1, 2), 1, 0, -2])]
+    qs = [QExp(h, prec, {}) for h in (1, 2, 3, 6) for prec in (1, Fraction(5, 2))]
+    for h in (1, 2, 3, 6):
+        for _ in range(150):
+            ns = {0, h, *rng.sample(range(1, 4 * h), rng.randint(0, 3))}
+            terms = {n: rng.choice(coeffs) for n in rng.sample(sorted(ns), rng.randint(1, len(ns)))}
+            qs.append(QExp(h, rng.choice([Fraction(1, 2), 2, Fraction(7, 2), 4]), terms))
+    assert any(0 in q.terms and q.h in q.terms and len(q.terms) > 2 for q in qs)
+    for q in qs:
+        assert q.to_text() == hand_rolled_qexp_text(q), q.to_json()
