@@ -120,9 +120,10 @@ def delta_cosets(genus: int, M: int) -> list:
         raise ValueError(f"similitude index must be positive, got {M}")
     if genus < 1:
         raise ValueError(f"genus must be positive, got {genus}")
-    # the cosets with d = M I alone number M^(g(g+1)/2), one per symmetric b
-    # mod M; 2^17 already passes the limit, so the exponent stops at 17
-    if M > 1 and M ** min(genus * (genus + 1) // 2, 17) > _MAX_COSETS:
+    # the cosets with d = M I alone number M^(g(g+1)/2), one per symmetric b mod M
+    # (2^17 passes the limit, so the exponent stops at 17); at genus 1, sigma(M) in all
+    if M > 1 and (M ** min(genus * (genus + 1) // 2, 17) > _MAX_COSETS
+                  or genus == 1 and sum(divisors(M)) > _MAX_COSETS):
         raise ValueError(f"Delta_{M} at genus {genus} has over {_MAX_COSETS} cosets; refused")
     g = genus
     out = []

@@ -30,7 +30,7 @@ def run_cli(capsys, *argv):
 
 
 def test_bundled_registry_contents(reg):
-    assert reg.labels() == ["triv", "rho3", "rho_zeta", "rho_zeta2"]
+    assert [e.label for e in reg] == ["triv", "rho3", "rho_zeta", "rho_zeta2"]
 
 
 def test_verify_example32_report():
@@ -350,6 +350,11 @@ _NAMED_ERRORS = [
      "Delta_99999999999999999999 at genus 1 has over 100000 cosets; refused"),
     ("cosets-genus-8", ("hecke", "cosets", "--genus", "8", "--index", "2", "--count-only"),
      "Delta_2 at genus 8 has over 100000 cosets; refused"),
+    # at genus 1 the count is exactly sigma(M): 246,078 cosets here, and the job
+    # answered after 72 s when only M itself was tested against the limit
+    ("homspace-hecke-index-past-coset-count",
+     ("homspace", "--source", "T100000(triv)", "--target", "triv"),
+     "Delta_100000 at genus 1 has over 100000 cosets; refused"),
     # a cyclotomic number has exactly phi(n) coordinates
     ("cyclotomic-three-coordinates-at-4",
      ("hyperprod", "--left", "long-at-4-form.json", "--right", "good-form.json"),

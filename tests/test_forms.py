@@ -341,7 +341,7 @@ def test_bracket_projections_match_across_conductors(reg):
     # a rho3 Eisenstein generator mixes conductors 1 and 3, and the maps onto
     # the registry types have cyclotomic entries and targets of dimension 3
     f = vv_eisenstein(4, reg.get("rho3"), 3, 12).generators((4, "rho3"))[0][0]
-    targets = [reg.get(label) for label in reg.labels()]
+    targets = list(reg)
     assert max(t.dim for t in targets) == 3
     e4 = eisenstein(4, 12)
     for t in range(3):
@@ -418,7 +418,7 @@ def test_bracket_projection_bytes_are_pinned(reg):
     assert bracket_digest(images) == (
         "45c3cf4296966a09e986b6a018caf724bb7eb7752b77f3317b3cf531dccaa126")
     f = vv_eisenstein(4, reg.get("rho3"), 3, 12).generators((4, "rho3"))[0][0]
-    images = bracket_projections(f, eisenstein(4, 12), 2, [reg.get(x) for x in reg.labels()])
+    images = bracket_projections(f, eisenstein(4, 12), 2, list(reg))
     assert [tag for tag, _ in images] == ["rho3#0"]
     assert bracket_digest(images) == (
         "e34d77b1e08908e11bdbe49768922e7210cd265e05c65f3839d94c834fb36c59")

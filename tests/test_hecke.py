@@ -177,6 +177,17 @@ def test_coset_constructor_validates():
         delta_cosets(1, 0)
 
 
+def test_genus_one_listing_is_refused_by_its_exact_count():
+    """A genus-1 listing holds exactly sigma(M) cosets, so it is refused when
+    that passes the limit though M does not: sigma(50000) = 121,086 and
+    sigma(100000) = 246,078, while sigma(30000) = 96,844 still lists."""
+    for M in (50000, 100000):
+        message = f"^Delta_{M} at genus 1 has over 100000 cosets; refused$"
+        with pytest.raises(ValueError, match=message):
+            delta_cosets(1, M)
+    assert len(delta_cosets(1, 30000)) == 96844
+
+
 def test_reduce_examples():
     rep, gamma = reduce_to_coset(((3, 0), (0, 1)))
     assert rep.mat == ((3, 0), (0, 1)) and gamma == ((1, 0), (0, 1))

@@ -13,6 +13,7 @@ from vvmf.reps import (
     Decomposition,
     Rep,
     RepRegistry,
+    builtin_registry,
     decompose,
     fixed_vector_to_matrix,
     hom_fixed_subspace,
@@ -90,7 +91,7 @@ def test_tensor_examples(reg):
 
 def test_hom_dimensions_of_tensor_square(reg):
     rr = reg.get("rho3").tensor(reg.get("rho3"))
-    dims = {lbl: len(hom_space(rr, reg.get(lbl))) for lbl in reg.labels()}
+    dims = {e.label: len(hom_space(rr, e)) for e in reg}
     assert dims == {"triv": 1, "rho3": 2, "rho_zeta": 1, "rho_zeta2": 1}
 
 
@@ -109,8 +110,7 @@ def test_reference_rows_lie_in_hom_spaces(reg):
 def test_intertwining_property_on_words(reg):
     rng = random.Random(2024)
     rr = reg.get("rho3").tensor(reg.get("rho3"))
-    for lbl in reg.labels():
-        target = reg.get(lbl)
+    for target in reg:
         for phi in hom_space(rr, target):
             assert is_intertwiner(phi, rr, target)
             for _ in range(4):
@@ -441,6 +441,29 @@ def test_frobenius_reciprocity(reg):
                 assert lhs == rhs, (a.label, b.label, c.label)
 
 
+def test_bundled_registry_passes_the_certifying_constructor(reg):
+    # builtin_registry stores its types without RepRegistry.__init__'s checks,
+    # so this is where they are certified: valid, irreducible, pairwise
+    # non-isomorphic and uniquely labelled
+    certified = RepRegistry(list(builtin_registry()))
+    assert certified.to_json() == reg.to_json()
+    assert [e.label for e in certified] == ["triv", "rho3", "rho_zeta", "rho_zeta2"]
+
+
+def test_bundled_registry_is_built_without_validation_or_hom_solves(monkeypatch):
+    # loading it costs no validation and no hom solve; the test above certifies it
+    from vvmf import reps
+
+    def refused(*args):
+        raise AssertionError("the bundled registry certified itself on load")
+
+    monkeypatch.setattr(reps, "hom_space", refused)
+    monkeypatch.setattr(Rep, "validate", refused)
+    reg = builtin_registry()
+    assert [e.label for e in reg] == ["triv", "rho3", "rho_zeta", "rho_zeta2"]
+    assert reg.get("rho3").content == rho3().content and "rho_zeta2" in reg
+
+
 def test_registry_rejects_reducible_or_duplicate_entries(reg):
     with pytest.raises(ValueError):
         RepRegistry([trivial_rep(), rho3().tensor(rho3())])
@@ -668,6 +691,8 @@ def test_registry_characters_are_orthonormal(reg):
     assert order == 12
     gram = [[inner(chi, psi) for psi in chars] for chi in chars]
     assert gram == [[int(i == j) for j in range(len(chars))] for i in range(len(chars))]
+    # Burnside: 1 + 9 + 1 + 1 = 12, so the four are every irreducible type of the image group
+    assert sum(e.dim ** 2 for e in reg.entries) == order
 
 
 @pytest.mark.parametrize("expr, mults, order", [
