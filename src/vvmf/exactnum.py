@@ -90,7 +90,6 @@ def euler_phi(n: int) -> int:
     return n // math.prod(primes) * math.prod(p - 1 for p in primes)
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple:
     """Coefficients of the n-th cyclotomic polynomial, low degree first.
 
@@ -308,7 +307,7 @@ class CycNum(Immutable):
         other = as_cyc(other)
         if self.n == other.n:
             return self, other
-        m = self.n * other.n // math.gcd(self.n, other.n)
+        m = math.lcm(self.n, other.n)
         return self.lift(m), other.lift(m)
 
     def _combine(self, other, sign: int) -> "CycNum":

@@ -107,7 +107,7 @@ class FormSpan:
             return ()
         forms = [f for f, _ in gens]
         layout = _row_layout(forms, prec)
-        bound = _bound(layout)
+        bound = math.ceil(layout[0] * layout[1])
         rows = [{b * bound + t: c for b, terms in enumerate(_block_terms(f, layout, bound))
                  for t, c in terms} for f in forms]
         return Subspace._from_sparse((layout[3] + 1) * layout[2] * bound, rows).basis
@@ -163,12 +163,14 @@ class _Pivots:
     v - (v|P . inv) . G is zero iff v is in the span.
 
     Rows are never built.  A row is one block of `bound` columns per series
-    (layer r, component i).  blocks[j] is (n_j, groups) for forms[j], n_j
-    the lcm of the conductors of its row's coefficients, and groups[b] its
-    block b's terms over Q(zeta_{n_j}) as a `qexp._lifted` group, or None
-    for a zero block, packed through `qexp._packed` at each width a read
-    asks for.  A read lifts block b onto groups the first time it combines
-    it, and a read against no generator lifts nothing.
+    (layer r, component i).  blocks[j] is (n_j, terms_j, groups_j) for
+    forms[j]: n_j the lcm of the conductors of its row's coefficients,
+    terms_j the row's `_block_terms` that the read of its push made, and
+    groups_j[b] block b's terms over Q(zeta_{n_j}) as a `qexp._lifted`
+    group, or None for a zero block, packed through `qexp._packed` at each
+    width a read asks for.  A generator's row is read once: the inverse and
+    the lifts read terms_j.  A read lifts block b onto groups the first time
+    it combines it, and a read against no generator lifts nothing.
 
     A read looks v|P up in v's series, takes the numerators of c = (v|P) .
     inv in integer coordinates at the lcm N of n_v and every n_j, and walks
@@ -190,36 +192,36 @@ class _Pivots:
     __slots__ = ("layout", "bound", "forms", "pivots", "inv", "blocks")
 
     def __init__(self, layout, forms):
-        self.layout, self.bound = layout, _bound(layout)
+        self.layout, self.bound = layout, math.ceil(layout[0] * layout[1])
         self.forms, self.pivots, self.inv, self.blocks = [], [], None, []
         for f in forms:
             self.push(f)
 
     def read(self, f: AholForm):
         """(the first nonzero column of v - (v|P . inv) . G or None, (n_v,
-        the groups of the blocks of f's row v that it lifted))."""
-        layout, bound, own = self.layout, self.bound, []
-        terms = _block_terms(f, layout, bound)
+        the terms of f's row v, the groups of its blocks that it lifted))."""
+        bound, own = self.bound, []
+        terms = _block_terms(f, self.layout, bound)
         n_v = math.lcm(*{c.n for block in terms for _, c in block})
         if not self.forms:
             first = (b * bound + t for b, block in enumerate(terms) for t, _ in block)
-            return min(first, default=None), (n_v, own)
+            return min(first, default=None), (n_v, terms, own)
         if self.inv is None:
             inv = Matrix.from_nonzeros(len(self.forms), [sparse_row(_at(
-                _block_terms(g, layout, bound), self.pivots, bound)) for g in self.forms]).inverse()
+                t, self.pivots, bound)) for _, t, _ in self.blocks]).inverse()
             d = math.lcm(*(x.den for row in inv.nonzeros for x in row.values()))
             self.inv = inv.n, d, [{j: tuple([y * (d // x.den) for y in x.num]) for j, x in row.items()}
                                   for row in inv.nonzeros]
         n_inv, den, inv = self.inv
-        cond = math.lcm(n_v, n_inv, *(n for n, _ in self.blocks))
+        cond = math.lcm(n_v, n_inv, *(n for n, _, _ in self.blocks))
         phi = euler_phi(cond)
         # v|P lifted to cond over vp.den (`_lifted`); c over den = d * vp.den
         vp = _lifted([(i, x) for i, x in enumerate(_at(terms, self.pivots, bound)) if x], cond)
         a, den = [(inv[i], x) for i, x in vp.rows], den * vp.den
         # the terms of v - sum_j c_j g_j, v with scalar 1, then g_j with -c_j,
-        # each as den(scalar), M, its form, n, its blocks
-        mults = [(1, _lift_matrix(cond, n_v), f, n_v, own)]
-        for j, (n, groups) in enumerate(self.blocks):
+        # each as den(scalar), M, n, its row's block terms and lifted blocks
+        mults = [(1, _lift_matrix(cond, n_v), n_v, terms, own)]
+        for j, (n, rows, groups) in enumerate(self.blocks):
             c = [0] * phi
             for row, x in a:
                 if y := row.get(j):
@@ -227,14 +229,13 @@ class _Pivots:
             if any(c):
                 g = math.gcd(den, *c)
                 mults.append((den // g, _multiplication(cond, [-x // g for x in c], n),
-                              self.forms[j], n, groups))
-        for b, block in enumerate(terms):
+                              n, rows, groups))
+        for b in range(len(terms)):
             # per term with a nonzero block b: den(scalar) d_b, M, the block
             live = []
-            for d, m, g, n, groups in mults:
+            for d, m, n, rows, groups in mults:
                 if b == len(groups):
-                    got = block if g is f else _series_terms(g, layout, b, bound)
-                    groups.append(_lifted(got, n) if got else None)
+                    groups.append(_lifted(rows[b], n) if rows[b] else None)
                 if group := groups[b]:
                     live.append((d * group.den, m, group))
             if not live:
@@ -246,18 +247,18 @@ class _Pivots:
             acc = _accumulate([(lam // d, m, _packed(g, width // 8)) for d, m, g in live], phi)
             low = min((((y & -y).bit_length() - 1) // width for y in acc if y), default=None)
             if low is not None:
-                return b * bound + low, (n_v, own)
-        return None, (n_v, own)
+                return b * bound + low, (n_v, terms, own)
+        return None, (n_v, terms, own)
 
     def push(self, f: AholForm) -> bool:
         """Add f when it is independent; True when the state grew.  f keeps
-        the blocks its read lifted and packed, and no others."""
-        p, (n, own) = self.read(f)
+        its row's terms and the blocks its read lifted and packed, and no others."""
+        p, block = self.read(f)
         if p is None:
             return False
         self.forms.append(f)
         self.pivots.append(p)
-        self.blocks.append((n, own))
+        self.blocks.append(block)
         # det of the enlarged block is det(G|P) times the residue at p; its
         # inverse is computed when the next row is reduced
         self.inv = None
@@ -283,23 +284,11 @@ def _row_layout(forms, prec=None, base=None):
     return prec, h, forms[0].rep.dim, depth
 
 
-def _bound(layout) -> int:
-    """Columns per block: the exponents n/h below prec, ceil(prec * h)."""
-    p, q = layout[0].as_integer_ratio()
-    return -(-p * layout[1] // q)
-
-
 def _block_terms(f: AholForm, layout, bound: int) -> list:
-    """Per block (layer r, component i) of f's row, its (column, coefficient) terms."""
-    return [_series_terms(f, layout, b, bound) for b in range((layout[3] + 1) * layout[2])]
-
-
-def _series_terms(f: AholForm, layout, b: int, bound: int) -> list:
-    """The (column, coefficient) terms of block b = r * dim + i of f's row."""
-    r, i = divmod(b, layout[2])
-    if r > f.depth:
-        return []
-    return _lattice_terms(f.graded[r][i], layout[1], bound)
+    """Per block b = r * dim + i (layer r, component i) of f's row, its
+    (column, coefficient) terms; `bound` columns per block, ceil(prec * h)."""
+    rows = [_lattice_terms(q, layout[1], bound) for layer in f.graded for q in layer]
+    return rows + [[] for _ in range(len(rows), (layout[3] + 1) * layout[2])]
 
 
 def _at(terms: list, columns: list, bound: int) -> list:
@@ -397,19 +386,17 @@ def tinf_closure(span: FormSpan, weight_window, max_rounds: int, targets):
         raise ValueError(f"empty weight window [{kmin}, {kmax}]")
     closure = FormSpan()
 
-    def add_window(s: FormSpan):
-        for key in s.grades():
-            if kmin <= key[0] <= kmax:
-                for form, prov in s.grading[key]:
-                    closure.add(form, provenance=prov)
+    def add_window(s: FormSpan) -> list:
+        """The forms of the window's grades of s that closure accepted."""
+        return [form for key in s.grades() if kmin <= key[0] <= kmax
+                for form, prov in s.grading[key] if closure.add(form, provenance=prov)]
 
-    add_window(span)
-    fresh = [f for key in closure.grades() for f, _ in closure.grading[key]]
+    fresh = add_window(span)
     for _ in range(max_rounds):
-        was = closure.dimension_signature()
-        for form in fresh:
-            add_window(tinf(form, targets))
-        fresh = [f for key in closure.grades() for f, _ in closure.grading[key][was.get(key, 0):]]
+        # a stable sort puts a round's accepted forms in grade order, each
+        # grade's in the order closure took them
+        fresh = sorted([g for form in fresh for g in add_window(tinf(form, targets))],
+                       key=lambda g: (g.weight, g.rep.label))
         if not fresh:
             return closure, True
     return closure, False

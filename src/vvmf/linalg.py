@@ -11,7 +11,9 @@ RREF, pivot rows first in pivot order, so equal subspaces have equal bases.
 `kernel_of_rows` reduces its kernel in those coordinates too.  A `Matrix`, and so
 a `Subspace` basis, holds its rows in that form: arithmetic and
 eliminations touch nonzero entries only; dense callers convert with
-`sparse_row`.
+`sparse_row`.  Membership goes through the same kernel: `Subspace.member`
+is one `_rref_inplace` of the basis rows and the vector, a member iff the
+rank stays at the dimension.
 """
 
 from __future__ import annotations
@@ -177,9 +179,6 @@ class Matrix(Immutable):
 
     def is_identity(self) -> bool:
         return self == Matrix.identity(self.rows)
-
-    def is_zero(self) -> bool:
-        return not any(self.nonzeros)
 
     def rref(self):
         """(reduced row-echelon form, pivot column list)."""
@@ -463,16 +462,12 @@ class Subspace(Immutable):
         return self.basis.rows
 
     def member(self, v) -> bool:
-        """True iff v reduces to zero against each basis row at its pivot."""
+        """True iff v stacked under the basis rows leaves the rank at dim."""
         v = [as_cyc(x) for x in v]
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        for row in self.basis.nonzeros:
-            f = v[min(row)]
-            if f:
-                for j, y in row.items():
-                    v[j] = v[j] - f * y
-        return not any(v)
+        rows = [dict(r) for r in self.basis.nonzeros] + [sparse_row(v)]
+        return len(_rref_inplace(rows, self.ambient_dim)) == self.dim
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:

@@ -9,7 +9,8 @@ its nonzero coefficient; zero coefficients are never stored.
 The public constructor coerces and checks every term.  Results built
 here (sums, products, scalings, slash images, theta, lattice changes,
 truncations) go through the trusted constructor `_series`, and each
-caller drops its own zeros.
+caller drops its own zeros.  Series compare by subtraction: they agree
+below a precision when their difference has no term there.
 
 Products and sums of products are one multiply-accumulate kernel,
 `combine_terms`, by Kronecker substitution (D. Harvey, J. Symbolic
@@ -100,14 +101,11 @@ class QExp(Immutable):
         step = h // self.h
         return _series(h, self.prec, {n * step: c for n, c in self.terms.items()})
 
-    def _common(self, other: "QExp"):
-        h = self.h * other.h // math.gcd(self.h, other.h)
-        return self.rescale_lattice(h), other.rescale_lattice(h)
-
     def __add__(self, other):
         if not isinstance(other, QExp):
             return NotImplemented
-        a, b = self._common(other)
+        h = math.lcm(self.h, other.h)
+        a, b = self.rescale_lattice(h), other.rescale_lattice(h)
         prec = min(a.prec, b.prec)
         bound = math.ceil(prec * a.h)
         terms = {n: c for n, c in a.terms.items() if n < bound}
@@ -124,9 +122,6 @@ class QExp(Immutable):
 
     def __mul__(self, other):
         return combine([[other]], [self])[0] if isinstance(other, QExp) else self.scaled(other)
-
-    def __rmul__(self, other):
-        return self.scaled(other)
 
     def scaled(self, s) -> "QExp":
         s = as_cyc(s)
@@ -157,18 +152,15 @@ class QExp(Immutable):
         return self.prec == other.prec and self.agrees_with(other)
 
     def agrees_with(self, other: "QExp", prec=None) -> bool:
-        """Termwise agreement below prec (default: common sound precision)."""
+        """Agreement below prec (default: common sound precision): self - other
+        has no term there."""
         if prec is None:
             prec = min(self.prec, other.prec)
         prec = Fraction(prec)
         if prec > self.prec or prec > other.prec:
             raise InsufficientPrecision("comparison beyond stored precision")
-        a, b = self._common(other)
-        bound = prec * a.h
-        keys = {n for n in a.terms if n < bound} | {n for n in b.terms if n < bound}
-        return all(
-            a.terms.get(n, CycNum.zero()) == b.terms.get(n, CycNum.zero()) for n in keys
-        )
+        d = self - other
+        return all(n >= prec * d.h for n in d.terms)
 
     def __repr__(self):
         return f"QExp({self.to_text()})"

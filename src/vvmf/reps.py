@@ -62,7 +62,7 @@ class Rep(Immutable):
 
     @property
     def conductor(self) -> int:
-        return self.S.n * self.T.n // math.gcd(self.S.n, self.T.n)
+        return math.lcm(self.S.n, self.T.n)
 
     def validate(self) -> "RepValidation":
         S, T = self.S, self.T
@@ -87,13 +87,8 @@ class Rep(Immutable):
         )
 
     def tensor(self, other: "Rep") -> "Rep":
-        lev = self.level * other.level // math.gcd(self.level, other.level)
-        return Rep(
-            f"{self.label}*{other.label}",
-            lev,
-            self.S.kron(other.S),
-            self.T.kron(other.T),
-        )
+        return Rep(f"{self.label}*{other.label}", math.lcm(self.level, other.level),
+                   self.S.kron(other.S), self.T.kron(other.T))
 
     def evaluate(self, g) -> Matrix:
         """Image of an arbitrary element of the modular group.

@@ -93,6 +93,16 @@ def test_lower_raise_gives_minus_weight():
         assert lower_op(raise_op(f)).agrees_with(f.scaled(-k))
 
 
+def test_agrees_with_refuses_other_weights_depths_and_coefficients():
+    e4 = eisenstein(4, 6)
+    assert e4.agrees_with(eisenstein(4, 8)) and e4.agrees_with(AholForm(4, e4.rep, e4.graded))
+    # the same series at weight 6, at depth 1, and with one coefficient changed
+    assert not e4.agrees_with(AholForm(6, e4.rep, e4.graded))
+    assert not e4.agrees_with(AholForm(4, e4.rep, [*e4.graded, (QExp(1, 6, {2: 1}),)]))
+    changed = AholForm.holomorphic(4, e4.rep, [e4.components[0] + QExp(1, 6, {5: 1})])
+    assert not e4.agrees_with(changed) and e4.agrees_with(changed, 5)
+
+
 def test_lower_of_pure_grading_variable():
     f = AholForm(2, trivial_rep(), [[QExp.zero(5)], [QExp(1, 5, {0: 1})]])
     out = lower_op(f)

@@ -556,7 +556,7 @@ def recorded_reads(monkeypatch):
 
     def spy(state, f):
         before = (state.layout, list(state.forms), list(state.pivots), f)
-        current.append(({id(g) for _, groups in state.blocks for g in groups}, []))
+        current.append(({id(g) for _, _, groups in state.blocks for g in groups}, []))
         out = read(state, f)
         calls.append(before + (out[0], current.pop()[1]))
         return out
@@ -665,9 +665,9 @@ def test_a_cyclotomic_query_reads_rational_generators_through_a_lift(recorded_re
     # the generators stay stored over Q, one coordinate per block, also in
     # the packed ints the Q(zeta12) reads left
     assert state is span._pivots[(4, "triv")]
-    assert [(n, len(g.rows[0][1])) for n, groups in state.blocks for g in groups] == [(1, 1)] * 2
+    assert [(n, len(g.rows[0][1])) for n, _, groups in state.blocks for g in groups] == [(1, 1)] * 2
     assert all(g.packs and {len(ints) for ints in g.packs.values()} == {1}
-               for _, groups in state.blocks for g in groups)
+               for _, _, groups in state.blocks for g in groups)
     _assert_reads_match_the_scan(recorded_reads)
 
 
@@ -823,7 +823,7 @@ def test_span_sum_matches_one_by_one_adds_on_the_vv_product_spans(reg):
     # the sum leaves that span's generators and state as they were
     key = (16, "rho3")
     state = spans[0]._pivots[key]
-    held = (list(state.forms), list(state.pivots), [list(pairs) for _, pairs in state.blocks])
+    held = (list(state.forms), list(state.pivots), [list(pairs) for _, _, pairs in state.blocks])
     extra = _random_form(random.Random(7), 16, rho3, 3, (3,), 33, 0)
     assert total.add(extra, "extra") and not span_contains(spans[0], extra, 33)
     assert [span_bytes(s) for s in spans] == sources
@@ -889,7 +889,7 @@ def test_span_sum_shares_no_pivot_state_with_its_summands(reg):
             for key, state in s._pivots.items():
                 mine = total._pivots[key]
                 assert mine is not state
-                assert all(own is not theirs for _, own in mine.blocks for _, theirs in state.blocks)
+                assert all(own is not theirs for _, _, own in mine.blocks for _, _, theirs in state.blocks)
 
     assert_unshared()
     for target in (total, spans[0]):
@@ -915,7 +915,7 @@ def test_a_first_add_to_an_empty_grade_takes_the_scan_pivot_and_lifts_nothing(re
         assert span.add(f, "first")
         state = span._pivots[(f.weight, f.rep.label)]
         assert state.pivots == [scan_column(state.layout, [], [], f)]
-        assert state.blocks == [(n, [])]
+        assert [(n, groups) for n, _, groups in state.blocks] == [(n, [])]
     # block 1 of the rho3 form starts at column 6 (exponents n/3 below 2); its first term is q^(2/3)
     assert state.pivots == [6 + 2]
 
@@ -927,7 +927,7 @@ def test_the_bound_is_the_ceiling_of_prec_times_the_lattice():
     precs = [1, 6, 33, Fraction(33), Fraction(5, 2), Fraction(7, 3), Fraction(1, 6), Fraction(100, 7)]
     for prec in precs:
         for h in (1, 2, 3, 6, 12, 35):
-            assert hyperalg._bound((prec, h, 1, 0)) == math.ceil(Fraction(prec) * h), (prec, h)
+            assert _Pivots((prec, h, 1, 0), []).bound == math.ceil(Fraction(prec) * h), (prec, h)
 
 
 @pytest.mark.parametrize("seed", range(3))

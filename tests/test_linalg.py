@@ -933,3 +933,49 @@ def test_negative_pivots_are_negated_once_and_never_rescale_rows(monkeypatch):
     _kernels_agree(rows, k + 3, k)
     assert calls["_divide_content"] == 0
     assert calls["_scale"] <= k
+
+
+def loop_member(s: Subspace, v) -> bool:
+    """Membership as `Subspace.member` decided it before it went through
+    `_rref_inplace`: v reduced to zero against each basis row at its pivot."""
+    v = [as_cyc(x) for x in v]
+    for row in s.basis.nonzeros:
+        f = v[min(row)]
+        if f:
+            for j, y in row.items():
+                v[j] = v[j] - f * y
+    return not any(v)
+
+
+@pytest.mark.parametrize("conductors", [(1,), (3,), (12,), (1, 3, 12)])
+def test_member_matches_the_reduction_loop(conductors):
+    # seeded bases of dimension 0 to 4 with entries over Q, Q(zeta3) and
+    # Q(zeta12); the probes are the zero vector, members (combinations of the
+    # spanning rows, with coefficients from any of the three fields), each of
+    # them plus a unit vector, and random vectors
+    rng = random.Random(f"member/{conductors}")
+    dims, answers = set(), set()
+    for _ in range(60):
+        ncols = rng.randint(1, 7)
+        rows = [[_nonzero_cell(rng, rng.choice(conductors)) if rng.random() < 0.5 else 0
+                 for _ in range(ncols)] for _ in range(rng.randint(0, 5))]
+        s = Subspace.from_rows(ncols, rows)
+        if s.dim > 4:
+            continue
+        dims.add(s.dim)
+        probes = [[0] * ncols]
+        for _ in range(3):
+            member = [CycNum.zero()] * ncols
+            for r in rows:
+                f = _nonzero_cell(rng, rng.choice((1, 3, 12)))
+                member = [x + f * as_cyc(y) for x, y in zip(member, r)]
+            k = rng.randrange(ncols)
+            probes += [member, [x + int(j == k) for j, x in enumerate(member)]]
+            probes.append([_nonzero_cell(rng, rng.choice(conductors)) if rng.random() < 0.6 else 0
+                           for _ in range(ncols)])
+        for v in probes:
+            got = s.member(v)
+            assert got is loop_member(s, v), (rows, v)
+            answers.add((got, any(as_cyc(x) for x in v)))
+    assert dims == {0, 1, 2, 3, 4}
+    assert answers == {(True, False), (True, True), (False, True)}

@@ -137,10 +137,16 @@ def one_home_jobs(source: str) -> dict:
     indicator (a slot set to 1 at n * width, or a shift 1 << n * width of two
     names); "sum renderer", comparisons with both 1 and -1 (as numbers or as
     the strings "1" and "-1"); "pack cache", a `_pack(...)` call assigned to a
-    subscript; "fixture", a decorated def reg."""
+    subscript; "fixture", a decorated def reg; and three jobs whose home is
+    elsewhere: "hand lcm", a product floor-divided by a gcd call (a * b //
+    math.gcd(a, b), whose home is math.lcm); "termwise comparison", == or !=
+    between two .terms.get(...) calls (series compare by subtraction, in
+    QExp.agrees_with); "row reduction", v[j] = v[j] - f * y (the one
+    elimination is linalg._eliminate)."""
     found = {"power": set(), "term filter": set(), "span reader": set(),
              "conductor indicator": set(), "sum renderer": set(), "pack cache": set(),
-             "fixture": set()}
+             "fixture": set(), "hand lcm": set(), "termwise comparison": set(),
+             "row reduction": set()}
     tree = ast.parse(source)
     for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
         name = getattr(scope, "name", "<module>")
@@ -171,6 +177,17 @@ def one_home_jobs(source: str) -> dict:
                     and getattr(n.value.func, "id", getattr(n.value.func, "attr", None)) == "_pack"
                     and any(isinstance(t, ast.Subscript) for t in n.targets)):
                 found["pack cache"].add(name)
+            if (isinstance(n, ast.BinOp) and isinstance(n.op, ast.FloorDiv) and _is_product(n.left)
+                    and isinstance(n.right, ast.Call) and _callee(n.right) == "gcd"):
+                found["hand lcm"].add(name)
+            if (isinstance(n, ast.Compare) and isinstance(n.ops[0], (ast.Eq, ast.NotEq))
+                    and all(map(_reads_terms, (n.left, *n.comparators)))):
+                found["termwise comparison"].add(name)
+            if (isinstance(n, ast.Assign) and isinstance(n.value, ast.BinOp)
+                    and isinstance(n.value.op, ast.Sub) and _is_product(n.value.right)
+                    and any(isinstance(t, ast.Subscript) and ast.unparse(t) == ast.unparse(n.value.left)
+                            for t in n.targets)):
+                found["row reduction"].add(name)
         if name == "reg" and scope.decorator_list:
             found["fixture"].add(name)
     return {job: sorted(names) for job, names in found.items()}
@@ -200,6 +217,17 @@ def _is_product(node) -> bool:
     return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
 
 
+def _callee(call) -> str | None:
+    """The name a call calls: f for f(...) and for m.f(...)."""
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def _reads_terms(node) -> bool:
+    """node is a call x.terms.get(...)."""
+    return (isinstance(node, ast.Call) and _callee(node) == "get"
+            and getattr(node.func.value, "attr", None) == "terms")
+
+
 def test_one_home_lint_finds_each_job():
     source = ("def power(x, e):\n    return x if e < 2 else power(x * x, e >> 1)\n"
               "def terms(q, step, bound):\n    return [n for n in q if n * step < bound]\n"
@@ -213,21 +241,33 @@ def test_one_home_lint_finds_each_job():
               "def dotted(g, w):\n    g.packs[w] = qexp._pack(g.rows, g.top, w)\n"
               "def others(g, n, e):\n    e >>= 1\n    g[n * e] = 2\n    g[n] = 1 << 8 * n\n"
               "    p = _pack(g, n)\n    g[0] = pack(g, n)\n    t = n == -1, e == True, e < 1.0\n"
-              "    return {'grades': g}, [x for x in g if x < n], g * n, g.get('other')\n")
+              "    u = n * e // 2, n // math.gcd(n, e), g.get(n) == e.get(n), g.terms.get(n) < 2\n"
+              "    g[n] = e[n] - n * e\n    g[n] = g[n] + n * e\n"
+              "    return {'grades': g}, [x for x in g if x < n], g * n, g.get('other')\n"
+              "def lcm(a, b):\n    return a * b // math.gcd(a, b)\n"
+              "def gcd_lcm(a, b):\n    return a * b // gcd(a, b)\n"
+              "def agree(a, b, n, zero):\n    return a.terms.get(n, zero) == b.terms.get(n, zero)\n"
+              "def differ(a, b, n):\n    return a.terms.get(n) != b.terms.get(n)\n"
+              "def reduce(v, row, f):\n    for j, y in row.items():\n        v[j] = v[j] - f * y\n")
     assert one_home_jobs(source) == {"power": ["power"], "term filter": ["terms"],
                                      "span reader": ["reader"],
                                      "conductor indicator": ["flags", "shifts"],
                                      "sum renderer": ["signs", "texts"],
-                                     "pack cache": ["cache", "dotted"], "fixture": ["reg"]}
+                                     "pack cache": ["cache", "dotted"], "fixture": ["reg"],
+                                     "hand lcm": ["gcd_lcm", "lcm"],
+                                     "termwise comparison": ["agree", "differ"],
+                                     "row reduction": ["reduce"]}
 
 
 def test_one_home_per_job():
     # one power (exactnum._pow), one series-term reader (qexp._lattice_terms),
     # one span-manifest reader (FormSpan.from_json), one conductor indicator
     # (qexp._marks), one writer of a sum of terms (exactnum._sum_text), one
-    # pack cache (qexp._packed) and one registry fixture
+    # pack cache (qexp._packed) and one registry fixture; no hand-written lcm
+    # (math.lcm), no termwise series comparison (QExp.agrees_with subtracts)
+    # and no row reduction beside linalg._eliminate (Subspace.member stacks)
     src_jobs = ("power", "term filter", "span reader", "conductor indicator", "sum renderer",
-                "pack cache")
+                "pack cache", "hand lcm", "termwise comparison", "row reduction")
     homes = {job: [] for job in (*src_jobs, "fixture")}
     for paths, jobs in ((sorted(Path(vvmf.__file__).parent.glob("*.py")), src_jobs),
                         (sorted(Path(__file__).parent.glob("*.py")), ("fixture",))):
@@ -238,4 +278,5 @@ def test_one_home_per_job():
     assert homes == {"power": ["exactnum._pow"], "term filter": ["qexp._lattice_terms"],
                      "span reader": ["hyperalg.from_json"],
                      "conductor indicator": ["qexp._marks"], "sum renderer": ["exactnum._sum_text"],
-                     "pack cache": ["qexp._packed"], "fixture": ["conftest.reg"]}
+                     "pack cache": ["qexp._packed"], "fixture": ["conftest.reg"],
+                     "hand lcm": [], "termwise comparison": [], "row reduction": []}

@@ -171,7 +171,7 @@ def test_theta_multiplies_by_exponent():
 
 def reference_mul(x: QExp, y: QExp) -> QExp:
     """The termwise product: one CycNum product and one sum per pair of terms."""
-    a, b = x._common(y)
+    a, b = (q.rescale_lattice(math.lcm(x.h, y.h)) for q in (x, y))
     prec = min(a.prec, b.prec)
     bound = math.ceil(prec * a.h)
     terms: dict = {}
@@ -311,6 +311,85 @@ def test_sum_drops_a_cancelled_term():
     s = QExp(1, 3, {1: z}) + QExp(1, 3, {1: -z, 2: CycNum.one()})
     assert s.terms == {2: CycNum.one()}
     assert (QExp(2, 2, {1: z}) - QExp(2, 2, {1: z})).terms == {}
+
+
+def termwise_agrees_with(x: QExp, y: QExp, prec=None) -> bool:
+    """Agreement as `QExp.agrees_with` decided it before it subtracted: the
+    coefficients of x and y on their common lattice, compared exponent by
+    exponent below prec."""
+    if prec is None:
+        prec = min(x.prec, y.prec)
+    prec = Fraction(prec)
+    if prec > x.prec or prec > y.prec:
+        raise InsufficientPrecision("comparison beyond stored precision")
+    h = math.lcm(x.h, y.h)
+    a, b = x.rescale_lattice(h), y.rescale_lattice(h)
+    keys = {n for n in a.terms if n < prec * h} | {n for n in b.terms if n < prec * h}
+    zero = CycNum.zero()
+    return all(a.terms.get(n, zero) == b.terms.get(n, zero) for n in keys)
+
+
+def _agreement(compare, x, y, prec):
+    try:
+        return compare(x, y) if prec is None else compare(x, y, prec)
+    except InsufficientPrecision:
+        return "raises"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_agrees_with_matches_the_termwise_comparison(seed):
+    # seeded pairs: unrelated series, one series on a finer lattice, a
+    # truncation, one changed or added term, and each coefficient rewritten at
+    # a multiple of its conductor (so the difference cancels there); each at
+    # the default precision, at 0 and below, at precisions between the terms
+    # and at and past either series' precision
+    rng = random.Random(f"agree/{seed}")
+    seen = set()
+    for _ in range(150):
+        x = random_series(rng, max_terms=6)
+        kind = rng.randrange(5)
+        if kind == 0:
+            y = random_series(rng, max_terms=6)
+        elif kind == 1:
+            y = x.rescale_lattice(x.h * rng.choice([2, 5]))
+        elif kind == 2:
+            y = x.truncate(Fraction(rng.randint(1, 4 * x.h), x.h) if x.prec > 4 else x.prec)
+        elif kind == 3:
+            n = rng.choice([*x.terms, rng.randrange(math.ceil(x.prec * x.h) + 1)])
+            y = x + QExp(x.h, x.prec, {n: random_coefficient(rng, rng.choice(MIXED_CONDUCTORS), 3)})
+        else:
+            y = QExp(x.h, x.prec, {n: c.lift(c.n * rng.choice([1, 3, 4])) for n, c in x.terms.items()})
+        low = min(x.prec, y.prec)
+        precs = [None, 0, -1, low, max(x.prec, y.prec), low + Fraction(1, 7)]
+        precs += [Fraction(n, x.h) for n in x.terms] + [Fraction(n + 1, y.h) for n in y.terms]
+        for a, b in ((x, y), (y, x)):
+            for prec in precs:
+                got = _agreement(QExp.agrees_with, a, b, prec)
+                assert got == _agreement(termwise_agrees_with, a, b, prec), (a, b, prec)
+                seen.add(got)
+        assert (x == y) is (x.prec == y.prec and termwise_agrees_with(x, y))
+    assert seen == {True, False, "raises"}
+
+
+def test_agrees_with_at_the_edges_matches_the_termwise_comparison():
+    z3 = CycNum.zeta(3)
+    pairs = [
+        # a difference exactly at prec: q^(5/2) is not below 5/2, and is below 3
+        (QExp(2, 3, {0: 1, 5: 1}), QExp(3, 4, {0: 1}), {Fraction(5, 2): True, 3: False}),
+        # a term that cancels: z3 at exponent 1 on lattices 1 and 3, at
+        # conductors 3 and 12, so the difference has no term
+        (QExp(1, 4, {1: z3, 2: 1}), QExp(3, 4, {3: z3.lift(12), 6: 1}), {None: True, 4: True}),
+        # prec <= 0 agrees even where the series differ at exponent 0
+        (QExp(1, 2, {0: 1}), QExp(2, 1, {0: 2}), {0: True, Fraction(-1, 2): True, None: False}),
+        # prec past either series raises
+        (QExp(1, 2, {}), QExp(6, Fraction(5, 3), {}), {2: "raises", Fraction(11, 6): "raises",
+                                                         Fraction(5, 3): True}),
+    ]
+    for x, y, want in pairs:
+        for prec, expected in want.items():
+            for a, b in ((x, y), (y, x)):
+                assert _agreement(QExp.agrees_with, a, b, prec) == expected, (a, b, prec)
+                assert _agreement(termwise_agrees_with, a, b, prec) == expected, (a, b, prec)
 
 
 def test_packed_product_matches_reference_hypothesis():

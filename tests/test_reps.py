@@ -467,8 +467,21 @@ def test_bundled_registry_is_built_without_validation_or_hom_solves(monkeypatch)
 def test_registry_rejects_reducible_or_duplicate_entries(reg):
     with pytest.raises(ValueError):
         RepRegistry([trivial_rep(), rho3().tensor(rho3())])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="isomorphic"):
         RepRegistry([rho_zeta(), rho_zeta()])
+    # T = zeta3 and T = zeta3^2 are not isomorphic, so only the shared label refuses them
+    twin = Rep("rho_zeta", 3, Matrix.identity(1), Matrix(1, 1, [CycNum.zeta(3, 2)]))
+    with pytest.raises(ValueError, match="duplicate labels in registry"):
+        RepRegistry([rho_zeta(), twin])
+
+
+def test_is_intertwiner_refuses_a_map_of_the_wrong_shape():
+    # a zero map commutes with every action, so only its shape can refuse it:
+    # a map from triv to rho3 is 3 x 1
+    r3, triv = rho3(), trivial_rep()
+    assert is_intertwiner(Matrix(3, 1, [0] * 3), triv, r3)
+    assert not is_intertwiner(Matrix(1, 3, [0] * 3), triv, r3)
+    assert not is_intertwiner(Matrix(3, 3, [0] * 9), triv, r3)
 
 
 def test_sl2_word_reconstructs_matrices():

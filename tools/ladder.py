@@ -143,6 +143,24 @@ print(low.n, hashlib.sha256(json.dumps(low.to_json()).encode()).hexdigest())
 print(f"# inner_s={spent:.4f}", file=sys.stderr)
 """
 
+# the closure of the CI pin at precision 33: vv_eisenstein(4, rho3, 3, 33)
+# closed under tinf inside weights 4 to 10 for 4 rounds, one span grown by the
+# forms each round accepted; inner_s times tinf_closure alone
+_TINF_CLOSURE = """
+import hashlib, json, sys, time
+from vvmf.cli import load_bundled_registry
+from vvmf.forms import vv_eisenstein
+from vvmf.hyperalg import tinf_closure
+reg = load_bundled_registry()
+eis = vv_eisenstein(4, reg.get("rho3"), 3, 33)
+start = time.perf_counter()
+closure, stabilized = tinf_closure(eis, (4, 10), 4, reg)
+spent = time.perf_counter() - start
+text = json.dumps(closure.to_json())
+print(stabilized, sorted(closure.dimension_signature().items()), hashlib.sha256(text.encode()).hexdigest())
+print(f"# inner_s={spent:.4f}", file=sys.stderr)
+"""
+
 # the bundled registry that every CLI job loads, after the CLI's own imports;
 # inner_s times load_bundled_registry alone, and the answer is its labels and
 # the digest of its JSON
@@ -180,6 +198,7 @@ RUNGS = {
                              "--indices", "1,4,6", "--format", "json"],
     "vv-product-queries": ["python3", "-c", _VV_QUERIES],
     "hyperprod-t3e4-t3e8": ["python3", "-c", _HYPER_T3],
+    "tinf-closure-rho3-p33": ["python3", "-c", _TINF_CLOSURE],
     "thm11-span-k60": ["python3", "-c", "K, M = 60, 5" + _THM11_SPAN],
     # a stretch rung: t = 30 brackets at Hecke indices 1 to 6
     "thm11-span-k72": ["python3", "-c", "K, M = 72, 6" + _THM11_SPAN],
