@@ -14,6 +14,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 
 from .ahol import AholForm, _images, ahol_decompose, apply_intertwiner, lower_op, raise_op
@@ -195,34 +196,14 @@ def _exhaustive_genus2_count(M: int) -> int:
     from .hecke import _assemble, _is_similitude
 
     count = 0
-    arange = range(-M, M + 1)
-    for d11 in range(1, M + 1):
-        for d22 in range(1, M + 1):
-            for d12 in range(d22):
-                d = [[d11, d12], [0, d22]]
-                good_a = []
-                for a11 in arange:
-                    for a12 in arange:
-                        for a21 in arange:
-                            for a22 in arange:
-                                a = [[a11, a12], [a21, a22]]
-                                # t(a) d = M I
-                                if (
-                                    a11 * d11 == M
-                                    and a11 * d12 + a21 * d22 == 0
-                                    and a12 * d11 == 0
-                                    and a12 * d12 + a22 * d22 == M
-                                ):
-                                    good_a.append(a)
-                for a in good_a:
-                    for b11 in range(d11):
-                        for b12 in range(d22):
-                            for b21 in range(d11):
-                                for b22 in range(d22):
-                                    b = [[b11, b12], [b21, b22]]
-                                    mat = _assemble(a, b, d, 2)
-                                    if _is_similitude(mat, 2, M):
-                                        count += 1
+    for d11, d22 in product(range(1, M + 1), repeat=2):
+        for d12, (a11, a12, a21, a22) in product(range(d22), product(range(-M, M + 1), repeat=4)):
+            # t(a) d = M I
+            if (a11 * d11 == M and a11 * d12 + a21 * d22 == 0
+                    and a12 * d11 == 0 and a12 * d12 + a22 * d22 == M):
+                a, d = [[a11, a12], [a21, a22]], [[d11, d12], [0, d22]]
+                for b in product(range(d11), range(d22), range(d11), range(d22)):
+                    count += _is_similitude(_assemble(a, [b[:2], b[2:]], d, 2), 2, M)
     return count
 
 

@@ -7,15 +7,16 @@ order is lexicographic in (diag of d, offdiagonal of d, b entries) and is
 part of the stable public contract; golden tests depend on it.
 
 The induced representation on V(rho) (x) C[Delta_M] uses the grouping
-rho([I_m(g^-1)]^-1) with coset index reduce(m g^-1); the construction
-asserts the modular-group relations on the result, which pins the
-convention (an invalid result raises, it must not occur).
+rho([I_m(g^-1)]^-1) with coset index reduce(m g^-1); the modular-group
+relations are asserted on these integer corrections, once per index, which
+pins the convention (an invalid result raises, it must not occur).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
@@ -43,16 +44,14 @@ class DeltaCoset(Immutable):
         g = genus
         if any(mat[g + i][j] != 0 for i in range(g) for j in range(g)):
             raise ValueError("lower-left block must vanish")
-        d = [[mat[g + i][g + j] for j in range(g)] for i in range(g)]
-        b = [[mat[i][g + j] for j in range(g)] for i in range(g)]
-        for i in range(g):
-            for j in range(g):
-                if i > j and d[i][j] != 0:
-                    raise ValueError("d must be upper triangular")
-                if i < j and not 0 <= d[i][j] < d[j][j]:
-                    raise ValueError("d offdiagonal out of residue range")
-                if not 0 <= b[i][j] < d[j][j]:
-                    raise ValueError("b entry out of residue range")
+        for i, j in product(range(g), repeat=2):
+            d, b, djj = mat[g + i][g + j], mat[i][g + j], mat[g + j][g + j]
+            if i > j and d != 0:
+                raise ValueError("d must be upper triangular")
+            if i < j and not 0 <= d < djj:
+                raise ValueError("d offdiagonal out of residue range")
+            if not 0 <= b < djj:
+                raise ValueError("b entry out of residue range")
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "similitude", similitude)
@@ -81,9 +80,9 @@ class DeltaCoset(Immutable):
 
 
 def _is_similitude(mat, genus: int, M: int) -> bool:
-    """t(mat) J mat == M J for the standard symplectic form."""
-    jm = _symplectic_form(genus)
-    return _int_mul(_int_mul(list(zip(*mat)), jm), mat) == [[M * x for x in row] for row in jm]
+    """t(mat) J mat == M J, J = (0 -I; I 0); J mat is (-C -D; A B) for mat = (A B; C D)."""
+    jmat = [[-x for x in row] for row in mat[genus:]] + list(mat[:genus])
+    return _int_mul(list(zip(*mat)), jmat) == [[M * x for x in row] for row in _symplectic_form(genus)]
 
 
 @functools.lru_cache(maxsize=8)
@@ -98,7 +97,7 @@ def _int_mul(a, b) -> list:
 
 
 def _dot(u, v) -> int:
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 # a listing that surely holds more cosets than this is refused, not enumerated
@@ -219,7 +218,7 @@ class HeckeRep(namedtuple("HeckeRep", "base index cosets rep")):
 
 
 def hecke_rep(M: int, r: Rep) -> HeckeRep:
-    """Representation on V(rho) (x) C[Delta_M]; validated on construction.
+    """Representation on V(rho) (x) C[Delta_M].
 
     Basis order is coset-major: block m holds the dim(rho) components of
     e_m, cosets in delta_cosets order.  Block (target, source) of the image
@@ -230,6 +229,9 @@ def hecke_rep(M: int, r: Rep) -> HeckeRep:
     order of rho(T): T takes b to b - a mod d in cycles of length d/g whose
     corrections multiply to T^(a/g), of order o / gcd(o, a/g) under rho, and a
     block-monomial cycle of length L, block product of order q, has order L q.
+    Its relations are checked on the integer coset action, not on its matrices
+    (`_coset_action`); rho is trusted, as by `Rep.tensor`: a type is validated where
+    it enters (`RepRegistry`, so `--registry`; `AholForm.from_json`; the bundled one in a test).
     """
     return _hecke_rep(M, r.label, r.key)
 
@@ -241,24 +243,55 @@ def _hecke_rep(M: int, label: str, key: tuple) -> HeckeRep:
     o = next((e for e in divisors(r.level) if _pow(r.T, e, one).is_identity()), None)
     if o is None:
         raise ArithmeticError(f"T of {r.label} has no order dividing its level {r.level}")
-    cosets, *actions = _coset_action(M)
+    cosets, *actions, cycles = _coset_action(M)
     S, T = ([(target, r.evaluate(gamma)) for target, gamma in act] for act in actions)
     level = math.lcm(*(Fraction(a, M // a * o).denominator for a in divisors(M)))
+    if bad := [m for m, length, j in cycles if level % length or j * level // length % o]:
+        _fails(M, cosets[bad[0]], f"T^{level} = I")  # rho(T)^(j level / L) on a T-cycle
     rep = Rep(f"T{M}({r.label})", level, _block_matrix(S, r.dim), _block_matrix(T, r.dim))
-    report = rep.validate()
-    if not report.ok:
-        raise AssertionError(f"constructed Hecke type fails relations: {report}")
     return HeckeRep(r, M, cosets, rep)
 
 
 @functools.lru_cache(maxsize=16)
 def _coset_action(M: int) -> tuple:
-    """(cosets, S action, T action): for each coset m, the index of the coset
-    g sends it to and the correction [I_m(g^-1)]^-1 that every type evaluates."""
+    """(cosets, S action, T action, T-cycles): per coset m, the index of the coset g
+    sends it to and the correction [I_m(g^-1)]^-1 every type evaluates; (m, L, j) per
+    T-cycle of length L from m, its corrections' product (1 j; 0 1).  A word's block at
+    m is rho of the product along its walk: S S returns to m with +-I, (ST)^3 as S S."""
     cosets = tuple(delta_cosets(1, M))
     index_of = {c: i for i, c in enumerate(cosets)}
     steps = ([cocycle(m, _inv2(gam)) for m in cosets] for gam in (S_MAT, T_MAT))
-    return (cosets, *(tuple((index_of[t], _inv2(corr)) for corr, t in s) for s in steps))
+    S, T = (tuple((index_of[t], _inv2(corr)) for corr, t in s) for s in steps)
+    cycles, seen = [], set()
+    for m, c in enumerate(cosets):
+        if (s2 := _walk(m, (S, S))) not in ((m, ((1, 0), (0, 1))), (m, ((-1, 0), (0, -1)))):
+            _fails(M, c, "S^2 = I")
+        if _walk(m, (S, T) * 3) != s2:
+            _fails(M, c, "(ST)^3 = S^2")
+        if m in seen:
+            continue
+        orbit = [m]
+        while (n := T[orbit[-1]][0]) not in orbit:
+            orbit.append(n)
+        seen.update(orbit)
+        end, ((one, j), low) = _walk(m, (T,) * len(orbit))
+        if end != m or (one, *low) != (1, 0, 1):
+            _fails(M, c, "a T-cycle's product is (1 j; 0 1)")
+        cycles.append((m, len(orbit), j))
+    return cosets, S, T, tuple(cycles)
+
+
+def _walk(m: int, word) -> tuple:
+    """(end, product of the corrections) of a word's walk from coset m, rightmost first."""
+    a, b, c, d = 1, 0, 0, 1
+    for act in reversed(word):
+        m, ((p, q), (r, s)) = act[m]
+        a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+    return m, ((a, b), (c, d))
+
+
+def _fails(M: int, coset: DeltaCoset, relation: str):
+    raise AssertionError(f"constructed Hecke type fails relations: index {M}, coset {coset.mat}: {relation}")
 
 
 def _block_matrix(moves, blk: int) -> Matrix:

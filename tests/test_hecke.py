@@ -23,7 +23,7 @@ from vvmf.hecke import (
 )
 from vvmf.linalg import Matrix
 from vvmf.qexp import QExp
-from vvmf.reps import Rep, builtin_registry, is_intertwiner, trivial_rep
+from vvmf.reps import Rep, builtin_registry, hom_space, is_intertwiner, trivial_rep
 
 S = ((0, -1), (1, 0))
 T = ((1, 1), (0, 1))
@@ -68,23 +68,28 @@ def test_genus_two_counts(p):
 
 
 def test_similitude_check_is_the_explicit_product():
-    """_is_similitude against t(m) J m = M J with J written out, on the genus-2
-    cosets of Delta_2 and on each with one entry raised by 1."""
-    J = ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0))
+    """_is_similitude against t(m) J m = M J with J written out, on the cosets
+    of Delta_6 at genus 1, Delta_2 at genus 2 and Delta_2 at genus 3, and on
+    each with one entry raised by 1."""
+    cases = [(1, 6, [(0, 1), (1, 0), (1, 1)]), (2, 2, [(0, 2), (1, 0), (2, 3), (3, 3)]),
+             (3, 2, [(0, 3), (2, 1), (4, 5), (5, 5)])]
+    for genus, M, raised in cases:
+        n = 2 * genus
+        J = [[(i == k + genus) - (k == i + genus) for k in range(n)] for i in range(n)]
 
-    def explicit(m):
-        return all(sum(m[k][i] * J[k][l] * m[l][j] for k in range(4) for l in range(4))
-                   == 2 * J[i][j] for i in range(4) for j in range(4))
+        def explicit(m):
+            return all(sum(m[k][i] * J[k][l] * m[l][j] for k in range(n) for l in range(n))
+                       == M * J[i][j] for i in range(n) for j in range(n))
 
-    seen = set()
-    for c in delta_cosets(2, 2):
-        for i, j in [(None, None), (0, 2), (1, 0), (2, 3), (3, 3)]:
-            m = [list(row) for row in c.mat]
-            if i is not None:
-                m[i][j] += 1
-            assert hecke._is_similitude(m, 2, 2) == explicit(m)
-            seen.add(explicit(m))
-    assert seen == {True, False}
+        seen = set()
+        for c in delta_cosets(genus, M):
+            for i, j in [(None, None)] + raised:
+                m = [list(row) for row in c.mat]
+                if i is not None:
+                    m[i][j] += 1
+                assert hecke._is_similitude(m, genus, M) == explicit(m), (genus, m)
+                seen.add(explicit(m))
+        assert seen == {True, False}, genus
 
 
 def test_general_enumerator_agrees_with_fast_path():
@@ -343,9 +348,128 @@ def test_hecke_rep_of_trivial_type(reg):
 
 
 def test_hecke_rep_relations_for_small_indices(reg):
+    """The full-matrix relations of Rep.validate, the oracle of the integer
+    check on the coset action: every registry type at M <= 6, rho3 at the
+    indices of the CI digest of T_M rho3, and nested and tensor bases."""
+    rho3 = reg.get("rho3")
+    cases = [(M, entry) for M in range(1, 7) for entry in reg.entries]
+    cases += [(M, rho3) for M in (7, 8, 9, 12, 16)]
+    cases += [(2, hecke_rep(2, rho3).rep), (3, hecke_rep(2, reg.get("triv")).rep),
+              (2, rho3.tensor(reg.get("rho_zeta")))]
+    for M, r in cases:
+        assert hecke_rep(M, r).rep.validate().ok, (M, r.label)
+
+
+def test_induced_types_are_built_without_validate(monkeypatch, reg):
+    """The relations of an induced type are checked on its coset action, so
+    building one, nested or not, multiplies out none of its matrices."""
+    def refused(*args):
+        raise AssertionError("an induced type was validated by multiplying out its matrices")
+
+    monkeypatch.setattr(Rep, "validate", refused)
+    for cache in (hecke._hecke_rep, hecke._coset_action):
+        cache.cache_clear()
     for M in range(1, 7):
         for entry in reg.entries:
-            assert hecke_rep(M, entry).rep.validate().ok, (M, entry.label)
+            hecke_rep(M, entry)
+    assert hecke_rep(2, hecke_rep(3, reg.get("rho3")).rep).rep.dim == 36
+
+
+def _corrupted(kind: str, M: int):
+    """cocycle with one defect at the first coset of Delta_M: its T target
+    moved to the next coset, its S correction times T or times -I, or every
+    correction into or out of it conjugated by S."""
+    real, first = cocycle, delta_cosets(1, M)
+
+    def fake(m, gamma):
+        corr, target = real(m, gamma)
+        # the action's correction is the inverse of I, so T^-1 I and -I give c T and -c
+        if m == first[0] and gamma == inv2(T) and kind == "T target moved":
+            target = first[(first.index(target) + 1) % len(first)]
+        if m == first[0] and gamma == inv2(S) and kind == "S correction times T":
+            corr = mul2(inv2(T), corr)
+        if m == first[0] and gamma == inv2(S) and kind == "S correction times -I":
+            corr = tuple(tuple(-x for x in row) for row in corr)
+        if kind == "conjugated by S":  # c becomes S c at the source, c S^-1 at the target
+            corr = mul2(S, corr) if m == first[0] else corr
+            corr = mul2(corr, inv2(S)) if target == first[0] else corr
+        return corr, target
+
+    return fake
+
+
+@pytest.mark.parametrize("kind, relation", [
+    ("T target moved", "(ST)^3 = S^2"),
+    ("S correction times T", "S^2 = I"),
+    ("S correction times -I", "(ST)^3 = S^2"),
+    ("conjugated by S", "a T-cycle's product is (1 j; 0 1)"),
+])
+@pytest.mark.parametrize("M", [2, 3, 4, 6])
+def test_a_corrupted_coset_action_fails_the_integer_check(monkeypatch, reg, kind, relation, M):
+    """Each defect breaks a relation of the corrections, so building any
+    type on the action raises.  The integer check is stricter than the full
+    matrices: rho(-I) = I hides a sign flip from them, and a conjugation by
+    S at one coset gives an isomorphic type that still passes them."""
+    caches = (hecke._hecke_rep, hecke._coset_action)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(hecke, "cocycle", _corrupted(kind, M))
+    try:
+        with pytest.raises(AssertionError) as err:
+            hecke_rep(M, reg.get("triv"))
+        assert str(err.value).startswith(f"constructed Hecke type fails relations: index {M}, coset ")
+        assert str(err.value).endswith(f": {relation}")
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+
+
+def test_t_cycles_of_the_coset_action_follow_the_divisors_of_M():
+    """T takes b to b - a mod d: for a | M, d = M/a and g = gcd(a, d), the
+    walk finds g cycles of length d/g, each with product (1 a/g; 0 1)."""
+    for M in range(1, 17):
+        cosets, _, _, cycles = hecke._coset_action(M)
+        got = sorted((cosets[m].a, length, j) for m, length, j in cycles)
+        want = sorted((a, M // a // g, a // g) for a in range(1, M + 1) if M % a == 0
+                      for g in [math.gcd(a, M // a)] for _ in range(g))
+        assert got == want, M
+
+
+def test_a_level_that_a_t_cycle_does_not_divide_fails(monkeypatch, reg):
+    """The level of T3(rho_zeta) is 9; with each T-cycle's length read
+    doubled, T^9 would not bring the cycle of (3 0; 0 1), of length 1 read as
+    2, back to itself, and the build says so."""
+    action = hecke._coset_action(3)
+    doubled = (*action[:3], tuple((m, 2 * length, j) for m, length, j in action[3]))
+    hecke._hecke_rep.cache_clear()
+    monkeypatch.setattr(hecke, "_coset_action", lambda M: doubled)
+    try:
+        with pytest.raises(AssertionError, match=r"index 3, coset \(\(3, 0\), \(0, 1\)\): T\^9 = I$"):
+            hecke_rep(3, reg.get("rho_zeta"))
+    finally:
+        hecke._hecke_rep.cache_clear()
+
+
+@pytest.mark.parametrize("label", ["triv", "rho_zeta", "rho3"])
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (2, 5)])
+def test_nested_induced_types_are_isomorphic_to_the_product_index(reg, label, m, n):
+    """T_m(T_n rho) and T_mn rho for coprime m, n: semisimple types with
+    dim Hom(A, B) = dim End A = dim End B are isomorphic.  The nested type is
+    built on an induced base, so this sees _block_matrix and Rep.evaluate
+    apart from the integer check of the coset action."""
+    want = {"triv": {(2, 3): 4, (3, 2): 4, (2, 5): 4}, "rho_zeta": {(2, 3): 2, (3, 2): 2, (2, 5): 4},
+            "rho3": {(2, 3): 8, (3, 2): 8, (2, 5): 4}}[label][m, n]
+    r = reg.get(label)
+    nested, direct = hecke_rep(m, hecke_rep(n, r).rep).rep, hecke_rep(m * n, r).rep
+    assert len(hom_space(nested, direct)) == len(hom_space(nested, nested)) == len(hom_space(direct, direct)) == want
+
+
+def test_nested_induced_type_isomorphism_control(reg):
+    """The control: T2(T3(rho_zeta)) and T6(rho_zeta2) each have End of dim 2
+    but no nonzero map between them."""
+    nested = hecke_rep(2, hecke_rep(3, reg.get("rho_zeta")).rep).rep
+    other = hecke_rep(6, reg.get("rho_zeta2")).rep
+    assert (len(hom_space(nested, other)), len(hom_space(nested, nested)), len(hom_space(other, other))) == (0, 2, 2)
 
 
 def test_hecke_rep_level_divides_index_times_level(reg):

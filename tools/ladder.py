@@ -115,8 +115,9 @@ print(f"# inner_s={spent:.4f}", file=sys.stderr)
 """
 
 # the induced types T_M rho3 at six indices up to dimension 93, built in
-# process: coset actions, generator powers, levels read off the divisors
-# of M and validation; inner_s times the six builds alone
+# process: coset actions with their integer relation checks, generator
+# powers and levels read off the divisors of M; inner_s times the six
+# builds alone
 _INDUCED_RHO3 = """
 import hashlib, json, sys, time
 from vvmf.hecke import hecke_rep
