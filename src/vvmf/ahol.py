@@ -16,6 +16,7 @@ The operator at infinity and its closure act on spans and live in
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -82,17 +83,8 @@ class AholForm(Immutable):
         if self.weight != other.weight or self.rep.label != other.rep.label:
             raise ValueError("can only add forms of equal weight and type")
         require_same_content(self.rep, other.rep)
-        depth = max(self.depth, other.depth)
-        layers = []
-        for r in range(depth + 1):
-            a = self.graded[r] if r <= self.depth else None
-            b = other.graded[r] if r <= other.depth else None
-            if a is None:
-                layers.append(list(b))
-            elif b is None:
-                layers.append(list(a))
-            else:
-                layers.append([x + y for x, y in zip(a, b)])
+        layers = [b if a is None else a if b is None else [x + y for x, y in zip(a, b)]
+                  for a, b in itertools.zip_longest(self.graded, other.graded)]
         return AholForm(self.weight, self.rep, layers)
 
     def __sub__(self, other: "AholForm") -> "AholForm":
@@ -177,12 +169,11 @@ def raise_op(f: AholForm, weight: int | None = None) -> AholForm:
     k = f.weight if weight is None else weight
     if f.weight % 2 != 0:
         raise ValueError(f"weight must be even, got {f.weight}")
-    depth = f.depth
-    layers = [[QExp.zero(f.prec) for _ in range(f.rep.dim)] for _ in range(depth + 2)]
-    for r, layer in enumerate(f.graded):
-        for i, q in enumerate(layer):
-            layers[r][i] = layers[r][i] - q.theta()
-            layers[r + 1][i] = layers[r + 1][i] + q.scaled(k - r)
+    # layer r is zero + (k - r + 1) g_(r-1) + (-theta g_r), a missing g read as zero
+    zero = QExp.zero(f.prec)
+    raised = [[zero] * f.rep.dim] + [[q.scaled(k - r) for q in layer] for r, layer in enumerate(f.graded)]
+    thetas = [[-q.theta() for q in layer] for layer in f.graded] + [[zero] * f.rep.dim]
+    layers = [[zero + x + y for x, y in zip(a, b)] for a, b in zip(raised, thetas)]
     return AholForm(f.weight + 2, f.rep, layers, name=f"R({f.name})" if f.name else "")
 
 

@@ -166,12 +166,15 @@ def _assemble(a, b, d, g):
 
 
 def reduce_to_coset(m):
-    """Canonical representative and correction for an integral 2x2 matrix.
+    """(rep, gamma) for an integral 2x2 matrix m of positive determinant: its canonical
+    representative rep and gamma in the modular group with gamma * rep.mat = m."""
+    (a, b, d), u = _hermite(m)
+    return DeltaCoset(1, ((a, b), (0, d)), a * d), _inv2(u)
 
-    Returns (rep, gamma) with gamma in the modular group and
-    gamma * rep.mat = m.  Hermite-style reduction: clear the lower-left
-    entry by a Bezout row operation, fix signs, reduce b mod d.
-    """
+
+def _hermite(m):
+    """((a, b, d), U) with U in the modular group and U m = (a b; 0 d) canonical:
+    clear the lower-left entry by a Bezout row operation, then reduce b mod d."""
     (a, b), (c, d) = m
     det = a * d - b * c
     if det < 1:
@@ -180,13 +183,10 @@ def reduce_to_coset(m):
     # x a + y c = g, x the inverse of a/g modulo |c|/g
     x = pow(a // g, -1, abs(c) // g) if c else a // g
     y = (g - x * a) // c if c else 0
-    # U = (x y; -c/g a/g) has det 1 and U m upper triangular
-    u = ((x, y), (-c // g, a // g))
-    ra, rb = g, x * b + y * d
-    rd = det // g
-    t = -(rb // rd)  # shift so 0 <= rb + t*rd < rd
-    v = ((1, t), (0, 1))
-    return DeltaCoset(1, ((ra, rb + t * rd), (0, rd)), det), _inv2(_int_mul(v, u))
+    # (x y; -c/g a/g) has det 1 and takes m to (g rb; 0 rd); then b moves by t*rd
+    rb, rd = x * b + y * d, det // g
+    t = -(rb // rd)
+    return (g, rb + t * rd, rd), ((x - t * c // g, y + t * a // g), (-c // g, a // g))
 
 
 def _inv2(p):
@@ -224,14 +224,12 @@ def hecke_rep(M: int, r: Rep) -> HeckeRep:
     e_m, cosets in delta_cosets order.  Block (target, source) of the image
     of gamma is rho([I_m(gamma^-1)]^-1) for m the source coset, listed once
     per index M.  Memoized by `Rep.key` and by the label, which names the
-    induced type.  Its level, the order of T, is the lcm over a | M, d = M/a,
-    g = gcd(a, d) of (d/g) o / gcd(o, a/g) (the denominator of a/(d o)), o the
-    order of rho(T): T takes b to b - a mod d in cycles of length d/g whose
-    corrections multiply to T^(a/g), of order o / gcd(o, a/g) under rho, and a
-    block-monomial cycle of length L, block product of order q, has order L q.
-    Its relations are checked on the integer coset action, not on its matrices
-    (`_coset_action`); rho is trusted, as by `Rep.tensor`: a type is validated where
-    it enters (`RepRegistry`, so `--registry`; `AholForm.from_json`; the bundled one in a test).
+    induced type.  Its level, the order of T, is read off the T-cycles of the
+    coset walk: a block-monomial cycle of length L whose corrections multiply to
+    T^j has order L o / gcd(o, j), o the order of rho(T).  Its relations are checked
+    on the integer coset action, not on its matrices (`_coset_action`); rho is
+    trusted, as by `Rep.tensor`: a type is validated where it enters
+    (`RepRegistry`, so `--registry`; `AholForm.from_json`; the bundled one in a test).
     """
     return _hecke_rep(M, r.label, r.key)
 
@@ -245,9 +243,7 @@ def _hecke_rep(M: int, label: str, key: tuple) -> HeckeRep:
         raise ArithmeticError(f"T of {r.label} has no order dividing its level {r.level}")
     cosets, *actions, cycles = _coset_action(M)
     S, T = ([(target, r.evaluate(gamma)) for target, gamma in act] for act in actions)
-    level = math.lcm(*(Fraction(a, M // a * o).denominator for a in divisors(M)))
-    if bad := [m for m, length, j in cycles if level % length or j * level // length % o]:
-        _fails(M, cosets[bad[0]], f"T^{level} = I")  # rho(T)^(j level / L) on a T-cycle
+    level = math.lcm(*(L * (o // math.gcd(o, j)) for _, L, j in cycles))
     rep = Rep(f"T{M}({r.label})", level, _block_matrix(S, r.dim), _block_matrix(T, r.dim))
     return HeckeRep(r, M, cosets, rep)
 
@@ -259,9 +255,9 @@ def _coset_action(M: int) -> tuple:
     T-cycle of length L from m, its corrections' product (1 j; 0 1).  A word's block at
     m is rho of the product along its walk: S S returns to m with +-I, (ST)^3 as S S."""
     cosets = tuple(delta_cosets(1, M))
-    index_of = {c: i for i, c in enumerate(cosets)}
-    steps = ([cocycle(m, _inv2(gam)) for m in cosets] for gam in (S_MAT, T_MAT))
-    S, T = (tuple((index_of[t], _inv2(corr)) for corr, t in s) for s in steps)
+    index_of = {(c.a, c.b, c.d): i for i, c in enumerate(cosets)}
+    steps = ((_hermite(_int_mul(m.mat, _inv2(gam))) for m in cosets) for gam in (S_MAT, T_MAT))
+    S, T = (tuple((index_of[abd], u) for abd, u in s) for s in steps)
     cycles, seen = [], set()
     for m, c in enumerate(cosets):
         if (s2 := _walk(m, (S, S))) not in ((m, ((1, 0), (0, 1))), (m, ((-1, 0), (0, -1)))):

@@ -414,7 +414,6 @@ def _tensor_name(f: AholForm, g: AholForm) -> str:
     return f"({f.name} (x) {g.name})" if f.name and g.name else ""
 
 
-@lru_cache(maxsize=64)
 def congruence_index(level: int) -> int:
     """Index of the principal congruence subgroup of the given level:
     N^3 prod(1 - p^-2) over the primes p dividing N."""

@@ -90,9 +90,6 @@ class QExp(Immutable):
             return CycNum.zero()
         return self.terms.get(int(n), CycNum.zero())
 
-    def exponents(self) -> list:
-        return sorted(Fraction(n, self.h) for n in self.terms)
-
     def rescale_lattice(self, h: int) -> "QExp":
         if h == self.h:
             return self

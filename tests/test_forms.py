@@ -249,7 +249,7 @@ def multiple_of(x, y):
     if y.is_zero():
         return 0 if x.is_zero() else None
     i, q = next((i, q) for i, q in enumerate(y.components) if not q.is_zero())
-    e = q.exponents()[0]
+    e = Fraction(min(q.terms), q.h)  # its least exponent
     c = x.components[i].coeff(e) / q.coeff(e)
     return c.rational_value() if c.is_rational() and x.agrees_with(y.scaled(c)) else None
 

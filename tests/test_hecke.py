@@ -376,24 +376,25 @@ def test_induced_types_are_built_without_validate(monkeypatch, reg):
 
 
 def _corrupted(kind: str, M: int):
-    """cocycle with one defect at the first coset of Delta_M: its T target
-    moved to the next coset, its S correction times T or times -I, or every
-    correction into or out of it conjugated by S."""
-    real, first = cocycle, delta_cosets(1, M)
+    """_hermite with one defect at the first coset c of Delta_M, on the steps
+    m = c g^-1 from it and the steps into it: the T target moved to the next
+    coset, the S correction U = [I_c(S^-1)]^-1 times T or times -I, or every
+    correction out of c or into it conjugated by S."""
+    real, first = hecke._hermite, [(c.a, c.b, c.d) for c in delta_cosets(1, M)]
+    source = delta_cosets(1, M)[0].mat
 
-    def fake(m, gamma):
-        corr, target = real(m, gamma)
-        # the action's correction is the inverse of I, so T^-1 I and -I give c T and -c
-        if m == first[0] and gamma == inv2(T) and kind == "T target moved":
+    def fake(m):
+        target, u = real(m)
+        if mul2(m, T) == source and kind == "T target moved":
             target = first[(first.index(target) + 1) % len(first)]
-        if m == first[0] and gamma == inv2(S) and kind == "S correction times T":
-            corr = mul2(inv2(T), corr)
-        if m == first[0] and gamma == inv2(S) and kind == "S correction times -I":
-            corr = tuple(tuple(-x for x in row) for row in corr)
-        if kind == "conjugated by S":  # c becomes S c at the source, c S^-1 at the target
-            corr = mul2(S, corr) if m == first[0] else corr
-            corr = mul2(corr, inv2(S)) if target == first[0] else corr
-        return corr, target
+        if mul2(m, S) == source and kind == "S correction times T":
+            u = mul2(u, T)
+        if mul2(m, S) == source and kind == "S correction times -I":
+            u = tuple(tuple(-x for x in row) for row in u)
+        if kind == "conjugated by S":  # U becomes U S^-1 out of c, S U into c
+            u = mul2(u, inv2(S)) if source in (mul2(m, S), mul2(m, T)) else u
+            u = mul2(S, u) if target == first[0] else u
+        return target, u
 
     return fake
 
@@ -413,7 +414,7 @@ def test_a_corrupted_coset_action_fails_the_integer_check(monkeypatch, reg, kind
     caches = (hecke._hecke_rep, hecke._coset_action)
     for cache in caches:
         cache.cache_clear()
-    monkeypatch.setattr(hecke, "cocycle", _corrupted(kind, M))
+    monkeypatch.setattr(hecke, "_hermite", _corrupted(kind, M))
     try:
         with pytest.raises(AssertionError) as err:
             hecke_rep(M, reg.get("triv"))
@@ -433,21 +434,6 @@ def test_t_cycles_of_the_coset_action_follow_the_divisors_of_M():
         want = sorted((a, M // a // g, a // g) for a in range(1, M + 1) if M % a == 0
                       for g in [math.gcd(a, M // a)] for _ in range(g))
         assert got == want, M
-
-
-def test_a_level_that_a_t_cycle_does_not_divide_fails(monkeypatch, reg):
-    """The level of T3(rho_zeta) is 9; with each T-cycle's length read
-    doubled, T^9 would not bring the cycle of (3 0; 0 1), of length 1 read as
-    2, back to itself, and the build says so."""
-    action = hecke._coset_action(3)
-    doubled = (*action[:3], tuple((m, 2 * length, j) for m, length, j in action[3]))
-    hecke._hecke_rep.cache_clear()
-    monkeypatch.setattr(hecke, "_coset_action", lambda M: doubled)
-    try:
-        with pytest.raises(AssertionError, match=r"index 3, coset \(\(3, 0\), \(0, 1\)\): T\^9 = I$"):
-            hecke_rep(3, reg.get("rho_zeta"))
-    finally:
-        hecke._hecke_rep.cache_clear()
 
 
 @pytest.mark.parametrize("label", ["triv", "rho_zeta", "rho3"])
@@ -512,6 +498,20 @@ def test_hecke_rep_level_is_the_full_matrix_order(reg):
         assert hr.rep.level == _full_order(hr.rep.T, cap=M * r.level), (M, r.label, r.level)
 
 
+def test_hecke_rep_level_is_the_divisor_formula(reg):
+    """The oracle of the level read off the T-cycles: T takes b to b - a mod d,
+    d = M/a, g = gcd(a, d), in cycles of length d/g whose corrections multiply
+    to T^(a/g), so the level is the lcm over a | M of (d/g) o / gcd(o, a/g), o
+    the order of rho(T)."""
+    cases = _level_cases(reg)
+    assert len(cases) == 172
+    for M, r in cases:
+        o = _full_order(r.T, cap=r.level)
+        want = math.lcm(*((M // a // g) * (o // math.gcd(o, a // g))
+                          for a in range(1, M + 1) if M % a == 0 for g in [math.gcd(a, M // a)]))
+        assert hecke_rep(M, r).rep.level == want, (M, r.label, r.level)
+
+
 def test_hecke_rep_refuses_a_level_that_t_does_not_divide():
     """A T of order 3 declared at level 2 has no order dividing its level:
     every index refuses it with one ArithmeticError."""
@@ -549,6 +549,33 @@ def test_coset_action_is_listed_once_per_index(reg):
     b = hecke_rep(3, reg.get("triv"))
     assert hecke._coset_action.cache_info() == (1, 1, 16, 1)
     assert a.cosets is b.cosets and len(a.cosets) == 4
+
+
+def test_induced_types_reduce_each_step_without_a_checked_coset(monkeypatch, reg):
+    """Building T_M rho makes the sigma(M) cosets of delta_cosets and no other:
+    each step of the coset walk is one Hermite reduction looked up in that
+    listing, not a cocycle call that builds a DeltaCoset per step."""
+    def refused(*args):
+        raise AssertionError("the coset walk called cocycle")
+
+    made, init = [], DeltaCoset.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(hecke, "cocycle", refused)
+    monkeypatch.setattr(DeltaCoset, "__init__", counted)
+    for cache in (hecke._hecke_rep, hecke._coset_action):
+        cache.cache_clear()
+    try:
+        for M in range(1, 9):
+            made.clear()
+            hecke_rep(M, reg.get("rho3"))
+            assert len(made) == sum(a for a in range(1, M + 1) if M % a == 0), M
+    finally:
+        for cache in (hecke._hecke_rep, hecke._coset_action):
+            cache.cache_clear()
 
 
 def test_generator_powers_are_keyed_by_conductor():
