@@ -441,7 +441,7 @@ def _make(n: int, num: tuple, den: int) -> CycNum:
     """
     g = math.gcd(den, *num)
     if g != 1:
-        num = tuple(a // g for a in num)
+        num = tuple([a // g for a in num])
         den //= g
     x = _new_object(CycNum)
     _set_n(x, n)

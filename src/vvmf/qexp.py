@@ -23,7 +23,10 @@ coefficient has the lcm of the conductors of every term and pair of terms
 that reaches its exponent, even where their sum cancels, a rule that
 depends neither on the algorithm nor on the order of summation.
 Conductors change by the maps of `exactnum`: the lift `_lift_num`, the
-multiplication matrix `_multiplication` and the lowering `_lowered`.
+multiplication matrix `_multiplication` and the lowering `_lowered`.  A
+row's conductors are read off its indicators once, into one table from
+slot to lcm (`_conductors`), and a slash makes each root of unity its
+rational terms scale once (`slash_expand`).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain
+from itertools import chain, compress, count
 from operator import or_
 
 from .exactnum import (
@@ -353,8 +356,8 @@ def _lifted(group: list, cond: int) -> _Group:
     one denominator at the integer level: the form `combine_terms` packs and
     `hyperalg` stores, each term by `exactnum._lift_num`."""
     den = math.lcm(*{x.den for _, x in group})
-    rows = [(n, _lift_num(x.num, x.n, cond) if x.den == den else
-             tuple([a * (den // x.den) for a in _lift_num(x.num, x.n, cond)])) for n, x in group]
+    rows = [(n, num if x.den == den else tuple([a * (den // x.den) for a in num]))
+            for n, x in group for num in [x.num if x.n == cond else _lift_num(x.num, x.n, cond)]]
     big = max(map(abs, chain.from_iterable([v for _, v in rows])), default=0)
     return _Group(rows, den, big, max(rows)[0] if rows else 0, {})
 
@@ -420,12 +423,17 @@ def _paired(a: dict, b: dict) -> dict:
 
 def _conductors(marks: list, limit: int):
     """The function of n that gives the lcm of the k > 1 whose indicator in one
-    of marks, `_marks` at limit or `_paired` products, has a nonzero slot n."""
-    hits = {k: reduce(or_, [mark.get(k, 0) for mark in marks])
-            for k in {k for mark in marks for k in mark if k > 1}}
-    bits = 8 * _slot_width(limit)
-    mask = (1 << bits) - 1
-    return lambda n: math.lcm(1, *(k for k, x in hits.items() if x >> bits * n & mask))
+    of marks, `_marks` at limit or `_paired` products, has a nonzero slot n.
+    Each k's indicator, OR-ed over marks, is read once, every slot it holds
+    (paired sums reach 2 limit), into one table from slot to lcm."""
+    width, table = _slot_width(limit), {}
+    for k in {k for mark in marks for k in mark if k > 1}:
+        x = reduce(or_, [mark.get(k, 0) for mark in marks])
+        # byte n * width of the OR of x >> 8 j over j < width is nonzero where slot n is
+        x = reduce(or_, [x >> 8 * j for j in range(width)])
+        slots = compress(count(), x.to_bytes((x.bit_length() + 7) // 8, "little")[::width])
+        table |= {n: math.lcm(table[n], k) if n in table else k for n in slots}
+    return lambda n: table.get(n, 1)
 
 
 @lru_cache(maxsize=None)
@@ -458,7 +466,9 @@ def slash_expand(f: QExp, k: int, m) -> QExp:
     m = (a, b, d) with a*d = M > 0 and 0 <= b < d.  Each stored term
     c*q^(n/h) contributes M^(k/2) * d^(-k) * c * zeta_{h*d}^(n*b) at
     exponent n*a/(h*d); the output lattice is h*d and the O-tail scales
-    to prec * a/d.  Even k keeps M^(k/2) rational.
+    to prec * a/d.  Even k keeps M^(k/2) rational.  A rational c scales the
+    coordinates of p * zeta^(n*b), p the numerator of M^(k/2) * d^(-k), each
+    made once per call and (phase, conductor) by `exactnum._embed`.
     """
     a, b, d = m
     if k % 2 != 0:
@@ -470,11 +480,16 @@ def slash_expand(f: QExp, k: int, m) -> QExp:
     M = a * d
     scale = Fraction(M) ** (k // 2) / Fraction(d) ** k
     p, q, hd = scale.numerator, scale.denominator, f.h * d
-    terms = {}
+    terms, roots = {}, {}
     for n, c in f.terms.items():
         # zeta_{hd}^(n*b) lives in conductor hd / gcd(n*b, hd): keep conductors tight
         ph = (n * b) % hd
         cond = math.lcm(c.n, hd // math.gcd(ph, hd))
-        num = _embed(c.num, cond // c.n, ph * cond // hd, cond)
-        terms[n * a] = _make(cond, tuple([p * x for x in num]), c.den * q)
+        if c.n > 1:
+            num = tuple([p * x for x in _embed(c.num, cond // c.n, ph * cond // hd, cond)])
+        else:  # a rational c scales p * zeta_{hd}^ph, made once per (ph, cond)
+            if (ph, cond) not in roots:
+                roots[ph, cond] = _embed((p,), cond, ph * cond // hd, cond)
+            num = tuple([c.num[0] * x for x in roots[ph, cond]])
+        terms[n * a] = _make(cond, num, c.den * q)
     return _series(hd, f.prec * Fraction(a, d), terms)

@@ -736,6 +736,16 @@ def test_slash_expand_matches_the_cycnum_oracle_on_every_coset(M):
                 assert json_bytes(slash_expand(f, k, m)) == json_bytes(oracle_slash_expand(f, k, m))
 
 
+def test_slash_expand_embeds_each_root_of_a_rational_series_once(monkeypatch):
+    # E_4 to precision 99 through (1, 1, 3): its 99 rational terms meet
+    # zeta_3^0 at conductor 1 and zeta_3^1, zeta_3^2 at conductor 3
+    f, calls, embed = qexp_of(eis_coeffs(4, 99)), [], qexp._embed
+    monkeypatch.setattr(qexp, "_embed", lambda *args: calls.append(args) or embed(*args))
+    got = slash_expand(f, 4, (1, 1, 3))
+    assert len(calls) == 3
+    assert json_bytes(got) == json_bytes(oracle_slash_expand(f, 4, (1, 1, 3)))
+
+
 def bytearray_pack(rows: list, top: int, width: int) -> list:
     # the packer as it was: per coordinate, one bytearray of the positive
     # coordinates and one of the negated negative ones, written term by term
@@ -809,19 +819,24 @@ def test_pack_and_decode_match_the_bytearray_packer(width):
 # and `forms._bracket_row` share
 
 
-def conductor_terms(rng, limit: int) -> list:
+def conductor_terms(rng, limit: int, sparse: bool = False) -> list:
     # distinct exponents below limit, each with a conductor; all of them at
-    # times, so that a pair product's slots reach the limit
-    ns = range(limit) if rng.random() < 0.2 else rng.sample(range(limit), rng.randint(1, limit))
+    # times, so that a pair product's slots reach the limit; when sparse, a
+    # few of them and the last, so that the pair sums still reach 2 limit - 2
+    if sparse:
+        ns = {limit - 1, *rng.sample(range(limit), rng.randint(1, 6))}
+    else:
+        ns = range(limit) if rng.random() < 0.2 else rng.sample(range(limit), rng.randint(1, limit))
     return [(n, rng.choice([1, 1, 1, 2, 3, 4, 5, 12])) for n in ns]
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_the_conductor_indicator_matches_the_pair_loop(seed):
     rng = random.Random(f"marks/{seed}")
-    # 127 and 128 exponents sit on either side of a one-byte slot's bound
-    for limit in (1, 2, 127, 128, *(rng.randint(1, 60) for _ in range(8))):
-        a, b, c = (conductor_terms(rng, limit) for _ in range(3))
+    # 127 and 128 exponents sit on either side of a one-byte slot's bound;
+    # 2^15 exponents need three-byte slots, read here from a few sparse terms
+    for limit in (1, 2, 127, 128, *(rng.randint(1, 60) for _ in range(8)), 2**15):
+        a, b, c = (conductor_terms(rng, limit, sparse=limit >= 2**15) for _ in range(3))
         ma, mb, mc = (qexp._marks(x, limit) for x in (a, b, c))
         # one factor: each exponent has its own term's conductor
         conductor = qexp._conductors([ma], limit)

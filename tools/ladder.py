@@ -53,6 +53,26 @@ print(r.dim, len(basis), hashlib.sha256(text.encode()).hexdigest())
 print(f"# inner_s={spent:.4f}", file=sys.stderr)
 """
 
+# the build of perfbench's vv-product workload: five vv_eisenstein (phi of
+# T_3 E_k), three hyper_tensor and one span_sum calls; inner_s times them
+# all, and the answer is the total span's grades and the digest of its JSON
+_VV_BUILD = """
+import hashlib, json, sys, time
+sys.path.insert(0, "perfbench")
+from worker import VV_PAIRS, VV_PREC, VV_WEIGHTS
+from vvmf import forms, hyperalg
+from vvmf.cli import load_bundled_registry
+reg = load_bundled_registry()
+start = time.perf_counter()
+eis = {a: forms.vv_eisenstein(a, reg.get("rho3"), 3, VV_PREC).generators((a, "rho3"))[0][0]
+       for a in VV_WEIGHTS}
+total = hyperalg.span_sum([hyperalg.hyper_tensor(eis[a], eis[b], reg) for a, b in VV_PAIRS])
+spent = time.perf_counter() - start
+text = json.dumps(total.to_json(), sort_keys=True)
+print(sorted(total.dimension_signature().items()), hashlib.sha256(text.encode()).hexdigest())
+print(f"# inner_s={spent:.4f}", file=sys.stderr)
+"""
+
 # the 44 span_contains queries of perfbench's vv-product workload at seed 1
 _VV_QUERIES = """
 import random, sys, time
@@ -197,6 +217,7 @@ RUNGS = {
     # composite indices: the t = 6 bracket of the T6 images is on 12 x 12 components
     "thm11-k22-m146": CLI + ["verify", "thm11", "--k", "22", "--l", "4", "--l2", "6",
                              "--indices", "1,4,6", "--format", "json"],
+    "vv-product-build": ["python3", "-c", _VV_BUILD],
     "vv-product-queries": ["python3", "-c", _VV_QUERIES],
     "hyperprod-t3e4-t3e8": ["python3", "-c", _HYPER_T3],
     "tinf-closure-rho3-p33": ["python3", "-c", _TINF_CLOSURE],
