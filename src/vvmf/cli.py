@@ -13,6 +13,7 @@ import json
 import re
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
@@ -20,7 +21,7 @@ from types import SimpleNamespace
 from .ahol import AholForm, _images, ahol_decompose, apply_intertwiner, lower_op, raise_op
 from .exactnum import CycNum, divisors
 from .forms import bracket_projections, delta_form, eisenstein, vv_eisenstein
-from .hecke import delta_cosets, hecke_form, hecke_rep
+from .hecke import _dot, delta_cosets, hecke_form, hecke_rep
 from .hyperalg import FormSpan, hyper_tensor, span_contains, sturm_bound, tinf_closure
 from .linalg import Matrix
 from .qexp import InsufficientPrecision
@@ -191,34 +192,27 @@ def verify_example32(registry: RepRegistry | None = None, prec: int | None = Non
     return report
 
 
-def _exhaustive_genus2_count(M: int) -> int:
-    """Brute-force oracle: admissible entry ranges, similitude filter."""
-    from .hecke import _assemble, _is_similitude
+def _lattice_count(genus: int, M: int) -> int:
+    """The left cosets of similitude M, counted as the row Hermite forms H with
+    det H = M^g and M | H J t(H): the row lattices of the similitudes, as H J t(H) / M
+    is then U J t(U), U in GL(2g, Z), and U^-1 H is one.  Each pivot divides M, and H
+    is built from its last row up; it shares neither the block form nor b's box."""
+    g, top = genus, M ** genus
+    forms = [((), 1)]  # the rows built so far, top first, and the product of their pivots
+    for i in reversed(range(2 * g)):
+        forms = [((row,) + rows, det * h) for rows, det in forms for h in divisors(M)
+                 if top % (det * h) == 0 and det * h * M ** i >= top
+                 for tail in product(*(range(r[i + 1 + k]) for k, r in enumerate(rows)))
+                 for row in [(0,) * i + (h,) + tail]
+                 if all((_dot(row[g:], r[:g]) - _dot(row[:g], r[g:])) % M == 0 for r in rows)]
+    return len(forms)
 
-    count = 0
-    for d11, d22 in product(range(1, M + 1), repeat=2):
-        for d12, (a11, a12, a21, a22) in product(range(d22), product(range(-M, M + 1), repeat=4)):
-            # t(a) d = M I
-            if (a11 * d11 == M and a11 * d12 + a21 * d22 == 0
-                    and a12 * d11 == 0 and a12 * d12 + a22 * d22 == M):
-                a, d = [[a11, a12], [a21, a22]], [[d11, d12], [0, d22]]
-                for b in product(range(d11), range(d22), range(d11), range(d22)):
-                    count += _is_similitude(_assemble(a, [b[:2], b[2:]], d, 2), 2, M)
-    return count
 
-
-def _same_left_coset(m1, m2, genus: int, M: int) -> bool:
-    """Whether m1 m2^-1 is in Sp(2g, Z), for m1 and m2 of similitude M.
-
-    t(m2) J m2 = M J gives m2^-1 = J^-1 t(m2) J / M, and m1 m2^-1 has
-    similitude 1, so it is in Sp(2g, Z) exactly when M divides every entry
-    of m1 J^-1 t(m2) J; that is m1 t(m2 J) J, as J^-1 = t(J).
-    """
-    from .hecke import _int_mul, _symplectic_form
-
-    jm = _symplectic_form(genus)
-    prod = _int_mul(_int_mul(m1, list(zip(*_int_mul(m2, jm)))), jm)
-    return all(x % M == 0 for row in prod for x in row)
+def _coset_key(mat, genus: int, M: int) -> tuple:
+    """(rows (0 d), b t(a) mod M) of a similitude (a b; 0 d), d in row Hermite form: equal
+    exactly within a left coset, where d = d', a = a' and (b - b') d^-1 = (b - b') t(a) / M."""
+    top = mat[:genus]
+    return mat[genus:], tuple(_dot(u[genus:], v[:genus]) % M for u in top for v in top)
 
 
 def verify_counts() -> Report:
@@ -228,19 +222,14 @@ def verify_counts() -> Report:
         report.case("coset-count-genus1", {"M": M}, expect, got == expect, got)
     for p in (2, 3):
         expect = (1 + p) * (1 + p * p)
-        got = len(delta_cosets(2, p))
-        oracle = _exhaustive_genus2_count(p)
+        got, oracle = len(delta_cosets(2, p)), _lattice_count(2, p)
         report.case("coset-count-genus2", {"p": p}, {"closed-form": expect, "exhaustive": oracle},
                     got == expect and got == oracle, got)
-    # left-coset distinctness
+    # left-coset distinctness: the pairs of listed cosets that share a key
     for genus, indices in ((1, range(2, 13)), (2, (2, 3))):
         for M in indices:
-            cosets = delta_cosets(genus, M)
-            bad = sum(
-                _same_left_coset(m1.mat, m2.mat, genus, M)
-                for i, m1 in enumerate(cosets)
-                for m2 in cosets[i + 1 :]
-            )
+            keys = Counter(_coset_key(c.mat, genus, M) for c in delta_cosets(genus, M))
+            bad = sum(n * (n - 1) // 2 for n in keys.values())
             report.case("left-coset-distinctness", {"genus": genus, "M": M}, 0, bad == 0, bad)
     return report
 

@@ -2,9 +2,9 @@
 
 Delta_M holds the canonical block-upper-triangular representatives
 (a b; 0 d) of similitude M: t(a)d = M*I, d upper triangular with
-0 <= d[i][j] < d[j][j] for i < j and 0 <= b[i][j] < d[j][j].  The list
-order is lexicographic in (diag of d, offdiagonal of d, b entries) and is
-part of the stable public contract; golden tests depend on it.
+0 <= d[i][j] < d[j][j] for i < j, and b = r + X d, 0 <= r[i][j] < d[j][j],
+X strictly lower triangular.  The list order is lexicographic in (diag of d,
+offdiagonal of d, r entries), a stable public contract golden tests rely on.
 
 The induced representation on V(rho) (x) C[Delta_M] uses the grouping
 rho([I_m(g^-1)]^-1) with coset index reduce(m g^-1); the modular-group
@@ -44,14 +44,19 @@ class DeltaCoset(Immutable):
         g = genus
         if any(mat[g + i][j] != 0 for i in range(g) for j in range(g)):
             raise ValueError("lower-left block must vanish")
-        for i, j in product(range(g), repeat=2):
-            d, b, djj = mat[g + i][g + j], mat[i][g + j], mat[g + j][g + j]
-            if i > j and d != 0:
+        d = [row[g:] for row in mat[g:]]
+        for i in range(g):
+            if any(d[i][:i]):
                 raise ValueError("d must be upper triangular")
-            if i < j and not 0 <= d < djj:
-                raise ValueError("d offdiagonal out of residue range")
-            if not 0 <= b < djj:
-                raise ValueError("b entry out of residue range")
+            b = mat[i][g:]
+            for j in range(i):  # take off b's multiple of the rows of d above row i
+                if q := b[j] // d[j][j]:
+                    b = [x - q * y for x, y in zip(b, d[j])]
+            for j in range(g):
+                if i < j and not 0 <= d[i][j] < d[j][j]:
+                    raise ValueError("d offdiagonal out of residue range")
+                if not 0 <= b[j] < d[j][j]:
+                    raise ValueError("b entry out of residue range")
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "similitude", similitude)
@@ -110,10 +115,12 @@ def delta_cosets(genus: int, M: int) -> list:
     a is forced by t(a) d = M I, so the loops run over upper-triangular d
     and skip d when a is not integral.  Then t(m) J m = M J says only that
     t(b) d is symmetric, or, as d^-1 = t(a) / M, that b t(a) is: entry
-    (i, j) is row i of b against row j of a.  So b is built row by row,
-    keeping a row of the residue box when it matches every earlier row.
-    Extending each prefix in order by each row in order is the
-    lexicographic order of the whole box of b, so no box is searched.
+    (i, j) is row i of b against row j of a.  Left cosets are b modulo
+    Sym_g(Z) d, so b is built row by row: a box row r is kept when
+    r t(a[j]) = b[j] t(a[i]) mod M for each earlier row j, and lifted to
+    t d / M = r + X d, t = (b[j] t(a[i]) for j < i, r t(a[j]) for j >= i).
+    Prefixes extended in order by rows in order give the lexicographic
+    order of the box, so no box is searched.
     """
     if M < 1:
         raise ValueError(f"similitude index must be positive, got {M}")
@@ -134,10 +141,12 @@ def delta_cosets(genus: int, M: int) -> list:
             a = _scaled_inverse_transpose(d, M)
             if a is None:
                 continue
-            bs = [[]]
-            for i in range(g):
-                bs = [b + [r] for b in bs for r in product(*map(range, diag))
-                      if all(_dot(r, a[j]) == _dot(b[j], a[i]) for j in range(i))]
+            box = [(r, [_dot(r, aj) for aj in a]) for r in product(*map(range, diag))]
+            bs = [[r] for r, _ in box]
+            for i in range(1, g):  # ra = r t(a); s = b t(a[i]), which row i must match mod M
+                bs = [b + [r if s == ra[:i] else [_dot(s + ra[i:], col) // M for col in zip(*d)]]
+                      for b in bs for s in [[_dot(bj, a[i]) for bj in b]]
+                      for r, ra in box if all((x - y) % M == 0 for x, y in zip(ra, s))]
             out += [DeltaCoset(g, _assemble(a, b, d, g), M) for b in bs]
     return out
 

@@ -1,14 +1,15 @@
 import argparse
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from vvmf.ahol import ahol_decompose, raise_op
 from vvmf.cli import (
+    _coset_key,
     _desk_cusp_form,
-    _same_left_coset,
     build_parser,
     main,
     parse_rep_expr,
@@ -79,34 +80,35 @@ def _int_product(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
-# modular-group (genus 1) and Sp(4, Z) (genus 2) elements that move a coset
-# representative within its left coset
-_GAMMAS = {
-    1: [((0, -1), (1, 0)), ((1, 1), (0, 1)), ((2, -1), (1, 0)), ((1, 0), (-3, 1))],
-    2: [
-        ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0)),
-        ((1, 0, 1, 2), (0, 1, 2, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
-        ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 1)),
-    ],
-}
+def _translation(S):
+    """(I S; 0 I) in Sp(2g, Z) for an integral symmetric g x g matrix S."""
+    g = len(S)
+    return tuple(tuple(int(i == j) for j in range(g)) + tuple(S[i]) for i in range(g)) + tuple(
+        (0,) * g + tuple(int(i == j) for j in range(g)) for i in range(g))
 
 
-@pytest.mark.parametrize("genus, indices", [(1, range(1, 7)), (2, (2,))])
+@pytest.mark.parametrize("genus, indices", [(1, range(1, 7)), (2, (2, 3, 6))])
 def test_same_left_coset_matches_rational_inverse(genus, indices):
-    """The integer test of verify counts agrees with m1 m2^-1 computed over
-    the rationals on every pair of representatives and of their images
-    gamma m, and it puts gamma m and m in one coset."""
+    """The key of verify counts against m1 m2^-1 computed over the rationals:
+    m' = (a, b + S d; 0, d) = (I S; 0 I) m, for a random integral symmetric S,
+    has the key of m and lies in its coset; two listed cosets have different
+    keys, and, where there are at most 40 of them, are different cosets."""
+    rng = random.Random(2)
     for M in indices:
         cosets = [c.mat for c in delta_cosets(genus, M)]
-        moved = [_int_product(g, m) for g in _GAMMAS[genus] for m in cosets]
-        for m1 in cosets + moved:
-            for m2 in cosets:
-                want = rational_same_left_coset(m1, m2, genus)
-                assert _same_left_coset(m1, m2, genus, M) == want, (M, m1, m2)
-        for g in _GAMMAS[genus]:
-            assert _is_similitude(g, genus, 1)
-            for m in cosets:
-                assert _same_left_coset(_int_product(g, m), m, genus, M)
+        for m in cosets:
+            S = [[0] * genus for _ in range(genus)]
+            for i in range(genus):
+                for j in range(i, genus):
+                    S[i][j] = S[j][i] = rng.randint(-3, 3)
+            moved = _int_product(_translation(S), m)
+            assert _coset_key(moved, genus, M) == _coset_key(m, genus, M), (M, m, S)
+            assert rational_same_left_coset(moved, m, genus), (M, m, S)
+        assert len({_coset_key(m, genus, M) for m in cosets}) == len(cosets), M
+        if len(cosets) <= 40:
+            for i, m1 in enumerate(cosets):
+                for m2 in cosets[i + 1 :]:
+                    assert not rational_same_left_coset(m1, m2, genus), (M, m1, m2)
 
 
 def test_verify_thm11_default_instance():

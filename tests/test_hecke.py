@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -7,8 +8,8 @@ import pytest
 
 from vvmf import hecke
 from vvmf.ahol import AholForm, _images, apply_intertwiner, lower_op, raise_op
-from vvmf.cli import _exhaustive_genus2_count
-from vvmf.exactnum import CycNum
+from vvmf.cli import _lattice_count
+from vvmf.exactnum import CycNum, divisors
 from vvmf.forms import delta_form, eisenstein, vv_eisenstein
 from vvmf.hecke import (
     DeltaCoset,
@@ -64,7 +65,7 @@ def test_counts_match_divisor_sums():
 def test_genus_two_counts(p):
     got = len(delta_cosets(2, p))
     assert got == (1 + p) * (1 + p * p)
-    assert got == _exhaustive_genus2_count(p)
+    assert got == _lattice_count(2, p)
 
 
 def test_similitude_check_is_the_explicit_product():
@@ -125,10 +126,121 @@ def box_filter_cosets(genus, M):
     return out
 
 
+def in_box(mat, genus):
+    """Whether b lies in the residue box 0 <= b[i][j] < d[j][j], that is X = 0."""
+    g = genus
+    return all(0 <= mat[i][g + j] < mat[g + j][g + j] for i in range(g) for j in range(g))
+
+
 @pytest.mark.parametrize("genus, indices", [(2, range(1, 9)), (3, range(1, 3))])
 def test_row_by_row_matches_box_filter(genus, indices):
+    """The representatives with X = 0, whose b lies in the box, are the box
+    filter's, in order.  The box misses the others (8 at genus 2, M = 6);
+    the closure certificate below checks those."""
     for M in indices:
-        assert [c.mat for c in delta_cosets(genus, M)] == box_filter_cosets(genus, M), M
+        listed = [c.mat for c in delta_cosets(genus, M) if in_box(c.mat, genus)]
+        assert listed == box_filter_cosets(genus, M), M
+
+
+def row_hermite(m):
+    """The row Hermite form of a nonsingular integer matrix: upper triangular,
+    positive pivots, each entry above a pivot in 0 .. pivot - 1.  Two matrices
+    have the same one exactly when they have the same row lattice."""
+    rows, n = [list(r) for r in m], len(m)
+
+    def reduce(i, c):
+        q = rows[i][c] // rows[c][c]
+        rows[i] = [x - q * y for x, y in zip(rows[i], rows[c])]
+
+    for c in range(n):
+        while any(rows[i][c] for i in range(c + 1, n)):
+            p = min((i for i in range(c, n) if rows[i][c]), key=lambda i: abs(rows[i][c]))
+            rows[c], rows[p] = rows[p], rows[c]
+            for i in range(c + 1, n):
+                reduce(i, c)
+        if rows[c][c] < 0:
+            rows[c] = [-x for x in rows[c]]
+        for i in range(c):
+            reduce(i, c)
+    return tuple(map(tuple, rows))
+
+
+def int_product(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+@functools.lru_cache(maxsize=None)
+def closure_keys(genus, M):
+    """The row Hermite forms of the left cosets of similitude M, by closure.
+
+    Each symplectic elementary-divisor class diag(d, M/d), d_1 | ... | d_g and
+    d_g^2 | M, is one double coset Sp X Sp, so one orbit of Sp(2g, Z) acting on
+    left cosets from the right.  J and the translations (I S; 0 I), S = E_ij +
+    E_ji (E_ii for i = j), generate Sp(2g, Z), and on a finite orbit closing
+    under the generators is closing under the group.  A coset is keyed by its
+    row lattice, which is what X Y^-1 in Sp(2g, Z) preserves.  This shares
+    nothing with delta_cosets but the similitude M.
+    """
+    g, n = genus, 2 * genus
+    gens = [tuple(tuple((i == k + g) - (k == i + g) for k in range(n)) for i in range(n))]
+    for i, j in itertools.combinations_with_replacement(range(g), 2):
+        gens.append(tuple(tuple(int(r == c or (r, c - g) in ((i, j), (j, i))) for c in range(n))
+                          for r in range(n)))
+    seen = set()
+    for ds in itertools.product(divisors(M), repeat=g):
+        if any(ds[k + 1] % ds[k] for k in range(g - 1)) or M % (ds[-1] ** 2):
+            continue
+        diag = ds + tuple(M // x for x in ds)
+        todo = [row_hermite([[diag[i] * (i == j) for j in range(n)] for i in range(n)])]
+        seen.add(todo[0])
+        while todo:
+            h = todo.pop()
+            for gen in gens:
+                key = row_hermite(int_product(h, gen))
+                if key not in seen:
+                    seen.add(key)
+                    todo.append(key)
+    return frozenset(seen)
+
+
+def certifies(genus, M, mats):
+    """Whether mats are one representative of each left coset of similitude M."""
+    keys = [row_hermite(m) for m in mats]
+    return len(set(keys)) == len(keys) and set(keys) == closure_keys(genus, M)
+
+
+@pytest.mark.parametrize("genus, indices", [(2, range(1, 11)), (3, range(1, 4))])
+def test_listing_is_certified_by_closure(genus, indices):
+    for M in indices:
+        assert certifies(genus, M, [c.mat for c in delta_cosets(genus, M)]), M
+
+
+def test_the_closure_certificate_refuses_incomplete_listings():
+    """The box filter, which lists what delta_cosets listed while b was kept in
+    its box, misses 8 of the 600 cosets at genus 2, M = 6; and a listing with
+    one coset dropped, or one listed twice, is refused at M = 2."""
+    boxed = box_filter_cosets(2, 6)
+    assert len(boxed) == 592 and not certifies(2, 6, boxed)
+    listed = [c.mat for c in delta_cosets(2, 2)]
+    assert certifies(2, 2, listed)
+    assert not certifies(2, 2, listed[1:])
+    assert not certifies(2, 2, listed[:1] + listed)
+
+
+def test_lattice_count_matches_divisor_sums_and_the_closure():
+    """The count of verify counts: sigma(M) at genus 1, the closure's count at genus 2."""
+    for M in range(1, 31):
+        assert _lattice_count(1, M) == sum(divisors(M)), M
+    for M in range(1, 6):
+        assert _lattice_count(2, M) == len(closure_keys(2, M)), M
+
+
+def test_genus_two_listing_counts_are_multiplicative():
+    """len(Delta_mn) = len(Delta_m) len(Delta_n) for coprime m and n."""
+    count = {M: len(delta_cosets(2, M)) for M in (2, 3, 5, 6, 10)}
+    assert (count[2], count[3], count[5]) == (15, 40, 156)
+    assert count[6] == count[2] * count[3] == 600
+    assert count[10] == count[2] * count[5] == 2340
 
 
 @pytest.mark.parametrize("genus, p, count", [(1, 5, 6), (2, 5, 156), (3, 2, 135), (3, 3, 1120), (4, 2, 2295)])
@@ -180,6 +292,12 @@ def test_coset_constructor_validates():
         DeltaCoset(1, ((1, 3), (0, 3)), 3)  # b out of range
     with pytest.raises(ValueError):
         delta_cosets(1, 0)
+    # b's second row is (2, 0) of the box less row 0 of d: a coset that the box misses
+    mat = ((2, 0, 2, 0), (-1, 3, -1, -1), (0, 0, 3, 1), (0, 0, 0, 2))
+    assert DeltaCoset(2, mat, 6) in delta_cosets(2, 6)
+    # (I I; 0 I) mat has the same coset, but b's first row leaves the box
+    with pytest.raises(ValueError, match="b entry out of residue range"):
+        DeltaCoset(2, ((2, 0, 5, 1), (-1, 3, -1, 1), (0, 0, 3, 1), (0, 0, 0, 2)), 6)
 
 
 def test_genus_one_listing_is_refused_by_its_exact_count():

@@ -4,7 +4,8 @@
 
 Each rung is one command, run in a fresh interpreter from the root of a
 checkout with PYTHONPATH=src.  A rung records its command, the SHA-256 of
-its standard output (its answer) and, per side, the wall time and peak RSS
+its standard output, the first line of that output (its answer; one per
+side when the two sides differ) and, per side, the wall time and peak RSS
 of the child (and inner_s, when the child's standard error ends with a
 "# inner_s=SECONDS" line), in parent/change pairs whose first side
 alternates: seven pairs when the first parent run takes under 1 s, three
@@ -302,11 +303,13 @@ def ladder(parent: str, change: str) -> list:
             print(name, json.dumps(pairs[-1]), flush=True)
         runs = [run for pair in pairs for run in pair.values()]
         digests = sorted({run["digest"] for run in runs if "digest" in run})
+        answers = {side: run["answer"] for pair in pairs for side, run in pair.items() if "answer" in run}
         rungs.append({
             "name": name,
             "command": argv,
             "digest": digests[0] if len(digests) == 1 else digests,
-            "answer": next((run["answer"] for run in runs if "answer" in run), None),
+            # a rung whose answer the change alters records each side's
+            "answer": answers if len(set(answers.values())) > 1 else next(iter(answers.values()), None),
             "killed": any(run.get("killed") for run in runs),
             "pairs": [
                 {side: {k: run[k] for k in ("wall_s", "peak_rss_mb", "inner_s", "killed", "exit") if k in run}
