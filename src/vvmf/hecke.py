@@ -144,7 +144,7 @@ def delta_cosets(genus: int, M: int) -> list:
             box = [(r, [_dot(r, aj) for aj in a]) for r in product(*map(range, diag))]
             bs = [[r] for r, _ in box]
             for i in range(1, g):  # ra = r t(a); s = b t(a[i]), which row i must match mod M
-                bs = [b + [r if s == ra[:i] else [_dot(s + ra[i:], col) // M for col in zip(*d)]]
+                bs = [b + [[_dot(s + ra[i:], col) // M for col in zip(*d)]]
                       for b in bs for s in [[_dot(bj, a[i]) for bj in b]]
                       for r, ra in box if all((x - y) % M == 0 for x, y in zip(ra, s))]
             out += [DeltaCoset(g, _assemble(a, b, d, g), M) for b in bs]

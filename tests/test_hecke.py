@@ -165,10 +165,6 @@ def row_hermite(m):
     return tuple(map(tuple, rows))
 
 
-def int_product(a, b):
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
-
-
 @functools.lru_cache(maxsize=None)
 def closure_keys(genus, M):
     """The row Hermite forms of the left cosets of similitude M, by closure.
@@ -196,7 +192,7 @@ def closure_keys(genus, M):
         while todo:
             h = todo.pop()
             for gen in gens:
-                key = row_hermite(int_product(h, gen))
+                key = row_hermite(hecke._int_mul(h, gen))
                 if key not in seen:
                     seen.add(key)
                     todo.append(key)
